@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -52,23 +52,6 @@ class RunConfig:
     sigma: float = 0.04
     temperature: float = 0.1
 
-    _FIELDS = (
-        "dataset",
-        "model",
-        "task",
-        "seed",
-        "steps",
-        "lr_max",
-        "lr_min",
-        "split",
-        "normalize",
-        "loss",
-        "energy_weight",
-        "force_weight",
-        "sigma",
-        "temperature",
-    )
-
     def __post_init__(self):
         if self.task not in SUPERVISED_TASKS + tr.PRETRAIN_KINDS:
             raise ContractError(f"unknown task '{self.task}'")
@@ -83,7 +66,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        unknown = set(raw) - set(cls._FIELDS)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
         if "dataset" not in raw or "model" not in raw:
@@ -103,12 +86,10 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        kw = {name: getattr(self, name) for name in self._FIELDS}
-        kw["seed"] = seed
-        return RunConfig(**kw)
+        return replace(self, seed=seed)
 
     def canonical(self) -> dict:
-        out = {name: getattr(self, name) for name in self._FIELDS}
+        out = asdict(self)
         out["split"] = list(self.split)
         return out
 
@@ -118,14 +99,19 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def apply_seed_override(cfg: RunConfig) -> RunConfig:
+def _env_seed(default: int) -> int:
+    """The GEOM_SEED environment variable as an integer, else `default`."""
     raw = os.environ.get("GEOM_SEED")
     if raw is None:
-        return cfg
+        return default
     try:
-        return cfg.with_seed(int(raw))
+        return int(raw)
     except ValueError as exc:
         raise ContractError(f"GEOM_SEED must be an integer, got '{raw}'") from exc
+
+
+def apply_seed_override(cfg: RunConfig) -> RunConfig:
+    return cfg.with_seed(_env_seed(cfg.seed))
 
 
 def split_dataset(confs, fractions, seed):
@@ -342,7 +328,7 @@ def cmd_check_equiv(args) -> int:
             raise ContractError(f"config {args.config} is not valid JSON: {exc}") from exc
     model_cfg = raw.get("model", raw)
     model = api.model_from_config(model_cfg)
-    seed = int(os.environ.get("GEOM_SEED", args.seed))
+    seed = _env_seed(args.seed)
     params = model.init(seed)
     claims = equivariance_claims(model, params, args.trials, seed)
     failures = []

@@ -2,6 +2,9 @@
 init, and the energy / per-node scalar / per-node vector entry points that
 training, pretraining, and the CLI share.
 
+Every family is one row of `FAMILY_TABLE`; the energy is the same for all
+of them, a bias-free linear head over sum-pooled node scalars.
+
 The `leaky` family is a deliberately broken negative control: it adds raw
 coordinates into the scalar head, so every symmetry check must flag it.
 """
@@ -9,7 +12,8 @@ coordinates into the scalar head, so every symmetry check must flag it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 import numpy as np
 
@@ -19,93 +23,91 @@ from ..tensor import Tensor
 from . import invariant, spherical, vector
 from .common import GraphBatch, readout
 
-FAMILIES = ("schnet", "dimenet", "tfn", "se3attn", "egnn", "painn", "leaky")
+
+def _init_leaky(spec: invariant.SchNetSpec, seed: int) -> dict[str, np.ndarray]:
+    params = invariant.init_schnet(spec, seed)
+    params["leak.w"] = T.glorot_uniform(np.random.default_rng(seed + 1), 3, spec.hidden)
+    return params
+
+
+def _leaky_scalars(spec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
+    h = invariant.schnet_node_features(spec, params, batch, pos)
+    return h + T.matmul(pos, params["leak.w"])
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a family supplies: `(spec, seed) -> params`, `(spec, params,
+    batch, pos) -> (N, width)` node scalars, optionally `-> (N, 3)` node
+    vectors, whether its batches need angle triplets, and its scalar width."""
+
+    init: Callable
+    node_scalars: Callable
+    node_vectors: Callable | None
+    needs_angles: bool
+    width: Callable[[Any], int]
+
+
+_HIDDEN = attrgetter("hidden")
+_STEERABLE = Family(
+    spherical.init_steerable,
+    spherical.steerable_node_scalars,
+    spherical.steerable_node_vectors,
+    False,
+    attrgetter("scalar_channels"),
+)
+FAMILY_TABLE = {
+    "schnet": Family(invariant.init_schnet, invariant.schnet_node_features, None, False, _HIDDEN),
+    "dimenet": Family(invariant.init_dimenet, invariant.dimenet_node_features, None, True, _HIDDEN),
+    "tfn": _STEERABLE,
+    "se3attn": _STEERABLE,
+    "egnn": Family(vector.init_egnn, vector.egnn_node_features, vector.egnn_node_vectors, False, _HIDDEN),
+    "painn": Family(
+        vector.init_painn, vector.painn_node_features, vector.painn_node_vectors, False, attrgetter("channels")
+    ),
+    "leaky": Family(_init_leaky, _leaky_scalars, None, False, _HIDDEN),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """Family tag plus its spec; all entry points dispatch on the tag."""
+    """Family tag, its spec, and the cutoff its graphs are built with."""
 
     family: str
     spec: Any
+    cutoff: float
 
     @property
-    def cutoff(self) -> float:
-        if self.family in ("schnet", "dimenet", "leaky"):
-            return self.spec.basis.cutoff
-        if self.family in ("tfn", "se3attn"):
-            return self.spec.radial.cutoff
-        if self.family == "painn":
-            return self.spec.basis.cutoff
-        raise ContractError("egnn carries no basis; build the handle via model_from_config")
+    def _row(self) -> Family:
+        return FAMILY_TABLE[self.family]
 
     @property
     def needs_angles(self) -> bool:
-        return self.family == "dimenet"
+        return self._row.needs_angles
 
     @property
     def scalar_width(self) -> int:
-        if self.family in ("schnet", "dimenet", "egnn", "leaky"):
-            return self.spec.hidden
-        if self.family in ("tfn", "se3attn"):
-            return self.spec.scalar_channels
-        return self.spec.channels
+        return self._row.width(self.spec)
 
     @property
     def has_vector_output(self) -> bool:
-        return self.family in ("tfn", "se3attn", "egnn", "painn")
+        return self._row.node_vectors is not None
 
     def init(self, seed: int) -> dict[str, np.ndarray]:
-        if self.family in ("schnet", "leaky"):
-            params = invariant.init_schnet(self.spec, seed)
-            if self.family == "leaky":
-                rng = np.random.default_rng(seed + 1)
-                params["leak.w"] = T.glorot_uniform(rng, 3, self.spec.hidden)
-            return params
-        if self.family == "dimenet":
-            return invariant.init_dimenet(self.spec, seed)
-        if self.family in ("tfn", "se3attn"):
-            return spherical.init_steerable(self.spec, seed)
-        if self.family == "egnn":
-            return vector.init_egnn(self.spec, seed)
-        return vector.init_painn(self.spec, seed)
+        return self._row.init(self.spec, seed)
 
     def node_scalars(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        if self.family == "schnet":
-            return invariant.schnet_node_features(self.spec, params, batch, pos)
-        if self.family == "leaky":
-            h = invariant.schnet_node_features(self.spec, params, batch, pos)
-            return h + T.matmul(pos, params["leak.w"])
-        if self.family == "dimenet":
-            return invariant.dimenet_node_features(self.spec, params, batch, pos)
-        if self.family in ("tfn", "se3attn"):
-            return spherical.steerable_node_scalars(self.spec, params, batch, pos)
-        if self.family == "egnn":
-            return vector.egnn_node_features(self.spec, params, batch, pos)
-        return vector.painn_node_features(self.spec, params, batch, pos)
+        return self._row.node_scalars(self.spec, params, batch, pos)
 
     def energy(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        if self.family == "schnet":
-            return invariant.schnet_energy(self.spec, params, batch, pos)
-        if self.family == "dimenet":
-            return invariant.dimenet_energy(self.spec, params, batch, pos)
-        if self.family in ("tfn", "se3attn"):
-            return spherical.steerable_energy(self.spec, params, batch, pos)
-        if self.family == "egnn":
-            return vector.egnn_energy(self.spec, params, batch, pos)
-        if self.family == "painn":
-            return vector.painn_energy(self.spec, params, batch, pos)
-        h = self.node_scalars(params, batch, pos)
-        return readout(params["head.w"], h, batch.node_graph, batch.n_graphs, "sum")
+        h = self._row.node_scalars(self.spec, params, batch, pos)
+        return readout(params["head.w"], h, batch.node_graph, batch.n_graphs)
 
     def node_vectors(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        if self.family in ("tfn", "se3attn"):
-            return spherical.steerable_node_vectors(self.spec, params, batch, pos)
-        if self.family == "egnn":
-            return vector.egnn_node_vectors(self.spec, params, batch, pos)
-        if self.family == "painn":
-            return vector.painn_node_vectors(self.spec, params, batch, pos)
-        raise ContractError(f"family '{self.family}' has no equivariant vector output")
+        if self._row.node_vectors is None:
+            raise ContractError(f"family '{self.family}' has no equivariant vector output")
+        return self._row.node_vectors(self.spec, params, batch, pos)
 
 
 def model_from_config(config: dict) -> ModelHandle:
@@ -113,12 +115,14 @@ def model_from_config(config: dict) -> ModelHandle:
 
     Common keys: family, hidden, layers, cutoff, basis {kind, count, envelope}.
     Steerable families read scalar/vector/tensor channel counts instead of
-    hidden; egnn honors update_coords.
+    hidden; egnn honors update_coords. Graphs are cut at the radial basis
+    cutoff (`basis.cutoff`, by default `cutoff`); egnn has no basis and uses
+    `cutoff`.
     """
     if "family" not in config:
         raise ContractError("model config needs a 'family' key")
     family = config["family"]
-    if family not in FAMILIES:
+    if family not in FAMILY_TABLE:
         raise ContractError(f"unknown model family '{family}'")
     cutoff = float(config.get("cutoff", 5.0))
     basis_cfg = dict(config.get("basis", {}))
@@ -160,21 +164,10 @@ def model_from_config(config: dict) -> ModelHandle:
             layers=layers,
             update_coords=bool(config.get("update_coords", True)),
         )
-        return _EgnnHandle(family=family, spec=spec, _cutoff=cutoff)
+        return ModelHandle(family, spec, cutoff)
     else:
         spec = vector.PainnSpec(channels=hidden, layers=layers, basis=basis("bessel", 16))
-    return ModelHandle(family=family, spec=spec)
-
-
-@dataclass(frozen=True)
-class _EgnnHandle(ModelHandle):
-    """EGNN has no radial basis, so the graph cutoff rides on the handle."""
-
-    _cutoff: float = 5.0
-
-    @property
-    def cutoff(self) -> float:
-        return self._cutoff
+    return ModelHandle(family, spec, float(basis_cfg["cutoff"]))
 
 
 def init_pretrain_heads(handle: ModelHandle, seed: int) -> dict[str, np.ndarray]:

@@ -102,18 +102,11 @@ def embed_nodes(embed_table: Tensor, z: np.ndarray) -> Tensor:
     return T.gather(embed_table, z)
 
 
-def readout(head: Tensor, h: Tensor, segment_ids, n_graphs: int, mode: str = "sum") -> Tensor:
-    """Pool node features per graph and apply a bias-free linear head.
+def readout(head: Tensor, h: Tensor, segment_ids, n_graphs: int) -> Tensor:
+    """Sum node features per graph and apply a bias-free linear head.
 
     Sum pooling keeps predictions extensive: a disjoint duplicate of a graph
     doubles its output exactly.
     """
-    if mode not in ("sum", "mean"):
-        raise ContractError(f"unknown readout mode '{mode}'")
     pooled = T.scatter_sum(h, segment_ids, n_graphs)
-    if mode == "mean":
-        counts = np.bincount(np.asarray(segment_ids), minlength=n_graphs).astype(np.float64)
-        if (counts == 0).any():
-            raise ContractError("readout saw an empty graph")
-        pooled = T.mul(pooled, Tensor(1.0 / counts[:, None]))
     return T.reshape(T.matmul(pooled, head), (-1,))

@@ -23,7 +23,7 @@ from .. import tensor as T
 from ..errors import ContractError
 from ..geometry import AngleIndex
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
-from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes, readout
+from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
 
 # ---------------------------------------------------------------------------
 # radial bases
@@ -254,7 +254,6 @@ class SchNetSpec:
     hidden: int = 64
     layers: int = 3
     basis: RadialBasisSpec = field(default_factory=RadialBasisSpec)
-    readout_mode: str = "sum"
 
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
@@ -310,13 +309,6 @@ def schnet_node_features(
     return h
 
 
-def schnet_energy(
-    spec: SchNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
-) -> Tensor:
-    h = schnet_node_features(spec, params, batch, pos)
-    return readout(params["head.w"], h, batch.node_graph, batch.n_graphs, spec.readout_mode)
-
-
 # ---------------------------------------------------------------------------
 # two-hop directional stack
 
@@ -328,7 +320,6 @@ class DimeNetSpec:
     basis: RadialBasisSpec = field(default_factory=lambda: RadialBasisSpec(kind="bessel", count=8))
     sbf_l_max: int = 2
     sbf_n_max: int = 3
-    readout_mode: str = "sum"
 
     def __post_init__(self):
         if self.hidden < 1 or self.blocks < 1:
@@ -441,9 +432,3 @@ def dimenet_node_features(
     per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
     return T.scatter_sum(per_edge, batch.src, batch.n_nodes)
 
-
-def dimenet_energy(
-    spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
-) -> Tensor:
-    h = dimenet_node_features(spec, params, batch, pos)
-    return readout(params["head.w"], h, batch.node_graph, batch.n_graphs, spec.readout_mode)

@@ -23,10 +23,9 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import EdgeList
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, from_blocks, sph_harm_block
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
-from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes, readout
+from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
 from .invariant import RadialBasisSpec, cosine_envelope, radial_basis
 
 _DEGREE_CAP = 2
@@ -187,20 +186,27 @@ def _residual(
     return from_blocks(spec.layout_out, out_blocks)
 
 
-def tfn_conv_at(
+def tfn_conv(
     spec: TfnLayerSpec,
     params: dict,
-    prefix: str,
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
     rel: Tensor,
 ) -> SteerableFeature:
-    """Convolution with an explicit (possibly taped) edge-vector tensor."""
+    """Neighborhood tensor-product update over edges (src <- dst) with
+    relative vectors `rel` (possibly taped); weights live under `conv.`.
+    Without edges every message is zero and only the residual remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
     n = feat.data.shape[0]
-    per_block, _ = _path_messages(spec, params, prefix, feat, dst, rel)
+    if src.size == 0:
+        zero = {
+            b: Tensor(np.zeros((n, mult, 2 * l + 1)))
+            for b, (mult, l) in enumerate(spec.layout_out.blocks)
+        }
+        return _residual(spec, feat, zero)
+    per_block, _ = _path_messages(spec, params, "conv", feat, dst, rel)
     mixed = {}
     for b_out, (mult, l) in enumerate(spec.layout_out.blocks):
         msgs = T.concat(per_block[b_out], axis=1)
@@ -208,25 +214,8 @@ def tfn_conv_at(
         flat = T.reshape(msgs, (e, -1))
         agg = T.scatter_sum(flat, src, n)
         stacked = T.reshape(agg, (n, -1, 2 * l + 1))
-        mixed[b_out] = _mix_block(spec, params, prefix, b_out, stacked)
+        mixed[b_out] = _mix_block(spec, params, "conv", b_out, stacked)
     return _residual(spec, feat, mixed)
-
-
-def tfn_conv(
-    spec: TfnLayerSpec, params: dict, feat: SteerableFeature, edges: EdgeList
-) -> SteerableFeature:
-    """Neighborhood tensor-product update over a static edge list."""
-    if edges.n_edges == 0:
-        zero = {
-            b: Tensor(np.zeros((feat.data.shape[0], mult, 2 * l + 1)))
-            for b, (mult, l) in enumerate(spec.layout_out.blocks)
-        }
-        return _residual(spec, feat, zero)
-    return tfn_conv_at(spec, params, "conv", feat, edges.src, edges.dst, Tensor(edges.rel_vec))
-
-
-def init_tfn_conv(spec: TfnLayerSpec, seed: int) -> dict[str, np.ndarray]:
-    return init_tfn_layer(spec, np.random.default_rng(seed), "conv")
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +240,6 @@ class AttentionSpec:
                 raise ContractError("query cannot produce a degree absent from the input")
 
 
-def init_attention(spec: AttentionSpec, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    params = init_tfn_layer(spec.key, rng, "key")
-    params.update(init_tfn_layer(spec.value, rng, "value"))
-    in_mult = {l: mult for mult, l in spec.key.layout_in.blocks}
-    for b, (mult, l) in enumerate(spec.key.layout_out.blocks):
-        params[f"query{b}.mix"] = T.glorot_uniform(rng, in_mult[l], mult)
-    return params
-
-
 def _per_edge_rows(
     spec: TfnLayerSpec,
     params: dict,
@@ -278,7 +257,7 @@ def _per_edge_rows(
     return from_blocks(spec.layout_out, blocks)
 
 
-def se3_attention_at(
+def se3_attention(
     spec: AttentionSpec,
     params: dict,
     feat: SteerableFeature,
@@ -307,14 +286,6 @@ def se3_attention_at(
     return SteerableFeature(feat.layout, feat.data + agg), alpha
 
 
-def se3_attention(
-    spec: AttentionSpec, params: dict, feat: SteerableFeature, edges: EdgeList
-) -> tuple[SteerableFeature, Tensor]:
-    return se3_attention_at(
-        spec, params, feat, edges.src, edges.dst, Tensor(edges.rel_vec)
-    )
-
-
 # ---------------------------------------------------------------------------
 # full stacks
 
@@ -330,7 +301,6 @@ class SteerableModelSpec:
     layers: int = 2
     radial: RadialBasisSpec = field(default_factory=RadialBasisSpec)
     radial_hidden: int = 16
-    readout_mode: str = "sum"
 
     def __post_init__(self):
         if self.family not in ("tfn", "se3attn"):
@@ -395,22 +365,12 @@ def steerable_features(
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
         if spec.family == "se3attn" and i > 0:
-            feat, _ = se3_attention_at(
+            feat, _ = se3_attention(
                 spec.attention_spec(i), scoped, feat, batch.src, batch.dst, rel
             )
         else:
-            feat = tfn_conv_at(
-                spec.layer_spec(i), scoped, "conv", feat, batch.src, batch.dst, rel
-            )
+            feat = tfn_conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, rel)
     return feat
-
-
-def steerable_energy(
-    spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> Tensor:
-    feat = steerable_features(spec, params, batch, pos)
-    scalars = T.reshape(feat.block(0), (batch.n_nodes, spec.scalar_channels))
-    return readout(params["head.w"], scalars, batch.node_graph, batch.n_graphs, spec.readout_mode)
 
 
 def steerable_node_scalars(

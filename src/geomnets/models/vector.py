@@ -1,13 +1,9 @@
-"""Vector-frame equivariant models and per-edge orthonormal frames.
+"""Vector-frame equivariant models.
 
 Two stacks: one updates coordinates directly with gated difference vectors
 (messages see squared distances only), the other carries multi-channel
 3-vectors next to scalars and keeps equivariance by combining vectors
 strictly linearly or through invariant gates.
-
-Edge frames orthonormalize (difference, cross product, their cross); the
-middle axis is a pseudovector, which makes scalarized components along it
-flip sign under point reflection while the other two stay put.
 """
 
 from __future__ import annotations
@@ -18,9 +14,8 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import EdgeList
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
-from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes, readout
+from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
 from .invariant import RadialBasisSpec, radial_basis
 
 # ---------------------------------------------------------------------------
@@ -32,7 +27,6 @@ class EgnnSpec:
     hidden: int = 32
     layers: int = 3
     update_coords: bool = True
-    readout_mode: str = "sum"
 
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
@@ -59,7 +53,7 @@ def init_egnn(spec: EgnnSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def egnn_layer_at(
+def egnn_layer(
     spec: EgnnSpec,
     params: dict,
     prefix: str,
@@ -95,27 +89,14 @@ def egnn_layer_at(
     return h, x
 
 
-def egnn_layer(
-    spec: EgnnSpec, params: dict, h: Tensor, x: Tensor, edges: EdgeList
-) -> tuple[Tensor, Tensor]:
-    return egnn_layer_at(spec, params, "layer", h, x, edges.src, edges.dst)
-
-
 def egnn_forward(
     spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
     h = embed_nodes(params["embed"], batch.z)
     x = pos
     for i in range(spec.layers):
-        h, x = egnn_layer_at(
-            spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset
-        )
+        h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset)
     return h, x
-
-
-def egnn_energy(spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    h, _ = egnn_forward(spec, params, batch, pos)
-    return readout(params["head.w"], h, batch.node_graph, batch.n_graphs, spec.readout_mode)
 
 
 def egnn_node_features(spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
@@ -140,7 +121,6 @@ class PainnSpec:
     basis: RadialBasisSpec = field(
         default_factory=lambda: RadialBasisSpec(kind="bessel", count=20)
     )
-    readout_mode: str = "sum"
 
     def __post_init__(self):
         if self.channels < 1 or self.layers < 1:
@@ -174,7 +154,7 @@ def _channel_mix(v: Tensor, w: Tensor) -> Tensor:
     return T.transpose2(T.matmul(T.transpose2(v), w))
 
 
-def painn_layer_at(
+def painn_layer(
     spec: PainnSpec,
     params: dict,
     prefix: str,
@@ -185,6 +165,8 @@ def painn_layer_at(
     rel: Tensor,
     dist: Tensor,
 ) -> tuple[Tensor, Tensor]:
+    """One message + update block over edges (src <- dst) with relative
+    vectors `rel` and their lengths `dist`."""
     f = spec.channels
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
@@ -218,14 +200,6 @@ def painn_layer_at(
     return s, v
 
 
-def painn_layer(
-    spec: PainnSpec, params: dict, s: Tensor, v: Tensor, edges: EdgeList
-) -> tuple[Tensor, Tensor]:
-    return painn_layer_at(
-        spec, params, "layer", s, v, edges.src, edges.dst, Tensor(edges.rel_vec), Tensor(edges.dist)
-    )
-
-
 def painn_forward(
     spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
@@ -233,13 +207,8 @@ def painn_forward(
     s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
     for i in range(spec.layers):
-        s, v = painn_layer_at(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
+        s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
     return s, v
-
-
-def painn_energy(spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    s, _ = painn_forward(spec, params, batch, pos)
-    return readout(params["head.w"], s, batch.node_graph, batch.n_graphs, spec.readout_mode)
 
 
 def painn_node_features(spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
@@ -251,59 +220,3 @@ def painn_node_vectors(spec: PainnSpec, params: dict, batch: GraphBatch, pos: Te
     _, v = painn_forward(spec, params, batch, pos)
     return T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))
 
-
-# ---------------------------------------------------------------------------
-# per-edge orthonormal frames and scalarization
-
-
-@dataclass(frozen=True)
-class EdgeFrame:
-    """Right-handed orthonormal triple; e2 is a pseudovector (cross product)."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        basis = np.stack([self.e1, self.e2, self.e3])
-        if np.abs(basis @ basis.T - np.eye(3)).max() > 1e-10:
-            raise ContractError("frame is not orthonormal")
-        if np.abs(np.cross(self.e1, self.e2) - self.e3).max() > 1e-10:
-            raise ContractError("frame is not right-handed")
-
-
-def build_edge_frame(x_i, x_j, centered: bool = True) -> EdgeFrame:
-    """Frame from a position pair: normalized difference, normalized cross
-    product, and their cross.
-
-    `centered` documents the caller's promise that positions are given
-    relative to the system centroid (the cross product is origin-sensitive).
-    A collinear pair (cross norm < 1e-10) cannot support this construction;
-    the frame is then completed deterministically by one Gram-Schmidt step
-    on the unit axis with the smallest |e1| component and flagged degenerate.
-    """
-    x_i = np.asarray(x_i, dtype=np.float64).reshape(3)
-    x_j = np.asarray(x_j, dtype=np.float64).reshape(3)
-    diff = x_i - x_j
-    d = np.linalg.norm(diff)
-    if d < 1e-12:
-        raise ContractError("coincident points have no frame")
-    e1 = diff / d
-    cross = np.cross(x_i, x_j)
-    norm = np.linalg.norm(cross)
-    degenerate = norm < 1e-10
-    if degenerate:
-        axis = np.zeros(3)
-        axis[np.argmin(np.abs(e1))] = 1.0
-        raw = axis - (axis @ e1) * e1
-        e2 = raw / np.linalg.norm(raw)
-    else:
-        e2 = cross / norm
-    return EdgeFrame(e1, e2, np.cross(e1, e2), degenerate)
-
-
-def scalarize(r, frame: EdgeFrame) -> np.ndarray:
-    """Project a vector onto the frame axes; invariant under co-rotation."""
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    return np.array([frame.e1 @ r, frame.e2 @ r, frame.e3 @ r])

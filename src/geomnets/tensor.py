@@ -57,9 +57,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flags = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flags})"
@@ -480,11 +477,6 @@ def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:
     data = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
     np.add.at(data, idx, values.data)
     return _op("scatter_sum", (values,), data, lambda g: (gather(g, idx),))
-
-
-def stop_gradient(a) -> Tensor:
-    a = _coerce(a)
-    return Tensor(a.data.copy())
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:

@@ -259,41 +259,20 @@ def _predict(model, params_t, batch, tape, stats, n_per_graph):
     return energy, -g
 
 
-def train_energy_force(
-    model,
-    confs: Sequence[Conformation],
-    schedule: ScheduleSpec,
-    seed: int = 0,
-    weights: LossWeights = LossWeights(),
-    reduction: str = "mse",
-    stats: NormalizationStats | None = None,
-    steps: int | None = None,
-    stop_loss_ratio: float | None = None,
-    params: dict[str, np.ndarray] | None = None,
-    progress=None,
-):
-    """Full-batch Adam on energy + force matching.
+def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, progress):
+    """Full-batch Adam on `loss_fn(tape, params_t, step) -> scalar Tensor`.
 
     Stops early once the loss falls below stop_loss_ratio times the first
     step's loss.  Returns (params, history) with history carrying parallel
     step and train_loss lists.
     """
-    if steps is None:
-        steps = schedule.total_steps
-    batch = build_batch(confs, model.cutoff, model.needs_angles)
-    n_per_graph = np.bincount(batch.node_graph, minlength=batch.n_graphs)
-    e_true, f_true = _targets(confs)
-    e_true_t, f_true_t = Tensor(e_true), Tensor(f_true)
-    if params is None:
-        params = model.init(seed)
     state = OptimizerState.create(params)
     history = {"step": [], "train_loss": []}
     first_loss = None
     for step in range(steps):
         tape = T.Tape()
         params_t = T.lift(params, tape)
-        energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph)
-        loss = energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction)
+        loss = loss_fn(tape, params_t, step)
         keys = sorted(params)
         grads = tape.gradient(loss, [params_t[k] for k in keys])
         params = adam_step(state, params, dict(zip(keys, (g.data for g in grads))), cosine_lr(schedule, step))
@@ -307,6 +286,36 @@ def train_energy_force(
         if stop_loss_ratio is not None and value <= stop_loss_ratio * first_loss:
             break
     return params, history
+
+
+def train_energy_force(
+    model,
+    confs: Sequence[Conformation],
+    schedule: ScheduleSpec,
+    seed: int = 0,
+    weights: LossWeights = LossWeights(),
+    reduction: str = "mse",
+    stats: NormalizationStats | None = None,
+    steps: int | None = None,
+    stop_loss_ratio: float | None = None,
+    params: dict[str, np.ndarray] | None = None,
+    progress=None,
+):
+    """Full-batch Adam on energy + force matching; returns (params, history)."""
+    if steps is None:
+        steps = schedule.total_steps
+    batch = build_batch(confs, model.cutoff, model.needs_angles)
+    n_per_graph = np.bincount(batch.node_graph, minlength=batch.n_graphs)
+    e_true, f_true = _targets(confs)
+    e_true_t, f_true_t = Tensor(e_true), Tensor(f_true)
+    if params is None:
+        params = model.init(seed)
+
+    def loss_fn(tape, params_t, step):
+        energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph)
+        return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction)
+
+    return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
 
 
 def evaluate_energy_force(
@@ -527,31 +536,13 @@ def train_pretrain(
     # of the dataset rather than resampling noise per step
     noise_rng = np.random.default_rng(seed + 2)
     fixed_noise = [noise_rng.normal(0.0, sigma, c.pos.shape) for c in confs]
-    state = OptimizerState.create(params)
-    history = {"step": [], "train_loss": []}
-    first_loss = None
-    for step in range(steps):
-        tape = T.Tape()
-        params_t = T.lift(params, tape)
+
+    def loss_fn(tape, params_t, step):
         if kind in ("type", "distance", "angle"):
             pos = tape.tensor(base_batch.pos)
-            loss = masked_pretrain_loss(kind, model, params_t, base_batch, pos, seed + step)
-        elif kind == "denoise":
-            loss = denoise_pretrain_loss(model, params_t, confs, sigma, noise=fixed_noise)
-        else:
-            loss = contrastive_pretrain_loss(
-                model, params_t, confs, sigma, temperature, noise=fixed_noise
-            )
-        keys = sorted(params)
-        grads = tape.gradient(loss, [params_t[k] for k in keys])
-        params = adam_step(state, params, dict(zip(keys, (g.data for g in grads))), cosine_lr(schedule, step))
-        value = float(loss.data)
-        history["step"].append(step)
-        history["train_loss"].append(value)
-        if progress is not None:
-            progress(step, value)
-        if first_loss is None:
-            first_loss = value
-        if stop_loss_ratio is not None and value <= stop_loss_ratio * first_loss:
-            break
-    return params, history
+            return masked_pretrain_loss(kind, model, params_t, base_batch, pos, seed + step)
+        if kind == "denoise":
+            return denoise_pretrain_loss(model, params_t, confs, sigma, noise=fixed_noise)
+        return contrastive_pretrain_loss(model, params_t, confs, sigma, temperature, noise=fixed_noise)
+
+    return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)

@@ -83,6 +83,24 @@ def test_config_hash_ignores_key_order_and_tracks_seed():
     assert cli.config_hash(a) != cli.config_hash(a.with_seed(2))
 
 
+def test_config_hash_pinned():
+    # hashes already written to metrics files must not drift
+    cfg = cli.RunConfig.from_dict(
+        {
+            "dataset": "data.jsonl",
+            "model": {"family": "schnet", "hidden": 16, "layers": 1, "cutoff": 4.0},
+            "task": "energy+force",
+            "seed": 3,
+            "steps": 10,
+            "lr_max": 5e-3,
+            "lr_min": 1e-4,
+            "split": [0.8, 0.1, 0.1],
+        }
+    )
+    assert cli.config_hash(cfg) == "81ac368a8eb1a497ad45d968d1ea35e8fdb490f745f7f7bb08ecaf48f741e588"
+    assert cli.config_hash(cfg.with_seed(7)) == "de3d35128c45cfe46fb80aa499e1ff1efbbe107e046aa34d484f9edf6e80b2f7"
+
+
 def test_split_dataset_partitions_everything():
     confs = tr.synthetic_conformations(10, seed=0, n_atoms=(4, 4))
     train, val, test = cli.split_dataset(confs, (0.8, 0.1, 0.1), seed=5)
@@ -145,6 +163,9 @@ def test_geom_seed_env_overrides_config(workspace):
         "train", "--config", str(cfg_path), "--out", str(out), env_extra={"GEOM_SEED": "x"}
     )
     assert bad.returncode == 2
+    bad = run_cli("check-equiv", "--config", str(cfg_path), "--trials", "1", env_extra={"GEOM_SEED": "x"})
+    assert bad.returncode == 2
+    assert "GEOM_SEED" in bad.stderr and "Traceback" not in bad.stderr
 
 
 def test_missing_files_exit_2_with_path(workspace):

@@ -17,6 +17,7 @@ from scipy import optimize, special
 from geomnets import tensor as T
 from geomnets.errors import ContractError
 from geomnets.geometry import Conformation
+from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models.common import build_batch, readout
 from geomnets.so3 import random_rotation, sph_harm_block
@@ -266,8 +267,7 @@ def test_readout_sum_and_mean_examples():
     h = Tensor(np.array([[1.0], [2.0], [3.0]]))
     head = Tensor(np.array([[1.0]]))
     ids = np.zeros(3, dtype=np.int64)
-    assert readout(head, h, ids, 1, "sum").data[0] == pytest.approx(6.0)
-    assert readout(head, h, ids, 1, "mean").data[0] == pytest.approx(2.0)
+    assert readout(head, h, ids, 1).data[0] == pytest.approx(6.0)
 
 
 def test_readout_batch_equals_concatenated_singles():
@@ -275,9 +275,9 @@ def test_readout_batch_equals_concatenated_singles():
     h = Tensor(rng.normal(size=(7, 4)))
     head = Tensor(rng.normal(size=(4, 1)))
     ids = np.array([0, 0, 0, 1, 1, 1, 1])
-    both = readout(head, h, ids, 2, "sum").data
-    first = readout(head, Tensor(h.data[:3]), np.zeros(3, dtype=int), 1, "sum").data
-    second = readout(head, Tensor(h.data[3:]), np.zeros(4, dtype=int), 1, "sum").data
+    both = readout(head, h, ids, 2).data
+    first = readout(head, Tensor(h.data[:3]), np.zeros(3, dtype=int), 1).data
+    second = readout(head, Tensor(h.data[3:]), np.zeros(4, dtype=int), 1).data
     np.testing.assert_allclose(both, np.concatenate([first, second]), atol=1e-12)
 
 
@@ -295,6 +295,14 @@ def schnet_setup(seed=0, hidden=16, layers=2, cutoff=4.0):
 
 def as_tensors(params):
     return {k: Tensor(v) for k, v in params.items()}
+
+
+def schnet_energy(spec, params, batch, pos):
+    return api.ModelHandle("schnet", spec, spec.basis.cutoff).energy(params, batch, pos)
+
+
+def dimenet_energy(spec, params, batch, pos):
+    return api.ModelHandle("dimenet", spec, spec.basis.cutoff).energy(params, batch, pos)
 
 
 def test_schnet_param_shapes():
@@ -337,8 +345,8 @@ def test_schnet_permutation_equivariance():
     h1 = inv.schnet_node_features(spec, pt, b1, Tensor(b1.pos))
     h2 = inv.schnet_node_features(spec, pt, b2, Tensor(b2.pos))
     np.testing.assert_allclose(h2.data, h1.data[order], atol=1e-12)
-    e1 = inv.schnet_energy(spec, pt, b1, Tensor(b1.pos)).data
-    e2 = inv.schnet_energy(spec, pt, b2, Tensor(b2.pos)).data
+    e1 = schnet_energy(spec, pt, b1, Tensor(b1.pos)).data
+    e2 = schnet_energy(spec, pt, b2, Tensor(b2.pos)).data
     np.testing.assert_allclose(e1, e2, atol=1e-12)
 
 
@@ -354,10 +362,10 @@ def test_schnet_energy_rigid_motion_invariant():
     pt = as_tensors(params)
     conf = molecule(21, n=6)
     batch = build_batch([conf], cutoff=4.0, need_angles=False)
-    base = inv.schnet_energy(spec, pt, batch, Tensor(batch.pos)).data
+    base = schnet_energy(spec, pt, batch, Tensor(batch.pos)).data
     for rot, shift in rigid_motions(40):
         moved = batch.pos @ rot.T + shift
-        got = inv.schnet_energy(spec, pt, batch, Tensor(moved)).data
+        got = schnet_energy(spec, pt, batch, Tensor(moved)).data
         np.testing.assert_allclose(got, base, atol=1e-10, rtol=0)
 
 
@@ -371,8 +379,8 @@ def test_schnet_energy_extensive_over_disconnected_copies():
     )
     b1 = build_batch([conf], cutoff=4.0, need_angles=False)
     b2 = build_batch([far], cutoff=4.0, need_angles=False)
-    single = inv.schnet_energy(spec, pt, b1, Tensor(b1.pos)).data[0]
-    double = inv.schnet_energy(spec, pt, b2, Tensor(b2.pos)).data[0]
+    single = schnet_energy(spec, pt, b1, Tensor(b1.pos)).data[0]
+    double = schnet_energy(spec, pt, b2, Tensor(b2.pos)).data[0]
     assert double == pytest.approx(2 * single, rel=1e-12)
 
 
@@ -383,7 +391,7 @@ def test_schnet_forces_match_finite_differences():
     batch = build_batch([conf], cutoff=4.0, need_angles=False)
     tape = Tape()
     pos = tape.tensor(batch.pos)
-    (grad,) = tape.gradient(T.sum_(inv.schnet_energy(spec, pt, batch, pos)), [pos])
+    (grad,) = tape.gradient(T.sum_(schnet_energy(spec, pt, batch, pos)), [pos])
     eps = 1e-5
     for atom, axis in [(0, 0), (2, 1), (4, 2)]:
         hi = batch.pos.copy()
@@ -391,8 +399,8 @@ def test_schnet_forces_match_finite_differences():
         lo = batch.pos.copy()
         lo[atom, axis] -= eps
         fd = (
-            inv.schnet_energy(spec, pt, batch, Tensor(hi)).data.sum()
-            - inv.schnet_energy(spec, pt, batch, Tensor(lo)).data.sum()
+            schnet_energy(spec, pt, batch, Tensor(hi)).data.sum()
+            - schnet_energy(spec, pt, batch, Tensor(lo)).data.sum()
         ) / (2 * eps)
         assert abs(fd - grad.data[atom, axis]) / max(abs(fd), 1e-10) < 1e-5
     assert np.abs(grad.data.sum(axis=0)).max() < 1e-12
@@ -406,7 +414,7 @@ def test_schnet_energy_smooth_across_cutoff():
     for d in (3.0 - eps, 3.0 + eps):
         conf = Conformation(z=np.array([1, 6]), pos=np.array([[0.0, 0, 0], [d, 0, 0]]))
         batch = build_batch([conf], cutoff=3.0, need_angles=False)
-        vals.append(inv.schnet_energy(spec, pt, batch, Tensor(batch.pos)).data[0])
+        vals.append(schnet_energy(spec, pt, batch, Tensor(batch.pos)).data[0])
     assert abs(vals[0] - vals[1]) < 1e-8
 
 
@@ -498,7 +506,7 @@ def test_dimenet_energy_matches_triple_loop_oracle():
     for seed in range(6):
         conf = molecule(100 + seed, n=int(np.random.default_rng(seed).integers(3, 8)))
         batch = build_batch([conf], cutoff=4.0, need_angles=True)
-        mine = inv.dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0]
+        mine = dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0]
         ref = dimenet_oracle_energy(spec, params, conf.z, conf.pos)
         assert abs(mine - ref) < 1e-10
 
@@ -526,7 +534,7 @@ def test_dimenet_chain_single_two_hop_path():
     counts = np.bincount(batch.angles.out_edge, minlength=batch.n_edges)
     assert counts.max() == 1 and counts.sum() == 2
     pt = as_tensors(params)
-    mine = inv.dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0]
+    mine = dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0]
     ref = dimenet_oracle_energy(spec, params, conf.z, conf.pos)
     assert abs(mine - ref) < 1e-12
 
@@ -536,10 +544,10 @@ def test_dimenet_energy_rigid_motion_invariant():
     pt = as_tensors(params)
     conf = molecule(51, n=5)
     batch = build_batch([conf], cutoff=4.0, need_angles=True)
-    base = inv.dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data
+    base = dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data
     for rot, shift in rigid_motions(41):
         moved = batch.pos @ rot.T + shift
-        got = inv.dimenet_energy(spec, pt, batch, Tensor(moved)).data
+        got = dimenet_energy(spec, pt, batch, Tensor(moved)).data
         np.testing.assert_allclose(got, base, atol=1e-10, rtol=0)
 
 
@@ -548,7 +556,7 @@ def test_dimenet_two_atoms_no_triplets():
     conf = Conformation(z=np.array([1, 8]), pos=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     batch = build_batch([conf], cutoff=4.0, need_angles=True)
     assert batch.angles.n_triplets == 0
-    e = inv.dimenet_energy(spec, as_tensors(params), batch, Tensor(batch.pos)).data
+    e = dimenet_energy(spec, as_tensors(params), batch, Tensor(batch.pos)).data
     assert np.isfinite(e).all()
 
 
@@ -557,7 +565,7 @@ def test_dimenet_requires_angles():
     conf = molecule(61, n=4)
     batch = build_batch([conf], cutoff=4.0, need_angles=False)
     with pytest.raises(ContractError):
-        inv.dimenet_energy(spec, as_tensors(params), batch, Tensor(batch.pos))
+        dimenet_energy(spec, as_tensors(params), batch, Tensor(batch.pos))
 
 
 def test_dimenet_forces_match_finite_differences():
@@ -567,7 +575,7 @@ def test_dimenet_forces_match_finite_differences():
     batch = build_batch([conf], cutoff=4.0, need_angles=True)
     tape = Tape()
     pos = tape.tensor(batch.pos)
-    (grad,) = tape.gradient(T.sum_(inv.dimenet_energy(spec, pt, batch, pos)), [pos])
+    (grad,) = tape.gradient(T.sum_(dimenet_energy(spec, pt, batch, pos)), [pos])
     eps = 1e-5
     for atom, axis in [(1, 0), (3, 2)]:
         hi = batch.pos.copy()
@@ -575,8 +583,8 @@ def test_dimenet_forces_match_finite_differences():
         lo = batch.pos.copy()
         lo[atom, axis] -= eps
         fd = (
-            inv.dimenet_energy(spec, pt, batch, Tensor(hi)).data.sum()
-            - inv.dimenet_energy(spec, pt, batch, Tensor(lo)).data.sum()
+            dimenet_energy(spec, pt, batch, Tensor(hi)).data.sum()
+            - dimenet_energy(spec, pt, batch, Tensor(lo)).data.sum()
         ) / (2 * eps)
         assert abs(fd - grad.data[atom, axis]) / max(abs(fd), 1e-10) < 1e-5
     assert np.abs(grad.data.sum(axis=0)).max() < 1e-12
@@ -591,7 +599,7 @@ def test_dimenet_energy_smooth_across_cutoff():
         pos = np.array([[0.0, 0, 0], [1.2, 0, 0], [1.2, d, 0]])
         conf = Conformation(z=np.array([1, 6, 8]), pos=pos)
         batch = build_batch([conf], cutoff=2.0, need_angles=True)
-        vals.append(inv.dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0])
+        vals.append(dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0])
     assert abs(vals[0] - vals[1]) < 1e-8
 
 

@@ -7,6 +7,7 @@ import pytest
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
 from geomnets.geometry import Conformation, radius_graph
+from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models import spherical as sph
 from geomnets.models.common import build_batch
@@ -55,6 +56,18 @@ def as_tensors(params):
 def random_feature(layout, n, seed):
     rng = np.random.default_rng(seed)
     return SteerableFeature(layout, Tensor(rng.normal(size=(n, layout.width))))
+
+
+def conv(spec, params, feat, edges):
+    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, Tensor(edges.rel_vec))
+
+
+def attend(spec, params, feat, edges):
+    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, Tensor(edges.rel_vec))
+
+
+def steerable_energy(spec, params, batch, pos):
+    return api.ModelHandle(spec.family, spec, spec.radial.cutoff).energy(params, batch, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,7 @@ def test_conv_no_edges_is_identity():
     feat = random_feature(spec.layout_in, 3, 5)
     edges = radius_graph(np.array([[0.0, 0, 0], [40.0, 0, 0], [80.0, 0, 0]]), 5.0)
     assert edges.n_edges == 0
-    out = sph.tfn_conv(spec, params, feat, edges)
+    out = conv(spec, params, feat, edges)
     np.testing.assert_array_equal(out.data.data, feat.data.data)
 
 
@@ -168,7 +181,7 @@ def test_conv_layout_mismatch_rejected():
     bad = random_feature(IrrepsLayout(((4, 0),)), 3, 5)
     edges = radius_graph(cloud(0), 5.0)
     with pytest.raises(ShapeError):
-        sph.tfn_conv(spec, params, bad, edges)
+        conv(spec, params, bad, edges)
 
 
 def test_conv_equivariance():
@@ -176,10 +189,10 @@ def test_conv_equivariance():
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(3), "conv"))
     pos = cloud(1)
     feat = random_feature(spec.layout_in, 4, 6)
-    out = sph.tfn_conv(spec, params, feat, radius_graph(pos, 5.0))
+    out = conv(spec, params, feat, radius_graph(pos, 5.0))
     for seed in range(5):
         rot = random_rotation(100 + seed)
-        out_r = sph.tfn_conv(
+        out_r = conv(
             spec, params, rotate_steerable(feat, rot), radius_graph(pos @ rot.T, 5.0)
         )
         ref = rotate_steerable(out, rot)
@@ -191,8 +204,8 @@ def test_conv_translation_invariance():
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(4), "conv"))
     pos = cloud(2)
     feat = random_feature(spec.layout_in, 4, 7)
-    out = sph.tfn_conv(spec, params, feat, radius_graph(pos, 5.0))
-    out_t = sph.tfn_conv(spec, params, feat, radius_graph(pos + np.array([3.0, -2.0, 9.0]), 5.0))
+    out = conv(spec, params, feat, radius_graph(pos, 5.0))
+    out_t = conv(spec, params, feat, radius_graph(pos + np.array([3.0, -2.0, 9.0]), 5.0))
     assert np.abs(out_t.data.data - out.data.data).max() < 1e-12
 
 
@@ -227,7 +240,7 @@ def test_scalar_only_conv_matches_single_hop_layer():
 
     feat = SteerableFeature(t_spec.layout_in, Tensor(s_params["embed"][conf.z]))
     edges = radius_graph(conf.pos, 5.0)
-    out = sph.tfn_conv(t_spec, as_tensors(t_params), feat, edges)
+    out = conv(t_spec, as_tensors(t_params), feat, edges)
     np.testing.assert_allclose(out.data.data, h.data, atol=1e-12, rtol=0)
 
 
@@ -236,9 +249,20 @@ def test_scalar_only_conv_matches_single_hop_layer():
 
 
 def attention_setup(seed=0):
-    base = layer_spec()
-    spec = sph.AttentionSpec(key=base, value=base)
-    return spec, sph.init_attention(spec, seed)
+    # the second layer of a two-layer stack is attention over hidden_layout()
+    model = sph.SteerableModelSpec(
+        family="se3attn",
+        scalar_channels=5,
+        vector_channels=3,
+        tensor_channels=2,
+        layers=2,
+        radial=inv.RadialBasisSpec(count=6, cutoff=5.0),
+        radial_hidden=8,
+    )
+    spec = model.attention_spec(1)
+    assert spec == sph.AttentionSpec(key=layer_spec(), value=layer_spec())
+    params = sph.init_steerable(model, seed)
+    return spec, {k[len("layer1.") :]: v for k, v in params.items() if k.startswith("layer1.")}
 
 
 def test_attention_spec_validation():
@@ -259,12 +283,12 @@ def test_attention_single_neighbor_reduces_to_conv():
     pos = np.array([[0.0, 0, 0], [1.4, 0.3, -0.2]])
     edges = radius_graph(pos, 5.0)
     feat = random_feature(spec.key.layout_in, 2, 9)
-    out, alpha = sph.se3_attention(spec, as_tensors(params), feat, edges)
+    out, alpha = attend(spec, as_tensors(params), feat, edges)
     np.testing.assert_array_equal(alpha.data, np.ones(2))
     conv_params = {
         "conv." + k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("value.")
     }
-    ref = sph.tfn_conv(spec.value, as_tensors(conv_params), feat, edges)
+    ref = conv(spec.value, as_tensors(conv_params), feat, edges)
     np.testing.assert_allclose(out.data.data, ref.data.data, atol=1e-12, rtol=0)
 
 
@@ -276,7 +300,7 @@ def test_attention_equal_keys_uniform_weights():
     pos = cloud(4, n=5)
     edges = radius_graph(pos, 5.0)
     feat = random_feature(spec.key.layout_in, 5, 10)
-    _, alpha = sph.se3_attention(spec, as_tensors(params), feat, edges)
+    _, alpha = attend(spec, as_tensors(params), feat, edges)
     incoming = np.bincount(edges.src, minlength=5)
     np.testing.assert_allclose(alpha.data, 1.0 / incoming[edges.src], atol=1e-15)
 
@@ -286,10 +310,10 @@ def test_attention_weights_rotation_invariant():
     pt = as_tensors(params)
     pos = cloud(5, n=4)
     feat = random_feature(spec.key.layout_in, 4, 11)
-    _, alpha = sph.se3_attention(spec, pt, feat, radius_graph(pos, 5.0))
+    _, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
     for seed in range(4):
         rot = random_rotation(200 + seed)
-        _, alpha_r = sph.se3_attention(
+        _, alpha_r = attend(
             spec, pt, rotate_steerable(feat, rot), radius_graph(pos @ rot.T, 5.0)
         )
         assert np.abs(alpha_r.data - alpha.data).max() < 1e-12
@@ -300,10 +324,10 @@ def test_attention_equivariance():
     pt = as_tensors(params)
     pos = cloud(6, n=4)
     feat = random_feature(spec.key.layout_in, 4, 12)
-    out, _ = sph.se3_attention(spec, pt, feat, radius_graph(pos, 5.0))
+    out, _ = attend(spec, pt, feat, radius_graph(pos, 5.0))
     for seed in range(4):
         rot = random_rotation(300 + seed)
-        out_r, _ = sph.se3_attention(
+        out_r, _ = attend(
             spec, pt, rotate_steerable(feat, rot), radius_graph(pos @ rot.T, 5.0)
         )
         ref = rotate_steerable(out, rot)
@@ -316,7 +340,7 @@ def test_attention_rejects_isolated_node():
     edges = radius_graph(pos, 5.0)
     feat = random_feature(spec.key.layout_in, 3, 13)
     with pytest.raises(ContractError):
-        sph.se3_attention(spec, as_tensors(params), feat, edges)
+        attend(spec, as_tensors(params), feat, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +370,13 @@ def test_stack_energy_rigid_motion_invariant(family):
     spec, params = model_setup(family, seed=1)
     pt = as_tensors(params)
     batch = batch_for(21)
-    base = sph.steerable_energy(spec, pt, batch, Tensor(batch.pos)).data
+    base = steerable_energy(spec, pt, batch, Tensor(batch.pos)).data
     for seed in range(4):
         rot = random_rotation(400 + seed)
         refl = rot @ np.diag([-1.0, 1.0, 1.0])
         for m in (rot, refl):
             moved = batch.pos @ m.T + np.array([0.5, -2.0, 1.0])
-            got = sph.steerable_energy(spec, pt, batch, Tensor(moved)).data
+            got = steerable_energy(spec, pt, batch, Tensor(moved)).data
             np.testing.assert_allclose(got, base, atol=1e-10, rtol=0)
 
 
@@ -376,7 +400,7 @@ def test_stack_forces_match_finite_differences(family):
     batch = batch_for(23)
     tape = Tape()
     pos = tape.tensor(batch.pos)
-    (grad,) = tape.gradient(T.sum_(sph.steerable_energy(spec, pt, batch, pos)), [pos])
+    (grad,) = tape.gradient(T.sum_(steerable_energy(spec, pt, batch, pos)), [pos])
     eps = 1e-5
     for atom, axis in [(0, 1), (3, 0)]:
         hi = batch.pos.copy()
@@ -384,8 +408,8 @@ def test_stack_forces_match_finite_differences(family):
         lo = batch.pos.copy()
         lo[atom, axis] -= eps
         fd = (
-            sph.steerable_energy(spec, pt, batch, Tensor(hi)).data.sum()
-            - sph.steerable_energy(spec, pt, batch, Tensor(lo)).data.sum()
+            steerable_energy(spec, pt, batch, Tensor(hi)).data.sum()
+            - steerable_energy(spec, pt, batch, Tensor(lo)).data.sum()
         ) / (2 * eps)
         assert abs(fd - grad.data[atom, axis]) / max(abs(fd), 1e-10) < 1e-5
     assert np.abs(grad.data.sum(axis=0)).max() < 1e-12
@@ -400,8 +424,8 @@ def test_stack_permutation_invariant_energy():
     order = rng.permutation(5)
     b1 = build_batch([Conformation(z=z, pos=pos)], cutoff=5.0, need_angles=False)
     b2 = build_batch([Conformation(z=z[order], pos=pos[order])], cutoff=5.0, need_angles=False)
-    e1 = sph.steerable_energy(spec, pt, b1, Tensor(b1.pos)).data
-    e2 = sph.steerable_energy(spec, pt, b2, Tensor(b2.pos)).data
+    e1 = steerable_energy(spec, pt, b1, Tensor(b1.pos)).data
+    e2 = steerable_energy(spec, pt, b2, Tensor(b2.pos)).data
     np.testing.assert_allclose(e1, e2, atol=1e-12)
 
 

@@ -1,13 +1,12 @@
-"""Coordinate-updating and vector-channel stacks, edge frames, scalarization."""
+"""Coordinate-updating and vector-channel stacks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
 from geomnets.geometry import Conformation, radius_graph
+from geomnets.models import api
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch
 from geomnets.models.invariant import RadialBasisSpec
@@ -32,6 +31,14 @@ def batch_for(seed, n=5):
 
 def as_tensors(params):
     return {k: Tensor(v) for k, v in params.items()}
+
+
+def egnn_energy(spec, params, batch, pos):
+    return api.ModelHandle("egnn", spec, 5.0).energy(params, batch, pos)
+
+
+def painn_energy(spec, params, batch, pos):
+    return api.ModelHandle("painn", spec, spec.basis.cutoff).energy(params, batch, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +91,7 @@ def test_egnn_rigid_motion():
     batch = batch_for(11)
     h0 = vec.egnn_node_features(spec, pt, batch, Tensor(batch.pos)).data
     d0 = vec.egnn_node_vectors(spec, pt, batch, Tensor(batch.pos)).data
-    e0 = vec.egnn_energy(spec, pt, batch, Tensor(batch.pos)).data
+    e0 = egnn_energy(spec, pt, batch, Tensor(batch.pos)).data
     for seed in range(4):
         rot = random_rotation(600 + seed)
         shift = np.array([0.3, 2.0, -1.4])
@@ -96,11 +103,11 @@ def test_egnn_rigid_motion():
             vec.egnn_node_vectors(spec, pt, batch, Tensor(moved)).data, d0 @ rot.T, atol=1e-8
         )
         np.testing.assert_allclose(
-            vec.egnn_energy(spec, pt, batch, Tensor(moved)).data, e0, atol=1e-10
+            egnn_energy(spec, pt, batch, Tensor(moved)).data, e0, atol=1e-10
         )
         refl = rot @ np.diag([1.0, -1.0, 1.0])
         np.testing.assert_allclose(
-            vec.egnn_energy(spec, pt, batch, Tensor(batch.pos @ refl.T)).data, e0, atol=1e-10
+            egnn_energy(spec, pt, batch, Tensor(batch.pos @ refl.T)).data, e0, atol=1e-10
         )
 
 
@@ -109,9 +116,11 @@ def test_egnn_layer_shape_errors():
     edges = radius_graph(cloud(1), 5.0)
     pt = as_tensors(params)
     with pytest.raises(ShapeError):
-        vec.egnn_layer(spec, pt, Tensor(np.zeros((5, 9))), Tensor(cloud(1)), edges)
+        vec.egnn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 9))), Tensor(cloud(1)), edges.src, edges.dst)
     with pytest.raises(ShapeError):
-        vec.egnn_layer(spec, pt, Tensor(np.zeros((5, 12))), Tensor(np.zeros((4, 3))), edges)
+        vec.egnn_layer(
+            spec, pt, "layer0", Tensor(np.zeros((5, 12))), Tensor(np.zeros((4, 3))), edges.src, edges.dst
+        )
 
 
 def test_egnn_forces_match_finite_differences():
@@ -120,7 +129,7 @@ def test_egnn_forces_match_finite_differences():
     batch = batch_for(13)
     tape = Tape()
     pos = tape.tensor(batch.pos)
-    (grad,) = tape.gradient(T.sum_(vec.egnn_energy(spec, pt, batch, pos)), [pos])
+    (grad,) = tape.gradient(T.sum_(egnn_energy(spec, pt, batch, pos)), [pos])
     eps = 1e-5
     for atom, axis in [(0, 2), (4, 1)]:
         hi = batch.pos.copy()
@@ -128,8 +137,8 @@ def test_egnn_forces_match_finite_differences():
         lo = batch.pos.copy()
         lo[atom, axis] -= eps
         fd = (
-            vec.egnn_energy(spec, pt, batch, Tensor(hi)).data.sum()
-            - vec.egnn_energy(spec, pt, batch, Tensor(lo)).data.sum()
+            egnn_energy(spec, pt, batch, Tensor(hi)).data.sum()
+            - egnn_energy(spec, pt, batch, Tensor(lo)).data.sum()
         ) / (2 * eps)
         assert abs(fd - grad.data[atom, axis]) / max(abs(fd), 1e-10) < 1e-4
     assert np.abs(grad.data.sum(axis=0)).max() / max(np.abs(grad.data).max(), 1.0) < 1e-12
@@ -182,10 +191,11 @@ def test_painn_layer_shape_errors():
     edges = radius_graph(cloud(2), 5.0)
     pt = as_tensors(params)
     s = Tensor(np.zeros((5, spec.channels)))
+    graph = (edges.src, edges.dst, Tensor(edges.rel_vec), Tensor(edges.dist))
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, s, Tensor(np.zeros((5, spec.channels, 2))), edges)
+        vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.channels, 2))), *graph)
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, spec.channels, 3))), edges)
+        vec.painn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, spec.channels, 3))), *graph)
 
 
 def test_painn_rigid_motion():
@@ -194,7 +204,7 @@ def test_painn_rigid_motion():
     batch = batch_for(19)
     s0 = vec.painn_node_features(spec, pt, batch, Tensor(batch.pos)).data
     v0 = vec.painn_node_vectors(spec, pt, batch, Tensor(batch.pos)).data
-    e0 = vec.painn_energy(spec, pt, batch, Tensor(batch.pos)).data
+    e0 = painn_energy(spec, pt, batch, Tensor(batch.pos)).data
     for seed in range(4):
         rot = random_rotation(700 + seed)
         moved = batch.pos @ rot.T + np.array([-0.8, 0.1, 3.0])
@@ -206,7 +216,7 @@ def test_painn_rigid_motion():
         )
         refl = rot @ np.diag([-1.0, 1.0, 1.0])
         np.testing.assert_allclose(
-            vec.painn_energy(spec, pt, batch, Tensor(batch.pos @ refl.T)).data, e0, atol=1e-10
+            painn_energy(spec, pt, batch, Tensor(batch.pos @ refl.T)).data, e0, atol=1e-10
         )
 
 
@@ -216,7 +226,7 @@ def test_painn_forces_match_finite_differences():
     batch = batch_for(23)
     tape = Tape()
     pos = tape.tensor(batch.pos)
-    (grad,) = tape.gradient(T.sum_(vec.painn_energy(spec, pt, batch, pos)), [pos])
+    (grad,) = tape.gradient(T.sum_(painn_energy(spec, pt, batch, pos)), [pos])
     eps = 1e-5
     for atom, axis in [(1, 0), (3, 2)]:
         hi = batch.pos.copy()
@@ -224,111 +234,9 @@ def test_painn_forces_match_finite_differences():
         lo = batch.pos.copy()
         lo[atom, axis] -= eps
         fd = (
-            vec.painn_energy(spec, pt, batch, Tensor(hi)).data.sum()
-            - vec.painn_energy(spec, pt, batch, Tensor(lo)).data.sum()
+            painn_energy(spec, pt, batch, Tensor(hi)).data.sum()
+            - painn_energy(spec, pt, batch, Tensor(lo)).data.sum()
         ) / (2 * eps)
         assert abs(fd - grad.data[atom, axis]) / max(abs(fd), 1e-10) < 1e-5
     assert np.abs(grad.data.sum(axis=0)).max() < 1e-12
 
-
-# ---------------------------------------------------------------------------
-# frames and scalarization
-
-
-def test_frame_pinned_example():
-    fr = vec.build_edge_frame([1.0, 0, 0], [0, 1.0, 0])
-    np.testing.assert_allclose(fr.e1, [0.7071068, -0.7071068, 0], atol=1e-7)
-    np.testing.assert_allclose(fr.e2, [0, 0, 1], atol=1e-12)
-    np.testing.assert_allclose(fr.e3, [-0.7071068, -0.7071068, 0], atol=1e-7)
-    assert not fr.degenerate
-
-
-def test_frame_rotation_equivariance():
-    x_i = np.array([0.8, -0.3, 1.1])
-    x_j = np.array([-0.5, 0.9, 0.2])
-    base = vec.build_edge_frame(x_i, x_j)
-    for seed in range(6):
-        rot = random_rotation(800 + seed)
-        moved = vec.build_edge_frame(rot @ x_i, rot @ x_j)
-        for a, b in zip((moved.e1, moved.e2, moved.e3), (base.e1, base.e2, base.e3)):
-            np.testing.assert_allclose(a, rot @ b, atol=1e-12)
-
-
-def test_frame_point_reflection_parity():
-    # e2 comes from a cross product, so under point reflection it stays put
-    # while e1 and e3 flip
-    x_i = np.array([1.3, 0.2, -0.5])
-    x_j = np.array([-0.4, 1.0, 0.8])
-    base = vec.build_edge_frame(x_i, x_j)
-    refl = vec.build_edge_frame(-x_i, -x_j)
-    np.testing.assert_array_equal(refl.e1, -base.e1)
-    np.testing.assert_array_equal(refl.e2, base.e2)
-    np.testing.assert_allclose(refl.e3, -base.e3, atol=1e-16)
-
-
-def test_frame_degenerate_fallback():
-    fr = vec.build_edge_frame([2.0, 0, 0], [1.0, 0, 0])
-    assert fr.degenerate
-    basis = np.stack([fr.e1, fr.e2, fr.e3])
-    np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-    again = vec.build_edge_frame([2.0, 0, 0], [1.0, 0, 0])
-    np.testing.assert_array_equal(again.e2, fr.e2)
-
-
-def test_frame_coincident_points_rejected():
-    with pytest.raises(ContractError):
-        vec.build_edge_frame([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-
-
-def test_frame_invariant_checks():
-    with pytest.raises(ContractError):
-        vec.EdgeFrame(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
-    with pytest.raises(ContractError):
-        # left-handed triple
-        vec.EdgeFrame(np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), np.array([0.0, 0, -1]))
-
-
-def test_scalarize_basis_and_zero():
-    fr = vec.build_edge_frame([1.0, 0.2, 0], [0, 1.0, 0.3])
-    np.testing.assert_allclose(vec.scalarize(fr.e1, fr), [1, 0, 0], atol=1e-12)
-    np.testing.assert_array_equal(vec.scalarize(np.zeros(3), fr), np.zeros(3))
-
-
-def test_scalarize_round_trip():
-    rng = np.random.default_rng(0)
-    fr = vec.build_edge_frame(rng.normal(size=3), rng.normal(size=3))
-    r = rng.normal(size=3)
-    tilde = vec.scalarize(r, fr)
-    back = tilde[0] * fr.e1 + tilde[1] * fr.e2 + tilde[2] * fr.e3
-    np.testing.assert_allclose(back, r, atol=1e-12)
-
-
-def test_scalarize_corotation_invariant():
-    rng = np.random.default_rng(1)
-    x_i, x_j, r = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-    base = vec.scalarize(r, vec.build_edge_frame(x_i, x_j))
-    for seed in range(100):
-        rot = random_rotation(900 + seed)
-        got = vec.scalarize(rot @ r, vec.build_edge_frame(rot @ x_i, rot @ x_j))
-        np.testing.assert_allclose(got, base, atol=1e-12)
-
-
-def test_scalarize_e2_component_flips_under_reflection():
-    rng = np.random.default_rng(2)
-    x_i, x_j, r = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-    base = vec.scalarize(r, vec.build_edge_frame(x_i, x_j))
-    refl = vec.scalarize(-r, vec.build_edge_frame(-x_i, -x_j))
-    np.testing.assert_allclose(refl, [base[0], -base[1], base[2]], atol=1e-14)
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_frame_orthonormal_on_random_pairs(seed):
-    rng = np.random.default_rng(seed)
-    x_i, x_j = rng.normal(size=3), rng.normal(size=3)
-    if np.linalg.norm(x_i - x_j) < 1e-6:
-        return
-    fr = vec.build_edge_frame(x_i, x_j)
-    basis = np.stack([fr.e1, fr.e2, fr.e3])
-    assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-10
-    assert np.abs(np.cross(fr.e1, fr.e2) - fr.e3).max() < 1e-10

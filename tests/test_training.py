@@ -89,6 +89,16 @@ def test_force_matches_finite_differences(family):
     assert np.abs(forces.sum(axis=0)).max() < 1e-8 * max(1.0, np.abs(forces).max())
 
 
+@pytest.mark.parametrize("family", ["schnet", "dimenet", "tfn", "egnn", "painn"])
+def test_single_atom_energy_finite_and_force_free(family):
+    # a one-atom structure has no edges at all; se3attn rejects isolated atoms
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 2, "cutoff": 4.0})
+    conf = Conformation(z=[6], pos=[[0.3, -1.2, 2.0]])
+    energy, forces = tr.force_from_energy(model, model.init(0), conf)
+    assert np.isfinite(energy)
+    np.testing.assert_array_equal(forces, np.zeros((1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
