@@ -356,41 +356,33 @@ def cmd_check_equiv(args) -> int:
 
 def _edge_records(conf: Conformation, cutoff: float, mode: str):
     name = conf.id
+    if conf.lattice is not None and mode == "expanded":
+        graph = periodic_radius_graph(conf, cutoff, "expanded")
+        inv_lat = np.linalg.inv(conf.lattice)
+        for k in range(graph.edges.src.size):
+            src = int(graph.edges.src[k])
+            node = int(graph.edges.dst[k])
+            anchor = int(graph.image_of[node])
+            frac = (graph.positions[node] - conf.pos[anchor]) @ inv_lat
+            yield {
+                "id": name,
+                "src": src,
+                "dst": anchor,
+                "dist": float(graph.edges.dist[k]),
+                "shift": [int(round(c)) for c in frac],
+            }
+        return
     if conf.lattice is None:
         edges = radius_graph(conf.pos, cutoff)
-        for k in range(edges.src.size):
-            yield {
-                "id": name,
-                "src": int(edges.src[k]),
-                "dst": int(edges.dst[k]),
-                "dist": float(edges.dist[k]),
-                "shift": edges.shift[k].tolist(),
-            }
-        return
-    if mode == "gathered":
+    else:
         edges = periodic_radius_graph(conf, cutoff, "gathered")
-        for k in range(edges.src.size):
-            yield {
-                "id": name,
-                "src": int(edges.src[k]),
-                "dst": int(edges.dst[k]),
-                "dist": float(edges.dist[k]),
-                "shift": edges.shift[k].tolist(),
-            }
-        return
-    graph = periodic_radius_graph(conf, cutoff, "expanded")
-    inv_lat = np.linalg.inv(conf.lattice)
-    for k in range(graph.edges.src.size):
-        src = int(graph.edges.src[k])
-        node = int(graph.edges.dst[k])
-        anchor = int(graph.image_of[node])
-        frac = (graph.positions[node] - conf.pos[anchor]) @ inv_lat
+    for k in range(edges.src.size):
         yield {
             "id": name,
-            "src": src,
-            "dst": anchor,
-            "dist": float(graph.edges.dist[k]),
-            "shift": [int(round(c)) for c in frac],
+            "src": int(edges.src[k]),
+            "dst": int(edges.dst[k]),
+            "dist": float(edges.dist[k]),
+            "shift": edges.shift[k].tolist(),
         }
 
 

@@ -118,19 +118,26 @@ def _sorted_edges(src, dst, shift, rel, dist, num_nodes, cutoff) -> EdgeList:
     return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order], num_nodes, cutoff)
 
 
+def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
+    """Every (anchor, candidate) index pair with 0 < dist <= cutoff, as
+    (src, dst, rel, dist) with rel = candidates[dst] - anchors[src].
+
+    A point paired with itself has distance exactly 0 and is dropped.
+    """
+    rel = candidates[None, :, :] - anchors[:, None, :]
+    dist = np.linalg.norm(rel, axis=-1)
+    src, dst = np.nonzero((dist > 0.0) & (dist <= cutoff))
+    return src, dst, rel[src, dst], dist[src, dst]
+
+
 def radius_graph(pos, cutoff: float) -> EdgeList:
     """All ordered pairs with 0 < dist <= cutoff, no periodicity."""
     if cutoff <= 0:
         raise ContractError("cutoff must be positive")
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
-    n = pos.shape[0]
-    rel = pos[None, :, :] - pos[:, None, :]
-    dist = np.linalg.norm(rel, axis=-1)
-    keep = (dist > 0.0) & (dist <= cutoff)
-    np.fill_diagonal(keep, False)
-    src, dst = np.nonzero(keep)
+    src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    return _sorted_edges(src, dst, shift, rel[src, dst], dist[src, dst], n, cutoff)
+    return _sorted_edges(src, dst, shift, rel, dist, pos.shape[0], cutoff)
 
 
 def _shift_ranges(lattice: np.ndarray, cutoff: float) -> tuple[int, int, int]:
@@ -176,25 +183,9 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     if mode == "gathered":
         rows = []
         for s, off in zip(shifts, offsets):
-            rel = (pos[None, :, :] + off) - pos[:, None, :]
-            dist = np.linalg.norm(rel, axis=-1)
-            keep = (dist > 0.0) & (dist <= cutoff)
-            if not s.any():
-                np.fill_diagonal(keep, False)
-            src, dst = np.nonzero(keep)
-            if src.size:
-                rows.append((src, dst, np.tile(s, (src.size, 1)), rel[src, dst], dist[src, dst]))
-        if rows:
-            src = np.concatenate([r[0] for r in rows])
-            dst = np.concatenate([r[1] for r in rows])
-            shift = np.concatenate([r[2] for r in rows])
-            rel = np.concatenate([r[3] for r in rows])
-            dist = np.concatenate([r[4] for r in rows])
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-            shift = np.zeros((0, 3), dtype=np.int64)
-            rel = np.zeros((0, 3))
-            dist = np.zeros(0)
+            src, dst, rel, dist = _pairs_within(pos, pos + off, cutoff)
+            rows.append((src, dst, np.tile(s, (src.size, 1)), rel, dist))
+        src, dst, shift, rel, dist = (np.concatenate(column) for column in zip(*rows))
         return _sorted_edges(src, dst, shift, rel, dist, n, cutoff)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
@@ -208,19 +199,9 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     image_of = np.concatenate(image_of)
     z_all = conf.z[image_of]
 
-    rel = all_pos[None, :, :] - pos[:, None, :]
-    dist = np.linalg.norm(rel, axis=-1)
-    keep = (dist > 0.0) & (dist <= cutoff)
-    src, dst = np.nonzero(keep)
-    edges = _sorted_edges(
-        src,
-        dst,
-        np.zeros((src.size, 3), dtype=np.int64),
-        rel[src, dst],
-        dist[src, dst],
-        all_pos.shape[0],
-        cutoff,
-    )
+    src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
+    shift = np.zeros((src.size, 3), dtype=np.int64)
+    edges = _sorted_edges(src, dst, shift, rel, dist, all_pos.shape[0], cutoff)
     return PeriodicGraph(edges, z_all, all_pos, image_of, n)
 
 

@@ -169,12 +169,3 @@ def model_from_config(config: dict) -> ModelHandle:
         spec = vector.PainnSpec(channels=hidden, layers=layers, basis=basis("bessel", 16))
     return ModelHandle(family, spec, float(basis_cfg["cutoff"]))
 
-
-def init_pretrain_heads(handle: ModelHandle, seed: int) -> dict[str, np.ndarray]:
-    """Heads for the self-supervised objectives, keyed apart from the trunk."""
-    rng = np.random.default_rng(seed)
-    d = handle.scalar_width
-    params = {"type_head.w": T.glorot_uniform(rng, d, 118)}
-    params.update(T.init_mlp(T.MlpSpec((2 * d, d, 1)), rng, "dist_head"))
-    params.update(T.init_mlp(T.MlpSpec((3 * d, d, 1)), rng, "angle_head"))
-    return params

@@ -265,12 +265,15 @@ def se3_attention(
     dst: np.ndarray,
     rel: Tensor,
 ) -> tuple[SteerableFeature, Tensor]:
-    """Attention update plus the attention weights (E,) for inspection."""
+    """Attention update plus the attention weights (E,) for inspection.
+
+    A node without neighbors aggregates nothing and keeps its features
+    through the residual; without any edges the update is the identity."""
     if feat.layout != spec.key.layout_in:
         raise ShapeError("feature layout does not match the attention input")
+    if src.size == 0:
+        return feat, Tensor(np.zeros(0))
     n = feat.data.shape[0]
-    if n and (np.bincount(src, minlength=n) == 0).any():
-        raise ContractError("attention requires every node to have a neighbor")
     lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
     queries = []
     for b, (mult, l) in enumerate(spec.key.layout_out.blocks):

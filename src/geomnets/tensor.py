@@ -30,15 +30,12 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """A float64 array, optionally attached to a Tape."""
 
-    __slots__ = ("data", "tape", "requires_grad", "uid")
+    __slots__ = ("data", "tape", "uid")
 
-    def __init__(self, values, tape: "Tape | None" = None, requires_grad: bool = False):
+    def __init__(self, values, tape: "Tape | None" = None):
         self.data = _as_array(values)
         self.tape = tape
-        self.requires_grad = requires_grad
         self.uid = next(_UID)
-        if requires_grad and tape is None:
-            raise ContractError("a tensor that requires grad must live on a tape")
         if not np.isfinite(self.data).all():
             raise NumericError("tensor created with non-finite values")
 
@@ -58,8 +55,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        flags = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flags})"
+        return f"Tensor(shape={self.shape})"
 
     # arithmetic sugar; plain numbers and arrays become constants
     def __add__(self, other):
@@ -124,15 +120,12 @@ class Tape:
         if tensor.uid in self._record_of:
             raise ContractError("only leaf tensors can be watched")
         tensor.tape = self
-        tensor.requires_grad = True
         self._watched[tensor.uid] = tensor
         return tensor
 
-    def tensor(self, values, requires_grad: bool = True) -> Tensor:
-        t = Tensor(values)
-        if requires_grad:
-            self.watch(t)
-        return t
+    def tensor(self, values) -> Tensor:
+        """A watched leaf holding `values`."""
+        return self.watch(Tensor(values))
 
     def _append(self, record: _Record) -> None:
         self._record_of[record.output_uid] = len(self.records)
@@ -214,7 +207,6 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape = tape
-    out.requires_grad = any(t.requires_grad for t in inputs)
     out.uid = next(_UID)
     if tape is not None:
         tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjp))

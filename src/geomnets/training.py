@@ -17,7 +17,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .geometry import Conformation
-from .models import api
 from .models.common import GraphBatch, build_batch
 from .tensor import Tensor
 
@@ -423,36 +422,32 @@ def _head_spec(model, arity: int) -> T.MlpSpec:
     return T.MlpSpec((arity * d, d, 1))
 
 
+def init_pretrain_heads(model, seed: int) -> dict[str, np.ndarray]:
+    """Heads for the masked objectives, keyed apart from the trunk."""
+    rng = np.random.default_rng(seed)
+    params = {"type_head.w": T.glorot_uniform(rng, model.scalar_width, N_ELEMENT_CLASSES)}
+    params.update(T.init_mlp(_head_spec(model, 2), rng, "dist_head"))
+    params.update(T.init_mlp(_head_spec(model, 3), rng, "angle_head"))
+    return params
+
+
 def denoise_pretrain_loss(
     model,
     params_t: dict[str, Tensor],
-    confs,
-    sigma: float = 0.04,
-    seed: int = 0,
-    noise=None,
+    batch: GraphBatch,
+    pos: Tensor,
+    noise: np.ndarray,
 ) -> Tensor:
-    """Predict the Gaussian displacement applied to each atom.
+    """Predict the (N, 3) displacement `noise` that jittered each atom of
+    `batch`, whose positions already carry it.
 
     Only families with an equivariant vector output can express the target;
-    scalar-only families raise.  Accepts one conformation or a sequence.
-    Pass `noise` explicitly (array, or list matching the sequence) to probe
-    invariance under joint rigid motion of structure and noise.
+    scalar-only families raise.
     """
     if not getattr(model, "has_vector_output", False):
         raise ContractError(f"family '{model.family}' has no vector output for denoising")
-    if isinstance(confs, Conformation):
-        confs = [confs]
-        noise = None if noise is None else [noise]
-    if noise is None:
-        rng = np.random.default_rng(seed)
-        noise = [rng.normal(0.0, sigma, c.pos.shape) for c in confs]
-    views = [
-        Conformation(z=c.z, pos=c.pos + n, lattice=c.lattice) for c, n in zip(confs, noise)
-    ]
-    batch = build_batch(views, model.cutoff, model.needs_angles)
-    pos = params_t[next(iter(params_t))].tape.tensor(batch.pos)
     pred = model.node_vectors(params_t, batch, pos)
-    diff = pred - Tensor(np.concatenate(noise, axis=0))
+    diff = pred - Tensor(noise)
     return T.mean(diff * diff)
 
 
@@ -476,14 +471,7 @@ def info_nce_loss(anchors: Tensor, positives: Tensor, temperature: float = 0.1) 
     return _cross_entropy(logits, np.arange(n))
 
 
-def _pooled_embedding(model, params_t, confs, noise_list=None) -> Tensor:
-    views = []
-    for i, conf in enumerate(confs):
-        if noise_list is not None:
-            conf = Conformation(z=conf.z, pos=conf.pos + noise_list[i], lattice=conf.lattice)
-        views.append(conf)
-    batch = build_batch(views, model.cutoff, model.needs_angles)
-    pos = params_t[next(iter(params_t))].tape.tensor(batch.pos)
+def _pooled_embedding(model, params_t, batch: GraphBatch, pos: Tensor) -> Tensor:
     h = model.node_scalars(params_t, batch, pos)
     sums = T.scatter_sum(h, batch.node_graph, batch.n_graphs)
     counts = np.bincount(batch.node_graph, minlength=batch.n_graphs).astype(np.float64)
@@ -493,20 +481,18 @@ def _pooled_embedding(model, params_t, confs, noise_list=None) -> Tensor:
 def contrastive_pretrain_loss(
     model,
     params_t: dict[str, Tensor],
-    confs: Sequence[Conformation],
-    sigma: float = 0.04,
+    batch: GraphBatch,
+    pos: Tensor,
+    view: GraphBatch,
+    view_pos: Tensor,
     temperature: float = 0.1,
-    seed: int = 0,
-    noise: Sequence[np.ndarray] | None = None,
 ) -> Tensor:
-    """Match each structure's pooled embedding to a jittered view of itself."""
-    if len(confs) < 2:
+    """Match each structure's pooled embedding in `batch` to that of the
+    same structure in `view`, a jittered copy of the batch."""
+    if batch.n_graphs < 2:
         raise ContractError("contrastive loss needs at least two structures")
-    if noise is None:
-        rng = np.random.default_rng(seed)
-        noise = [rng.normal(0.0, sigma, c.pos.shape) for c in confs]
-    anchors = _pooled_embedding(model, params_t, confs)
-    positives = _pooled_embedding(model, params_t, confs, noise)
+    anchors = _pooled_embedding(model, params_t, batch, pos)
+    positives = _pooled_embedding(model, params_t, view, view_pos)
     return info_nce_loss(anchors, positives, temperature)
 
 
@@ -522,27 +508,35 @@ def train_pretrain(
     stop_loss_ratio: float | None = None,
     progress=None,
 ):
-    """Adam over one self-supervised objective; returns (params, history)."""
+    """Adam over one self-supervised objective; returns (params, history).
+
+    Every graph the objective reads is built once, before the first step.
+    """
     if kind not in PRETRAIN_KINDS:
         raise ContractError(f"unknown pretraining kind '{kind}'")
     if steps is None:
         steps = schedule.total_steps
     params = model.init(seed)
     if kind in ("type", "distance", "angle"):
-        params.update(api.init_pretrain_heads(model, seed + 1))
-    need_angles = model.needs_angles or kind == "angle"
-    base_batch = build_batch(confs, model.cutoff, need_angles) if kind != "denoise" else None
-    # corruption is drawn once: the loop trains against a fixed corrupted view
-    # of the dataset rather than resampling noise per step
-    noise_rng = np.random.default_rng(seed + 2)
-    fixed_noise = [noise_rng.normal(0.0, sigma, c.pos.shape) for c in confs]
+        params.update(init_pretrain_heads(model, seed + 1))
+    if kind != "denoise":
+        batch = build_batch(confs, model.cutoff, model.needs_angles or kind == "angle")
+    if kind in ("denoise", "contrastive"):
+        # corruption is drawn once: the loop trains against a fixed corrupted
+        # view of the dataset rather than resampling noise per step
+        noise_rng = np.random.default_rng(seed + 2)
+        draws = [noise_rng.normal(0.0, sigma, c.pos.shape) for c in confs]
+        views = [Conformation(z=c.z, pos=c.pos + n, lattice=c.lattice) for c, n in zip(confs, draws)]
+        jittered = build_batch(views, model.cutoff, model.needs_angles)
+        noise = np.concatenate(draws, axis=0)
 
     def loss_fn(tape, params_t, step):
-        if kind in ("type", "distance", "angle"):
-            pos = tape.tensor(base_batch.pos)
-            return masked_pretrain_loss(kind, model, params_t, base_batch, pos, seed + step)
         if kind == "denoise":
-            return denoise_pretrain_loss(model, params_t, confs, sigma, noise=fixed_noise)
-        return contrastive_pretrain_loss(model, params_t, confs, sigma, temperature, noise=fixed_noise)
+            return denoise_pretrain_loss(model, params_t, jittered, tape.tensor(jittered.pos), noise)
+        pos = tape.tensor(batch.pos)
+        if kind == "contrastive":
+            view_pos = tape.tensor(jittered.pos)
+            return contrastive_pretrain_loss(model, params_t, batch, pos, jittered, view_pos, temperature)
+        return masked_pretrain_loss(kind, model, params_t, batch, pos, seed + step)
 
     return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)

@@ -499,16 +499,21 @@ PRETRAIN_SETUPS = {
 def _pretrain_loss_value(kind, model, conf_list, noise_list):
     params = model.init(0)
     if kind in ("type", "distance", "angle"):
-        params.update(api.init_pretrain_heads(model, 1))
+        params.update(tr.init_pretrain_heads(model, 1))
     tape = T.Tape()
     params_t = T.lift(params, tape)
     if kind in ("type", "distance", "angle"):
         batch = build_batch(conf_list, model.cutoff, need_angles=True)
         loss = tr.masked_pretrain_loss(kind, model, params_t, batch, tape.tensor(batch.pos), 7)
-    elif kind == "denoise":
-        loss = tr.denoise_pretrain_loss(model, params_t, conf_list, noise=noise_list)
     else:
-        loss = tr.contrastive_pretrain_loss(model, params_t, conf_list, noise=noise_list)
+        jittered = [Conformation(z=c.z, pos=c.pos + n) for c, n in zip(conf_list, noise_list)]
+        view = build_batch(jittered, model.cutoff, model.needs_angles)
+        view_pos = tape.tensor(view.pos)
+        if kind == "denoise":
+            loss = tr.denoise_pretrain_loss(model, params_t, view, view_pos, np.concatenate(noise_list))
+        else:
+            batch = build_batch(conf_list, model.cutoff, model.needs_angles)
+            loss = tr.contrastive_pretrain_loss(model, params_t, batch, tape.tensor(batch.pos), view, view_pos)
     return float(loss.data)
 
 

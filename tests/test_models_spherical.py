@@ -334,13 +334,19 @@ def test_attention_equivariance():
         assert np.abs(out_r.data.data - ref.data.data).max() < 1e-8
 
 
-def test_attention_rejects_isolated_node():
+def test_attention_isolated_node_keeps_its_row():
+    # an atom without neighbors aggregates nothing, so the residual keeps its
+    # row, and the other atoms attend as if it were absent
     spec, params = attention_setup(5)
+    pt = as_tensors(params)
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [90.0, 0, 0]])
-    edges = radius_graph(pos, 5.0)
     feat = random_feature(spec.key.layout_in, 3, 13)
-    with pytest.raises(ContractError):
-        attend(spec, as_tensors(params), feat, edges)
+    out, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
+    np.testing.assert_array_equal(out.data.data[2], feat.data.data[2])
+    connected = SteerableFeature(feat.layout, Tensor(feat.data.data[:2]))
+    ref, ref_alpha = attend(spec, pt, connected, radius_graph(pos[:2], 5.0))
+    np.testing.assert_allclose(out.data.data[:2], ref.data.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha.data, ref_alpha.data, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,9 @@ def test_force_matches_finite_differences(family):
     assert np.abs(forces.sum(axis=0)).max() < 1e-8 * max(1.0, np.abs(forces).max())
 
 
-@pytest.mark.parametrize("family", ["schnet", "dimenet", "tfn", "egnn", "painn"])
+@pytest.mark.parametrize("family", ["schnet", "dimenet", "tfn", "se3attn", "egnn", "painn"])
 def test_single_atom_energy_finite_and_force_free(family):
-    # a one-atom structure has no edges at all; se3attn rejects isolated atoms
+    # a one-atom structure has no edges at all
     model = api.model_from_config({"family": family, "hidden": 8, "layers": 2, "cutoff": 4.0})
     conf = Conformation(z=[6], pos=[[0.3, -1.2, 2.0]])
     energy, forces = tr.force_from_energy(model, model.init(0), conf)
@@ -347,7 +347,7 @@ def test_train_with_normalization_descends():
 def lifted(model, extra_heads=True, seed=0):
     params = model.init(seed)
     if extra_heads:
-        params.update(api.init_pretrain_heads(model, seed + 1))
+        params.update(tr.init_pretrain_heads(model, seed + 1))
     tape = T.Tape()
     return params, T.lift(params, tape), tape
 
@@ -428,11 +428,30 @@ def test_masked_type_loss_masks_at_least_one_atom():
 # denoising
 
 
+def draw_noise(confs, sigma, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(0.0, sigma, c.pos.shape) for c in confs]
+
+
+def taped_batch(model, tape, confs, noise=None):
+    """Batch of `confs`, each displaced by its `noise` array when given, and
+    its positions watched on `tape`."""
+    if noise is not None:
+        confs = [Conformation(z=c.z, pos=c.pos + n, lattice=c.lattice) for c, n in zip(confs, noise)]
+    batch = build_batch(confs, model.cutoff, model.needs_angles)
+    return batch, tape.tensor(batch.pos)
+
+
+def denoise_loss(model, params_t, tape, confs, noise):
+    batch, pos = taped_batch(model, tape, confs, noise)
+    return tr.denoise_pretrain_loss(model, params_t, batch, pos, np.concatenate(noise))
+
+
 def test_denoise_rejects_scalar_only_family():
     model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
     _, params_t, tape = lifted(model, extra_heads=False)
     with pytest.raises(ContractError):
-        tr.denoise_pretrain_loss(model, params_t, cluster(0), sigma=0.1, seed=0)
+        denoise_loss(model, params_t, tape, [cluster(0)], draw_noise([cluster(0)], 0.1, 0))
 
 
 def test_denoise_zero_model_matches_noise_power():
@@ -446,7 +465,7 @@ def test_denoise_zero_model_matches_noise_power():
     tape = T.Tape()
     params_t = T.lift(params, tape)
     confs = [cluster(40 + i, n=9) for i in range(14)]
-    loss = tr.denoise_pretrain_loss(model, params_t, confs, sigma=1.0, seed=5)
+    loss = denoise_loss(model, params_t, tape, confs, draw_noise(confs, 1.0, 5))
     assert float(loss.data) == pytest.approx(1.0, abs=0.1)
 
 
@@ -462,7 +481,7 @@ def test_denoise_invariant_under_joint_rigid_motion():
         (Conformation(z=conf.z, pos=conf.pos @ rot.T + shift), noise @ rot.T),
     ):
         _, params_t, tape = lifted(model, extra_heads=False)
-        loss = tr.denoise_pretrain_loss(model, params_t, view, noise=eps)
+        loss = denoise_loss(model, params_t, tape, [view], [eps])
         values.append(float(loss.data))
     assert abs(values[0] - values[1]) < 1e-10
 
@@ -470,7 +489,7 @@ def test_denoise_invariant_under_joint_rigid_motion():
 def test_denoise_gradients_reach_parameters():
     model = api.model_from_config({"family": "painn", "hidden": 8, "layers": 1, "cutoff": 4.0})
     _, params_t, tape = lifted(model, extra_heads=False)
-    loss = tr.denoise_pretrain_loss(model, params_t, cluster(3), sigma=0.05, seed=1)
+    loss = denoise_loss(model, params_t, tape, [cluster(3)], draw_noise([cluster(3)], 0.05, 1))
     (g,) = tape.gradient(loss, [params_t["embed"]])
     assert np.abs(g.data).max() > 0.0
 
@@ -518,11 +537,15 @@ def test_contrastive_loss_invariant_under_joint_rigid_motion():
     values = []
     for views, eps in ((confs, noise), (moved, moved_noise)):
         _, params_t, tape = lifted(model, extra_heads=False)
-        loss = tr.contrastive_pretrain_loss(model, params_t, views, noise=eps)
+        loss = tr.contrastive_pretrain_loss(
+            model, params_t, *taped_batch(model, tape, views), *taped_batch(model, tape, views, eps)
+        )
         values.append(float(loss.data))
     assert abs(values[0] - values[1]) < 1e-10
     with pytest.raises(ContractError):
-        tr.contrastive_pretrain_loss(model, params_t, confs[:1], noise=noise[:1])
+        tr.contrastive_pretrain_loss(
+            model, params_t, *taped_batch(model, tape, confs[:1]), *taped_batch(model, tape, confs[:1], noise[:1])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +560,24 @@ def test_train_pretrain_descends(kind):
     sch = tr.ScheduleSpec(8e-3, 1e-4, 150)
     _, hist = tr.train_pretrain(model, kind, confs, sch, seed=0, steps=150, stop_loss_ratio=0.6)
     assert min(hist["train_loss"]) <= 0.7 * hist["train_loss"][0]
+
+
+@pytest.mark.parametrize("kind, builds", [("type", 1), ("denoise", 1), ("contrastive", 2)])
+def test_train_pretrain_builds_each_graph_once(kind, builds, monkeypatch):
+    # the clean and the jittered batch are built before the first step and
+    # reused by every step
+    calls = []
+
+    def counting_build_batch(*args, **kwargs):
+        calls.append(args)
+        return build_batch(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "build_batch", counting_build_batch)
+    confs = tr.synthetic_conformations(4, seed=0)
+    family = "painn" if kind == "denoise" else "schnet"
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    tr.train_pretrain(model, kind, confs, tr.ScheduleSpec(1e-3, 1e-5, 3), seed=0, steps=3)
+    assert len(calls) == builds
 
 
 def test_train_pretrain_rejects_unknown_kind():
