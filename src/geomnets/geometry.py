@@ -118,46 +118,113 @@ def _sorted_edges(src, dst, shift, rel, dist, num_nodes, cutoff) -> EdgeList:
     return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order], num_nodes, cutoff)
 
 
+# bins are this much wider than the cutoff, so that a pair at exactly the
+# cutoff still lands in adjacent bins after the rounding of the bin arithmetic
+_BIN_SLACK = 1e-6
+# a sparse cloud gets wider bins rather than more than this many per axis,
+# which keeps bin keys inside int64 and bin rounding far below the slack
+_MAX_AXIS_BINS = 1 << 20
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges [start, start + count), in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
 def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     """Every (anchor, candidate) index pair with 0 < dist <= cutoff, as
     (src, dst, rel, dist) with rel = candidates[dst] - anchors[src].
 
+    Linked cells: points fall into cubic bins at least the cutoff wide, so
+    a pair within the cutoff sits in the same or an adjacent bin along each
+    axis, and every anchor measures only the candidates of its 27
+    neighbouring bins. Candidates outside the anchors' bins grown by one bin
+    are dropped first. The cost is linear in the points at fixed density.
     A point paired with itself has distance exactly 0 and is dropped.
     """
-    rel = candidates[None, :, :] - anchors[:, None, :]
+    if anchors.shape[0] == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0)
+    lo = anchors.min(axis=0)
+    span = float((anchors.max(axis=0) - lo).max())
+    side = max(cutoff * (1.0 + _BIN_SLACK), span / _MAX_AXIS_BINS)
+    # bin 0 and the last bin along each axis hold only candidates
+    anchor_bin = np.floor((anchors - lo) / side).astype(np.int64) + 1
+    dims = anchor_bin.max(axis=0) + 2
+    cand_bin = np.floor((candidates - lo) / side) + 1
+    kept = np.flatnonzero(((cand_bin >= 0) & (cand_bin < dims)).all(axis=1))
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    cand_key = cand_bin[kept].astype(np.int64) @ strides
+    order = np.argsort(cand_key, kind="stable")
+    cand_key, kept = cand_key[order], kept[order]
+
+    # along the last axis the three neighbouring bins have consecutive keys,
+    # so the 27 bins are 9 key ranges [row - 1, row + 1]
+    rows = np.array([dx * strides[0] + dy * strides[1] for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    row_keys = (anchor_bin @ strides)[:, None] + rows
+    starts = np.searchsorted(cand_key, row_keys - 1, "left").ravel()
+    counts = np.searchsorted(cand_key, row_keys + 1, "right").ravel() - starts
+    src = np.repeat(np.arange(anchors.shape[0]), counts.reshape(-1, rows.size).sum(axis=1))
+    dst = kept[_ranges(starts, counts)]
+
+    rel = candidates[dst] - anchors[src]
     dist = np.linalg.norm(rel, axis=-1)
-    src, dst = np.nonzero((dist > 0.0) & (dist <= cutoff))
-    return src, dst, rel[src, dst], dist[src, dst]
+    hit = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
+    return src[hit], dst[hit], rel[hit], dist[hit]
+
+
+def _check_cutoff(cutoff: float) -> None:
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ContractError(f"cutoff must be positive and finite, got {cutoff}")
 
 
 def radius_graph(pos, cutoff: float) -> EdgeList:
     """All ordered pairs with 0 < dist <= cutoff, no periodicity."""
-    if cutoff <= 0:
-        raise ContractError("cutoff must be positive")
+    _check_cutoff(cutoff)
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(pos).all():
+        raise ContractError("positions must be finite")
     src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
     return _sorted_edges(src, dst, shift, rel, dist, pos.shape[0], cutoff)
 
 
-def _shift_ranges(lattice: np.ndarray, cutoff: float) -> tuple[int, int, int]:
+def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[int, int, int]:
+    """Largest |shift| per lattice axis that can bring a pair within cutoff.
+
+    Along axis i, a pair's offset across the lattice planes is
+    (shift_i + frac_j - frac_i) * spacing_i, so |shift_i| never exceeds
+    cutoff / spacing_i plus the spread of the fractional coordinates, which
+    covers atoms written outside the cell. The range never drops below
+    ceil(cutoff / spacing_i), the bound for in-cell atoms, so in-cell inputs
+    keep the same shifts and the same image numbering in expanded graphs.
+    """
     vol = abs(np.linalg.det(lattice))
     if vol < 1e-12:
         raise ContractError("lattice is degenerate (near-zero volume)")
+    frac = pos @ np.linalg.inv(lattice)
+    spread = frac.max(axis=0) - frac.min(axis=0)
     counts = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        spacing = vol / np.linalg.norm(np.cross(lattice[j], lattice[k]))
-        counts.append(int(math.ceil(cutoff / spacing)))
+        reach = cutoff / (vol / np.linalg.norm(np.cross(lattice[j], lattice[k])))
+        counts.append(max(math.ceil(reach), math.floor(reach + spread[i])))
     return tuple(counts)
 
 
-def _enumerate_shifts(lattice: np.ndarray, cutoff: float) -> np.ndarray:
-    na, nb, nc = _shift_ranges(lattice, cutoff)
+def _enumerate_shifts(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> np.ndarray:
+    na, nb, nc = _shift_ranges(lattice, pos, cutoff)
     return np.array(
         list(itertools.product(range(-na, na + 1), range(-nb, nb + 1), range(-nc, nc + 1))),
         dtype=np.int64,
     )
+
+
+def _images(pos: np.ndarray, shifts: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """pos displaced by every shift, shift-major: row s * n + i is atom i
+    seen through shift s."""
+    offsets = shifts.astype(np.float64) @ lattice
+    return (pos[None, :, :] + offsets[:, None, :]).reshape(-1, 3)
 
 
 def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gathered"):
@@ -169,40 +236,28 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     PeriodicGraph. Every edge keeps the anchor node as its src endpoint and
     no image-image edge is ever produced.
     """
-    if cutoff <= 0:
-        raise ContractError("cutoff must be positive")
+    _check_cutoff(cutoff)
     if conf.lattice is None:
         raise ContractError("conformation has no lattice")
     if mode not in ("gathered", "expanded"):
         raise ContractError(f"unknown mode '{mode}'")
     pos, lat = conf.pos, conf.lattice
     n = conf.n_atoms
-    shifts = _enumerate_shifts(lat, cutoff)
-    offsets = shifts.astype(np.float64) @ lat
+    shifts = _enumerate_shifts(lat, pos, cutoff)
 
     if mode == "gathered":
-        rows = []
-        for s, off in zip(shifts, offsets):
-            src, dst, rel, dist = _pairs_within(pos, pos + off, cutoff)
-            rows.append((src, dst, np.tile(s, (src.size, 1)), rel, dist))
-        src, dst, shift, rel, dist = (np.concatenate(column) for column in zip(*rows))
-        return _sorted_edges(src, dst, shift, rel, dist, n, cutoff)
+        src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
+        which, dst = np.divmod(image, n)
+        return _sorted_edges(src, dst, shifts[which], rel, dist, n, cutoff)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
-    all_pos = [pos]
-    image_of = [np.arange(n)]
-    for off in image_shifts.astype(np.float64) @ lat:
-        all_pos.append(pos + off)
-        image_of.append(np.arange(n))
-    all_pos = np.concatenate(all_pos, axis=0)
-    image_of = np.concatenate(image_of)
-    z_all = conf.z[image_of]
-
+    all_pos = np.concatenate([pos, _images(pos, image_shifts, lat)], axis=0)
+    image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
     src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
     edges = _sorted_edges(src, dst, shift, rel, dist, all_pos.shape[0], cutoff)
-    return PeriodicGraph(edges, z_all, all_pos, image_of, n)
+    return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, n)
 
 
 def build_angle_index(edges: EdgeList) -> AngleIndex:
@@ -210,30 +265,22 @@ def build_angle_index(edges: EdgeList) -> AngleIndex:
 
     The receiving row e = (src=i, dst=j) pairs with every row f =
     (src=j, dst=k) except the exact reverse image of e. The angle at j is
-    between the vectors j->k and j->i.
+    between the vectors j->k and j->i. Triplets come ordered by e, then f.
     """
-    in_rows, out_rows, angles = [], [], []
-    by_src: dict[int, list[int]] = {}
-    for idx in range(edges.n_edges):
-        by_src.setdefault(int(edges.src[idx]), []).append(idx)
-    for e in range(edges.n_edges):
-        middle = int(edges.dst[e])
-        for f in by_src.get(middle, ()):
-            if int(edges.dst[f]) == int(edges.src[e]) and np.array_equal(
-                edges.shift[f], -edges.shift[e]
-            ):
-                continue
-            to_k = edges.rel_vec[f]
-            to_i = -edges.rel_vec[e]
-            cosang = np.dot(to_k, to_i) / (edges.dist[f] * edges.dist[e])
-            angles.append(math.acos(min(1.0, max(-1.0, cosang))))
-            in_rows.append(f)
-            out_rows.append(e)
-    return AngleIndex(
-        np.asarray(in_rows, dtype=np.int64),
-        np.asarray(out_rows, dtype=np.int64),
-        np.asarray(angles, dtype=np.float64),
-    )
+    by_src = np.argsort(edges.src, kind="stable")
+    sorted_src = edges.src[by_src]
+    starts = np.searchsorted(sorted_src, edges.dst, "left")
+    counts = np.searchsorted(sorted_src, edges.dst, "right") - starts
+    out_edge = np.repeat(np.arange(edges.n_edges), counts)
+    in_edge = by_src[_ranges(starts, counts)]
+    back = (edges.dst[in_edge] == edges.src[out_edge]) & (
+        edges.shift[in_edge] == -edges.shift[out_edge]
+    ).all(axis=1)
+    in_edge, out_edge = in_edge[~back], out_edge[~back]
+    to_k = edges.rel_vec[in_edge]
+    to_i = -edges.rel_vec[out_edge]
+    cosang = np.vecdot(to_k, to_i) / (edges.dist[in_edge] * edges.dist[out_edge])
+    return AngleIndex(in_edge, out_edge, np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
 def backbone_graph(residues, ca_positions, cutoff: float) -> tuple[Conformation, EdgeList]:

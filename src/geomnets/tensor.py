@@ -127,6 +127,18 @@ class Tape:
         """A watched leaf holding `values`."""
         return self.watch(Tensor(values))
 
+    def release(self) -> None:
+        """Drop the records, watched leaves and index once the tape is done.
+
+        Records close over the tape's own tensors, which point back at the
+        tape, so a finished tape is a reference cycle; releasing it lets
+        reference counting free the tensors right away instead of the cyclic
+        collector some time later. The tape is unusable afterwards.
+        """
+        self.records.clear()
+        self._watched.clear()
+        self._record_of.clear()
+
     def _append(self, record: _Record) -> None:
         self._record_of[record.output_uid] = len(self.records)
         self.records.append(record)

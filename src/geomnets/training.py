@@ -280,6 +280,7 @@ def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, p
         history["train_loss"].append(value)
         if progress is not None:
             progress(step, value)
+        tape.release()  # after progress, which may still read the tape
         if first_loss is None:
             first_loss = value
         if stop_loss_ratio is not None and value <= stop_loss_ratio * first_loss:

@@ -366,5 +366,20 @@ def test_build_graph_parse_error_names_line(structures):
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize("cutoff", ["inf", "nan"])
+@pytest.mark.parametrize("kind", ["molecule", "crystal"])
+def test_build_graph_nonfinite_cutoff_exits_2(structures, cutoff, kind, tmp_path):
+    # a non-finite cutoff is bad input for open and periodic graphs alike
+    _, path = structures
+    lines = path.read_text().splitlines()
+    single = tmp_path / "one.jsonl"
+    single.write_text(lines[0 if kind == "molecule" else 1] + "\n")
+    result = run_cli(
+        "build-graph", "--input", str(single), "--output", str(tmp_path / "o.jsonl"), "--cutoff", cutoff
+    )
+    assert result.returncode == 2
+    assert "cutoff" in result.stderr and "Traceback" not in result.stderr
+
+
 def test_unknown_command_exits_2():
     assert run_cli("explode").returncode == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,56 @@ class TestRadiusGraph:
         with pytest.raises(ContractError):
             G.radius_graph(np.zeros((2, 3)), 0.0)
 
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+    def test_nonfinite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ContractError):
+            G.radius_graph(np.zeros((2, 3)), cutoff)
+
+    def test_nonfinite_positions_rejected(self):
+        pos = np.zeros((3, 3))
+        pos[1, 0] = math.nan
+        with pytest.raises(ContractError):
+            G.radius_graph(pos, 1.0)
+
+    def test_exact_cutoff_pair_across_a_rounded_bin_edge_is_kept(self):
+        # the pair (1, 2) is exactly one cutoff apart, yet dividing by the
+        # cutoff from the cloud's lower corner puts them two bins apart
+        cutoff = 1.3484040812902207
+        x = np.array([-3.564737385127003, 0.48047485874365853, 1.8288789400338792])
+        assert x[2] - x[1] == cutoff
+        assert math.floor((x[2] - x[0]) / cutoff) - math.floor((x[1] - x[0]) / cutoff) == 2
+        pos = np.zeros((3, 3))
+        pos[:, 0] = x
+        edges = G.radius_graph(pos, cutoff)
+        assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [(1, 2), (2, 1)]
+        assert (edges.dist == cutoff).all()
+
+    def test_sparse_cloud_bin_keys_stay_in_int64(self):
+        # a cloud ~2e9 cutoffs wide: with bins one cutoff wide, the close
+        # pair (2, 3) would get the bin key 2**63 - 1 and its neighbour
+        # range would wrap around the int64 limit
+        side = 1.0 + G._BIN_SLACK
+        rows = 2**31 + 11
+        bx, by = divmod((2**63 - 2) // 3, rows)
+        x, y = (bx - 0.5) * side, (by - 0.5) * side
+        pos = np.array([[0.0, 0, 0], [0, (rows - 2.5) * side, 0], [x, y, 0], [x, y, 0.5]])
+        edges = G.radius_graph(pos, 1.0)
+        assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [(2, 3), (3, 2)]
+
+    def test_peak_memory_linear_at_4000_atoms(self):
+        # 4000 atoms at 12 cubic angstrom per atom and cutoff 5: a dense
+        # distance tensor alone would need several hundred megabytes
+        rng = np.random.default_rng(0)
+        pos = rng.uniform(0.0, (12.0 * 4000) ** (1 / 3), size=(4000, 3))
+        tracemalloc.start()
+        try:
+            edges = G.radius_graph(pos, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.n_edges > 100_000
+        assert peak < 150e6
+
 
 class TestPeriodicGathered:
     def test_single_atom_cubic_cell_six_neighbors_at_exact_cutoff(self):
@@ -140,6 +191,29 @@ class TestPeriodicGathered:
         conf = G.Conformation([1], [[0.0, 0.0, 0.0]], lattice=lat)
         with pytest.raises(ContractError):
             G.periodic_radius_graph(conf, 1.0)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+    def test_nonfinite_cutoff_rejected(self, cutoff):
+        conf = G.Conformation([1], [[0.0, 0.0, 0.0]], lattice=np.eye(3))
+        for mode in ("gathered", "expanded"):
+            with pytest.raises(ContractError):
+                G.periodic_radius_graph(conf, cutoff, mode=mode)
+
+    def test_atom_written_outside_the_cell_keeps_its_neighbors(self):
+        # moving an atom by a lattice vector describes the same crystal
+        rng = np.random.default_rng(2)
+        lat = np.eye(3) * 6.0
+        pos = rng.uniform(0.0, 6.0, size=(6, 3))
+        conf = G.Conformation([6, 8, 1, 1, 7, 6], pos, lattice=lat)
+        moved_pos = pos.copy()
+        moved_pos[0] += 3 * lat[0]
+        moved = G.Conformation(conf.z, moved_pos, lattice=lat)
+        for c in (conf, moved):
+            edges = G.periodic_radius_graph(c, 5.0, mode="gathered")
+            got = sorted(zip(edges.src.tolist(), edges.dst.tolist(), map(tuple, edges.shift.tolist())))
+            assert got == brute_periodic_pairs(c, 5.0, reach=5)
+        n_edges = [G.periodic_radius_graph(c, 5.0).n_edges for c in (conf, moved)]
+        assert n_edges[0] == n_edges[1]
 
     def test_missing_lattice_rejected(self):
         conf = G.Conformation([1], [[0.0, 0.0, 0.0]])
@@ -368,3 +442,68 @@ def test_gathered_expanded_consistency_property(seed, cutoff):
         (int(s), round(float(d), 9)) for s, d in zip(expd.edges.src, expd.edges.dist)
     )
     assert a == b
+
+
+def periodic_rows(conf, cutoff, mode):
+    """(src, dst, shift) rows of either periodic mode, in the gathered form."""
+    if mode == "gathered":
+        edges = G.periodic_radius_graph(conf, cutoff, mode=mode)
+        return sorted(zip(edges.src.tolist(), edges.dst.tolist(), map(tuple, edges.shift.tolist())))
+    graph = G.periodic_radius_graph(conf, cutoff, mode=mode)
+    atom = graph.image_of[graph.edges.dst]
+    shift = np.rint((graph.positions[graph.edges.dst] - conf.pos[atom]) @ np.linalg.inv(conf.lattice))
+    return sorted(zip(graph.edges.src.tolist(), atom.tolist(), map(tuple, shift.astype(int).tolist())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 40),
+    st.sampled_from([0.5, 0.75, 1.25, 2.0]),
+    st.integers(0, 4),
+)
+def test_open_search_matches_brute_force_property(seed, n, cutoff, n_dup):
+    # half the points sit on a grid of spacing `cutoff`, giving pairs at
+    # exactly the cutoff, the rest are scattered over several bins; some
+    # points are duplicated, and the whole cloud sits far from the origin
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-3, 4, size=(n // 2, 3)) * cutoff
+    scattered = rng.uniform(-4 * cutoff, 4 * cutoff, size=(n - n // 2, 3))
+    pos = np.concatenate([grid, scattered])
+    pos = np.concatenate([pos, pos[rng.integers(0, n, n_dup)]]) + rng.integers(-10**6, 10**6, 3)
+    edges = G.radius_graph(pos, cutoff)
+    assert list(zip(edges.src.tolist(), edges.dst.tolist())) == sorted(brute_radius_edges(pos, cutoff))
+    assert np.array_equal(edges.rel_vec, pos[edges.dst] - pos[edges.src])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(8, 24), st.booleans())
+def test_periodic_search_matches_brute_force_property(seed, n, eighths, outside):
+    # a skewed cell and positions on the 1/8 grid, so that coincident
+    # atoms and pairs at exactly the cutoff come up; `outside` writes atoms
+    # up to one cell away from the cell they belong to
+    rng = np.random.default_rng(seed)
+    lat = np.tril(rng.integers(-6, 7, size=(3, 3)), -1) / 8 + np.diag(rng.integers(12, 25, 3) / 8)
+    frac = rng.integers(0, 8, size=(n, 3)) / 8 + outside * rng.integers(-1, 2, size=(n, 3))
+    conf = G.Conformation(rng.integers(1, 30, n), frac @ lat, lattice=lat)
+    cutoff = eighths / 8
+    spacing = min(abs(np.linalg.det(lat)) / np.linalg.norm(np.cross(lat[i - 2], lat[i - 1])) for i in range(3))
+    expect = brute_periodic_pairs(conf, cutoff, reach=int(cutoff / spacing) + 3)
+    for mode in ("gathered", "expanded"):
+        assert periodic_rows(conf, cutoff, mode) == expect
+
+
+def test_angle_index_matches_brute_force_on_periodic_graphs():
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        lat = rng.uniform(-0.8, 0.8, size=(3, 3)) + np.eye(3) * 2.6
+        conf = G.Conformation([1, 6, 8], rng.uniform(0, 1, size=(3, 3)) @ lat, lattice=lat)
+        edges = G.periodic_radius_graph(conf, rng.uniform(1.5, 2.5), mode="gathered")
+        angles = G.build_angle_index(edges)
+        got = list(zip(angles.in_edge.tolist(), angles.out_edge.tolist(), angles.angle.tolist()))
+        expect = brute_angle_triplets(edges)
+        assert angles.n_triplets > 0
+        assert sorted((a, b) for a, b, _ in got) == [(a, b) for a, b, _ in expect]
+        np.testing.assert_allclose(
+            [x[2] for x in sorted(got)], [x[2] for x in expect], atol=1e-12, rtol=0
+        )

@@ -384,6 +384,21 @@ def test_schnet_energy_extensive_over_disconnected_copies():
     assert double == pytest.approx(2 * single, rel=1e-12)
 
 
+def test_schnet_energy_unchanged_when_an_atom_moves_by_a_lattice_vector():
+    # the same crystal, written with one atom three cells away
+    spec, params = schnet_setup(seed=3, cutoff=5.0)
+    pt = as_tensors(params)
+    lat = np.eye(3) * 6.0
+    pos = np.random.default_rng(2).uniform(0.0, 6.0, (6, 3))
+    moved = pos.copy()
+    moved[0] += 3 * lat[0]
+    energies = []
+    for p in (pos, moved):
+        batch = build_batch([Conformation([6, 8, 1, 1, 7, 6], p, lattice=lat)], cutoff=5.0)
+        energies.append(schnet_energy(spec, pt, batch, Tensor(batch.pos)).data[0])
+    assert energies[1] == pytest.approx(energies[0], abs=1e-12, rel=0)
+
+
 def test_schnet_forces_match_finite_differences():
     spec, params = schnet_setup(seed=13)
     pt = as_tensors(params)

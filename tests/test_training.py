@@ -2,6 +2,9 @@
 schedule, synthetic labels, supervised loop, and the self-supervised
 objectives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -578,6 +581,34 @@ def test_train_pretrain_builds_each_graph_once(kind, builds, monkeypatch):
     model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
     tr.train_pretrain(model, kind, confs, tr.ScheduleSpec(1e-3, 1e-5, 3), seed=0, steps=3)
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("kind", [None, "type", "angle", "denoise", "contrastive"])
+def test_step_tapes_freed_without_cyclic_collector(kind, monkeypatch):
+    # a finished step's tape is released, so reference counting alone frees
+    # it and every tensor it recorded
+    tapes = []
+
+    class TrackedTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(T, "Tape", TrackedTape)
+    confs = tr.synthetic_conformations(4, seed=0)
+    family = "painn" if kind == "denoise" else "dimenet" if kind is None else "schnet"
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    schedule = tr.ScheduleSpec(1e-3, 1e-5, 3)
+    gc.disable()
+    try:
+        if kind is None:
+            tr.train_energy_force(model, confs, schedule, steps=3)
+        else:
+            tr.train_pretrain(model, kind, confs, schedule, steps=3)
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        gc.enable()
+    assert alive == [False] * 3
 
 
 def test_train_pretrain_rejects_unknown_kind():
