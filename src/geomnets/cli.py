@@ -27,6 +27,7 @@ from . import tensor as T
 
 ARTIFACT_VERSION = 1
 SUPERVISED_TASKS = ("energy", "energy+force")
+_FIELD_TYPES = {"str": str, "dict": dict, "int": int, "float": float, "bool": bool}
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +67,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ContractError("config must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
         if "dataset" not in raw or "model" not in raw:
             raise ContractError("config needs 'dataset' and 'model' entries")
         kw = dict(raw)
+        for f in fields(cls):
+            if f.name in kw and f.name != "split":
+                api.check_json_type(kw[f.name], _FIELD_TYPES[f.type], f"config '{f.name}'")
         if "split" in kw:
-            kw["split"] = tuple(float(f) for f in kw["split"])
+            split = api.check_json_type(kw["split"], list, "config 'split'")
+            kw["split"] = tuple(float(api.check_json_type(f, float, "config 'split' entry")) for f in split)
         return cls(**kw)
 
     @classmethod
@@ -200,6 +207,7 @@ def cmd_eval(args) -> int:
     held_out = test if test else confs
     model = api.model_from_config(cfg.model)
     params = T.load_checkpoint(args.checkpoint)
+    _check_checkpoint_fits(params, model.init(cfg.seed), args.checkpoint)
     stats = None
     if cfg.normalize:
         train, _, _ = split_dataset(confs, cfg.split, cfg.seed)
@@ -213,6 +221,19 @@ def cmd_eval(args) -> int:
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
+
+
+def _check_checkpoint_fits(params: dict, expected: dict, path: str) -> None:
+    """Every parameter the model needs is present with its shape; extra
+    entries (a pretext head, say) are ignored."""
+    missing = sorted(set(expected) - set(params))
+    if missing:
+        raise ContractError(f"checkpoint {path} lacks parameters {missing}")
+    for name, arr in expected.items():
+        if params[name].shape != arr.shape:
+            raise ContractError(
+                f"checkpoint {path}: parameter '{name}' has shape {params[name].shape}, the model needs {arr.shape}"
+            )
 
 
 def cmd_pretrain(args) -> int:
@@ -321,12 +342,14 @@ def equivariance_claims(model, params, trials: int, seed: int) -> list[dict]:
 
 
 def cmd_check_equiv(args) -> int:
+    if args.trials < 1:
+        raise ContractError(f"--trials must be at least 1, got {args.trials}")
     with open(args.config) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ContractError(f"config {args.config} is not valid JSON: {exc}") from exc
-    model_cfg = raw.get("model", raw)
+    model_cfg = raw.get("model", raw) if isinstance(raw, dict) else raw
     model = api.model_from_config(model_cfg)
     seed = _env_seed(args.seed)
     params = model.init(seed)

@@ -11,6 +11,7 @@ coordinates into the scalar head, so every symmetry check must flag it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
@@ -110,6 +111,20 @@ class ModelHandle:
         return self._row.node_vectors(self.spec, params, batch, pos)
 
 
+def check_json_type(value, kind: type, what: str):
+    """`value`, if JSON holds it as a `kind` (str, list, dict, int, float or
+    bool): an int passes as a float, true/false only as a bool, and NaN or
+    Infinity (which Python's JSON reader accepts) not at all. Otherwise
+    ContractError naming `what`."""
+    kinds = (int, float) if kind is float else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+        raise ContractError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    # NaN passes every `<= 0` range check and compares false with any distance
+    if kind is float and not math.isfinite(value):
+        raise ContractError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def model_from_config(config: dict) -> ModelHandle:
     """Build a handle from the JSON-style config mapping.
 
@@ -117,27 +132,32 @@ def model_from_config(config: dict) -> ModelHandle:
     Steerable families read scalar/vector/tensor channel counts instead of
     hidden; egnn honors update_coords. Graphs are cut at the radial basis
     cutoff (`basis.cutoff`, by default `cutoff`); egnn has no basis and uses
-    `cutoff`.
+    `cutoff`. A value of the wrong JSON type raises ContractError.
     """
+    check_json_type(config, dict, "model config")
     if "family" not in config:
         raise ContractError("model config needs a 'family' key")
-    family = config["family"]
+    family = check_json_type(config["family"], str, "model 'family'")
     if family not in FAMILY_TABLE:
         raise ContractError(f"unknown model family '{family}'")
-    cutoff = float(config.get("cutoff", 5.0))
-    basis_cfg = dict(config.get("basis", {}))
+
+    def get(key: str, default, kind: type, table: dict = config, where: str = "model"):
+        return kind(check_json_type(table.get(key, default), kind, f"{where} '{key}'"))
+
+    cutoff = get("cutoff", 5.0, float)
+    basis_cfg = dict(get("basis", {}, dict))
     basis_cfg.setdefault("cutoff", cutoff)
 
     def basis(default_kind: str, default_count: int) -> invariant.RadialBasisSpec:
         return invariant.RadialBasisSpec(
-            kind=basis_cfg.get("kind", default_kind),
-            count=int(basis_cfg.get("count", default_count)),
-            cutoff=float(basis_cfg["cutoff"]),
-            envelope=basis_cfg.get("envelope", "cosine"),
+            kind=get("kind", default_kind, str, basis_cfg, "model basis"),
+            count=get("count", default_count, int, basis_cfg, "model basis"),
+            cutoff=get("cutoff", None, float, basis_cfg, "model basis"),
+            envelope=get("envelope", "cosine", str, basis_cfg, "model basis"),
         )
 
-    hidden = int(config.get("hidden", 32))
-    layers = int(config.get("layers", 2))
+    hidden = get("hidden", 32, int)
+    layers = get("layers", 2, int)
     if family in ("schnet", "leaky"):
         spec = invariant.SchNetSpec(hidden=hidden, layers=layers, basis=basis("gaussian", 16))
     elif family == "dimenet":
@@ -145,24 +165,24 @@ def model_from_config(config: dict) -> ModelHandle:
             hidden=hidden,
             blocks=layers,
             basis=basis("bessel", 8),
-            sbf_l_max=int(config.get("sbf_l_max", 2)),
-            sbf_n_max=int(config.get("sbf_n_max", 3)),
+            sbf_l_max=get("sbf_l_max", 2, int),
+            sbf_n_max=get("sbf_n_max", 3, int),
         )
     elif family in ("tfn", "se3attn"):
         spec = spherical.SteerableModelSpec(
             family=family,
-            scalar_channels=int(config.get("scalar_channels", 8)),
-            vector_channels=int(config.get("vector_channels", 4)),
-            tensor_channels=int(config.get("tensor_channels", 2)),
+            scalar_channels=get("scalar_channels", 8, int),
+            vector_channels=get("vector_channels", 4, int),
+            tensor_channels=get("tensor_channels", 2, int),
             layers=layers,
             radial=basis("gaussian", 8),
-            radial_hidden=int(config.get("radial_hidden", 8)),
+            radial_hidden=get("radial_hidden", 8, int),
         )
     elif family == "egnn":
         spec = vector.EgnnSpec(
             hidden=hidden,
             layers=layers,
-            update_coords=bool(config.get("update_coords", True)),
+            update_coords=get("update_coords", True, bool),
         )
         return ModelHandle(family, spec, cutoff)
     else:

@@ -1,10 +1,17 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-Every operation validates shapes, promotes inputs to float64 and aborts with
-NumericError the moment a non-finite value is produced. Backward passes are
-built out of the same taped operations, so a gradient obtained from one
-backward call can itself be differentiated again (needed when a position
-gradient appears inside a training loss).
+Every operation validates shapes and promotes inputs to float64. Every tensor
+is finite: a leaf is checked when it is created, and an operation that can
+produce a non-finite value from finite inputs (arithmetic, matmul, exp, log,
+power, sums) checks its result and aborts with a NumericError naming the op.
+The others (reshapes, slices, gathers, concat, broadcast, sigmoid, tanh, sin,
+cos) are finite by construction and skip the check.
+
+Backward passes are built out of the same taped operations, so a gradient
+obtained from one backward call can itself be differentiated again (needed
+when a position gradient appears inside a training loss). Each record keeps
+one vector-Jacobian rule per input, and a backward pass evaluates only the
+rules of inputs that lie between the root and the requested tensors.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ParseError, ShapeError
 
 _UID = itertools.count()
 
@@ -97,12 +104,13 @@ class Tensor:
 
 @dataclass
 class _Record:
-    """One executed operation: inputs, output and its vector-Jacobian rule."""
+    """One executed operation: inputs, output and one vector-Jacobian rule
+    per input, mapping the output's gradient to that input's contribution."""
 
     name: str
     input_uids: tuple[int, ...]
     output_uid: int
-    vjp: Callable[[Tensor], Sequence[Tensor | None]]
+    vjps: tuple[Callable[[Tensor], Tensor], ...]
 
 
 @dataclass
@@ -163,7 +171,7 @@ class Tape:
         # which nodes descend from any wrt tensor
         descends: set[int] = set(wrt_uids)
         for rec in self.records[: root_idx + 1]:
-            if any(u in descends for u in rec.input_uids):
+            if not descends.isdisjoint(rec.input_uids):
                 descends.add(rec.output_uid)
 
         # which nodes the root depends on
@@ -178,9 +186,10 @@ class Tape:
             g = grads.pop(rec.output_uid, None)
             if g is None or rec.output_uid not in active:
                 continue
-            for uid, contrib in zip(rec.input_uids, rec.vjp(g)):
-                if contrib is None or uid not in active:
+            for uid, vjp in zip(rec.input_uids, rec.vjps):
+                if uid not in active:
                     continue
+                contrib = vjp(g)
                 held = grads.get(uid)
                 grads[uid] = contrib if held is None else add(held, contrib)
         out = []
@@ -212,8 +221,14 @@ def _common_tape(tensors: Iterable[Tensor]) -> Tape | None:
     return tape
 
 
-def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjp) -> Tensor:
-    if not np.isfinite(data).all():
+# ops that map finite inputs to finite outputs; every other op checks its result
+_FINITE_BY_CONSTRUCTION = frozenset(
+    {"reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast", "sigmoid", "tanh", "sin", "cos"}
+)
+
+
+def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> Tensor:
+    if name not in _FINITE_BY_CONSTRUCTION and not np.isfinite(data).all():
         raise NumericError(f"non-finite result in op '{name}'")
     tape = _common_tape(inputs)
     out = Tensor.__new__(Tensor)
@@ -221,7 +236,7 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjp) -> Tensor:
     out.tape = tape
     out.uid = next(_UID)
     if tape is not None:
-        tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjp))
+        tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps))
     return out
 
 
@@ -244,7 +259,7 @@ def add(a, b) -> Tensor:
         "add",
         (a, b),
         a.data + b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
     )
 
 
@@ -254,7 +269,7 @@ def sub(a, b) -> Tensor:
         "sub",
         (a, b),
         a.data - b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(mul(g, -1.0), b.shape)),
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(mul(g, -1.0), b.shape)),
     )
 
 
@@ -264,7 +279,7 @@ def mul(a, b) -> Tensor:
         "mul",
         (a, b),
         a.data * b.data,
-        lambda g: (_unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)),
+        (lambda g: _unbroadcast(mul(g, b), a.shape), lambda g: _unbroadcast(mul(g, a), b.shape)),
     )
 
 
@@ -276,9 +291,9 @@ def div(a, b) -> Tensor:
         "div",
         (a, b),
         data,
-        lambda g: (
-            _unbroadcast(div(g, b), a.shape),
-            _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), b.shape),
+        (
+            lambda g: _unbroadcast(div(g, b), a.shape),
+            lambda g: _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), b.shape),
         ),
     )
 
@@ -293,9 +308,9 @@ def matmul(a, b) -> Tensor:
         "matmul",
         (a, b),
         a.data @ b.data,
-        lambda g: (
-            _unbroadcast(matmul(g, transpose2(b)), a.shape),
-            _unbroadcast(matmul(transpose2(a), g), b.shape),
+        (
+            lambda g: _unbroadcast(matmul(g, transpose2(b)), a.shape),
+            lambda g: _unbroadcast(matmul(transpose2(a), g), b.shape),
         ),
     )
 
@@ -305,13 +320,13 @@ def transpose2(a) -> Tensor:
     a = _coerce(a)
     if a.ndim < 2:
         raise ShapeError("transpose2 needs at least two dimensions")
-    return _op("transpose2", (a,), np.swapaxes(a.data, -1, -2), lambda g: (transpose2(g),))
+    return _op("transpose2", (a,), np.swapaxes(a.data, -1, -2), (transpose2,))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _coerce(a)
     old = a.shape
-    return _op("reshape", (a,), a.data.reshape(shape), lambda g: (reshape(g, old),))
+    return _op("reshape", (a,), a.data.reshape(shape), (lambda g: reshape(g, old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -323,15 +338,13 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     sizes = [t.shape[ax] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g):
-        outs = []
-        for i in range(len(tensors)):
-            key = [slice(None)] * data.ndim
-            key[ax] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(slice_(g, tuple(key)))
-        return outs
+    def piece(i):
+        key = [slice(None)] * data.ndim
+        key[ax] = slice(int(offsets[i]), int(offsets[i + 1]))
+        key = tuple(key)
+        return lambda g: slice_(g, key)
 
-    return _op("concat", tensors, data, vjp)
+    return _op("concat", tensors, data, tuple(piece(i) for i in range(len(tensors))))
 
 
 def slice_(a, key) -> Tensor:
@@ -339,7 +352,7 @@ def slice_(a, key) -> Tensor:
     a = _coerce(a)
     _check_basic_key(key)
     in_shape = a.shape
-    return _op("slice", (a,), a.data[key], lambda g: (unslice(g, key, in_shape),))
+    return _op("slice", (a,), a.data[key], (lambda g: unslice(g, key, in_shape),))
 
 
 def unslice(g, key, shape: tuple[int, ...]) -> Tensor:
@@ -348,7 +361,7 @@ def unslice(g, key, shape: tuple[int, ...]) -> Tensor:
     _check_basic_key(key)
     data = np.zeros(shape, dtype=np.float64)
     data[key] = g.data
-    return _op("unslice", (g,), data, lambda gg: (slice_(gg, key),))
+    return _op("unslice", (g,), data, (lambda gg: slice_(gg, key),))
 
 
 def _check_basic_key(key) -> None:
@@ -361,8 +374,9 @@ def _check_basic_key(key) -> None:
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _op("sigmoid", (a,), data, lambda g: (mul(g, mul(out, sub(1.0, out))),))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _op("sigmoid", (a,), data, (lambda g: mul(g, mul(out, sub(1.0, out))),))
     return out
 
 
@@ -373,7 +387,7 @@ def silu(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = _coerce(a)
-    out = _op("tanh", (a,), np.tanh(a.data), lambda g: (mul(g, sub(1.0, mul(out, out))),))
+    out = _op("tanh", (a,), np.tanh(a.data), (lambda g: mul(g, sub(1.0, mul(out, out))),))
     return out
 
 
@@ -381,7 +395,7 @@ def exp(a) -> Tensor:
     a = _coerce(a)
     with np.errstate(all="ignore"):
         data = np.exp(a.data)
-    out = _op("exp", (a,), data, lambda g: (mul(g, out),))
+    out = _op("exp", (a,), data, (lambda g: mul(g, out),))
     return out
 
 
@@ -389,17 +403,17 @@ def log(a) -> Tensor:
     a = _coerce(a)
     with np.errstate(all="ignore"):
         data = np.log(a.data)
-    return _op("log", (a,), data, lambda g: (div(g, a),))
+    return _op("log", (a,), data, (lambda g: div(g, a),))
 
 
 def sin(a) -> Tensor:
     a = _coerce(a)
-    return _op("sin", (a,), np.sin(a.data), lambda g: (mul(g, cos(a)),))
+    return _op("sin", (a,), np.sin(a.data), (lambda g: mul(g, cos(a)),))
 
 
 def cos(a) -> Tensor:
     a = _coerce(a)
-    return _op("cos", (a,), np.cos(a.data), lambda g: (mul(mul(g, sin(a)), -1.0),))
+    return _op("cos", (a,), np.cos(a.data), (lambda g: mul(mul(g, sin(a)), -1.0),))
 
 
 def power(a, p: float) -> Tensor:
@@ -407,7 +421,7 @@ def power(a, p: float) -> Tensor:
     p = float(p)
     with np.errstate(all="ignore"):
         data = a.data**p
-    return _op("power", (a,), data, lambda g: (mul(g, mul(power(a, p - 1.0), p)),))
+    return _op("power", (a,), data, (lambda g: mul(g, mul(power(a, p - 1.0), p)),))
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -417,14 +431,21 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, len(in_shape))
 
     def vjp(g):
-        if not keepdims and axes is not None:
-            kd_shape = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
-            g = reshape(g, kd_shape)
-        elif not keepdims and axes is None:
-            g = reshape(g, (1,) * len(in_shape))
-        return (mul(g, Tensor(np.ones(in_shape))),)
+        if not keepdims:
+            g = reshape(g, tuple(1 if axes is None or i in axes else d for i, d in enumerate(in_shape)))
+        return broadcast_to(g, in_shape)
 
-    return _op("sum", (a,), data, vjp)
+    return _op("sum", (a,), data, (vjp,))
+
+
+def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
+    """Copy `a` out to `shape` under numpy broadcasting rules."""
+    a = _coerce(a)
+    in_shape = a.shape
+    # a contiguous copy, not a zero-stride view: numpy's matmul leaves BLAS
+    # for such a view, which is slower and need not round the same
+    data = np.broadcast_to(a.data, shape).copy()
+    return _op("broadcast", (a,), data, (lambda g: _unbroadcast(g, in_shape),))
 
 
 def _norm_axes(axis, ndim) -> tuple[int, ...] | None:
@@ -467,20 +488,25 @@ def gather(a, index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather index out of range")
     n = a.shape[0]
-    return _op("gather", (a,), a.data[idx], lambda g: (scatter_sum(g, idx, n),))
+    return _op("gather", (a,), a.data[idx], (lambda g: scatter_sum(g, idx, n),))
 
 
 def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of `values` into `num_segments` buckets along axis 0."""
     values = _coerce(values)
     idx = np.asarray(segment_ids, dtype=np.int64)
-    if idx.ndim != 1 or (values.ndim >= 1 and idx.shape[0] != values.shape[0]):
+    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
         raise ShapeError("segment ids must be 1-D and match the leading axis")
     if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
         raise IndexError("segment id out of range")
-    data = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
-    np.add.at(data, idx, values.data)
-    return _op("scatter_sum", (values,), data, lambda g: (gather(g, idx),))
+    # one bin per (segment, column); bincount adds each bin's terms in row
+    # order starting from 0.0, exactly as np.add.at would
+    width = math.prod(values.shape[1:])
+    keys = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    flat = np.bincount(keys, weights=values.data.reshape(-1), minlength=num_segments * width)
+    # bincount returns integers when there are no keys
+    data = flat.astype(np.float64, copy=False).reshape((num_segments,) + values.shape[1:])
+    return _op("scatter_sum", (values,), data, (lambda g: gather(g, idx),))
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -592,9 +618,18 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read what save_checkpoint wrote; ParseError if the file is not that."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"checkpoint {path} is not a JSON object")
     out = {}
     for name, entry in payload.items():
-        out[name] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            out[name] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"checkpoint {path}: parameter '{name}' is malformed: {exc!r}") from exc
     return out

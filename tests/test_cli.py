@@ -8,18 +8,19 @@ import sys
 import numpy as np
 import pytest
 
-from geomnets import cli, training as tr
+from geomnets import cli, tensor as T, training as tr
 from geomnets.errors import ContractError
 from geomnets.geometry import Conformation, save_dataset
+from geomnets.models import api
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env["PYTHONWARNINGS"] = "ignore"
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "geomnets", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "geomnets", *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -191,6 +192,29 @@ def test_invalid_config_exits_2(workspace):
     assert run_cli("train", "--config", str(path), "--out", str(root / "x")).returncode == 2
 
 
+def assert_config_error(result):
+    assert result.returncode == 2, result.stderr
+    assert "config error" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"model": {"family": "schnet", "hidden": "abc", "layers": 1, "cutoff": 4.0}},
+        {"steps": "2"},
+        {"split": [0.5, "x", 0.5]},
+        {"lr_max": float("nan")},
+        {"energy_weight": float("inf")},
+    ],
+    ids=["hidden-string", "steps-string", "split-entry-string", "lr-max-nan", "energy-weight-inf"],
+)
+def test_train_bad_config_value_exits_2(workspace, change, tmp_path):
+    _, cfg, _ = workspace
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, **change)))
+    assert_config_error(run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")))
+
+
 def test_numeric_blowup_exits_3(workspace):
     root, cfg, _ = workspace
     bad = dict(cfg, lr_max=1e200, lr_min=1e199, steps=12)
@@ -215,6 +239,43 @@ def test_eval_reports_maes(workspace):
     assert payload["n_structures"] == 2
     missing = run_cli("eval", "--config", str(cfg_path), "--checkpoint", str(root / "no.json"))
     assert missing.returncode == 2
+
+
+def _spoil_truncated(text):
+    return text[: len(text) // 2]
+
+
+def _spoil_short_values(text):
+    payload = json.loads(text)
+    entry = payload["layer0.filter.w0"]
+    entry["values"] = entry["values"][:-1]
+    return json.dumps(payload)
+
+
+def _spoil_missing_parameter(text):
+    payload = json.loads(text)
+    del payload["layer0.filter.w0"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        (_spoil_truncated, "parse error"),
+        (_spoil_short_values, "parse error"),
+        (_spoil_missing_parameter, "layer0.filter.w0"),
+    ],
+    ids=["truncated", "values-short-of-shape", "missing-parameter"],
+)
+def test_eval_bad_checkpoint_exits_2(workspace, spoil, message, tmp_path):
+    _, cfg, cfg_path = workspace
+    good = tmp_path / "good.json"
+    T.save_checkpoint(good, api.model_from_config(cfg["model"]).init(0))
+    bad = tmp_path / "bad.json"
+    bad.write_text(spoil(good.read_text()))
+    result = run_cli("eval", "--config", str(cfg_path), "--checkpoint", str(bad))
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +332,34 @@ def test_check_equiv_flags_coordinate_leak(workspace):
     assert result.returncode == 1
     assert "FAIL" in result.stdout
     assert "leaky.rotation_energy" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "config",
+    [[{"family": "schnet"}], {"family": "schnet", "hidden": "abc"}],
+    ids=["json-list", "hidden-string"],
+)
+def test_check_equiv_config_of_wrong_type_exits_2(config, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    assert_config_error(run_cli("check-equiv", "--config", str(path), "--trials", "1"))
+
+
+@pytest.mark.parametrize("cutoff", ["NaN", "Infinity", "-1.0"])
+@pytest.mark.parametrize("family", ["schnet", "egnn"])
+def test_check_equiv_bad_cutoff_exits_2(family, cutoff, tmp_path):
+    # a NaN cutoff made check-equiv spin forever drawing a cluster clear of it
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"family": "{family}", "cutoff": {cutoff}}}')
+    assert_config_error(run_cli("check-equiv", "--config", str(path), "--trials", "1", timeout=60))
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_equiv_needs_a_trial(workspace, trials):
+    root, _, _ = workspace
+    result = run_cli("check-equiv", "--config", str(model_cfg(root, "schnet")), "--trials", trials)
+    assert_config_error(result)
+    assert "--trials" in result.stderr and result.stdout == ""
 
 
 def test_check_equiv_tolerance_flag(workspace):

@@ -282,3 +282,97 @@ def test_sum_of_scatter_equals_total(seed):
     seg = r.integers(0, 3, size=6)
     out = T.scatter_sum(T.Tensor(vals), seg, 3).data
     assert np.allclose(out.sum(axis=0), vals.sum(axis=0), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# segment sums, backward work and numeric aborts of the tape
+
+
+@st.composite
+def segment_problems(draw):
+    """Unsorted, repeated ids over segments some of which stay empty, zero
+    rows allowed, trailing shapes (E,), (E, F) and (E, F, 3)."""
+    rows = draw(st.integers(0, 12))
+    segments = draw(st.integers(1, 6))
+    trailing = draw(st.sampled_from([(), (draw(st.integers(1, 4)),), (draw(st.integers(1, 4)), 3)]))
+    ids = draw(st.lists(st.integers(0, segments - 1), min_size=rows, max_size=rows))
+    size = rows * math.prod(trailing)
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+    return np.array(values).reshape((rows,) + trailing), np.array(ids, dtype=np.int64), segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_problems())
+def test_scatter_sum_bitwise_equals_add_at(problem):
+    values, ids, segments = problem
+    want = np.zeros((segments,) + values.shape[1:])
+    np.add.at(want, ids, values)
+    got = T.scatter_sum(T.Tensor(values), ids, segments).data
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _backward_calls(monkeypatch, name, tape, root, wrt):
+    """How often the backward of `root` calls the op `name`."""
+    calls = []
+    real = getattr(T, name)
+    monkeypatch.setattr(T, name, lambda *args, **kw: calls.append(name) or real(*args, **kw))
+    tape.gradient(root, wrt)
+    return len(calls)
+
+
+def test_gradient_skips_vjps_outside_the_requested_inputs(monkeypatch):
+    tape = T.Tape()
+    x = tape.tensor(rng.normal(size=(4, 3)))
+    w = tape.tensor(rng.normal(size=(3, 2)))
+    before = len(tape.records)
+    root = T.sum_(x @ w)
+    assert _backward_calls(monkeypatch, "matmul", tape, root, [x]) == 1
+    assert [rec.name for rec in tape.records[before:]].count("matmul") == 2  # forward and dE/dx
+    # a constant operand gets no gradient either
+    root = T.sum_(T.mul(x, T.Tensor(rng.normal(size=(4, 3)))))
+    assert _backward_calls(monkeypatch, "mul", tape, root, [x]) == 1
+
+
+SUM_FORMS = [(axis, keepdims) for axis in (None, 0, 1, -1, (0, 2)) for keepdims in (False, True)]
+
+
+def _squared_gradient(inner):
+    """x -> sum(grad(inner)(x)^2), so grad_check takes a second derivative."""
+
+    def f(x):
+        tape = x.tape
+        if tape is None:  # a finite-difference probe
+            tape = T.Tape()
+            tape.watch(x)
+        (g,) = tape.gradient(inner(x), [x])
+        return T.sum_(g * g)
+
+    return f
+
+
+@pytest.mark.parametrize("axis,keepdims", SUM_FORMS, ids=[f"{a}-{k}" for a, k in SUM_FORMS])
+def test_second_derivative_through_sum(axis, keepdims):
+    inner = lambda x: T.sum_(T.power(T.sum_(x, axis=axis, keepdims=keepdims), 3.0))
+    assert T.grad_check(_squared_gradient(inner), rng.normal(size=(2, 3, 4))) < 1e-6
+
+
+def test_second_derivative_through_sigmoid():
+    c = T.Tensor(rng.normal(size=(3, 4)))
+    inner = lambda x: T.sum_(T.sigmoid(x) * c)
+    assert T.grad_check(_squared_gradient(inner), rng.normal(size=(3, 4)) * 2.0) < 1e-6
+
+
+OVERFLOWS = [
+    ("mul", lambda: T.mul(T.Tensor([1e308]), T.Tensor([10.0]))),
+    ("matmul", lambda: T.matmul(T.Tensor([[1e308, 1e308]]), T.Tensor([[1.0], [1.0]]))),
+    ("add", lambda: T.add(T.Tensor([1e308]), T.Tensor([1e308]))),
+    ("sum", lambda: T.sum_(T.Tensor([1e308, 1e308]))),
+    ("scatter_sum", lambda: T.scatter_sum(T.Tensor([1e308, 1e308]), [0, 0], 1)),
+]
+
+
+@pytest.mark.parametrize("name,make", OVERFLOWS, ids=[o[0] for o in OVERFLOWS])
+def test_overflow_names_the_op(name, make):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"op '{name}'"):
+        make()
