@@ -386,7 +386,8 @@ def _edge_records(conf: Conformation, cutoff: float, mode: str):
             src = int(graph.edges.src[k])
             node = int(graph.edges.dst[k])
             anchor = int(graph.image_of[node])
-            frac = (graph.positions[node] - conf.pos[anchor]) @ inv_lat
+            # the effective image of the dst atom as written, seen from the src atom as written
+            frac = (graph.edges.rel_vec[k] - conf.pos[anchor] + conf.pos[src]) @ inv_lat
             yield {
                 "id": name,
                 "src": src,

@@ -49,6 +49,8 @@ class Conformation:
             self.lattice = np.asarray(self.lattice, dtype=np.float64)
             if self.lattice.shape != (3, 3):
                 raise ShapeError("lattice must be 3x3")
+            if not np.isfinite(self.lattice).all():
+                raise ContractError("lattice must be finite")
         if self.forces is not None:
             self.forces = np.asarray(self.forces, dtype=np.float64)
             if self.forces.shape != self.pos.shape:
@@ -87,7 +89,10 @@ class EdgeList:
 
 @dataclass
 class PeriodicGraph:
-    """Expanded periodic graph: anchor atoms plus materialized images."""
+    """Expanded periodic graph: anchor atoms plus materialized images.
+
+    `positions` holds the anchors, moved into the cell, then the images;
+    edge rel_vec is positions[dst] - positions[src]."""
 
     edges: EdgeList
     z: np.ndarray
@@ -194,22 +199,45 @@ def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[
 
     Along axis i, a pair's offset across the lattice planes is
     (shift_i + frac_j - frac_i) * spacing_i, so |shift_i| never exceeds
-    cutoff / spacing_i plus the spread of the fractional coordinates, which
-    covers atoms written outside the cell. The range never drops below
-    ceil(cutoff / spacing_i), the bound for in-cell atoms, so in-cell inputs
-    keep the same shifts and the same image numbering in expanded graphs.
+    cutoff / spacing_i plus the spread of the fractional coordinates. For
+    positions inside the cell the spread is below 1 and the range is
+    ceil(cutoff / spacing_i); the spread term covers atoms that rounding
+    leaves just across a cell face.
     """
-    vol = abs(np.linalg.det(lattice))
-    if vol < 1e-12:
-        raise ContractError("lattice is degenerate (near-zero volume)")
     frac = pos @ np.linalg.inv(lattice)
     spread = frac.max(axis=0) - frac.min(axis=0)
+    vol = abs(np.linalg.det(lattice))
     counts = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         reach = cutoff / (vol / np.linalg.norm(np.cross(lattice[j], lattice[k])))
         counts.append(max(math.ceil(reach), math.floor(reach + spread[i])))
     return tuple(counts)
+
+
+# an atom further out than this many cells cannot be moved into the cell
+# exactly enough to keep its neighbors
+_MAX_CELL_OFFSET = 2**40
+# fractional coordinates this close to a cell face count as inside, so that
+# atoms on a face, which rounding puts on either side, are never moved
+_FACE_SLACK = 1e-9
+
+
+def _into_cell(lattice: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions moved into the cell by whole lattice vectors, and each
+    atom's integer cell offset: pos = moved + offset @ lattice. Atoms in the
+    cell keep their positions bit for bit."""
+    if abs(np.linalg.det(lattice)) < 1e-12:
+        raise ContractError("lattice is degenerate (near-zero volume)")
+    frac = pos @ np.linalg.inv(lattice)
+    cell = np.where((frac >= -_FACE_SLACK) & (frac < 1.0 + _FACE_SLACK), 0.0, np.floor(frac))
+    if (np.abs(cell) > _MAX_CELL_OFFSET).any():
+        raise ContractError(f"an atom lies more than {_MAX_CELL_OFFSET} cells outside the lattice cell")
+    offset = cell.astype(np.int64)
+    moved = pos.copy()
+    out = offset.any(axis=1)
+    moved[out] -= offset[out] @ lattice
+    return moved, offset
 
 
 def _enumerate_shifts(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> np.ndarray:
@@ -234,21 +262,26 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     shift column records which image was seen.
     expanded: images become fresh nodes with copied types; returns a
     PeriodicGraph. Every edge keeps the anchor node as its src endpoint and
-    no image-image edge is ever produced.
+    no image-image edge is ever produced. An anchor written outside the cell
+    sits at its position moved into the cell by whole lattice vectors.
     """
     _check_cutoff(cutoff)
     if conf.lattice is None:
         raise ContractError("conformation has no lattice")
     if mode not in ("gathered", "expanded"):
         raise ContractError(f"unknown mode '{mode}'")
-    pos, lat = conf.pos, conf.lattice
+    lat = conf.lattice
     n = conf.n_atoms
+    # images are enumerated around the cell, so atoms written outside it are
+    # first moved in; their offsets go back into the reported shifts
+    pos, offset = _into_cell(lat, conf.pos)
     shifts = _enumerate_shifts(lat, pos, cutoff)
 
     if mode == "gathered":
         src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
         which, dst = np.divmod(image, n)
-        return _sorted_edges(src, dst, shifts[which], rel, dist, n, cutoff)
+        shift = shifts[which] + offset[src] - offset[dst]
+        return _sorted_edges(src, dst, shift, rel, dist, n, cutoff)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
@@ -314,13 +347,39 @@ def _conf_to_record(conf: Conformation) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number: an int or a float, not a bool, within float range."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _rows_of_3(value, what: str) -> np.ndarray:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and len(row) == 3 and all(map(_is_number, row)) for row in value
+    ):
+        raise ContractError(f"{what} must be a list of rows of 3 finite numbers")
+    return np.asarray(value, dtype=np.float64).reshape(-1, 3)
+
+
 def _record_to_conf(rec: dict) -> Conformation:
+    """A Conformation from one dataset record, with every field's JSON type
+    checked first, so that malformed input raises ContractError."""
+    z = rec["z"]
+    if not (isinstance(z, list) and all(type(v) is int and 1 <= v <= 118 for v in z)):
+        raise ContractError("z must be a list of atomic numbers (integers 1..118)")
+    lattice, energy, forces = rec.get("lattice"), rec.get("energy"), rec.get("forces")
+    if lattice is not None and (not isinstance(lattice, list) or len(lattice) != 3):
+        raise ContractError("lattice must be 3x3 finite numbers or null")
+    if energy is not None and not _is_number(energy):
+        raise ContractError("energy must be a finite number or null")
     return Conformation(
-        z=np.asarray(rec["z"]),
-        pos=np.asarray(rec["pos"], dtype=np.float64),
-        lattice=rec.get("lattice"),
-        energy=rec.get("energy"),
-        forces=rec.get("forces"),
+        z=np.asarray(z, dtype=np.int64),
+        pos=_rows_of_3(rec["pos"], "pos"),
+        lattice=None if lattice is None else _rows_of_3(lattice, "lattice"),
+        energy=energy,
+        forces=None if forces is None else _rows_of_3(forces, "forces"),
         id=rec.get("id", ""),
     )
 

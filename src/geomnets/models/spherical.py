@@ -1,30 +1,44 @@
-"""Steerable message passing: harmonic filters, tensor-product convolution,
-and dot-product attention over degree-typed features.
+"""Steerable message passing: tensor-product convolution and dot-product
+attention over degree-typed features.
 
-Edge filters factor into a learned radial profile times spherical harmonics
-of the edge direction, so each filter block rotates with the matching
-Wigner matrix. Convolutions couple filter and neighbor blocks through
-Clebsch-Gordan contractions; every (input degree, filter degree, output
-degree) path carries its own radial network, outputs into one degree are
-channel-concatenated, mixed by a per-degree linear map, and scaled by
-1/sqrt(paths). Residuals attach only where input and output layouts carry
-an identical (multiplicity, degree) block.
+Along edge e, the message from neighbor block x (mult, 2 l_in + 1) into
+output degree l_out through filter degree l_f is
 
-Attention reuses the same per-edge machinery for keys and values; scores
-are full dot products of steerable rows, hence rotation-invariant scalars.
+    m_e = R_e * (x @ A_e),    A_e = Y_{l_f}(u_e) . CG(l_f, l_in, l_out)
+
+where R_e (mult,) is the path's radial network on the edge length and A_e
+is a channel-free (2 l_in + 1, 2 l_out + 1) coupling matrix: the harmonics
+of the edge direction contracted with the Clebsch-Gordan table. A_e rotates
+like the blocks it connects, so every message rotates with the Wigner
+matrix of l_out. The coupling matrices of all paths out of one input block
+stand side by side, so the gathered neighbor block meets them in one batched
+matmul, and the radial networks of those paths run as one first-layer
+matmul and one batched second layer. The cosine envelope multiplies the
+harmonics once per edge. Messages into one degree are summed per node,
+channel-concatenated over their paths, mixed by a per-degree linear map and
+scaled by 1/sqrt(paths). Residuals attach only where input and output
+layouts carry an identical (multiplicity, degree) block.
+
+Attention computes keys and values from one edge geometry and one set of
+coupling matrices. Scores are full dot products of steerable query and key
+rows, hence rotation-invariant scalars. Both sides of a score are linear,
+so the keys are never formed: the query rows go back through the key mix at
+node scale and meet the key messages directly. Values are likewise weighted
+and summed per node before they are mixed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, from_blocks, sph_harm_block
-from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
+from ..tensor import MlpSpec, Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
 from .invariant import RadialBasisSpec, cosine_envelope, radial_basis
 
@@ -54,6 +68,8 @@ class TfnLayerSpec:
         _check_layout(self.layout_out, "output")
         if any(l < 0 or l > _DEGREE_CAP for l in self.filter_degrees):
             raise ContractError(f"filter degrees must lie in 0..{_DEGREE_CAP}")
+        if len(set(self.filter_degrees)) != len(self.filter_degrees):
+            raise ContractError("filter degrees repeat")
         if self.radial_hidden < 1:
             raise ContractError("radial hidden width must be positive")
         for b_out in range(len(self.layout_out.blocks)):
@@ -92,90 +108,175 @@ def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) ->
     return params
 
 
-def _unit_and_length(rel: Tensor) -> tuple[Tensor, Tensor]:
+def _edge_geometry(spec: TfnLayerSpec, rel: Tensor) -> tuple[Tensor, Tensor]:
+    """What every message of a layer reads from its edges: the radial basis,
+    transposed to (count, E), and the harmonics of degrees 0..max filter
+    degree side by side, (E, (l_max + 1)^2), times the cosine envelope."""
     dist = T.norm(rel, axis=1)
     if (dist.data < 1e-12).any():
         raise ContractError("zero-length edge vector reached a harmonic filter")
     unit = rel / T.reshape(dist, (-1, 1))
-    return unit, dist
+    degrees = range(max(spec.filter_degrees) + 1)
+    harmonics = T.concat([sph_harm_block(l, unit) for l in degrees], axis=1)
+    if spec.radial.envelope == "cosine":
+        harmonics = harmonics * T.reshape(cosine_envelope(dist, spec.radial.cutoff), (-1, 1))
+    return T.transpose2(radial_basis(spec.radial, dist)), harmonics
 
 
-def _edge_filters(
-    spec: TfnLayerSpec, params: dict, prefix: str, rel: Tensor
-) -> tuple[list[Tensor], Tensor]:
-    """Per-path filter blocks (E, mult_in, 2 l_f + 1) plus edge lengths."""
-    unit, dist = _unit_and_length(rel)
-    rbf = radial_basis(spec.radial, dist)
-    harmonics = {l: sph_harm_block(l, unit) for l in set(p[1] for p in spec.paths())}
-    filters = []
-    for k, (b_in, l_f, _) in enumerate(spec.paths()):
-        radial = mlp_apply(spec.radial_mlp(k), params, rbf, f"{prefix}.path{k}.radial")
-        e = rel.shape[0]
-        filt = T.reshape(radial, (e, -1, 1)) * T.reshape(harmonics[l_f], (e, 1, 2 * l_f + 1))
-        filters.append(filt)
-    return filters, dist
+@dataclass(frozen=True)
+class _BlockFusion:
+    """How the messages out of one input block are computed together.
 
-
-def tfn_filter(spec: TfnLayerSpec, params: dict, rel_vec: np.ndarray) -> list[Tensor]:
-    """Filters for one edge vector: per path, radial profile times harmonics.
-
-    Returns (mult_in, 2 l_f + 1) blocks in `spec.paths()` order. With a
-    radial network pinned to output 1 every row equals the degree-l_f
-    harmonic vector of the direction.
+    Coupling columns come in one (2 l_out + 1)-wide group per (filter degree,
+    output degree) pair, grouped by output degree. `table` turns the
+    harmonics of an edge into its coupling matrix (2 l_in + 1, width), and
+    `spreads[p]` copies the radial output of each path of layer p onto the
+    columns of its group.
     """
-    rel = np.asarray(rel_vec, dtype=np.float64).reshape(1, 3)
-    filters, _ = _edge_filters(spec, params, "filter", Tensor(rel))
-    return [T.reshape(f, f.shape[1:]) for f in filters]
+
+    table: np.ndarray  # (harmonics, (2 l_in + 1) * width)
+    width: int
+    segments: dict[int, tuple[int, int]]  # l_out -> (first column, groups)
+    paths: tuple[tuple[int, ...], ...]  # per layer: its paths out of this block, in column order
+    spreads: tuple[np.ndarray, ...]  # per layer: (paths, width)
 
 
-def _cg_contract(filt: Tensor, feat: Tensor, l_f: int, l_in: int, l_out: int) -> Tensor:
-    """(E, mult, 2l_f+1) x (E, mult, 2l_in+1) -> (E, mult, 2l_out+1)."""
-    cg = clebsch_gordan(l_f, l_in, l_out)
-    e, mult = filt.shape[0], filt.shape[1]
-    outer = T.reshape(filt, (e, mult, 2 * l_f + 1, 1)) * T.reshape(
-        feat, (e, mult, 1, 2 * l_in + 1)
-    )
-    flat = T.reshape(outer, (e, mult, (2 * l_f + 1) * (2 * l_in + 1)))
-    table = Tensor(cg.reshape((2 * l_f + 1) * (2 * l_in + 1), 2 * l_out + 1))
-    return T.matmul(flat, table)
+@lru_cache(maxsize=None)
+def _fusion(specs: tuple[TfnLayerSpec, ...]) -> tuple[_BlockFusion, ...]:
+    """Coupling tables, per input block, of layers that read one layout with
+    the same filter degrees; the columns cover every output degree of any."""
+    first = specs[0]
+    l_outs = sorted({l for spec in specs for _, l in spec.layout_out.blocks})
+    n_harm = (max(first.filter_degrees) + 1) ** 2
+    plan = []
+    for b, (_, l_in) in enumerate(first.layout_in.blocks):
+        start, segments, width = {}, {}, 0
+        for l_out in l_outs:
+            l_fs = [l_f for l_f in first.filter_degrees if abs(l_in - l_f) <= l_out <= l_in + l_f]
+            if l_fs:
+                segments[l_out] = (width, len(l_fs))
+            for l_f in l_fs:
+                start[l_f, l_out] = width
+                width += 2 * l_out + 1
+        # degree l_f sits in rows l_f^2 .. (l_f + 1)^2 of the harmonics
+        table = np.zeros((n_harm, 2 * l_in + 1, width))
+        for (l_f, l_out), col in start.items():
+            table[l_f * l_f : (l_f + 1) ** 2, :, col : col + 2 * l_out + 1] = clebsch_gordan(l_f, l_in, l_out)
+        paths, spreads = [], []
+        for spec in specs:
+            cols = {}
+            for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
+                if b_in == b:
+                    l_out = spec.layout_out.blocks[b_out][1]
+                    cols[k] = (start[l_f, l_out], 2 * l_out + 1)
+            ids = sorted(cols, key=cols.get)
+            spread = np.zeros((len(ids), width))
+            for row, k in enumerate(ids):
+                col, size = cols[k]
+                spread[row, col : col + size] = 1.0
+            paths.append(tuple(ids))
+            spreads.append(spread)
+        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, tuple(paths), tuple(spreads)))
+    return tuple(plan)
 
 
-def _path_messages(
-    spec: TfnLayerSpec,
+def _messages(
+    plan: tuple[_BlockFusion, ...],
+    parts: tuple[tuple[TfnLayerSpec, str], ...],
     params: dict,
-    prefix: str,
     feat: SteerableFeature,
     dst: np.ndarray,
-    rel: Tensor,
-) -> tuple[dict[int, list[Tensor]], Tensor]:
-    """CG messages per output block, envelope-weighted, still per edge."""
-    filters, dist = _edge_filters(spec, params, prefix, rel)
-    env = None
-    if spec.radial.envelope == "cosine":
-        env = T.reshape(cosine_envelope(dist, spec.radial.cutoff), (-1, 1, 1))
-    per_block: dict[int, list[Tensor]] = {}
-    for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
-        _, l_in = spec.layout_in.blocks[b_in]
-        _, l_out = spec.layout_out.blocks[b_out]
-        neighbor = T.gather(feat.block(b_in), dst)
-        msg = _cg_contract(filters[k], neighbor, l_f, l_in, l_out)
-        if env is not None:
-            msg = msg * env
-        per_block.setdefault(b_out, []).append(msg)
-    return per_block, dist
+    geometry: tuple[Tensor, Tensor],
+) -> list[list[Tensor | None]]:
+    """Edge messages (E, mult_in, width) per layer of `parts` ((spec, param
+    prefix) pairs) and per input block: the neighbor block times the edge's
+    coupling matrix, times the radial output of each path spread over its
+    columns. None where a layer has no path out of the block."""
+    rbf_t, harmonics = geometry
+    e = harmonics.shape[0]
+    out: list[list[Tensor | None]] = [[None] * len(plan) for _ in parts]
+    for b, blk in enumerate(plan):
+        if not blk.width:
+            continue
+        neighbor = T.gather(feat.block(b), dst)
+        mult, dim_in = neighbor.shape[1], neighbor.shape[2]
+        coupling = T.reshape(T.matmul(harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
+        coupled = T.matmul(neighbor, coupling)
+        for p, ids in enumerate(blk.paths):
+            if ids:
+                radial = _radial(parts[p], params, ids, rbf_t, blk.spreads[p], mult)
+                out[p][b] = coupled * T.reshape(radial, coupled.shape)
+    return out
 
 
-def _mix_block(spec: TfnLayerSpec, params: dict, prefix: str, b_out: int, stacked: Tensor) -> Tensor:
-    """Mix concatenated path channels down to the block multiplicity."""
-    n_paths = len(spec.paths_into(b_out))
-    mix = params[f"{prefix}.out{b_out}.mix"]
-    mixed = T.transpose2(T.matmul(T.transpose2(stacked), mix))
-    return mixed * (1.0 / math.sqrt(n_paths))
+def _radial(
+    part: tuple[TfnLayerSpec, str],
+    params: dict,
+    ids: tuple[int, ...],
+    rbf_t: Tensor,
+    spread: np.ndarray,
+    mult: int,
+) -> Tensor:
+    """The radial networks of paths `ids` out of one input block, run
+    together and spread over their coupling columns: (E * mult, width).
+
+    The first layers are one matmul over the concatenated weights, the
+    second layers one batched matmul."""
+    spec, prefix = part
+    n, h, e = len(ids), spec.radial_hidden, rbf_t.shape[1]
+
+    def stacked(name: str, axis: int) -> Tensor:
+        return T.concat([params[f"{prefix}.path{k}.radial.{name}"] for k in ids], axis=axis)
+
+    w0 = T.transpose2(stacked("w0", 1))
+    hidden = T.silu(T.matmul(w0, rbf_t) + T.reshape(stacked("b0", 0), (-1, 1)))
+    hidden = T.transpose2(T.reshape(hidden, (n, h, e)))
+    w1 = T.reshape(stacked("w1", 0), (n, h, mult))
+    r = T.matmul(hidden, w1) + T.reshape(stacked("b1", 0), (n, 1, mult))
+    return T.matmul(T.transpose2(T.reshape(r, (n, e * mult))), Tensor(spread))
 
 
-def _residual(
-    spec: TfnLayerSpec, feat: SteerableFeature, blocks: dict[int, Tensor]
-) -> SteerableFeature:
+def _mix_weights(
+    spec: TfnLayerSpec, plan: tuple[_BlockFusion, ...], params: dict, prefix: str, b_out: int
+) -> tuple[Tensor, list[tuple[int, int, int]]]:
+    """The mix of output block `b_out`, scaled by 1/sqrt(paths), with its
+    rows in the order of the column groups it reads, and those reads as
+    (input block, first column, groups). A group's channels run (channel,
+    path) where the stored mix rows run (path, channel)."""
+    l = spec.layout_out.blocks[b_out][1]
+    reads, order, base = [], [], 0
+    for b, blk in enumerate(plan):
+        if l in blk.segments:
+            start, groups = blk.segments[l]
+            mult = spec.layout_in.blocks[b][0]
+            reads.append((b, start, groups))
+            order.append(base + np.arange(mult * groups).reshape(groups, mult).T.reshape(-1))
+            base += mult * groups
+    scale = 1.0 / math.sqrt(len(spec.paths_into(b_out)))
+    return T.gather(params[f"{prefix}.out{b_out}.mix"], np.concatenate(order)) * scale, reads
+
+
+def _mix(
+    spec: TfnLayerSpec, plan: tuple[_BlockFusion, ...], params: dict, prefix: str, rows: list
+) -> list[Tensor]:
+    """Output blocks (N, mult_out, 2 l + 1) from per-input-block sums of
+    messages (N, mult_in, width): each output degree takes its column groups
+    from every input block, and a per-degree linear map mixes the channels
+    of all its paths."""
+    blocks = []
+    for b_out, (_, l) in enumerate(spec.layout_out.blocks):
+        mix, reads = _mix_weights(spec, plan, params, prefix, b_out)
+        pieces = []
+        for b, start, groups in reads:
+            n, mult = rows[b].shape[0], rows[b].shape[1]
+            piece = rows[b][:, :, start : start + groups * (2 * l + 1)]
+            pieces.append(T.reshape(piece, (n, mult * groups, 2 * l + 1)))
+        stacked = T.transpose2(T.concat(pieces, axis=1))
+        blocks.append(T.transpose2(T.matmul(stacked, mix)))
+    return blocks
+
+
+def _residual(spec: TfnLayerSpec, feat: SteerableFeature, blocks: list[Tensor]) -> SteerableFeature:
     out_blocks = []
     in_lookup = {(mult, l): i for i, (mult, l) in enumerate(spec.layout_in.blocks)}
     for b_out, (mult, l) in enumerate(spec.layout_out.blocks):
@@ -184,6 +285,10 @@ def _residual(
             b = b + feat.block(in_lookup[(mult, l)])
         out_blocks.append(b)
     return from_blocks(spec.layout_out, out_blocks)
+
+
+def _sums(messages: list, src: np.ndarray, n: int) -> list:
+    return [None if m is None else T.scatter_sum(m, src, n) for m in messages]
 
 
 def tfn_conv(
@@ -197,25 +302,23 @@ def tfn_conv(
     """Neighborhood tensor-product update over edges (src <- dst) with
     relative vectors `rel` (possibly taped); weights live under `conv.`.
     Without edges every message is zero and only the residual remains."""
+    return _conv(spec, params, feat, src, dst, _edge_geometry(spec, rel))
+
+
+def _conv(
+    spec: TfnLayerSpec,
+    params: dict,
+    feat: SteerableFeature,
+    src: np.ndarray,
+    dst: np.ndarray,
+    geometry: tuple[Tensor, Tensor],
+) -> SteerableFeature:
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
-    n = feat.data.shape[0]
-    if src.size == 0:
-        zero = {
-            b: Tensor(np.zeros((n, mult, 2 * l + 1)))
-            for b, (mult, l) in enumerate(spec.layout_out.blocks)
-        }
-        return _residual(spec, feat, zero)
-    per_block, _ = _path_messages(spec, params, "conv", feat, dst, rel)
-    mixed = {}
-    for b_out, (mult, l) in enumerate(spec.layout_out.blocks):
-        msgs = T.concat(per_block[b_out], axis=1)
-        e = msgs.shape[0]
-        flat = T.reshape(msgs, (e, -1))
-        agg = T.scatter_sum(flat, src, n)
-        stacked = T.reshape(agg, (n, -1, 2 * l + 1))
-        mixed[b_out] = _mix_block(spec, params, "conv", b_out, stacked)
-    return _residual(spec, feat, mixed)
+    plan = _fusion((spec,))
+    (messages,) = _messages(plan, ((spec, "conv"),), params, feat, dst, geometry)
+    sums = _sums(messages, src, feat.data.shape[0])
+    return _residual(spec, feat, _mix(spec, plan, params, "conv", sums))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +335,8 @@ class AttentionSpec:
     def __post_init__(self):
         if self.key.layout_in != self.value.layout_in:
             raise ContractError("key and value layers must read the same layout")
+        if (self.key.radial, self.key.filter_degrees) != (self.value.radial, self.value.filter_degrees):
+            raise ContractError("key and value layers must share the radial basis and filter degrees")
         if self.value.layout_out != self.value.layout_in:
             raise ContractError("value layout must match the input for the residual")
         in_degrees = {l: mult for mult, l in self.key.layout_in.blocks}
@@ -240,21 +345,46 @@ class AttentionSpec:
                 raise ContractError("query cannot produce a degree absent from the input")
 
 
-def _per_edge_rows(
-    spec: TfnLayerSpec,
+def _key_scores(
+    spec: AttentionSpec,
+    plan: tuple[_BlockFusion, ...],
     params: dict,
-    prefix: str,
     feat: SteerableFeature,
-    dst: np.ndarray,
-    rel: Tensor,
-) -> SteerableFeature:
-    """Per-edge steerable rows (messages mixed per edge, no aggregation)."""
-    per_block, _ = _path_messages(spec, params, prefix, feat, dst, rel)
-    blocks = []
-    for b_out in range(len(spec.layout_out.blocks)):
-        stacked = T.concat(per_block[b_out], axis=1)
-        blocks.append(_mix_block(spec, params, prefix, b_out, stacked))
-    return from_blocks(spec.layout_out, blocks)
+    messages: list,
+    src: np.ndarray,
+) -> Tensor:
+    """Per-edge dot products of query and key rows (E,), without forming
+    the keys. A score is linear in the key messages, so the query rows of
+    each degree go back through the key mix at node scale onto the message
+    columns they meet; columns only the values use meet zeros."""
+    n = feat.data.shape[0]
+    lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
+    back: list[dict[int, Tensor]] = [{} for _ in plan]  # per input block: l_out -> (N, mult, cols)
+    for b_out, (_, l) in enumerate(spec.key.layout_out.blocks):
+        mix, reads = _mix_weights(spec.key, plan, params, "key", b_out)
+        query = T.transpose2(T.matmul(T.transpose2(feat.block(lookup[l])), params[f"query{b_out}.mix"]))
+        rows = T.matmul(mix, query)  # (N, channels, 2 l + 1)
+        first = 0
+        for b, _, groups in reads:
+            mult = spec.key.layout_in.blocks[b][0]
+            piece = rows[:, first : first + mult * groups, :]
+            back[b][l] = T.reshape(piece, (n, mult, groups * (2 * l + 1)))
+            first += mult * groups
+    score = None
+    for blk, msg, cols in zip(plan, messages, back):
+        if msg is None:
+            continue
+        mult = msg.shape[1]
+        met = T.concat(
+            [
+                cols.get(l, Tensor(np.zeros((n, mult, groups * (2 * l + 1)))))
+                for l, (_, groups) in blk.segments.items()
+            ],
+            axis=2,
+        )
+        term = T.sum_(msg * T.gather(met, src), axis=(1, 2))
+        score = term if score is None else score + term
+    return score
 
 
 def se3_attention(
@@ -267,26 +397,34 @@ def se3_attention(
 ) -> tuple[SteerableFeature, Tensor]:
     """Attention update plus the attention weights (E,) for inspection.
 
-    A node without neighbors aggregates nothing and keeps its features
-    through the residual; without any edges the update is the identity."""
+    Keys and values share one edge geometry and one set of coupling
+    matrices. A node without neighbors aggregates nothing and keeps its
+    features through the residual; without any edges the update is the
+    identity."""
+    return _attend(spec, params, feat, src, dst, _edge_geometry(spec.key, rel))
+
+
+def _attend(
+    spec: AttentionSpec,
+    params: dict,
+    feat: SteerableFeature,
+    src: np.ndarray,
+    dst: np.ndarray,
+    geometry: tuple[Tensor, Tensor],
+) -> tuple[SteerableFeature, Tensor]:
     if feat.layout != spec.key.layout_in:
         raise ShapeError("feature layout does not match the attention input")
-    if src.size == 0:
-        return feat, Tensor(np.zeros(0))
     n = feat.data.shape[0]
-    lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
-    queries = []
-    for b, (mult, l) in enumerate(spec.key.layout_out.blocks):
-        base = feat.block(lookup[l])
-        queries.append(T.transpose2(T.matmul(T.transpose2(base), params[f"query{b}.mix"])))
-    keys = _per_edge_rows(spec.key, params, "key", feat, dst, rel)
-    values = _per_edge_rows(spec.value, params, "value", feat, dst, rel)
-    q_rows = from_blocks(spec.key.layout_out, queries)
-    score = T.sum_(T.gather(q_rows.data, src) * keys.data, axis=1)
-    alpha = T.segment_softmax(score, src, n)
-    weighted = values.data * T.reshape(alpha, (-1, 1))
-    agg = T.scatter_sum(weighted, src, n)
-    return SteerableFeature(feat.layout, feat.data + agg), alpha
+    plan = _fusion((spec.key, spec.value))
+    parts = ((spec.key, "key"), (spec.value, "value"))
+    key_msgs, value_msgs = _messages(plan, parts, params, feat, dst, geometry)
+    alpha = T.segment_softmax(_key_scores(spec, plan, params, feat, key_msgs, src), src, n)
+    # values are linear in the messages, so they are weighted and summed
+    # per node before they are mixed
+    weight = T.reshape(alpha, (-1, 1, 1))
+    weighted = [None if m is None else m * weight for m in value_msgs]
+    update = _mix(spec.value, plan, params, "value", _sums(weighted, src, n))
+    return SteerableFeature(feat.layout, feat.data + from_blocks(feat.layout, update).data), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +501,15 @@ def steerable_features(
     spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> SteerableFeature:
     rel, _ = edge_vectors(pos, batch)
-    h = embed_nodes(params["embed"], batch.z)
-    feat = SteerableFeature(spec.input_layout, h)
+    # every layer has the same radial basis and filter degrees
+    geometry = _edge_geometry(spec.layer_spec(0), rel)
+    feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
         if spec.family == "se3attn" and i > 0:
-            feat, _ = se3_attention(
-                spec.attention_spec(i), scoped, feat, batch.src, batch.dst, rel
-            )
+            feat, _ = _attend(spec.attention_spec(i), scoped, feat, batch.src, batch.dst, geometry)
         else:
-            feat = tfn_conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, rel)
+            feat = _conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, geometry)
     return feat
 
 

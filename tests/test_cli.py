@@ -455,6 +455,29 @@ def test_build_graph_parse_error_names_line(structures):
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"z": [1, "x"]},
+        {"z": [1, True]},
+        {"pos": [[0, 0, 0], [1, 0]]},
+        {"lattice": [[3, 0, 0], [0, 3, 0], [0, 0, "q"]]},
+        {"energy": "low"},
+        {"forces": [[0, 0, 0], [0, 0]]},
+    ],
+    ids=["z-string", "z-bool", "pos-ragged", "lattice-string", "energy-string", "forces-ragged"],
+)
+def test_build_graph_malformed_record_exits_2(fault, tmp_path):
+    record = dict({"id": "m", "z": [1, 8], "pos": [[0, 0, 0], [1.2, 0, 0]]}, **fault)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    result = run_cli(
+        "build-graph", "--input", str(path), "--output", str(tmp_path / "o.jsonl"), "--cutoff", "3.0"
+    )
+    assert result.returncode == 2
+    assert "line 1" in result.stderr and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("cutoff", ["inf", "nan"])
 @pytest.mark.parametrize("kind", ["molecule", "crystal"])
 def test_build_graph_nonfinite_cutoff_exits_2(structures, cutoff, kind, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -215,6 +216,38 @@ class TestPeriodicGathered:
         n_edges = [G.periodic_radius_graph(c, 5.0).n_edges for c in (conf, moved)]
         assert n_edges[0] == n_edges[1]
 
+    def test_atom_far_outside_the_cell_builds_fast(self):
+        # the shift range does not grow with how far out an atom is written:
+        # its offset is carried into the shifts of its edges
+        rng = np.random.default_rng(3)
+        lat = np.array([[3.0, 0.0, 0.0], [0.4, 3.2, 0.0], [-0.3, 0.5, 2.9]])
+        home = G.Conformation([6, 8, 1, 1, 7], rng.uniform(0.0, 1.0, size=(5, 3)) @ lat, lattice=lat)
+        far = np.array([1000, -1000, 1000])
+        moved_pos = home.pos.copy()
+        moved_pos[2] += far @ lat
+        moved = G.Conformation(home.z, moved_pos, lattice=lat)
+        offset = {2: far}
+        expect = sorted(
+            (i, j, tuple((np.asarray(s) + offset.get(i, 0) - offset.get(j, 0)).tolist()))
+            for i, j, s in brute_periodic_pairs(home, 4.0, reach=3)
+        )
+        for mode in ("gathered", "expanded"):
+            start = time.perf_counter()
+            rows = periodic_rows(moved, 4.0, mode)
+            assert time.perf_counter() - start < 1.0
+            assert rows == expect
+        # carrying the offset keeps the row order, so rows pair up one to one
+        edges = G.periodic_radius_graph(moved, 4.0, mode="gathered")
+        ref = G.periodic_radius_graph(home, 4.0, mode="gathered")
+        np.testing.assert_allclose(edges.rel_vec, ref.rel_vec, rtol=0, atol=1e-12)
+
+    def test_atom_beyond_the_offset_bound_rejected(self):
+        # so far out that moving it into the cell would lose its neighbors to rounding
+        conf = G.Conformation([1, 1], [[0.5, 0.5, 0.5], [2.0**45, 0.5, 0.5]], lattice=np.eye(3) * 2.0)
+        for mode in ("gathered", "expanded"):
+            with pytest.raises(ContractError):
+                G.periodic_radius_graph(conf, 1.0, mode=mode)
+
     def test_missing_lattice_rejected(self):
         conf = G.Conformation([1], [[0.0, 0.0, 0.0]])
         with pytest.raises(ContractError):
@@ -422,6 +455,10 @@ class TestConformationValidation:
         with pytest.raises(ShapeError):
             G.Conformation([1], [[0.0, 0, 0]], forces=[[0.0, 0]])
 
+    def test_lattice_finite(self):
+        with pytest.raises(ContractError):
+            G.Conformation([1], [[0.0, 0, 0]], lattice=np.diag([2.0, math.inf, 2.0]))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(1.2, 3.0))
@@ -450,8 +487,9 @@ def periodic_rows(conf, cutoff, mode):
         edges = G.periodic_radius_graph(conf, cutoff, mode=mode)
         return sorted(zip(edges.src.tolist(), edges.dst.tolist(), map(tuple, edges.shift.tolist())))
     graph = G.periodic_radius_graph(conf, cutoff, mode=mode)
-    atom = graph.image_of[graph.edges.dst]
-    shift = np.rint((graph.positions[graph.edges.dst] - conf.pos[atom]) @ np.linalg.inv(conf.lattice))
+    src, atom = graph.edges.src, graph.image_of[graph.edges.dst]
+    seen = graph.positions[graph.edges.dst] - graph.positions[src]
+    shift = np.rint((seen - conf.pos[atom] + conf.pos[src]) @ np.linalg.inv(conf.lattice))
     return sorted(zip(graph.edges.src.tolist(), atom.tolist(), map(tuple, shift.astype(int).tolist())))
 
 

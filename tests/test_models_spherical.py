@@ -1,5 +1,8 @@
-"""Steerable stack tests: filter transformation law, conv equivariance, the
-scalar-only reduction to the single-hop stack, and attention properties."""
+"""Steerable stack tests: fused messages against the per-path form, conv
+equivariance, the scalar-only reduction to the single-hop stack, and
+attention properties."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,10 +18,10 @@ from geomnets.so3 import (
     IrrepsLayout,
     SteerableFeature,
     clebsch_gordan,
+    from_blocks,
     random_rotation,
     rotate_steerable,
     sph_harm_block,
-    wigner_d,
 )
 from geomnets.tensor import Tape, Tensor
 
@@ -77,6 +80,8 @@ def steerable_energy(spec, params, batch, pos):
 def test_spec_rejects_repeated_degree():
     with pytest.raises(ContractError):
         layer_spec(layout_in=IrrepsLayout(((2, 0), (3, 0))))
+    with pytest.raises(ContractError):
+        layer_spec(filter_degrees=(0, 1, 1))
 
 
 def test_spec_rejects_high_degree():
@@ -105,63 +110,6 @@ def test_paths_satisfy_triangle_inequality():
 
 
 # ---------------------------------------------------------------------------
-# filters
-
-
-def unit_radial_params(spec, prefix="filter"):
-    """Radial nets pinned to output exactly 1 on every channel."""
-    params = {}
-    for k in range(len(spec.paths())):
-        ms = spec.radial_mlp(k)
-        base = T.init_mlp(ms, np.random.default_rng(0), f"{prefix}.path{k}.radial")
-        for name in base:
-            base[name] = np.zeros_like(base[name])
-        base[f"{prefix}.path{k}.radial.b1"] = np.ones_like(base[f"{prefix}.path{k}.radial.b1"])
-        params.update(base)
-    return params
-
-
-def test_filter_unit_radial_equals_harmonics():
-    spec = layer_spec()
-    params = as_tensors(unit_radial_params(spec))
-    rel = np.array([0.3, -1.1, 0.7])
-    blocks = sph.tfn_filter(spec, params, rel)
-    unit = rel / np.linalg.norm(rel)
-    for (b_in, l_f, _), blk in zip(spec.paths(), blocks):
-        want = sph_harm_block(l_f, Tensor(unit.reshape(1, 3))).data[0]
-        np.testing.assert_array_equal(blk.data, np.tile(want, (blk.shape[0], 1)))
-
-
-def test_filter_zero_radial_is_zero():
-    spec = layer_spec()
-    params = unit_radial_params(spec)
-    for k in params:
-        params[k] = np.zeros_like(params[k])
-    blocks = sph.tfn_filter(spec, as_tensors(params), np.array([1.0, 0.2, -0.4]))
-    for blk in blocks:
-        np.testing.assert_array_equal(blk.data, np.zeros_like(blk.data))
-
-
-def test_filter_rejects_zero_vector():
-    spec = layer_spec()
-    params = as_tensors(unit_radial_params(spec))
-    with pytest.raises(ContractError):
-        sph.tfn_filter(spec, params, np.zeros(3))
-
-
-def test_filter_blocks_rotate_by_wigner():
-    spec = layer_spec()
-    params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(1), "filter"))
-    rel = np.array([0.9, 0.4, -1.3])
-    rot = random_rotation(11)
-    base = sph.tfn_filter(spec, params, rel)
-    moved = sph.tfn_filter(spec, params, rot @ rel)
-    for (_, l_f, _), b0, b1 in zip(spec.paths(), base, moved):
-        want = b0.data @ wigner_d(l_f, rot).T
-        np.testing.assert_allclose(b1.data, want, atol=1e-10, rtol=0)
-
-
-# ---------------------------------------------------------------------------
 # convolution
 
 
@@ -173,6 +121,14 @@ def test_conv_no_edges_is_identity():
     assert edges.n_edges == 0
     out = conv(spec, params, feat, edges)
     np.testing.assert_array_equal(out.data.data, feat.data.data)
+
+
+def test_conv_rejects_zero_length_edge():
+    spec = layer_spec()
+    params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(2), "conv"))
+    feat = random_feature(spec.layout_in, 2, 5)
+    with pytest.raises(ContractError):
+        sph.tfn_conv(spec, params, feat, np.array([0]), np.array([1]), Tensor(np.zeros((1, 3))))
 
 
 def test_conv_layout_mismatch_rejected():
@@ -276,6 +232,9 @@ def test_attention_spec_validation():
     scalar_in = layer_spec(layout_in=IrrepsLayout(((4, 0),)), layout_out=hidden_layout())
     with pytest.raises(ContractError):
         sph.AttentionSpec(key=scalar_in, value=scalar_in)
+    other_basis = sph.TfnLayerSpec(hidden_layout(), hidden_layout(), radial=inv.RadialBasisSpec(count=4))
+    with pytest.raises(ContractError):
+        sph.AttentionSpec(key=other_basis, value=base)
 
 
 def test_attention_single_neighbor_reduces_to_conv():
@@ -347,6 +306,148 @@ def test_attention_isolated_node_keeps_its_row():
     ref, ref_alpha = attend(spec, pt, connected, radius_graph(pos[:2], 5.0))
     np.testing.assert_allclose(out.data.data[:2], ref.data.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(alpha.data, ref_alpha.data, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fused messages against the per-path form
+
+
+def reference_messages(spec, params, prefix, feat, dst, rel):
+    """Per output block, the messages of its paths (E, mult_in, 2 l_out + 1)
+    in the per-path form: radial output times harmonics as the filter, its
+    outer product with the neighbor block, then the coupling table."""
+    dist = T.norm(rel, axis=1)
+    unit = rel / T.reshape(dist, (-1, 1))
+    rbf = inv.radial_basis(spec.radial, dist)
+    env = T.reshape(inv.cosine_envelope(dist, spec.radial.cutoff), (-1, 1, 1))
+    e = rel.shape[0]
+    per_block = {}
+    for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
+        mult, l_in = spec.layout_in.blocks[b_in]
+        l_out = spec.layout_out.blocks[b_out][1]
+        radial = T.mlp_apply(spec.radial_mlp(k), params, rbf, f"{prefix}.path{k}.radial")
+        filt = T.reshape(radial, (e, mult, 1)) * T.reshape(sph_harm_block(l_f, unit), (e, 1, 2 * l_f + 1))
+        neighbor = T.gather(feat.block(b_in), dst)
+        outer = T.reshape(filt, (e, mult, 2 * l_f + 1, 1)) * T.reshape(neighbor, (e, mult, 1, 2 * l_in + 1))
+        flat = T.reshape(outer, (e, mult, (2 * l_f + 1) * (2 * l_in + 1)))
+        table = Tensor(clebsch_gordan(l_f, l_in, l_out).reshape(-1, 2 * l_out + 1))
+        per_block.setdefault(b_out, []).append(T.matmul(flat, table) * env)
+    return per_block
+
+
+def reference_mix(spec, params, prefix, b_out, stacked):
+    mixed = T.transpose2(T.matmul(T.transpose2(stacked), params[f"{prefix}.out{b_out}.mix"]))
+    return mixed * (1.0 / math.sqrt(len(spec.paths_into(b_out))))
+
+
+def reference_conv(spec, params, feat, src, dst, rel):
+    n = feat.data.shape[0]
+    per_block = reference_messages(spec, params, "conv", feat, dst, rel)
+    in_lookup = {blk: i for i, blk in enumerate(spec.layout_in.blocks)}
+    blocks = []
+    for b_out, blk in enumerate(spec.layout_out.blocks):
+        summed = T.scatter_sum(T.concat(per_block[b_out], axis=1), src, n)
+        out = reference_mix(spec, params, "conv", b_out, summed)
+        if blk in in_lookup:
+            out = out + feat.block(in_lookup[blk])
+        blocks.append(out)
+    return from_blocks(spec.layout_out, blocks)
+
+
+def reference_attention(spec, params, feat, src, dst, rel):
+    n = feat.data.shape[0]
+
+    def rows(layer, prefix):
+        per_block = reference_messages(layer, params, prefix, feat, dst, rel)
+        mixed = [
+            reference_mix(layer, params, prefix, b, T.concat(msgs, axis=1))
+            for b, msgs in sorted(per_block.items())
+        ]
+        return from_blocks(layer.layout_out, mixed)
+
+    lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
+    queries = [
+        T.transpose2(T.matmul(T.transpose2(feat.block(lookup[l])), params[f"query{b}.mix"]))
+        for b, (_, l) in enumerate(spec.key.layout_out.blocks)
+    ]
+    q_rows = from_blocks(spec.key.layout_out, queries)
+    score = T.sum_(T.gather(q_rows.data, src) * rows(spec.key, "key").data, axis=1)
+    alpha = T.segment_softmax(score, src, n)
+    weighted = rows(spec.value, "value").data * T.reshape(alpha, (-1, 1))
+    return SteerableFeature(feat.layout, feat.data + T.scatter_sum(weighted, src, n)), alpha
+
+
+def fused_and_reference(layer, graph):
+    """(tfn_conv or se3_attention, per-path reference, spec, params, feature, positions)."""
+    rng = np.random.default_rng(8)
+    if layer == "attention":
+        spec, params = attention_setup(7)
+    elif layer == "scalar-keys":
+        # keys narrower than the values: the shared couplings carry columns the keys do not use
+        spec = sph.AttentionSpec(key=layer_spec(layout_out=IrrepsLayout(((5, 0),))), value=layer_spec())
+        params = sph.init_tfn_layer(spec.key, rng, "key") | sph.init_tfn_layer(spec.value, rng, "value")
+        params["query0.mix"] = T.glorot_uniform(rng, 5, 5)
+    else:
+        layout_in, kw = {
+            "hidden": (hidden_layout(), {}),
+            "scalar": (IrrepsLayout(((4, 0),)), {}),
+            # no path reads the degree-1 input block
+            "unread-block": (
+                IrrepsLayout(((4, 0), (2, 1))),
+                {"layout_out": IrrepsLayout(((4, 0),)), "filter_degrees": (0,)},
+            ),
+        }[layer]
+        spec = layer_spec(layout_in=layout_in, **kw)
+        params = sph.init_tfn_layer(spec, rng, "conv")
+    if isinstance(spec, sph.AttentionSpec):
+        fused, ref, layout_in = sph.se3_attention, reference_attention, spec.key.layout_in
+    else:
+
+        def fused(*args):
+            return sph.tfn_conv(*args), None
+
+        def ref(*args):
+            return reference_conv(*args), None
+
+    if graph == "isolated":
+        pos = np.concatenate([cloud(9, n=5), [[90.0, 0.0, 0.0]]])
+    else:
+        pos = np.array([[0.0, 0, 0], [40.0, 0, 0], [80.0, 0, 0]])
+    return fused, ref, spec, params, random_feature(layout_in, pos.shape[0], 10), pos
+
+
+def assert_within(got, want):
+    """At most 1e-12 of the largest magnitude apart (equal where that is 0)."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("graph", ["isolated", "edgeless"])
+@pytest.mark.parametrize("layer", ["hidden", "scalar", "unread-block", "attention", "scalar-keys"])
+def test_fused_messages_match_per_path_reference(layer, graph):
+    fused, ref, spec, params, feat, pos0 = fused_and_reference(layer, graph)
+    edges = radius_graph(pos0, 5.0)
+    assert (edges.n_edges > 0) == (graph == "isolated")
+    results = []
+    for layer_fn in (fused, ref):
+        tape = Tape()
+        pt = T.lift(params, tape)
+        pos = tape.tensor(pos0)
+        rel = T.gather(pos, edges.dst) - T.gather(pos, edges.src)
+        out, alpha = layer_fn(spec, pt, feat, edges.src, edges.dst, rel)
+        energy = T.sum_(out.data * np.random.default_rng(11).normal(size=out.data.shape))
+        (force,) = tape.gradient(energy, [pos])
+        names = sorted(pt)
+        param_grads = tape.gradient(T.sum_(force * force), [pt[k] for k in names])
+        results.append((out.data.data, alpha, force.data, {k: g.data for k, g in zip(names, param_grads)}))
+    (out, alpha, force, grads), (ref_out, ref_alpha, ref_force, ref_grads) = results
+    assert_within(out, ref_out)
+    if alpha is not None:
+        assert_within(alpha.data, ref_alpha.data)
+    assert_within(force, ref_force)
+    assert grads.keys() == ref_grads.keys()
+    for k in grads:
+        assert_within(grads[k], ref_grads[k])
 
 
 # ---------------------------------------------------------------------------

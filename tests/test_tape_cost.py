@@ -20,8 +20,8 @@ RECORDS_PER_STEP = {
     "leaky": 364,
     "painn": 931,
     "schnet": 350,
-    "se3attn": 5975,
-    "tfn": 3355,
+    "se3attn": 2182,
+    "tfn": 1380,
 }
 
 
