@@ -293,9 +293,8 @@ def _energy_and_vectors(model, params, z, pos):
 
     conf = Conformation(z=z, pos=pos)
     batch = build_batch([conf], model.cutoff, model.needs_angles)
-    tape = T.Tape()
-    params_t = T.lift(params, tape)
-    pos_t = tape.tensor(batch.pos)
+    params_t = T.lift(params)
+    pos_t = T.Tensor(batch.pos)
     energy = float(model.energy(params_t, batch, pos_t).data.sum())
     vectors = None
     if model.has_vector_output:
@@ -467,8 +466,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

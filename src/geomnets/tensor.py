@@ -7,18 +7,28 @@ power, sums) checks its result and aborts with a NumericError naming the op.
 The others (reshapes, slices, gathers, concat, broadcast, sigmoid, tanh, sin,
 cos) are finite by construction and skip the check.
 
-Backward passes are built out of the same taped operations, so a gradient
-obtained from one backward call can itself be differentiated again (needed
-when a position gradient appears inside a training loss). Each record keeps
-one vector-Jacobian rule per input, and a backward pass evaluates only the
-rules of inputs that lie between the root and the requested tensors.
+Backward passes are built out of the same operations. Each record keeps one
+vector-Jacobian rule per input, and a backward pass evaluates only the rules
+of inputs that lie between the root and the requested tensors. A backward
+records its own operations only when asked to (`record=True`, the default),
+so that its gradient can itself be differentiated again, as a position
+gradient inside a training loss is. A first-order caller (forces for
+inference, the parameter gradient of a step, evaluation) passes
+`record=False`, gets plain tensors back, and releases its tape before it
+returns.
+
+On glibc, importing this module raises the process's mmap and trim
+thresholds, so pages a backward frees stay in the process for the next
+call instead of going back to the kernel and faulting in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +37,31 @@ import numpy as np
 from .errors import ContractError, NumericError, ParseError, ShapeError
 
 _UID = itertools.count()
+
+# glibc mallopt parameters and the values set for them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024  # glibc's largest on 64-bit
+_TRIM_THRESHOLD_BYTES = 1024 * 1024 * 1024
+
+
+def _keep_freed_pages() -> None:
+    """Serve large arrays from the heap and keep its top when they are freed.
+
+    By default glibc gives a block of 128 KiB or more a mapping of its own
+    and unmaps it on free, and trims the free top of the heap, so every
+    backward faults its pages in again. Setting either threshold also turns
+    off glibc's dynamic mmap threshold, so both are set. Other C libraries
+    are left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_pages()
 
 
 def _as_array(values) -> np.ndarray:
@@ -120,6 +155,7 @@ class Tape:
     records: list[_Record] = field(default_factory=list)
     _watched: dict[int, Tensor] = field(default_factory=dict)
     _record_of: dict[int, int] = field(default_factory=dict)
+    _recording: bool = True
 
     def watch(self, tensor: Tensor) -> Tensor:
         """Mark a leaf whose gradient should be tracked."""
@@ -158,12 +194,14 @@ class Tape:
             raise ContractError("backward root must be a scalar")
         return self._record_of.get(root.uid, -1)
 
-    def gradient(self, root: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
+    def gradient(self, root: Tensor, wrt: Sequence[Tensor], *, record: bool = True) -> list[Tensor]:
         """Gradients of a scalar root w.r.t. the given tensors.
 
-        Tensors that do not influence the root get zero gradients. The
-        returned tensors are recorded on the tape, so they stay
-        differentiable.
+        Tensors that do not influence the root get zero gradients. With
+        `record` (the default) the backward's operations are recorded on the
+        tape, so the returned gradients stay differentiable. With
+        `record=False` they run unrecorded: the tape does not grow, and the
+        gradients, bitwise the same, are plain tensors off the tape.
         """
         root_idx = self._root_index(root)
         wrt_uids = {t.uid for t in wrt}
@@ -182,16 +220,20 @@ class Tape:
 
         active = reach & descends
         grads: dict[int, Tensor] = {root.uid: Tensor(np.ones_like(root.data))}
-        for rec in reversed(self.records[: root_idx + 1]):
-            g = grads.pop(rec.output_uid, None)
-            if g is None or rec.output_uid not in active:
-                continue
-            for uid, vjp in zip(rec.input_uids, rec.vjps):
-                if uid not in active:
+        self._recording = record
+        try:
+            for rec in reversed(self.records[: root_idx + 1]):
+                g = grads.pop(rec.output_uid, None)
+                if g is None or rec.output_uid not in active:
                     continue
-                contrib = vjp(g)
-                held = grads.get(uid)
-                grads[uid] = contrib if held is None else add(held, contrib)
+                for uid, vjp in zip(rec.input_uids, rec.vjps):
+                    if uid not in active:
+                        continue
+                    contrib = vjp(g)
+                    held = grads.get(uid)
+                    grads[uid] = contrib if held is None else add(held, contrib)
+        finally:
+            self._recording = True
         out = []
         for t in wrt:
             g = grads.get(t.uid)
@@ -231,6 +273,8 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> T
     if name not in _FINITE_BY_CONSTRUCTION and not np.isfinite(data).all():
         raise NumericError(f"non-finite result in op '{name}'")
     tape = _common_tape(inputs)
+    if tape is not None and not tape._recording:
+        tape = None  # an unrecorded backward: the result is a plain tensor
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape = tape
@@ -592,7 +636,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> float:
     tape = Tape()
     xt = Tensor(x0.copy())
     tape.watch(xt)
-    analytic = tape.gradient(f(xt), [xt])[0].data
+    analytic = tape.gradient(f(xt), [xt], record=False)[0].data
     worst = 0.0
     flat = x0.reshape(-1)
     for i in range(flat.size):

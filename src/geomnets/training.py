@@ -3,7 +3,9 @@
 Forces always come from the energy head by differentiation, so every model
 family trains through the same loop: lift parameters onto a tape, watch the
 coordinates, differentiate the predicted energy for forces, then
-differentiate the combined loss for the parameter update.
+differentiate the combined loss for the parameter update. Only the force
+backward inside a loss is recorded; every outermost backward runs
+unrecorded, and each caller releases its tape before it returns.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def force_from_energy(model, params: dict[str, np.ndarray], conf: Conformation):
     params_t = T.lift(params, tape)
     pos = tape.tensor(batch.pos)
     energy = model.energy(params_t, batch, pos)
-    (g,) = tape.gradient(T.sum_(energy), [pos])
+    (g,) = tape.gradient(T.sum_(energy), [pos], record=False)
+    tape.release()
     return float(energy.data.sum()), -g.data
 
 
@@ -247,14 +250,16 @@ def _targets(confs: Sequence[Conformation]):
     return e, f
 
 
-def _predict(model, params_t, batch, tape, stats, n_per_graph):
+def _predict(model, params_t, batch, tape, stats, n_per_graph, record):
+    """Energies and forces; `record` keeps the force backward on the tape for
+    a loss that differentiates the forces again."""
     pos = tape.tensor(batch.pos)
     raw = model.energy(params_t, batch, pos)
     if stats is not None:
         energy = apply_normalization(raw, stats, Tensor(n_per_graph.astype(np.float64)))
     else:
         energy = raw
-    (g,) = tape.gradient(T.sum_(energy), [pos])
+    (g,) = tape.gradient(T.sum_(energy), [pos], record=record)
     return energy, -g
 
 
@@ -273,7 +278,7 @@ def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, p
         params_t = T.lift(params, tape)
         loss = loss_fn(tape, params_t, step)
         keys = sorted(params)
-        grads = tape.gradient(loss, [params_t[k] for k in keys])
+        grads = tape.gradient(loss, [params_t[k] for k in keys], record=False)
         params = adam_step(state, params, dict(zip(keys, (g.data for g in grads))), cosine_lr(schedule, step))
         value = float(loss.data)
         history["step"].append(step)
@@ -312,7 +317,7 @@ def train_energy_force(
         params = model.init(seed)
 
     def loss_fn(tape, params_t, step):
-        energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph)
+        energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=True)
         return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction)
 
     return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
@@ -330,7 +335,8 @@ def evaluate_energy_force(
     e_true, f_true = _targets(confs)
     tape = T.Tape()
     params_t = T.lift(params, tape)
-    energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph)
+    energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=False)
+    tape.release()
     return {
         "mae_energy": float(np.mean(np.abs(energy.data - e_true))),
         "mae_force": float(np.mean(np.abs(forces.data - f_true))),

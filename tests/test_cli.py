@@ -181,6 +181,20 @@ def test_missing_files_exit_2_with_path(workspace):
     assert result.returncode == 2 and "no_data.jsonl" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "build-graph", "check-equiv"])
+def test_directory_as_file_argument_exits_2(workspace, command, tmp_path):
+    root, _, cfg_path = workspace
+    args = {
+        "train": ["--config", str(tmp_path), "--out", str(root / "x")],
+        "eval": ["--config", str(cfg_path), "--checkpoint", str(tmp_path)],
+        "build-graph": ["--input", str(tmp_path), "--output", str(root / "x.jsonl"), "--cutoff", "3.0"],
+        "check-equiv": ["--config", str(tmp_path), "--trials", "1"],
+    }[command]
+    result = run_cli(command, *args)
+    assert result.returncode == 2, result.stderr
+    assert str(tmp_path) in result.stderr and "Traceback" not in result.stderr
+
+
 def test_invalid_config_exits_2(workspace):
     root, cfg, _ = workspace
     bad = dict(cfg, split=[0.5, 0.5, 0.5])

@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,3 +380,28 @@ OVERFLOWS = [
 def test_overflow_names_the_op(name, make):
     with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"op '{name}'"):
         make()
+
+
+ALLOCATOR_PROBE = """
+import resource
+import numpy as np
+import geomnets.tensor
+
+def churn():
+    arrays = [np.ones(1 << 17) for _ in range(64)]  # 64 arrays of 1 MiB
+    del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are set on glibc only")
+def test_freed_pages_stay_in_the_process():
+    # once geomnets.tensor is imported, memory freed by one round of large
+    # arrays serves the next round without faulting its pages in again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], capture_output=True, text=True, env=env, check=True)
+    assert int(out.stdout) < 1000

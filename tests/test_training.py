@@ -611,6 +611,33 @@ def test_step_tapes_freed_without_cyclic_collector(kind, monkeypatch):
     assert alive == [False] * 3
 
 
+@pytest.mark.parametrize("call", ["force_from_energy", "evaluate_energy_force"])
+def test_inference_tape_freed_without_cyclic_collector(call, monkeypatch):
+    # a first-order call releases its tape before it returns, so reference
+    # counting alone frees it and every tensor it recorded
+    tapes = []
+
+    class TrackedTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(T, "Tape", TrackedTape)
+    confs = tr.synthetic_conformations(2, seed=0)
+    model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
+    params = model.init(0)
+    gc.disable()
+    try:
+        if call == "force_from_energy":
+            tr.force_from_energy(model, params, confs[0])
+        else:
+            tr.evaluate_energy_force(model, params, confs)
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        gc.enable()
+    assert alive == [False]
+
+
 def test_train_pretrain_rejects_unknown_kind():
     confs = tr.synthetic_conformations(2, seed=1, n_atoms=(4, 4))
     model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
