@@ -188,6 +188,9 @@ def cmd_train(args) -> int:
         "config_hash": config_hash(cfg),
         "step": history["step"],
         "train_loss": history["train_loss"],
+        "lr": history["lr"],
+        "grad_norm": history["grad_norm"],
+        "graph": history["graph"],
         "val_mae_energy": scores["mae_energy"],
         "val_mae_force": scores["mae_force"],
         "wall_seconds": time.perf_counter() - started,
@@ -264,6 +267,9 @@ def cmd_pretrain(args) -> int:
         "config_hash": config_hash(cfg),
         "step": history["step"],
         "train_loss": history["train_loss"],
+        "lr": history["lr"],
+        "grad_norm": history["grad_norm"],
+        "graph": history["graph"],
         "final_loss": history["train_loss"][-1],
         "wall_seconds": time.perf_counter() - started,
     }
@@ -293,13 +299,16 @@ def _energy_and_vectors(model, params, z, pos):
 
     conf = Conformation(z=z, pos=pos)
     batch = build_batch([conf], model.cutoff, model.needs_angles)
-    params_t = T.lift(params)
-    pos_t = T.Tensor(batch.pos)
-    energy = float(model.energy(params_t, batch, pos_t).data.sum())
-    vectors = None
-    if model.has_vector_output:
-        vectors = model.node_vectors(params_t, batch, pos_t).data
-    return energy, vectors
+
+    def run(_tape):  # evaluated without a tape; checked for finite values
+        params_t = T.lift(params)
+        pos_t = T.Tensor(batch.pos)
+        energy = model.energy(params_t, batch, pos_t)
+        vectors = model.node_vectors(params_t, batch, pos_t) if model.has_vector_output else None
+        return energy, vectors
+
+    _, (energy, vectors) = T.checked(run)
+    return float(energy.data.sum()), None if vectors is None else vectors.data
 
 
 def equivariance_claims(model, params, trials: int, seed: int) -> list[dict]:

@@ -86,6 +86,20 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
     )
 
 
+def graph_stats(batch: GraphBatch) -> dict[str, int]:
+    """Nodes, directed edges, angle triplets (0 without angles) and atoms
+    with no edge."""
+    linked = np.zeros(batch.n_nodes, dtype=bool)
+    linked[batch.src] = True
+    linked[batch.dst] = True
+    return {
+        "nodes": batch.n_nodes,
+        "edges": batch.n_edges,
+        "triplets": batch.angles.n_triplets if batch.angles is not None else 0,
+        "isolated_atoms": int(batch.n_nodes - linked.sum()),
+    }
+
+
 def edge_vectors(pos: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
     """Differentiable relative vectors and lengths for every edge."""
     if pos.shape != (batch.n_nodes, 3):

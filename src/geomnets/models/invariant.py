@@ -305,7 +305,8 @@ def schnet_node_features(
     env = cosine_envelope(dist, spec.basis.cutoff)
     h = embed_nodes(params["embed"], batch.z)
     for i in range(spec.layers):
-        h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, rbf, env)
+        with T.scope(f"layer{i}"):
+            h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, rbf, env)
     return h
 
 
@@ -418,9 +419,10 @@ def dimenet_messages(
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
         env_in = Tensor(np.zeros(0))
     for i in range(spec.blocks):
-        m = dimenet_layer(
-            spec, params, f"block{i}", m, rbf, sbf_rows, env_in, batch.angles, batch.n_edges
-        )
+        with T.scope(f"block{i}"):
+            m = dimenet_layer(
+                spec, params, f"block{i}", m, rbf, sbf_rows, env_in, batch.angles, batch.n_edges
+            )
     return m, dist
 
 

@@ -506,10 +506,11 @@ def steerable_features(
     feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
-        if spec.family == "se3attn" and i > 0:
-            feat, _ = _attend(spec.attention_spec(i), scoped, feat, batch.src, batch.dst, geometry)
-        else:
-            feat = _conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, geometry)
+        with T.scope(f"layer{i}"):
+            if spec.family == "se3attn" and i > 0:
+                feat, _ = _attend(spec.attention_spec(i), scoped, feat, batch.src, batch.dst, geometry)
+            else:
+                feat = _conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, geometry)
     return feat
 
 

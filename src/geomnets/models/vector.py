@@ -95,7 +95,8 @@ def egnn_forward(
     h = embed_nodes(params["embed"], batch.z)
     x = pos
     for i in range(spec.layers):
-        h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset)
+        with T.scope(f"layer{i}"):
+            h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset)
     return h, x
 
 
@@ -207,7 +208,8 @@ def painn_forward(
     s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
     for i in range(spec.layers):
-        s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
+        with T.scope(f"layer{i}"):
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
     return s, v
 
 

@@ -1,11 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-Every operation validates shapes and promotes inputs to float64. Every tensor
-is finite: a leaf is checked when it is created, and an operation that can
-produce a non-finite value from finite inputs (arithmetic, matmul, exp, log,
-power, sums) checks its result and aborts with a NumericError naming the op.
-The others (reshapes, slices, gathers, concat, broadcast, sigmoid, tanh, sin,
-cos) are finite by construction and skip the check.
+Every operation validates shapes and promotes inputs to float64. A leaf is
+checked for finite values when it is created; operations do not check their
+results. Values are finite at the boundaries instead: `checked(fn)` runs a
+call that builds a tape (a training step's loss and parameter gradients, an
+energy and its forces, an evaluation) and checks the arrays it returns. If
+one is non-finite, the failed tape is released and the call replays with
+every arithmetic operation checking its result, so the NumericError names
+the first op that went non-finite and its scope. Ops that are finite by
+construction (reshapes, slices, gathers, concat, broadcast, sigmoid, tanh,
+sin, cos) are not checked even then.
+
+`scope(name)` labels the records made inside it; the models open one per
+layer or block, named like its parameters (`layer1`, `block0`). A backward
+runs each record's vector-Jacobian rules in that record's scope, so a
+replayed failure reads "non-finite result in op 'mul' in scope 'layer1'",
+or "... in backward of 'layer1'" when the backward produced it.
 
 Backward passes are built out of the same operations. Each record keeps one
 vector-Jacobian rule per input, and a backward pass evaluates only the rules
@@ -24,6 +34,7 @@ call instead of going back to the kernel and faulting in again.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
@@ -37,6 +48,12 @@ import numpy as np
 from .errors import ContractError, NumericError, ParseError, ShapeError
 
 _UID = itertools.count()
+
+# per-op finiteness checks: on only while `checked` replays a failed call
+_check_ops = False
+# the scope new records are made in, and whether a backward is running it
+_scope = ""
+_in_backward = False
 
 # glibc mallopt parameters and the values set for them
 _M_TRIM_THRESHOLD = -1
@@ -140,12 +157,14 @@ class Tensor:
 @dataclass
 class _Record:
     """One executed operation: inputs, output and one vector-Jacobian rule
-    per input, mapping the output's gradient to that input's contribution."""
+    per input, mapping the output's gradient to that input's contribution,
+    and the scope the operation ran in."""
 
     name: str
     input_uids: tuple[int, ...]
     output_uid: int
     vjps: tuple[Callable[[Tensor], Tensor], ...]
+    scope: str
 
 
 @dataclass
@@ -201,8 +220,10 @@ class Tape:
         `record` (the default) the backward's operations are recorded on the
         tape, so the returned gradients stay differentiable. With
         `record=False` they run unrecorded: the tape does not grow, and the
-        gradients, bitwise the same, are plain tensors off the tape.
+        gradients, bitwise the same, are plain tensors off the tape. Each
+        record's rules run in that record's scope.
         """
+        global _scope, _in_backward
         root_idx = self._root_index(root)
         wrt_uids = {t.uid for t in wrt}
 
@@ -220,12 +241,15 @@ class Tape:
 
         active = reach & descends
         grads: dict[int, Tensor] = {root.uid: Tensor(np.ones_like(root.data))}
+        outer = _scope, _in_backward
         self._recording = record
+        _in_backward = True
         try:
             for rec in reversed(self.records[: root_idx + 1]):
                 g = grads.pop(rec.output_uid, None)
                 if g is None or rec.output_uid not in active:
                     continue
+                _scope = rec.scope
                 for uid, vjp in zip(rec.input_uids, rec.vjps):
                     if uid not in active:
                         continue
@@ -234,6 +258,7 @@ class Tape:
                     grads[uid] = contrib if held is None else add(held, contrib)
         finally:
             self._recording = True
+            _scope, _in_backward = outer
         out = []
         for t in wrt:
             g = grads.get(t.uid)
@@ -263,15 +288,26 @@ def _common_tape(tensors: Iterable[Tensor]) -> Tape | None:
     return tape
 
 
-# ops that map finite inputs to finite outputs; every other op checks its result
+# ops that map finite inputs to finite outputs; a replay checks every other op
 _FINITE_BY_CONSTRUCTION = frozenset(
     {"reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast", "sigmoid", "tanh", "sin", "cos"}
 )
 
 
+def _finite(data: np.ndarray) -> bool:
+    return bool(np.isfinite(data).all())
+
+
+def _where(name: str) -> str:
+    where = f"op '{name}'"
+    if _in_backward:
+        return f"{where} in backward of '{_scope}'" if _scope else f"{where} in a backward"
+    return f"{where} in scope '{_scope}'" if _scope else where
+
+
 def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> Tensor:
-    if name not in _FINITE_BY_CONSTRUCTION and not np.isfinite(data).all():
-        raise NumericError(f"non-finite result in op '{name}'")
+    if _check_ops and name not in _FINITE_BY_CONSTRUCTION and not _finite(data):
+        raise NumericError(f"non-finite result in {_where(name)}")
     tape = _common_tape(inputs)
     if tape is not None and not tape._recording:
         tape = None  # an unrecorded backward: the result is a plain tensor
@@ -280,8 +316,64 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> T
     out.tape = tape
     out.uid = next(_UID)
     if tape is not None:
-        tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps))
+        tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps, _scope))
     return out
+
+
+@contextlib.contextmanager
+def scope(name: str):
+    """Label the records made inside with `name`; the innermost scope wins."""
+    global _scope
+    outer, _scope = _scope, name
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
+def _arrays(out):
+    """The arrays among `out`: tensors, arrays and numbers, nested in tuples
+    and lists; None is skipped."""
+    if isinstance(out, Tensor):
+        yield out.data
+    elif isinstance(out, (tuple, list)):
+        for item in out:
+            yield from _arrays(item)
+    elif out is not None:
+        yield np.asarray(out, dtype=np.float64)
+
+
+def checked(fn: Callable[[Tape], object]) -> tuple[Tape, object]:
+    """Run `fn(tape)` on a fresh tape; return the tape and what `fn` returned,
+    every array in it finite. The caller releases the tape when done.
+
+    Operations do not check their own results, so this is where a non-finite
+    value is caught, or a NumericError from a leaf made of one. Then the
+    failed tape is released and `fn` runs again on a new tape with every
+    operation checking its result, which raises a NumericError naming the
+    first op, and its scope, that went non-finite; `fn` must compute the
+    same values when called again. Should the replay find no failing op, a
+    NumericError is raised all the same.
+    """
+    global _check_ops
+    # floating-point warnings would only repeat what the check reports
+    with np.errstate(all="ignore"):
+        tape = Tape()
+        try:
+            out = fn(tape)
+            if all(_finite(a) for a in _arrays(out)):
+                return tape, out
+        except NumericError:
+            pass
+        tape.release()
+        tape = Tape()
+        outer, _check_ops = _check_ops, True
+        try:
+            fn(tape)
+        finally:
+            _check_ops = outer
+            tape.release()
+    raise NumericError("non-finite result, but no op produced one when the call was replayed")
 
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -633,20 +725,26 @@ def lift(params: dict[str, np.ndarray], tape: Tape | None = None) -> dict[str, T
 def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> float:
     """Max relative error between taped and central-difference gradients."""
     x0 = _as_array(x)
-    tape = Tape()
-    xt = Tensor(x0.copy())
-    tape.watch(xt)
-    analytic = tape.gradient(f(xt), [xt], record=False)[0].data
-    worst = 0.0
     flat = x0.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += eps
-        hi = f(Tensor(bumped.reshape(x0.shape))).item()
-        bumped[i] -= 2 * eps
-        lo = f(Tensor(bumped.reshape(x0.shape))).item()
+
+    def run(tape):
+        xt = tape.tensor(x0.copy())
+        analytic = tape.gradient(f(xt), [xt], record=False)[0]
+        probes = []
+        for i in range(flat.size):
+            bumped = flat.copy()
+            bumped[i] += eps
+            hi = f(Tensor(bumped.reshape(x0.shape))).item()
+            bumped[i] -= 2 * eps
+            probes.append((hi, f(Tensor(bumped.reshape(x0.shape))).item()))
+        return analytic, probes
+
+    tape, (analytic, probes) = checked(run)
+    tape.release()
+    worst = 0.0
+    for i, (hi, lo) in enumerate(probes):
         fd = (hi - lo) / (2 * eps)
-        err = abs(analytic.reshape(-1)[i] - fd) / max(1.0, abs(fd))
+        err = abs(analytic.data.reshape(-1)[i] - fd) / max(1.0, abs(fd))
         worst = max(worst, err)
     return worst
 

@@ -6,6 +6,15 @@ coordinates, differentiate the predicted energy for forces, then
 differentiate the combined loss for the parameter update. Only the force
 backward inside a loss is recorded; every outermost backward runs
 unrecorded, and each caller releases its tape before it returns.
+
+Each training step, energy-and-force call and evaluation runs through
+`tensor.checked`: its loss and parameter gradients, or its energies and
+forces, are checked for finite values, and a failure is replayed to raise a
+NumericError that names the op and the layer (`layer{i}` / `block{i}`)
+that first went non-finite. A step is deterministic in the parameters and
+the step number, so the replay recomputes the same values. The history of
+a run holds, per step, the loss, the learning rate and the global L2 norm
+of the parameter gradient, and the statistics of the graph batch it built.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .geometry import Conformation
-from .models.common import GraphBatch, build_batch
+from .models.common import GraphBatch, build_batch, graph_stats
 from .tensor import Tensor
 
 
@@ -35,11 +44,14 @@ def force_from_energy(model, params: dict[str, np.ndarray], conf: Conformation):
     the negative coordinate gradient of the summed energy.
     """
     batch = build_batch([conf], model.cutoff, model.needs_angles)
-    tape = T.Tape()
-    params_t = T.lift(params, tape)
-    pos = tape.tensor(batch.pos)
-    energy = model.energy(params_t, batch, pos)
-    (g,) = tape.gradient(T.sum_(energy), [pos], record=False)
+
+    def run(tape):
+        params_t = T.lift(params, tape)
+        pos = tape.tensor(batch.pos)
+        energy = model.energy(params_t, batch, pos)
+        return energy, tape.gradient(T.sum_(energy), [pos], record=False)[0]
+
+    tape, (energy, g) = T.checked(run)
     tape.release()
     return float(energy.data.sum()), -g.data
 
@@ -263,26 +275,42 @@ def _predict(model, params_t, batch, tape, stats, n_per_graph, record):
     return energy, -g
 
 
+def _global_norm(arrays) -> float:
+    """L2 norm over every entry of `arrays`, scaled by the largest magnitude
+    so that the sum of squares cannot overflow."""
+    top = max((float(np.abs(a).max()) for a in arrays if a.size), default=0.0)
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sqrt(sum(float(np.sum(np.square(a / top))) for a in arrays)))
+
+
 def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, progress):
     """Full-batch Adam on `loss_fn(tape, params_t, step) -> scalar Tensor`.
 
     Stops early once the loss falls below stop_loss_ratio times the first
     step's loss.  Returns (params, history) with history carrying parallel
-    step and train_loss lists.
+    step, train_loss, lr and grad_norm lists.
     """
     state = OptimizerState.create(params)
-    history = {"step": [], "train_loss": []}
+    history = {"step": [], "train_loss": [], "lr": [], "grad_norm": []}
+    keys = sorted(params)
     first_loss = None
     for step in range(steps):
-        tape = T.Tape()
-        params_t = T.lift(params, tape)
-        loss = loss_fn(tape, params_t, step)
-        keys = sorted(params)
-        grads = tape.gradient(loss, [params_t[k] for k in keys], record=False)
-        params = adam_step(state, params, dict(zip(keys, (g.data for g in grads))), cosine_lr(schedule, step))
+
+        def run(tape):
+            params_t = T.lift(params, tape)
+            loss = loss_fn(tape, params_t, step)
+            return loss, tape.gradient(loss, [params_t[k] for k in keys], record=False)
+
+        tape, (loss, grads) = T.checked(run)
+        grads = [g.data for g in grads]
+        lr = cosine_lr(schedule, step)
+        params = adam_step(state, params, dict(zip(keys, grads)), lr)
         value = float(loss.data)
         history["step"].append(step)
         history["train_loss"].append(value)
+        history["lr"].append(float(lr))
+        history["grad_norm"].append(_global_norm(grads))
         if progress is not None:
             progress(step, value)
         tape.release()  # after progress, which may still read the tape
@@ -306,7 +334,8 @@ def train_energy_force(
     params: dict[str, np.ndarray] | None = None,
     progress=None,
 ):
-    """Full-batch Adam on energy + force matching; returns (params, history)."""
+    """Full-batch Adam on energy + force matching; returns (params, history),
+    the history with the statistics of the training batch under "graph"."""
     if steps is None:
         steps = schedule.total_steps
     batch = build_batch(confs, model.cutoff, model.needs_angles)
@@ -320,7 +349,9 @@ def train_energy_force(
         energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=True)
         return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction)
 
-    return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
+    params, history = _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
+    history["graph"] = graph_stats(batch)
+    return params, history
 
 
 def evaluate_energy_force(
@@ -333,9 +364,11 @@ def evaluate_energy_force(
     batch = build_batch(confs, model.cutoff, model.needs_angles)
     n_per_graph = np.bincount(batch.node_graph, minlength=batch.n_graphs)
     e_true, f_true = _targets(confs)
-    tape = T.Tape()
-    params_t = T.lift(params, tape)
-    energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=False)
+
+    def run(tape):
+        return _predict(model, T.lift(params, tape), batch, tape, stats, n_per_graph, record=False)
+
+    tape, (energy, forces) = T.checked(run)
     tape.release()
     return {
         "mae_energy": float(np.mean(np.abs(energy.data - e_true))),
@@ -517,7 +550,9 @@ def train_pretrain(
 ):
     """Adam over one self-supervised objective; returns (params, history).
 
-    Every graph the objective reads is built once, before the first step.
+    Every graph the objective reads is built once, before the first step;
+    the history's graph statistics are those of the clean batch, or of the
+    jittered one for denoising, which reads no other.
     """
     if kind not in PRETRAIN_KINDS:
         raise ContractError(f"unknown pretraining kind '{kind}'")
@@ -546,4 +581,6 @@ def train_pretrain(
             return contrastive_pretrain_loss(model, params_t, batch, pos, jittered, view_pos, temperature)
         return masked_pretrain_loss(kind, model, params_t, batch, pos, seed + step)
 
-    return _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
+    params, history = _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
+    history["graph"] = graph_stats(jittered if kind == "denoise" else batch)
+    return params, history

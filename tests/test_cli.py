@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from geomnets import cli, tensor as T, training as tr
 from geomnets.errors import ContractError
-from geomnets.geometry import Conformation, save_dataset
+from geomnets.geometry import Conformation, load_dataset, save_dataset
 from geomnets.models import api
 
 
@@ -43,6 +44,26 @@ def workspace(tmp_path_factory):
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     return root, cfg, cfg_path
+
+
+def brute_force_graph(confs, cutoff, angles):
+    """Graph statistics of a batch of open structures, from pair distances."""
+    nodes = edges = triplets = isolated = 0
+    for conf in confs:
+        dist = np.linalg.norm(conf.pos[:, None] - conf.pos[None], axis=-1)
+        degree = ((dist > 0.0) & (dist <= cutoff)).sum(axis=1)
+        nodes += conf.n_atoms
+        edges += int(degree.sum())
+        triplets += int((degree * (degree - 1)).sum()) if angles else 0
+        isolated += int((degree == 0).sum())
+    return {"nodes": nodes, "edges": edges, "triplets": triplets, "isolated_atoms": isolated}
+
+
+def assert_history(metrics, cfg, steps):
+    schedule = tr.ScheduleSpec(cfg["lr_max"], cfg["lr_min"], cfg["steps"])
+    assert metrics["lr"] == [float(tr.cosine_lr(schedule, s)) for s in range(steps)]
+    assert len(metrics["grad_norm"]) == steps
+    assert all(math.isfinite(g) and g > 0.0 for g in metrics["grad_norm"])
 
 
 def canonical_metrics(path):
@@ -127,12 +148,18 @@ def test_train_writes_metrics_and_checkpoint(workspace):
     assert set(metrics) >= {
         "step",
         "train_loss",
+        "lr",
+        "grad_norm",
+        "graph",
         "val_mae_energy",
         "val_mae_force",
         "wall_seconds",
         "config_hash",
         "version",
     }
+    assert_history(metrics, cfg, 10)
+    train, _, _ = cli.split_dataset(load_dataset(cfg["dataset"]), cfg["split"], cfg["seed"])
+    assert metrics["graph"] == brute_force_graph(train, 4.0, angles=False)
     assert (out / "checkpoint.json").exists()
     # progress went to stderr, artifact paths to stdout
     assert "loss" in result.stderr
@@ -239,6 +266,15 @@ def test_numeric_blowup_exits_3(workspace):
     assert "numeric" in result.stderr.lower()
 
 
+def test_numeric_blowup_names_the_op(workspace, tmp_path):
+    _, cfg, _ = workspace
+    path = tmp_path / "cfg_blowup.json"
+    path.write_text(json.dumps(dict(cfg, lr_max=1e200, lr_min=1e199, steps=12)))
+    result = run_cli("train", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert result.returncode == 3
+    assert "non-finite result in op '" in result.stderr and "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -307,9 +343,24 @@ def test_pretrain_runs_and_logs(workspace):
     metrics = json.loads((out / "metrics.json").read_text())
     assert len(metrics["train_loss"]) == 6
     assert metrics["final_loss"] == metrics["train_loss"][-1]
+    assert_history(metrics, pre, 6)
+    assert metrics["graph"] == brute_force_graph(load_dataset(cfg["dataset"]), 4.0, angles=False)
     # supervised task through pretrain is a config error
     wrong = run_cli("pretrain", "--config", str(root / "cfg.json"), "--out", str(out))
     assert wrong.returncode == 2
+
+
+def test_pretrain_angle_graph_counts_triplets(workspace, tmp_path):
+    _, cfg, _ = workspace
+    pre = dict(cfg, task="angle", steps=2, split=[1.0, 0.0, 0.0])
+    path = tmp_path / "cfg_angle.json"
+    path.write_text(json.dumps(pre))
+    result = run_cli("pretrain", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    graph = brute_force_graph(load_dataset(cfg["dataset"]), 4.0, angles=True)
+    assert metrics["graph"] == graph and graph["triplets"] > 0
+    assert_history(metrics, pre, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +425,16 @@ def test_check_equiv_needs_a_trial(workspace, trials):
     result = run_cli("check-equiv", "--config", str(model_cfg(root, "schnet")), "--trials", trials)
     assert_config_error(result)
     assert "--trials" in result.stderr and result.stdout == ""
+
+
+def test_check_equiv_nan_energy_exits_3(workspace, monkeypatch, capsys):
+    # a NaN energy is a numeric failure, not a symmetry violation
+    root, _, _ = workspace
+    energy = api.ModelHandle.energy
+    monkeypatch.setattr(api.ModelHandle, "energy", lambda self, *a: T.log(energy(self, *a) * 0.0 - 1.0))
+    code = cli.main(["check-equiv", "--config", str(model_cfg(root, "schnet")), "--trials", "1"])
+    assert code == 3
+    assert "non-finite result in op 'log'" in capsys.readouterr().err
 
 
 def test_check_equiv_tolerance_flag(workspace):

@@ -1,11 +1,17 @@
-"""Pinned tape sizes of one energy+force training step per model family.
+"""Pinned tape sizes and finiteness checks of one energy+force training step
+per model family.
 
 A step records the forward pass, the force backward (dE/dpos) and the loss
 on one tape; the loss backward, which nothing differentiates again, runs
 unrecorded. The counts are exact: a backward that again evaluates a
 vector-Jacobian rule nobody asked for, an op that comes back, or a backward
-recorded without need changes them. The setup is that of `test_parity.py`. A change that alters
-the tape on purpose updates the table and says why.
+recorded without need changes them. Scopes add no records.
+
+Values are checked for finite entries at the step's boundary only: the loss
+and one gradient per parameter, so a step makes one check more than the
+model has parameters. An operation that checked its own result again would
+change these counts too. The setup is that of `test_parity.py`. A change
+that alters the tape on purpose updates the tables and says why.
 """
 
 import pytest
@@ -26,9 +32,19 @@ RECORDS_PER_STEP = {
     "tfn": 598,
 }
 
+FINITE_CHECKS_PER_STEP = {
+    "dimenet": 19,
+    "egnn": 27,
+    "leaky": 16,
+    "painn": 26,
+    "schnet": 15,
+    "se3attn": 148,
+    "tfn": 82,
+}
+
 
 def test_every_family_is_pinned():
-    assert sorted(RECORDS_PER_STEP) == sorted(CONFIGS)
+    assert sorted(RECORDS_PER_STEP) == sorted(CONFIGS) == sorted(FINITE_CHECKS_PER_STEP)
 
 
 @pytest.mark.parametrize("family", sorted(RECORDS_PER_STEP))
@@ -43,6 +59,22 @@ def test_records_of_one_training_step(family, monkeypatch):
     monkeypatch.setattr(T.Tape, "release", counting_release)
     tr.train_energy_force(api.model_from_config(CONFIGS[family]), _confs(), _schedule(), seed=0, steps=1)
     assert sizes == [RECORDS_PER_STEP[family]]
+
+
+@pytest.mark.parametrize("family", sorted(FINITE_CHECKS_PER_STEP))
+def test_finiteness_checks_of_one_training_step(family, monkeypatch):
+    checked = []
+    finite = T._finite
+
+    def counting_finite(data):
+        checked.append(data.shape)
+        return finite(data)
+
+    monkeypatch.setattr(T, "_finite", counting_finite)
+    model = api.model_from_config(CONFIGS[family])
+    tr.train_energy_force(model, _confs(), _schedule(), seed=0, steps=1)
+    assert len(checked) == FINITE_CHECKS_PER_STEP[family] == len(model.init(0)) + 1
+    assert checked[0] == ()  # the loss, then the gradients
 
 
 def _bits(tensors):

@@ -198,22 +198,28 @@ class TestTape:
         assert worst < 1e-5
 
 
+def _boundary(make):
+    """Run `make()` as one boundary call: a non-finite result is replayed
+    with per-op checks, whose NumericError names the op."""
+    return T.checked(lambda _tape: make())
+
+
 class TestNumericAbort:
     def test_log_of_negative(self):
-        with pytest.raises(NumericError):
-            T.log(T.Tensor([-1.0]))
+        with pytest.raises(NumericError, match="op 'log'"):
+            _boundary(lambda: T.log(T.Tensor([-1.0])))
 
     def test_divide_by_zero(self):
-        with pytest.raises(NumericError):
-            T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+        with pytest.raises(NumericError, match="op 'div'"):
+            _boundary(lambda: T.div(T.Tensor([1.0]), T.Tensor([0.0])))
 
     def test_nan_input_rejected_at_creation(self):
         with pytest.raises(NumericError):
             T.Tensor([np.nan])
 
     def test_overflowing_exp(self):
-        with pytest.raises(NumericError):
-            T.exp(T.Tensor([1e4]))
+        with pytest.raises(NumericError, match="op 'exp'"):
+            _boundary(lambda: T.exp(T.Tensor([1e4])))
 
 
 class TestShapesAndIndices:
@@ -379,7 +385,93 @@ OVERFLOWS = [
 @pytest.mark.parametrize("name,make", OVERFLOWS, ids=[o[0] for o in OVERFLOWS])
 def test_overflow_names_the_op(name, make):
     with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"op '{name}'"):
-        make()
+        _boundary(make)
+
+
+def test_ops_leave_the_check_to_the_boundary():
+    with np.errstate(all="ignore"):
+        assert np.isnan(T.log(T.Tensor([-1.0])).data).all()
+        assert np.isinf(T.mul(T.Tensor([1e308]), T.Tensor([10.0])).data).all()
+
+
+def test_checked_returns_the_tape_and_results_of_one_call():
+    calls = []
+
+    def run(tape):
+        calls.append(tape)
+        x = tape.tensor([1.0, 2.0])
+        return T.sum_(x * x), [tape.gradient(T.sum_(x * x), [x], record=False)[0]], None
+
+    tape, (value, (grad,), nothing) = T.checked(run)
+    assert calls == [tape] and tape.records and nothing is None
+    assert value.item() == 5.0 and grad.data.tolist() == [2.0, 4.0]
+
+
+def test_forward_failure_names_op_and_scope():
+    def run(tape):
+        x = tape.tensor([1e308])
+        with T.scope("layer1"):
+            y = T.mul(x, 10.0)
+        return T.sum_(y)
+
+    with pytest.raises(NumericError, match=r"^non-finite result in op 'mul' in scope 'layer1'$"):
+        T.checked(run)
+
+
+def test_backward_only_failure_names_the_backward_scope():
+    # sqrt is finite at 0, its derivative is not
+    def run(tape):
+        x = tape.tensor([0.0, 1.0])
+        with T.scope("layer1"):
+            y = T.power(x, 0.5)
+        return tape.gradient(T.sum_(y), [x], record=False)
+
+    with pytest.raises(NumericError, match=r"^non-finite result in op 'power' in backward of 'layer1'$"):
+        T.checked(run)
+
+
+def test_failed_tape_is_released_before_the_replay():
+    tapes = []
+
+    def run(tape):
+        tapes.append(tape)
+        return T.log(tape.tensor([-1.0]))
+
+    with pytest.raises(NumericError, match="op 'log'"):
+        T.checked(run)
+    assert len(tapes) == 2 and tapes[0] is not tapes[1]
+    assert not tapes[0].records and not tapes[1].records
+    assert not T._check_ops  # per-op checks are off again
+
+
+@pytest.mark.parametrize("second", [np.array([np.inf]), np.array([1.0])], ids=["same", "finite-on-replay"])
+def test_replay_without_a_failing_op_still_raises(second):
+    # the non-finite value comes from no op; a call that comes back finite
+    # the second time is not returned either
+    results = iter([np.array([np.inf]), second])
+    with pytest.raises(NumericError, match="no op produced one"):
+        T.checked(lambda _tape: next(results))
+
+
+def test_records_carry_their_scope_and_backwards_run_in_it():
+    tape = T.Tape()
+    x = tape.tensor([1.0, 2.0])
+    with T.scope("layer0"):
+        y = T.mul(x, x)
+        with T.scope("block3"):
+            z = T.exp(y)
+        w = T.sum_(z)
+    root = T.sum_(w)
+    assert [(r.name, r.scope) for r in tape.records] == [
+        ("mul", "layer0"),
+        ("exp", "block3"),
+        ("sum", "layer0"),
+        ("sum", ""),
+    ]
+    before = len(tape.records)
+    tape.gradient(root, [x])
+    # each record's rules are recorded in that record's scope
+    assert [r.scope for r in tape.records[before:] if r.name == "mul"] == ["block3", "layer0", "layer0"]
 
 
 ALLOCATOR_PROBE = """

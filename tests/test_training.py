@@ -3,6 +3,8 @@ schedule, synthetic labels, supervised loop, and the self-supervised
 objectives."""
 
 import gc
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -13,10 +15,10 @@ from types import SimpleNamespace
 
 from geomnets import tensor as T
 from geomnets import training as tr
-from geomnets.errors import ContractError
+from geomnets.errors import ContractError, NumericError
 from geomnets.geometry import Conformation
 from geomnets.models import api
-from geomnets.models.common import build_batch
+from geomnets.models.common import build_batch, graph_stats
 from geomnets.tensor import Tensor
 
 
@@ -334,6 +336,64 @@ def test_train_energy_force_early_stop():
     assert hist["train_loss"][-1] <= 0.5 * hist["train_loss"][0]
 
 
+def test_history_logs_lr_and_global_gradient_norm():
+    confs = tr.synthetic_conformations(4, seed=5, n_atoms=(4, 5))
+    model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
+    sch = tr.ScheduleSpec(5e-3, 1e-4, 3)
+    params = model.init(1)
+    _, hist = tr.train_energy_force(model, confs, sch, steps=3, params=params)
+    assert hist["lr"] == [float(tr.cosine_lr(sch, s)) for s in range(3)]
+    # the first step's gradient, taken by hand
+    batch = build_batch(confs, model.cutoff)
+    n_per_graph = np.bincount(batch.node_graph, minlength=batch.n_graphs)
+    e_true, f_true = tr._targets(confs)
+    tape = T.Tape()
+    params_t = T.lift(params, tape)
+    energy, forces = tr._predict(model, params_t, batch, tape, None, n_per_graph, record=True)
+    loss = tr.energy_force_loss(energy, Tensor(e_true), forces, Tensor(f_true))
+    grads = tape.gradient(loss, list(params_t.values()))
+    want = np.linalg.norm(np.concatenate([g.data.ravel() for g in grads]))
+    assert hist["grad_norm"][0] == pytest.approx(want, rel=1e-12)
+    assert len(hist["grad_norm"]) == 3 and all(g > 0.0 for g in hist["grad_norm"])
+
+
+def test_global_norm_of_finite_gradients_never_raises():
+    # the squares overflow, the norm does not; nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = tr._global_norm([np.full((2, 2), 1e300), np.array([-1e300]), np.zeros(0)])
+        assert big == pytest.approx(1e300 * math.sqrt(5.0), rel=1e-15)
+        assert tr._global_norm([np.zeros(3), np.zeros(0)]) == 0.0
+        assert tr._global_norm([np.array([3.0]), np.array([[4.0]])]) == 5.0
+        # a norm beyond the largest float is infinite, not an error
+        assert tr._global_norm([np.full(4, 1.7e308)]) == math.inf
+
+
+def test_training_step_overflow_names_op_and_layer():
+    # the blown-up filter weight is finite, and so are the forward and the
+    # loss; the first non-finite value is a product in the backward of layer1
+    confs = tr.synthetic_conformations(4, seed=0)
+    model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 2, "cutoff": 5.0})
+    params = model.init(0)
+    params["layer1.filter.w0"] = params["layer1.filter.w0"] * 1e150
+    with pytest.raises(NumericError, match=r"^non-finite result in op 'mul' in backward of 'layer1'$"):
+        tr.train_energy_force(model, confs, tr.ScheduleSpec(1e-3, 1e-5, 3), params=params, steps=1)
+
+
+def test_graph_stats_count_nodes_edges_triplets_and_isolated_atoms():
+    chain = Conformation(z=np.array([1, 6, 1]), pos=np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]))
+    lone = Conformation(z=np.array([1, 1, 8]), pos=np.array([[0.0, 0, 0], [1.2, 0, 0], [9, 0, 0]]))
+    # chain: 0-1 and 1-2; lone: 0-1 and an isolated atom; edges count both directions
+    assert graph_stats(build_batch([chain, lone], 1.5)) == {
+        "nodes": 6,
+        "edges": 6,
+        "triplets": 0,
+        "isolated_atoms": 1,
+    }
+    # the only angle is at the chain's middle atom, seen from either end
+    assert graph_stats(build_batch([chain, lone], 1.5, need_angles=True))["triplets"] == 2
+
+
 def test_train_with_normalization_descends():
     confs = tr.synthetic_conformations(8, seed=3, n_atoms=(4, 6))
     stats = tr.stats_from_conformations(confs)
@@ -643,6 +703,18 @@ def test_train_pretrain_rejects_unknown_kind():
     model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
     with pytest.raises(ContractError):
         tr.train_pretrain(model, "rotation", confs, tr.ScheduleSpec(1e-3, 1e-4, 10))
+
+
+@pytest.mark.parametrize("kind", ["type", "angle", "denoise"])
+def test_train_pretrain_history_carries_the_batch_graph(kind):
+    confs = tr.synthetic_conformations(4, seed=0)
+    family = "painn" if kind == "denoise" else "schnet"
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    _, hist = tr.train_pretrain(model, kind, confs, tr.ScheduleSpec(1e-3, 1e-5, 2), seed=0, steps=2)
+    graph = hist["graph"]
+    assert graph["nodes"] == sum(c.n_atoms for c in confs)
+    assert (graph["triplets"] > 0) == (kind == "angle")
+    assert len(hist["lr"]) == len(hist["grad_norm"]) == 2
 
 
 def test_train_pretrain_deterministic():
