@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import ContractError, ParseError, ShapeError
 
-AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
-RESIDUE_TYPE = {code: 21 + i for i, code in enumerate(AMINO_ACIDS)}
-
-
 @dataclass
 class Conformation:
     """One structure: atomic numbers, positions, optional cell and labels."""
@@ -314,22 +310,6 @@ def build_angle_index(edges: EdgeList) -> AngleIndex:
     to_i = -edges.rel_vec[out_edge]
     cosang = np.vecdot(to_k, to_i) / (edges.dist[in_edge] * edges.dist[out_edge])
     return AngleIndex(in_edge, out_edge, np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
-def backbone_graph(residues, ca_positions, cutoff: float) -> tuple[Conformation, EdgeList]:
-    """Residue-level graph at alpha-carbon coordinates.
-
-    One-letter residue codes map alphabetically to synthetic node types
-    21..40, clear of the real-element range used by small molecules.
-    """
-    codes = list(residues)
-    types = []
-    for i, c in enumerate(codes):
-        if c not in RESIDUE_TYPE:
-            raise ContractError(f"unknown residue code '{c}' at position {i}")
-        types.append(RESIDUE_TYPE[c])
-    conf = Conformation(np.asarray(types), np.asarray(ca_positions, dtype=np.float64))
-    return conf, radius_graph(conf.pos, cutoff)
 
 
 # ---------------------------------------------------------------------------

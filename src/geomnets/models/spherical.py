@@ -19,12 +19,19 @@ channel-concatenated over their paths, mixed by a per-degree linear map and
 scaled by 1/sqrt(paths). Residuals attach only where input and output
 layouts carry an identical (multiplicity, degree) block.
 
-Attention computes keys and values from one edge geometry and one set of
-coupling matrices. Scores are full dot products of steerable query and key
-rows, hence rotation-invariant scalars. Both sides of a score are linear,
-so the keys are never formed: the query rows go back through the key mix at
-node scale and meet the key messages directly. Values are likewise weighted
-and summed per node before they are mixed.
+Every layer filters with all degrees 0..2, so any input block reaches every
+output degree. The edge geometry (radial basis and enveloped harmonics)
+depends only on the edges and the radial basis, which all layers share, so
+a forward builds it once with `edge_geometry` and hands it to each layer.
+
+Attention reads one layer spec whose output layout equals its input: keys
+and values are two tensor-product messages of that layout with their own
+weights, built from one set of coupling matrices. Scores are full dot
+products of steerable query and key rows, hence rotation-invariant scalars.
+Both sides of a score are linear, so the keys are never formed: the query
+rows go back through the key mix at node scale and meet the key messages
+directly. Values are likewise weighted and summed per node before they are
+mixed.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
 from .invariant import RadialBasisSpec, cosine_envelope, radial_basis
 
 _DEGREE_CAP = 2
+_FILTER_DEGREES = tuple(range(_DEGREE_CAP + 1))
 
 
 def _check_layout(layout: IrrepsLayout, who: str) -> None:
@@ -55,28 +63,19 @@ def _check_layout(layout: IrrepsLayout, who: str) -> None:
 
 @dataclass(frozen=True)
 class TfnLayerSpec:
-    """One tensor-product convolution: layouts, filter degrees, radial net."""
+    """One tensor-product convolution: layouts and radial net. Its filters
+    take every degree 0.._DEGREE_CAP."""
 
     layout_in: IrrepsLayout
     layout_out: IrrepsLayout
-    filter_degrees: tuple[int, ...] = (0, 1, 2)
     radial: RadialBasisSpec = field(default_factory=RadialBasisSpec)
     radial_hidden: int = 16
 
     def __post_init__(self):
         _check_layout(self.layout_in, "input")
         _check_layout(self.layout_out, "output")
-        if any(l < 0 or l > _DEGREE_CAP for l in self.filter_degrees):
-            raise ContractError(f"filter degrees must lie in 0..{_DEGREE_CAP}")
-        if len(set(self.filter_degrees)) != len(self.filter_degrees):
-            raise ContractError("filter degrees repeat")
         if self.radial_hidden < 1:
             raise ContractError("radial hidden width must be positive")
-        for b_out in range(len(self.layout_out.blocks)):
-            if not any(p[2] == b_out for p in self.paths()):
-                raise ContractError(
-                    f"output block {self.layout_out.blocks[b_out]} is unreachable"
-                )
 
     def paths(self) -> list[tuple[int, int, int]]:
         """(input block, filter degree, output block) triples allowed by the
@@ -84,7 +83,7 @@ class TfnLayerSpec:
         out = []
         for b_out, (_, l_out) in enumerate(self.layout_out.blocks):
             for b_in, (_, l_in) in enumerate(self.layout_in.blocks):
-                for l_f in self.filter_degrees:
+                for l_f in _FILTER_DEGREES:
                     if abs(l_in - l_f) <= l_out <= l_in + l_f:
                         out.append((b_in, l_f, b_out))
         return out
@@ -108,16 +107,15 @@ def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) ->
     return params
 
 
-def _edge_geometry(spec: TfnLayerSpec, rel: Tensor) -> tuple[Tensor, Tensor]:
+def edge_geometry(spec: TfnLayerSpec, rel: Tensor) -> tuple[Tensor, Tensor]:
     """What every message of a layer reads from its edges: the radial basis,
-    transposed to (count, E), and the harmonics of degrees 0..max filter
-    degree side by side, (E, (l_max + 1)^2), times the cosine envelope."""
+    transposed to (count, E), and the harmonics of every filter degree side
+    by side, (E, (_DEGREE_CAP + 1)^2), times the cosine envelope."""
     dist = T.norm(rel, axis=1)
     if (dist.data < 1e-12).any():
         raise ContractError("zero-length edge vector reached a harmonic filter")
     unit = rel / T.reshape(dist, (-1, 1))
-    degrees = range(max(spec.filter_degrees) + 1)
-    harmonics = T.concat([sph_harm_block(l, unit) for l in degrees], axis=1)
+    harmonics = T.concat([sph_harm_block(l, unit) for l in _FILTER_DEGREES], axis=1)
     if spec.radial.envelope == "cosine":
         harmonics = harmonics * T.reshape(cosine_envelope(dist, spec.radial.cutoff), (-1, 1))
     return T.transpose2(radial_basis(spec.radial, dist)), harmonics
@@ -130,31 +128,27 @@ class _BlockFusion:
     Coupling columns come in one (2 l_out + 1)-wide group per (filter degree,
     output degree) pair, grouped by output degree. `table` turns the
     harmonics of an edge into its coupling matrix (2 l_in + 1, width), and
-    `spreads[p]` copies the radial output of each path of layer p onto the
-    columns of its group.
+    `spread` copies the radial output of each path onto the columns of its
+    group.
     """
 
     table: np.ndarray  # (harmonics, (2 l_in + 1) * width)
     width: int
     segments: dict[int, tuple[int, int]]  # l_out -> (first column, groups)
-    paths: tuple[tuple[int, ...], ...]  # per layer: its paths out of this block, in column order
-    spreads: tuple[np.ndarray, ...]  # per layer: (paths, width)
+    paths: tuple[int, ...]  # the paths out of this block, in column order
+    spread: np.ndarray  # (paths, width)
 
 
 @lru_cache(maxsize=None)
-def _fusion(specs: tuple[TfnLayerSpec, ...]) -> tuple[_BlockFusion, ...]:
-    """Coupling tables, per input block, of layers that read one layout with
-    the same filter degrees; the columns cover every output degree of any."""
-    first = specs[0]
-    l_outs = sorted({l for spec in specs for _, l in spec.layout_out.blocks})
-    n_harm = (max(first.filter_degrees) + 1) ** 2
+def _fusion(spec: TfnLayerSpec) -> tuple[_BlockFusion, ...]:
+    """Coupling tables of a layer, one per input block."""
+    n_harm = (_DEGREE_CAP + 1) ** 2
     plan = []
-    for b, (_, l_in) in enumerate(first.layout_in.blocks):
+    for b, (_, l_in) in enumerate(spec.layout_in.blocks):
         start, segments, width = {}, {}, 0
-        for l_out in l_outs:
-            l_fs = [l_f for l_f in first.filter_degrees if abs(l_in - l_f) <= l_out <= l_in + l_f]
-            if l_fs:
-                segments[l_out] = (width, len(l_fs))
+        for l_out in sorted(l for _, l in spec.layout_out.blocks):
+            l_fs = [l_f for l_f in _FILTER_DEGREES if abs(l_in - l_f) <= l_out <= l_in + l_f]
+            segments[l_out] = (width, len(l_fs))
             for l_f in l_fs:
                 start[l_f, l_out] = width
                 width += 2 * l_out + 1
@@ -162,82 +156,70 @@ def _fusion(specs: tuple[TfnLayerSpec, ...]) -> tuple[_BlockFusion, ...]:
         table = np.zeros((n_harm, 2 * l_in + 1, width))
         for (l_f, l_out), col in start.items():
             table[l_f * l_f : (l_f + 1) ** 2, :, col : col + 2 * l_out + 1] = clebsch_gordan(l_f, l_in, l_out)
-        paths, spreads = [], []
-        for spec in specs:
-            cols = {}
-            for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
-                if b_in == b:
-                    l_out = spec.layout_out.blocks[b_out][1]
-                    cols[k] = (start[l_f, l_out], 2 * l_out + 1)
-            ids = sorted(cols, key=cols.get)
-            spread = np.zeros((len(ids), width))
-            for row, k in enumerate(ids):
-                col, size = cols[k]
-                spread[row, col : col + size] = 1.0
-            paths.append(tuple(ids))
-            spreads.append(spread)
-        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, tuple(paths), tuple(spreads)))
+        cols = {}
+        for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
+            if b_in == b:
+                l_out = spec.layout_out.blocks[b_out][1]
+                cols[k] = (start[l_f, l_out], 2 * l_out + 1)
+        ids = sorted(cols, key=cols.get)
+        spread = np.zeros((len(ids), width))
+        for row, k in enumerate(ids):
+            col, size = cols[k]
+            spread[row, col : col + size] = 1.0
+        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, tuple(ids), spread))
     return tuple(plan)
 
 
 def _messages(
-    plan: tuple[_BlockFusion, ...],
-    parts: tuple[tuple[TfnLayerSpec, str], ...],
+    spec: TfnLayerSpec,
+    prefixes: tuple[str, ...],
     params: dict,
     feat: SteerableFeature,
     dst: np.ndarray,
     geometry: tuple[Tensor, Tensor],
-) -> list[list[Tensor | None]]:
-    """Edge messages (E, mult_in, width) per layer of `parts` ((spec, param
-    prefix) pairs) and per input block: the neighbor block times the edge's
-    coupling matrix, times the radial output of each path spread over its
-    columns. None where a layer has no path out of the block."""
+) -> list[list[Tensor]]:
+    """Edge messages (E, mult_in, width) per weight set of `prefixes` and
+    per input block: the neighbor block times the edge's coupling matrix,
+    times the radial output of each path spread over its columns. The
+    weight sets share the coupling matrices."""
     rbf_t, harmonics = geometry
     e = harmonics.shape[0]
-    out: list[list[Tensor | None]] = [[None] * len(plan) for _ in parts]
+    plan = _fusion(spec)
+    out: list[list[Tensor]] = [[] for _ in prefixes]
     for b, blk in enumerate(plan):
-        if not blk.width:
-            continue
         neighbor = T.gather(feat.block(b), dst)
         mult, dim_in = neighbor.shape[1], neighbor.shape[2]
         coupling = T.reshape(T.matmul(harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
         coupled = T.matmul(neighbor, coupling)
-        for p, ids in enumerate(blk.paths):
-            if ids:
-                radial = _radial(parts[p], params, ids, rbf_t, blk.spreads[p], mult)
-                out[p][b] = coupled * T.reshape(radial, coupled.shape)
+        for p, prefix in enumerate(prefixes):
+            radial = _radial(spec, prefix, params, blk, rbf_t, mult)
+            out[p].append(coupled * T.reshape(radial, coupled.shape))
     return out
 
 
 def _radial(
-    part: tuple[TfnLayerSpec, str],
-    params: dict,
-    ids: tuple[int, ...],
-    rbf_t: Tensor,
-    spread: np.ndarray,
-    mult: int,
+    spec: TfnLayerSpec, prefix: str, params: dict, blk: _BlockFusion, rbf_t: Tensor, mult: int
 ) -> Tensor:
-    """The radial networks of paths `ids` out of one input block, run
+    """The radial networks of the paths out of one input block, run
     together and spread over their coupling columns: (E * mult, width).
 
     The first layers are one matmul over the concatenated weights, the
     second layers one batched matmul."""
-    spec, prefix = part
-    n, h, e = len(ids), spec.radial_hidden, rbf_t.shape[1]
+    n, h, e = len(blk.paths), spec.radial_hidden, rbf_t.shape[1]
 
     def stacked(name: str, axis: int) -> Tensor:
-        return T.concat([params[f"{prefix}.path{k}.radial.{name}"] for k in ids], axis=axis)
+        return T.concat([params[f"{prefix}.path{k}.radial.{name}"] for k in blk.paths], axis=axis)
 
     w0 = T.transpose2(stacked("w0", 1))
     hidden = T.silu(T.matmul(w0, rbf_t) + T.reshape(stacked("b0", 0), (-1, 1)))
     hidden = T.transpose2(T.reshape(hidden, (n, h, e)))
     w1 = T.reshape(stacked("w1", 0), (n, h, mult))
     r = T.matmul(hidden, w1) + T.reshape(stacked("b1", 0), (n, 1, mult))
-    return T.matmul(T.transpose2(T.reshape(r, (n, e * mult))), Tensor(spread))
+    return T.matmul(T.transpose2(T.reshape(r, (n, e * mult))), Tensor(blk.spread))
 
 
 def _mix_weights(
-    spec: TfnLayerSpec, plan: tuple[_BlockFusion, ...], params: dict, prefix: str, b_out: int
+    spec: TfnLayerSpec, params: dict, prefix: str, b_out: int
 ) -> tuple[Tensor, list[tuple[int, int, int]]]:
     """The mix of output block `b_out`, scaled by 1/sqrt(paths), with its
     rows in the order of the column groups it reads, and those reads as
@@ -245,27 +227,24 @@ def _mix_weights(
     path) where the stored mix rows run (path, channel)."""
     l = spec.layout_out.blocks[b_out][1]
     reads, order, base = [], [], 0
-    for b, blk in enumerate(plan):
-        if l in blk.segments:
-            start, groups = blk.segments[l]
-            mult = spec.layout_in.blocks[b][0]
-            reads.append((b, start, groups))
-            order.append(base + np.arange(mult * groups).reshape(groups, mult).T.reshape(-1))
-            base += mult * groups
+    for b, blk in enumerate(_fusion(spec)):
+        start, groups = blk.segments[l]
+        mult = spec.layout_in.blocks[b][0]
+        reads.append((b, start, groups))
+        order.append(base + np.arange(mult * groups).reshape(groups, mult).T.reshape(-1))
+        base += mult * groups
     scale = 1.0 / math.sqrt(len(spec.paths_into(b_out)))
     return T.gather(params[f"{prefix}.out{b_out}.mix"], np.concatenate(order)) * scale, reads
 
 
-def _mix(
-    spec: TfnLayerSpec, plan: tuple[_BlockFusion, ...], params: dict, prefix: str, rows: list
-) -> list[Tensor]:
+def _mix(spec: TfnLayerSpec, params: dict, prefix: str, rows: list) -> list[Tensor]:
     """Output blocks (N, mult_out, 2 l + 1) from per-input-block sums of
     messages (N, mult_in, width): each output degree takes its column groups
     from every input block, and a per-degree linear map mixes the channels
     of all its paths."""
     blocks = []
     for b_out, (_, l) in enumerate(spec.layout_out.blocks):
-        mix, reads = _mix_weights(spec, plan, params, prefix, b_out)
+        mix, reads = _mix_weights(spec, params, prefix, b_out)
         pieces = []
         for b, start, groups in reads:
             n, mult = rows[b].shape[0], rows[b].shape[1]
@@ -287,143 +266,83 @@ def _residual(spec: TfnLayerSpec, feat: SteerableFeature, blocks: list[Tensor]) 
     return from_blocks(spec.layout_out, out_blocks)
 
 
-def _sums(messages: list, src: np.ndarray, n: int) -> list:
-    return [None if m is None else T.scatter_sum(m, src, n) for m in messages]
-
-
 def tfn_conv(
     spec: TfnLayerSpec,
     params: dict,
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
-    rel: Tensor,
-) -> SteerableFeature:
-    """Neighborhood tensor-product update over edges (src <- dst) with
-    relative vectors `rel` (possibly taped); weights live under `conv.`.
-    Without edges every message is zero and only the residual remains."""
-    return _conv(spec, params, feat, src, dst, _edge_geometry(spec, rel))
-
-
-def _conv(
-    spec: TfnLayerSpec,
-    params: dict,
-    feat: SteerableFeature,
-    src: np.ndarray,
-    dst: np.ndarray,
     geometry: tuple[Tensor, Tensor],
 ) -> SteerableFeature:
+    """Neighborhood tensor-product update over edges (src <- dst), reading
+    the `edge_geometry` of their relative vectors; weights live under
+    `conv.`. Without edges every message is zero and only the residual
+    remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
-    plan = _fusion((spec,))
-    (messages,) = _messages(plan, ((spec, "conv"),), params, feat, dst, geometry)
-    sums = _sums(messages, src, feat.data.shape[0])
-    return _residual(spec, feat, _mix(spec, plan, params, "conv", sums))
+    (messages,) = _messages(spec, ("conv",), params, feat, dst, geometry)
+    sums = [T.scatter_sum(m, src, feat.data.shape[0]) for m in messages]
+    return _residual(spec, feat, _mix(spec, params, "conv", sums))
 
 
 # ---------------------------------------------------------------------------
 # attention
 
 
-@dataclass(frozen=True)
-class AttentionSpec:
-    """Dot-product attention whose keys/values are tensor-product messages."""
-
-    key: TfnLayerSpec
-    value: TfnLayerSpec
-
-    def __post_init__(self):
-        if self.key.layout_in != self.value.layout_in:
-            raise ContractError("key and value layers must read the same layout")
-        if (self.key.radial, self.key.filter_degrees) != (self.value.radial, self.value.filter_degrees):
-            raise ContractError("key and value layers must share the radial basis and filter degrees")
-        if self.value.layout_out != self.value.layout_in:
-            raise ContractError("value layout must match the input for the residual")
-        in_degrees = {l: mult for mult, l in self.key.layout_in.blocks}
-        for _, l in self.key.layout_out.blocks:
-            if l not in in_degrees:
-                raise ContractError("query cannot produce a degree absent from the input")
-
-
 def _key_scores(
-    spec: AttentionSpec,
-    plan: tuple[_BlockFusion, ...],
-    params: dict,
-    feat: SteerableFeature,
-    messages: list,
-    src: np.ndarray,
+    spec: TfnLayerSpec, params: dict, feat: SteerableFeature, messages: list, src: np.ndarray
 ) -> Tensor:
     """Per-edge dot products of query and key rows (E,), without forming
     the keys. A score is linear in the key messages, so the query rows of
     each degree go back through the key mix at node scale onto the message
-    columns they meet; columns only the values use meet zeros."""
+    columns they meet."""
     n = feat.data.shape[0]
-    lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
-    back: list[dict[int, Tensor]] = [{} for _ in plan]  # per input block: l_out -> (N, mult, cols)
-    for b_out, (_, l) in enumerate(spec.key.layout_out.blocks):
-        mix, reads = _mix_weights(spec.key, plan, params, "key", b_out)
-        query = T.transpose2(T.matmul(T.transpose2(feat.block(lookup[l])), params[f"query{b_out}.mix"]))
+    back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, mult, cols)
+    for b_out, (_, l) in enumerate(spec.layout_out.blocks):
+        mix, reads = _mix_weights(spec, params, "key", b_out)
+        query = T.transpose2(T.matmul(T.transpose2(feat.block(b_out)), params[f"query{b_out}.mix"]))
         rows = T.matmul(mix, query)  # (N, channels, 2 l + 1)
         first = 0
         for b, _, groups in reads:
-            mult = spec.key.layout_in.blocks[b][0]
+            mult = spec.layout_in.blocks[b][0]
             piece = rows[:, first : first + mult * groups, :]
             back[b][l] = T.reshape(piece, (n, mult, groups * (2 * l + 1)))
             first += mult * groups
     score = None
-    for blk, msg, cols in zip(plan, messages, back):
-        if msg is None:
-            continue
-        mult = msg.shape[1]
-        met = T.concat(
-            [
-                cols.get(l, Tensor(np.zeros((n, mult, groups * (2 * l + 1)))))
-                for l, (_, groups) in blk.segments.items()
-            ],
-            axis=2,
-        )
+    for blk, msg, cols in zip(_fusion(spec), messages, back):
+        met = T.concat([cols[l] for l in blk.segments], axis=2)
         term = T.sum_(msg * T.gather(met, src), axis=(1, 2))
         score = term if score is None else score + term
     return score
 
 
 def se3_attention(
-    spec: AttentionSpec,
-    params: dict,
-    feat: SteerableFeature,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rel: Tensor,
-) -> tuple[SteerableFeature, Tensor]:
-    """Attention update plus the attention weights (E,) for inspection.
-
-    Keys and values share one edge geometry and one set of coupling
-    matrices. A node without neighbors aggregates nothing and keeps its
-    features through the residual; without any edges the update is the
-    identity."""
-    return _attend(spec, params, feat, src, dst, _edge_geometry(spec.key, rel))
-
-
-def _attend(
-    spec: AttentionSpec,
+    spec: TfnLayerSpec,
     params: dict,
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
     geometry: tuple[Tensor, Tensor],
 ) -> tuple[SteerableFeature, Tensor]:
-    if feat.layout != spec.key.layout_in:
+    """Attention update plus the attention weights (E,) for inspection.
+
+    Keys and values are messages of `spec` with weights under `key.` and
+    `value.`; queries mix each block under `query{b}.`. The output layout
+    must equal the input for the residual. A node without neighbors
+    aggregates nothing and keeps its features through the residual; without
+    any edges the update is the identity."""
+    if spec.layout_out != spec.layout_in:
+        raise ContractError("attention output layout must match its input for the residual")
+    if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the attention input")
     n = feat.data.shape[0]
-    plan = _fusion((spec.key, spec.value))
-    parts = ((spec.key, "key"), (spec.value, "value"))
-    key_msgs, value_msgs = _messages(plan, parts, params, feat, dst, geometry)
-    alpha = T.segment_softmax(_key_scores(spec, plan, params, feat, key_msgs, src), src, n)
+    key_msgs, value_msgs = _messages(spec, ("key", "value"), params, feat, dst, geometry)
+    alpha = T.segment_softmax(_key_scores(spec, params, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
     weight = T.reshape(alpha, (-1, 1, 1))
-    weighted = [None if m is None else m * weight for m in value_msgs]
-    update = _mix(spec.value, plan, params, "value", _sums(weighted, src, n))
+    weighted = [m * weight for m in value_msgs]
+    update = _mix(spec, params, "value", [T.scatter_sum(m, src, n) for m in weighted])
     return SteerableFeature(feat.layout, feat.data + from_blocks(feat.layout, update).data), alpha
 
 
@@ -469,24 +388,19 @@ class SteerableModelSpec:
             radial_hidden=self.radial_hidden,
         )
 
-    def attention_spec(self, index: int) -> AttentionSpec:
-        base = self.layer_spec(index)
-        return AttentionSpec(key=base, value=base)
-
 
 def init_steerable(spec: SteerableModelSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.scalar_channels)}
     for i in range(spec.layers):
+        layer = spec.layer_spec(i)
         if spec.family == "se3attn" and i > 0:
-            aspec = spec.attention_spec(i)
-            params.update(init_tfn_layer(aspec.key, rng, f"layer{i}.key"))
-            params.update(init_tfn_layer(aspec.value, rng, f"layer{i}.value"))
-            in_mult = {l: mult for mult, l in aspec.key.layout_in.blocks}
-            for b, (mult, l) in enumerate(aspec.key.layout_out.blocks):
-                params[f"layer{i}.query{b}.mix"] = T.glorot_uniform(rng, in_mult[l], mult)
+            params.update(init_tfn_layer(layer, rng, f"layer{i}.key"))
+            params.update(init_tfn_layer(layer, rng, f"layer{i}.value"))
+            for b, (mult, _) in enumerate(layer.layout_out.blocks):
+                params[f"layer{i}.query{b}.mix"] = T.glorot_uniform(rng, mult, mult)
         else:
-            params.update(init_tfn_layer(spec.layer_spec(i), rng, f"layer{i}.conv"))
+            params.update(init_tfn_layer(layer, rng, f"layer{i}.conv"))
     params["head.w"] = T.glorot_uniform(rng, spec.scalar_channels, 1)
     params["vec_head.mix"] = T.glorot_uniform(rng, spec.vector_channels, 1)
     return params
@@ -501,16 +415,17 @@ def steerable_features(
     spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> SteerableFeature:
     rel, _ = edge_vectors(pos, batch)
-    # every layer has the same radial basis and filter degrees
-    geometry = _edge_geometry(spec.layer_spec(0), rel)
+    # every layer has the same radial basis, so one geometry serves them all
+    geometry = edge_geometry(spec.layer_spec(0), rel)
     feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
+        layer = spec.layer_spec(i)
         with T.scope(f"layer{i}"):
             if spec.family == "se3attn" and i > 0:
-                feat, _ = _attend(spec.attention_spec(i), scoped, feat, batch.src, batch.dst, geometry)
+                feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, geometry)
             else:
-                feat = _conv(spec.layer_spec(i), scoped, feat, batch.src, batch.dst, geometry)
+                feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, geometry)
     return feat
 
 

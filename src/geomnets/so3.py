@@ -244,9 +244,6 @@ class IrrepsLayout:
             start = stop
         return out
 
-    def degrees(self) -> set[int]:
-        return {l for _, l in self.blocks}
-
 
 @dataclass
 class SteerableFeature:

@@ -8,8 +8,8 @@ energy and its forces, an evaluation) and checks the arrays it returns. If
 one is non-finite, the failed tape is released and the call replays with
 every arithmetic operation checking its result, so the NumericError names
 the first op that went non-finite and its scope. Ops that are finite by
-construction (reshapes, slices, gathers, concat, broadcast, sigmoid, tanh,
-sin, cos) are not checked even then.
+construction (reshapes, slices, gathers, concat, broadcast, sigmoid, sin,
+cos) are not checked even then.
 
 `scope(name)` labels the records made inside it; the models open one per
 layer or block, named like its parameters (`layer1`, `block0`). A backward
@@ -172,7 +172,6 @@ class Tape:
     """Append-only record of operations for one differentiation context."""
 
     records: list[_Record] = field(default_factory=list)
-    _watched: dict[int, Tensor] = field(default_factory=dict)
     _record_of: dict[int, int] = field(default_factory=dict)
     _recording: bool = True
 
@@ -183,7 +182,6 @@ class Tape:
         if tensor.uid in self._record_of:
             raise ContractError("only leaf tensors can be watched")
         tensor.tape = self
-        self._watched[tensor.uid] = tensor
         return tensor
 
     def tensor(self, values) -> Tensor:
@@ -191,7 +189,7 @@ class Tape:
         return self.watch(Tensor(values))
 
     def release(self) -> None:
-        """Drop the records, watched leaves and index once the tape is done.
+        """Drop the records and their index once the tape is done.
 
         Records close over the tape's own tensors, which point back at the
         tape, so a finished tape is a reference cycle; releasing it lets
@@ -199,7 +197,6 @@ class Tape:
         collector some time later. The tape is unusable afterwards.
         """
         self.records.clear()
-        self._watched.clear()
         self._record_of.clear()
 
     def _append(self, record: _Record) -> None:
@@ -265,12 +262,6 @@ class Tape:
             out.append(g if g is not None else Tensor(np.zeros_like(t.data)))
         return out
 
-    def backward(self, root: Tensor) -> dict[int, Tensor]:
-        """Gradient of a scalar root for every watched leaf, keyed by uid."""
-        leaves = list(self._watched.values())
-        grads = self.gradient(root, leaves)
-        return {t.uid: g for t, g in zip(leaves, grads)}
-
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -290,7 +281,7 @@ def _common_tape(tensors: Iterable[Tensor]) -> Tape | None:
 
 # ops that map finite inputs to finite outputs; a replay checks every other op
 _FINITE_BY_CONSTRUCTION = frozenset(
-    {"reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast", "sigmoid", "tanh", "sin", "cos"}
+    {"reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast", "sigmoid", "sin", "cos"}
 )
 
 
@@ -521,12 +512,6 @@ def silu(a) -> Tensor:
     return mul(a, sigmoid(a))
 
 
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    out = _op("tanh", (a,), np.tanh(a.data), (lambda g: mul(g, sub(1.0, mul(out, out))),))
-    return out
-
-
 def exp(a) -> Tensor:
     a = _coerce(a)
     with np.errstate(all="ignore"):
@@ -669,16 +654,14 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Widths of a dense network, e.g. (in, hidden, out), plus activation."""
+    """Widths of a dense network, e.g. (in, hidden, out), with SiLU between
+    layers."""
 
     widths: tuple[int, ...]
-    activation: str = "silu"
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ContractError("MlpSpec needs at least two positive widths")
-        if self.activation not in ("silu", "identity", "tanh"):
-            raise ContractError(f"unknown activation '{self.activation}'")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -697,13 +680,12 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, prefix: str = "mlp") -> di
 def mlp_apply(spec: MlpSpec, params: dict[str, Tensor], x: Tensor, prefix: str = "mlp") -> Tensor:
     if x.shape[-1] != spec.widths[0]:
         raise ShapeError(f"mlp input width {x.shape[-1]} != {spec.widths[0]}")
-    act = {"silu": silu, "tanh": tanh, "identity": lambda t: t}[spec.activation]
     h = x
     last = len(spec.widths) - 2
     for i in range(last + 1):
         h = add(matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
         if i < last:
-            h = act(h)
+            h = silu(h)
     return h
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .geometry import Conformation
 from .models.common import GraphBatch, build_batch, graph_stats
 from .tensor import Tensor
@@ -185,17 +185,24 @@ def adam_step(
     grads: dict[str, np.ndarray],
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One update; mutates `state`, returns fresh parameter arrays."""
+    """One update; mutates `state`, returns fresh parameter arrays.
+
+    A finite gradient above ~1e154 overflows the second moment, which would
+    silently zero that parameter's update; a non-finite moment or updated
+    parameter raises a NumericError naming the parameter instead."""
     state.step += 1
     t = state.step
     out = {}
-    for key, p in params.items():
-        g = grads[key]
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[key] / (1.0 - state.beta1**t)
-        v_hat = state.v[key] / (1.0 - state.beta2**t)
-        out[key] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, p in params.items():
+            g = grads[key]
+            state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
+            state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
+            m_hat = state.m[key] / (1.0 - state.beta1**t)
+            v_hat = state.v[key] / (1.0 - state.beta2**t)
+            out[key] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            if not all(np.isfinite(a).all() for a in (state.m[key], state.v[key], out[key])):
+                raise NumericError(f"non-finite Adam moment or update for parameter '{key}' at step {t}")
     return out
 
 

@@ -437,6 +437,22 @@ def test_check_equiv_nan_energy_exits_3(workspace, monkeypatch, capsys):
     assert "non-finite result in op 'log'" in capsys.readouterr().err
 
 
+def test_train_overflowing_adam_moment_exits_3(workspace, monkeypatch, capsys, tmp_path):
+    # finite gradients above ~1e154 overflow Adam's second moment
+    _, _, cfg_path = workspace
+    init = api.ModelHandle.init
+
+    def blown_up(self, seed):
+        params = init(self, seed)
+        params["layer0.filter.w1"] = params["layer0.filter.w1"] * 1e145
+        return params
+
+    monkeypatch.setattr(api.ModelHandle, "init", blown_up)
+    code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "non-finite Adam moment or update for parameter '" in capsys.readouterr().err
+
+
 def test_check_equiv_tolerance_flag(workspace):
     root, _, _ = workspace
     # an absurdly loose tolerance lets even the broken model through

@@ -363,27 +363,6 @@ class TestAngleIndex:
         assert np.allclose(straight, math.pi)
 
 
-class TestBackbone:
-    def test_alphabetical_type_codes(self):
-        conf, _ = G.backbone_graph("ACY", np.zeros((3, 3)) + np.arange(3)[:, None], 10.0)
-        assert conf.z.tolist() == [21, 22, 40]
-
-    def test_all_twenty_codes(self):
-        pos = np.arange(60, dtype=float).reshape(20, 3)
-        conf, _ = G.backbone_graph(G.AMINO_ACIDS, pos, 1.0)
-        assert conf.z.tolist() == list(range(21, 41))
-
-    def test_graph_uses_ca_coordinates(self):
-        pos = np.array([[0.0, 0, 0], [3.7, 0, 0], [7.4, 0, 0]])
-        _, edges = G.backbone_graph("AGK", pos, 4.0)
-        got = set(zip(edges.src.tolist(), edges.dst.tolist()))
-        assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
-
-    def test_unknown_residue_rejected(self):
-        with pytest.raises(ContractError):
-            G.backbone_graph("AXA", np.zeros((3, 3)), 5.0)
-
-
 class TestDatasetIO:
     def _sample_confs(self):
         rng = np.random.default_rng(8)

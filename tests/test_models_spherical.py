@@ -2,6 +2,7 @@
 equivariance, the scalar-only reduction to the single-hop stack, and
 attention properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,13 +33,12 @@ def hidden_layout():
     return IrrepsLayout(((5, 0), (3, 1), (2, 2)))
 
 
-def layer_spec(layout_in=None, layout_out=None, **kw):
+def layer_spec(layout_in=None, layout_out=None):
     return sph.TfnLayerSpec(
         layout_in=layout_in or hidden_layout(),
         layout_out=layout_out or hidden_layout(),
         radial=inv.RadialBasisSpec(count=6, cutoff=5.0),
         radial_hidden=8,
-        **kw,
     )
 
 
@@ -62,11 +62,13 @@ def random_feature(layout, n, seed):
 
 
 def conv(spec, params, feat, edges):
-    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, Tensor(edges.rel_vec))
+    geometry = sph.edge_geometry(spec, Tensor(edges.rel_vec))
+    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, geometry)
 
 
 def attend(spec, params, feat, edges):
-    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, Tensor(edges.rel_vec))
+    geometry = sph.edge_geometry(spec, Tensor(edges.rel_vec))
+    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, geometry)
 
 
 def steerable_energy(spec, params, batch, pos):
@@ -80,8 +82,6 @@ def steerable_energy(spec, params, batch, pos):
 def test_spec_rejects_repeated_degree():
     with pytest.raises(ContractError):
         layer_spec(layout_in=IrrepsLayout(((2, 0), (3, 0))))
-    with pytest.raises(ContractError):
-        layer_spec(filter_degrees=(0, 1, 1))
 
 
 def test_spec_rejects_high_degree():
@@ -91,13 +91,22 @@ def test_spec_rejects_high_degree():
         layer_spec(layout_in=IrrepsLayout(((2, 0), (1, 3))))
 
 
-def test_spec_rejects_unreachable_output():
-    with pytest.raises(ContractError):
-        layer_spec(
-            layout_in=IrrepsLayout(((4, 0),)),
-            layout_out=IrrepsLayout(((4, 0), (2, 1))),
-            filter_degrees=(0,),
-        )
+DEGREE_SETS = [
+    degrees for size in (1, 2, 3) for degrees in itertools.combinations(range(sph._DEGREE_CAP + 1), size)
+]
+
+
+@pytest.mark.parametrize("out_degrees", DEGREE_SETS, ids=lambda d: "out" + "".join(map(str, d)))
+@pytest.mark.parametrize("in_degrees", DEGREE_SETS, ids=lambda d: "in" + "".join(map(str, d)))
+def test_paths_read_every_input_and_reach_every_output(in_degrees, out_degrees):
+    # every filter degree is in play, so no layout can leave a block idle
+    spec = layer_spec(
+        layout_in=IrrepsLayout(tuple((3, l) for l in in_degrees)),
+        layout_out=IrrepsLayout(tuple((2, l) for l in out_degrees)),
+    )
+    paths = spec.paths()
+    assert {b_in for b_in, _, _ in paths} == set(range(len(in_degrees)))
+    assert {b_out for _, _, b_out in paths} == set(range(len(out_degrees)))
 
 
 def test_paths_satisfy_triangle_inequality():
@@ -128,7 +137,7 @@ def test_conv_rejects_zero_length_edge():
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(2), "conv"))
     feat = random_feature(spec.layout_in, 2, 5)
     with pytest.raises(ContractError):
-        sph.tfn_conv(spec, params, feat, np.array([0]), np.array([1]), Tensor(np.zeros((1, 3))))
+        sph.edge_geometry(spec, Tensor(np.zeros((1, 3))))
 
 
 def test_conv_layout_mismatch_rejected():
@@ -178,7 +187,6 @@ def test_scalar_only_conv_matches_single_hop_layer():
     t_spec = sph.TfnLayerSpec(
         layout_in=IrrepsLayout(((d, 0),)),
         layout_out=IrrepsLayout(((d, 0),)),
-        filter_degrees=(0,),
         radial=rbf_spec,
         radial_hidden=d,
     )
@@ -215,39 +223,35 @@ def attention_setup(seed=0):
         radial=inv.RadialBasisSpec(count=6, cutoff=5.0),
         radial_hidden=8,
     )
-    spec = model.attention_spec(1)
-    assert spec == sph.AttentionSpec(key=layer_spec(), value=layer_spec())
+    spec = model.layer_spec(1)
+    assert spec == layer_spec()
     params = sph.init_steerable(model, seed)
     return spec, {k[len("layer1.") :]: v for k, v in params.items() if k.startswith("layer1.")}
 
 
 def test_attention_spec_validation():
-    base = layer_spec()
-    other = layer_spec(layout_in=IrrepsLayout(((4, 0),)), layout_out=hidden_layout())
-    with pytest.raises(ContractError):
-        sph.AttentionSpec(key=base, value=other)
+    # the residual needs the output layout to equal the input
+    _, params = attention_setup()
+    edges = radius_graph(cloud(0), 5.0)
     shrunk = layer_spec(layout_out=IrrepsLayout(((5, 0), (3, 1))))
-    with pytest.raises(ContractError):
-        sph.AttentionSpec(key=base, value=shrunk)
-    scalar_in = layer_spec(layout_in=IrrepsLayout(((4, 0),)), layout_out=hidden_layout())
-    with pytest.raises(ContractError):
-        sph.AttentionSpec(key=scalar_in, value=scalar_in)
-    other_basis = sph.TfnLayerSpec(hidden_layout(), hidden_layout(), radial=inv.RadialBasisSpec(count=4))
-    with pytest.raises(ContractError):
-        sph.AttentionSpec(key=other_basis, value=base)
+    widened = layer_spec(layout_in=IrrepsLayout(((5, 0),)))
+    for spec in (shrunk, widened):
+        feat = random_feature(spec.layout_in, 4, 9)
+        with pytest.raises(ContractError):
+            attend(spec, as_tensors(params), feat, edges)
 
 
 def test_attention_single_neighbor_reduces_to_conv():
     spec, params = attention_setup(1)
     pos = np.array([[0.0, 0, 0], [1.4, 0.3, -0.2]])
     edges = radius_graph(pos, 5.0)
-    feat = random_feature(spec.key.layout_in, 2, 9)
+    feat = random_feature(spec.layout_in, 2, 9)
     out, alpha = attend(spec, as_tensors(params), feat, edges)
     np.testing.assert_array_equal(alpha.data, np.ones(2))
     conv_params = {
         "conv." + k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("value.")
     }
-    ref = conv(spec.value, as_tensors(conv_params), feat, edges)
+    ref = conv(spec, as_tensors(conv_params), feat, edges)
     np.testing.assert_allclose(out.data.data, ref.data.data, atol=1e-12, rtol=0)
 
 
@@ -258,7 +262,7 @@ def test_attention_equal_keys_uniform_weights():
             params[k] = np.zeros_like(params[k])
     pos = cloud(4, n=5)
     edges = radius_graph(pos, 5.0)
-    feat = random_feature(spec.key.layout_in, 5, 10)
+    feat = random_feature(spec.layout_in, 5, 10)
     _, alpha = attend(spec, as_tensors(params), feat, edges)
     incoming = np.bincount(edges.src, minlength=5)
     np.testing.assert_allclose(alpha.data, 1.0 / incoming[edges.src], atol=1e-15)
@@ -268,7 +272,7 @@ def test_attention_weights_rotation_invariant():
     spec, params = attention_setup(3)
     pt = as_tensors(params)
     pos = cloud(5, n=4)
-    feat = random_feature(spec.key.layout_in, 4, 11)
+    feat = random_feature(spec.layout_in, 4, 11)
     _, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
     for seed in range(4):
         rot = random_rotation(200 + seed)
@@ -282,7 +286,7 @@ def test_attention_equivariance():
     spec, params = attention_setup(4)
     pt = as_tensors(params)
     pos = cloud(6, n=4)
-    feat = random_feature(spec.key.layout_in, 4, 12)
+    feat = random_feature(spec.layout_in, 4, 12)
     out, _ = attend(spec, pt, feat, radius_graph(pos, 5.0))
     for seed in range(4):
         rot = random_rotation(300 + seed)
@@ -299,7 +303,7 @@ def test_attention_isolated_node_keeps_its_row():
     spec, params = attention_setup(5)
     pt = as_tensors(params)
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [90.0, 0, 0]])
-    feat = random_feature(spec.key.layout_in, 3, 13)
+    feat = random_feature(spec.layout_in, 3, 13)
     out, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
     np.testing.assert_array_equal(out.data.data[2], feat.data.data[2])
     connected = SteerableFeature(feat.layout, Tensor(feat.data.data[:2]))
@@ -365,15 +369,15 @@ def reference_attention(spec, params, feat, src, dst, rel):
         ]
         return from_blocks(layer.layout_out, mixed)
 
-    lookup = {l: i for i, (_, l) in enumerate(spec.key.layout_in.blocks)}
+    lookup = {l: i for i, (_, l) in enumerate(spec.layout_in.blocks)}
     queries = [
         T.transpose2(T.matmul(T.transpose2(feat.block(lookup[l])), params[f"query{b}.mix"]))
-        for b, (_, l) in enumerate(spec.key.layout_out.blocks)
+        for b, (_, l) in enumerate(spec.layout_out.blocks)
     ]
-    q_rows = from_blocks(spec.key.layout_out, queries)
-    score = T.sum_(T.gather(q_rows.data, src) * rows(spec.key, "key").data, axis=1)
+    q_rows = from_blocks(spec.layout_out, queries)
+    score = T.sum_(T.gather(q_rows.data, src) * rows(spec, "key").data, axis=1)
     alpha = T.segment_softmax(score, src, n)
-    weighted = rows(spec.value, "value").data * T.reshape(alpha, (-1, 1))
+    weighted = rows(spec, "value").data * T.reshape(alpha, (-1, 1))
     return SteerableFeature(feat.layout, feat.data + T.scatter_sum(weighted, src, n)), alpha
 
 
@@ -382,29 +386,18 @@ def fused_and_reference(layer, graph):
     rng = np.random.default_rng(8)
     if layer == "attention":
         spec, params = attention_setup(7)
-    elif layer == "scalar-keys":
-        # keys narrower than the values: the shared couplings carry columns the keys do not use
-        spec = sph.AttentionSpec(key=layer_spec(layout_out=IrrepsLayout(((5, 0),))), value=layer_spec())
-        params = sph.init_tfn_layer(spec.key, rng, "key") | sph.init_tfn_layer(spec.value, rng, "value")
-        params["query0.mix"] = T.glorot_uniform(rng, 5, 5)
-    else:
-        layout_in, kw = {
-            "hidden": (hidden_layout(), {}),
-            "scalar": (IrrepsLayout(((4, 0),)), {}),
-            # no path reads the degree-1 input block
-            "unread-block": (
-                IrrepsLayout(((4, 0), (2, 1))),
-                {"layout_out": IrrepsLayout(((4, 0),)), "filter_degrees": (0,)},
-            ),
-        }[layer]
-        spec = layer_spec(layout_in=layout_in, **kw)
-        params = sph.init_tfn_layer(spec, rng, "conv")
-    if isinstance(spec, sph.AttentionSpec):
-        fused, ref, layout_in = sph.se3_attention, reference_attention, spec.key.layout_in
-    else:
 
-        def fused(*args):
-            return sph.tfn_conv(*args), None
+        def fused(spec, params, feat, src, dst, rel):
+            return sph.se3_attention(spec, params, feat, src, dst, sph.edge_geometry(spec, rel))
+
+        ref = reference_attention
+    else:
+        layout_in = {"hidden": hidden_layout(), "scalar": IrrepsLayout(((4, 0),))}[layer]
+        spec = layer_spec(layout_in=layout_in)
+        params = sph.init_tfn_layer(spec, rng, "conv")
+
+        def fused(spec, params, feat, src, dst, rel):
+            return sph.tfn_conv(spec, params, feat, src, dst, sph.edge_geometry(spec, rel)), None
 
         def ref(*args):
             return reference_conv(*args), None
@@ -413,7 +406,7 @@ def fused_and_reference(layer, graph):
         pos = np.concatenate([cloud(9, n=5), [[90.0, 0.0, 0.0]]])
     else:
         pos = np.array([[0.0, 0, 0], [40.0, 0, 0], [80.0, 0, 0]])
-    return fused, ref, spec, params, random_feature(layout_in, pos.shape[0], 10), pos
+    return fused, ref, spec, params, random_feature(spec.layout_in, pos.shape[0], 10), pos
 
 
 def assert_within(got, want):
@@ -423,7 +416,7 @@ def assert_within(got, want):
 
 
 @pytest.mark.parametrize("graph", ["isolated", "edgeless"])
-@pytest.mark.parametrize("layer", ["hidden", "scalar", "unread-block", "attention", "scalar-keys"])
+@pytest.mark.parametrize("layer", ["hidden", "scalar", "attention"])
 def test_fused_messages_match_per_path_reference(layer, graph):
     fused, ref, spec, params, feat, pos0 = fused_and_reference(layer, graph)
     edges = radius_graph(pos0, 5.0)

@@ -65,7 +65,6 @@ rng = np.random.default_rng(7)
 
 ELEMENTWISE = [
     ("silu", T.silu, rng.normal(size=(3, 4))),
-    ("tanh", T.tanh, rng.normal(size=(5,))),
     ("exp", T.exp, rng.normal(size=(4,))),
     ("log", T.log, rng.uniform(0.5, 3.0, size=(4,))),
     ("sin", T.sin, rng.normal(size=(4,))),
@@ -134,23 +133,23 @@ class TestTape:
         tape = T.Tape()
         x = tape.tensor([1.0, 2.0])
         with pytest.raises(ContractError):
-            tape.backward(x)
+            tape.gradient(x, [x])
 
     def test_non_participating_leaf_gets_zeros(self):
         tape = T.Tape()
         x = tape.tensor([1.0, 2.0])
         y = tape.tensor([5.0])
         loss = T.sum_(x * x)
-        grads = tape.backward(loss)
-        assert np.allclose(grads[x.uid].data, [2.0, 4.0])
-        assert np.allclose(grads[y.uid].data, [0.0])
+        gx, gy = tape.gradient(loss, [x, y])
+        assert np.allclose(gx.data, [2.0, 4.0])
+        assert np.allclose(gy.data, [0.0])
 
     def test_repeated_backward_bit_identical(self):
         tape = T.Tape()
         x = tape.tensor(np.linspace(-1, 1, 6).reshape(2, 3))
         loss = T.sum_(T.silu(x @ T.Tensor(np.full((3, 2), 0.37))))
-        g1 = tape.backward(loss)[x.uid].data.copy()
-        g2 = tape.backward(loss)[x.uid].data.copy()
+        g1 = tape.gradient(loss, [x])[0].data.copy()
+        g2 = tape.gradient(loss, [x])[0].data.copy()
         assert np.array_equal(g1, g2)
 
     def test_mixing_tapes_rejected(self):

@@ -258,6 +258,33 @@ def test_adam_matches_reference_implementation():
         assert np.abs(params["w"] - ref).max() < 1e-14
 
 
+ADAM_OVERFLOW = r"^non-finite Adam moment or update for parameter {} at step 1$"
+
+
+def test_adam_overflowing_second_moment_names_the_parameter():
+    # g * g overflows for a finite g above ~1e154; the update must not
+    # silently become zero
+    params = {"a": np.zeros(2), "b": np.zeros(3)}
+    state = tr.OptimizerState.create(params)
+    grads = {"a": np.array([0.5, -1.0]), "b": np.array([1.0, 1e160, -2.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=ADAM_OVERFLOW.format("'b'")):
+            tr.adam_step(state, params, grads, lr=1e-3)
+
+
+def test_training_step_with_overflowing_moment_raises():
+    # a finite loss (~1.5e288) and finite gradients, but the second moments
+    # overflow; the parameters used to come back unchanged without an error
+    confs = tr.synthetic_conformations(4, seed=0)
+    model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 2, "cutoff": 5.0})
+    params = model.init(0)
+    params["layer1.filter.w1"] = params["layer1.filter.w1"] * 1e145
+    with pytest.raises(NumericError, match=ADAM_OVERFLOW.format("'[^']+'")) as err:
+        tr.train_energy_force(model, confs, tr.ScheduleSpec(1e-3, 1e-5, 3), params=params, steps=1)
+    assert err.value.args[0].split("'")[1] in params
+
+
 def test_adam_minimizes_quadratic():
     target = np.array([2.0, -3.0, 0.5])
     params = {"w": np.zeros(3)}
