@@ -64,6 +64,10 @@ class RunConfig:
             raise ContractError(f"split fractions sum to {sum(self.split)}, not 1")
         if self.loss not in ("mse", "mae"):
             raise ContractError(f"unknown loss '{self.loss}'")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise ContractError(f"config 'seed' must be non-negative, got {self.seed}")
+        if self.sigma < 0:
+            raise ContractError(f"config 'sigma' must be non-negative, got {self.sigma}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -107,14 +111,16 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _env_seed(default: int) -> int:
-    """The GEOM_SEED environment variable as an integer, else `default`."""
+    """The GEOM_SEED environment variable as an integer, else `default`;
+    either must be non-negative, as numpy's generators need."""
     raw = os.environ.get("GEOM_SEED")
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        seed = default if raw is None else int(raw)
     except ValueError as exc:
         raise ContractError(f"GEOM_SEED must be an integer, got '{raw}'") from exc
+    if seed < 0:
+        raise ContractError(f"{'seed' if raw is None else 'GEOM_SEED'} must be non-negative, got {seed}")
+    return seed
 
 
 def apply_seed_override(cfg: RunConfig) -> RunConfig:
@@ -150,6 +156,19 @@ def _progress(steps: int):
     return emit
 
 
+def _write_run(out: str, cfg: RunConfig, params: dict, history: dict, started: float, extra: dict) -> int:
+    """metrics.json (the history, the config hash and `extra`) and
+    checkpoint.json under `out`; prints the metrics path."""
+    os.makedirs(out, exist_ok=True)
+    metrics = {"version": ARTIFACT_VERSION, "config_hash": config_hash(cfg)}
+    metrics.update({key: history[key] for key in ("step", "train_loss", "lr", "grad_norm", "graph")})
+    metrics.update(extra, wall_seconds=time.perf_counter() - started)
+    _write_json(os.path.join(out, "metrics.json"), metrics)
+    T.save_checkpoint(os.path.join(out, "checkpoint.json"), params)
+    print(os.path.join(out, "metrics.json"))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # train / eval / pretrain
 
@@ -182,23 +201,8 @@ def cmd_train(args) -> int:
     )
     held_out = val if val else train
     scores = tr.evaluate_energy_force(model, params, held_out, stats)
-    os.makedirs(args.out, exist_ok=True)
-    metrics = {
-        "version": ARTIFACT_VERSION,
-        "config_hash": config_hash(cfg),
-        "step": history["step"],
-        "train_loss": history["train_loss"],
-        "lr": history["lr"],
-        "grad_norm": history["grad_norm"],
-        "graph": history["graph"],
-        "val_mae_energy": scores["mae_energy"],
-        "val_mae_force": scores["mae_force"],
-        "wall_seconds": time.perf_counter() - started,
-    }
-    _write_json(os.path.join(args.out, "metrics.json"), metrics)
-    T.save_checkpoint(os.path.join(args.out, "checkpoint.json"), params)
-    print(os.path.join(args.out, "metrics.json"))
-    return 0
+    extra = {"val_mae_energy": scores["mae_energy"], "val_mae_force": scores["mae_force"]}
+    return _write_run(args.out, cfg, params, history, started, extra)
 
 
 def cmd_eval(args) -> int:
@@ -261,22 +265,7 @@ def cmd_pretrain(args) -> int:
         temperature=cfg.temperature,
         progress=_progress(cfg.steps),
     )
-    os.makedirs(args.out, exist_ok=True)
-    metrics = {
-        "version": ARTIFACT_VERSION,
-        "config_hash": config_hash(cfg),
-        "step": history["step"],
-        "train_loss": history["train_loss"],
-        "lr": history["lr"],
-        "grad_norm": history["grad_norm"],
-        "graph": history["graph"],
-        "final_loss": history["train_loss"][-1],
-        "wall_seconds": time.perf_counter() - started,
-    }
-    _write_json(os.path.join(args.out, "metrics.json"), metrics)
-    T.save_checkpoint(os.path.join(args.out, "checkpoint.json"), params)
-    print(os.path.join(args.out, "metrics.json"))
-    return 0
+    return _write_run(args.out, cfg, params, history, started, {"final_loss": history["train_loss"][-1]})
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +292,7 @@ def _energy_and_vectors(model, params, z, pos):
     def run(_tape):  # evaluated without a tape; checked for finite values
         params_t = T.lift(params)
         pos_t = T.Tensor(batch.pos)
-        energy = model.energy(params_t, batch, pos_t)
-        vectors = model.node_vectors(params_t, batch, pos_t) if model.has_vector_output else None
-        return energy, vectors
+        return model.energy_and_vectors(params_t, batch, pos_t)
 
     _, (energy, vectors) = T.checked(run)
     return float(energy.data.sum()), None if vectors is None else vectors.data

@@ -2,8 +2,10 @@
 init, and the energy / per-node scalar / per-node vector entry points that
 training, pretraining, and the CLI share.
 
-Every family is one row of `FAMILY_TABLE`; the energy is the same for all
-of them, a bias-free linear head over sum-pooled node scalars.
+Every family is one row of `FAMILY_TABLE`, whose forward maps a geometry to
+invariant node scalars and, where the family can, equivariant node vectors.
+The energy is the same for all of them, a bias-free linear head over
+sum-pooled node scalars.
 
 The `leaky` family is a deliberately broken negative control: it adds raw
 coordinates into the scalar head, so every symmetry check must flag it.
@@ -33,47 +35,58 @@ def _init_leaky(spec: invariant.SchNetSpec, seed: int) -> dict[str, np.ndarray]:
 
 def _leaky_scalars(spec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
     h = invariant.schnet_node_features(spec, params, batch, pos)
-    return h + T.matmul(pos, params["leak.w"])
+    with T.scope("leak"):
+        return h + T.matmul(pos, params["leak.w"])
+
+
+def _scalars_only(node_features: Callable) -> Callable:
+    """The forward of a family whose node features are all it returns."""
+
+    def forward(spec, params: dict, batch: GraphBatch, pos: Tensor) -> tuple[Tensor, None]:
+        return node_features(spec, params, batch, pos), None
+
+    return forward
 
 
 @dataclass(frozen=True)
 class Family:
-    """What a family supplies: `(spec, seed) -> params`, `(spec, params,
-    batch, pos) -> (N, width)` node scalars, optionally `-> (N, 3)` node
-    vectors, whether its batches need angle triplets, and its scalar width."""
+    """What a family supplies: `(spec, seed) -> params`, one forward
+    `(spec, params, batch, pos) -> (node scalars (N, width), node vectors
+    (N, 3) or None)`, whether that forward returns vectors, whether its
+    batches need angle triplets, and its scalar width."""
 
     init: Callable
-    node_scalars: Callable
-    node_vectors: Callable | None
+    forward: Callable
+    has_vectors: bool
     needs_angles: bool
     width: Callable[[Any], int]
 
 
 _HIDDEN = attrgetter("hidden")
 _STEERABLE = Family(
-    spherical.init_steerable,
-    spherical.steerable_node_scalars,
-    spherical.steerable_node_vectors,
-    False,
-    attrgetter("scalar_channels"),
+    spherical.init_steerable, spherical.steerable_forward, True, False, attrgetter("scalar_channels")
 )
+_SCHNET = _scalars_only(invariant.schnet_node_features)
+_DIMENET = _scalars_only(invariant.dimenet_node_features)
 FAMILY_TABLE = {
-    "schnet": Family(invariant.init_schnet, invariant.schnet_node_features, None, False, _HIDDEN),
-    "dimenet": Family(invariant.init_dimenet, invariant.dimenet_node_features, None, True, _HIDDEN),
+    "schnet": Family(invariant.init_schnet, _SCHNET, False, False, _HIDDEN),
+    "dimenet": Family(invariant.init_dimenet, _DIMENET, False, True, _HIDDEN),
     "tfn": _STEERABLE,
     "se3attn": _STEERABLE,
-    "egnn": Family(vector.init_egnn, vector.egnn_node_features, vector.egnn_node_vectors, False, _HIDDEN),
-    "painn": Family(
-        vector.init_painn, vector.painn_node_features, vector.painn_node_vectors, False, attrgetter("channels")
-    ),
-    "leaky": Family(_init_leaky, _leaky_scalars, None, False, _HIDDEN),
+    "egnn": Family(vector.init_egnn, vector.egnn_forward, True, False, _HIDDEN),
+    "painn": Family(vector.init_painn, vector.painn_forward, True, False, attrgetter("channels")),
+    "leaky": Family(_init_leaky, _scalars_only(_leaky_scalars), False, False, _HIDDEN),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """Family tag, its spec, and the cutoff its graphs are built with."""
+    """Family tag, its spec, and the cutoff its graphs are built with.
+
+    Every entry point reads one run of the family's forward; `energy`,
+    `node_scalars` and `node_vectors` stay separate names so that a caller
+    (or a tracer) can tell the uses apart."""
 
     family: str
     spec: Any
@@ -93,22 +106,30 @@ class ModelHandle:
 
     @property
     def has_vector_output(self) -> bool:
-        return self._row.node_vectors is not None
+        return self._row.has_vectors
 
     def init(self, seed: int) -> dict[str, np.ndarray]:
         return self._row.init(self.spec, seed)
 
-    def node_scalars(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        return self._row.node_scalars(self.spec, params, batch, pos)
+    def energy_and_vectors(
+        self, params: dict, batch: GraphBatch, pos: Tensor
+    ) -> tuple[Tensor, Tensor | None]:
+        """Graph energies (G,) and node vectors (N, 3), None for a family
+        without vector output, from one forward."""
+        h, vectors = self._row.forward(self.spec, params, batch, pos)
+        with T.scope("readout"):
+            return readout(params["head.w"], h, batch.node_graph, batch.n_graphs), vectors
 
     def energy(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        h = self._row.node_scalars(self.spec, params, batch, pos)
-        return readout(params["head.w"], h, batch.node_graph, batch.n_graphs)
+        return self.energy_and_vectors(params, batch, pos)[0]
+
+    def node_scalars(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
+        return self._row.forward(self.spec, params, batch, pos)[0]
 
     def node_vectors(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        if self._row.node_vectors is None:
+        if not self.has_vector_output:
             raise ContractError(f"family '{self.family}' has no equivariant vector output")
-        return self._row.node_vectors(self.spec, params, batch, pos)
+        return self._row.forward(self.spec, params, batch, pos)[1]
 
 
 def check_json_type(value, kind: type, what: str):

@@ -300,10 +300,12 @@ def schnet_layer(
 def schnet_node_features(
     spec: SchNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> Tensor:
-    _, dist = edge_vectors(pos, batch)
-    rbf = radial_basis(spec.basis, dist)
-    env = cosine_envelope(dist, spec.basis.cutoff)
-    h = embed_nodes(params["embed"], batch.z)
+    with T.scope("edges"):
+        _, dist = edge_vectors(pos, batch)
+        rbf = radial_basis(spec.basis, dist)
+        env = cosine_envelope(dist, spec.basis.cutoff)
+    with T.scope("embed"):
+        h = embed_nodes(params["embed"], batch.z)
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, rbf, env)
@@ -400,21 +402,24 @@ def dimenet_messages(
 ) -> tuple[Tensor, Tensor]:
     if batch.angles is None:
         raise ContractError("batch was built without angle triplets")
-    rel, dist = edge_vectors(pos, batch)
-    rbf = radial_basis(spec.basis, dist)
-    h = embed_nodes(params["embed"], batch.z)
-    m = mlp_apply(
-        spec.embed_mlp(),
-        params,
-        T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
-        "m0",
-    )
-    if batch.angles.n_triplets:
-        d_in, cos_angle = _triplet_geometry(rel, dist, batch.angles)
-        sbf_rows = spherical_basis_rows(
-            spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, d_in, cos_angle
+    with T.scope("edges"):
+        rel, dist = edge_vectors(pos, batch)
+        rbf = radial_basis(spec.basis, dist)
+    with T.scope("embed"):
+        h = embed_nodes(params["embed"], batch.z)
+        m = mlp_apply(
+            spec.embed_mlp(),
+            params,
+            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
+            "m0",
         )
-        env_in = cosine_envelope(d_in, spec.basis.cutoff)
+    if batch.angles.n_triplets:
+        with T.scope("triplets"):
+            d_in, cos_angle = _triplet_geometry(rel, dist, batch.angles)
+            sbf_rows = spherical_basis_rows(
+                spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, d_in, cos_angle
+            )
+            env_in = cosine_envelope(d_in, spec.basis.cutoff)
     else:
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
         env_in = Tensor(np.zeros(0))
@@ -430,7 +435,8 @@ def dimenet_node_features(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> Tensor:
     m, dist = dimenet_messages(spec, params, batch, pos)
-    env = T.reshape(cosine_envelope(dist, spec.basis.cutoff), (-1, 1))
-    per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
-    return T.scatter_sum(per_edge, batch.src, batch.n_nodes)
+    with T.scope("readout"):
+        env = T.reshape(cosine_envelope(dist, spec.basis.cutoff), (-1, 1))
+        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
+        return T.scatter_sum(per_edge, batch.src, batch.n_nodes)
 

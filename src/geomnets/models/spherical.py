@@ -411,13 +411,22 @@ def _scoped(params: dict, scope: str) -> dict:
     return {k[offset:]: v for k, v in params.items() if k.startswith(scope + ".")}
 
 
-def steerable_features(
+# degree-1 components are ordered (y, z, x); this permutation reads them
+# back out as Cartesian (x, y, z)
+_M_TO_CART = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+def steerable_forward(
     spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> SteerableFeature:
-    rel, _ = edge_vectors(pos, batch)
-    # every layer has the same radial basis, so one geometry serves them all
-    geometry = edge_geometry(spec.layer_spec(0), rel)
-    feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
+) -> tuple[Tensor, Tensor]:
+    """Node scalars from the degree-0 block and per-node Cartesian 3-vectors
+    from the degree-1 block, its channels mixed by `vec_head.mix`."""
+    with T.scope("edges"):
+        rel, _ = edge_vectors(pos, batch)
+        # every layer has the same radial basis, so one geometry serves them all
+        geometry = edge_geometry(spec.layer_spec(0), rel)
+    with T.scope("embed"):
+        feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
         layer = spec.layer_spec(i)
@@ -426,27 +435,8 @@ def steerable_features(
                 feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, geometry)
             else:
                 feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, geometry)
-    return feat
-
-
-def steerable_node_scalars(
-    spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> Tensor:
-    feat = steerable_features(spec, params, batch, pos)
-    return T.reshape(feat.block(0), (batch.n_nodes, spec.scalar_channels))
-
-
-# degree-1 components are ordered (y, z, x); this permutation reads them
-# back out as Cartesian (x, y, z)
-_M_TO_CART = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
-
-
-def steerable_node_vectors(
-    spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> Tensor:
-    """Per-node Cartesian 3-vectors from the degree-1 block."""
-    feat = steerable_features(spec, params, batch, pos)
-    vec = feat.block(1)
-    mixed = T.matmul(T.transpose2(vec), params["vec_head.mix"])
-    rows = T.reshape(T.transpose2(mixed), (batch.n_nodes, 3))
-    return T.matmul(rows, Tensor(_M_TO_CART))
+    with T.scope("readout"):
+        scalars = T.reshape(feat.block(0), (batch.n_nodes, spec.scalar_channels))
+        mixed = T.matmul(T.transpose2(feat.block(1)), params["vec_head.mix"])
+        rows = T.reshape(T.transpose2(mixed), (batch.n_nodes, 3))
+        return scalars, T.matmul(rows, Tensor(_M_TO_CART))

@@ -92,23 +92,16 @@ def egnn_layer(
 def egnn_forward(
     spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
-    h = embed_nodes(params["embed"], batch.z)
+    """Node scalars and the coordinate displacement accumulated over the
+    stack (equivariant)."""
+    with T.scope("embed"):
+        h = embed_nodes(params["embed"], batch.z)
     x = pos
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset)
-    return h, x
-
-
-def egnn_node_features(spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    h, _ = egnn_forward(spec, params, batch, pos)
-    return h
-
-
-def egnn_node_vectors(spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    """Coordinate displacement accumulated over the stack (equivariant)."""
-    _, x = egnn_forward(spec, params, batch, pos)
-    return x - pos
+    with T.scope("readout"):
+        return h, x - pos
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +197,15 @@ def painn_layer(
 def painn_forward(
     spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
-    rel, dist = edge_vectors(pos, batch)
-    s = embed_nodes(params["embed"], batch.z)
+    """Node scalars and one 3-vector per node, the vector channels mixed by
+    `vec_head.mix`."""
+    with T.scope("edges"):
+        rel, dist = edge_vectors(pos, batch)
+    with T.scope("embed"):
+        s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
-    return s, v
-
-
-def painn_node_features(spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    s, _ = painn_forward(spec, params, batch, pos)
-    return s
-
-
-def painn_node_vectors(spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    _, v = painn_forward(spec, params, batch, pos)
-    return T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))
-
+    with T.scope("readout"):
+        return s, T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))

@@ -12,7 +12,10 @@ construction (reshapes, slices, gathers, concat, broadcast, sigmoid, sin,
 cos) are not checked even then.
 
 `scope(name)` labels the records made inside it; the models open one per
-layer or block, named like its parameters (`layer1`, `block0`). A backward
+layer or block, named like its parameters (`layer1`, `block0`), and one
+each around their edge geometry (`edges`), type embedding (`embed`),
+dimenet's triplet geometry (`triplets`) and the readout (`readout`); a
+training step runs its loss in `loss`, which those inner scopes override. A backward
 runs each record's vector-Jacobian rules in that record's scope, so a
 replayed failure reads "non-finite result in op 'mul' in scope 'layer1'",
 or "... in backward of 'layer1'" when the backward produced it.

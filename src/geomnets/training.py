@@ -306,7 +306,8 @@ def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, p
 
         def run(tape):
             params_t = T.lift(params, tape)
-            loss = loss_fn(tape, params_t, step)
+            with T.scope("loss"):  # the model's own scopes win inside
+                loss = loss_fn(tape, params_t, step)
             return loss, tape.gradient(loss, [params_t[k] for k in keys], record=False)
 
         tape, (loss, grads) = T.checked(run)
@@ -489,10 +490,8 @@ def denoise_pretrain_loss(
     `batch`, whose positions already carry it.
 
     Only families with an equivariant vector output can express the target;
-    scalar-only families raise.
+    `node_vectors` raises a ContractError for scalar-only families.
     """
-    if not getattr(model, "has_vector_output", False):
-        raise ContractError(f"family '{model.family}' has no vector output for denoising")
     pred = model.node_vectors(params_t, batch, pos)
     diff = pred - Tensor(noise)
     return T.mean(diff * diff)

@@ -63,11 +63,8 @@ def model_energy_vectors(model, params, z, pos):
     tape = T.Tape()
     params_t = T.lift(params, tape)
     pos_t = tape.tensor(batch.pos)
-    energy = float(model.energy(params_t, batch, pos_t).data.sum())
-    vectors = None
-    if model.has_vector_output:
-        vectors = model.node_vectors(params_t, batch, pos_t).data
-    return energy, vectors
+    energy, vectors = model.energy_and_vectors(params_t, batch, pos_t)
+    return float(energy.data.sum()), None if vectors is None else vectors.data
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -187,13 +188,16 @@ def test_geom_seed_env_overrides_config(workspace):
     assert metrics["train_loss"] != base["train_loss"]
     expected = cli.config_hash(cli.RunConfig.from_dict(cfg).with_seed(7))
     assert metrics["config_hash"] == expected
-    bad = run_cli(
-        "train", "--config", str(cfg_path), "--out", str(out), env_extra={"GEOM_SEED": "x"}
-    )
-    assert bad.returncode == 2
-    bad = run_cli("check-equiv", "--config", str(cfg_path), "--trials", "1", env_extra={"GEOM_SEED": "x"})
-    assert bad.returncode == 2
-    assert "GEOM_SEED" in bad.stderr and "Traceback" not in bad.stderr
+    for raw in ("x", "-1"):
+        bad = run_cli(
+            "train", "--config", str(cfg_path), "--out", str(out), env_extra={"GEOM_SEED": raw}
+        )
+        assert_config_error(bad)
+        bad = run_cli("check-equiv", "--config", str(cfg_path), "--trials", "1", env_extra={"GEOM_SEED": raw})
+        assert_config_error(bad)
+        assert "GEOM_SEED" in bad.stderr
+    # a negative seed reached numpy's generators and ended in a traceback
+    assert_config_error(run_cli("check-equiv", "--config", str(cfg_path), "--trials", "1", "--seed", "-3"))
 
 
 def test_missing_files_exit_2_with_path(workspace):
@@ -246,8 +250,18 @@ def assert_config_error(result):
         {"split": [0.5, "x", 0.5]},
         {"lr_max": float("nan")},
         {"energy_weight": float("inf")},
+        {"seed": -1},
+        {"sigma": -1.0},
     ],
-    ids=["hidden-string", "steps-string", "split-entry-string", "lr-max-nan", "energy-weight-inf"],
+    ids=[
+        "hidden-string",
+        "steps-string",
+        "split-entry-string",
+        "lr-max-nan",
+        "energy-weight-inf",
+        "seed-negative",
+        "sigma-negative",
+    ],
 )
 def test_train_bad_config_value_exits_2(workspace, change, tmp_path):
     _, cfg, _ = workspace
@@ -427,11 +441,49 @@ def test_check_equiv_needs_a_trial(workspace, trials):
     assert "--trials" in result.stderr and result.stdout == ""
 
 
+def _count_forwards(monkeypatch) -> list[str]:
+    """Swap every family's forward for one that logs its family's calls."""
+    calls = []
+    for family, row in api.FAMILY_TABLE.items():
+
+        def counting(*args, _forward=row.forward, _family=family):
+            calls.append(_family)
+            return _forward(*args)
+
+        monkeypatch.setitem(api.FAMILY_TABLE, family, dataclasses.replace(row, forward=counting))
+    return calls
+
+
+@pytest.mark.parametrize("family", api.FAMILIES)
+def test_energy_and_vectors_runs_one_forward(family, monkeypatch):
+    calls = _count_forwards(monkeypatch)
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    pos = cli._dyadic_cluster(np.random.default_rng(0), model.cutoff)
+    z = np.full(pos.shape[0], 6)
+    energy, vectors = cli._energy_and_vectors(model, model.init(0), z, pos)
+    assert calls == [family]
+    assert math.isfinite(energy) and (vectors is None) == (not model.has_vector_output)
+
+
+def test_check_equiv_runs_one_forward_per_evaluation(workspace, monkeypatch, capsys):
+    # three evaluations per trial (reference, rotated, shifted), one forward each
+    root, _, _ = workspace
+    calls = _count_forwards(monkeypatch)
+    code = cli.main(["check-equiv", "--config", str(model_cfg(root, "painn")), "--trials", "2"])
+    assert code == 0, capsys.readouterr().err
+    assert calls == ["painn"] * 6
+
+
 def test_check_equiv_nan_energy_exits_3(workspace, monkeypatch, capsys):
     # a NaN energy is a numeric failure, not a symmetry violation
     root, _, _ = workspace
-    energy = api.ModelHandle.energy
-    monkeypatch.setattr(api.ModelHandle, "energy", lambda self, *a: T.log(energy(self, *a) * 0.0 - 1.0))
+    run = api.ModelHandle.energy_and_vectors
+
+    def nan_energy(self, *a):
+        energy, vectors = run(self, *a)
+        return T.log(energy * 0.0 - 1.0), vectors
+
+    monkeypatch.setattr(api.ModelHandle, "energy_and_vectors", nan_energy)
     code = cli.main(["check-equiv", "--config", str(model_cfg(root, "schnet")), "--trials", "1"])
     assert code == 3
     assert "non-finite result in op 'log'" in capsys.readouterr().err

@@ -485,11 +485,11 @@ def test_stack_vector_head_equivariant(family):
     spec, params = model_setup(family, seed=2)
     pt = as_tensors(params)
     batch = batch_for(22)
-    base = sph.steerable_node_vectors(spec, pt, batch, Tensor(batch.pos)).data
+    base = sph.steerable_forward(spec, pt, batch, Tensor(batch.pos))[1].data
     for seed in range(4):
         rot = random_rotation(500 + seed)
         moved = batch.pos @ rot.T + 1.25
-        got = sph.steerable_node_vectors(spec, pt, batch, Tensor(moved)).data
+        got = sph.steerable_forward(spec, pt, batch, Tensor(moved))[1].data
         np.testing.assert_allclose(got, base @ rot.T, atol=1e-8, rtol=0)
 
 

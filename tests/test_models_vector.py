@@ -8,7 +8,7 @@ from geomnets.errors import ContractError, ShapeError
 from geomnets.geometry import Conformation, radius_graph
 from geomnets.models import api
 from geomnets.models import vector as vec
-from geomnets.models.common import build_batch
+from geomnets.models.common import build_batch, edge_vectors, embed_nodes
 from geomnets.models.invariant import RadialBasisSpec
 from geomnets.so3 import random_rotation
 from geomnets.tensor import Tape, Tensor
@@ -63,15 +63,15 @@ def test_egnn_zero_gate_leaves_coordinates():
         if ".gate." in k:
             params[k] = np.zeros_like(params[k])
     batch = batch_for(3)
-    _, x = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
-    np.testing.assert_array_equal(x.data, batch.pos)
+    _, delta = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
+    np.testing.assert_array_equal(delta.data, np.zeros_like(batch.pos))
 
 
 def test_egnn_coordinate_flag_off():
     spec, params = egnn_setup(1, update_coords=False)
     batch = batch_for(3)
-    _, x = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
-    np.testing.assert_array_equal(x.data, batch.pos)
+    _, delta = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
+    np.testing.assert_array_equal(delta.data, np.zeros_like(batch.pos))
 
 
 def test_egnn_symmetric_pair_opposite_updates():
@@ -79,8 +79,8 @@ def test_egnn_symmetric_pair_opposite_updates():
     p = np.array([0.4, -0.9, 0.6])
     conf = Conformation(z=np.array([6, 6]), pos=np.stack([p, -p]))
     batch = build_batch([conf], cutoff=5.0, need_angles=False)
-    _, x = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
-    delta = x.data - batch.pos
+    _, delta = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
+    delta = delta.data
     np.testing.assert_array_equal(delta[0], -delta[1])
     assert np.abs(delta[0]).max() > 0
 
@@ -89,19 +89,15 @@ def test_egnn_rigid_motion():
     spec, params = egnn_setup(7)
     pt = as_tensors(params)
     batch = batch_for(11)
-    h0 = vec.egnn_node_features(spec, pt, batch, Tensor(batch.pos)).data
-    d0 = vec.egnn_node_vectors(spec, pt, batch, Tensor(batch.pos)).data
+    h0, d0 = (t.data for t in vec.egnn_forward(spec, pt, batch, Tensor(batch.pos)))
     e0 = egnn_energy(spec, pt, batch, Tensor(batch.pos)).data
     for seed in range(4):
         rot = random_rotation(600 + seed)
         shift = np.array([0.3, 2.0, -1.4])
         moved = batch.pos @ rot.T + shift
-        np.testing.assert_allclose(
-            vec.egnn_node_features(spec, pt, batch, Tensor(moved)).data, h0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            vec.egnn_node_vectors(spec, pt, batch, Tensor(moved)).data, d0 @ rot.T, atol=1e-8
-        )
+        h, d = vec.egnn_forward(spec, pt, batch, Tensor(moved))
+        np.testing.assert_allclose(h.data, h0, atol=1e-10)
+        np.testing.assert_allclose(d.data, d0 @ rot.T, atol=1e-8)
         np.testing.assert_allclose(
             egnn_energy(spec, pt, batch, Tensor(moved)).data, e0, atol=1e-10
         )
@@ -157,6 +153,17 @@ def painn_setup(seed=0, channels=10, layers=2):
     return spec, vec.init_painn(spec, seed)
 
 
+def painn_channels(spec, params, batch):
+    """The layer stack of `painn_forward` before its readout: node scalars
+    and the (N, F, 3) vector channels."""
+    rel, dist = edge_vectors(Tensor(batch.pos), batch)
+    s = embed_nodes(params["embed"], batch.z)
+    v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
+    for i in range(spec.layers):
+        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
+    return s, v
+
+
 def test_painn_spec_validation():
     with pytest.raises(ContractError):
         vec.PainnSpec(channels=0)
@@ -172,8 +179,13 @@ def test_painn_zero_direction_gate_keeps_vectors_zero():
         w[:, f : 2 * f] = 0.0
         params[f"layer{i}.filt.w"] = w
     batch = batch_for(17)
-    _, v = vec.painn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
+    pt = as_tensors(params)
+    s, v = painn_channels(spec, pt, batch)
+    assert v.shape == (batch.n_nodes, spec.channels, 3)
     np.testing.assert_array_equal(v.data, np.zeros_like(v.data))
+    s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
+    np.testing.assert_array_equal(s_out.data, s.data)
+    np.testing.assert_array_equal(readout.data, np.zeros((batch.n_nodes, 3)))
 
 
 def test_painn_single_node_update_block_acts():
@@ -181,9 +193,13 @@ def test_painn_single_node_update_block_acts():
     conf = Conformation(z=np.array([8]), pos=np.zeros((1, 3)))
     batch = build_batch([conf], cutoff=5.0, need_angles=False)
     assert batch.n_edges == 0
-    s, v = vec.painn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
+    pt = as_tensors(params)
+    s, v = painn_channels(spec, pt, batch)
     assert np.abs(s.data - params["embed"][8]).max() > 1e-8
-    np.testing.assert_array_equal(v.data, np.zeros_like(v.data))
+    np.testing.assert_array_equal(v.data, np.zeros((1, spec.channels, 3)))
+    s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
+    np.testing.assert_array_equal(s_out.data, s.data)
+    np.testing.assert_array_equal(readout.data, np.zeros((1, 3)))
 
 
 def test_painn_layer_shape_errors():
@@ -202,18 +218,14 @@ def test_painn_rigid_motion():
     spec, params = painn_setup(6)
     pt = as_tensors(params)
     batch = batch_for(19)
-    s0 = vec.painn_node_features(spec, pt, batch, Tensor(batch.pos)).data
-    v0 = vec.painn_node_vectors(spec, pt, batch, Tensor(batch.pos)).data
+    s0, v0 = (t.data for t in vec.painn_forward(spec, pt, batch, Tensor(batch.pos)))
     e0 = painn_energy(spec, pt, batch, Tensor(batch.pos)).data
     for seed in range(4):
         rot = random_rotation(700 + seed)
         moved = batch.pos @ rot.T + np.array([-0.8, 0.1, 3.0])
-        np.testing.assert_allclose(
-            vec.painn_node_features(spec, pt, batch, Tensor(moved)).data, s0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            vec.painn_node_vectors(spec, pt, batch, Tensor(moved)).data, v0 @ rot.T, atol=1e-8
-        )
+        s, v = vec.painn_forward(spec, pt, batch, Tensor(moved))
+        np.testing.assert_allclose(s.data, s0, atol=1e-10)
+        np.testing.assert_allclose(v.data, v0 @ rot.T, atol=1e-8)
         refl = rot @ np.diag([-1.0, 1.0, 1.0])
         np.testing.assert_allclose(
             painn_energy(spec, pt, batch, Tensor(batch.pos @ refl.T)).data, e0, atol=1e-10

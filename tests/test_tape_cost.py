@@ -5,13 +5,19 @@ A step records the forward pass, the force backward (dE/dpos) and the loss
 on one tape; the loss backward, which nothing differentiates again, runs
 unrecorded. The counts are exact: a backward that again evaluates a
 vector-Jacobian rule nobody asked for, an op that comes back, or a backward
-recorded without need changes them. Scopes add no records.
+recorded without need changes them. Scopes add no records, and every
+record of a step carries one.
 
 Values are checked for finite entries at the step's boundary only: the loss
 and one gradient per parameter, so a step makes one check more than the
 model has parameters. An operation that checked its own result again would
 change these counts too. The setup is that of `test_parity.py`. A change
 that alters the tape on purpose updates the tables and says why.
+
+A family with vector output reads its node vectors out in the same forward
+as its energy, so egnn, painn, tfn and se3attn record those readout ops
+(1, 4, 7 and 7) although nothing on the energy path reaches them and no
+backward evaluates them.
 """
 
 import pytest
@@ -24,12 +30,12 @@ from test_parity import CONFIGS, _confs, _schedule
 
 RECORDS_PER_STEP = {
     "dimenet": 473,
-    "egnn": 170,
+    "egnn": 171,
     "leaky": 153,
-    "painn": 381,
+    "painn": 385,
     "schnet": 148,
-    "se3attn": 866,
-    "tfn": 598,
+    "se3attn": 873,
+    "tfn": 605,
 }
 
 FINITE_CHECKS_PER_STEP = {
@@ -49,16 +55,18 @@ def test_every_family_is_pinned():
 
 @pytest.mark.parametrize("family", sorted(RECORDS_PER_STEP))
 def test_records_of_one_training_step(family, monkeypatch):
-    sizes = []
+    sizes, scopes = [], set()
     release = T.Tape.release
 
     def counting_release(tape):
         sizes.append(len(tape.records))
+        scopes.update(rec.scope for rec in tape.records)
         release(tape)
 
     monkeypatch.setattr(T.Tape, "release", counting_release)
     tr.train_energy_force(api.model_from_config(CONFIGS[family]), _confs(), _schedule(), seed=0, steps=1)
     assert sizes == [RECORDS_PER_STEP[family]]
+    assert "" not in scopes  # every record of the step is scoped
 
 
 @pytest.mark.parametrize("family", sorted(FINITE_CHECKS_PER_STEP))
@@ -106,3 +114,15 @@ def test_unrecorded_gradients_equal_recorded(family):
     free = tape.gradient(loss, wrt, record=False)
     assert len(tape.records) == size and all(g.tape is None for g in free)
     assert _bits(free) == _bits(tape.gradient(loss, wrt))
+
+
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_every_record_of_a_forward_is_scoped(family):
+    # outside a training step no `loss` scope covers the model's records
+    model = api.model_from_config(CONFIGS[family])
+    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
+    tape = T.Tape()
+    model.energy_and_vectors(T.lift(model.init(0), tape), batch, tape.tensor(batch.pos))
+    scopes = {rec.scope for rec in tape.records}
+    assert "" not in scopes and {"embed", "readout"} <= scopes
+    assert ("triplets" in scopes) == model.needs_angles
