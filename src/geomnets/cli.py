@@ -34,6 +34,15 @@ _FIELD_TYPES = {"str": str, "dict": dict, "int": int, "float": float, "bool": bo
 # run configuration
 
 
+def _read_json(path: str):
+    """The JSON value in the config file at `path`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"config {path} is not valid JSON: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: data, model, objective, optimization, bookkeeping."""
@@ -89,12 +98,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path))
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
@@ -210,15 +214,12 @@ def cmd_eval(args) -> int:
     if cfg.task not in SUPERVISED_TASKS:
         raise ContractError(f"eval handles supervised tasks, not '{cfg.task}'")
     confs = load_dataset(cfg.dataset)
-    _, _, test = split_dataset(confs, cfg.split, cfg.seed)
+    train, _, test = split_dataset(confs, cfg.split, cfg.seed)
     held_out = test if test else confs
     model = api.model_from_config(cfg.model)
     params = T.load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(params, model.init(cfg.seed), args.checkpoint)
-    stats = None
-    if cfg.normalize:
-        train, _, _ = split_dataset(confs, cfg.split, cfg.seed)
-        stats = tr.stats_from_conformations(train)
+    stats = tr.stats_from_conformations(train) if cfg.normalize else None
     scores = tr.evaluate_energy_force(model, params, held_out, stats)
     payload = {
         "config_hash": config_hash(cfg),
@@ -339,11 +340,7 @@ def equivariance_claims(model, params, trials: int, seed: int) -> list[dict]:
 def cmd_check_equiv(args) -> int:
     if args.trials < 1:
         raise ContractError(f"--trials must be at least 1, got {args.trials}")
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ContractError(f"config {args.config} is not valid JSON: {exc}") from exc
+    raw = _read_json(args.config)
     model_cfg = raw.get("model", raw) if isinstance(raw, dict) else raw
     model = api.model_from_config(model_cfg)
     seed = _env_seed(args.seed)

@@ -2,10 +2,11 @@
 init, and the energy / per-node scalar / per-node vector entry points that
 training, pretraining, and the CLI share.
 
-Every family is one row of `FAMILY_TABLE`, whose forward maps a geometry to
-invariant node scalars and, where the family can, equivariant node vectors.
-The energy is the same for all of them, a bias-free linear head over
-sum-pooled node scalars.
+Every family is one row of `FAMILY_TABLE`. Its spec dataclass alone defines
+its model config (field names are keys, field defaults the defaults), and
+its forward maps a geometry to invariant node scalars and, where the family
+can, equivariant node vectors. The energy is the same for all of them, a
+bias-free linear head over sum-pooled node scalars.
 
 The `leaky` family is a deliberately broken negative control: it adds raw
 coordinates into the scalar head, so every symmetry check must flag it.
@@ -14,8 +15,7 @@ coordinates into the scalar head, so every symmetry check must flag it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -27,55 +27,44 @@ from . import invariant, spherical, vector
 from .common import GraphBatch, readout
 
 
-def _init_leaky(spec: invariant.SchNetSpec, seed: int) -> dict[str, np.ndarray]:
+def init_leaky(spec: invariant.SchNetSpec, seed: int) -> dict[str, np.ndarray]:
     params = invariant.init_schnet(spec, seed)
     params["leak.w"] = T.glorot_uniform(np.random.default_rng(seed + 1), 3, spec.hidden)
     return params
 
 
-def _leaky_scalars(spec, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-    h = invariant.schnet_node_features(spec, params, batch, pos)
+def leaky_forward(spec: invariant.SchNetSpec, params: dict, batch: GraphBatch, pos: Tensor) -> tuple[Tensor, None]:
+    h, _ = invariant.schnet_forward(spec, params, batch, pos)
     with T.scope("leak"):
-        return h + T.matmul(pos, params["leak.w"])
-
-
-def _scalars_only(node_features: Callable) -> Callable:
-    """The forward of a family whose node features are all it returns."""
-
-    def forward(spec, params: dict, batch: GraphBatch, pos: Tensor) -> tuple[Tensor, None]:
-        return node_features(spec, params, batch, pos), None
-
-    return forward
+        return h + T.matmul(pos, params["leak.w"]), None
 
 
 @dataclass(frozen=True)
 class Family:
-    """What a family supplies: `(spec, seed) -> params`, one forward
-    `(spec, params, batch, pos) -> (node scalars (N, width), node vectors
-    (N, 3) or None)`, whether that forward returns vectors, whether its
-    batches need angle triplets, and its scalar width."""
+    """What a family supplies: its spec dataclass, `(spec, seed) -> params`,
+    one forward `(spec, params, batch, pos) -> (node scalars (N, width),
+    node vectors (N, 3) or None)`, whether that forward returns vectors,
+    whether its batches need angle triplets, and which spec field is width."""
 
+    spec: type
     init: Callable
     forward: Callable
     has_vectors: bool
     needs_angles: bool
-    width: Callable[[Any], int]
+    width: str = "hidden"
 
 
-_HIDDEN = attrgetter("hidden")
 _STEERABLE = Family(
-    spherical.init_steerable, spherical.steerable_forward, True, False, attrgetter("scalar_channels")
+    spherical.SteerableModelSpec, spherical.init_steerable, spherical.steerable_forward, True, False, "scalar_channels"
 )
-_SCHNET = _scalars_only(invariant.schnet_node_features)
-_DIMENET = _scalars_only(invariant.dimenet_node_features)
 FAMILY_TABLE = {
-    "schnet": Family(invariant.init_schnet, _SCHNET, False, False, _HIDDEN),
-    "dimenet": Family(invariant.init_dimenet, _DIMENET, False, True, _HIDDEN),
+    "schnet": Family(invariant.SchNetSpec, invariant.init_schnet, invariant.schnet_forward, False, False),
+    "dimenet": Family(invariant.DimeNetSpec, invariant.init_dimenet, invariant.dimenet_forward, False, True),
     "tfn": _STEERABLE,
     "se3attn": _STEERABLE,
-    "egnn": Family(vector.init_egnn, vector.egnn_forward, True, False, _HIDDEN),
-    "painn": Family(vector.init_painn, vector.painn_forward, True, False, attrgetter("channels")),
-    "leaky": Family(_init_leaky, _scalars_only(_leaky_scalars), False, False, _HIDDEN),
+    "egnn": Family(vector.EgnnSpec, vector.init_egnn, vector.egnn_forward, True, False),
+    "painn": Family(vector.PainnSpec, vector.init_painn, vector.painn_forward, True, False),
+    "leaky": Family(invariant.SchNetSpec, init_leaky, leaky_forward, False, False),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
@@ -102,7 +91,7 @@ class ModelHandle:
 
     @property
     def scalar_width(self) -> int:
-        return self._row.width(self.spec)
+        return getattr(self.spec, self._row.width)
 
     @property
     def has_vector_output(self) -> bool:
@@ -146,14 +135,34 @@ def check_json_type(value, kind: type, what: str):
     return value
 
 
+def _configured(spec, table: dict, where: str):
+    """`spec` with the fields that `table` names, each checked against the
+    JSON type of its default; a nested spec reads its sub-mapping and `cutoff`."""
+    changes = {}
+    for f in fields(spec):
+        default = getattr(spec, f.name)
+        if is_dataclass(default):
+            sub = dict(check_json_type(table.get(f.name, {}), dict, f"{where} '{f.name}'"))
+            if "cutoff" in sub:
+                raise ContractError(f"{where} '{f.name}' takes no 'cutoff'; set the model 'cutoff'")
+            if "cutoff" in table:
+                sub["cutoff"] = check_json_type(table["cutoff"], float, f"{where} 'cutoff'")
+            changes[f.name] = _configured(default, sub, f"{where} {f.name}")
+        elif f.name in table:
+            kind = type(default)  # a float field takes a JSON int as a float
+            changes[f.name] = kind(check_json_type(table[f.name], kind, f"{where} '{f.name}'"))
+    return replace(spec, **changes)
+
+
 def model_from_config(config: dict) -> ModelHandle:
     """Build a handle from the JSON-style config mapping.
 
-    Common keys: family, hidden, layers, cutoff, basis {kind, count, envelope}.
-    Steerable families read scalar/vector/tensor channel counts instead of
-    hidden; egnn honors update_coords. Graphs are cut at the radial basis
-    cutoff (`basis.cutoff`, by default `cutoff`); egnn has no basis and uses
-    `cutoff`. A value of the wrong JSON type raises ContractError.
+    `family` picks a `FAMILY_TABLE` row; every other key is a field of the
+    row's spec dataclass, defaulting to the field's default, and a nested
+    spec (`basis`) reads a mapping of its own fields. Keys the spec lacks
+    are ignored. Radial bases and graphs are both cut at `cutoff`, so
+    `basis` takes none of its own. A value of the wrong JSON type, or a
+    `basis.cutoff`, raises ContractError.
     """
     check_json_type(config, dict, "model config")
     if "family" not in config:
@@ -161,52 +170,5 @@ def model_from_config(config: dict) -> ModelHandle:
     family = check_json_type(config["family"], str, "model 'family'")
     if family not in FAMILY_TABLE:
         raise ContractError(f"unknown model family '{family}'")
-
-    def get(key: str, default, kind: type, table: dict = config, where: str = "model"):
-        return kind(check_json_type(table.get(key, default), kind, f"{where} '{key}'"))
-
-    cutoff = get("cutoff", 5.0, float)
-    basis_cfg = dict(get("basis", {}, dict))
-    basis_cfg.setdefault("cutoff", cutoff)
-
-    def basis(default_kind: str, default_count: int) -> invariant.RadialBasisSpec:
-        return invariant.RadialBasisSpec(
-            kind=get("kind", default_kind, str, basis_cfg, "model basis"),
-            count=get("count", default_count, int, basis_cfg, "model basis"),
-            cutoff=get("cutoff", None, float, basis_cfg, "model basis"),
-            envelope=get("envelope", "cosine", str, basis_cfg, "model basis"),
-        )
-
-    hidden = get("hidden", 32, int)
-    layers = get("layers", 2, int)
-    if family in ("schnet", "leaky"):
-        spec = invariant.SchNetSpec(hidden=hidden, layers=layers, basis=basis("gaussian", 16))
-    elif family == "dimenet":
-        spec = invariant.DimeNetSpec(
-            hidden=hidden,
-            blocks=layers,
-            basis=basis("bessel", 8),
-            sbf_l_max=get("sbf_l_max", 2, int),
-            sbf_n_max=get("sbf_n_max", 3, int),
-        )
-    elif family in ("tfn", "se3attn"):
-        spec = spherical.SteerableModelSpec(
-            family=family,
-            scalar_channels=get("scalar_channels", 8, int),
-            vector_channels=get("vector_channels", 4, int),
-            tensor_channels=get("tensor_channels", 2, int),
-            layers=layers,
-            radial=basis("gaussian", 8),
-            radial_hidden=get("radial_hidden", 8, int),
-        )
-    elif family == "egnn":
-        spec = vector.EgnnSpec(
-            hidden=hidden,
-            layers=layers,
-            update_coords=get("update_coords", True, bool),
-        )
-        return ModelHandle(family, spec, cutoff)
-    else:
-        spec = vector.PainnSpec(channels=hidden, layers=layers, basis=basis("bessel", 16))
-    return ModelHandle(family, spec, float(basis_cfg["cutoff"]))
-
+    spec = _configured(FAMILY_TABLE[family].spec(), config, "model")
+    return ModelHandle(family, spec, getattr(spec, "basis", spec).cutoff)

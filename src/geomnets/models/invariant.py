@@ -251,8 +251,8 @@ def spherical_basis_2d(l_max: int, n_max: int, d: float, cutoff: float, angle: f
 
 @dataclass(frozen=True)
 class SchNetSpec:
-    hidden: int = 64
-    layers: int = 3
+    hidden: int = 32
+    layers: int = 2
     basis: RadialBasisSpec = field(default_factory=RadialBasisSpec)
 
     def __post_init__(self):
@@ -297,9 +297,10 @@ def schnet_layer(
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 
 
-def schnet_node_features(
+def schnet_forward(
     spec: SchNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
-) -> Tensor:
+) -> tuple[Tensor, None]:
+    """Node scalars; the stack has no vectors."""
     with T.scope("edges"):
         _, dist = edge_vectors(pos, batch)
         rbf = radial_basis(spec.basis, dist)
@@ -309,7 +310,7 @@ def schnet_node_features(
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, rbf, env)
-    return h
+    return h, None
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +320,14 @@ def schnet_node_features(
 @dataclass(frozen=True)
 class DimeNetSpec:
     hidden: int = 32
-    blocks: int = 2
+    layers: int = 2
     basis: RadialBasisSpec = field(default_factory=lambda: RadialBasisSpec(kind="bessel", count=8))
     sbf_l_max: int = 2
     sbf_n_max: int = 3
 
     def __post_init__(self):
-        if self.hidden < 1 or self.blocks < 1:
-            raise ContractError("hidden width and block count must be positive")
+        if self.hidden < 1 or self.layers < 1:
+            raise ContractError("hidden width and layer count must be positive")
         if not (0 <= self.sbf_l_max <= 3):
             raise ContractError("sbf degree cap is 0..3")
         if self.sbf_n_max < 1:
@@ -350,7 +351,7 @@ def init_dimenet(spec: DimeNetSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.hidden)}
     params.update(init_mlp(spec.embed_mlp(), rng, "m0"))
-    for i in range(spec.blocks):
+    for i in range(spec.layers):
         params.update(init_mlp(spec.block_mlp(), rng, f"block{i}"))
     params.update(init_mlp(spec.out_mlp(), rng, "edge_out"))
     params["head.w"] = T.glorot_uniform(rng, spec.hidden, 1)
@@ -423,7 +424,7 @@ def dimenet_messages(
     else:
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
         env_in = Tensor(np.zeros(0))
-    for i in range(spec.blocks):
+    for i in range(spec.layers):
         with T.scope(f"block{i}"):
             m = dimenet_layer(
                 spec, params, f"block{i}", m, rbf, sbf_rows, env_in, batch.angles, batch.n_edges
@@ -431,12 +432,13 @@ def dimenet_messages(
     return m, dist
 
 
-def dimenet_node_features(
+def dimenet_forward(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
-) -> Tensor:
+) -> tuple[Tensor, None]:
+    """Node scalars, summed from the readouts of outgoing edges; no vectors."""
     m, dist = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
         env = T.reshape(cosine_envelope(dist, spec.basis.cutoff), (-1, 1))
         per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
-        return T.scatter_sum(per_edge, batch.src, batch.n_nodes)
+        return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None
 

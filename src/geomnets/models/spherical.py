@@ -68,8 +68,8 @@ class TfnLayerSpec:
 
     layout_in: IrrepsLayout
     layout_out: IrrepsLayout
-    radial: RadialBasisSpec = field(default_factory=RadialBasisSpec)
-    radial_hidden: int = 16
+    radial: RadialBasisSpec
+    radial_hidden: int
 
     def __post_init__(self):
         _check_layout(self.layout_in, "input")
@@ -355,12 +355,12 @@ class SteerableModelSpec:
     """Energy model over steerable features: conv stack or conv + attention."""
 
     family: str = "tfn"
-    scalar_channels: int = 16
-    vector_channels: int = 8
-    tensor_channels: int = 4
+    scalar_channels: int = 8
+    vector_channels: int = 4
+    tensor_channels: int = 2
     layers: int = 2
-    radial: RadialBasisSpec = field(default_factory=RadialBasisSpec)
-    radial_hidden: int = 16
+    basis: RadialBasisSpec = field(default_factory=lambda: RadialBasisSpec(count=8))
+    radial_hidden: int = 8
 
     def __post_init__(self):
         if self.family not in ("tfn", "se3attn"):
@@ -384,7 +384,7 @@ class SteerableModelSpec:
         return TfnLayerSpec(
             layout_in=self.input_layout if index == 0 else self.hidden_layout,
             layout_out=self.hidden_layout,
-            radial=self.radial,
+            radial=self.basis,
             radial_hidden=self.radial_hidden,
         )
 

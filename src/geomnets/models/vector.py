@@ -25,12 +25,15 @@ from .invariant import RadialBasisSpec, radial_basis
 @dataclass(frozen=True)
 class EgnnSpec:
     hidden: int = 32
-    layers: int = 3
+    layers: int = 2
     update_coords: bool = True
+    cutoff: float = 5.0  # of its graphs; the stack has no radial basis
 
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
             raise ContractError("hidden width and layer count must be positive")
+        if self.cutoff <= 0:
+            raise ContractError("cutoff must be positive")
 
     def message_mlp(self) -> MlpSpec:
         return MlpSpec((2 * self.hidden + 1, self.hidden, self.hidden))
@@ -110,26 +113,24 @@ def egnn_forward(
 
 @dataclass(frozen=True)
 class PainnSpec:
-    channels: int = 32
-    layers: int = 3
-    basis: RadialBasisSpec = field(
-        default_factory=lambda: RadialBasisSpec(kind="bessel", count=20)
-    )
+    hidden: int = 32
+    layers: int = 2
+    basis: RadialBasisSpec = field(default_factory=lambda: RadialBasisSpec(kind="bessel", count=16))
 
     def __post_init__(self):
-        if self.channels < 1 or self.layers < 1:
-            raise ContractError("channel and layer counts must be positive")
+        if self.hidden < 1 or self.layers < 1:
+            raise ContractError("hidden width and layer count must be positive")
 
     def message_mlp(self) -> MlpSpec:
-        return MlpSpec((self.channels, self.channels, 3 * self.channels))
+        return MlpSpec((self.hidden, self.hidden, 3 * self.hidden))
 
     def update_mlp(self) -> MlpSpec:
-        return MlpSpec((2 * self.channels, self.channels, 3 * self.channels))
+        return MlpSpec((2 * self.hidden, self.hidden, 3 * self.hidden))
 
 
 def init_painn(spec: PainnSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    f = spec.channels
+    f = spec.hidden
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, f)}
     for i in range(spec.layers):
         params.update(init_mlp(spec.message_mlp(), rng, f"layer{i}.phi"))
@@ -161,10 +162,10 @@ def painn_layer(
 ) -> tuple[Tensor, Tensor]:
     """One message + update block over edges (src <- dst) with relative
     vectors `rel` and their lengths `dist`."""
-    f = spec.channels
+    f = spec.hidden
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
-        raise ShapeError(f"scalar features {s.shape} do not match channels={f}")
+        raise ShapeError(f"scalar features {s.shape} do not match hidden={f}")
     if v.shape != (n, f, 3):
         raise ShapeError(f"vector features {v.shape} do not match ({n}, {f}, 3)")
 
@@ -203,7 +204,7 @@ def painn_forward(
         rel, dist = edge_vectors(pos, batch)
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
-    v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
+    v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)

@@ -46,14 +46,11 @@ def force_from_energy(model, params: dict[str, np.ndarray], conf: Conformation):
     batch = build_batch([conf], model.cutoff, model.needs_angles)
 
     def run(tape):
-        params_t = T.lift(params, tape)
-        pos = tape.tensor(batch.pos)
-        energy = model.energy(params_t, batch, pos)
-        return energy, tape.gradient(T.sum_(energy), [pos], record=False)[0]
+        return _predict(model, T.lift(params, tape), batch, tape, None, None, record=False)
 
-    tape, (energy, g) = T.checked(run)
+    tape, (energy, forces) = T.checked(run)
     tape.release()
-    return float(energy.data.sum()), -g.data
+    return float(energy.data.sum()), forces.data
 
 
 # ---------------------------------------------------------------------------

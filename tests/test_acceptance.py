@@ -360,7 +360,7 @@ def test_criterion_07_two_hop_messages_match_triple_loop_reference():
     worst = 0.0
     spec = invariant.DimeNetSpec(
         hidden=8,
-        blocks=1,
+        layers=1,
         basis=invariant.RadialBasisSpec(kind="bessel", count=6, cutoff=3.0),
         sbf_l_max=2,
         sbf_n_max=2,

@@ -433,6 +433,42 @@ def test_check_equiv_bad_cutoff_exits_2(family, cutoff, tmp_path):
     assert_config_error(run_cli("check-equiv", "--config", str(path), "--trials", "1", timeout=60))
 
 
+def _spec_at_defaults(family):
+    spec_class = api.FAMILY_TABLE[family].spec
+    return spec_class(family=family) if family in ("tfn", "se3attn") else spec_class()
+
+
+@pytest.mark.parametrize("family", api.FAMILIES)
+def test_model_config_defaults_are_the_spec_defaults(family):
+    default = _spec_at_defaults(family)
+    assert api.model_from_config({"family": family}).spec == default
+    # every field spelled out at its default, the cutoff at the top level
+    spelled = {"family": family}
+    for f in dataclasses.fields(default):
+        value = getattr(default, f.name)
+        if dataclasses.is_dataclass(value):
+            spelled["cutoff"] = value.cutoff
+            value = {k: v for k, v in dataclasses.asdict(value).items() if k != "cutoff"}
+        spelled[f.name] = value
+    model = api.model_from_config(json.loads(json.dumps(spelled)))
+    assert model.spec == default
+    assert model.cutoff == spelled["cutoff"]
+
+
+@pytest.mark.parametrize("family", [f for f in api.FAMILIES if hasattr(_spec_at_defaults(f), "basis")])
+def test_model_basis_cutoff_is_rejected(family):
+    # bases and graphs are both cut at the model cutoff; a second one would
+    # silently build a different model
+    with pytest.raises(ContractError, match="cutoff"):
+        api.model_from_config({"family": family, "basis": {"cutoff": 3.0}})
+
+
+def test_check_equiv_basis_cutoff_exits_2(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"family": "schnet", "basis": {"cutoff": 3.0}}))
+    assert_config_error(run_cli("check-equiv", "--config", str(path), "--trials", "1"))
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_check_equiv_needs_a_trial(workspace, trials):
     root, _, _ = workspace

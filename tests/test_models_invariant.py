@@ -320,7 +320,7 @@ def test_schnet_zero_filter_is_identity():
             params[k] = np.zeros_like(params[k])
     conf = molecule(1)
     batch = build_batch([conf], cutoff=4.0, need_angles=False)
-    h = inv.schnet_node_features(spec, as_tensors(params), batch, Tensor(batch.pos))
+    h = inv.schnet_forward(spec, as_tensors(params), batch, Tensor(batch.pos))[0]
     np.testing.assert_array_equal(h.data, params["embed"][conf.z])
 
 
@@ -329,7 +329,7 @@ def test_schnet_isolated_node_row_unchanged():
     pos = np.array([[0.0, 0, 0], [1.1, 0, 0], [50.0, 0, 0]])
     conf = Conformation(z=np.array([1, 6, 8]), pos=pos)
     batch = build_batch([conf], cutoff=4.0, need_angles=False)
-    h = inv.schnet_node_features(spec, as_tensors(params), batch, Tensor(batch.pos))
+    h = inv.schnet_forward(spec, as_tensors(params), batch, Tensor(batch.pos))[0]
     np.testing.assert_array_equal(h.data[2], params["embed"][8])
     assert np.abs(h.data[0] - params["embed"][1]).max() > 1e-6
 
@@ -342,8 +342,8 @@ def test_schnet_permutation_equivariance():
     b1 = build_batch([conf], cutoff=4.0, need_angles=False)
     b2 = build_batch([shuffled], cutoff=4.0, need_angles=False)
     pt = as_tensors(params)
-    h1 = inv.schnet_node_features(spec, pt, b1, Tensor(b1.pos))
-    h2 = inv.schnet_node_features(spec, pt, b2, Tensor(b2.pos))
+    h1 = inv.schnet_forward(spec, pt, b1, Tensor(b1.pos))[0]
+    h2 = inv.schnet_forward(spec, pt, b2, Tensor(b2.pos))[0]
     np.testing.assert_allclose(h2.data, h1.data[order], atol=1e-12)
     e1 = schnet_energy(spec, pt, b1, Tensor(b1.pos)).data
     e2 = schnet_energy(spec, pt, b2, Tensor(b2.pos)).data
@@ -440,7 +440,7 @@ def test_schnet_energy_smooth_across_cutoff():
 def dimenet_setup(seed=0, hidden=10, blocks=2, cutoff=4.0):
     spec = inv.DimeNetSpec(
         hidden=hidden,
-        blocks=blocks,
+        layers=blocks,
         basis=inv.RadialBasisSpec(kind="bessel", count=6, cutoff=cutoff),
         sbf_l_max=2,
         sbf_n_max=3,
@@ -484,7 +484,7 @@ def dimenet_oracle_energy(spec, params, z, pos):
         np_mlp(params, "m0", np.concatenate([emb[z[j]], emb[z[i]], np_bessel_rbf(d, c, spec.basis.count)]))
         for i, j, d in edges
     ]
-    for b in range(spec.blocks):
+    for b in range(spec.layers):
         new = []
         for ei, (i, j, d_ji) in enumerate(edges):
             acc = np.zeros(spec.hidden)
@@ -534,7 +534,7 @@ def test_dimenet_layer_zero_weights_zero_messages():
     conf = molecule(7, n=4)
     batch = build_batch([conf], cutoff=4.0, need_angles=True)
     spec1 = inv.DimeNetSpec(
-        hidden=spec.hidden, blocks=1, basis=spec.basis, sbf_l_max=2, sbf_n_max=3
+        hidden=spec.hidden, layers=1, basis=spec.basis, sbf_l_max=2, sbf_n_max=3
     )
     m, _ = inv.dimenet_messages(spec1, as_tensors(params), batch, Tensor(batch.pos))
     np.testing.assert_array_equal(m.data, np.zeros_like(m.data))

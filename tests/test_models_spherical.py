@@ -72,7 +72,7 @@ def attend(spec, params, feat, edges):
 
 
 def steerable_energy(spec, params, batch, pos):
-    return api.ModelHandle(spec.family, spec, spec.radial.cutoff).energy(params, batch, pos)
+    return api.ModelHandle(spec.family, spec, spec.basis.cutoff).energy(params, batch, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_scalar_only_conv_matches_single_hop_layer():
 
     conf = Conformation(z=np.array([1, 6, 8, 7, 2]), pos=cloud(3, n=5))
     batch = build_batch([conf], cutoff=5.0, need_angles=False)
-    h = inv.schnet_node_features(s_spec, as_tensors(s_params), batch, Tensor(batch.pos))
+    h, _ = inv.schnet_forward(s_spec, as_tensors(s_params), batch, Tensor(batch.pos))
 
     feat = SteerableFeature(t_spec.layout_in, Tensor(s_params["embed"][conf.z]))
     edges = radius_graph(conf.pos, 5.0)
@@ -220,7 +220,7 @@ def attention_setup(seed=0):
         vector_channels=3,
         tensor_channels=2,
         layers=2,
-        radial=inv.RadialBasisSpec(count=6, cutoff=5.0),
+        basis=inv.RadialBasisSpec(count=6, cutoff=5.0),
         radial_hidden=8,
     )
     spec = model.layer_spec(1)
@@ -454,7 +454,7 @@ def model_setup(family, seed=0):
         vector_channels=4,
         tensor_channels=2,
         layers=2,
-        radial=inv.RadialBasisSpec(count=6, cutoff=5.0),
+        basis=inv.RadialBasisSpec(count=6, cutoff=5.0),
         radial_hidden=8,
     )
     return spec, sph.init_steerable(spec, seed)

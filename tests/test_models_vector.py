@@ -146,7 +146,7 @@ def test_egnn_forces_match_finite_differences():
 
 def painn_setup(seed=0, channels=10, layers=2):
     spec = vec.PainnSpec(
-        channels=channels,
+        hidden=channels,
         layers=layers,
         basis=RadialBasisSpec(kind="bessel", count=8, cutoff=5.0),
     )
@@ -158,7 +158,7 @@ def painn_channels(spec, params, batch):
     and the (N, F, 3) vector channels."""
     rel, dist = edge_vectors(Tensor(batch.pos), batch)
     s = embed_nodes(params["embed"], batch.z)
-    v = Tensor(np.zeros((batch.n_nodes, spec.channels, 3)))
+    v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
         s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
     return s, v
@@ -166,14 +166,14 @@ def painn_channels(spec, params, batch):
 
 def test_painn_spec_validation():
     with pytest.raises(ContractError):
-        vec.PainnSpec(channels=0)
+        vec.PainnSpec(hidden=0)
     with pytest.raises(ContractError):
         vec.PainnSpec(layers=0)
 
 
 def test_painn_zero_direction_gate_keeps_vectors_zero():
     spec, params = painn_setup(3)
-    f = spec.channels
+    f = spec.hidden
     for i in range(spec.layers):
         w = params[f"layer{i}.filt.w"].copy()
         w[:, f : 2 * f] = 0.0
@@ -181,7 +181,7 @@ def test_painn_zero_direction_gate_keeps_vectors_zero():
     batch = batch_for(17)
     pt = as_tensors(params)
     s, v = painn_channels(spec, pt, batch)
-    assert v.shape == (batch.n_nodes, spec.channels, 3)
+    assert v.shape == (batch.n_nodes, spec.hidden, 3)
     np.testing.assert_array_equal(v.data, np.zeros_like(v.data))
     s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
     np.testing.assert_array_equal(s_out.data, s.data)
@@ -196,7 +196,7 @@ def test_painn_single_node_update_block_acts():
     pt = as_tensors(params)
     s, v = painn_channels(spec, pt, batch)
     assert np.abs(s.data - params["embed"][8]).max() > 1e-8
-    np.testing.assert_array_equal(v.data, np.zeros((1, spec.channels, 3)))
+    np.testing.assert_array_equal(v.data, np.zeros((1, spec.hidden, 3)))
     s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
     np.testing.assert_array_equal(s_out.data, s.data)
     np.testing.assert_array_equal(readout.data, np.zeros((1, 3)))
@@ -206,12 +206,12 @@ def test_painn_layer_shape_errors():
     spec, params = painn_setup(5)
     edges = radius_graph(cloud(2), 5.0)
     pt = as_tensors(params)
-    s = Tensor(np.zeros((5, spec.channels)))
+    s = Tensor(np.zeros((5, spec.hidden)))
     graph = (edges.src, edges.dst, Tensor(edges.rel_vec), Tensor(edges.dist))
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.channels, 2))), *graph)
+        vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.hidden, 2))), *graph)
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, spec.channels, 3))), *graph)
+        vec.painn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, spec.hidden, 3))), *graph)
 
 
 def test_painn_rigid_motion():
