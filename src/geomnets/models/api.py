@@ -135,9 +135,14 @@ def check_json_type(value, kind: type, what: str):
     return value
 
 
-def _configured(spec, table: dict, where: str):
+def _configured(spec, table: dict, where: str, extra: tuple[str, ...] = ()):
     """`spec` with the fields that `table` names, each checked against the
-    JSON type of its default; a nested spec reads its sub-mapping and `cutoff`."""
+    JSON type of its default; a nested spec reads its sub-mapping and `cutoff`.
+    A key that is neither a field nor in `extra` raises ContractError."""
+    stray = sorted(set(table) - {f.name for f in fields(spec)} - set(extra))
+    if stray:
+        keys = ", ".join(map(repr, stray))
+        raise ContractError(f"{where} keys {keys} are not fields of {type(spec).__name__}")
     changes = {}
     for f in fields(spec):
         default = getattr(spec, f.name)
@@ -159,10 +164,10 @@ def model_from_config(config: dict) -> ModelHandle:
 
     `family` picks a `FAMILY_TABLE` row; every other key is a field of the
     row's spec dataclass, defaulting to the field's default, and a nested
-    spec (`basis`) reads a mapping of its own fields. Keys the spec lacks
-    are ignored. Radial bases and graphs are both cut at `cutoff`, so
-    `basis` takes none of its own. A value of the wrong JSON type, or a
-    `basis.cutoff`, raises ContractError.
+    spec (`basis`) reads a mapping of its own fields. Radial bases and
+    graphs are both cut at `cutoff`, so `basis` takes none of its own. A
+    key the spec lacks, a value of the wrong JSON type, or a `basis.cutoff`
+    raises ContractError.
     """
     check_json_type(config, dict, "model config")
     if "family" not in config:
@@ -170,5 +175,5 @@ def model_from_config(config: dict) -> ModelHandle:
     family = check_json_type(config["family"], str, "model 'family'")
     if family not in FAMILY_TABLE:
         raise ContractError(f"unknown model family '{family}'")
-    spec = _configured(FAMILY_TABLE[family].spec(), config, "model")
+    spec = _configured(FAMILY_TABLE[family].spec(), config, "model", ("family", "cutoff"))
     return ModelHandle(family, spec, getattr(spec, "basis", spec).cutoff)

@@ -205,30 +205,49 @@ def zonal_harmonic(l: int, cos_angle: Tensor) -> Tensor:
     return _legendre(l, cos_angle) * _ZONAL_NORM[l]
 
 
+def _check_basis_degrees(l_max: int, n_max: int) -> None:
+    if not (0 <= l_max <= 4):
+        raise ContractError("degree cap for the 2-D basis is 0..4")
+    if n_max < 1:
+        raise ContractError("n_max must be positive")
+
+
+def spherical_basis_radial(l_max: int, n_max: int, cutoff: float, d: Tensor) -> Tensor:
+    """Distance factor of the 2-D basis, (rows, (l_max+1)*n_max), degree-major:
+    entry (l, n) is sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) j_l(z_ln d/cutoff)."""
+    _check_basis_degrees(l_max, n_max)
+    _check_distances(d, cutoff)
+    col = T.reshape(d, (-1, 1))
+    blocks = []
+    for l in range(l_max + 1):
+        roots = bessel_roots(l, n_max)
+        norm_consts = [math.sqrt(2.0 / (cutoff**3 * _jl_np(l + 1, z) ** 2)) for z in roots]
+        blocks.append(spherical_jl(l, col * Tensor(roots / cutoff)) * Tensor(norm_consts))
+    return T.concat(blocks, axis=1)
+
+
+def spherical_basis_zonal(l_max: int, n_max: int, cos_angle: Tensor) -> Tensor:
+    """Angle factor of the 2-D basis in the layout of `spherical_basis_radial`:
+    entry (l, n) is the degree-l zonal harmonic of the angle, for every n."""
+    _check_basis_degrees(l_max, n_max)
+    shape = (cos_angle.shape[0], n_max)
+    return T.concat(
+        [T.broadcast_to(T.reshape(zonal_harmonic(l, cos_angle), (-1, 1)), shape) for l in range(l_max + 1)],
+        axis=1,
+    )
+
+
 def spherical_basis_rows(
     l_max: int, n_max: int, cutoff: float, d: Tensor, cos_angle: Tensor
 ) -> Tensor:
     """2-D (distance, angle) expansion, (rows, (l_max+1)*n_max), degree-major.
 
     Entry (l, n) is sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) j_l(z_ln d/cutoff)
-    times the degree-l zonal harmonic of the angle. Differentiable in both
-    inputs; the angle enters only through its cosine.
+    times the degree-l zonal harmonic of the angle: the product of
+    `spherical_basis_radial` and `spherical_basis_zonal`. Differentiable in
+    both inputs; the angle enters only through its cosine.
     """
-    if not (0 <= l_max <= 4):
-        raise ContractError("degree cap for the 2-D basis is 0..4")
-    if n_max < 1:
-        raise ContractError("n_max must be positive")
-    _check_distances(d, cutoff)
-    cols = []
-    for l in range(l_max + 1):
-        roots = bessel_roots(l, n_max)
-        ang = T.reshape(zonal_harmonic(l, cos_angle), (-1, 1))
-        for n in range(n_max):
-            z = roots[n]
-            norm_const = math.sqrt(2.0 / (cutoff**3 * _jl_np(l + 1, z) ** 2))
-            radial = spherical_jl(l, d * (z / cutoff)) * norm_const
-            cols.append(T.reshape(radial, (-1, 1)) * ang)
-    return T.concat(cols, axis=1)
+    return spherical_basis_radial(l_max, n_max, cutoff, d) * spherical_basis_zonal(l_max, n_max, cos_angle)
 
 
 def spherical_basis_2d(l_max: int, n_max: int, d: float, cutoff: float, angle: float) -> np.ndarray:
@@ -375,37 +394,41 @@ def dimenet_layer(
     reverse contributes one network evaluation of (message, distance
     expansion of d_ji, 2-D expansion of (d_kj, angle at j)), weighted by the
     incoming edge's envelope. Edges with no incoming paths become zero.
+
+    Each part of the network runs on the set it depends on. The first
+    layer's (message, distance) rows are applied per edge and gathered to
+    the triplets, where only the 2-D expansion's rows are added. The second
+    layer is linear, so it is applied after the envelope-weighted sum over
+    an edge's triplets, its bias weighted by their summed envelopes.
     """
     if angles.n_triplets == 0:
         return Tensor(np.zeros((n_edges, spec.hidden)))
-    inp = T.concat(
-        [T.gather(m, angles.out_edge), T.gather(rbf, angles.out_edge), sbf_rows], axis=1
-    )
-    term = mlp_apply(spec.block_mlp(), params, inp, prefix)
-    term = term * T.reshape(env_in, (-1, 1))
-    return T.scatter_sum(term, angles.out_edge, n_edges)
-
-
-def _triplet_geometry(
-    rel: Tensor, dist: Tensor, angles: AngleIndex
-) -> tuple[Tensor, Tensor]:
-    """Incoming-edge lengths and interior-angle cosines, differentiably."""
-    to_k = T.gather(rel, angles.in_edge)
-    to_i = T.gather(rel, angles.out_edge) * -1.0
-    d_in = T.gather(dist, angles.in_edge)
-    d_out = T.gather(dist, angles.out_edge)
-    cos_angle = T.sum_(to_k * to_i, axis=1) / (d_in * d_out)
-    return d_in, cos_angle
+    w0 = params[f"{prefix}.w0"]
+    k = spec.hidden + spec.basis.count
+    per_edge = T.matmul(T.concat([m, rbf], axis=1), w0[:k]) + params[f"{prefix}.b0"]
+    pre = T.gather(per_edge, angles.out_edge) + T.matmul(sbf_rows, w0[k:])
+    env = T.reshape(env_in, (-1, 1))
+    hidden = T.scatter_sum(T.silu(pre) * env, angles.out_edge, n_edges)
+    weight = T.scatter_sum(env, angles.out_edge, n_edges)
+    return T.matmul(hidden, params[f"{prefix}.w1"]) + weight * params[f"{prefix}.b1"]
 
 
 def dimenet_messages(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
+    """Edge messages after the last block, and each edge's cosine envelope.
+
+    Whatever depends on one edge alone (its distance expansions, envelope
+    and unit vector) is computed once per edge and gathered to the
+    triplets; only the angle's zonal factor is computed per triplet.
+    """
     if batch.angles is None:
         raise ContractError("batch was built without angle triplets")
+    angles = batch.angles
     with T.scope("edges"):
         rel, dist = edge_vectors(pos, batch)
         rbf = radial_basis(spec.basis, dist)
+        env = cosine_envelope(dist, spec.basis.cutoff)
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
         m = mlp_apply(
@@ -414,31 +437,32 @@ def dimenet_messages(
             T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
             "m0",
         )
-    if batch.angles.n_triplets:
+    if angles.n_triplets:
         with T.scope("triplets"):
-            d_in, cos_angle = _triplet_geometry(rel, dist, batch.angles)
-            sbf_rows = spherical_basis_rows(
-                spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, d_in, cos_angle
+            unit = rel / T.reshape(dist, (-1, 1))
+            # the angle at j between (j -> k) and (j -> i)
+            cos_angle = -T.sum_(T.gather(unit, angles.in_edge) * T.gather(unit, angles.out_edge), axis=1)
+            radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, dist)
+            sbf_rows = T.gather(radial, angles.in_edge) * spherical_basis_zonal(
+                spec.sbf_l_max, spec.sbf_n_max, cos_angle
             )
-            env_in = cosine_envelope(d_in, spec.basis.cutoff)
+            env_in = T.gather(env, angles.in_edge)
     else:
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
         env_in = Tensor(np.zeros(0))
     for i in range(spec.layers):
         with T.scope(f"block{i}"):
             m = dimenet_layer(
-                spec, params, f"block{i}", m, rbf, sbf_rows, env_in, batch.angles, batch.n_edges
+                spec, params, f"block{i}", m, rbf, sbf_rows, env_in, angles, batch.n_edges
             )
-    return m, dist
+    return m, env
 
 
 def dimenet_forward(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, None]:
     """Node scalars, summed from the readouts of outgoing edges; no vectors."""
-    m, dist = dimenet_messages(spec, params, batch, pos)
+    m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        env = T.reshape(cosine_envelope(dist, spec.basis.cutoff), (-1, 1))
-        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
+        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.reshape(env, (-1, 1))
         return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None
-

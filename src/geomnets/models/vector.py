@@ -157,11 +157,11 @@ def painn_layer(
     v: Tensor,
     src: np.ndarray,
     dst: np.ndarray,
-    rel: Tensor,
-    dist: Tensor,
+    rbf: Tensor,
+    unit: Tensor,
 ) -> tuple[Tensor, Tensor]:
-    """One message + update block over edges (src <- dst) with relative
-    vectors `rel` and their lengths `dist`."""
+    """One message + update block over edges (src <- dst) with the radial
+    basis `rbf` of their lengths and their unit vectors `unit`."""
     f = spec.hidden
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
@@ -169,14 +169,12 @@ def painn_layer(
     if v.shape != (n, f, 3):
         raise ShapeError(f"vector features {v.shape} do not match ({n}, {f}, 3)")
 
-    # message block: invariant gates from (filter(d) * phi(s_j)) split three ways
-    if rel.shape[0]:
-        rbf = radial_basis(spec.basis, dist)
-        gates = T.matmul(rbf, params[f"{prefix}.filt.w"]) * mlp_apply(
-            spec.message_mlp(), params, T.gather(s, dst), f"{prefix}.phi"
-        )
+    # message block: invariant gates from (filter(d) * phi(s_j)) split three
+    # ways; phi runs per node, then its rows are gathered to the edges
+    if unit.shape[0]:
+        phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
+        gates = T.matmul(rbf, params[f"{prefix}.filt.w"]) * T.gather(phi, dst)
         g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
-        unit = rel / T.reshape(dist, (-1, 1))
         dv = T.gather(v, dst) * T.reshape(g_vv, (-1, f, 1)) + T.reshape(
             unit, (-1, 1, 3)
         ) * T.reshape(g_sv, (-1, f, 1))
@@ -199,14 +197,17 @@ def painn_forward(
     spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Node scalars and one 3-vector per node, the vector channels mixed by
-    `vec_head.mix`."""
+    `vec_head.mix`. The radial basis and unit vectors of the edges are
+    computed once for every layer."""
     with T.scope("edges"):
         rel, dist = edge_vectors(pos, batch)
+        rbf = radial_basis(spec.basis, dist)
+        unit = rel / T.reshape(dist, (-1, 1))
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
-            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rbf, unit)
     with T.scope("readout"):
         return s, T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))

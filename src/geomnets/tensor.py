@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 from .errors import ContractError, NumericError, ParseError, ShapeError
 
@@ -548,11 +549,31 @@ def power(a, p: float) -> Tensor:
     return _op("power", (a,), data, (lambda g: mul(g, mul(power(a, p - 1.0), p)),))
 
 
+def _sum_data(data: np.ndarray, axes: tuple[int, ...] | None, keepdims: bool) -> np.ndarray:
+    """`data.sum(axes, keepdims=keepdims)`, bitwise.
+
+    numpy sums fewer than eight terms one at a time from +0.0, but over a
+    short inner axis it pays its per-row loop set-up for every few terms. So
+    one non-leading axis of length 2-7 is summed by adding its slices in the
+    same order, from +0.0, which is the same arithmetic done a row at a time.
+    """
+    if axes is None or len(axes) != 1 or axes[0] == 0 or not 2 <= data.shape[axes[0]] <= 7:
+        return data.sum(axis=axes, keepdims=keepdims)
+    ax = axes[0]
+    key = [slice(None)] * data.ndim
+    key[ax] = 0
+    out = data[tuple(key)] + 0.0
+    for k in range(1, data.shape[ax]):
+        key[ax] = k
+        out += data[tuple(key)]
+    return np.expand_dims(out, ax) if keepdims else out
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
     in_shape = a.shape
-    data = a.data.sum(axis=axis, keepdims=keepdims)
     axes = _norm_axes(axis, len(in_shape))
+    data = _sum_data(a.data, axes, keepdims)
 
     def vjp(g):
         if not keepdims:
@@ -573,11 +594,8 @@ def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
 
 
 def _norm_axes(axis, ndim) -> tuple[int, ...] | None:
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
+    """`axis` as a tuple of axes in range(ndim); AxisError for one outside."""
+    return None if axis is None else normalize_axis_tuple(axis, ndim)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:

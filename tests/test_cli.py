@@ -252,6 +252,8 @@ def assert_config_error(result):
         {"energy_weight": float("inf")},
         {"seed": -1},
         {"sigma": -1.0},
+        # tfn's width is `scalar_channels`; a `hidden` would build the default width
+        {"model": {"family": "tfn", "hidden": 64, "layers": 1, "cutoff": 4.0}},
     ],
     ids=[
         "hidden-string",
@@ -261,6 +263,7 @@ def assert_config_error(result):
         "energy-weight-inf",
         "seed-negative",
         "sigma-negative",
+        "model-key-not-a-field",
     ],
 )
 def test_train_bad_config_value_exits_2(workspace, change, tmp_path):
@@ -455,6 +458,17 @@ def test_model_config_defaults_are_the_spec_defaults(family):
     assert model.cutoff == spelled["cutoff"]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{"family": "tfn", "hidden": 64}, {"family": "schnet", "hiden": 64}, {"family": "painn", "basis": {"size": 8}}],
+    ids=["other-family-key", "misspelt", "nested"],
+)
+def test_model_key_not_a_field_is_rejected(config):
+    # a stray key used to build a default-sized model without a word
+    with pytest.raises(ContractError, match="not fields of"):
+        api.model_from_config(config)
+
+
 @pytest.mark.parametrize("family", [f for f in api.FAMILIES if hasattr(_spec_at_defaults(f), "basis")])
 def test_model_basis_cutoff_is_rejected(family):
     # bases and graphs are both cut at the model cutoff; a second one would
@@ -493,7 +507,7 @@ def _count_forwards(monkeypatch) -> list[str]:
 @pytest.mark.parametrize("family", api.FAMILIES)
 def test_energy_and_vectors_runs_one_forward(family, monkeypatch):
     calls = _count_forwards(monkeypatch)
-    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    model = api.model_from_config({"family": family, api.FAMILY_TABLE[family].width: 8, "layers": 1, "cutoff": 4.0})
     pos = cli._dyadic_cluster(np.random.default_rng(0), model.cutoff)
     z = np.full(pos.shape[0], 6)
     energy, vectors = cli._energy_and_vectors(model, model.init(0), z, pos)

@@ -19,7 +19,7 @@ from geomnets.errors import ContractError
 from geomnets.geometry import Conformation
 from geomnets.models import api
 from geomnets.models import invariant as inv
-from geomnets.models.common import build_batch, readout
+from geomnets.models.common import build_batch, edge_vectors, embed_nodes, readout
 from geomnets.so3 import random_rotation, sph_harm_block
 from geomnets.tensor import Tape, Tensor, grad_check
 
@@ -552,6 +552,60 @@ def test_dimenet_chain_single_two_hop_path():
     mine = dimenet_energy(spec, pt, batch, Tensor(batch.pos)).data[0]
     ref = dimenet_oracle_energy(spec, params, conf.z, conf.pos)
     assert abs(mine - ref) < 1e-12
+
+
+def per_triplet_messages(spec, params, batch, pos):
+    """`dimenet_messages` as it was first written: the incoming edges'
+    distance factors and envelopes, and both block-network layers, evaluated
+    once per triplet on concatenated (message, distance, 2-D basis) rows."""
+    angles, cutoff = batch.angles, spec.basis.cutoff
+    rel, dist = edge_vectors(pos, batch)
+    rbf = inv.radial_basis(spec.basis, dist)
+    h = embed_nodes(params["embed"], batch.z)
+    m = T.mlp_apply(
+        spec.embed_mlp(), params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0"
+    )
+    to_k = T.gather(rel, angles.in_edge)
+    to_i = T.gather(rel, angles.out_edge) * -1.0
+    d_in = T.gather(dist, angles.in_edge)
+    cos_angle = T.sum_(to_k * to_i, axis=1) / (d_in * T.gather(dist, angles.out_edge))
+    sbf_rows = inv.spherical_basis_rows(spec.sbf_l_max, spec.sbf_n_max, cutoff, d_in, cos_angle)
+    env_in = T.reshape(inv.cosine_envelope(d_in, cutoff), (-1, 1))
+    for i in range(spec.layers):
+        inp = T.concat([T.gather(m, angles.out_edge), T.gather(rbf, angles.out_edge), sbf_rows], axis=1)
+        term = T.mlp_apply(spec.block_mlp(), params, inp, f"block{i}") * env_in
+        m = T.scatter_sum(term, angles.out_edge, batch.n_edges)
+    return m
+
+
+def test_dimenet_messages_match_per_triplet_formula():
+    # a skewed cell whose cluster bonds across the faces, and a dimer far
+    # from it whose two edges have no triplet; plus an open molecule
+    lattice = np.array([[7.0, 0.0, 0.0], [0.8, 7.5, 0.0], [0.3, -0.4, 8.0]])
+    frac = np.array(
+        [[0.05, 0.06, 0.04], [0.93, 0.08, 0.05], [0.06, 0.22, 0.07], [0.95, 0.90, 0.96], [0.5, 0.5, 0.45], [0.5, 0.5, 0.6]]
+    )
+    crystal = Conformation(z=np.array([6, 8, 1, 7, 1, 1]), pos=frac @ lattice, lattice=lattice)
+    batch = build_batch([crystal, molecule(5, n=4)], cutoff=3.0, need_angles=True)
+    per_edge = np.bincount(batch.angles.out_edge, minlength=batch.n_edges)
+    assert (per_edge == 0).any() and (per_edge > 1).any()
+    assert np.abs(batch.shift_offset).max() > 0
+    spec, params = dimenet_setup(seed=53, blocks=2, cutoff=3.0)
+    rng = np.random.default_rng(54)
+    params = {k: rng.normal(size=v.shape) if ".b" in k else v for k, v in params.items()}  # biases start at 0
+    tape = Tape()
+    pt = T.lift(params, tape)
+    pos = tape.tensor(batch.pos)
+    mine, _ = inv.dimenet_messages(spec, pt, batch, pos)
+    ref = per_triplet_messages(spec, pt, batch, pos)
+    assert np.abs(mine.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+    # and so are their gradients, w.r.t. positions and every parameter
+    weights = Tensor(rng.normal(size=ref.shape))
+    wrt = [pos, *pt.values()]
+    got = tape.gradient(T.sum_(mine * weights), wrt, record=False)
+    want = tape.gradient(T.sum_(ref * weights), wrt, record=False)
+    for g, w in zip(got, want):
+        assert np.abs(g.data - w.data).max() <= 1e-12 * np.abs(w.data).max()
 
 
 def test_dimenet_energy_rigid_motion_invariant():

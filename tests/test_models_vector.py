@@ -9,7 +9,7 @@ from geomnets.geometry import Conformation, radius_graph
 from geomnets.models import api
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch, edge_vectors, embed_nodes
-from geomnets.models.invariant import RadialBasisSpec
+from geomnets.models.invariant import RadialBasisSpec, radial_basis
 from geomnets.so3 import random_rotation
 from geomnets.tensor import Tape, Tensor
 
@@ -157,10 +157,11 @@ def painn_channels(spec, params, batch):
     """The layer stack of `painn_forward` before its readout: node scalars
     and the (N, F, 3) vector channels."""
     rel, dist = edge_vectors(Tensor(batch.pos), batch)
+    rbf, unit = radial_basis(spec.basis, dist), rel / T.reshape(dist, (-1, 1))
     s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
-        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rel, dist)
+        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rbf, unit)
     return s, v
 
 
@@ -207,7 +208,8 @@ def test_painn_layer_shape_errors():
     edges = radius_graph(cloud(2), 5.0)
     pt = as_tensors(params)
     s = Tensor(np.zeros((5, spec.hidden)))
-    graph = (edges.src, edges.dst, Tensor(edges.rel_vec), Tensor(edges.dist))
+    rbf = radial_basis(spec.basis, Tensor(edges.dist))
+    graph = (edges.src, edges.dst, rbf, Tensor(edges.rel_vec / edges.dist[:, None]))
     with pytest.raises(ShapeError):
         vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.hidden, 2))), *graph)
     with pytest.raises(ShapeError):

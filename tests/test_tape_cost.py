@@ -18,6 +18,15 @@ A family with vector output reads its node vectors out in the same forward
 as its energy, so egnn, painn, tfn and se3attn record those readout ops
 (1, 4, 7 and 7) although nothing on the energy path reaches them and no
 backward evaluates them.
+
+Work runs on the set it depends on. dimenet computes its distance
+expansions, envelopes and unit vectors per edge and gathers them to the
+triplets, applies its block networks' first layer to the (message,
+distance) rows per edge and their linear second layer after the sum over
+triplets; painn computes its radial basis and unit vectors once per
+forward instead of once per layer and runs phi per node. That moved the
+pins dimenet 473 -> 370 and painn 385 -> 341, and dimenet's records with a
+row per triplet 326 -> 82, which `TRIPLET_RECORDS_PER_STEP` pins.
 """
 
 import pytest
@@ -29,14 +38,17 @@ from geomnets.models.common import build_batch
 from test_parity import CONFIGS, _confs, _schedule
 
 RECORDS_PER_STEP = {
-    "dimenet": 473,
+    "dimenet": 370,
     "egnn": 171,
     "leaky": 153,
-    "painn": 385,
+    "painn": 341,
     "schnet": 148,
     "se3attn": 873,
     "tfn": 605,
 }
+
+# dimenet records, of one step, whose result has one row per triplet
+TRIPLET_RECORDS_PER_STEP = 82
 
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
@@ -67,6 +79,26 @@ def test_records_of_one_training_step(family, monkeypatch):
     tr.train_energy_force(api.model_from_config(CONFIGS[family]), _confs(), _schedule(), seed=0, steps=1)
     assert sizes == [RECORDS_PER_STEP[family]]
     assert "" not in scopes  # every record of the step is scoped
+
+
+def test_dimenet_records_at_triplet_scale(monkeypatch):
+    model = api.model_from_config(CONFIGS["dimenet"])
+    batch = build_batch(_confs(), model.cutoff, need_angles=True)
+    n_triplets = batch.angles.n_triplets
+    assert n_triplets not in (batch.n_nodes, batch.n_edges)  # rows tell the scales apart
+    rows = []
+    op = T._op
+
+    def counting_op(name, inputs, data, vjps):
+        out = op(name, inputs, data, vjps)
+        if out.tape is not None:  # recorded
+            rows.append(data.shape[0] if data.ndim else None)
+        return out
+
+    monkeypatch.setattr(T, "_op", counting_op)
+    tr.train_energy_force(model, _confs(), _schedule(), seed=0, steps=1)
+    assert len(rows) == RECORDS_PER_STEP["dimenet"]
+    assert rows.count(n_triplets) == TRIPLET_RECORDS_PER_STEP
 
 
 @pytest.mark.parametrize("family", sorted(FINITE_CHECKS_PER_STEP))

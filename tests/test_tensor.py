@@ -321,6 +321,54 @@ def test_scatter_sum_bitwise_equals_add_at(problem):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@st.composite
+def axis_sums(draw):
+    """A 2-4-d array in C or Fortran order and one axis to sum, given as an
+    int, a negative int or a one-element tuple, with either keepdims. The
+    axis is any axis, 1-9 long, so both the slice adds (a non-leading axis
+    of 2-7) and numpy's own sum are drawn; values span enough magnitudes
+    that the order of the adds shows."""
+    ndim = draw(st.integers(2, 4))
+    shape = draw(st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim))
+    axis = draw(st.integers(0, ndim - 1))
+    shape[axis] = draw(st.integers(1, 9))
+    size = math.prod(shape)
+    floats = st.floats(-1e6, 1e6) | st.floats(-1e17, 1e17) | st.sampled_from([0.0, -0.0, 1.0])
+    data = np.array(draw(st.lists(floats, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+    if draw(st.booleans()):
+        data = np.asfortranarray(data)
+    form = draw(st.sampled_from([axis, axis - ndim, (axis,)]))
+    return data, form, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_sums())
+def test_sum_bitwise_equals_ndarray_sum(problem):
+    data, axis, keepdims = problem
+    want = data.sum(axis=axis, keepdims=keepdims)
+    got = T.sum_(T.Tensor(data), axis=axis, keepdims=keepdims).data
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis", [1, -1])
+def test_sum_of_negative_zeros_is_positive_zero_like_ndarray_sum(axis):
+    data = np.full((4, 3, 2), -0.0)
+    got = T.sum_(T.Tensor(data), axis=axis).data
+    assert got.tobytes() == data.sum(axis=axis).tobytes() == np.zeros(got.shape).tobytes()
+
+
+def test_sum_rejects_an_axis_out_of_range():
+    with pytest.raises(np.exceptions.AxisError):
+        T.sum_(T.Tensor(np.ones((2, 3))), axis=2)
+
+
+def test_grad_through_short_axis_sum():
+    c = T.Tensor(rng.normal(size=(4, 5, 1)))
+    f = lambda x: T.sum_(T.power(T.sum_(x, axis=2, keepdims=True), 2.0) * c)
+    assert T.grad_check(f, rng.normal(size=(4, 5, 3))) < 1e-6
+
+
 def _backward_calls(monkeypatch, name, tape, root, wrt):
     """How often the backward of `root` calls the op `name`."""
     calls = []

@@ -97,7 +97,7 @@ def test_force_matches_finite_differences(family):
 @pytest.mark.parametrize("family", ["schnet", "dimenet", "tfn", "se3attn", "egnn", "painn"])
 def test_single_atom_energy_finite_and_force_free(family):
     # a one-atom structure has no edges at all
-    model = api.model_from_config({"family": family, "hidden": 8, "layers": 2, "cutoff": 4.0})
+    model = api.model_from_config({"family": family, api.FAMILY_TABLE[family].width: 8, "layers": 2, "cutoff": 4.0})
     conf = Conformation(z=[6], pos=[[0.3, -1.2, 2.0]])
     energy, forces = tr.force_from_energy(model, model.init(0), conf)
     assert np.isfinite(energy)
