@@ -68,8 +68,6 @@ class EdgeList:
     dist: np.ndarray
     rel_vec: np.ndarray
     shift: np.ndarray
-    num_nodes: int
-    cutoff: float
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -114,9 +112,9 @@ class AngleIndex:
         return self.in_edge.size
 
 
-def _sorted_edges(src, dst, shift, rel, dist, num_nodes, cutoff) -> EdgeList:
+def _sorted_edges(src, dst, shift, rel, dist) -> EdgeList:
     order = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], dst, src))
-    return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order], num_nodes, cutoff)
+    return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order])
 
 
 # bins are this much wider than the cutoff, so that a pair at exactly the
@@ -187,7 +185,7 @@ def radius_graph(pos, cutoff: float) -> EdgeList:
         raise ContractError("positions must be finite")
     src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    return _sorted_edges(src, dst, shift, rel, dist, pos.shape[0], cutoff)
+    return _sorted_edges(src, dst, shift, rel, dist)
 
 
 def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[int, int, int]:
@@ -277,7 +275,7 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
         src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
         which, dst = np.divmod(image, n)
         shift = shifts[which] + offset[src] - offset[dst]
-        return _sorted_edges(src, dst, shift, rel, dist, n, cutoff)
+        return _sorted_edges(src, dst, shift, rel, dist)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
@@ -285,7 +283,7 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
     src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    edges = _sorted_edges(src, dst, shift, rel, dist, all_pos.shape[0], cutoff)
+    edges = _sorted_edges(src, dst, shift, rel, dist)
     return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, n)
 
 

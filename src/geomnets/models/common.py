@@ -100,12 +100,11 @@ def graph_stats(batch: GraphBatch) -> dict[str, int]:
     }
 
 
-def edge_vectors(pos: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
-    """Differentiable relative vectors and lengths for every edge."""
+def edge_vectors(pos: Tensor, batch: GraphBatch) -> Tensor:
+    """Differentiable relative vectors (E, 3) for every edge."""
     if pos.shape != (batch.n_nodes, 3):
         raise ShapeError(f"positions {pos.shape} do not match batch of {batch.n_nodes} nodes")
-    rel = T.gather(pos, batch.dst) + Tensor(batch.shift_offset) - T.gather(pos, batch.src)
-    return rel, T.norm(rel, axis=-1)
+    return T.gather(pos, batch.dst) + Tensor(batch.shift_offset) - T.gather(pos, batch.src)
 
 
 def embed_nodes(embed_table: Tensor, z: np.ndarray) -> Tensor:

@@ -36,7 +36,6 @@ class RadialBasisSpec:
     kind: str = "gaussian"
     count: int = 16
     cutoff: float = 5.0
-    envelope: str = "cosine"
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "bessel"):
@@ -47,8 +46,6 @@ class RadialBasisSpec:
             raise ContractError("basis needs at least one function")
         if self.cutoff <= 0:
             raise ContractError("cutoff must be positive")
-        if self.envelope not in ("cosine", "none"):
-            raise ContractError(f"unknown envelope '{self.envelope}'")
 
 
 def cosine_envelope(d: Tensor, cutoff: float) -> Tensor:
@@ -64,20 +61,36 @@ def _check_distances(d: Tensor, cutoff: float) -> None:
 
 
 def radial_basis(spec: RadialBasisSpec, d: Tensor) -> Tensor:
-    """Expand distances (E,) into (E, count); differentiable."""
+    """Expand distances, (E,) or (E, 1), into (E, count); differentiable."""
     _check_distances(d, spec.cutoff)
     col = T.reshape(d, (-1, 1))
     if spec.kind == "gaussian":
         centers = np.linspace(0.0, spec.cutoff, spec.count)
         gamma = 1.0 / (centers[1] - centers[0]) ** 2
         delta = col - Tensor(centers)
-        out = T.exp(delta * delta * (-gamma))
-    else:
-        freqs = np.arange(1, spec.count + 1) * (math.pi / spec.cutoff)
-        out = T.sin(T.mul(col, Tensor(freqs))) / col * math.sqrt(2.0 / spec.cutoff)
-    if spec.envelope == "cosine":
-        out = out * T.reshape(cosine_envelope(d, spec.cutoff), (-1, 1))
-    return out
+        return T.exp(delta * delta * (-gamma))
+    freqs = np.arange(1, spec.count + 1) * (math.pi / spec.cutoff)
+    return T.sin(T.mul(col, Tensor(freqs))) / col * math.sqrt(2.0 / spec.cutoff)
+
+
+@dataclass(frozen=True)
+class EdgeGeometry:
+    """What a forward reads from its edges: lengths (E, 1), unit vectors
+    (E, 3), the cosine envelope (E, 1) and the radial basis times it."""
+
+    dist: Tensor
+    unit: Tensor
+    env: Tensor
+    rbf: Tensor
+
+
+def edge_geometry(basis: RadialBasisSpec, rel: Tensor) -> EdgeGeometry:
+    """The geometry of edges with relative vectors `rel` (E, 3), built once
+    per forward and shared by all its layers."""
+    dist = T.norm(rel, axis=1, keepdims=True)
+    bare = radial_basis(basis, dist)  # rejects zero lengths before the division
+    env = cosine_envelope(dist, basis.cutoff)
+    return EdgeGeometry(dist, rel / dist, env, bare * env)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +318,11 @@ def schnet_layer(
 ) -> Tensor:
     """One residual interaction: h_i <- h_i + sum_j filter(d_ij) * (W h_j) W'.
 
-    The filter network output is multiplied by the envelope so a message
-    fades to zero as its edge reaches the cutoff; with all-zero filter
-    weights the update is exactly the identity.
+    The filter network output is multiplied by the envelope (E, 1) so a
+    message fades to zero as its edge reaches the cutoff; with all-zero
+    filter weights the update is exactly the identity.
     """
-    filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter")
-    filt = filt * T.reshape(env, (-1, 1))
+    filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter") * env
     msg = T.matmul(T.gather(h, dst), params[f"{prefix}.win"]) * filt
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
@@ -321,14 +333,12 @@ def schnet_forward(
 ) -> tuple[Tensor, None]:
     """Node scalars; the stack has no vectors."""
     with T.scope("edges"):
-        _, dist = edge_vectors(pos, batch)
-        rbf = radial_basis(spec.basis, dist)
-        env = cosine_envelope(dist, spec.basis.cutoff)
+        geom = edge_geometry(spec.basis, edge_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
-            h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, rbf, env)
+            h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, geom.rbf, geom.env)
     return h, None
 
 
@@ -393,7 +403,8 @@ def dimenet_layer(
     For the receiving edge (j -> i), every incoming edge (k -> j) except the
     reverse contributes one network evaluation of (message, distance
     expansion of d_ji, 2-D expansion of (d_kj, angle at j)), weighted by the
-    incoming edge's envelope. Edges with no incoming paths become zero.
+    incoming edge's envelope `env_in` (T, 1). Edges with no incoming paths
+    become zero.
 
     Each part of the network runs on the set it depends on. The first
     layer's (message, distance) rows are applied per edge and gathered to
@@ -407,16 +418,16 @@ def dimenet_layer(
     k = spec.hidden + spec.basis.count
     per_edge = T.matmul(T.concat([m, rbf], axis=1), w0[:k]) + params[f"{prefix}.b0"]
     pre = T.gather(per_edge, angles.out_edge) + T.matmul(sbf_rows, w0[k:])
-    env = T.reshape(env_in, (-1, 1))
-    hidden = T.scatter_sum(T.silu(pre) * env, angles.out_edge, n_edges)
-    weight = T.scatter_sum(env, angles.out_edge, n_edges)
+    hidden = T.scatter_sum(T.silu(pre) * env_in, angles.out_edge, n_edges)
+    weight = T.scatter_sum(env_in, angles.out_edge, n_edges)
     return T.matmul(hidden, params[f"{prefix}.w1"]) + weight * params[f"{prefix}.b1"]
 
 
 def dimenet_messages(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """Edge messages after the last block, and each edge's cosine envelope.
+    """Edge messages after the last block, and each edge's cosine envelope
+    (E, 1).
 
     Whatever depends on one edge alone (its distance expansions, envelope
     and unit vector) is computed once per edge and gathered to the
@@ -426,36 +437,35 @@ def dimenet_messages(
         raise ContractError("batch was built without angle triplets")
     angles = batch.angles
     with T.scope("edges"):
-        rel, dist = edge_vectors(pos, batch)
-        rbf = radial_basis(spec.basis, dist)
-        env = cosine_envelope(dist, spec.basis.cutoff)
+        geom = edge_geometry(spec.basis, edge_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
         m = mlp_apply(
             spec.embed_mlp(),
             params,
-            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
+            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), geom.rbf], axis=1),
             "m0",
         )
     if angles.n_triplets:
         with T.scope("triplets"):
-            unit = rel / T.reshape(dist, (-1, 1))
             # the angle at j between (j -> k) and (j -> i)
-            cos_angle = -T.sum_(T.gather(unit, angles.in_edge) * T.gather(unit, angles.out_edge), axis=1)
-            radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, dist)
+            cos_angle = -T.sum_(
+                T.gather(geom.unit, angles.in_edge) * T.gather(geom.unit, angles.out_edge), axis=1
+            )
+            radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, geom.dist)
             sbf_rows = T.gather(radial, angles.in_edge) * spherical_basis_zonal(
                 spec.sbf_l_max, spec.sbf_n_max, cos_angle
             )
-            env_in = T.gather(env, angles.in_edge)
+            env_in = T.gather(geom.env, angles.in_edge)
     else:
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
-        env_in = Tensor(np.zeros(0))
+        env_in = Tensor(np.zeros((0, 1)))
     for i in range(spec.layers):
         with T.scope(f"block{i}"):
             m = dimenet_layer(
-                spec, params, f"block{i}", m, rbf, sbf_rows, env_in, angles, batch.n_edges
+                spec, params, f"block{i}", m, geom.rbf, sbf_rows, env_in, angles, batch.n_edges
             )
-    return m, env
+    return m, geom.env
 
 
 def dimenet_forward(
@@ -464,5 +474,5 @@ def dimenet_forward(
     """Node scalars, summed from the readouts of outgoing edges; no vectors."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.reshape(env, (-1, 1))
+        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
         return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None

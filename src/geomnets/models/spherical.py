@@ -20,9 +20,10 @@ scaled by 1/sqrt(paths). Residuals attach only where input and output
 layouts carry an identical (multiplicity, degree) block.
 
 Every layer filters with all degrees 0..2, so any input block reaches every
-output degree. The edge geometry (radial basis and enveloped harmonics)
-depends only on the edges and the radial basis, which all layers share, so
-a forward builds it once with `edge_geometry` and hands it to each layer.
+output degree. What a filter reads from an edge (radial basis and enveloped
+harmonics) depends only on the edges and the radial basis, which all layers
+share, so a forward forms it once with `filter_inputs` from the shared
+`invariant.edge_geometry` and hands it to each layer.
 
 Attention reads one layer spec whose output layout equals its input: keys
 and values are two tensor-product messages of that layout with their own
@@ -47,7 +48,7 @@ from ..errors import ContractError, ShapeError
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, from_blocks, sph_harm_block
 from ..tensor import MlpSpec, Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
-from .invariant import RadialBasisSpec, cosine_envelope, radial_basis
+from .invariant import EdgeGeometry, RadialBasisSpec, edge_geometry
 
 _DEGREE_CAP = 2
 _FILTER_DEGREES = tuple(range(_DEGREE_CAP + 1))
@@ -107,18 +108,12 @@ def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) ->
     return params
 
 
-def edge_geometry(spec: TfnLayerSpec, rel: Tensor) -> tuple[Tensor, Tensor]:
+def filter_inputs(geom: EdgeGeometry) -> tuple[Tensor, Tensor]:
     """What every message of a layer reads from its edges: the radial basis,
     transposed to (count, E), and the harmonics of every filter degree side
     by side, (E, (_DEGREE_CAP + 1)^2), times the cosine envelope."""
-    dist = T.norm(rel, axis=1)
-    if (dist.data < 1e-12).any():
-        raise ContractError("zero-length edge vector reached a harmonic filter")
-    unit = rel / T.reshape(dist, (-1, 1))
-    harmonics = T.concat([sph_harm_block(l, unit) for l in _FILTER_DEGREES], axis=1)
-    if spec.radial.envelope == "cosine":
-        harmonics = harmonics * T.reshape(cosine_envelope(dist, spec.radial.cutoff), (-1, 1))
-    return T.transpose2(radial_basis(spec.radial, dist)), harmonics
+    harmonics = T.concat([sph_harm_block(l, geom.unit) for l in _FILTER_DEGREES], axis=1)
+    return T.transpose2(geom.rbf), harmonics * geom.env
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,7 @@ def tfn_conv(
     geometry: tuple[Tensor, Tensor],
 ) -> SteerableFeature:
     """Neighborhood tensor-product update over edges (src <- dst), reading
-    the `edge_geometry` of their relative vectors; weights live under
+    the `filter_inputs` of their geometry; weights live under
     `conv.`. Without edges every message is zero and only the residual
     remains."""
     if feat.layout != spec.layout_in:
@@ -422,9 +417,8 @@ def steerable_forward(
     """Node scalars from the degree-0 block and per-node Cartesian 3-vectors
     from the degree-1 block, its channels mixed by `vec_head.mix`."""
     with T.scope("edges"):
-        rel, _ = edge_vectors(pos, batch)
         # every layer has the same radial basis, so one geometry serves them all
-        geometry = edge_geometry(spec.layer_spec(0), rel)
+        geometry = filter_inputs(edge_geometry(spec.basis, edge_vectors(pos, batch)))
     with T.scope("embed"):
         feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):

@@ -16,7 +16,7 @@ from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
-from .invariant import RadialBasisSpec, radial_basis
+from .invariant import RadialBasisSpec, edge_geometry
 
 # ---------------------------------------------------------------------------
 # coordinate-updating stack
@@ -64,7 +64,7 @@ def egnn_layer(
     x: Tensor,
     src: np.ndarray,
     dst: np.ndarray,
-    shift: np.ndarray | None = None,
+    shift: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
     """One block: message from (h_i, h_j, squared distance), gated coordinate
     update along the difference vector, then the node update network."""
@@ -73,9 +73,7 @@ def egnn_layer(
     if x.shape != (h.shape[0], 3):
         raise ShapeError(f"positions {x.shape} do not match node count {h.shape[0]}")
     n = h.shape[0]
-    x_j = T.gather(x, dst)
-    if shift is not None:
-        x_j = x_j + Tensor(shift)
+    x_j = T.gather(x, dst) + Tensor(shift)
     diff = T.gather(x, src) - x_j
     d2 = T.sum_(diff * diff, axis=1, keepdims=True)
     m = mlp_apply(
@@ -200,14 +198,12 @@ def painn_forward(
     `vec_head.mix`. The radial basis and unit vectors of the edges are
     computed once for every layer."""
     with T.scope("edges"):
-        rel, dist = edge_vectors(pos, batch)
-        rbf = radial_basis(spec.basis, dist)
-        unit = rel / T.reshape(dist, (-1, 1))
+        geom = edge_geometry(spec.basis, edge_vectors(pos, batch))
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
-            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rbf, unit)
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, geom.rbf, geom.unit)
     with T.scope("readout"):
         return s, T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))

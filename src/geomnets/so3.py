@@ -64,12 +64,11 @@ def sph_harm_block(l: int, unit_vecs: Tensor) -> Tensor:
     x^2 + y^2 + z^2 = 1. Differentiable in the inputs.
     """
     _check_degree(l)
+    if l == 0:
+        return _columns([Tensor(np.ones(unit_vecs.shape[0])) * _C0])
     x = unit_vecs[:, 0]
     y = unit_vecs[:, 1]
     z = unit_vecs[:, 2]
-    one = Tensor(np.ones(unit_vecs.shape[0]))
-    if l == 0:
-        return _columns([one * _C0])
     if l == 1:
         return _columns([y * _C1, z * _C1, x * _C1])
     if l == 2:

@@ -460,8 +460,13 @@ def test_model_config_defaults_are_the_spec_defaults(family):
 
 @pytest.mark.parametrize(
     "config",
-    [{"family": "tfn", "hidden": 64}, {"family": "schnet", "hiden": 64}, {"family": "painn", "basis": {"size": 8}}],
-    ids=["other-family-key", "misspelt", "nested"],
+    [
+        {"family": "tfn", "hidden": 64},
+        {"family": "schnet", "hiden": 64},
+        {"family": "painn", "basis": {"size": 8}},
+        {"family": "dimenet", "basis": {"envelope": "none"}},
+    ],
+    ids=["other-family-key", "misspelt", "nested", "removed-envelope"],
 )
 def test_model_key_not_a_field_is_rejected(config):
     # a stray key used to build a default-sized model without a word

@@ -72,30 +72,31 @@ def test_radial_spec_validation():
         inv.RadialBasisSpec(kind="gaussian", count=1)
     with pytest.raises(ContractError):
         inv.RadialBasisSpec(cutoff=0.0)
-    with pytest.raises(ContractError):
-        inv.RadialBasisSpec(envelope="poly")
 
 
 def test_gaussian_center_peak_is_one():
-    spec = inv.RadialBasisSpec(kind="gaussian", count=6, cutoff=5.0, envelope="none")
+    spec = inv.RadialBasisSpec(kind="gaussian", count=6, cutoff=5.0)
     centers = np.linspace(0.0, 5.0, 6)
     out = inv.radial_basis(spec, Tensor(centers[1:])).data
     for k in range(1, 6):
         assert out[k - 1, k] == pytest.approx(1.0, abs=0.0)
 
 
-def test_gaussian_envelope_multiplies():
-    bare = inv.RadialBasisSpec(kind="gaussian", count=6, cutoff=5.0, envelope="none")
-    env = inv.RadialBasisSpec(kind="gaussian", count=6, cutoff=5.0, envelope="cosine")
-    d = Tensor(np.array([1.3, 2.0, 4.9]))
-    factor = 0.5 * (np.cos(np.pi * d.data / 5.0) + 1.0)
-    np.testing.assert_allclose(
-        inv.radial_basis(env, d).data, inv.radial_basis(bare, d).data * factor[:, None], rtol=1e-15
-    )
+def test_edge_geometry_envelopes_the_bare_basis():
+    spec = inv.RadialBasisSpec(kind="gaussian", count=6, cutoff=5.0)
+    d = np.array([1.3, 2.0, 4.9])
+    rel = np.array([[1.3, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 4.9]])
+    geom = inv.edge_geometry(spec, Tensor(rel))
+    factor = 0.5 * (np.cos(np.pi * d / 5.0) + 1.0)
+    np.testing.assert_allclose(geom.dist.data[:, 0], d, rtol=1e-15)
+    np.testing.assert_allclose(geom.unit.data, rel / d[:, None], rtol=1e-15)
+    np.testing.assert_allclose(geom.env.data[:, 0], factor, rtol=1e-15)
+    bare = inv.radial_basis(spec, Tensor(d)).data
+    np.testing.assert_allclose(geom.rbf.data, bare * factor[:, None], rtol=1e-15)
 
 
 def test_bessel_basis_pinned_value():
-    spec = inv.RadialBasisSpec(kind="bessel", count=3, cutoff=5.0, envelope="none")
+    spec = inv.RadialBasisSpec(kind="bessel", count=3, cutoff=5.0)
     out = inv.radial_basis(spec, Tensor(np.array([2.5]))).data
     assert out[0, 0] == pytest.approx(0.25298221281347033, abs=1e-15)
 
@@ -113,6 +114,9 @@ def test_radial_basis_gradients():
         spec = inv.RadialBasisSpec(kind=kind, count=5, cutoff=5.0)
         err = grad_check(lambda x: T.sum_(inv.radial_basis(spec, x)), d)
         assert err < 1e-6
+        rel = np.array([[0.8, 0.0, 0.0], [1.2, -0.9, 1.5], [-2.0, 2.5, 0.9]])
+        err = grad_check(lambda x: T.sum_(inv.edge_geometry(spec, x).rbf), rel)
+        assert err < 1e-6
 
 
 def test_envelope_boundary_values():
@@ -129,7 +133,7 @@ def test_envelope_boundary_values():
 @given(st.lists(st.floats(0.01, 4.99), min_size=1, max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_gaussian_components_bounded(ds):
-    spec = inv.RadialBasisSpec(kind="gaussian", count=7, cutoff=5.0, envelope="none")
+    spec = inv.RadialBasisSpec(kind="gaussian", count=7, cutoff=5.0)
     out = inv.radial_basis(spec, Tensor(np.array(ds))).data
     assert (out > 0.0).all() and (out <= 1.0).all()
 
@@ -559,8 +563,8 @@ def per_triplet_messages(spec, params, batch, pos):
     distance factors and envelopes, and both block-network layers, evaluated
     once per triplet on concatenated (message, distance, 2-D basis) rows."""
     angles, cutoff = batch.angles, spec.basis.cutoff
-    rel, dist = edge_vectors(pos, batch)
-    rbf = inv.radial_basis(spec.basis, dist)
+    rel = edge_vectors(pos, batch)
+    dist, rbf = T.norm(rel, axis=1), inv.edge_geometry(spec.basis, rel).rbf
     h = embed_nodes(params["embed"], batch.z)
     m = T.mlp_apply(
         spec.embed_mlp(), params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0"

@@ -61,14 +61,16 @@ def random_feature(layout, n, seed):
     return SteerableFeature(layout, Tensor(rng.normal(size=(n, layout.width))))
 
 
+def filters(spec, rel):
+    return sph.filter_inputs(inv.edge_geometry(spec.radial, rel))
+
+
 def conv(spec, params, feat, edges):
-    geometry = sph.edge_geometry(spec, Tensor(edges.rel_vec))
-    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, geometry)
+    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec)))
 
 
 def attend(spec, params, feat, edges):
-    geometry = sph.edge_geometry(spec, Tensor(edges.rel_vec))
-    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, geometry)
+    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec)))
 
 
 def steerable_energy(spec, params, batch, pos):
@@ -137,7 +139,7 @@ def test_conv_rejects_zero_length_edge():
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(2), "conv"))
     feat = random_feature(spec.layout_in, 2, 5)
     with pytest.raises(ContractError):
-        sph.edge_geometry(spec, Tensor(np.zeros((1, 3))))
+        filters(spec, Tensor(np.zeros((1, 3))))
 
 
 def test_conv_layout_mismatch_rejected():
@@ -320,10 +322,8 @@ def reference_messages(spec, params, prefix, feat, dst, rel):
     """Per output block, the messages of its paths (E, mult_in, 2 l_out + 1)
     in the per-path form: radial output times harmonics as the filter, its
     outer product with the neighbor block, then the coupling table."""
-    dist = T.norm(rel, axis=1)
-    unit = rel / T.reshape(dist, (-1, 1))
-    rbf = inv.radial_basis(spec.radial, dist)
-    env = T.reshape(inv.cosine_envelope(dist, spec.radial.cutoff), (-1, 1, 1))
+    geom = inv.edge_geometry(spec.radial, rel)
+    unit, rbf, env = geom.unit, geom.rbf, T.reshape(geom.env, (-1, 1, 1))
     e = rel.shape[0]
     per_block = {}
     for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
@@ -388,7 +388,7 @@ def fused_and_reference(layer, graph):
         spec, params = attention_setup(7)
 
         def fused(spec, params, feat, src, dst, rel):
-            return sph.se3_attention(spec, params, feat, src, dst, sph.edge_geometry(spec, rel))
+            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel))
 
         ref = reference_attention
     else:
@@ -397,7 +397,7 @@ def fused_and_reference(layer, graph):
         params = sph.init_tfn_layer(spec, rng, "conv")
 
         def fused(spec, params, feat, src, dst, rel):
-            return sph.tfn_conv(spec, params, feat, src, dst, sph.edge_geometry(spec, rel)), None
+            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel)), None
 
         def ref(*args):
             return reference_conv(*args), None

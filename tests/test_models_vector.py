@@ -9,7 +9,7 @@ from geomnets.geometry import Conformation, radius_graph
 from geomnets.models import api
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch, edge_vectors, embed_nodes
-from geomnets.models.invariant import RadialBasisSpec, radial_basis
+from geomnets.models.invariant import RadialBasisSpec, edge_geometry
 from geomnets.so3 import random_rotation
 from geomnets.tensor import Tape, Tensor
 
@@ -111,12 +111,11 @@ def test_egnn_layer_shape_errors():
     spec, params = egnn_setup(2)
     edges = radius_graph(cloud(1), 5.0)
     pt = as_tensors(params)
+    graph = (edges.src, edges.dst, np.zeros((edges.n_edges, 3)))
     with pytest.raises(ShapeError):
-        vec.egnn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 9))), Tensor(cloud(1)), edges.src, edges.dst)
+        vec.egnn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 9))), Tensor(cloud(1)), *graph)
     with pytest.raises(ShapeError):
-        vec.egnn_layer(
-            spec, pt, "layer0", Tensor(np.zeros((5, 12))), Tensor(np.zeros((4, 3))), edges.src, edges.dst
-        )
+        vec.egnn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 12))), Tensor(np.zeros((4, 3))), *graph)
 
 
 def test_egnn_forces_match_finite_differences():
@@ -156,12 +155,11 @@ def painn_setup(seed=0, channels=10, layers=2):
 def painn_channels(spec, params, batch):
     """The layer stack of `painn_forward` before its readout: node scalars
     and the (N, F, 3) vector channels."""
-    rel, dist = edge_vectors(Tensor(batch.pos), batch)
-    rbf, unit = radial_basis(spec.basis, dist), rel / T.reshape(dist, (-1, 1))
+    geom = edge_geometry(spec.basis, edge_vectors(Tensor(batch.pos), batch))
     s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
-        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, rbf, unit)
+        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, geom.rbf, geom.unit)
     return s, v
 
 
@@ -208,8 +206,8 @@ def test_painn_layer_shape_errors():
     edges = radius_graph(cloud(2), 5.0)
     pt = as_tensors(params)
     s = Tensor(np.zeros((5, spec.hidden)))
-    rbf = radial_basis(spec.basis, Tensor(edges.dist))
-    graph = (edges.src, edges.dst, rbf, Tensor(edges.rel_vec / edges.dist[:, None]))
+    geom = edge_geometry(spec.basis, Tensor(edges.rel_vec))
+    graph = (edges.src, edges.dst, geom.rbf, geom.unit)
     with pytest.raises(ShapeError):
         vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.hidden, 2))), *graph)
     with pytest.raises(ShapeError):

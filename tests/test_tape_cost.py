@@ -27,7 +27,20 @@ triplets; painn computes its radial basis and unit vectors once per
 forward instead of once per layer and runs phi per node. That moved the
 pins dimenet 473 -> 370 and painn 385 -> 341, and dimenet's records with a
 row per triplet 326 -> 82, which `TRIPLET_RECORDS_PER_STEP` pins.
+
+Every family with a radial basis builds its edge lengths, unit vectors,
+envelope and enveloped basis once per forward with
+`invariant.edge_geometry`, which takes the lengths with the norm's kept
+axis so no reshape turns them into a column. schnet, leaky, dimenet, tfn
+and se3attn evaluated the envelope twice, tfn and se3attn the norm twice,
+and the envelope was reshaped in every layer that read it; the degree-0
+harmonics took three coordinate slices nothing read. That moved the pins
+schnet 148 -> 133, leaky 153 -> 138, dimenet 370 -> 350, painn 341 -> 336,
+tfn 605 -> 583 and se3attn 873 -> 851, and dimenet's triplet records
+82 -> 78 (the reshape of each block's incoming envelopes and its backward).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -38,17 +51,17 @@ from geomnets.models.common import build_batch
 from test_parity import CONFIGS, _confs, _schedule
 
 RECORDS_PER_STEP = {
-    "dimenet": 370,
+    "dimenet": 350,
     "egnn": 171,
-    "leaky": 153,
-    "painn": 341,
-    "schnet": 148,
-    "se3attn": 873,
-    "tfn": 605,
+    "leaky": 138,
+    "painn": 336,
+    "schnet": 133,
+    "se3attn": 851,
+    "tfn": 583,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
-TRIPLET_RECORDS_PER_STEP = 82
+TRIPLET_RECORDS_PER_STEP = 78
 
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
@@ -158,3 +171,15 @@ def test_every_record_of_a_forward_is_scoped(family):
     scopes = {rec.scope for rec in tape.records}
     assert "" not in scopes and {"embed", "readout"} <= scopes
     assert ("triplets" in scopes) == model.needs_angles
+
+
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_edge_geometry_built_once_per_forward(family):
+    # one norm (its power) and one envelope (its cos) per forward, in scope
+    # `edges`; egnn reads squared distances only
+    model = api.model_from_config(CONFIGS[family])
+    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
+    tape = T.Tape()
+    model.energy_and_vectors(T.lift(model.init(0), tape), batch, tape.tensor(batch.pos))
+    ops = Counter(rec.name for rec in tape.records if rec.scope == "edges")
+    assert ops["cos"] == ops["power"] == (0 if family == "egnn" else 1)
