@@ -112,8 +112,10 @@ class AngleIndex:
         return self.in_edge.size
 
 
-def _sorted_edges(src, dst, shift, rel, dist) -> EdgeList:
-    order = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], dst, src))
+def _sorted_edges(key, src, dst, shift, rel, dist) -> EdgeList:
+    """The rows in the order of `key`, an int64 that each caller builds to
+    rise with (src, dst, shift)."""
+    order = np.argsort(key, kind="stable")
     return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order])
 
 
@@ -123,6 +125,8 @@ _BIN_SLACK = 1e-6
 # a sparse cloud gets wider bins rather than more than this many per axis,
 # which keeps bin keys inside int64 and bin rounding far below the slack
 _MAX_AXIS_BINS = 1 << 20
+# relative slack of the squared-length prefilter in `_pairs_within`
+_NEAR_SLACK = 1e-9
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -140,7 +144,14 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     axis, and every anchor measures only the candidates of its 27
     neighbouring bins. Candidates outside the anchors' bins grown by one bin
     are dropped first. The cost is linear in the points at fixed density.
-    A point paired with itself has distance exactly 0 and is dropped.
+
+    The cutoff sphere fills at most a sixth of the 27 bins, so a prefilter
+    first sums each candidate's squared offsets axis by axis and keeps those
+    at most cutoff^2 (1 + 1e-9); the relative vectors, their norms and the
+    exact test 0 < dist <= cutoff are then taken on the survivors only. The
+    slack lies far above the rounding of either length, so the prefilter
+    drops no pair the exact test keeps. A point paired with itself has
+    distance exactly 0 and is dropped.
     """
     if anchors.shape[0] == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0)
@@ -166,6 +177,14 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     src = np.repeat(np.arange(anchors.shape[0]), counts.reshape(-1, rows.size).sum(axis=1))
     dst = kept[_ranges(starts, counts)]
 
+    near_sq = np.zeros(src.size)
+    for axis in range(3):
+        offset = candidates[:, axis][dst] - anchors[:, axis][src]
+        offset *= offset
+        near_sq += offset
+    near = np.flatnonzero(near_sq <= cutoff * cutoff * (1.0 + _NEAR_SLACK))
+    src, dst = src[near], dst[near]
+
     rel = candidates[dst] - anchors[src]
     dist = np.linalg.norm(rel, axis=-1)
     hit = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
@@ -185,7 +204,7 @@ def radius_graph(pos, cutoff: float) -> EdgeList:
         raise ContractError("positions must be finite")
     src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    return _sorted_edges(src, dst, shift, rel, dist)
+    return _sorted_edges(src * pos.shape[0] + dst, src, dst, shift, rel, dist)
 
 
 def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[int, int, int]:
@@ -275,7 +294,10 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
         src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
         which, dst = np.divmod(image, n)
         shift = shifts[which] + offset[src] - offset[dst]
-        return _sorted_edges(src, dst, shift, rel, dist)
+        # the shifts come in ascending (a, b, c) order and a pair's offset
+        # term is constant, so `which` orders a pair's rows as their shifts
+        key = (src * n + dst) * shifts.shape[0] + which
+        return _sorted_edges(key, src, dst, shift, rel, dist)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
@@ -283,7 +305,7 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
     src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    edges = _sorted_edges(src, dst, shift, rel, dist)
+    edges = _sorted_edges(src * all_pos.shape[0] + dst, src, dst, shift, rel, dist)
     return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, n)
 
 

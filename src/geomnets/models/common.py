@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import AngleIndex, Conformation, EdgeList, build_angle_index, periodic_radius_graph, radius_graph
+from ..geometry import AngleIndex, build_angle_index, periodic_radius_graph, radius_graph
 from ..tensor import Tensor
 
 # 118 real elements plus one reserved row; row 0 doubles as the mask token

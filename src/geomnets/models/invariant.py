@@ -195,6 +195,15 @@ def bessel_roots(l: int, count: int) -> np.ndarray:
     return np.asarray(roots)
 
 
+@lru_cache(maxsize=None)
+def _bessel_norms(l: int, n_max: int, cutoff: float) -> np.ndarray:
+    """sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) over the first `n_max` roots z_ln
+    of j_l, read-only since every caller shares it."""
+    norms = np.array([math.sqrt(2.0 / (cutoff**3 * _jl_np(l + 1, z) ** 2)) for z in bessel_roots(l, n_max)])
+    norms.flags.writeable = False
+    return norms
+
+
 _ZONAL_NORM = [math.sqrt((2 * l + 1) / (4.0 * math.pi)) for l in range(6)]
 
 
@@ -234,8 +243,7 @@ def spherical_basis_radial(l_max: int, n_max: int, cutoff: float, d: Tensor) -> 
     blocks = []
     for l in range(l_max + 1):
         roots = bessel_roots(l, n_max)
-        norm_consts = [math.sqrt(2.0 / (cutoff**3 * _jl_np(l + 1, z) ** 2)) for z in roots]
-        blocks.append(spherical_jl(l, col * Tensor(roots / cutoff)) * Tensor(norm_consts))
+        blocks.append(spherical_jl(l, col * Tensor(roots / cutoff)) * Tensor(_bessel_norms(l, n_max, cutoff)))
     return T.concat(blocks, axis=1)
 
 

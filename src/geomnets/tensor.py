@@ -505,8 +505,15 @@ def _check_basic_key(key) -> None:
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     x = a.data
-    e = np.exp(-np.abs(x))
-    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # fresh arrays even for 0-d input, where ufuncs would return scalars
+    e = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # e <= 1, so the numerator is 1 where x >= 0 and e elsewhere: the same
+    # 1/(1+e) and e/(1+e) as a two-branch select, without computing both
+    data = np.maximum(e, x >= 0, out=np.empty_like(e))
+    e += 1.0
+    data /= e
     out = _op("sigmoid", (a,), data, (lambda g: mul(g, mul(out, sub(1.0, out))),))
     return out
 

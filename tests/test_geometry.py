@@ -524,3 +524,94 @@ def test_angle_index_matches_brute_force_on_periodic_graphs():
         np.testing.assert_allclose(
             [x[2] for x in sorted(got)], [x[2] for x in expect], atol=1e-12, rtol=0
         )
+
+
+def all_pairs_edges(anchors, candidates, cutoff):
+    """(src, dst, rel, dist) of every anchor-candidate pair with
+    0 < dist <= cutoff, measured over all pairs with no bins or prefilter."""
+    src, dst = np.divmod(np.arange(len(anchors) * len(candidates)), len(candidates))
+    rel = candidates[dst] - anchors[src]
+    dist = np.linalg.norm(rel, axis=-1)
+    hit = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
+    return src[hit], dst[hit], rel[hit], dist[hit]
+
+
+def lexsorted_reference(src, dst, shift, rel, dist):
+    order = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], dst, src))
+    return G.EdgeList(src[order], dst[order], dist[order], rel[order], shift[order])
+
+
+def reference_open_graph(pos, cutoff):
+    src, dst, rel, dist = all_pairs_edges(pos, pos, cutoff)
+    return lexsorted_reference(src, dst, np.zeros((src.size, 3), np.int64), rel, dist)
+
+
+def reference_periodic_graph(conf, cutoff, mode):
+    """The graph of `periodic_radius_graph` from an all-pairs search over the
+    same images; the cell and image helpers are shared, the search and sort
+    are not."""
+    n = conf.n_atoms
+    pos, offset = G._into_cell(conf.lattice, conf.pos)
+    shifts = G._enumerate_shifts(conf.lattice, pos, cutoff)
+    if mode == "gathered":
+        src, image, rel, dist = all_pairs_edges(pos, G._images(pos, shifts, conf.lattice), cutoff)
+        which, dst = np.divmod(image, n)
+        return lexsorted_reference(src, dst, shifts[which] + offset[src] - offset[dst], rel, dist)
+    image_shifts = shifts[np.any(shifts != 0, axis=1)]
+    all_pos = np.concatenate([pos, G._images(pos, image_shifts, conf.lattice)])
+    src, dst, rel, dist = all_pairs_edges(pos, all_pos, cutoff)
+    return lexsorted_reference(src, dst, np.zeros((src.size, 3), np.int64), rel, dist)
+
+
+def assert_same_rows(got, ref):
+    for name in ("src", "dst", "shift", "rel_vec", "dist"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_open_rows_equal_all_pairs_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    pos = rng.uniform(-6.0, 6.0, size=(n, 3)) + rng.integers(-1000, 1000, 3)
+    pos[rng.integers(0, n, 3)] = pos[0]  # coincident points
+    assert_same_rows(G.radius_graph(pos, 2.5), reference_open_graph(pos, 2.5))
+
+
+@pytest.mark.parametrize("mode", ["gathered", "expanded"])
+@pytest.mark.parametrize("seed,outside", [(0, 0), (1, 0), (2, 1), (3, 2)])
+def test_periodic_rows_equal_all_pairs_lexsort_reference(seed, outside, mode):
+    # a skewed cell; `outside` writes atoms up to that many cells away
+    rng = np.random.default_rng(seed)
+    lat = np.array([[3.1, 0.0, 0.0], [0.9, 2.8, 0.0], [-0.7, 0.6, 3.3]])
+    frac = rng.uniform(0.0, 1.0, size=(12, 3)) + rng.integers(-outside, outside + 1, size=(12, 3))
+    conf = G.Conformation(rng.integers(1, 30, 12), frac @ lat, lattice=lat)
+    got = G.periodic_radius_graph(conf, 4.0, mode)
+    assert_same_rows(got if mode == "gathered" else got.edges, reference_periodic_graph(conf, 4.0, mode))
+
+
+# atoms written this far out carry shifts of the same size, which the row
+# order must still sort by
+@pytest.mark.parametrize("mode", ["gathered", "expanded"])
+@pytest.mark.parametrize("cells", [1000, 3 * 10**7])
+def test_rows_of_atoms_far_outside_the_cell_equal_reference(cells, mode):
+    rng = np.random.default_rng(3)
+    lat = np.array([[3.0, 0.0, 0.0], [0.4, 3.2, 0.0], [-0.3, 0.5, 2.9]])
+    pos = rng.uniform(0.0, 1.0, size=(5, 3)) @ lat
+    pos[1:4] += np.array([[0, cells, -cells], [cells, -cells, cells], [-cells, 0, 0]]) @ lat
+    conf = G.Conformation([6, 8, 1, 1, 7], pos, lattice=lat)
+    got = G.periodic_radius_graph(conf, 4.0, mode)
+    assert_same_rows(got if mode == "gathered" else got.edges, reference_periodic_graph(conf, 4.0, mode))
+
+
+def test_prefilter_keeps_the_exact_cutoff_and_drops_the_next_float():
+    cutoff = 5.0
+    beyond = np.nextafter(cutoff, np.inf)
+    pos = np.array([[0.0, 0.0, 0.0], [cutoff, 0.0, 0.0], [0.0, 40.0, 0.0], [beyond, 40.0, 0.0]])
+    # both pairs are inside the prefilter's slack, so the exact test decides
+    assert beyond * beyond <= cutoff * cutoff * (1.0 + G._NEAR_SLACK)
+    edges = G.radius_graph(pos, cutoff)
+    assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [(0, 1), (1, 0)]
+    assert edges.dist.tolist() == [cutoff, cutoff]
+    assert_same_rows(edges, reference_open_graph(pos, cutoff))

@@ -420,6 +420,28 @@ def test_second_derivative_through_sigmoid():
     assert T.grad_check(_squared_gradient(inner), rng.normal(size=(3, 4)) * 2.0) < 1e-6
 
 
+def _two_branch_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.0, -709.0, 746.0, -746.0, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("shape", [(), (36,), (6, 6), (3, 4, 3)])
+def test_sigmoid_bitwise_equals_two_branch_select(shape):
+    draws = np.random.default_rng(7).normal(size=(200,) + shape) * 10.0
+    edges = np.resize(np.array(SIGMOID_EDGES), shape)
+    filled = [np.full(shape, v) for v in SIGMOID_EDGES]
+    for x in [edges, -edges, *filled, *map(np.asarray, draws)]:
+        before = x.copy()
+        got = T.sigmoid(T.Tensor(x)).data
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+        assert not np.signbit(got).any()
+        assert x.tobytes() == before.tobytes()
+
+
 OVERFLOWS = [
     ("mul", lambda: T.mul(T.Tensor([1e308]), T.Tensor([10.0]))),
     ("matmul", lambda: T.matmul(T.Tensor([[1e308, 1e308]]), T.Tensor([[1.0], [1.0]]))),
