@@ -6,6 +6,10 @@ Edge conventions used everywhere downstream:
   * rel_vec = pos[dst] + shift @ lattice - pos[src], dist = |rel_vec|
   * edges are kept when 0 < dist <= cutoff (the boundary is inclusive)
   * rows are sorted by (src, dst, shift), so construction is deterministic
+  * every edge's reverse (dst, src, -shift) is in the graph too, and each row
+    names the row of its reverse. The one exception is periodic: the two
+    directions' vectors are rounded differently, so when their lengths
+    straddle the cutoff only one is kept, and it has no reverse row
 """
 
 from __future__ import annotations
@@ -61,13 +65,15 @@ class Conformation:
 
 @dataclass
 class EdgeList:
-    """Directed cutoff edges over one structure."""
+    """Directed cutoff edges over one structure; `reverse` holds each row's
+    reverse row, or -1 where the reverse is not in the graph."""
 
     src: np.ndarray
     dst: np.ndarray
     dist: np.ndarray
     rel_vec: np.ndarray
     shift: np.ndarray
+    reverse: np.ndarray
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -75,6 +81,7 @@ class EdgeList:
         self.dist = np.asarray(self.dist, dtype=np.float64)
         self.rel_vec = np.asarray(self.rel_vec, dtype=np.float64).reshape(-1, 3)
         self.shift = np.asarray(self.shift, dtype=np.int64).reshape(-1, 3)
+        self.reverse = np.asarray(self.reverse, dtype=np.int64)
 
     @property
     def n_edges(self) -> int:
@@ -112,11 +119,46 @@ class AngleIndex:
         return self.in_edge.size
 
 
-def _sorted_edges(key, src, dst, shift, rel, dist) -> EdgeList:
+@dataclass(frozen=True)
+class PairIndex:
+    """Directed edges grouped into unordered pairs {e, reverse of e}, so that
+    whatever depends only on an edge's length, or on its direction up to
+    sign, is computed once per pair.
+
+    `edge` (P,) is each pair's representative, the lower row of the two;
+    `slot` (E,) is each edge's pair; `flipped` (E,) marks the edges that run
+    against their representative. An edge without a reverse row is a pair
+    of its own."""
+
+    edge: np.ndarray
+    slot: np.ndarray
+    flipped: np.ndarray
+
+
+def pair_index(reverse: np.ndarray) -> PairIndex:
+    """The pairs of edges whose reverse rows are `reverse` (-1 for none)."""
+    rows = np.arange(reverse.size)
+    flipped = (reverse >= 0) & (reverse < rows)
+    slot = np.cumsum(~flipped) - 1
+    slot[flipped] = slot[reverse[flipped]]
+    return PairIndex(np.flatnonzero(~flipped), slot, flipped)
+
+
+def _sorted_edges(key, reverse_key, src, dst, shift, rel, dist) -> EdgeList:
     """The rows in the order of `key`, an int64 that each caller builds to
-    rise with (src, dst, shift)."""
-    order = np.argsort(key, kind="stable")
-    return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order])
+    rise with (src, dst, shift). `reverse_key` is the key that the reverse
+    (dst, src, -shift) of each row would have; one search of it among the
+    keys finds each row's reverse row. Keys are unique, so any sort gives
+    the one order, and the search runs on sorted queries, which is several
+    times faster than on the queries in row order."""
+    order = np.argsort(key)
+    key, reverse_key = key[order], reverse_key[order]
+    by_reverse = np.argsort(reverse_key)
+    wanted = reverse_key[by_reverse]
+    at = np.searchsorted(key, wanted)
+    reverse = np.empty_like(at)
+    reverse[by_reverse] = np.where(key[np.minimum(at, key.size - 1)] == wanted, at, -1)
+    return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order], reverse)
 
 
 # bins are this much wider than the cutoff, so that a pair at exactly the
@@ -147,11 +189,12 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
 
     The cutoff sphere fills at most a sixth of the 27 bins, so a prefilter
     first sums each candidate's squared offsets axis by axis and keeps those
-    at most cutoff^2 (1 + 1e-9); the relative vectors, their norms and the
-    exact test 0 < dist <= cutoff are then taken on the survivors only. The
-    slack lies far above the rounding of either length, so the prefilter
-    drops no pair the exact test keeps. A point paired with itself has
-    distance exactly 0 and is dropped.
+    at most cutoff^2 (1 + 1e-9); the relative vectors and the exact test
+    0 < dist <= cutoff are then taken on the survivors only. The slack lies
+    far above the rounding of either length, so the prefilter drops no pair
+    the exact test keeps. A survivor's length is the root of its prefilter
+    sum, which adds the squares in the order `np.linalg.norm` does. A point
+    paired with itself has distance exactly 0 and is dropped.
     """
     if anchors.shape[0] == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0)
@@ -183,12 +226,10 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
         offset *= offset
         near_sq += offset
     near = np.flatnonzero(near_sq <= cutoff * cutoff * (1.0 + _NEAR_SLACK))
-    src, dst = src[near], dst[near]
-
-    rel = candidates[dst] - anchors[src]
-    dist = np.linalg.norm(rel, axis=-1)
+    dist = np.sqrt(near_sq[near])
     hit = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
-    return src[hit], dst[hit], rel[hit], dist[hit]
+    src, dst = src[near[hit]], dst[near[hit]]
+    return src, dst, candidates[dst] - anchors[src], dist[hit]
 
 
 def _check_cutoff(cutoff: float) -> None:
@@ -202,9 +243,10 @@ def radius_graph(pos, cutoff: float) -> EdgeList:
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
     if not np.isfinite(pos).all():
         raise ContractError("positions must be finite")
+    n = pos.shape[0]
     src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    return _sorted_edges(src * pos.shape[0] + dst, src, dst, shift, rel, dist)
+    return _sorted_edges(src * n + dst, dst * n + src, src, dst, shift, rel, dist)
 
 
 def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[int, int, int]:
@@ -295,9 +337,13 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
         which, dst = np.divmod(image, n)
         shift = shifts[which] + offset[src] - offset[dst]
         # the shifts come in ascending (a, b, c) order and a pair's offset
-        # term is constant, so `which` orders a pair's rows as their shifts
-        key = (src * n + dst) * shifts.shape[0] + which
-        return _sorted_edges(key, src, dst, shift, rel, dist)
+        # term is constant, so `which` orders a pair's rows as their shifts.
+        # The shift list is symmetric, so shift S - 1 - which is the negated
+        # one, and with the offset terms swapped it gives the reverse's shift
+        n_shifts = shifts.shape[0]
+        key = (src * n + dst) * n_shifts + which
+        reverse_key = (dst * n + src) * n_shifts + (n_shifts - 1 - which)
+        return _sorted_edges(key, reverse_key, src, dst, shift, rel, dist)
 
     # expanded: anchors first, then one copy of every atom per nonzero shift
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
@@ -305,7 +351,9 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
     src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
-    edges = _sorted_edges(src * all_pos.shape[0] + dst, src, dst, shift, rel, dist)
+    # only anchor-anchor rows have a reverse: images are never a src
+    n_all = all_pos.shape[0]
+    edges = _sorted_edges(src * n_all + dst, dst * n_all + src, src, dst, shift, rel, dist)
     return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, n)
 
 
@@ -313,7 +361,7 @@ def build_angle_index(edges: EdgeList) -> AngleIndex:
     """All two-hop triplets (k -> j, j -> i) with k not the physical i.
 
     The receiving row e = (src=i, dst=j) pairs with every row f =
-    (src=j, dst=k) except the exact reverse image of e. The angle at j is
+    (src=j, dst=k) except its reverse row. The angle at j is
     between the vectors j->k and j->i. Triplets come ordered by e, then f.
     """
     by_src = np.argsort(edges.src, kind="stable")
@@ -322,9 +370,7 @@ def build_angle_index(edges: EdgeList) -> AngleIndex:
     counts = np.searchsorted(sorted_src, edges.dst, "right") - starts
     out_edge = np.repeat(np.arange(edges.n_edges), counts)
     in_edge = by_src[_ranges(starts, counts)]
-    back = (edges.dst[in_edge] == edges.src[out_edge]) & (
-        edges.shift[in_edge] == -edges.shift[out_edge]
-    ).all(axis=1)
+    back = in_edge == edges.reverse[out_edge]
     in_edge, out_edge = in_edge[~back], out_edge[~back]
     to_k = edges.rel_vec[in_edge]
     to_i = -edges.rel_vec[out_edge]

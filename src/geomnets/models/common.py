@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import AngleIndex, build_angle_index, periodic_radius_graph, radius_graph
+from ..geometry import AngleIndex, PairIndex, build_angle_index, pair_index, periodic_radius_graph, radius_graph
 from ..tensor import Tensor
 
 # 118 real elements plus one reserved row; row 0 doubles as the mask token
@@ -18,7 +18,8 @@ EMBED_ROWS = 119
 
 @dataclass
 class GraphBatch:
-    """Several conformations merged into one disjoint graph."""
+    """Several conformations merged into one disjoint graph, its edges
+    grouped into reverse pairs by `pairs`."""
 
     z: np.ndarray
     pos: np.ndarray
@@ -27,6 +28,7 @@ class GraphBatch:
     dst: np.ndarray
     shift_offset: np.ndarray
     n_graphs: int
+    pairs: PairIndex
     angles: AngleIndex | None = None
 
     @property
@@ -43,7 +45,7 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
     if not confs:
         raise ContractError("batch needs at least one conformation")
     zs, poss, node_graph = [], [], []
-    srcs, dsts, offsets = [], [], []
+    srcs, dsts, offsets, reverses = [], [], [], []
     ang_in, ang_out, ang_val = [], [], []
     node_base = 0
     edge_base = 0
@@ -60,6 +62,7 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
         srcs.append(edges.src + node_base)
         dsts.append(edges.dst + node_base)
         offsets.append(shift_off)
+        reverses.append(np.where(edges.reverse >= 0, edges.reverse + edge_base, -1))
         if need_angles:
             ang = build_angle_index(edges)
             ang_in.append(ang.in_edge + edge_base)
@@ -82,6 +85,7 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
         dst=np.concatenate(dsts),
         shift_offset=np.concatenate(offsets, axis=0),
         n_graphs=len(confs),
+        pairs=pair_index(np.concatenate(reverses)),
         angles=angles,
     )
 
@@ -100,11 +104,13 @@ def graph_stats(batch: GraphBatch) -> dict[str, int]:
     }
 
 
-def edge_vectors(pos: Tensor, batch: GraphBatch) -> Tensor:
-    """Differentiable relative vectors (E, 3) for every edge."""
+def pair_vectors(pos: Tensor, batch: GraphBatch) -> Tensor:
+    """Differentiable relative vectors (P, 3) of each pair's representative
+    edge; the other edge of a pair runs along the negated vector."""
     if pos.shape != (batch.n_nodes, 3):
         raise ShapeError(f"positions {pos.shape} do not match batch of {batch.n_nodes} nodes")
-    return T.gather(pos, batch.dst) + Tensor(batch.shift_offset) - T.gather(pos, batch.src)
+    rep = batch.pairs.edge
+    return T.gather(pos, batch.dst[rep]) + Tensor(batch.shift_offset[rep]) - T.gather(pos, batch.src[rep])
 
 
 def embed_nodes(embed_table: Tensor, z: np.ndarray) -> Tensor:

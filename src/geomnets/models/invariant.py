@@ -23,7 +23,7 @@ from .. import tensor as T
 from ..errors import ContractError
 from ..geometry import AngleIndex
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
-from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
+from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 
 # ---------------------------------------------------------------------------
 # radial bases
@@ -75,8 +75,10 @@ def radial_basis(spec: RadialBasisSpec, d: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class EdgeGeometry:
-    """What a forward reads from its edges: lengths (E, 1), unit vectors
-    (E, 3), the cosine envelope (E, 1) and the radial basis times it."""
+    """What a forward reads from its edges, one row per edge pair: lengths
+    (P, 1), unit vectors (P, 3) of the representative edges, the cosine
+    envelope (P, 1) and the radial basis times it. A flipped edge shares
+    its pair's row, with the unit vector negated."""
 
     dist: Tensor
     unit: Tensor
@@ -85,8 +87,9 @@ class EdgeGeometry:
 
 
 def edge_geometry(basis: RadialBasisSpec, rel: Tensor) -> EdgeGeometry:
-    """The geometry of edges with relative vectors `rel` (E, 3), built once
-    per forward and shared by all its layers."""
+    """The geometry of edges with relative vectors `rel` (rows, 3), built
+    once per forward, from `common.pair_vectors`, and shared by all its
+    layers."""
     dist = T.norm(rel, axis=1, keepdims=True)
     bare = radial_basis(basis, dist)  # rejects zero lengths before the division
     env = cosine_envelope(dist, basis.cutoff)
@@ -258,33 +261,6 @@ def spherical_basis_zonal(l_max: int, n_max: int, cos_angle: Tensor) -> Tensor:
     )
 
 
-def spherical_basis_rows(
-    l_max: int, n_max: int, cutoff: float, d: Tensor, cos_angle: Tensor
-) -> Tensor:
-    """2-D (distance, angle) expansion, (rows, (l_max+1)*n_max), degree-major.
-
-    Entry (l, n) is sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) j_l(z_ln d/cutoff)
-    times the degree-l zonal harmonic of the angle: the product of
-    `spherical_basis_radial` and `spherical_basis_zonal`. Differentiable in
-    both inputs; the angle enters only through its cosine.
-    """
-    return spherical_basis_radial(l_max, n_max, cutoff, d) * spherical_basis_zonal(l_max, n_max, cos_angle)
-
-
-def spherical_basis_2d(l_max: int, n_max: int, d: float, cutoff: float, angle: float) -> np.ndarray:
-    """Point evaluation of the 2-D basis at one (distance, angle) pair."""
-    if not (0.0 <= angle <= math.pi + 1e-12):
-        raise ContractError("angle must lie in [0, pi]")
-    rows = spherical_basis_rows(
-        l_max,
-        n_max,
-        cutoff,
-        Tensor(np.array([d])),
-        Tensor(np.array([math.cos(angle)])),
-    )
-    return rows.data[0]
-
-
 # ---------------------------------------------------------------------------
 # edge-filtered stack (single hop)
 
@@ -321,17 +297,20 @@ def schnet_layer(
     h: Tensor,
     src: np.ndarray,
     dst: np.ndarray,
+    slot: np.ndarray,
     rbf: Tensor,
     env: Tensor,
 ) -> Tensor:
     """One residual interaction: h_i <- h_i + sum_j filter(d_ij) * (W h_j) W'.
 
-    The filter network output is multiplied by the envelope (E, 1) so a
-    message fades to zero as its edge reaches the cutoff; with all-zero
-    filter weights the update is exactly the identity.
+    The filter depends on the edge length alone, so its network runs once
+    per edge pair, on the pairs' basis `rbf` (P, count) times their
+    envelope (P, 1), and each edge reads its pair's row `slot`. A message
+    fades to zero as its edge reaches the cutoff; with all-zero filter
+    weights the update is exactly the identity.
     """
     filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter") * env
-    msg = T.matmul(T.gather(h, dst), params[f"{prefix}.win"]) * filt
+    msg = T.matmul(T.gather(h, dst), params[f"{prefix}.win"]) * T.gather(filt, slot)
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 
@@ -341,12 +320,14 @@ def schnet_forward(
 ) -> tuple[Tensor, None]:
     """Node scalars; the stack has no vectors."""
     with T.scope("edges"):
-        geom = edge_geometry(spec.basis, edge_vectors(pos, batch))
+        geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
-            h = schnet_layer(spec, params, f"layer{i}", h, batch.src, batch.dst, geom.rbf, geom.env)
+            h = schnet_layer(
+                spec, params, f"layer{i}", h, batch.src, batch.dst, batch.pairs.slot, geom.rbf, geom.env
+            )
     return h, None
 
 
@@ -434,45 +415,46 @@ def dimenet_layer(
 def dimenet_messages(
     spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """Edge messages after the last block, and each edge's cosine envelope
-    (E, 1).
+    """Edge messages after the last block, and each edge pair's cosine
+    envelope (P, 1).
 
-    Whatever depends on one edge alone (its distance expansions, envelope
-    and unit vector) is computed once per edge and gathered to the
-    triplets; only the angle's zonal factor is computed per triplet.
+    Whatever depends on one edge's length alone (its distance expansions
+    and envelope) is computed once per edge pair, and its unit vector once
+    per pair up to sign; they are gathered to the edges and the triplets by
+    pair slot. Only the angle's zonal factor is computed per triplet.
     """
     if batch.angles is None:
         raise ContractError("batch was built without angle triplets")
-    angles = batch.angles
+    angles, pairs = batch.angles, batch.pairs
     with T.scope("edges"):
-        geom = edge_geometry(spec.basis, edge_vectors(pos, batch))
+        geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
+        rbf = T.gather(geom.rbf, pairs.slot)
         m = mlp_apply(
             spec.embed_mlp(),
             params,
-            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), geom.rbf], axis=1),
+            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
             "m0",
         )
     if angles.n_triplets:
         with T.scope("triplets"):
-            # the angle at j between (j -> k) and (j -> i)
-            cos_angle = -T.sum_(
-                T.gather(geom.unit, angles.in_edge) * T.gather(geom.unit, angles.out_edge), axis=1
-            )
+            in_pair = pairs.slot[angles.in_edge]
+            # the angle at j between (j -> k) and (j -> i), whose unit
+            # vectors are those of the pairs, negated on flipped edges
+            turn = np.where(pairs.flipped[angles.in_edge] == pairs.flipped[angles.out_edge], -1.0, 1.0)
+            cos_angle = T.sum_(
+                T.gather(geom.unit, in_pair) * T.gather(geom.unit, pairs.slot[angles.out_edge]), axis=1
+            ) * Tensor(turn)
             radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, geom.dist)
-            sbf_rows = T.gather(radial, angles.in_edge) * spherical_basis_zonal(
-                spec.sbf_l_max, spec.sbf_n_max, cos_angle
-            )
-            env_in = T.gather(geom.env, angles.in_edge)
+            sbf_rows = T.gather(radial, in_pair) * spherical_basis_zonal(spec.sbf_l_max, spec.sbf_n_max, cos_angle)
+            env_in = T.gather(geom.env, in_pair)
     else:
         sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
         env_in = Tensor(np.zeros((0, 1)))
     for i in range(spec.layers):
         with T.scope(f"block{i}"):
-            m = dimenet_layer(
-                spec, params, f"block{i}", m, geom.rbf, sbf_rows, env_in, angles, batch.n_edges
-            )
+            m = dimenet_layer(spec, params, f"block{i}", m, rbf, sbf_rows, env_in, angles, batch.n_edges)
     return m, geom.env
 
 
@@ -482,5 +464,5 @@ def dimenet_forward(
     """Node scalars, summed from the readouts of outgoing edges; no vectors."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * env
+        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.gather(env, batch.pairs.slot)
         return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None

@@ -13,8 +13,13 @@ like the blocks it connects, so every message rotates with the Wigner
 matrix of l_out. The coupling matrices of all paths out of one input block
 stand side by side, so the gathered neighbor block meets them in one batched
 matmul, and the radial networks of those paths run as one first-layer
-matmul and one batched second layer. The cosine envelope multiplies the
-harmonics once per edge. Messages into one degree are summed per node,
+matmul and one batched second layer.
+
+R_e and the enveloped harmonics depend only on the edge's length and
+direction, so they are computed once per edge pair {e, reverse of e}. The
+radial outputs are gathered to both edges as they are. A reversed edge has
+the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
+odd degree change sign. Messages into one degree are summed per node,
 channel-concatenated over their paths, mixed by a per-degree linear map and
 scaled by 1/sqrt(paths). Residuals attach only where input and output
 layouts carry an identical (multiplicity, degree) block.
@@ -45,9 +50,10 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
+from ..geometry import PairIndex
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, from_blocks, sph_harm_block
 from ..tensor import MlpSpec, Tensor, init_mlp
-from .common import EMBED_ROWS, GraphBatch, edge_vectors, embed_nodes
+from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import EdgeGeometry, RadialBasisSpec, edge_geometry
 
 _DEGREE_CAP = 2
@@ -108,12 +114,29 @@ def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) ->
     return params
 
 
-def filter_inputs(geom: EdgeGeometry) -> tuple[Tensor, Tensor]:
-    """What every message of a layer reads from its edges: the radial basis,
-    transposed to (count, E), and the harmonics of every filter degree side
-    by side, (E, (_DEGREE_CAP + 1)^2), times the cosine envelope."""
-    harmonics = T.concat([sph_harm_block(l, geom.unit) for l in _FILTER_DEGREES], axis=1)
-    return T.transpose2(geom.rbf), harmonics * geom.env
+@dataclass(frozen=True)
+class EdgeFilters:
+    """What every message of a layer reads from its edges: the radial basis
+    of the edge pairs, transposed to (count, P), each edge's pair `slot`
+    (E,), and the harmonics of every filter degree side by side,
+    (E, (_DEGREE_CAP + 1)^2), times the cosine envelope."""
+
+    rbf_t: Tensor
+    slot: np.ndarray
+    harmonics: Tensor
+
+
+# the columns of the side-by-side harmonics whose degree is odd
+_ODD_COLUMNS = np.concatenate([np.full(2 * l + 1, l % 2 == 1) for l in _FILTER_DEGREES])
+
+
+def filter_inputs(geom: EdgeGeometry, pairs: PairIndex) -> EdgeFilters:
+    """The `EdgeFilters` of edges grouped by `pairs`, from the geometry of
+    their pairs. The enveloped harmonics are computed per pair and gathered
+    to the edges, their odd degrees negated on flipped edges."""
+    harmonics = T.concat([sph_harm_block(l, geom.unit) for l in _FILTER_DEGREES], axis=1) * geom.env
+    sign = np.where(pairs.flipped[:, None] & _ODD_COLUMNS, -1.0, 1.0)
+    return EdgeFilters(T.transpose2(geom.rbf), pairs.slot, T.gather(harmonics, pairs.slot) * Tensor(sign))
 
 
 @dataclass(frozen=True)
@@ -171,24 +194,24 @@ def _messages(
     params: dict,
     feat: SteerableFeature,
     dst: np.ndarray,
-    geometry: tuple[Tensor, Tensor],
+    filters: EdgeFilters,
 ) -> list[list[Tensor]]:
     """Edge messages (E, mult_in, width) per weight set of `prefixes` and
     per input block: the neighbor block times the edge's coupling matrix,
-    times the radial output of each path spread over its columns. The
-    weight sets share the coupling matrices."""
-    rbf_t, harmonics = geometry
-    e = harmonics.shape[0]
+    times the radial output of each path spread over its columns, run per
+    edge pair and gathered to the edges. The weight sets share the coupling
+    matrices."""
+    e, n_pairs = filters.harmonics.shape[0], filters.rbf_t.shape[1]
     plan = _fusion(spec)
     out: list[list[Tensor]] = [[] for _ in prefixes]
     for b, blk in enumerate(plan):
         neighbor = T.gather(feat.block(b), dst)
         mult, dim_in = neighbor.shape[1], neighbor.shape[2]
-        coupling = T.reshape(T.matmul(harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
+        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
         coupled = T.matmul(neighbor, coupling)
         for p, prefix in enumerate(prefixes):
-            radial = _radial(spec, prefix, params, blk, rbf_t, mult)
-            out[p].append(coupled * T.reshape(radial, coupled.shape))
+            radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
+            out[p].append(coupled * T.gather(T.reshape(radial, (n_pairs, mult, blk.width)), filters.slot))
     return out
 
 
@@ -196,21 +219,21 @@ def _radial(
     spec: TfnLayerSpec, prefix: str, params: dict, blk: _BlockFusion, rbf_t: Tensor, mult: int
 ) -> Tensor:
     """The radial networks of the paths out of one input block, run
-    together and spread over their coupling columns: (E * mult, width).
+    together and spread over their coupling columns: (P * mult, width).
 
     The first layers are one matmul over the concatenated weights, the
     second layers one batched matmul."""
-    n, h, e = len(blk.paths), spec.radial_hidden, rbf_t.shape[1]
+    n, h, p = len(blk.paths), spec.radial_hidden, rbf_t.shape[1]
 
     def stacked(name: str, axis: int) -> Tensor:
         return T.concat([params[f"{prefix}.path{k}.radial.{name}"] for k in blk.paths], axis=axis)
 
     w0 = T.transpose2(stacked("w0", 1))
     hidden = T.silu(T.matmul(w0, rbf_t) + T.reshape(stacked("b0", 0), (-1, 1)))
-    hidden = T.transpose2(T.reshape(hidden, (n, h, e)))
+    hidden = T.transpose2(T.reshape(hidden, (n, h, p)))
     w1 = T.reshape(stacked("w1", 0), (n, h, mult))
     r = T.matmul(hidden, w1) + T.reshape(stacked("b1", 0), (n, 1, mult))
-    return T.matmul(T.transpose2(T.reshape(r, (n, e * mult))), Tensor(blk.spread))
+    return T.matmul(T.transpose2(T.reshape(r, (n, p * mult))), Tensor(blk.spread))
 
 
 def _mix_weights(
@@ -267,7 +290,7 @@ def tfn_conv(
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
-    geometry: tuple[Tensor, Tensor],
+    filters: EdgeFilters,
 ) -> SteerableFeature:
     """Neighborhood tensor-product update over edges (src <- dst), reading
     the `filter_inputs` of their geometry; weights live under
@@ -275,7 +298,7 @@ def tfn_conv(
     remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
-    (messages,) = _messages(spec, ("conv",), params, feat, dst, geometry)
+    (messages,) = _messages(spec, ("conv",), params, feat, dst, filters)
     sums = [T.scatter_sum(m, src, feat.data.shape[0]) for m in messages]
     return _residual(spec, feat, _mix(spec, params, "conv", sums))
 
@@ -317,7 +340,7 @@ def se3_attention(
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
-    geometry: tuple[Tensor, Tensor],
+    filters: EdgeFilters,
 ) -> tuple[SteerableFeature, Tensor]:
     """Attention update plus the attention weights (E,) for inspection.
 
@@ -331,7 +354,7 @@ def se3_attention(
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the attention input")
     n = feat.data.shape[0]
-    key_msgs, value_msgs = _messages(spec, ("key", "value"), params, feat, dst, geometry)
+    key_msgs, value_msgs = _messages(spec, ("key", "value"), params, feat, dst, filters)
     alpha = T.segment_softmax(_key_scores(spec, params, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
@@ -417,18 +440,20 @@ def steerable_forward(
     """Node scalars from the degree-0 block and per-node Cartesian 3-vectors
     from the degree-1 block, its channels mixed by `vec_head.mix`."""
     with T.scope("edges"):
-        # every layer has the same radial basis, so one geometry serves them all
-        geometry = filter_inputs(edge_geometry(spec.basis, edge_vectors(pos, batch)))
+        geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
+        # every layer has the same radial basis, so one set of filter
+        # inputs serves them all
+        filters = filter_inputs(geom, batch.pairs)
         feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
         layer = spec.layer_spec(i)
         with T.scope(f"layer{i}"):
             if spec.family == "se3attn" and i > 0:
-                feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, geometry)
+                feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, filters)
             else:
-                feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, geometry)
+                feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)
     with T.scope("readout"):
         scalars = T.reshape(feat.block(0), (batch.n_nodes, spec.scalar_channels))
         mixed = T.matmul(T.transpose2(feat.block(1)), params["vec_head.mix"])

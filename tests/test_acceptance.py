@@ -22,6 +22,7 @@ from geomnets.geometry import Conformation, periodic_radius_graph
 from geomnets.models import api, invariant
 from geomnets.models.common import build_batch
 from geomnets.tensor import Tensor
+from test_models_invariant import spherical_basis_2d
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -346,7 +347,7 @@ def _naive_two_hop_messages(spec, params, batch):
             cos_angle = np.clip(
                 np.dot(rel[f], -rel[e]) / (dist[f] * dist[e]), -1.0, 1.0
             )
-            two_d = invariant.spherical_basis_2d(
+            two_d = spherical_basis_2d(
                 spec.sbf_l_max, spec.sbf_n_max, dist[f], cutoff, math.acos(cos_angle)
             )
             row = np.concatenate([m[e], rbf[e], two_d])

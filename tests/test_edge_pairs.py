@@ -1,0 +1,209 @@
+"""Reverse rows of the cutoff graphs and the edge-pair index of a batch.
+
+Every edge's partner must be its reverse (dst, src, -shift), and the pair
+slots must cover each pair exactly twice. The one edge allowed no partner
+is the periodic one whose reverse the cutoff dropped, because the two
+directions' lengths round to either side of it; it keeps a slot of its own.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from geomnets import geometry as G
+from geomnets import tensor as T
+from geomnets.models import api
+from geomnets.models import common
+from geomnets.models.common import build_batch
+
+SKEWED = np.array([[3.1, 0.0, 0.0], [0.9, 2.8, 0.0], [-0.7, 0.6, 3.3]])
+
+
+def cluster(seed, n=7, span=3.0):
+    rng = np.random.default_rng(seed)
+    return G.Conformation(rng.integers(1, 10, n), rng.uniform(0.0, span, (n, 3)))
+
+
+def crystal(seed, n=5, lattice=SKEWED):
+    rng = np.random.default_rng(seed)
+    return G.Conformation(rng.integers(1, 10, n), rng.uniform(0.0, 1.0, (n, 3)) @ lattice, lattice=lattice)
+
+
+def integer_shifts(confs, cutoff):
+    """Each batch edge's integer shift, from the graphs the batch is built on."""
+    out = []
+    for conf in confs:
+        if conf.lattice is None:
+            out.append(np.zeros((G.radius_graph(conf.pos, cutoff).n_edges, 3), np.int64))
+        else:
+            out.append(G.periodic_radius_graph(conf, cutoff).shift)
+    return np.concatenate(out)
+
+
+def check_pairs(batch, shift, singles=0):
+    """The pair index of `batch` against its edges (src, dst, integer shift):
+    a flipped edge's representative is its reverse and sits in a lower row,
+    every slot holds two edges but `singles` slots that hold one, and a
+    representative is the edge its slot names."""
+    pairs, e = batch.pairs, batch.n_edges
+    assert pairs.slot.shape == pairs.flipped.shape == (e,)
+    counts = np.bincount(pairs.slot, minlength=pairs.edge.size)
+    assert counts.size == pairs.edge.size and (counts == 2).sum() + singles == pairs.edge.size
+    assert (counts == 1).sum() == singles and 2 * pairs.edge.size == e + singles
+    rows = np.arange(e)
+    kept = ~pairs.flipped
+    assert (pairs.edge[pairs.slot[kept]] == rows[kept]).all()
+    flip = rows[pairs.flipped]
+    rep = pairs.edge[pairs.slot[flip]]
+    assert (rep < flip).all()
+    assert (batch.src[rep] == batch.dst[flip]).all() and (batch.dst[rep] == batch.src[flip]).all()
+    assert (shift[rep] == -shift[flip]).all()
+    assert (batch.shift_offset[rep] == -batch.shift_offset[flip]).all()
+
+
+def test_open_cluster():
+    conf = cluster(0)
+    batch = build_batch([conf], 2.5)
+    assert batch.n_edges > 10
+    check_pairs(batch, integer_shifts([conf], 2.5))
+    # on open graphs the representative is the edge with src < dst
+    np.testing.assert_array_equal(batch.pairs.flipped, batch.src > batch.dst)
+
+
+def test_gathered_periodic_cell():
+    conf = crystal(1)
+    batch = build_batch([conf], 4.0)
+    shift = integer_shifts([conf], 4.0)
+    assert (shift != 0).any() and batch.n_edges > 50
+    check_pairs(batch, shift)
+
+
+def test_one_atom_cell_self_images_pair_opposite_shifts():
+    conf = G.Conformation([6], [[0.5, 0.5, 0.5]], lattice=SKEWED)
+    batch = build_batch([conf], 4.0)
+    shift = integer_shifts([conf], 4.0)
+    assert batch.n_edges > 6 and (batch.src == 0).all() and (batch.dst == 0).all()
+    check_pairs(batch, shift)
+    # the rows run by shift, whose set is symmetric, so the representatives
+    # are the lower half
+    np.testing.assert_array_equal(shift[::-1], -shift)
+    np.testing.assert_array_equal(batch.pairs.edge, np.arange(batch.n_edges // 2))
+
+
+def test_atom_written_a_lattice_vector_outside_the_cell():
+    conf = crystal(2)
+    pos = conf.pos.copy()
+    pos[0] += SKEWED[1]
+    pos[3] -= SKEWED[0] + SKEWED[2]
+    moved = G.Conformation(conf.z, pos, lattice=SKEWED)
+    batch = build_batch([moved], 4.0)
+    shift = integer_shifts([moved], 4.0)
+    check_pairs(batch, shift)
+    inside = build_batch([conf], 4.0)
+    # the same pairs, the moved atoms' shifts offset by their cells
+    np.testing.assert_array_equal(batch.pairs.slot, inside.pairs.slot)
+    np.testing.assert_array_equal(batch.pairs.flipped, inside.pairs.flipped)
+
+
+def test_multi_conformation_batch_offsets():
+    confs = [cluster(3), crystal(4), G.Conformation([8], [[0.0, 0.0, 0.0]]), cluster(5, n=4)]
+    batch = build_batch(confs, 4.0)
+    check_pairs(batch, integer_shifts(confs, 4.0))
+    # each graph's pairs, moved by the edges and pairs of the graphs before
+    edge_base = pair_base = 0
+    for conf in confs:
+        one = build_batch([conf], 4.0).pairs
+        rows = slice(edge_base, edge_base + one.slot.size)
+        np.testing.assert_array_equal(batch.pairs.slot[rows], one.slot + pair_base)
+        np.testing.assert_array_equal(batch.pairs.flipped[rows], one.flipped)
+        np.testing.assert_array_equal(batch.pairs.edge[pair_base : pair_base + one.edge.size], one.edge + edge_base)
+        edge_base += one.slot.size
+        pair_base += one.edge.size
+    assert (edge_base, pair_base) == (batch.n_edges, batch.pairs.edge.size)
+
+
+def test_zero_edge_single_atom_batch():
+    batch = build_batch([G.Conformation([6], [[0.0, 0.0, 0.0]])], 4.0)
+    pairs = batch.pairs
+    assert batch.n_edges == pairs.edge.size == 0
+    assert pairs.slot.shape == pairs.flipped.shape == pairs.edge.shape == (0,)
+    assert pairs.slot.dtype == pairs.edge.dtype == np.int64
+    model = api.model_from_config({"family": "schnet", "hidden": 4, "layers": 1, "cutoff": 4.0})
+    energy = model.energy(T.lift(model.init(0)), batch, T.Tensor(batch.pos))
+    assert energy.shape == (1,) and np.isfinite(energy.data).all()
+
+
+def test_hand_made_edge_set_with_a_missing_reverse():
+    # rows (0, 1), (0, 2), (1, 0) of three atoms: (2, 0) is missing
+    n = 3
+    src, dst = np.array([1, 0, 0]), np.array([0, 2, 1])
+    rel = np.array([[-1.0, 0, 0], [0, 1.5, 0], [1.0, 0, 0]])
+    edges = G._sorted_edges(
+        src * n + dst, dst * n + src, src, dst, np.zeros((3, 3), np.int64), rel, np.linalg.norm(rel, axis=1)
+    )
+    assert edges.src.tolist() == [0, 0, 1] and edges.dst.tolist() == [1, 2, 0]
+    assert edges.reverse.tolist() == [2, -1, 0]
+    pairs = G.pair_index(edges.reverse)
+    assert pairs.edge.tolist() == [0, 1]
+    assert pairs.slot.tolist() == [0, 1, 0]
+    assert pairs.flipped.tolist() == [False, False, True]
+
+
+def rounding_singleton():
+    """A two-atom crystal and a cutoff at which exactly one direction of the
+    pair (0 -> 1, shift a + b) is kept: the two directions' vectors are
+    rounded differently, and the cutoff is the shorter length."""
+    rng = np.random.default_rng(0)
+    shift = SKEWED[0] + SKEWED[1]
+    while True:
+        pos = rng.uniform(0.0, 1.0, (2, 3)) @ SKEWED
+        ahead = np.linalg.norm((pos[1] + shift) - pos[0])
+        back = np.linalg.norm((pos[0] - shift) - pos[1])
+        if ahead != back:
+            return G.Conformation([6, 8], pos, lattice=SKEWED), min(ahead, back)
+
+
+def test_periodic_rounding_singleton_keeps_its_own_slot():
+    conf, cutoff = rounding_singleton()
+    edges = G.periodic_radius_graph(conf, cutoff)
+    assert (edges.reverse < 0).sum() == 1
+    batch = build_batch([conf], cutoff)
+    check_pairs(batch, edges.shift, singles=1)
+    alone = np.flatnonzero(edges.reverse < 0)[0]
+    assert not batch.pairs.flipped[alone]
+
+
+def test_a_missing_reverse_reaches_the_forward(monkeypatch):
+    # the batch of a hand-made graph that lacks one reverse: the forward on
+    # its pairs equals the forward with every edge a pair of its own
+    conf = cluster(6, n=5)
+    full = G.radius_graph(conf.pos, 2.5)
+    keep = np.flatnonzero(full.reverse != full.reverse.max())  # drops one edge
+    n = conf.n_atoms
+    src, dst = full.src[keep], full.dst[keep]
+    edges = G._sorted_edges(
+        src * n + dst, dst * n + src, src, dst, full.shift[keep], full.rel_vec[keep], full.dist[keep]
+    )
+    monkeypatch.setattr(common, "radius_graph", lambda pos, cutoff: edges)
+    batch = build_batch([conf], 2.5)
+    check_pairs(batch, edges.shift, singles=1)
+    e = batch.n_edges
+    alone = dataclasses.replace(batch, pairs=G.PairIndex(np.arange(e), np.arange(e), np.zeros(e, bool)))
+    for family in ("schnet", "painn", "tfn"):
+        model = api.model_from_config({"family": family, "cutoff": 2.5})
+        params = T.lift(model.init(0))
+        got = model.energy(params, batch, T.Tensor(batch.pos)).data
+        want = model.energy(params, alone, T.Tensor(batch.pos)).data
+        assert got.tobytes() == want.tobytes(), family
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graph_reverse_rows_are_the_reverses(seed):
+    conf = crystal(seed, n=8)
+    for edges in (G.periodic_radius_graph(conf, 4.0), G.radius_graph(conf.pos, 4.0)):
+        rows = np.arange(edges.n_edges)
+        assert (edges.reverse >= 0).all()
+        assert (edges.reverse[edges.reverse] == rows).all()
+        assert (edges.src[edges.reverse] == edges.dst).all() and (edges.dst[edges.reverse] == edges.src).all()
+        assert (edges.shift[edges.reverse] == -edges.shift).all()

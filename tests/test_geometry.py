@@ -537,8 +537,14 @@ def all_pairs_edges(anchors, candidates, cutoff):
 
 
 def lexsorted_reference(src, dst, shift, rel, dist):
+    """The rows lexsorted by (src, dst, shift), each naming the row of its
+    reverse (dst, src, -shift), or -1, found by a dictionary lookup."""
     order = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], dst, src))
-    return G.EdgeList(src[order], dst[order], dist[order], rel[order], shift[order])
+    src, dst, shift = src[order], dst[order], shift[order]
+    rows = [(s, d, *sh) for s, d, sh in zip(src.tolist(), dst.tolist(), shift.tolist())]
+    index = {row: i for i, row in enumerate(rows)}
+    reverse = [index.get((d, s, -a, -b, -c), -1) for s, d, a, b, c in rows]
+    return G.EdgeList(src, dst, dist[order], rel[order], shift, reverse)
 
 
 def reference_open_graph(pos, cutoff):
@@ -564,7 +570,7 @@ def reference_periodic_graph(conf, cutoff, mode):
 
 
 def assert_same_rows(got, ref):
-    for name in ("src", "dst", "shift", "rel_vec", "dist"):
+    for name in ("src", "dst", "shift", "rel_vec", "dist", "reverse"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name

@@ -3,6 +3,10 @@
 scipy supplies independent oracles for spherical Bessel functions, their
 roots, and Legendre polynomials; the two-hop stack is checked against a
 plain-numpy triple loop that rebuilds the whole computation from scratch.
+The 2-D (distance, angle) basis of a triplet, `spherical_basis_rows` and
+its point evaluation `spherical_basis_2d`, is built here from the model's
+distance and angle factors as an oracle; the model never forms it in one
+piece.
 """
 
 import math
@@ -19,7 +23,7 @@ from geomnets.errors import ContractError
 from geomnets.geometry import Conformation
 from geomnets.models import api
 from geomnets.models import invariant as inv
-from geomnets.models.common import build_batch, edge_vectors, embed_nodes, readout
+from geomnets.models.common import build_batch, embed_nodes, readout
 from geomnets.so3 import random_rotation, sph_harm_block
 from geomnets.tensor import Tape, Tensor, grad_check
 
@@ -198,14 +202,33 @@ def test_zonal_matches_full_harmonic_m0_column():
 # 2-D distance-angle basis
 
 
+def spherical_basis_rows(l_max, n_max, cutoff, d, cos_angle):
+    """2-D (distance, angle) expansion, (rows, (l_max+1)*n_max), degree-major.
+
+    Entry (l, n) is sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) j_l(z_ln d/cutoff)
+    times the degree-l zonal harmonic of the angle: the product of
+    `spherical_basis_radial` and `spherical_basis_zonal`. Differentiable in
+    both inputs; the angle enters only through its cosine.
+    """
+    return inv.spherical_basis_radial(l_max, n_max, cutoff, d) * inv.spherical_basis_zonal(l_max, n_max, cos_angle)
+
+
+def spherical_basis_2d(l_max, n_max, d, cutoff, angle):
+    """Point evaluation of the 2-D basis at one (distance, angle) pair."""
+    if not (0.0 <= angle <= math.pi + 1e-12):
+        raise ContractError("angle must lie in [0, pi]")
+    rows = spherical_basis_rows(l_max, n_max, cutoff, Tensor(np.array([d])), Tensor(np.array([math.cos(angle)])))
+    return rows.data[0]
+
+
 def test_sbf_pinned_single_value():
-    out = inv.spherical_basis_2d(1, 1, 0.5, 1.0, 0.0)
+    out = spherical_basis_2d(1, 1, 0.5, 1.0, 0.0)
     assert out.shape == (2,)
     assert out[1] == pytest.approx(1.3773379132084297, abs=1e-13)
 
 
 def test_sbf_pinned_vector():
-    out = inv.spherical_basis_2d(2, 2, 1.7, 4.0, 0.9)
+    out = spherical_basis_2d(2, 2, 1.7, 4.0, 0.9)
     pinned = np.array(
         [
             0.1140939627756496,
@@ -221,44 +244,44 @@ def test_sbf_pinned_vector():
 
 def test_sbf_matches_scipy_grid():
     for d, ang in [(0.3, 0.0), (1.1, 1.2), (2.9, np.pi), (3.0, 2.0)]:
-        mine = inv.spherical_basis_2d(3, 4, d, 3.0, ang)
+        mine = spherical_basis_2d(3, 4, d, 3.0, ang)
         np.testing.assert_allclose(mine, scipy_sbf(3, 4, d, 3.0, ang), atol=1e-11, rtol=0)
 
 
 def test_sbf_degree_zero_rows_angle_independent():
-    a = inv.spherical_basis_2d(2, 3, 1.2, 4.0, 0.1)
-    b = inv.spherical_basis_2d(2, 3, 1.2, 4.0, 2.9)
+    a = spherical_basis_2d(2, 3, 1.2, 4.0, 0.1)
+    b = spherical_basis_2d(2, 3, 1.2, 4.0, 2.9)
     np.testing.assert_array_equal(a[:3], b[:3])
     assert np.abs(a[3:] - b[3:]).max() > 1e-3
 
 
 def test_sbf_vanishes_at_small_distance_for_positive_degree():
-    out = inv.spherical_basis_2d(3, 2, 1e-10, 4.0, 0.7)
+    out = spherical_basis_2d(3, 2, 1e-10, 4.0, 0.7)
     assert np.abs(out[2:]).max() < 1e-8
     assert abs(out[0]) > 1e-2
 
 
 def test_sbf_contract_violations():
     with pytest.raises(ContractError):
-        inv.spherical_basis_2d(2, 2, 0.0, 4.0, 0.5)
+        spherical_basis_2d(2, 2, 0.0, 4.0, 0.5)
     with pytest.raises(ContractError):
-        inv.spherical_basis_2d(2, 2, 4.1, 4.0, 0.5)
+        spherical_basis_2d(2, 2, 4.1, 4.0, 0.5)
     with pytest.raises(ContractError):
-        inv.spherical_basis_2d(2, 2, 1.0, 4.0, -0.2)
+        spherical_basis_2d(2, 2, 1.0, 4.0, -0.2)
     with pytest.raises(ContractError):
-        inv.spherical_basis_2d(2, 2, 1.0, 4.0, 3.5)
+        spherical_basis_2d(2, 2, 1.0, 4.0, 3.5)
     with pytest.raises(ContractError):
-        inv.spherical_basis_2d(5, 2, 1.0, 4.0, 0.5)
+        spherical_basis_2d(5, 2, 1.0, 4.0, 0.5)
 
 
 def test_sbf_rows_differentiable():
     d = np.array([0.9, 2.2])
     ca = np.array([0.3, -0.8])
     err_d = grad_check(
-        lambda x: T.sum_(inv.spherical_basis_rows(2, 2, 4.0, x, Tensor(ca))), d
+        lambda x: T.sum_(spherical_basis_rows(2, 2, 4.0, x, Tensor(ca))), d
     )
     err_a = grad_check(
-        lambda x: T.sum_(inv.spherical_basis_rows(2, 2, 4.0, Tensor(d), x)), ca
+        lambda x: T.sum_(spherical_basis_rows(2, 2, 4.0, Tensor(d), x)), ca
     )
     assert err_d < 1e-6 and err_a < 1e-6
 
@@ -563,7 +586,7 @@ def per_triplet_messages(spec, params, batch, pos):
     distance factors and envelopes, and both block-network layers, evaluated
     once per triplet on concatenated (message, distance, 2-D basis) rows."""
     angles, cutoff = batch.angles, spec.basis.cutoff
-    rel = edge_vectors(pos, batch)
+    rel = T.gather(pos, batch.dst) + Tensor(batch.shift_offset) - T.gather(pos, batch.src)
     dist, rbf = T.norm(rel, axis=1), inv.edge_geometry(spec.basis, rel).rbf
     h = embed_nodes(params["embed"], batch.z)
     m = T.mlp_apply(
@@ -573,7 +596,7 @@ def per_triplet_messages(spec, params, batch, pos):
     to_i = T.gather(rel, angles.out_edge) * -1.0
     d_in = T.gather(dist, angles.in_edge)
     cos_angle = T.sum_(to_k * to_i, axis=1) / (d_in * T.gather(dist, angles.out_edge))
-    sbf_rows = inv.spherical_basis_rows(spec.sbf_l_max, spec.sbf_n_max, cutoff, d_in, cos_angle)
+    sbf_rows = spherical_basis_rows(spec.sbf_l_max, spec.sbf_n_max, cutoff, d_in, cos_angle)
     env_in = T.reshape(inv.cosine_envelope(d_in, cutoff), (-1, 1))
     for i in range(spec.layers):
         inp = T.concat([T.gather(m, angles.out_edge), T.gather(rbf, angles.out_edge), sbf_rows], axis=1)

@@ -10,7 +10,7 @@ import pytest
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
-from geomnets.geometry import Conformation, radius_graph
+from geomnets.geometry import Conformation, pair_index, radius_graph
 from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models import spherical as sph
@@ -61,16 +61,21 @@ def random_feature(layout, n, seed):
     return SteerableFeature(layout, Tensor(rng.normal(size=(n, layout.width))))
 
 
-def filters(spec, rel):
-    return sph.filter_inputs(inv.edge_geometry(spec.radial, rel))
+def filters(spec, rel, reverse):
+    """The filter inputs of edges with vectors `rel` (E, 3) and reverse rows
+    `reverse`, computed on their pairs."""
+    pairs = pair_index(reverse)
+    return sph.filter_inputs(inv.edge_geometry(spec.radial, T.gather(rel, pairs.edge)), pairs)
 
 
 def conv(spec, params, feat, edges):
-    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec)))
+    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), edges.reverse))
 
 
 def attend(spec, params, feat, edges):
-    return sph.se3_attention(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec)))
+    return sph.se3_attention(
+        spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), edges.reverse)
+    )
 
 
 def steerable_energy(spec, params, batch, pos):
@@ -139,7 +144,7 @@ def test_conv_rejects_zero_length_edge():
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(2), "conv"))
     feat = random_feature(spec.layout_in, 2, 5)
     with pytest.raises(ContractError):
-        filters(spec, Tensor(np.zeros((1, 3))))
+        filters(spec, Tensor(np.zeros((1, 3))), np.array([-1]))
 
 
 def test_conv_layout_mismatch_rejected():
@@ -387,20 +392,21 @@ def fused_and_reference(layer, graph):
     if layer == "attention":
         spec, params = attention_setup(7)
 
-        def fused(spec, params, feat, src, dst, rel):
-            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel))
+        def fused(spec, params, feat, src, dst, rel, reverse):
+            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel, reverse))
 
-        ref = reference_attention
+        def ref(*args):
+            return reference_attention(*args[:-1])
     else:
         layout_in = {"hidden": hidden_layout(), "scalar": IrrepsLayout(((4, 0),))}[layer]
         spec = layer_spec(layout_in=layout_in)
         params = sph.init_tfn_layer(spec, rng, "conv")
 
-        def fused(spec, params, feat, src, dst, rel):
-            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel)), None
+        def fused(spec, params, feat, src, dst, rel, reverse):
+            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel, reverse)), None
 
         def ref(*args):
-            return reference_conv(*args), None
+            return reference_conv(*args[:-1]), None
 
     if graph == "isolated":
         pos = np.concatenate([cloud(9, n=5), [[90.0, 0.0, 0.0]]])
@@ -427,7 +433,7 @@ def test_fused_messages_match_per_path_reference(layer, graph):
         pt = T.lift(params, tape)
         pos = tape.tensor(pos0)
         rel = T.gather(pos, edges.dst) - T.gather(pos, edges.src)
-        out, alpha = layer_fn(spec, pt, feat, edges.src, edges.dst, rel)
+        out, alpha = layer_fn(spec, pt, feat, edges.src, edges.dst, rel, edges.reverse)
         energy = T.sum_(out.data * np.random.default_rng(11).normal(size=out.data.shape))
         (force,) = tape.gradient(energy, [pos])
         names = sorted(pt)

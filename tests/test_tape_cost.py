@@ -38,26 +38,46 @@ harmonics took three coordinate slices nothing read. That moved the pins
 schnet 148 -> 133, leaky 153 -> 138, dimenet 370 -> 350, painn 341 -> 336,
 tfn 605 -> 583 and se3attn 873 -> 851, and dimenet's triplet records
 82 -> 78 (the reshape of each block's incoming envelopes and its backward).
+
+An edge and its reverse share their length, and their directions differ
+in sign only, so the edge geometry, the filter and radial networks and the
+enveloped harmonics run once per edge pair and are gathered to the edges:
+every record in scope `edges` and every filter or radial matmul has a row
+per pair. Each of those gathers adds a record and its backward a second:
+schnet and leaky one per layer for the filter, painn one per layer for the
+filter and one (with the sign's mul) for the unit vectors, tfn and se3attn
+one (with the sign's mul) for the harmonics and one per message set and
+input block for the radial outputs, dimenet one for the basis of the first
+message layer and one for the readout's envelopes. That moved the pins
+schnet 133 -> 137, leaky 138 -> 142, dimenet 350 -> 354, painn 336 -> 344,
+tfn 583 -> 595 and se3attn 851 -> 869; the records are fewer rows, not
+fewer records. A per-edge reference, the forward with every edge a pair of
+its own, gives bitwise the same energies on open graphs, where an edge's
+vector is exactly the negated vector of its reverse; periodic energies and
+all forces agree with it to 1e-12.
 """
 
+import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from geomnets import tensor as T
 from geomnets import training as tr
+from geomnets.geometry import Conformation, PairIndex
 from geomnets.models import api
 from geomnets.models.common import build_batch
 from test_parity import CONFIGS, _confs, _schedule
 
 RECORDS_PER_STEP = {
-    "dimenet": 350,
+    "dimenet": 354,
     "egnn": 171,
-    "leaky": 138,
-    "painn": 336,
-    "schnet": 133,
-    "se3attn": 851,
-    "tfn": 583,
+    "leaky": 142,
+    "painn": 344,
+    "schnet": 137,
+    "se3attn": 869,
+    "tfn": 595,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
@@ -183,3 +203,93 @@ def test_edge_geometry_built_once_per_forward(family):
     model.energy_and_vectors(T.lift(model.init(0), tape), batch, tape.tensor(batch.pos))
     ops = Counter(rec.name for rec in tape.records if rec.scope == "edges")
     assert ops["cos"] == ops["power"] == (0 if family == "egnn" else 1)
+
+
+# ---------------------------------------------------------------------------
+# work per edge pair
+
+# names of the filter and radial networks' parameters
+_FILTER_PARAMS = (".filter.", ".filt.", ".radial.")
+# ops whose result, made of those parameters only, is still their weights
+_LAYOUT_OPS = ("concat", "reshape", "transpose2")
+
+
+@pytest.mark.parametrize("family", ["dimenet", "leaky", "painn", "schnet", "se3attn", "tfn"])
+def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
+    model = api.model_from_config(CONFIGS[family])
+    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
+    # the molecules' graphs are open, so every edge's reverse is in them
+    n_edges = batch.n_edges
+    n_pairs = n_edges // 2
+    assert n_edges % 2 == 0 and n_pairs > 64  # neither is any layer's width
+    shapes = {}
+    op = T._op
+
+    def shaping_op(name, inputs, data, vjps):
+        out = op(name, inputs, data, vjps)
+        shapes[out.uid] = data.shape
+        return out
+
+    monkeypatch.setattr(T, "_op", shaping_op)
+    tape = T.Tape()
+    params = T.lift(model.init(0), tape)
+    model.energy_and_vectors(params, batch, tape.tensor(batch.pos))
+
+    in_edges = [shapes[rec.output_uid] for rec in tape.records if rec.scope == "edges"]
+    assert in_edges and all(shape[0] == n_pairs for shape in in_edges)
+    weights = {t.uid for name, t in params.items() if any(key in name for key in _FILTER_PARAMS)}
+    filter_matmuls = []
+    for rec in tape.records:
+        if rec.name in _LAYOUT_OPS and weights.issuperset(rec.input_uids):
+            weights.add(rec.output_uid)
+        elif rec.name == "matmul" and not weights.isdisjoint(rec.input_uids):
+            filter_matmuls.append(shapes[rec.output_uid])
+    assert bool(filter_matmuls) == (family != "dimenet")
+    assert all(n_pairs in shape and n_edges not in shape for shape in filter_matmuls)
+
+
+def per_edge(batch):
+    """The batch with every edge a pair of its own: a forward on it computes
+    its edge geometry, filters and harmonics once per directed edge, the
+    reference that the work per pair must reproduce."""
+    rows = np.arange(batch.n_edges)
+    return dataclasses.replace(batch, pairs=PairIndex(rows, rows, np.zeros(rows.size, bool)))
+
+
+def _crystals():
+    """A skewed cell of five atoms and one of a single atom, whose edges all
+    run to its own images."""
+    rng = np.random.default_rng(7)
+    lattice = np.array([[3.1, 0.0, 0.0], [0.9, 2.8, 0.0], [-0.7, 0.6, 3.3]])
+    five = Conformation(rng.integers(1, 10, 5), rng.uniform(0.0, 1.0, (5, 3)) @ lattice, lattice=lattice)
+    return [five, Conformation([6], [[0.4, 0.5, 0.6]], lattice=lattice * 1.2)]
+
+
+def _energy_and_forces(model, batch):
+    tape = T.Tape()
+    params = T.lift(model.init(0), tape)
+    pos = tape.tensor(batch.pos)
+    energy = model.energy(params, batch, pos)
+    (grad,) = tape.gradient(T.sum_(energy), [pos], record=False)
+    return energy.data, -grad.data
+
+
+def _assert_within(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_pairs_match_the_per_edge_reference(family):
+    model = api.model_from_config(CONFIGS[family])
+    for confs, periodic in ((_confs(), False), (_crystals(), True)):
+        batch = build_batch(confs, model.cutoff, model.needs_angles)
+        assert (batch.shift_offset != 0).any() == periodic
+        assert 2 * batch.pairs.edge.size == batch.n_edges
+        energy, forces = _energy_and_forces(model, batch)
+        ref_energy, ref_forces = _energy_and_forces(model, per_edge(batch))
+        if periodic:
+            _assert_within(energy, ref_energy)
+        else:
+            assert energy.tobytes() == ref_energy.tobytes()
+        _assert_within(forces, ref_forces)
