@@ -165,7 +165,8 @@ def _write_run(out: str, cfg: RunConfig, params: dict, history: dict, started: f
     checkpoint.json under `out`; prints the metrics path."""
     os.makedirs(out, exist_ok=True)
     metrics = {"version": ARTIFACT_VERSION, "config_hash": config_hash(cfg)}
-    metrics.update({key: history[key] for key in ("step", "train_loss", "lr", "grad_norm", "graph")})
+    keys = ("step", "train_loss", "energy_loss", "force_loss", "lr", "grad_norm", "graph")
+    metrics.update({key: history[key] for key in keys if key in history})
     metrics.update(extra, wall_seconds=time.perf_counter() - started)
     _write_json(os.path.join(out, "metrics.json"), metrics)
     T.save_checkpoint(os.path.join(out, "checkpoint.json"), params)

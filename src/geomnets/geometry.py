@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,14 @@ class PairIndex:
     edge: np.ndarray
     slot: np.ndarray
     flipped: np.ndarray
+
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """Each pair's flipped edge (P,), or its representative for a pair of
+        one edge; derived once per index."""
+        out = self.edge.copy()
+        out[self.slot[self.flipped]] = np.flatnonzero(self.flipped)
+        return out
 
 
 def pair_index(reverse: np.ndarray) -> PairIndex:

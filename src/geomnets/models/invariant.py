@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError
-from ..geometry import AngleIndex
+from ..geometry import AngleIndex, PairIndex
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 
@@ -297,20 +297,21 @@ def schnet_layer(
     h: Tensor,
     src: np.ndarray,
     dst: np.ndarray,
-    slot: np.ndarray,
+    pairs: PairIndex,
     rbf: Tensor,
     env: Tensor,
 ) -> Tensor:
     """One residual interaction: h_i <- h_i + sum_j filter(d_ij) * (W h_j) W'.
 
-    The filter depends on the edge length alone, so its network runs once
-    per edge pair, on the pairs' basis `rbf` (P, count) times their
-    envelope (P, 1), and each edge reads its pair's row `slot`. A message
-    fades to zero as its edge reaches the cutoff; with all-zero filter
-    weights the update is exactly the identity.
+    The input transform W is applied atom-wise, as in SchNet, and its rows
+    are gathered to the edges. The filter depends on the edge length alone,
+    so its network runs once per edge pair, on the pairs' basis `rbf`
+    (P, count) times their envelope (P, 1), and is expanded to the edges of
+    `pairs`. A message fades to zero as its edge reaches the cutoff; with
+    all-zero filter weights the update is exactly the identity.
     """
     filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter") * env
-    msg = T.matmul(T.gather(h, dst), params[f"{prefix}.win"]) * T.gather(filt, slot)
+    msg = T.gather(T.matmul(h, params[f"{prefix}.win"]), dst) * T.expand_pairs(filt, pairs)
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 
@@ -326,7 +327,7 @@ def schnet_forward(
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             h = schnet_layer(
-                spec, params, f"layer{i}", h, batch.src, batch.dst, batch.pairs.slot, geom.rbf, geom.env
+                spec, params, f"layer{i}", h, batch.src, batch.dst, batch.pairs, geom.rbf, geom.env
             )
     return h, None
 
@@ -420,8 +421,9 @@ def dimenet_messages(
 
     Whatever depends on one edge's length alone (its distance expansions
     and envelope) is computed once per edge pair, and its unit vector once
-    per pair up to sign; they are gathered to the edges and the triplets by
-    pair slot. Only the angle's zonal factor is computed per triplet.
+    per pair up to sign; they are expanded to the edges and gathered to the
+    triplets by pair slot. Only the angle's zonal factor is computed per
+    triplet.
     """
     if batch.angles is None:
         raise ContractError("batch was built without angle triplets")
@@ -430,7 +432,7 @@ def dimenet_messages(
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
-        rbf = T.gather(geom.rbf, pairs.slot)
+        rbf = T.expand_pairs(geom.rbf, pairs)
         m = mlp_apply(
             spec.embed_mlp(),
             params,
@@ -464,5 +466,5 @@ def dimenet_forward(
     """Node scalars, summed from the readouts of outgoing edges; no vectors."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.gather(env, batch.pairs.slot)
+        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.expand_pairs(env, batch.pairs)
         return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None

@@ -17,7 +17,7 @@ matmul and one batched second layer.
 
 R_e and the enveloped harmonics depend only on the edge's length and
 direction, so they are computed once per edge pair {e, reverse of e}. The
-radial outputs are gathered to both edges as they are. A reversed edge has
+radial outputs are expanded to both edges as they are. A reversed edge has
 the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
 odd degree change sign. Messages into one degree are summed per node,
 channel-concatenated over their paths, mixed by a per-degree linear map and
@@ -117,12 +117,13 @@ def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) ->
 @dataclass(frozen=True)
 class EdgeFilters:
     """What every message of a layer reads from its edges: the radial basis
-    of the edge pairs, transposed to (count, P), each edge's pair `slot`
-    (E,), and the harmonics of every filter degree side by side,
-    (E, (_DEGREE_CAP + 1)^2), times the cosine envelope."""
+    of the edge pairs, transposed to (count, P), the `PairIndex` that
+    expands pair rows to the edges, and the harmonics of every filter
+    degree side by side, (E, (_DEGREE_CAP + 1)^2), times the cosine
+    envelope."""
 
     rbf_t: Tensor
-    slot: np.ndarray
+    pairs: PairIndex
     harmonics: Tensor
 
 
@@ -132,11 +133,11 @@ _ODD_COLUMNS = np.concatenate([np.full(2 * l + 1, l % 2 == 1) for l in _FILTER_D
 
 def filter_inputs(geom: EdgeGeometry, pairs: PairIndex) -> EdgeFilters:
     """The `EdgeFilters` of edges grouped by `pairs`, from the geometry of
-    their pairs. The enveloped harmonics are computed per pair and gathered
+    their pairs. The enveloped harmonics are computed per pair and expanded
     to the edges, their odd degrees negated on flipped edges."""
     harmonics = T.concat([sph_harm_block(l, geom.unit) for l in _FILTER_DEGREES], axis=1) * geom.env
     sign = np.where(pairs.flipped[:, None] & _ODD_COLUMNS, -1.0, 1.0)
-    return EdgeFilters(T.transpose2(geom.rbf), pairs.slot, T.gather(harmonics, pairs.slot) * Tensor(sign))
+    return EdgeFilters(T.transpose2(geom.rbf), pairs, T.expand_pairs(harmonics, pairs) * Tensor(sign))
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _messages(
     """Edge messages (E, mult_in, width) per weight set of `prefixes` and
     per input block: the neighbor block times the edge's coupling matrix,
     times the radial output of each path spread over its columns, run per
-    edge pair and gathered to the edges. The weight sets share the coupling
+    edge pair and expanded to the edges. The weight sets share the coupling
     matrices."""
     e, n_pairs = filters.harmonics.shape[0], filters.rbf_t.shape[1]
     plan = _fusion(spec)
@@ -211,7 +212,8 @@ def _messages(
         coupled = T.matmul(neighbor, coupling)
         for p, prefix in enumerate(prefixes):
             radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
-            out[p].append(coupled * T.gather(T.reshape(radial, (n_pairs, mult, blk.width)), filters.slot))
+            radial = T.reshape(radial, (n_pairs, mult, blk.width))
+            out[p].append(coupled * T.expand_pairs(radial, filters.pairs))
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
+from ..geometry import PairIndex
 from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import RadialBasisSpec, edge_geometry
@@ -155,13 +156,14 @@ def painn_layer(
     v: Tensor,
     src: np.ndarray,
     dst: np.ndarray,
-    slot: np.ndarray,
+    pairs: PairIndex,
     rbf: Tensor,
     unit: Tensor,
 ) -> tuple[Tensor, Tensor]:
     """One message + update block over edges (src <- dst) with their unit
     vectors `unit` (E, 3). The radial basis `rbf` (P, count) has one row per
-    edge pair, which each edge reads at its `slot`."""
+    edge pair of `pairs`, and the filter made of it is expanded to the
+    edges."""
     f = spec.hidden
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
@@ -171,10 +173,10 @@ def painn_layer(
 
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
     # ways; the filter runs per edge pair and phi per node, then their rows
-    # are gathered to the edges
+    # are expanded and gathered to the edges
     if unit.shape[0]:
         phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
-        filt = T.gather(T.matmul(rbf, params[f"{prefix}.filt.w"]), slot)
+        filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
         gates = filt * T.gather(phi, dst)
         g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
         dv = T.gather(v, dst) * T.reshape(g_vv, (-1, f, 1)) + T.reshape(
@@ -200,17 +202,17 @@ def painn_forward(
 ) -> tuple[Tensor, Tensor]:
     """Node scalars and one 3-vector per node, the vector channels mixed by
     `vec_head.mix`. The radial basis and unit vectors of the edge pairs are
-    computed once for every layer, and the unit vectors gathered to the
+    computed once for every layer, and the unit vectors expanded to the
     edges with their signs."""
     pairs = batch.pairs
     with T.scope("edges"):
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
-        unit = T.gather(geom.unit, pairs.slot) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+        unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
-            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs.slot, geom.rbf, unit)
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
     with T.scope("readout"):
         return s, T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))

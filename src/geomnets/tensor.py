@@ -9,7 +9,9 @@ one is non-finite, the failed tape is released and the call replays with
 every arithmetic operation checking its result, so the NumericError names
 the first op that went non-finite and its scope. Ops that are finite by
 construction (reshapes, slices, gathers, concat, broadcast, sigmoid, sin,
-cos) are not checked even then.
+cos) are not checked even then. `expand_pairs`, which copies each edge
+pair's row to its one or two edges, is such a gather; its adjoint
+`sum_pairs` adds rows and is checked like `scatter_sum`.
 
 `scope(name)` labels the records made inside it; the models open one per
 layer or block, named like its parameters (`layer1`, `block0`), and one
@@ -285,7 +287,10 @@ def _common_tape(tensors: Iterable[Tensor]) -> Tape | None:
 
 # ops that map finite inputs to finite outputs; a replay checks every other op
 _FINITE_BY_CONSTRUCTION = frozenset(
-    {"reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast", "sigmoid", "sin", "cos"}
+    {
+        "reshape", "transpose2", "slice", "unslice", "concat", "gather", "expand_pairs", "broadcast",
+        "sigmoid", "sin", "cos",
+    }
 )
 
 
@@ -637,7 +642,38 @@ def gather(a, index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather index out of range")
     n = a.shape[0]
-    return _op("gather", (a,), a.data[idx], (lambda g: scatter_sum(g, idx, n),))
+    # take reads the same rows as fancy indexing, in less time
+    return _op("gather", (a,), a.data.take(idx, axis=0), (lambda g: scatter_sum(g, idx, n),))
+
+
+def expand_pairs(a, pairs) -> Tensor:
+    """Rows (P, ...) of edge pairs copied out to their edges (E, ...).
+
+    `pairs` is a `geometry.PairIndex`. This is `gather(a, pairs.slot)`, but
+    every pair has at most two edges, so the adjoint `sum_pairs` adds two
+    rows where a `scatter_sum` would build a key per entry."""
+    a = _coerce(a)
+    if a.ndim < 1 or a.shape[0] != pairs.edge.size:
+        raise ShapeError(f"pair rows {a.shape} do not match {pairs.edge.size} pairs")
+    return _op("expand_pairs", (a,), a.data.take(pairs.slot, axis=0), (lambda g: sum_pairs(g, pairs),))
+
+
+def sum_pairs(g, pairs) -> Tensor:
+    """Adjoint of `expand_pairs`: each pair's edge rows summed, (P, ...).
+
+    The two rows are added and the sum added to +0.0, which is bitwise the
+    lower row added to +0.0 and the flipped row after it: the result is
+    `scatter_sum(g, pairs.slot, P)`, byte for byte."""
+    g = _coerce(g)
+    if g.ndim < 1 or g.shape[0] != pairs.slot.size:
+        raise ShapeError(f"edge rows {g.shape} do not match {pairs.slot.size} edges")
+    data = g.data.take(pairs.edge, axis=0)
+    data += g.data.take(pairs.partner, axis=0)
+    alone = pairs.partner == pairs.edge
+    if alone.any():  # a pair of one edge took its row twice
+        data[alone] = g.data.take(pairs.edge[alone], axis=0)
+    data += 0.0  # a -0.0 sum, which only two -0.0 rows make, becomes +0.0
+    return _op("sum_pairs", (g,), data, (lambda gg: expand_pairs(gg, pairs),))
 
 
 def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:

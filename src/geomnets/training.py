@@ -13,7 +13,8 @@ forces, are checked for finite values, and a failure is replayed to raise a
 NumericError that names the op and the layer (`layer{i}` / `block{i}`)
 that first went non-finite. A step is deterministic in the parameters and
 the step number, so the replay recomputes the same values. The history of
-a run holds, per step, the loss, the learning rate and the global L2 norm
+a run holds, per step, the loss (for energy+force training also its
+weighted energy and force terms), the learning rate and the global L2 norm
 of the parameter gradient, and the statistics of the graph batch it built.
 """
 
@@ -124,12 +125,18 @@ def energy_force_loss(
     true_forces: Tensor,
     weights: LossWeights = LossWeights(),
     reduction: str = "mse",
+    terms: dict | None = None,
 ) -> Tensor:
     """Weighted sum of an energy term (mean over graphs) and a force term
-    (mean over all force components)."""
+    (mean over all force components). A `terms` dict receives the two
+    weighted terms, which sum to the loss, as "energy_loss" and
+    "force_loss"."""
     loss_e = _reduce(pred_energy - true_energy, reduction)
     loss_f = _reduce(pred_forces - true_forces, reduction)
-    return loss_e * weights.energy + loss_f * weights.force
+    term_e, term_f = loss_e * weights.energy, loss_f * weights.force
+    if terms is not None:
+        terms.update(energy_loss=term_e, force_loss=term_f)
+    return term_e + term_f
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +296,12 @@ def _global_norm(arrays) -> float:
 
 
 def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, progress):
-    """Full-batch Adam on `loss_fn(tape, params_t, step) -> scalar Tensor`.
+    """Full-batch Adam on `loss_fn(tape, params_t, step) -> (loss, terms)`,
+    the loss a scalar Tensor and `terms` a dict of named scalar Tensors.
 
     Stops early once the loss falls below stop_loss_ratio times the first
     step's loss.  Returns (params, history) with history carrying parallel
-    step, train_loss, lr and grad_norm lists.
+    step, train_loss, lr and grad_norm lists and one list per term.
     """
     state = OptimizerState.create(params)
     history = {"step": [], "train_loss": [], "lr": [], "grad_norm": []}
@@ -301,10 +309,13 @@ def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, p
     first_loss = None
     for step in range(steps):
 
+        terms = {}  # the terms sum to the loss, so they are finite when it is
+
         def run(tape):
             params_t = T.lift(params, tape)
             with T.scope("loss"):  # the model's own scopes win inside
-                loss = loss_fn(tape, params_t, step)
+                loss, named = loss_fn(tape, params_t, step)
+            terms.update(named)
             return loss, tape.gradient(loss, [params_t[k] for k in keys], record=False)
 
         tape, (loss, grads) = T.checked(run)
@@ -314,6 +325,8 @@ def _fit(params, loss_fn, schedule: ScheduleSpec, steps: int, stop_loss_ratio, p
         value = float(loss.data)
         history["step"].append(step)
         history["train_loss"].append(value)
+        for name, term in terms.items():
+            history.setdefault(name, []).append(float(term.data))
         history["lr"].append(float(lr))
         history["grad_norm"].append(_global_norm(grads))
         if progress is not None:
@@ -352,7 +365,8 @@ def train_energy_force(
 
     def loss_fn(tape, params_t, step):
         energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=True)
-        return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction)
+        terms = {}
+        return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction, terms), terms
 
     params, history = _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
     history["graph"] = graph_stats(batch)
@@ -584,6 +598,7 @@ def train_pretrain(
             return contrastive_pretrain_loss(model, params_t, batch, pos, jittered, view_pos, temperature)
         return masked_pretrain_loss(kind, model, params_t, batch, pos, seed + step)
 
-    params, history = _fit(params, loss_fn, schedule, steps, stop_loss_ratio, progress)
+    # a pretext's loss has no named terms
+    params, history = _fit(params, lambda *args: (loss_fn(*args), {}), schedule, steps, stop_loss_ratio, progress)
     history["graph"] = graph_stats(jittered if kind == "denoise" else batch)
     return params, history

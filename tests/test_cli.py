@@ -149,6 +149,8 @@ def test_train_writes_metrics_and_checkpoint(workspace):
     assert set(metrics) >= {
         "step",
         "train_loss",
+        "energy_loss",
+        "force_loss",
         "lr",
         "grad_norm",
         "graph",
@@ -159,6 +161,10 @@ def test_train_writes_metrics_and_checkpoint(workspace):
         "version",
     }
     assert_history(metrics, cfg, 10)
+    # the weighted energy and force terms sum to the loss of each step
+    terms = zip(metrics["energy_loss"], metrics["force_loss"])
+    assert [e + f for e, f in terms] == metrics["train_loss"]
+    assert min(metrics["energy_loss"]) > 0.0 and min(metrics["force_loss"]) > 0.0
     train, _, _ = cli.split_dataset(load_dataset(cfg["dataset"]), cfg["split"], cfg["seed"])
     assert metrics["graph"] == brute_force_graph(train, 4.0, angles=False)
     assert (out / "checkpoint.json").exists()
@@ -361,6 +367,7 @@ def test_pretrain_runs_and_logs(workspace):
     assert len(metrics["train_loss"]) == 6
     assert metrics["final_loss"] == metrics["train_loss"][-1]
     assert_history(metrics, pre, 6)
+    assert "energy_loss" not in metrics and "force_loss" not in metrics
     assert metrics["graph"] == brute_force_graph(load_dataset(cfg["dataset"]), 4.0, angles=False)
     # supervised task through pretrain is a config error
     wrong = run_cli("pretrain", "--config", str(root / "cfg.json"), "--out", str(out))

@@ -4,6 +4,10 @@ Every edge's partner must be its reverse (dst, src, -shift), and the pair
 slots must cover each pair exactly twice. The one edge allowed no partner
 is the periodic one whose reverse the cutoff dropped, because the two
 directions' lengths round to either side of it; it keeps a slot of its own.
+
+On every pair index built here, the adjoint of `tensor.expand_pairs` must
+give the bytes of `tensor.scatter_sum` by slot, -0.0 rows included, and a
+recorded backward through the expansion the bits of an unrecorded one.
 """
 
 import dataclasses
@@ -60,6 +64,37 @@ def check_pairs(batch, shift, singles=0):
     assert (batch.src[rep] == batch.dst[flip]).all() and (batch.dst[rep] == batch.src[flip]).all()
     assert (shift[rep] == -shift[flip]).all()
     assert (batch.shift_offset[rep] == -batch.shift_offset[flip]).all()
+    check_expansion(pairs)
+
+
+def check_expansion(pairs, width=3):
+    """`expand_pairs` reads each edge's pair row; its adjoint `sum_pairs`
+    equals `scatter_sum` by slot byte for byte, also on rows of -0.0, where
+    a sum that starts from +0.0 reads +0.0; and its backward, recorded or
+    not, gives the same bits, and differentiates again."""
+    e, p = pairs.slot.size, pairs.edge.size
+    rng = np.random.default_rng(e)
+    g = rng.normal(size=(e, width))
+    g[pairs.slot % 3 == 0] = -0.0  # both rows of a pair, or a single's row
+    g[(pairs.slot % 3 == 1) & pairs.flipped, 0] = -0.0  # one row of a pair
+    summed = T.sum_pairs(g, pairs).data
+    assert summed.tobytes() == T.scatter_sum(g, pairs.slot, p).data.tobytes()
+    assert summed.shape == (p, width) and not np.signbit(summed[::3]).any()
+
+    x = rng.normal(size=(p, width))
+    np.testing.assert_array_equal(T.expand_pairs(x, pairs).data, x[pairs.slot])
+    tape = T.Tape()
+    xt = tape.tensor(x)
+    root = T.sum_(T.expand_pairs(xt, pairs) ** 2 * T.Tensor(g))
+    (free,) = tape.gradient(root, [xt], record=False)
+    (kept,) = tape.gradient(root, [xt])
+    assert free.data.tobytes() == kept.data.tobytes()
+    # the gradient is sum_pairs(2 g x[slot]); its gradient along v is
+    # sum_pairs(2 g v[slot]), through the expansion that is the adjoint's adjoint
+    v = rng.normal(size=(p, width))
+    (again,) = tape.gradient(T.sum_(kept * T.Tensor(v)), [xt], record=False)
+    want = T.scatter_sum(2.0 * g * v[pairs.slot], pairs.slot, p).data
+    np.testing.assert_allclose(again.data, want, rtol=1e-12, atol=0.0)
 
 
 def test_open_cluster():
@@ -129,6 +164,7 @@ def test_zero_edge_single_atom_batch():
     assert batch.n_edges == pairs.edge.size == 0
     assert pairs.slot.shape == pairs.flipped.shape == pairs.edge.shape == (0,)
     assert pairs.slot.dtype == pairs.edge.dtype == np.int64
+    check_expansion(pairs)
     model = api.model_from_config({"family": "schnet", "hidden": 4, "layers": 1, "cutoff": 4.0})
     energy = model.energy(T.lift(model.init(0)), batch, T.Tensor(batch.pos))
     assert energy.shape == (1,) and np.isfinite(energy.data).all()

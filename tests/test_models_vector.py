@@ -5,7 +5,7 @@ import pytest
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
-from geomnets.geometry import Conformation, radius_graph
+from geomnets.geometry import Conformation, pair_index, radius_graph
 from geomnets.models import api
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch, embed_nodes, pair_vectors
@@ -157,11 +157,11 @@ def painn_channels(spec, params, batch):
     and the (N, F, 3) vector channels."""
     pairs = batch.pairs
     geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
-    unit = T.gather(geom.unit, pairs.slot) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+    unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     s = embed_nodes(params["embed"], batch.z)
     v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
     for i in range(spec.layers):
-        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs.slot, geom.rbf, unit)
+        s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
     return s, v
 
 
@@ -209,7 +209,7 @@ def test_painn_layer_shape_errors():
     pt = as_tensors(params)
     s = Tensor(np.zeros((5, spec.hidden)))
     geom = edge_geometry(spec.basis, Tensor(edges.rel_vec))
-    graph = (edges.src, edges.dst, np.arange(edges.n_edges), geom.rbf, geom.unit)
+    graph = (edges.src, edges.dst, pair_index(np.full(edges.n_edges, -1)), geom.rbf, geom.unit)
     with pytest.raises(ShapeError):
         vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.hidden, 2))), *graph)
     with pytest.raises(ShapeError):

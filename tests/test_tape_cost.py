@@ -43,7 +43,9 @@ An edge and its reverse share their length, and their directions differ
 in sign only, so the edge geometry, the filter and radial networks and the
 enveloped harmonics run once per edge pair and are gathered to the edges:
 every record in scope `edges` and every filter or radial matmul has a row
-per pair. Each of those gathers adds a record and its backward a second:
+per pair. Each of those expansions (`tensor.expand_pairs`, a gather by
+pair slot whose adjoint `sum_pairs` adds a pair's two rows) adds a record
+and its backward a second:
 schnet and leaky one per layer for the filter, painn one per layer for the
 filter and one (with the sign's mul) for the unit vectors, tfn and se3attn
 one (with the sign's mul) for the harmonics and one per message set and
@@ -55,6 +57,10 @@ fewer records. A per-edge reference, the forward with every edge a pair of
 its own, gives bitwise the same energies on open graphs, where an edge's
 vector is exactly the negated vector of its reverse; periodic energies and
 all forces agree with it to 1e-12.
+
+schnet and leaky apply their input transform `win` per atom and gather its
+rows to the edges, where they gathered the atoms' rows and applied it per
+edge: a matmul and a gather trade places, so the pins stay.
 """
 
 import dataclasses
@@ -214,14 +220,9 @@ _FILTER_PARAMS = (".filter.", ".filt.", ".radial.")
 _LAYOUT_OPS = ("concat", "reshape", "transpose2")
 
 
-@pytest.mark.parametrize("family", ["dimenet", "leaky", "painn", "schnet", "se3attn", "tfn"])
-def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
-    model = api.model_from_config(CONFIGS[family])
-    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
-    # the molecules' graphs are open, so every edge's reverse is in them
-    n_edges = batch.n_edges
-    n_pairs = n_edges // 2
-    assert n_edges % 2 == 0 and n_pairs > 64  # neither is any layer's width
+def _shaped_forward(model, batch, monkeypatch):
+    """A recorded forward: its tape, its parameters and each result's shape
+    by uid."""
     shapes = {}
     op = T._op
 
@@ -234,6 +235,18 @@ def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
     tape = T.Tape()
     params = T.lift(model.init(0), tape)
     model.energy_and_vectors(params, batch, tape.tensor(batch.pos))
+    return tape, params, shapes
+
+
+@pytest.mark.parametrize("family", ["dimenet", "leaky", "painn", "schnet", "se3attn", "tfn"])
+def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
+    model = api.model_from_config(CONFIGS[family])
+    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
+    # the molecules' graphs are open, so every edge's reverse is in them
+    n_edges = batch.n_edges
+    n_pairs = n_edges // 2
+    assert n_edges % 2 == 0 and n_pairs > 64  # neither is any layer's width
+    tape, params, shapes = _shaped_forward(model, batch, monkeypatch)
 
     in_edges = [shapes[rec.output_uid] for rec in tape.records if rec.scope == "edges"]
     assert in_edges and all(shape[0] == n_pairs for shape in in_edges)
@@ -246,6 +259,21 @@ def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
             filter_matmuls.append(shapes[rec.output_uid])
     assert bool(filter_matmuls) == (family != "dimenet")
     assert all(n_pairs in shape and n_edges not in shape for shape in filter_matmuls)
+
+
+@pytest.mark.parametrize("family", ["leaky", "schnet"])
+def test_input_transform_runs_per_atom(family, monkeypatch):
+    # the matmul reading each layer's `win` has a row per atom, and the
+    # gather of its result a row per edge
+    model = api.model_from_config(CONFIGS[family])
+    batch = build_batch(_confs(), model.cutoff)
+    assert batch.n_nodes != batch.n_edges
+    tape, params, shapes = _shaped_forward(model, batch, monkeypatch)
+    for i in range(CONFIGS[family]["layers"]):
+        (transform,) = [rec for rec in tape.records if params[f"layer{i}.win"].uid in rec.input_uids]
+        assert transform.name == "matmul" and shapes[transform.output_uid][0] == batch.n_nodes
+        (spread,) = [rec for rec in tape.records if transform.output_uid in rec.input_uids]
+        assert spread.name == "gather" and shapes[spread.output_uid][0] == batch.n_edges
 
 
 def per_edge(batch):
