@@ -72,11 +72,7 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
         edge_base += edges.n_edges
     angles = None
     if need_angles:
-        angles = AngleIndex(
-            np.concatenate(ang_in) if ang_in else np.zeros(0, dtype=np.int64),
-            np.concatenate(ang_out) if ang_out else np.zeros(0, dtype=np.int64),
-            np.concatenate(ang_val) if ang_val else np.zeros(0),
-        )
+        angles = AngleIndex(np.concatenate(ang_in), np.concatenate(ang_out), np.concatenate(ang_val))
     return GraphBatch(
         z=np.concatenate(zs),
         pos=np.concatenate(poss, axis=0),

@@ -402,8 +402,6 @@ def dimenet_layer(
     layer is linear, so it is applied after the envelope-weighted sum over
     an edge's triplets, its bias weighted by their summed envelopes.
     """
-    if angles.n_triplets == 0:
-        return Tensor(np.zeros((n_edges, spec.hidden)))
     w0 = params[f"{prefix}.w0"]
     k = spec.hidden + spec.basis.count
     per_edge = T.matmul(T.concat([m, rbf], axis=1), w0[:k]) + params[f"{prefix}.b0"]
@@ -439,21 +437,17 @@ def dimenet_messages(
             T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
             "m0",
         )
-    if angles.n_triplets:
-        with T.scope("triplets"):
-            in_pair = pairs.slot[angles.in_edge]
-            # the angle at j between (j -> k) and (j -> i), whose unit
-            # vectors are those of the pairs, negated on flipped edges
-            turn = np.where(pairs.flipped[angles.in_edge] == pairs.flipped[angles.out_edge], -1.0, 1.0)
-            cos_angle = T.sum_(
-                T.gather(geom.unit, in_pair) * T.gather(geom.unit, pairs.slot[angles.out_edge]), axis=1
-            ) * Tensor(turn)
-            radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, geom.dist)
-            sbf_rows = T.gather(radial, in_pair) * spherical_basis_zonal(spec.sbf_l_max, spec.sbf_n_max, cos_angle)
-            env_in = T.gather(geom.env, in_pair)
-    else:
-        sbf_rows = Tensor(np.zeros((0, spec.sbf_width)))
-        env_in = Tensor(np.zeros((0, 1)))
+    with T.scope("triplets"):
+        in_pair = pairs.slot[angles.in_edge]
+        # the angle at j between (j -> k) and (j -> i), whose unit
+        # vectors are those of the pairs, negated on flipped edges
+        turn = np.where(pairs.flipped[angles.in_edge] == pairs.flipped[angles.out_edge], -1.0, 1.0)
+        cos_angle = T.sum_(
+            T.gather(geom.unit, in_pair) * T.gather(geom.unit, pairs.slot[angles.out_edge]), axis=1
+        ) * Tensor(turn)
+        radial = spherical_basis_radial(spec.sbf_l_max, spec.sbf_n_max, spec.basis.cutoff, geom.dist)
+        sbf_rows = T.gather(radial, in_pair) * spherical_basis_zonal(spec.sbf_l_max, spec.sbf_n_max, cos_angle)
+        env_in = T.gather(geom.env, in_pair)
     for i in range(spec.layers):
         with T.scope(f"block{i}"):
             m = dimenet_layer(spec, params, f"block{i}", m, rbf, sbf_rows, env_in, angles, batch.n_edges)

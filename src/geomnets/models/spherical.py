@@ -1,5 +1,7 @@
 """Steerable message passing: tensor-product convolution and dot-product
-attention over degree-typed features.
+attention over degree-typed features, held as one (N, mult, 2l+1) tensor
+per (multiplicity, degree) block. Messages read whole blocks, and layers
+return their output blocks as they compute them.
 
 Along edge e, the message from neighbor block x (mult, 2 l_in + 1) into
 output degree l_out through filter degree l_f is
@@ -22,7 +24,8 @@ the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
 odd degree change sign. Messages into one degree are summed per node,
 channel-concatenated over their paths, mixed by a per-degree linear map and
 scaled by 1/sqrt(paths). Residuals attach only where input and output
-layouts carry an identical (multiplicity, degree) block.
+layouts carry an identical (multiplicity, degree) block, and add block to
+block.
 
 Every layer filters with all degrees 0..2, so any input block reaches every
 output degree. What a filter reads from an edge (radial basis and enveloped
@@ -51,7 +54,7 @@ import numpy as np
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..geometry import PairIndex
-from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, from_blocks, sph_harm_block
+from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, sph_harm_block
 from ..tensor import MlpSpec, Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import EdgeGeometry, RadialBasisSpec, edge_geometry
@@ -206,7 +209,7 @@ def _messages(
     plan = _fusion(spec)
     out: list[list[Tensor]] = [[] for _ in prefixes]
     for b, blk in enumerate(plan):
-        neighbor = T.gather(feat.block(b), dst)
+        neighbor = T.gather(feat.blocks[b], dst)
         mult, dim_in = neighbor.shape[1], neighbor.shape[2]
         coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
         coupled = T.matmul(neighbor, coupling)
@@ -276,14 +279,11 @@ def _mix(spec: TfnLayerSpec, params: dict, prefix: str, rows: list) -> list[Tens
 
 
 def _residual(spec: TfnLayerSpec, feat: SteerableFeature, blocks: list[Tensor]) -> SteerableFeature:
-    out_blocks = []
-    in_lookup = {(mult, l): i for i, (mult, l) in enumerate(spec.layout_in.blocks)}
-    for b_out, (mult, l) in enumerate(spec.layout_out.blocks):
-        b = blocks[b_out]
-        if (mult, l) in in_lookup:
-            b = b + feat.block(in_lookup[(mult, l)])
-        out_blocks.append(b)
-    return from_blocks(spec.layout_out, out_blocks)
+    in_lookup = dict(zip(spec.layout_in.blocks, feat.blocks))
+    return SteerableFeature(
+        spec.layout_out,
+        [b + in_lookup[blk] if blk in in_lookup else b for b, blk in zip(blocks, spec.layout_out.blocks)],
+    )
 
 
 def tfn_conv(
@@ -301,7 +301,7 @@ def tfn_conv(
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
     (messages,) = _messages(spec, ("conv",), params, feat, dst, filters)
-    sums = [T.scatter_sum(m, src, feat.data.shape[0]) for m in messages]
+    sums = [T.scatter_sum(m, src, feat.blocks[0].shape[0]) for m in messages]
     return _residual(spec, feat, _mix(spec, params, "conv", sums))
 
 
@@ -316,11 +316,11 @@ def _key_scores(
     the keys. A score is linear in the key messages, so the query rows of
     each degree go back through the key mix at node scale onto the message
     columns they meet."""
-    n = feat.data.shape[0]
+    n = feat.blocks[0].shape[0]
     back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, mult, cols)
     for b_out, (_, l) in enumerate(spec.layout_out.blocks):
         mix, reads = _mix_weights(spec, params, "key", b_out)
-        query = T.transpose2(T.matmul(T.transpose2(feat.block(b_out)), params[f"query{b_out}.mix"]))
+        query = T.transpose2(T.matmul(T.transpose2(feat.blocks[b_out]), params[f"query{b_out}.mix"]))
         rows = T.matmul(mix, query)  # (N, channels, 2 l + 1)
         first = 0
         for b, _, groups in reads:
@@ -355,7 +355,7 @@ def se3_attention(
         raise ContractError("attention output layout must match its input for the residual")
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the attention input")
-    n = feat.data.shape[0]
+    n = feat.blocks[0].shape[0]
     key_msgs, value_msgs = _messages(spec, ("key", "value"), params, feat, dst, filters)
     alpha = T.segment_softmax(_key_scores(spec, params, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
@@ -363,7 +363,7 @@ def se3_attention(
     weight = T.reshape(alpha, (-1, 1, 1))
     weighted = [m * weight for m in value_msgs]
     update = _mix(spec, params, "value", [T.scatter_sum(m, src, n) for m in weighted])
-    return SteerableFeature(feat.layout, feat.data + from_blocks(feat.layout, update).data), alpha
+    return SteerableFeature(feat.layout, [b + u for b, u in zip(feat.blocks, update)]), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,8 @@ def steerable_forward(
         # every layer has the same radial basis, so one set of filter
         # inputs serves them all
         filters = filter_inputs(geom, batch.pairs)
-        feat = SteerableFeature(spec.input_layout, embed_nodes(params["embed"], batch.z))
+        embedded = T.reshape(embed_nodes(params["embed"], batch.z), (batch.n_nodes, spec.scalar_channels, 1))
+        feat = SteerableFeature(spec.input_layout, [embedded])
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
         layer = spec.layer_spec(i)
@@ -457,7 +458,7 @@ def steerable_forward(
             else:
                 feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)
     with T.scope("readout"):
-        scalars = T.reshape(feat.block(0), (batch.n_nodes, spec.scalar_channels))
-        mixed = T.matmul(T.transpose2(feat.block(1)), params["vec_head.mix"])
+        scalars = T.reshape(feat.blocks[0], (batch.n_nodes, spec.scalar_channels))
+        mixed = T.matmul(T.transpose2(feat.blocks[1]), params["vec_head.mix"])
         rows = T.reshape(T.transpose2(mixed), (batch.n_nodes, 3))
         return scalars, T.matmul(rows, Tensor(_M_TO_CART))

@@ -174,16 +174,15 @@ def painn_layer(
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
     # ways; the filter runs per edge pair and phi per node, then their rows
     # are expanded and gathered to the edges
-    if unit.shape[0]:
-        phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
-        filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
-        gates = filt * T.gather(phi, dst)
-        g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
-        dv = T.gather(v, dst) * T.reshape(g_vv, (-1, f, 1)) + T.reshape(
-            unit, (-1, 1, 3)
-        ) * T.reshape(g_sv, (-1, f, 1))
-        s = s + T.scatter_sum(g_ss, src, n)
-        v = v + T.reshape(T.scatter_sum(T.reshape(dv, (-1, 3 * f)), src, n), (n, f, 3))
+    phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
+    filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
+    gates = filt * T.gather(phi, dst)
+    g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
+    dv = T.gather(v, dst) * T.reshape(g_vv, (-1, f, 1)) + T.reshape(
+        unit, (-1, 1, 3)
+    ) * T.reshape(g_sv, (-1, f, 1))
+    s = s + T.scatter_sum(g_ss, src, n)
+    v = v + T.reshape(T.scatter_sum(T.reshape(dv, (-1, 3 * f)), src, n), (n, f, 3))
 
     # update block: node-local, vectors enter only via norms and dot products
     u_mix = _channel_mix(v, params[f"{prefix}.upd.u"])

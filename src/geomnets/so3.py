@@ -1,8 +1,9 @@
 """Rotation algebra for degree-typed features.
 
 Real spherical harmonics up to degree 4, rotation matrices acting on them
-(Wigner blocks), coupling coefficients between degrees, and the layout
-bookkeeping for features that carry several degrees side by side.
+(Wigner blocks), coupling coefficients between degrees, and the container
+for features that carry several degrees: a layout of (multiplicity, degree)
+blocks and one (N, mult, 2l+1) tensor per block.
 
 Conventions, fixed across the package:
   * components of degree l are ordered m = -l..l; degree 1 is (y, z, x)
@@ -112,18 +113,6 @@ def sph_harm_block(l: int, unit_vecs: Tensor) -> Tensor:
     )
 
 
-def real_spherical_harmonics(l_max: int, u) -> list[np.ndarray]:
-    """Harmonic vectors Y^0 .. Y^l_max at one unit direction."""
-    _check_degree(l_max)
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape != (3,):
-        raise ShapeError("direction must have three components")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ContractError("direction must be a unit vector")
-    vecs = Tensor(u.reshape(1, 3))
-    return [sph_harm_block(l, vecs).data[0] for l in range(l_max + 1)]
-
-
 def _fibonacci_sphere(count: int) -> np.ndarray:
     i = np.arange(count) + 0.5
     polar = np.arccos(1.0 - 2.0 * i / count)
@@ -221,7 +210,7 @@ def clebsch_gordan(l1: int, l2: int, l3: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IrrepsLayout:
-    """Ordered (multiplicity, degree) blocks of a feature row."""
+    """Ordered (multiplicity, degree) blocks of a feature."""
 
     blocks: tuple[tuple[int, int], ...]
 
@@ -231,58 +220,19 @@ class IrrepsLayout:
                 raise ContractError("multiplicity must be positive")
             _check_degree(l)
 
-    @property
-    def width(self) -> int:
-        return sum(mult * (2 * l + 1) for mult, l in self.blocks)
-
-    def slices(self) -> list[tuple[slice, int, int]]:
-        out, start = [], 0
-        for mult, l in self.blocks:
-            stop = start + mult * (2 * l + 1)
-            out.append((slice(start, stop), mult, l))
-            start = stop
-        return out
-
 
 @dataclass
 class SteerableFeature:
-    """Rows of features laid out as consecutive (multiplicity, degree) blocks."""
+    """Node features held as one (N, mult, 2l+1) tensor per block of
+    `layout`, every block with the same N."""
 
     layout: IrrepsLayout
-    data: Tensor
+    blocks: list[Tensor]
 
     def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[1] != self.layout.width:
-            raise ShapeError(
-                f"feature width {self.data.shape} does not match layout width {self.layout.width}"
-            )
-
-    def block(self, index: int) -> Tensor:
-        """Block `index` reshaped to (N, mult, 2l+1)."""
-        sl, mult, l = self.layout.slices()[index]
-        n = self.data.shape[0]
-        return T.reshape(self.data[:, sl], (n, mult, 2 * l + 1))
-
-
-def from_blocks(layout: IrrepsLayout, blocks: list[Tensor]) -> SteerableFeature:
-    """Assemble a feature from per-block (N, mult, 2l+1) tensors."""
-    cols = []
-    for (sl, mult, l), b in zip(layout.slices(), blocks):
-        n = b.shape[0]
-        if b.shape != (n, mult, 2 * l + 1):
-            raise ShapeError(f"block shape {b.shape} does not match ({mult}, {l})")
-        cols.append(T.reshape(b, (n, mult * (2 * l + 1))))
-    return SteerableFeature(layout, T.concat(cols, axis=1))
-
-
-def rotate_steerable(feat: SteerableFeature, rot) -> SteerableFeature:
-    """Apply the block-diagonal rotation action to every degree block."""
-    rot = check_rotation(rot)
-    blocks = []
-    for i, (_, mult, l) in enumerate(feat.layout.slices()):
-        b = feat.block(i)
-        if l == 0:
-            blocks.append(b)
-        else:
-            blocks.append(T.matmul(b, Tensor(wigner_d(l, rot).T)))
-    return from_blocks(feat.layout, blocks)
+        if len(self.blocks) != len(self.layout.blocks):
+            raise ShapeError(f"{len(self.blocks)} blocks for a layout of {len(self.layout.blocks)}")
+        for b, (mult, l) in zip(self.blocks, self.layout.blocks):
+            want = (self.blocks[0].shape[0], mult, 2 * l + 1)
+            if b.shape != want:
+                raise ShapeError(f"block of shape {b.shape} where layout block ({mult}, {l}) needs {want}")

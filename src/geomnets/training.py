@@ -89,11 +89,6 @@ def apply_normalization(y, stats: NormalizationStats, n_atoms):
     return y * stats.force_mean + stats.energy_mean * n_atoms
 
 
-def invert_normalization(y_phys, stats: NormalizationStats, n_atoms):
-    """Physical energy -> model-space target; inverse of apply_normalization."""
-    return (y_phys - stats.energy_mean * n_atoms) / stats.force_mean
-
-
 # ---------------------------------------------------------------------------
 # loss
 

