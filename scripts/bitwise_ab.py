@@ -1,0 +1,128 @@
+"""Compare the numbers of this checkout with those of a git revision, bit
+for bit.
+
+    python3 scripts/bitwise_ab.py REF
+
+Exports REF with `git archive` into a temporary directory and runs one fixed
+dump on each tree, in a fresh process with BLAS pinned to one thread and
+the tree's own `src/` on the path. The dump holds, for every family at the
+configs of `tests/test_parity.py`:
+
+- energies and forces on `synthetic_conformations(6, 0)` and on the frames
+  of `perfbench.inputs.infer_stream(0, 8, 1)`;
+- the parameters and the history after 3 `train_energy_force` steps;
+- the losses of 3 steps of every pretext the family supports.
+
+Float arrays are compared as int64 bits. Prints, per (family, quantity),
+the arrays compared, how many differ and the largest difference relative
+to the largest magnitude of the reference array, then any parameter name
+that exists on one side only. Exits 1 if any array differs.
+"""
+
+import io
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+STEPS = 3
+
+
+def dump(out: str) -> None:
+    """Write {(family, quantity): {name: array}} for the tree on the path."""
+    from geomnets import training as tr
+    from geomnets.models import api
+    from perfbench.inputs import infer_stream
+    from test_parity import CONFIGS
+
+    confs = tr.synthetic_conformations(6, 0)
+    sets = {"synthetic": confs, "stream": infer_stream(0, 8, 1)}
+    schedule = tr.ScheduleSpec(lr_max=1e-3, lr_min=1e-5, total_steps=STEPS)
+    arrays = {}
+    for family, config in CONFIGS.items():
+        model = api.model_from_config(config)
+        params = model.init(0)
+        for label, structures in sets.items():
+            for i, conf in enumerate(structures):
+                energy, forces = tr.force_from_energy(model, params, conf)
+                arrays.setdefault((family, f"energy.{label}"), {})[str(i)] = np.asarray(energy)
+                arrays.setdefault((family, f"forces.{label}"), {})[str(i)] = forces
+        trained, history = tr.train_energy_force(model, confs, schedule, seed=0, steps=STEPS)
+        arrays[family, "params"] = trained
+        arrays[family, "history"] = {
+            k: np.asarray(list(v.values()) if isinstance(v, dict) else v) for k, v in history.items()
+        }
+        for kind in tr.PRETRAIN_KINDS:
+            if kind != "denoise" or model.has_vector_output:
+                _, history = tr.train_pretrain(model, kind, confs, schedule, seed=0, steps=STEPS)
+                arrays[family, f"pretext.{kind}"] = {"train_loss": np.asarray(history["train_loss"])}
+    with open(out, "wb") as fh:
+        pickle.dump(arrays, fh)
+
+
+def run_dump(tree: Path, out: Path) -> dict:
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (tree / "src", tree, tree / "tests", ROOT / "scripts"))
+    code = "import sys, bitwise_ab; bitwise_ab.dump(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", code, str(out)], cwd=tree, env=env, check=True)
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+def compare(ref: dict, new: dict) -> int:
+    """Print the comparison; the number of arrays that differ."""
+    total = 0
+    for key in sorted(set(ref) | set(new)):
+        a, b = ref.get(key, {}), new.get(key, {})
+        shared = sorted(set(a) & set(b))
+        differ, worst = 0, 0.0
+        for name in shared:
+            x, y = np.asarray(a[name]), np.asarray(b[name])
+            if x.shape != y.shape or x.dtype != y.dtype:
+                differ, worst = differ + 1, math.inf
+            elif not np.array_equal(_bits(x), _bits(y)):
+                differ += 1
+                scale = np.abs(x).max()
+                worst = max(worst, float(np.abs(x - y).max() / scale) if scale else math.inf)
+        total += differ
+        print(f"{key[0]:8s} {key[1]:22s} arrays={len(shared):3d} differ={differ:3d} max_rel={worst:.3e}")
+        for name in sorted(set(a) ^ set(b)):
+            print(f"  only in {'REF' if name in a else 'this checkout'}: {name}")
+    return total
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "ref"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", argv[0]], cwd=ROOT, capture_output=True)
+        if archive.returncode:
+            print(archive.stderr.decode(), file=sys.stderr, end="")
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        ref = run_dump(tree, Path(tmp) / "ref.pkl")
+        new = run_dump(ROOT, Path(tmp) / "new.pkl")
+    differ = compare(ref, new)
+    print(f"{differ} arrays differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

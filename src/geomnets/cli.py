@@ -341,6 +341,8 @@ def equivariance_claims(model, params, trials: int, seed: int) -> list[dict]:
 def cmd_check_equiv(args) -> int:
     if args.trials < 1:
         raise ContractError(f"--trials must be at least 1, got {args.trials}")
+    if args.tolerance is not None and not args.tolerance >= 0:  # NaN fails the comparison
+        raise ContractError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     raw = _read_json(args.config)
     model_cfg = raw.get("model", raw) if isinstance(raw, dict) else raw
     model = api.model_from_config(model_cfg)

@@ -33,6 +33,9 @@ harmonics) depends only on the edges and the radial basis, which all layers
 share, so a forward forms it once with `filter_inputs` from the shared
 `invariant.edge_geometry` and hands it to each layer.
 
+Hidden layers output degrees 0..2. The readout reads only degrees 0 and 1,
+so a stack's last convolution outputs those two blocks alone.
+
 Attention reads one layer spec whose output layout equals its input: keys
 and values are two tensor-product messages of that layout with their own
 weights, built from one set of coupling matrices. Scores are full dot
@@ -46,7 +49,7 @@ mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -400,10 +403,16 @@ class SteerableModelSpec:
     def input_layout(self) -> IrrepsLayout:
         return IrrepsLayout(((self.scalar_channels, 0),))
 
+    def attends(self, index: int) -> bool:
+        return self.family == "se3attn" and index > 0
+
     def layer_spec(self, index: int) -> TfnLayerSpec:
+        """A last layer that convolves outputs only the blocks the readout
+        reads, degrees 0 and 1; attention keeps its input layout."""
+        last_conv = index == self.layers - 1 and not self.attends(index)
         return TfnLayerSpec(
             layout_in=self.input_layout if index == 0 else self.hidden_layout,
-            layout_out=self.hidden_layout,
+            layout_out=IrrepsLayout(self.hidden_layout.blocks[:2]) if last_conv else self.hidden_layout,
             radial=self.basis,
             radial_hidden=self.radial_hidden,
         )
@@ -414,13 +423,18 @@ def init_steerable(spec: SteerableModelSpec, seed: int) -> dict[str, np.ndarray]
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.scalar_channels)}
     for i in range(spec.layers):
         layer = spec.layer_spec(i)
-        if spec.family == "se3attn" and i > 0:
+        if spec.attends(i):
             params.update(init_tfn_layer(layer, rng, f"layer{i}.key"))
             params.update(init_tfn_layer(layer, rng, f"layer{i}.value"))
             for b, (mult, _) in enumerate(layer.layout_out.blocks):
                 params[f"layer{i}.query{b}.mix"] = T.glorot_uniform(rng, mult, mult)
         else:
-            params.update(init_tfn_layer(layer, rng, f"layer{i}.conv"))
+            # drawn for the hidden layout and cut to the layer's paths and
+            # mixes, which come first, so each keeps its hidden-layer value
+            drawn = init_tfn_layer(replace(layer, layout_out=spec.hidden_layout), rng, f"layer{i}.conv")
+            kept = [f"layer{i}.conv.path{k}." for k in range(len(layer.paths()))]
+            kept += [f"layer{i}.conv.out{b}." for b in range(len(layer.layout_out.blocks))]
+            params.update((k, v) for k, v in drawn.items() if k.startswith(tuple(kept)))
     params["head.w"] = T.glorot_uniform(rng, spec.scalar_channels, 1)
     params["vec_head.mix"] = T.glorot_uniform(rng, spec.vector_channels, 1)
     return params
@@ -453,7 +467,7 @@ def steerable_forward(
         scoped = _scoped(params, f"layer{i}")
         layer = spec.layer_spec(i)
         with T.scope(f"layer{i}"):
-            if spec.family == "se3attn" and i > 0:
+            if spec.attends(i):
                 feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, filters)
             else:
                 feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)

@@ -87,18 +87,13 @@ def _keep_freed_pages() -> None:
 _keep_freed_pages()
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A float64 array, optionally attached to a Tape."""
 
     __slots__ = ("data", "tape", "uid")
 
     def __init__(self, values, tape: "Tape | None" = None):
-        self.data = _as_array(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.tape = tape
         self.uid = next(_UID)
         if not np.isfinite(self.data).all():
@@ -765,34 +760,7 @@ def lift(params: dict[str, np.ndarray], tape: Tape | None = None) -> dict[str, T
 
 
 # ---------------------------------------------------------------------------
-# finite-difference checking and checkpoints
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-6) -> float:
-    """Max relative error between taped and central-difference gradients."""
-    x0 = _as_array(x)
-    flat = x0.reshape(-1)
-
-    def run(tape):
-        xt = tape.tensor(x0.copy())
-        analytic = tape.gradient(f(xt), [xt], record=False)[0]
-        probes = []
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] += eps
-            hi = f(Tensor(bumped.reshape(x0.shape))).item()
-            bumped[i] -= 2 * eps
-            probes.append((hi, f(Tensor(bumped.reshape(x0.shape))).item()))
-        return analytic, probes
-
-    tape, (analytic, probes) = checked(run)
-    tape.release()
-    worst = 0.0
-    for i, (hi, lo) in enumerate(probes):
-        fd = (hi - lo) / (2 * eps)
-        err = abs(analytic.data.reshape(-1)[i] - fd) / max(1.0, abs(fd))
-        worst = max(worst, err)
-    return worst
+# checkpoints
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:

@@ -14,6 +14,7 @@ from geomnets import cli, tensor as T, training as tr
 from geomnets.errors import ContractError
 from geomnets.geometry import Conformation, load_dataset, save_dataset
 from geomnets.models import api
+from geomnets.models import spherical as sph
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -351,6 +352,28 @@ def test_eval_bad_checkpoint_exits_2(workspace, spoil, message, tmp_path):
     assert message in result.stderr and "Traceback" not in result.stderr
 
 
+def test_eval_ignores_extra_checkpoint_entries(workspace, tmp_path):
+    # a tfn checkpoint written while the last convolution still had paths
+    # into degree 2 carries their weights; eval scores it exactly as it
+    # scores the same checkpoint without them
+    _, cfg, _ = workspace
+    model_cfg = {"family": "tfn", "scalar_channels": 4, "vector_channels": 2, "tensor_channels": 2, "layers": 1, "cutoff": 4.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg, model=model_cfg)))
+    model = api.model_from_config(model_cfg)
+    params = model.init(cfg["seed"])
+    older = dataclasses.replace(model.spec.layer_spec(0), layout_out=model.spec.hidden_layout)
+    extra = {k: v for k, v in sph.init_tfn_layer(older, np.random.default_rng(0), "layer0.conv").items() if k not in params}
+    assert "layer0.conv.out2.mix" in extra
+    T.save_checkpoint(tmp_path / "new.json", params)
+    T.save_checkpoint(tmp_path / "old.json", {**params, **extra})
+    new, old = (
+        run_cli("eval", "--config", str(cfg_path), "--checkpoint", str(tmp_path / name)) for name in ("new.json", "old.json")
+    )
+    assert new.returncode == old.returncode == 0, new.stderr + old.stderr
+    assert old.stdout == new.stdout
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 
@@ -580,6 +603,24 @@ def test_check_equiv_tolerance_flag(workspace):
         "1e6",
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-0.5"])
+def test_check_equiv_rejects_a_bad_tolerance(workspace, tolerance):
+    # bad input, not a violation of any claim
+    root, _, _ = workspace
+    result = run_cli(
+        "check-equiv", "--config", str(model_cfg(root, "schnet")), "--trials", "1", "--tolerance", tolerance
+    )
+    assert_config_error(result)
+    assert "--tolerance" in result.stderr and result.stdout == ""
+
+
+def test_check_equiv_infinite_tolerance_passes(workspace):
+    root, _, _ = workspace
+    result = run_cli("check-equiv", "--config", str(model_cfg(root, "leaky")), "--trials", "1", "--tolerance", "inf")
+    assert result.returncode == 0, result.stderr
+    assert "tolerance=inf" in result.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models.common import build_batch, embed_nodes, readout
 from geomnets.so3 import random_rotation, sph_harm_block
-from geomnets.tensor import Tape, Tensor, grad_check
+from geomnets.tensor import Tape, Tensor
+from test_tensor import grad_check
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 equivariance, the scalar-only reduction to the single-hop stack, and
 attention properties."""
 
+import dataclasses
 import itertools
 import math
 
@@ -543,3 +544,29 @@ def test_model_spec_validation():
         sph.SteerableModelSpec(layers=0)
     with pytest.raises(ContractError):
         sph.SteerableModelSpec(vector_channels=0)
+
+
+@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("tfn", 3), ("se3attn", 1), ("se3attn", 2)])
+def test_last_convolution_outputs_the_readout_blocks(family, layers):
+    # the readout reads degrees 0 and 1; an attention layer keeps its input
+    spec = sph.SteerableModelSpec(family=family, scalar_channels=5, vector_channels=3, tensor_channels=2, layers=layers)
+    last = hidden_layout() if spec.attends(layers - 1) else IrrepsLayout(((5, 0), (3, 1)))
+    assert [spec.layer_spec(i).layout_out for i in range(layers)] == [hidden_layout()] * (layers - 1) + [last]
+
+
+@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("se3attn", 1)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_last_convolution_keeps_its_hidden_layer_weights(family, layers, seed):
+    # with one more layer the same layer is hidden: the last layer drops
+    # exactly its paths into degree 2 and their mix, and keeps the rest
+    # with the values they have there
+    spec, _ = model_setup(family, seed)
+    deeper = dataclasses.replace(spec, layers=layers + 1)
+    last = sph.init_steerable(dataclasses.replace(spec, layers=layers), seed)
+    full = sph.init_steerable(deeper, seed)
+    prefix = f"layer{layers - 1}.conv."
+    into_2 = tuple(f"{prefix}path{k}." for k in deeper.layer_spec(layers - 1).paths_into(2)) + (f"{prefix}out2.",)
+    assert {k for k in full if k.startswith(prefix)} - set(last) == {k for k in full if k.startswith(into_2)}
+    for name, value in last.items():
+        if name.startswith("layer"):
+            np.testing.assert_array_equal(value, full[name])

@@ -6,6 +6,7 @@ import pytest
 from geomnets import so3
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
+from test_tensor import grad_check
 
 
 def real_spherical_harmonics(l_max, u):
@@ -90,7 +91,7 @@ class TestSphericalHarmonics:
         f = lambda v: T.sum_(T.power(so3.sph_harm_block(2, v), 2.0))
         pts = np.random.default_rng(3).normal(size=(4, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        assert T.grad_check(f, pts) < 1e-6
+        assert grad_check(f, pts) < 1e-6
 
 
 class TestWigner:

@@ -20,6 +20,7 @@ from geomnets.geometry import Conformation
 from geomnets.models import api
 from geomnets.models.common import build_batch, graph_stats
 from geomnets.tensor import Tensor
+from test_tensor import grad_check
 
 
 def quadratic_model():
@@ -203,7 +204,7 @@ def test_loss_gradient_matches_finite_differences():
         )
 
     x0 = np.random.default_rng(5).normal(size=17)
-    assert T.grad_check(loss_of, x0) < 1e-6
+    assert grad_check(loss_of, x0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
