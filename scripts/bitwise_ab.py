@@ -6,7 +6,8 @@ for bit.
 Exports REF with `git archive` into a temporary directory and runs one fixed
 dump on each tree, in a fresh process with BLAS pinned to one thread and
 the tree's own `src/` on the path. The dump holds, for every family at the
-configs of `tests/test_parity.py`:
+configs of `tests/test_parity.py`, and for tfn and se3attn at those configs
+with 3 layers (so a hidden attention layer is compared too):
 
 - energies and forces on `synthetic_conformations(6, 0)` and on the frames
   of `perfbench.inputs.infer_stream(0, 8, 1)`;
@@ -46,8 +47,9 @@ def dump(out: str) -> None:
     confs = tr.synthetic_conformations(6, 0)
     sets = {"synthetic": confs, "stream": infer_stream(0, 8, 1)}
     schedule = tr.ScheduleSpec(lr_max=1e-3, lr_min=1e-5, total_steps=STEPS)
+    configs = dict(CONFIGS, **{f"{f}-3layer": dict(CONFIGS[f], layers=3) for f in ("tfn", "se3attn")})
     arrays = {}
-    for family, config in CONFIGS.items():
+    for family, config in configs.items():
         model = api.model_from_config(config)
         params = model.init(0)
         for label, structures in sets.items():
@@ -97,7 +99,7 @@ def compare(ref: dict, new: dict) -> int:
                 scale = np.abs(x).max()
                 worst = max(worst, float(np.abs(x - y).max() / scale) if scale else math.inf)
         total += differ
-        print(f"{key[0]:8s} {key[1]:22s} arrays={len(shared):3d} differ={differ:3d} max_rel={worst:.3e}")
+        print(f"{key[0]:15s} {key[1]:22s} arrays={len(shared):3d} differ={differ:3d} max_rel={worst:.3e}")
         for name in sorted(set(a) ^ set(b)):
             print(f"  only in {'REF' if name in a else 'this checkout'}: {name}")
     return total

@@ -34,16 +34,17 @@ share, so a forward forms it once with `filter_inputs` from the shared
 `invariant.edge_geometry` and hands it to each layer.
 
 Hidden layers output degrees 0..2. The readout reads only degrees 0 and 1,
-so a stack's last convolution outputs those two blocks alone.
+so a stack's last layer, convolution or attention, outputs those alone.
 
-Attention reads one layer spec whose output layout equals its input: keys
-and values are two tensor-product messages of that layout with their own
-weights, built from one set of coupling matrices. Scores are full dot
-products of steerable query and key rows, hence rotation-invariant scalars.
-Both sides of a score are linear, so the keys are never formed: the query
-rows go back through the key mix at node scale and meet the key messages
-directly. Values are likewise weighted and summed per node before they are
-mixed.
+Attention keys are messages whose output layout is the input's; values
+are messages of the layer spec. Each has its own weights, and both read
+the keys' coupling matrices, whose columns run by ascending output
+degree, so values without degree 2 read the leading columns. Scores are
+full dot products of steerable query and key rows, hence
+rotation-invariant scalars. Both sides of a score are linear, so the keys
+are never formed: the query rows go back through the key mix at node
+scale and meet the key messages directly. Values are likewise weighted
+and summed per node before they are mixed.
 """
 
 from __future__ import annotations
@@ -196,30 +197,29 @@ def _fusion(spec: TfnLayerSpec) -> tuple[_BlockFusion, ...]:
 
 
 def _messages(
-    spec: TfnLayerSpec,
-    prefixes: tuple[str, ...],
+    weights: tuple[tuple[TfnLayerSpec, str], ...],
     params: dict,
     feat: SteerableFeature,
     dst: np.ndarray,
     filters: EdgeFilters,
 ) -> list[list[Tensor]]:
-    """Edge messages (E, mult_in, width) per weight set of `prefixes` and
-    per input block: the neighbor block times the edge's coupling matrix,
-    times the radial output of each path spread over its columns, run per
-    edge pair and expanded to the edges. The weight sets share the coupling
-    matrices."""
+    """Edge messages (E, mult_in, width) per (layer spec, weight prefix) of
+    `weights` and per input block: the neighbor block times the edge's
+    coupling matrix, times the radial output of each path spread over its
+    columns, run per edge pair and expanded to the edges. All share the
+    first (widest) spec's coupling matrices; a narrower one reads their leading columns."""
     e, n_pairs = filters.harmonics.shape[0], filters.rbf_t.shape[1]
-    plan = _fusion(spec)
-    out: list[list[Tensor]] = [[] for _ in prefixes]
-    for b, blk in enumerate(plan):
+    out: list[list[Tensor]] = [[] for _ in weights]
+    for b, blks in enumerate(zip(*(_fusion(spec) for spec, _ in weights))):
         neighbor = T.gather(feat.blocks[b], dst)
         mult, dim_in = neighbor.shape[1], neighbor.shape[2]
-        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blk.table)), (e, dim_in, blk.width))
+        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blks[0].table)), (e, dim_in, blks[0].width))
         coupled = T.matmul(neighbor, coupling)
-        for p, prefix in enumerate(prefixes):
+        for (spec, prefix), blk, msgs in zip(weights, blks, out):
             radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
             radial = T.reshape(radial, (n_pairs, mult, blk.width))
-            out[p].append(coupled * T.expand_pairs(radial, filters.pairs))
+            cols = coupled if blk.width == blks[0].width else coupled[:, :, : blk.width]
+            msgs.append(cols * T.expand_pairs(radial, filters.pairs))
     return out
 
 
@@ -303,7 +303,7 @@ def tfn_conv(
     remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
-    (messages,) = _messages(spec, ("conv",), params, feat, dst, filters)
+    (messages,) = _messages(((spec, "conv"),), params, feat, dst, filters)
     sums = [T.scatter_sum(m, src, feat.blocks[0].shape[0]) for m in messages]
     return _residual(spec, feat, _mix(spec, params, "conv", sums))
 
@@ -349,24 +349,24 @@ def se3_attention(
 ) -> tuple[SteerableFeature, Tensor]:
     """Attention update plus the attention weights (E,) for inspection.
 
-    Keys and values are messages of `spec` with weights under `key.` and
-    `value.`; queries mix each block under `query{b}.`. The output layout
-    must equal the input for the residual. A node without neighbors
-    aggregates nothing and keeps its features through the residual; without
-    any edges the update is the identity."""
-    if spec.layout_out != spec.layout_in:
-        raise ContractError("attention output layout must match its input for the residual")
+    Values are messages of `spec` under `value.`, keys those of `spec` with
+    the input layout as output under `key.`; queries mix each input block
+    under `query{b}.`. Each output block is an input block plus its update,
+    so a node without neighbors keeps those blocks as they were."""
+    if not set(spec.layout_out.blocks) <= set(spec.layout_in.blocks):
+        raise ContractError("every attention output block must be an input block, for the residual")
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the attention input")
     n = feat.blocks[0].shape[0]
-    key_msgs, value_msgs = _messages(spec, ("key", "value"), params, feat, dst, filters)
-    alpha = T.segment_softmax(_key_scores(spec, params, feat, key_msgs, src), src, n)
+    keys = replace(spec, layout_out=spec.layout_in)
+    key_msgs, value_msgs = _messages(((keys, "key"), (spec, "value")), params, feat, dst, filters)
+    alpha = T.segment_softmax(_key_scores(keys, params, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
     weight = T.reshape(alpha, (-1, 1, 1))
     weighted = [m * weight for m in value_msgs]
     update = _mix(spec, params, "value", [T.scatter_sum(m, src, n) for m in weighted])
-    return SteerableFeature(feat.layout, [b + u for b, u in zip(feat.blocks, update)]), alpha
+    return _residual(spec, feat, update), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +407,12 @@ class SteerableModelSpec:
         return self.family == "se3attn" and index > 0
 
     def layer_spec(self, index: int) -> TfnLayerSpec:
-        """A last layer that convolves outputs only the blocks the readout
-        reads, degrees 0 and 1; attention keeps its input layout."""
-        last_conv = index == self.layers - 1 and not self.attends(index)
+        """The last layer outputs only the blocks the readout reads, degrees
+        0 and 1, whether it convolves or attends."""
+        last = index == self.layers - 1
         return TfnLayerSpec(
             layout_in=self.input_layout if index == 0 else self.hidden_layout,
-            layout_out=IrrepsLayout(self.hidden_layout.blocks[:2]) if last_conv else self.hidden_layout,
+            layout_out=IrrepsLayout(self.hidden_layout.blocks[:2]) if last else self.hidden_layout,
             radial=self.basis,
             radial_hidden=self.radial_hidden,
         )
@@ -422,19 +422,18 @@ def init_steerable(spec: SteerableModelSpec, seed: int) -> dict[str, np.ndarray]
     rng = np.random.default_rng(seed)
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.scalar_channels)}
     for i in range(spec.layers):
-        layer = spec.layer_spec(i)
-        if spec.attends(i):
-            params.update(init_tfn_layer(layer, rng, f"layer{i}.key"))
-            params.update(init_tfn_layer(layer, rng, f"layer{i}.value"))
-            for b, (mult, _) in enumerate(layer.layout_out.blocks):
-                params[f"layer{i}.query{b}.mix"] = T.glorot_uniform(rng, mult, mult)
-        else:
-            # drawn for the hidden layout and cut to the layer's paths and
-            # mixes, which come first, so each keeps its hidden-layer value
-            drawn = init_tfn_layer(replace(layer, layout_out=spec.hidden_layout), rng, f"layer{i}.conv")
-            kept = [f"layer{i}.conv.path{k}." for k in range(len(layer.paths()))]
-            kept += [f"layer{i}.conv.out{b}." for b in range(len(layer.layout_out.blocks))]
-            params.update((k, v) for k, v in drawn.items() if k.startswith(tuple(kept)))
+        layer, attends = spec.layer_spec(i), spec.attends(i)
+        prefix = f"layer{i}." + ("value" if attends else "conv")
+        if attends:
+            params.update(init_tfn_layer(replace(layer, layout_out=layer.layout_in), rng, f"layer{i}.key"))
+        # drawn for the hidden layout and cut to the layer's paths and
+        # mixes, which come first, so each keeps its hidden-layer value
+        drawn = init_tfn_layer(replace(layer, layout_out=spec.hidden_layout), rng, prefix)
+        kept = [f"{prefix}.path{k}." for k in range(len(layer.paths()))]
+        kept += [f"{prefix}.out{b}." for b in range(len(layer.layout_out.blocks))]
+        params.update((k, v) for k, v in drawn.items() if k.startswith(tuple(kept)))
+        for b, (mult, _) in enumerate(layer.layout_in.blocks if attends else ()):
+            params[f"layer{i}.query{b}.mix"] = T.glorot_uniform(rng, mult, mult)
     params["head.w"] = T.glorot_uniform(rng, spec.scalar_channels, 1)
     params["vec_head.mix"] = T.glorot_uniform(rng, spec.vector_channels, 1)
     return params

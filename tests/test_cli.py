@@ -352,19 +352,23 @@ def test_eval_bad_checkpoint_exits_2(workspace, spoil, message, tmp_path):
     assert message in result.stderr and "Traceback" not in result.stderr
 
 
-def test_eval_ignores_extra_checkpoint_entries(workspace, tmp_path):
-    # a tfn checkpoint written while the last convolution still had paths
-    # into degree 2 carries their weights; eval scores it exactly as it
-    # scores the same checkpoint without them
+@pytest.mark.parametrize("family,layers", [("tfn", 1), ("se3attn", 2)])
+def test_eval_ignores_extra_checkpoint_entries(workspace, tmp_path, family, layers):
+    # a checkpoint written while the last layer (tfn's convolution,
+    # se3attn's attention values) still had paths into degree 2 carries
+    # their weights; eval scores it exactly as it scores the same
+    # checkpoint without them
     _, cfg, _ = workspace
-    model_cfg = {"family": "tfn", "scalar_channels": 4, "vector_channels": 2, "tensor_channels": 2, "layers": 1, "cutoff": 4.0}
+    model_cfg = {"family": family, "scalar_channels": 4, "vector_channels": 2, "tensor_channels": 2, "layers": layers, "cutoff": 4.0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(cfg, model=model_cfg)))
     model = api.model_from_config(model_cfg)
     params = model.init(cfg["seed"])
-    older = dataclasses.replace(model.spec.layer_spec(0), layout_out=model.spec.hidden_layout)
-    extra = {k: v for k, v in sph.init_tfn_layer(older, np.random.default_rng(0), "layer0.conv").items() if k not in params}
-    assert "layer0.conv.out2.mix" in extra
+    last = layers - 1
+    prefix = f"layer{last}." + ("value" if model.spec.attends(last) else "conv")
+    older = dataclasses.replace(model.spec.layer_spec(last), layout_out=model.spec.hidden_layout)
+    extra = {k: v for k, v in sph.init_tfn_layer(older, np.random.default_rng(0), prefix).items() if k not in params}
+    assert f"{prefix}.out2.mix" in extra
     T.save_checkpoint(tmp_path / "new.json", params)
     T.save_checkpoint(tmp_path / "old.json", {**params, **extra})
     new, old = (

@@ -115,6 +115,21 @@ def test_paths_read_every_input_and_reach_every_output(in_degrees, out_degrees):
     assert {b_out for _, _, b_out in paths} == set(range(len(out_degrees)))
 
 
+@pytest.mark.parametrize("in_degrees", DEGREE_SETS, ids=lambda d: "in" + "".join(map(str, d)))
+def test_readout_outputs_read_the_leading_coupling_columns(in_degrees):
+    # attention into the readout's blocks reads its values from the leading
+    # columns of its keys' coupling matrices, which output every degree:
+    # coupling columns must run by ascending output degree
+    layout_in = IrrepsLayout(tuple((3, l) for l in in_degrees))
+    wide = sph._fusion(layer_spec(layout_in=layout_in, layout_out=IrrepsLayout(((2, 0), (2, 1), (2, 2)))))
+    narrow = sph._fusion(layer_spec(layout_in=layout_in, layout_out=IrrepsLayout(((2, 0), (2, 1)))))
+    for (_, l_in), w, nw in zip(layout_in.blocks, wide, narrow):
+        assert nw.width < w.width
+        leading = w.table.reshape(-1, 2 * l_in + 1, w.width)[:, :, : nw.width]
+        np.testing.assert_array_equal(nw.table.reshape(leading.shape), leading)
+        assert nw.segments == {l: w.segments[l] for l in (0, 1)}
+
+
 def test_paths_satisfy_triangle_inequality():
     spec = layer_spec()
     assert len(spec.paths()) > 0
@@ -218,37 +233,70 @@ def test_scalar_only_conv_matches_single_hop_layer():
 # attention
 
 
-def attention_setup(seed=0):
-    # the second layer of a two-layer stack is attention over hidden_layout()
+READOUT_LAYOUT = IrrepsLayout(((5, 0), (3, 1)))
+
+
+def attention_layer(index, seed):
+    """Layer `index` of a three-layer se3attn stack over hidden_layout(), and
+    its weights: layer 1 attends over hidden_layout(), layer 2, the last,
+    attends into the readout's blocks."""
     model = sph.SteerableModelSpec(
         family="se3attn",
         scalar_channels=5,
         vector_channels=3,
         tensor_channels=2,
-        layers=2,
+        layers=3,
         basis=inv.RadialBasisSpec(count=6, cutoff=5.0),
         radial_hidden=8,
     )
-    spec = model.layer_spec(1)
-    assert spec == layer_spec()
+    spec = model.layer_spec(index)
     params = sph.init_steerable(model, seed)
-    return spec, {k[len("layer1.") :]: v for k, v in params.items() if k.startswith("layer1.")}
+    return spec, {k[len(f"layer{index}.") :]: v for k, v in params.items() if k.startswith(f"layer{index}.")}
+
+
+def attention_setup(seed=0):
+    # the hidden attention layer keeps every degree
+    spec, params = attention_layer(1, seed)
+    assert spec == layer_spec()
+    return spec, params
+
+
+def last_attention_setup(seed=0):
+    spec, params = attention_layer(2, seed)
+    assert spec == layer_spec(layout_out=READOUT_LAYOUT)
+    return spec, params
+
+
+def kept_blocks(feat, layout):
+    """The blocks of `feat` that `layout` names, in its order."""
+    lookup = dict(zip(feat.layout.blocks, feat.blocks))
+    return SteerableFeature(layout, [lookup[blk] for blk in layout.blocks])
 
 
 def test_attention_spec_validation():
-    # the residual needs the output layout to equal the input
+    # the residual needs every output block to be an input block: a shrunk
+    # output attends, a widened input is refused
     _, params = attention_setup()
     edges = radius_graph(cloud(0), 5.0)
-    shrunk = layer_spec(layout_out=IrrepsLayout(((5, 0), (3, 1))))
+    shrunk = layer_spec(layout_out=READOUT_LAYOUT)
+    out, _ = attend(shrunk, as_tensors(params), random_feature(shrunk.layout_in, 4, 9), edges)
+    assert out.layout == shrunk.layout_out
     widened = layer_spec(layout_in=IrrepsLayout(((5, 0),)))
-    for spec in (shrunk, widened):
-        feat = random_feature(spec.layout_in, 4, 9)
-        with pytest.raises(ContractError):
-            attend(spec, as_tensors(params), feat, edges)
+    feat = random_feature(widened.layout_in, 4, 9)
+    with pytest.raises(ContractError):
+        attend(widened, as_tensors(params), feat, edges)
 
 
 def test_attention_single_neighbor_reduces_to_conv():
-    spec, params = attention_setup(1)
+    check_single_neighbor_reduces_to_conv(*attention_setup(1))
+
+
+def test_last_attention_single_neighbor_reduces_to_conv():
+    # the narrowed value weights are those of a convolution into the readout's blocks
+    check_single_neighbor_reduces_to_conv(*last_attention_setup(1))
+
+
+def check_single_neighbor_reduces_to_conv(spec, params):
     pos = np.array([[0.0, 0, 0], [1.4, 0.3, -0.2]])
     edges = radius_graph(pos, 5.0)
     feat = random_feature(spec.layout_in, 2, 9)
@@ -289,7 +337,14 @@ def test_attention_weights_rotation_invariant():
 
 
 def test_attention_equivariance():
-    spec, params = attention_setup(4)
+    check_attention_equivariance(*attention_setup(4))
+
+
+def test_last_attention_equivariance():
+    check_attention_equivariance(*last_attention_setup(4))
+
+
+def check_attention_equivariance(spec, params):
     pt = as_tensors(params)
     pos = cloud(6, n=4)
     feat = random_feature(spec.layout_in, 4, 12)
@@ -306,12 +361,28 @@ def test_attention_equivariance():
 def test_attention_isolated_node_keeps_its_row():
     # an atom without neighbors aggregates nothing, so the residual keeps its
     # row, and the other atoms attend as if it were absent
-    spec, params = attention_setup(5)
+    check_isolated_node_keeps_its_row(*attention_setup(5))
+
+
+def test_last_attention_isolated_node_keeps_its_rows():
+    # the last layer keeps the isolated atom's degree-0 and degree-1 rows
+    check_isolated_node_keeps_its_row(*last_attention_setup(5))
+
+
+def test_last_attention_outputs_the_readout_blocks():
+    spec, params = last_attention_setup(6)
+    feat = random_feature(spec.layout_in, 4, 14)
+    out, _ = attend(spec, as_tensors(params), feat, radius_graph(cloud(7), 5.0))
+    assert out.layout == READOUT_LAYOUT
+    assert [b.shape for b in out.blocks] == [(4, 5, 1), (4, 3, 3)]
+
+
+def check_isolated_node_keeps_its_row(spec, params):
     pt = as_tensors(params)
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [90.0, 0, 0]])
     feat = random_feature(spec.layout_in, 3, 13)
     out, alpha = attend(spec, pt, feat, radius_graph(pos, 5.0))
-    np.testing.assert_array_equal(rows(out)[2], rows(feat)[2])
+    np.testing.assert_array_equal(rows(out)[2], rows(kept_blocks(feat, spec.layout_out))[2])
     connected = SteerableFeature(feat.layout, [Tensor(b.data[:2]) for b in feat.blocks])
     ref, ref_alpha = attend(spec, pt, connected, radius_graph(pos[:2], 5.0))
     np.testing.assert_allclose(rows(out)[:2], rows(ref), rtol=0, atol=1e-12)
@@ -372,26 +443,27 @@ def reference_attention(spec, params, feat, src, dst, rel):
             for b, msgs in sorted(per_block.items())
         ]
 
-    lookup = {l: i for i, (_, l) in enumerate(spec.layout_in.blocks)}
+    # keys output the input layout; values output the layer's
+    keys = dataclasses.replace(spec, layout_out=spec.layout_in)
     queries = [
-        T.transpose2(T.matmul(T.transpose2(feat.blocks[lookup[l]]), params[f"query{b}.mix"]))
-        for b, (_, l) in enumerate(spec.layout_out.blocks)
+        T.transpose2(T.matmul(T.transpose2(block), params[f"query{b}.mix"])) for b, block in enumerate(feat.blocks)
     ]
     score = None
-    for query, key in zip(queries, mixed_blocks(spec, "key")):
+    for query, key in zip(queries, mixed_blocks(keys, "key")):
         term = T.sum_(T.gather(query, src) * key, axis=(1, 2))
         score = term if score is None else score + term
     alpha = T.segment_softmax(score, src, n)
     weight = T.reshape(alpha, (-1, 1, 1))
     update = [T.scatter_sum(v * weight, src, n) for v in mixed_blocks(spec, "value")]
-    return SteerableFeature(feat.layout, [b + u for b, u in zip(feat.blocks, update)]), alpha
+    kept = kept_blocks(feat, spec.layout_out)
+    return SteerableFeature(spec.layout_out, [b + u for b, u in zip(kept.blocks, update)]), alpha
 
 
 def fused_and_reference(layer, graph):
     """(tfn_conv or se3_attention, per-path reference, spec, params, feature, positions)."""
     rng = np.random.default_rng(8)
-    if layer == "attention":
-        spec, params = attention_setup(7)
+    if layer in ("attention", "last-attention"):
+        spec, params = (attention_setup if layer == "attention" else last_attention_setup)(7)
 
         def fused(spec, params, feat, src, dst, rel, reverse):
             return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel, reverse))
@@ -423,7 +495,7 @@ def assert_within(got, want):
 
 
 @pytest.mark.parametrize("graph", ["isolated", "edgeless"])
-@pytest.mark.parametrize("layer", ["hidden", "scalar", "attention"])
+@pytest.mark.parametrize("layer", ["hidden", "scalar", "attention", "last-attention"])
 def test_fused_messages_match_per_path_reference(layer, graph):
     fused, ref, spec, params, feat, pos0 = fused_and_reference(layer, graph)
     edges = radius_graph(pos0, 5.0)
@@ -546,25 +618,27 @@ def test_model_spec_validation():
         sph.SteerableModelSpec(vector_channels=0)
 
 
-@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("tfn", 3), ("se3attn", 1), ("se3attn", 2)])
+@pytest.mark.parametrize(
+    "family,layers", [("tfn", 1), ("tfn", 2), ("tfn", 3), ("se3attn", 1), ("se3attn", 2), ("se3attn", 3)]
+)
 def test_last_convolution_outputs_the_readout_blocks(family, layers):
-    # the readout reads degrees 0 and 1; an attention layer keeps its input
+    # the readout reads degrees 0 and 1, and the last layer outputs them
+    # alone, whether it convolves or attends
     spec = sph.SteerableModelSpec(family=family, scalar_channels=5, vector_channels=3, tensor_channels=2, layers=layers)
-    last = hidden_layout() if spec.attends(layers - 1) else IrrepsLayout(((5, 0), (3, 1)))
-    assert [spec.layer_spec(i).layout_out for i in range(layers)] == [hidden_layout()] * (layers - 1) + [last]
+    assert [spec.layer_spec(i).layout_out for i in range(layers)] == [hidden_layout()] * (layers - 1) + [READOUT_LAYOUT]
 
 
-@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("se3attn", 1)])
+@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("se3attn", 1), ("se3attn", 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_last_convolution_keeps_its_hidden_layer_weights(family, layers, seed):
     # with one more layer the same layer is hidden: the last layer drops
-    # exactly its paths into degree 2 and their mix, and keeps the rest
-    # with the values they have there
+    # exactly its paths into degree 2 and their mix (the values' paths, if
+    # it attends), and keeps the rest with the values they have there
     spec, _ = model_setup(family, seed)
     deeper = dataclasses.replace(spec, layers=layers + 1)
     last = sph.init_steerable(dataclasses.replace(spec, layers=layers), seed)
     full = sph.init_steerable(deeper, seed)
-    prefix = f"layer{layers - 1}.conv."
+    prefix = f"layer{layers - 1}." + ("value." if deeper.attends(layers - 1) else "conv.")
     into_2 = tuple(f"{prefix}path{k}." for k in deeper.layer_spec(layers - 1).paths_into(2)) + (f"{prefix}out2.",)
     assert {k for k in full if k.startswith(prefix)} - set(last) == {k for k in full if k.startswith(into_2)}
     for name, value in last.items():

@@ -79,8 +79,16 @@ rows and their scale), a slice and a reshape per input block, a concat,
 the mix's matmul between two transposes, and the residual's add: 13
 records that nothing read. Its paths into degree 2 and their mix, 25
 parameters at this setup, are gone, and each parameter has one check.
-That moved tfn's pins 506 -> 493 and 57 checks where it had 82;
-se3attn's last layer attends, and its keys read every degree.
+That moved tfn's pins 506 -> 493 and 57 checks where it had 82.
+
+The last attention layer of a stack outputs those two blocks too. Its keys
+still output every degree for the scores, and its values, which stop at
+degree 1, read the leading columns of the keys' coupling matrices. The
+values' degree-2 block took the same 13 records as the convolution's;
+reading the leading columns takes a slice per input block, and each
+slice's force backward an `unslice`, 6 records. Its value paths into
+degree 2 and their mix, 25 parameters, are gone. That moved se3attn's
+pins 784 -> 777 and 123 checks where it had 148.
 """
 
 import dataclasses
@@ -102,7 +110,7 @@ RECORDS_PER_STEP = {
     "leaky": 142,
     "painn": 344,
     "schnet": 137,
-    "se3attn": 784,
+    "se3attn": 777,
     "tfn": 493,
 }
 
@@ -115,7 +123,7 @@ FINITE_CHECKS_PER_STEP = {
     "leaky": 16,
     "painn": 26,
     "schnet": 15,
-    "se3attn": 148,
+    "se3attn": 123,
     "tfn": 57,
 }
 
