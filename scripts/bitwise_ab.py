@@ -17,7 +17,9 @@ with 3 layers (so a hidden attention layer is compared too):
 Float arrays are compared as int64 bits. Prints, per (family, quantity),
 the arrays compared, how many differ and the largest difference relative
 to the largest magnitude of the reference array, then any parameter name
-that exists on one side only. Exits 1 if any array differs.
+that exists on one side only. The last line gives the number of arrays
+that differ and the largest of those relative differences. Exits 1 if any
+array differs.
 """
 
 import io
@@ -83,9 +85,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.int64) if a.dtype == np.float64 else a
 
 
-def compare(ref: dict, new: dict) -> int:
-    """Print the comparison; the number of arrays that differ."""
-    total = 0
+def compare(ref: dict, new: dict) -> tuple[int, float]:
+    """Print the comparison; the number of arrays that differ and the
+    largest relative difference among them."""
+    total, largest = 0, 0.0
     for key in sorted(set(ref) | set(new)):
         a, b = ref.get(key, {}), new.get(key, {})
         shared = sorted(set(a) & set(b))
@@ -99,10 +102,11 @@ def compare(ref: dict, new: dict) -> int:
                 scale = np.abs(x).max()
                 worst = max(worst, float(np.abs(x - y).max() / scale) if scale else math.inf)
         total += differ
+        largest = max(largest, worst)
         print(f"{key[0]:15s} {key[1]:22s} arrays={len(shared):3d} differ={differ:3d} max_rel={worst:.3e}")
         for name in sorted(set(a) ^ set(b)):
             print(f"  only in {'REF' if name in a else 'this checkout'}: {name}")
-    return total
+    return total, largest
 
 
 def main(argv=None) -> int:
@@ -121,8 +125,8 @@ def main(argv=None) -> int:
             tar.extractall(tree, filter="data")
         ref = run_dump(tree, Path(tmp) / "ref.pkl")
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
-    differ = compare(ref, new)
-    print(f"{differ} arrays differ")
+    differ, largest = compare(ref, new)
+    print(f"{differ} arrays differ, max_rel={largest:.3e}")
     return 1 if differ else 0
 
 

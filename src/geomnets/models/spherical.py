@@ -1,31 +1,31 @@
 """Steerable message passing: tensor-product convolution and dot-product
-attention over degree-typed features, held as one (N, mult, 2l+1) tensor
-per (multiplicity, degree) block. Messages read whole blocks, and layers
-return their output blocks as they compute them.
+attention over degree-typed features, held as one (N, 2l+1, mult) tensor
+per (multiplicity, degree) block, channels last. Messages read whole
+blocks, and layers return their output blocks as they compute them.
 
-Along edge e, the message from neighbor block x (mult, 2 l_in + 1) into
+Along edge e, the message from neighbor block x (2 l_in + 1, mult) into
 output degree l_out through filter degree l_f is
 
-    m_e = R_e * (x @ A_e),    A_e = Y_{l_f}(u_e) . CG(l_f, l_in, l_out)
+    m_e = R_e * (A_e x),    A_e = Y_{l_f}(u_e) . CG(l_f, l_in, l_out)
 
-where R_e (mult,) is the path's radial network on the edge length and A_e
-is a channel-free (2 l_in + 1, 2 l_out + 1) coupling matrix: the harmonics
-of the edge direction contracted with the Clebsch-Gordan table. A_e rotates
-like the blocks it connects, so every message rotates with the Wigner
-matrix of l_out. The coupling matrices of all paths out of one input block
-stand side by side, so the gathered neighbor block meets them in one batched
-matmul, and the radial networks of those paths run as one first-layer
-matmul and one batched second layer.
+where R_e (mult,) is the path's radial network on the edge length, scaling
+each channel, and A_e is a channel-free (2 l_out + 1, 2 l_in + 1) coupling
+matrix: the harmonics of the edge direction contracted with the
+Clebsch-Gordan table. A_e rotates like the blocks it connects, so every
+message rotates with the Wigner matrix of l_out. The coupling matrices of
+all paths out of one input block are stacked row-wise, so the gathered
+neighbor block meets them in one batched matmul, and the radial networks
+of those paths run as one first-layer matmul and one batched second layer.
 
 R_e and the enveloped harmonics depend only on the edge's length and
 direction, so they are computed once per edge pair {e, reverse of e}. The
 radial outputs are expanded to both edges as they are. A reversed edge has
 the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
-odd degree change sign. Messages into one degree are summed per node,
-channel-concatenated over their paths, mixed by a per-degree linear map and
-scaled by 1/sqrt(paths). Residuals attach only where input and output
-layouts carry an identical (multiplicity, degree) block, and add block to
-block.
+odd degree change sign. Messages into one degree are summed per node, laid
+side by side over their paths, mixed by a per-degree linear map and scaled
+by 1/sqrt(paths): with channels last, every channel mix is one matmul by
+the stored weights. Residuals attach only where input and output layouts
+carry an identical (multiplicity, degree) block, and add block to block.
 
 Every layer filters with all degrees 0..2, so any input block reaches every
 output degree. What a filter reads from an edge (radial basis and enveloped
@@ -38,13 +38,13 @@ so a stack's last layer, convolution or attention, outputs those alone.
 
 Attention keys are messages whose output layout is the input's; values
 are messages of the layer spec. Each has its own weights, and both read
-the keys' coupling matrices, whose columns run by ascending output
-degree, so values without degree 2 read the leading columns. Scores are
-full dot products of steerable query and key rows, hence
-rotation-invariant scalars. Both sides of a score are linear, so the keys
-are never formed: the query rows go back through the key mix at node
-scale and meet the key messages directly. Values are likewise weighted
-and summed per node before they are mixed.
+the keys' coupling matrices, whose rows run by ascending output degree,
+so values without degree 2 read the leading rows. Scores are full dot
+products of steerable query and key rows, hence rotation-invariant
+scalars. Both sides of a score are linear, so the keys are never formed:
+the query rows go back through the key mix at node scale and meet the key
+messages directly. Values are likewise weighted and summed per node before
+they are mixed.
 """
 
 from __future__ import annotations
@@ -151,17 +151,18 @@ def filter_inputs(geom: EdgeGeometry, pairs: PairIndex) -> EdgeFilters:
 class _BlockFusion:
     """How the messages out of one input block are computed together.
 
-    Coupling columns come in one (2 l_out + 1)-wide group per (filter degree,
-    output degree) pair, grouped by output degree. `table` turns the
-    harmonics of an edge into its coupling matrix (2 l_in + 1, width), and
-    `spread` copies the radial output of each path onto the columns of its
-    group.
+    Coupling rows come in one segment per output degree, ascending. The
+    segment of degree l_out holds one group per filter degree that reaches
+    it, ascending, with its rows interleaved: row `start + m * groups + g`
+    is component m of group g. `table` turns the harmonics of an edge into
+    its coupling matrix (width, 2 l_in + 1), and `spread` copies the radial
+    output of each path onto the rows of its group.
     """
 
-    table: np.ndarray  # (harmonics, (2 l_in + 1) * width)
+    table: np.ndarray  # (harmonics, width * (2 l_in + 1))
     width: int
-    segments: dict[int, tuple[int, int]]  # l_out -> (first column, groups)
-    paths: tuple[int, ...]  # the paths out of this block, in column order
+    segments: dict[int, tuple[int, int]]  # l_out -> (first row, groups)
+    paths: tuple[int, ...]  # the paths out of this block, in group order
     spread: np.ndarray  # (paths, width)
 
 
@@ -169,30 +170,25 @@ class _BlockFusion:
 def _fusion(spec: TfnLayerSpec) -> tuple[_BlockFusion, ...]:
     """Coupling tables of a layer, one per input block."""
     n_harm = (_DEGREE_CAP + 1) ** 2
+    degrees_out = [l for _, l in spec.layout_out.blocks]
+    path_of = {(b_in, l_f, degrees_out[b_out]): k for k, (b_in, l_f, b_out) in enumerate(spec.paths())}
     plan = []
     for b, (_, l_in) in enumerate(spec.layout_in.blocks):
-        start, segments, width = {}, {}, 0
-        for l_out in sorted(l for _, l in spec.layout_out.blocks):
+        rows, segments, width = {}, {}, 0
+        for l_out in sorted(degrees_out):
             l_fs = [l_f for l_f in _FILTER_DEGREES if abs(l_in - l_f) <= l_out <= l_in + l_f]
             segments[l_out] = (width, len(l_fs))
-            for l_f in l_fs:
-                start[l_f, l_out] = width
-                width += 2 * l_out + 1
+            for g, l_f in enumerate(l_fs):
+                rows[l_f, l_out] = width + g + len(l_fs) * np.arange(2 * l_out + 1)
+            width += len(l_fs) * (2 * l_out + 1)
         # degree l_f sits in rows l_f^2 .. (l_f + 1)^2 of the harmonics
-        table = np.zeros((n_harm, 2 * l_in + 1, width))
-        for (l_f, l_out), col in start.items():
-            table[l_f * l_f : (l_f + 1) ** 2, :, col : col + 2 * l_out + 1] = clebsch_gordan(l_f, l_in, l_out)
-        cols = {}
-        for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
-            if b_in == b:
-                l_out = spec.layout_out.blocks[b_out][1]
-                cols[k] = (start[l_f, l_out], 2 * l_out + 1)
-        ids = sorted(cols, key=cols.get)
-        spread = np.zeros((len(ids), width))
-        for row, k in enumerate(ids):
-            col, size = cols[k]
-            spread[row, col : col + size] = 1.0
-        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, tuple(ids), spread))
+        table = np.zeros((n_harm, width, 2 * l_in + 1))
+        spread = np.zeros((len(rows), width))
+        for i, ((l_f, l_out), r) in enumerate(rows.items()):
+            table[l_f * l_f : (l_f + 1) ** 2, r, :] = np.swapaxes(clebsch_gordan(l_f, l_in, l_out), 1, 2)
+            spread[i, r] = 1.0
+        ids = tuple(path_of[b, l_f, l_out] for l_f, l_out in rows)
+        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, ids, spread))
     return tuple(plan)
 
 
@@ -203,23 +199,22 @@ def _messages(
     dst: np.ndarray,
     filters: EdgeFilters,
 ) -> list[list[Tensor]]:
-    """Edge messages (E, mult_in, width) per (layer spec, weight prefix) of
-    `weights` and per input block: the neighbor block times the edge's
-    coupling matrix, times the radial output of each path spread over its
-    columns, run per edge pair and expanded to the edges. All share the
-    first (widest) spec's coupling matrices; a narrower one reads their leading columns."""
-    e, n_pairs = filters.harmonics.shape[0], filters.rbf_t.shape[1]
+    """Edge messages (E, width, mult_in) per (layer spec, weight prefix) of
+    `weights` and per input block: the edge's coupling matrix times the
+    neighbor block, times the radial output of each path spread over its
+    rows, run per edge pair and expanded to the edges. All share the first
+    (widest) spec's coupling matrices; a narrower one reads their leading rows."""
+    e = filters.harmonics.shape[0]
     out: list[list[Tensor]] = [[] for _ in weights]
     for b, blks in enumerate(zip(*(_fusion(spec) for spec, _ in weights))):
         neighbor = T.gather(feat.blocks[b], dst)
-        mult, dim_in = neighbor.shape[1], neighbor.shape[2]
-        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blks[0].table)), (e, dim_in, blks[0].width))
-        coupled = T.matmul(neighbor, coupling)
+        dim_in, mult = neighbor.shape[1], neighbor.shape[2]
+        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blks[0].table)), (e, blks[0].width, dim_in))
+        coupled = T.matmul(coupling, neighbor)
         for (spec, prefix), blk, msgs in zip(weights, blks, out):
             radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
-            radial = T.reshape(radial, (n_pairs, mult, blk.width))
-            cols = coupled if blk.width == blks[0].width else coupled[:, :, : blk.width]
-            msgs.append(cols * T.expand_pairs(radial, filters.pairs))
+            rows = coupled if blk.width == blks[0].width else coupled[:, : blk.width]
+            msgs.append(rows * T.expand_pairs(radial, filters.pairs))
     return out
 
 
@@ -227,7 +222,7 @@ def _radial(
     spec: TfnLayerSpec, prefix: str, params: dict, blk: _BlockFusion, rbf_t: Tensor, mult: int
 ) -> Tensor:
     """The radial networks of the paths out of one input block, run
-    together and spread over their coupling columns: (P * mult, width).
+    together and spread over their coupling rows: (P, width, mult).
 
     The first layers are one matmul over the concatenated weights, the
     second layers one batched matmul."""
@@ -241,31 +236,26 @@ def _radial(
     hidden = T.transpose2(T.reshape(hidden, (n, h, p)))
     w1 = T.reshape(stacked("w1", 0), (n, h, mult))
     r = T.matmul(hidden, w1) + T.reshape(stacked("b1", 0), (n, 1, mult))
-    return T.matmul(T.transpose2(T.reshape(r, (n, p * mult))), Tensor(blk.spread))
+    spread = T.matmul(T.transpose2(T.reshape(r, (n, p * mult))), Tensor(blk.spread))
+    return T.transpose2(T.reshape(spread, (p, mult, blk.width)))
 
 
 def _mix_weights(
     spec: TfnLayerSpec, params: dict, prefix: str, b_out: int
 ) -> tuple[Tensor, list[tuple[int, int, int]]]:
-    """The mix of output block `b_out`, scaled by 1/sqrt(paths), with its
-    rows in the order of the column groups it reads, and those reads as
-    (input block, first column, groups). A group's channels run (channel,
-    path) where the stored mix rows run (path, channel)."""
+    """The mix of output block `b_out`, scaled by 1/sqrt(paths), and the
+    row segments it reads as (input block, first row, groups). The stored
+    mix rows run (path, channel), as do the columns of those segments laid
+    side by side."""
     l = spec.layout_out.blocks[b_out][1]
-    reads, order, base = [], [], 0
-    for b, blk in enumerate(_fusion(spec)):
-        start, groups = blk.segments[l]
-        mult = spec.layout_in.blocks[b][0]
-        reads.append((b, start, groups))
-        order.append(base + np.arange(mult * groups).reshape(groups, mult).T.reshape(-1))
-        base += mult * groups
+    reads = [(b, *blk.segments[l]) for b, blk in enumerate(_fusion(spec))]
     scale = 1.0 / math.sqrt(len(spec.paths_into(b_out)))
-    return T.gather(params[f"{prefix}.out{b_out}.mix"], np.concatenate(order)) * scale, reads
+    return params[f"{prefix}.out{b_out}.mix"] * scale, reads
 
 
-def _mix(spec: TfnLayerSpec, params: dict, prefix: str, rows: list) -> list[Tensor]:
-    """Output blocks (N, mult_out, 2 l + 1) from per-input-block sums of
-    messages (N, mult_in, width): each output degree takes its column groups
+def _mix(spec: TfnLayerSpec, params: dict, prefix: str, sums: list) -> list[Tensor]:
+    """Output blocks (N, 2 l + 1, mult_out) from per-input-block sums of
+    messages (N, width, mult_in): each output degree takes its row segment
     from every input block, and a per-degree linear map mixes the channels
     of all its paths."""
     blocks = []
@@ -273,11 +263,10 @@ def _mix(spec: TfnLayerSpec, params: dict, prefix: str, rows: list) -> list[Tens
         mix, reads = _mix_weights(spec, params, prefix, b_out)
         pieces = []
         for b, start, groups in reads:
-            n, mult = rows[b].shape[0], rows[b].shape[1]
-            piece = rows[b][:, :, start : start + groups * (2 * l + 1)]
-            pieces.append(T.reshape(piece, (n, mult * groups, 2 * l + 1)))
-        stacked = T.transpose2(T.concat(pieces, axis=1))
-        blocks.append(T.transpose2(T.matmul(stacked, mix)))
+            n, mult = sums[b].shape[0], sums[b].shape[2]
+            piece = sums[b][:, start : start + groups * (2 * l + 1)]
+            pieces.append(T.reshape(piece, (n, 2 * l + 1, groups * mult)))
+        blocks.append(T.matmul(T.concat(pieces, axis=2), mix))
     return blocks
 
 
@@ -318,22 +307,22 @@ def _key_scores(
     """Per-edge dot products of query and key rows (E,), without forming
     the keys. A score is linear in the key messages, so the query rows of
     each degree go back through the key mix at node scale onto the message
-    columns they meet."""
+    rows they meet."""
     n = feat.blocks[0].shape[0]
-    back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, mult, cols)
+    back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, rows, mult)
     for b_out, (_, l) in enumerate(spec.layout_out.blocks):
         mix, reads = _mix_weights(spec, params, "key", b_out)
-        query = T.transpose2(T.matmul(T.transpose2(feat.blocks[b_out]), params[f"query{b_out}.mix"]))
-        rows = T.matmul(mix, query)  # (N, channels, 2 l + 1)
+        query = T.matmul(feat.blocks[b_out], params[f"query{b_out}.mix"])
+        cols = T.matmul(query, T.transpose2(mix))  # (N, 2 l + 1, channels)
         first = 0
         for b, _, groups in reads:
             mult = spec.layout_in.blocks[b][0]
-            piece = rows[:, first : first + mult * groups, :]
-            back[b][l] = T.reshape(piece, (n, mult, groups * (2 * l + 1)))
-            first += mult * groups
+            piece = cols[:, :, first : first + groups * mult]
+            back[b][l] = T.reshape(piece, (n, (2 * l + 1) * groups, mult))
+            first += groups * mult
     score = None
-    for blk, msg, cols in zip(_fusion(spec), messages, back):
-        met = T.concat([cols[l] for l in blk.segments], axis=2)
+    for blk, msg, rows in zip(_fusion(spec), messages, back):
+        met = T.concat([rows[l] for l in blk.segments], axis=1)
         term = T.sum_(msg * T.gather(met, src), axis=(1, 2))
         score = term if score is None else score + term
     return score
@@ -460,7 +449,7 @@ def steerable_forward(
         # every layer has the same radial basis, so one set of filter
         # inputs serves them all
         filters = filter_inputs(geom, batch.pairs)
-        embedded = T.reshape(embed_nodes(params["embed"], batch.z), (batch.n_nodes, spec.scalar_channels, 1))
+        embedded = T.reshape(embed_nodes(params["embed"], batch.z), (batch.n_nodes, 1, spec.scalar_channels))
         feat = SteerableFeature(spec.input_layout, [embedded])
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
@@ -472,6 +461,5 @@ def steerable_forward(
                 feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)
     with T.scope("readout"):
         scalars = T.reshape(feat.blocks[0], (batch.n_nodes, spec.scalar_channels))
-        mixed = T.matmul(T.transpose2(feat.blocks[1]), params["vec_head.mix"])
-        rows = T.reshape(T.transpose2(mixed), (batch.n_nodes, 3))
+        rows = T.reshape(T.matmul(feat.blocks[1], params["vec_head.mix"]), (batch.n_nodes, 3))
         return scalars, T.matmul(rows, Tensor(_M_TO_CART))

@@ -3,7 +3,9 @@
 Two stacks: one updates coordinates directly with gated difference vectors
 (messages see squared distances only), the other carries multi-channel
 3-vectors next to scalars and keeps equivariance by combining vectors
-strictly linearly or through invariant gates.
+strictly linearly or through invariant gates. Its vectors are held
+(N, 3, F), channels last, so a channel mix is one matmul by the stored
+weights.
 """
 
 from __future__ import annotations
@@ -143,11 +145,6 @@ def init_painn(spec: PainnSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _channel_mix(v: Tensor, w: Tensor) -> Tensor:
-    """(N, F, 3) x (F, F') -> (N, F', 3), mixing channels per component."""
-    return T.transpose2(T.matmul(T.transpose2(v), w))
-
-
 def painn_layer(
     spec: PainnSpec,
     params: dict,
@@ -168,8 +165,8 @@ def painn_layer(
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
         raise ShapeError(f"scalar features {s.shape} do not match hidden={f}")
-    if v.shape != (n, f, 3):
-        raise ShapeError(f"vector features {v.shape} do not match ({n}, {f}, 3)")
+    if v.shape != (n, 3, f):
+        raise ShapeError(f"vector features {v.shape} do not match ({n}, 3, {f})")
 
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
     # ways; the filter runs per edge pair and phi per node, then their rows
@@ -178,21 +175,20 @@ def painn_layer(
     filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
     gates = filt * T.gather(phi, dst)
     g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
-    dv = T.gather(v, dst) * T.reshape(g_vv, (-1, f, 1)) + T.reshape(
-        unit, (-1, 1, 3)
-    ) * T.reshape(g_sv, (-1, f, 1))
+    dv = T.gather(v, dst) * T.reshape(g_vv, (-1, 1, f))
+    dv = dv + T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
     s = s + T.scatter_sum(g_ss, src, n)
-    v = v + T.reshape(T.scatter_sum(T.reshape(dv, (-1, 3 * f)), src, n), (n, f, 3))
+    v = v + T.scatter_sum(dv, src, n)
 
     # update block: node-local, vectors enter only via norms and dot products
-    u_mix = _channel_mix(v, params[f"{prefix}.upd.u"])
-    v_mix = _channel_mix(v, params[f"{prefix}.upd.v"])
-    v_norm = T.norm(v_mix, axis=2, eps=1e-12)
+    u_mix = T.matmul(v, params[f"{prefix}.upd.u"])
+    v_mix = T.matmul(v, params[f"{prefix}.upd.v"])
+    v_norm = T.norm(v_mix, axis=1, eps=1e-12)
     b = mlp_apply(spec.update_mlp(), params, T.concat([s, v_norm], axis=1), f"{prefix}.upd")
     b_ss, b_sv, b_vv = b[:, 0:f], b[:, f : 2 * f], b[:, 2 * f : 3 * f]
-    dot = T.sum_(u_mix * v_mix, axis=2)
+    dot = T.sum_(u_mix * v_mix, axis=1)
     s = s + b_ss + b_sv * dot
-    v = v + u_mix * T.reshape(b_vv, (n, f, 1))
+    v = v + u_mix * T.reshape(b_vv, (n, 1, f))
     return s, v
 
 
@@ -209,9 +205,9 @@ def painn_forward(
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
         unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
-    v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
+    v = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
     with T.scope("readout"):
-        return s, T.reshape(_channel_mix(v, params["vec_head.mix"]), (batch.n_nodes, 3))
+        return s, T.reshape(T.matmul(v, params["vec_head.mix"]), (batch.n_nodes, 3))

@@ -3,7 +3,8 @@
 Real spherical harmonics up to degree 4, rotation matrices acting on them
 (Wigner blocks), coupling coefficients between degrees, and the container
 for features that carry several degrees: a layout of (multiplicity, degree)
-blocks and one (N, mult, 2l+1) tensor per block.
+blocks and one (N, 2l+1, mult) tensor per block, channels last, so a
+rotation acts on a block as D @ block and a channel mix as block @ W.
 
 Conventions, fixed across the package:
   * components of degree l are ordered m = -l..l; degree 1 is (y, z, x)
@@ -223,7 +224,7 @@ class IrrepsLayout:
 
 @dataclass
 class SteerableFeature:
-    """Node features held as one (N, mult, 2l+1) tensor per block of
+    """Node features held as one (N, 2l+1, mult) tensor per block of
     `layout`, every block with the same N."""
 
     layout: IrrepsLayout
@@ -233,6 +234,6 @@ class SteerableFeature:
         if len(self.blocks) != len(self.layout.blocks):
             raise ShapeError(f"{len(self.blocks)} blocks for a layout of {len(self.layout.blocks)}")
         for b, (mult, l) in zip(self.blocks, self.layout.blocks):
-            want = (self.blocks[0].shape[0], mult, 2 * l + 1)
+            want = (self.blocks[0].shape[0], 2 * l + 1, mult)
             if b.shape != want:
                 raise ShapeError(f"block of shape {b.shape} where layout block ({mult}, {l}) needs {want}")

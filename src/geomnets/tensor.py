@@ -774,7 +774,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read what save_checkpoint wrote; ParseError if the file is not that."""
+    """Read what save_checkpoint wrote; ParseError if the file is not that.
+    Training never writes a non-finite value, so NaN or Infinity is too."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -788,4 +789,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             out[name] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint {path}: parameter '{name}' is malformed: {exc!r}") from exc
+        if not np.isfinite(out[name]).all():
+            raise ParseError(f"checkpoint {path}: parameter '{name}' has a non-finite value")
     return out

@@ -261,6 +261,12 @@ def synthetic_conformations(
 
 
 def _targets(confs: Sequence[Conformation]):
+    """Energy (G,) and force (N, 3) labels; ContractError naming the first
+    conformation that lacks one."""
+    for i, c in enumerate(confs):
+        for label in ("energy", "forces"):
+            if getattr(c, label) is None:
+                raise ContractError(f"conformation {i}{f' ({c.id})' if c.id else ''} has no {label} label")
     e = np.array([c.energy for c in confs], dtype=np.float64)
     f = np.concatenate([c.forces for c in confs], axis=0)
     if np.isnan(e).any() or np.isnan(f).any():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -280,6 +281,38 @@ def test_train_bad_config_value_exits_2(workspace, change, tmp_path):
     assert_config_error(run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")))
 
 
+@pytest.mark.parametrize(
+    "command,task,label",
+    [
+        ("train", "energy", "forces"),
+        ("train", "energy", "energy"),
+        ("train", "energy+force", "forces"),
+        ("train", "energy+force", "energy"),
+        ("eval", "energy+force", "forces"),
+        ("eval", "energy+force", "energy"),
+    ],
+)
+def test_unlabeled_data_exits_2(workspace, tmp_path, command, task, label):
+    # records without a label are bad input for either task, named by the
+    # first conformation that lacks it
+    _, cfg, _ = workspace
+    with open(cfg["dataset"]) as fh:
+        records = [dict(json.loads(line), **{label: None}) for line in fh]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, dataset=str(data), task=task)))
+    if command == "train":
+        args = ("--out", str(tmp_path / "out"))
+    else:
+        checkpoint = tmp_path / "checkpoint.json"
+        T.save_checkpoint(checkpoint, api.model_from_config(cfg["model"]).init(0))
+        args = ("--checkpoint", str(checkpoint))
+    result = run_cli(command, "--config", str(path), *args)
+    assert_config_error(result)
+    assert re.search(rf"conformation \d+ \(syn\d+\) has no {label} label", result.stderr), result.stderr
+
+
 def test_numeric_blowup_exits_3(workspace):
     root, cfg, _ = workspace
     bad = dict(cfg, lr_max=1e200, lr_min=1e199, steps=12)
@@ -332,14 +365,28 @@ def _spoil_missing_parameter(text):
     return json.dumps(payload)
 
 
+def _spoil_value(value):
+    """A spoiler that writes `value` into one parameter entry, as JSON
+    writes it (NaN, Infinity)."""
+
+    def spoil(text):
+        payload = json.loads(text)
+        payload["layer0.filter.w0"]["values"][3] = value
+        return json.dumps(payload)
+
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil,message",
     [
         (_spoil_truncated, "parse error"),
         (_spoil_short_values, "parse error"),
         (_spoil_missing_parameter, "layer0.filter.w0"),
+        (_spoil_value(math.nan), "parameter 'layer0.filter.w0' has a non-finite value"),
+        (_spoil_value(math.inf), "parameter 'layer0.filter.w0' has a non-finite value"),
     ],
-    ids=["truncated", "values-short-of-shape", "missing-parameter"],
+    ids=["truncated", "values-short-of-shape", "missing-parameter", "nan-value", "inf-value"],
 )
 def test_eval_bad_checkpoint_exits_2(workspace, spoil, message, tmp_path):
     _, cfg, cfg_path = workspace

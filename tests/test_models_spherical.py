@@ -52,7 +52,7 @@ def as_tensors(params):
 
 def random_feature(layout, n, seed):
     rng = np.random.default_rng(seed)
-    return SteerableFeature(layout, [Tensor(rng.normal(size=(n, mult, 2 * l + 1))) for mult, l in layout.blocks])
+    return SteerableFeature(layout, [Tensor(rng.normal(size=(n, 2 * l + 1, mult))) for mult, l in layout.blocks])
 
 
 def rows(feat):
@@ -118,16 +118,59 @@ def test_paths_read_every_input_and_reach_every_output(in_degrees, out_degrees):
 @pytest.mark.parametrize("in_degrees", DEGREE_SETS, ids=lambda d: "in" + "".join(map(str, d)))
 def test_readout_outputs_read_the_leading_coupling_columns(in_degrees):
     # attention into the readout's blocks reads its values from the leading
-    # columns of its keys' coupling matrices, which output every degree:
-    # coupling columns must run by ascending output degree
+    # rows of its keys' coupling matrices, which output every degree:
+    # coupling rows must run by ascending output degree
     layout_in = IrrepsLayout(tuple((3, l) for l in in_degrees))
     wide = sph._fusion(layer_spec(layout_in=layout_in, layout_out=IrrepsLayout(((2, 0), (2, 1), (2, 2)))))
     narrow = sph._fusion(layer_spec(layout_in=layout_in, layout_out=IrrepsLayout(((2, 0), (2, 1)))))
     for (_, l_in), w, nw in zip(layout_in.blocks, wide, narrow):
         assert nw.width < w.width
-        leading = w.table.reshape(-1, 2 * l_in + 1, w.width)[:, :, : nw.width]
+        leading = w.table.reshape(-1, w.width, 2 * l_in + 1)[:, : nw.width]
         np.testing.assert_array_equal(nw.table.reshape(leading.shape), leading)
         assert nw.segments == {l: w.segments[l] for l in (0, 1)}
+
+
+def test_coupling_rows_interleave_their_groups_and_meet_the_mix_by_path():
+    # in the segment of degree l_out, row start + m * groups + g holds
+    # component m of group g, the g-th filter degree reaching l_out; a node's
+    # segment then reshapes to (2 l_out + 1, groups * mult) with columns in
+    # (path, channel) order, the order of the stored mix rows
+    spec = layer_spec()
+    params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(1), "conv"))
+    fusion = sph._fusion(spec)
+
+    def filter_degrees(l_in, l_out):
+        return [l_f for l_f in sph._FILTER_DEGREES if abs(l_in - l_f) <= l_out <= l_in + l_f]
+
+    for (_, l_in), blk in zip(spec.layout_in.blocks, fusion):
+        table = blk.table.reshape(-1, blk.width, 2 * l_in + 1)
+        assert sorted(blk.segments) == [0, 1, 2]
+        for l_out, (start, groups) in blk.segments.items():
+            assert groups == len(filter_degrees(l_in, l_out))
+            for g, l_f in enumerate(filter_degrees(l_in, l_out)):
+                for m in range(2 * l_out + 1):
+                    want = np.zeros(table.shape[::2])
+                    want[l_f * l_f : (l_f + 1) ** 2] = clebsch_gordan(l_f, l_in, l_out)[:, :, m]
+                    np.testing.assert_array_equal(table[:, start + m * groups + g], want)
+
+    zero_sums = [np.zeros((1, blk.width, mult)) for blk, (mult, _) in zip(fusion, spec.layout_in.blocks)]
+    for b_out, (mult_out, l_out) in enumerate(spec.layout_out.blocks):
+        into = spec.paths_into(b_out)
+        mix = params[f"conv.out{b_out}.mix"].data * (1.0 / math.sqrt(len(into)))
+        first = 0
+        for k in into:
+            b_in, l_f, _ = spec.paths()[k]
+            mult, l_in = spec.layout_in.blocks[b_in]
+            start, groups = fusion[b_in].segments[l_out]
+            g = filter_degrees(l_in, l_out).index(l_f)
+            for m, c in itertools.product(range(2 * l_out + 1), range(mult)):
+                sums = [Tensor(zeros.copy()) for zeros in zero_sums]
+                sums[b_in].data[0, start + m * groups + g, c] = 1.0
+                want = np.zeros((1, 2 * l_out + 1, mult_out))
+                want[0, m] = mix[first + c]
+                np.testing.assert_array_equal(sph._mix(spec, params, "conv", sums)[b_out].data, want)
+            first += mult
+        assert first == mix.shape[0]
 
 
 def test_paths_satisfy_triangle_inequality():
@@ -223,7 +266,7 @@ def test_scalar_only_conv_matches_single_hop_layer():
     batch = build_batch([conf], cutoff=5.0, need_angles=False)
     h, _ = inv.schnet_forward(s_spec, as_tensors(s_params), batch, Tensor(batch.pos))
 
-    feat = SteerableFeature(t_spec.layout_in, [Tensor(s_params["embed"][conf.z][:, :, None])])
+    feat = SteerableFeature(t_spec.layout_in, [Tensor(s_params["embed"][conf.z][:, None, :])])
     edges = radius_graph(conf.pos, 5.0)
     out = conv(t_spec, as_tensors(t_params), feat, edges)
     np.testing.assert_allclose(rows(out), h.data, atol=1e-12, rtol=0)
@@ -374,7 +417,7 @@ def test_last_attention_outputs_the_readout_blocks():
     feat = random_feature(spec.layout_in, 4, 14)
     out, _ = attend(spec, as_tensors(params), feat, radius_graph(cloud(7), 5.0))
     assert out.layout == READOUT_LAYOUT
-    assert [b.shape for b in out.blocks] == [(4, 5, 1), (4, 3, 3)]
+    assert [b.shape for b in out.blocks] == [(4, 1, 5), (4, 3, 3)]
 
 
 def check_isolated_node_keeps_its_row(spec, params):
@@ -396,7 +439,9 @@ def check_isolated_node_keeps_its_row(spec, params):
 def reference_messages(spec, params, prefix, feat, dst, rel):
     """Per output block, the messages of its paths (E, mult_in, 2 l_out + 1)
     in the per-path form: radial output times harmonics as the filter, its
-    outer product with the neighbor block, then the coupling table."""
+    outer product with the neighbor block, then the coupling table. The
+    form holds channels first, so each neighbor block (E, 2 l_in + 1,
+    mult_in) is transposed on the way in."""
     geom = inv.edge_geometry(spec.radial, rel)
     unit, rbf, env = geom.unit, geom.rbf, T.reshape(geom.env, (-1, 1, 1))
     e = rel.shape[0]
@@ -406,7 +451,7 @@ def reference_messages(spec, params, prefix, feat, dst, rel):
         l_out = spec.layout_out.blocks[b_out][1]
         radial = T.mlp_apply(spec.radial_mlp(k), params, rbf, f"{prefix}.path{k}.radial")
         filt = T.reshape(radial, (e, mult, 1)) * T.reshape(sph_harm_block(l_f, unit), (e, 1, 2 * l_f + 1))
-        neighbor = T.gather(feat.blocks[b_in], dst)
+        neighbor = T.transpose2(T.gather(feat.blocks[b_in], dst))
         outer = T.reshape(filt, (e, mult, 2 * l_f + 1, 1)) * T.reshape(neighbor, (e, mult, 1, 2 * l_in + 1))
         flat = T.reshape(outer, (e, mult, (2 * l_f + 1) * (2 * l_in + 1)))
         table = Tensor(clebsch_gordan(l_f, l_in, l_out).reshape(-1, 2 * l_out + 1))
@@ -415,7 +460,9 @@ def reference_messages(spec, params, prefix, feat, dst, rel):
 
 
 def reference_mix(spec, params, prefix, b_out, stacked):
-    mixed = T.transpose2(T.matmul(T.transpose2(stacked), params[f"{prefix}.out{b_out}.mix"]))
+    """Output block (N, 2 l_out + 1, mult_out) from the messages of its
+    paths side by side, channels first."""
+    mixed = T.matmul(T.transpose2(stacked), params[f"{prefix}.out{b_out}.mix"])
     return mixed * (1.0 / math.sqrt(len(spec.paths_into(b_out))))
 
 
@@ -445,9 +492,7 @@ def reference_attention(spec, params, feat, src, dst, rel):
 
     # keys output the input layout; values output the layer's
     keys = dataclasses.replace(spec, layout_out=spec.layout_in)
-    queries = [
-        T.transpose2(T.matmul(T.transpose2(block), params[f"query{b}.mix"])) for b, block in enumerate(feat.blocks)
-    ]
+    queries = [T.matmul(block, params[f"query{b}.mix"]) for b, block in enumerate(feat.blocks)]
     score = None
     for query, key in zip(queries, mixed_blocks(keys, "key")):
         term = T.sum_(T.gather(query, src) * key, axis=(1, 2))

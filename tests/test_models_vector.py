@@ -154,12 +154,12 @@ def painn_setup(seed=0, channels=10, layers=2):
 
 def painn_channels(spec, params, batch):
     """The layer stack of `painn_forward` before its readout: node scalars
-    and the (N, F, 3) vector channels."""
+    and the (N, 3, F) vector channels."""
     pairs = batch.pairs
     geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
     unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     s = embed_nodes(params["embed"], batch.z)
-    v = Tensor(np.zeros((batch.n_nodes, spec.hidden, 3)))
+    v = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
     for i in range(spec.layers):
         s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
     return s, v
@@ -182,7 +182,7 @@ def test_painn_zero_direction_gate_keeps_vectors_zero():
     batch = batch_for(17)
     pt = as_tensors(params)
     s, v = painn_channels(spec, pt, batch)
-    assert v.shape == (batch.n_nodes, spec.hidden, 3)
+    assert v.shape == (batch.n_nodes, 3, spec.hidden)
     np.testing.assert_array_equal(v.data, np.zeros_like(v.data))
     s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
     np.testing.assert_array_equal(s_out.data, s.data)
@@ -197,7 +197,7 @@ def test_painn_single_node_update_block_acts():
     pt = as_tensors(params)
     s, v = painn_channels(spec, pt, batch)
     assert np.abs(s.data - params["embed"][8]).max() > 1e-8
-    np.testing.assert_array_equal(v.data, np.zeros((1, spec.hidden, 3)))
+    np.testing.assert_array_equal(v.data, np.zeros((1, 3, spec.hidden)))
     s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
     np.testing.assert_array_equal(s_out.data, s.data)
     np.testing.assert_array_equal(readout.data, np.zeros((1, 3)))
@@ -211,9 +211,9 @@ def test_painn_layer_shape_errors():
     geom = edge_geometry(spec.basis, Tensor(edges.rel_vec))
     graph = (edges.src, edges.dst, pair_index(np.full(edges.n_edges, -1)), geom.rbf, geom.unit)
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, spec.hidden, 2))), *graph)
+        vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, 2, spec.hidden))), *graph)
     with pytest.raises(ShapeError):
-        vec.painn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, spec.hidden, 3))), *graph)
+        vec.painn_layer(spec, pt, "layer0", Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3, spec.hidden))), *graph)
 
 
 def test_painn_rigid_motion():

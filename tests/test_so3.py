@@ -19,14 +19,14 @@ def rotate_steerable(feat, rot):
     """Oracle: the block-diagonal rotation action on every degree block."""
     rot = so3.check_rotation(rot)
     blocks = [
-        b if l == 0 else T.matmul(b, T.Tensor(so3.wigner_d(l, rot).T))
+        b if l == 0 else T.matmul(T.Tensor(so3.wigner_d(l, rot)), b)
         for b, (_, l) in zip(feat.blocks, feat.layout.blocks)
     ]
     return so3.SteerableFeature(feat.layout, blocks)
 
 
 def random_feature(layout, n, rng):
-    blocks = [T.Tensor(rng.normal(size=(n, mult, 2 * l + 1))) for mult, l in layout.blocks]
+    blocks = [T.Tensor(rng.normal(size=(n, 2 * l + 1, mult))) for mult, l in layout.blocks]
     return so3.SteerableFeature(layout, blocks)
 
 
@@ -211,8 +211,8 @@ class TestSteerable:
         rot = so3.random_rotation(rng)
         rotated = rotate_steerable(feat, rot)
         for i in range(len(layout.blocks)):
-            a = np.linalg.norm(feat.blocks[i].data, axis=-1)
-            b = np.linalg.norm(rotated.blocks[i].data, axis=-1)
+            a = np.linalg.norm(feat.blocks[i].data, axis=1)
+            b = np.linalg.norm(rotated.blocks[i].data, axis=1)
             assert np.abs(a - b).max() < 1e-12
 
     def test_degree_zero_block_untouched(self):
@@ -240,6 +240,6 @@ class TestSteerable:
     def test_blocks_of_unequal_rows_rejected(self):
         layout = so3.IrrepsLayout(((2, 0), (1, 1)))
         with pytest.raises(ShapeError):
-            so3.SteerableFeature(layout, [T.Tensor(np.ones((3, 2, 1))), T.Tensor(np.ones((2, 1, 3)))])
+            so3.SteerableFeature(layout, [T.Tensor(np.ones((3, 1, 2))), T.Tensor(np.ones((2, 3, 1)))])
         with pytest.raises(ShapeError):
-            so3.SteerableFeature(layout, [T.Tensor(np.ones((3, 2, 1)))])
+            so3.SteerableFeature(layout, [T.Tensor(np.ones((3, 1, 2)))])

@@ -16,7 +16,7 @@ that alters the tape on purpose updates the tables and says why.
 
 A family with vector output reads its node vectors out in the same forward
 as its energy, so egnn, painn, tfn and se3attn record those readout ops
-(1, 4, 7 and 7) although nothing on the energy path reaches them and no
+(1, 2, 3 and 3) although nothing on the energy path reaches them and no
 backward evaluates them.
 
 Work runs on the set it depends on. dimenet computes its distance
@@ -89,6 +89,19 @@ reading the leading columns takes a slice per input block, and each
 slice's force backward an `unslice`, 6 records. Its value paths into
 degree 2 and their mix, 25 parameters, are gone. That moved se3attn's
 pins 784 -> 777 and 123 checks where it had 148.
+
+Equivariant features hold their channels last: steerable blocks are
+(N, 2l+1, mult), edge messages (E, width, mult) and painn's vectors
+(N, 3, F), so every channel mix is one matmul by the stored weights. Each
+steerable output block's mix lost the gather that permuted its stored rows
+and the two transposes around its matmul. Each key mix lost the gather
+and the two transposes around its query's matmul, and takes the query
+rows back through one transpose of the stored mix. The vector readouts
+lost their two transposes, painn's channel mixes theirs, and painn's
+message sum the reshapes around it. The radial networks' spread output
+gained one transpose per input block and message set, which lays it onto
+the interleaved coupling rows. With their recorded force backward that moved
+the pins tfn 493 -> 476, se3attn 777 -> 754 and painn 344 -> 318.
 """
 
 import dataclasses
@@ -108,10 +121,10 @@ RECORDS_PER_STEP = {
     "dimenet": 354,
     "egnn": 171,
     "leaky": 142,
-    "painn": 344,
+    "painn": 318,
     "schnet": 137,
-    "se3attn": 777,
-    "tfn": 493,
+    "se3attn": 754,
+    "tfn": 476,
 }
 
 # dimenet records, of one step, whose result has one row per triplet

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomnets import tensor as T
-from geomnets.errors import ContractError, NumericError, ShapeError
+from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
@@ -295,6 +295,14 @@ class TestCheckpoint:
         for k in params:
             assert np.array_equal(loaded[k], params[k])
             assert loaded[k].shape == params[k].shape
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, value):
+        # training never writes one, so the file is corrupt
+        path = tmp_path / "ckpt.json"
+        T.save_checkpoint(path, {"layer0.w": np.array([1.0, value]), "layer0.b": np.zeros(2)})
+        with pytest.raises(ParseError, match="parameter 'layer0.w' has a non-finite value"):
+            T.load_checkpoint(path)
 
 
 @settings(max_examples=50, deadline=None)
