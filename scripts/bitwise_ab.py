@@ -17,9 +17,11 @@ with 3 layers (so a hidden attention layer is compared too):
 Float arrays are compared as int64 bits. Prints, per (family, quantity),
 the arrays compared, how many differ and the largest difference relative
 to the largest magnitude of the reference array, then any parameter name
-that exists on one side only. The last line gives the number of arrays
-that differ and the largest of those relative differences. Exits 1 if any
-array differs.
+that exists on one side only. Then, for information, each side's traced
+peak (tracemalloc) of one more `train_energy_force` step per family, which
+shows what a change does to the memory a step holds. The last line gives
+the number of arrays that differ and the largest of those relative
+differences. Exits 1 if any array differs; the peaks do not count.
 """
 
 import io
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +42,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BL
 STEPS = 3
 
 
+def traced_peak(fn) -> int:
+    """Bytes at the peak of what `fn()` allocated and held, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dump(out: str) -> None:
-    """Write {(family, quantity): {name: array}} for the tree on the path."""
+    """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
+    {family: bytes}} for the tree on the path."""
     from geomnets import training as tr
     from geomnets.models import api
     from perfbench.inputs import infer_stream
@@ -50,7 +64,7 @@ def dump(out: str) -> None:
     sets = {"synthetic": confs, "stream": infer_stream(0, 8, 1)}
     schedule = tr.ScheduleSpec(lr_max=1e-3, lr_min=1e-5, total_steps=STEPS)
     configs = dict(CONFIGS, **{f"{f}-3layer": dict(CONFIGS[f], layers=3) for f in ("tfn", "se3attn")})
-    arrays = {}
+    arrays, peaks = {}, {}
     for family, config in configs.items():
         model = api.model_from_config(config)
         params = model.init(0)
@@ -68,8 +82,10 @@ def dump(out: str) -> None:
             if kind != "denoise" or model.has_vector_output:
                 _, history = tr.train_pretrain(model, kind, confs, schedule, seed=0, steps=STEPS)
                 arrays[family, f"pretext.{kind}"] = {"train_loss": np.asarray(history["train_loss"])}
+        # after the steps above, so one-time tables are built already
+        peaks[family] = traced_peak(lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1))
     with open(out, "wb") as fh:
-        pickle.dump(arrays, fh)
+        pickle.dump({"arrays": arrays, "peaks": peaks}, fh)
 
 
 def run_dump(tree: Path, out: Path) -> dict:
@@ -125,7 +141,11 @@ def main(argv=None) -> int:
             tar.extractall(tree, filter="data")
         ref = run_dump(tree, Path(tmp) / "ref.pkl")
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
-    differ, largest = compare(ref, new)
+    differ, largest = compare(ref["arrays"], new["arrays"])
+    print("traced peak of one train_energy_force step (MB), REF -> this checkout:")
+    for family in sorted(set(ref["peaks"]) | set(new["peaks"])):
+        a, b = (side["peaks"].get(family, math.nan) / 1e6 for side in (ref, new))
+        print(f"{family:15s} {a:8.2f} -> {b:8.2f}")
     print(f"{differ} arrays differ, max_rel={largest:.3e}")
     return 1 if differ else 0
 

@@ -32,6 +32,13 @@ inference, the parameter gradient of a step, evaluation) passes
 `record=False`, gets plain tensors back, and releases its tape before it
 returns.
 
+A rule keeps only what it reads: `mul` keeps both operands, `exp` its
+result, `add` and `sub` only their operands' shapes. An unrecorded backward
+spends each record once it has run its rules: the rules are dropped, so the
+tensors they kept are freed as the backward goes instead of at `release`.
+It therefore runs last on its tape; a later backward that reaches a spent
+record raises a ContractError naming its op.
+
 On glibc, importing this module raises the process's mmap and trim
 thresholds, so pages a backward frees stay in the process for the next
 call instead of going back to the kernel and faulting in again.
@@ -159,12 +166,13 @@ class Tensor:
 class _Record:
     """One executed operation: inputs, output and one vector-Jacobian rule
     per input, mapping the output's gradient to that input's contribution,
-    and the scope the operation ran in."""
+    and the scope the operation ran in. An unrecorded backward that runs the
+    rules sets `vjps` to None, which frees what they kept."""
 
     name: str
     input_uids: tuple[int, ...]
     output_uid: int
-    vjps: tuple[Callable[[Tensor], Tensor], ...]
+    vjps: tuple[Callable[[Tensor], Tensor], ...] | None
     scope: str
 
 
@@ -195,7 +203,9 @@ class Tape:
         Records close over the tape's own tensors, which point back at the
         tape, so a finished tape is a reference cycle; releasing it lets
         reference counting free the tensors right away instead of the cyclic
-        collector some time later. The tape is unusable afterwards.
+        collector some time later. An unrecorded backward has already freed
+        what the rules it ran kept; this frees the rest, the rules it did not
+        reach and the records themselves. The tape is unusable afterwards.
         """
         self.records.clear()
         self._record_of.clear()
@@ -220,6 +230,13 @@ class Tape:
         `record=False` they run unrecorded: the tape does not grow, and the
         gradients, bitwise the same, are plain tensors off the tape. Each
         record's rules run in that record's scope.
+
+        An unrecorded backward also spends the records whose rules it runs:
+        it drops those rules as it goes, so the tensors they kept are freed
+        during the backward rather than at `release`. The records stay, with
+        their name, scope and uids. Run it last on a tape: a later backward
+        that needs a spent record raises a ContractError naming its op, and
+        one over records it did not run still works.
         """
         global _scope, _in_backward
         root_idx = self._root_index(root)
@@ -247,6 +264,9 @@ class Tape:
                 g = grads.pop(rec.output_uid, None)
                 if g is None or rec.output_uid not in active:
                     continue
+                if rec.vjps is None:
+                    where = f"op '{rec.name}'" + (f" in scope '{rec.scope}'" if rec.scope else "")
+                    raise ContractError(f"{where} was spent by an earlier unrecorded backward")
                 _scope = rec.scope
                 for uid, vjp in zip(rec.input_uids, rec.vjps):
                     if uid not in active:
@@ -254,6 +274,8 @@ class Tape:
                     contrib = vjp(g)
                     held = grads.get(uid)
                     grads[uid] = contrib if held is None else add(held, contrib)
+                if not record:
+                    rec.vjps = None
         finally:
             self._recording = True
             _scope, _in_backward = outer
@@ -340,7 +362,8 @@ def _arrays(out):
 
 def checked(fn: Callable[[Tape], object]) -> tuple[Tape, object]:
     """Run `fn(tape)` on a fresh tape; return the tape and what `fn` returned,
-    every array in it finite. The caller releases the tape when done.
+    every array in it finite. The caller releases the tape when done; if
+    `fn` raises, the tape is released before the error goes on.
 
     Operations do not check their own results, so this is where a non-finite
     value is caught, or a NumericError from a leaf made of one. Then the
@@ -360,6 +383,9 @@ def checked(fn: Callable[[Tape], object]) -> tuple[Tape, object]:
                 return tape, out
         except NumericError:
             pass
+        except BaseException:
+            tape.release()
+            raise
         tape.release()
         tape = Tape()
         outer, _check_ops = _check_ops, True
@@ -384,23 +410,28 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     return g
 
 
+# The rules of add and sub read only their operands' shapes, so they keep
+# those: keeping the operands would hold every bias add's matmul result, and
+# both terms of every gradient sum in a recorded backward, as long as the tape.
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
+    sa, sb = a.shape, b.shape
     return _op(
         "add",
         (a, b),
         a.data + b.data,
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
     )
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
+    sa, sb = a.shape, b.shape
     return _op(
         "sub",
         (a, b),
         a.data - b.data,
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(mul(g, -1.0), b.shape)),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(mul(g, -1.0), sb)),
     )
 
 

@@ -3,9 +3,10 @@
 Forces always come from the energy head by differentiation, so every model
 family trains through the same loop: lift parameters onto a tape, watch the
 coordinates, differentiate the predicted energy for forces, then
-differentiate the combined loss for the parameter update. Only the force
-backward inside a loss is recorded; every outermost backward runs
-unrecorded, and each caller releases its tape before it returns.
+differentiate the combined loss for the parameter update (a zero force
+weight skips the forces). Only the force backward inside a loss is
+recorded; every outermost backward runs unrecorded, last on its tape, and
+each caller releases its tape before it returns.
 
 Each training step, energy-and-force call and evaluation runs through
 `tensor.checked`: its loss and parameter gradients, or its energies and
@@ -274,15 +275,19 @@ def _targets(confs: Sequence[Conformation]):
     return e, f
 
 
+def _energy(model, params_t, batch, pos, stats, n_per_graph):
+    """Energies (G,), calibrated when `stats` is given."""
+    raw = model.energy(params_t, batch, pos)
+    if stats is None:
+        return raw
+    return apply_normalization(raw, stats, Tensor(n_per_graph.astype(np.float64)))
+
+
 def _predict(model, params_t, batch, tape, stats, n_per_graph, record):
     """Energies and forces; `record` keeps the force backward on the tape for
     a loss that differentiates the forces again."""
     pos = tape.tensor(batch.pos)
-    raw = model.energy(params_t, batch, pos)
-    if stats is not None:
-        energy = apply_normalization(raw, stats, Tensor(n_per_graph.astype(np.float64)))
-    else:
-        energy = raw
+    energy = _energy(model, params_t, batch, pos, stats, n_per_graph)
     (g,) = tape.gradient(T.sum_(energy), [pos], record=record)
     return energy, -g
 
@@ -354,7 +359,12 @@ def train_energy_force(
     progress=None,
 ):
     """Full-batch Adam on energy + force matching; returns (params, history),
-    the history with the statistics of the training batch under "graph"."""
+    the history with the statistics of the training batch under "graph".
+
+    With a zero force weight a step computes the energy alone: the force
+    term would add exact zeros to the loss and its gradient, so the history
+    records a force_loss of 0.0 and the parameters come out bitwise the
+    same. The labels are checked as for the full loss."""
     if steps is None:
         steps = schedule.total_steps
     batch = build_batch(confs, model.cutoff, model.needs_angles)
@@ -365,6 +375,10 @@ def train_energy_force(
         params = model.init(seed)
 
     def loss_fn(tape, params_t, step):
+        if weights.force == 0:
+            energy = _energy(model, params_t, batch, Tensor(batch.pos), stats, n_per_graph)
+            loss = _reduce(energy - e_true_t, reduction) * weights.energy
+            return loss, {"energy_loss": loss, "force_loss": Tensor(0.0)}
         energy, forces = _predict(model, params_t, batch, tape, stats, n_per_graph, record=True)
         terms = {}
         return energy_force_loss(energy, e_true_t, forces, f_true_t, weights, reduction, terms), terms

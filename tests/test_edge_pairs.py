@@ -83,10 +83,16 @@ def check_expansion(pairs, width=3):
 
     x = rng.normal(size=(p, width))
     np.testing.assert_array_equal(T.expand_pairs(x, pairs).data, x[pairs.slot])
-    tape = T.Tape()
-    xt = tape.tensor(x)
-    root = T.sum_(T.expand_pairs(xt, pairs) ** 2 * T.Tensor(g))
+
+    def forward():
+        # a tape per backward that ends unrecorded, which spends what it runs
+        tape = T.Tape()
+        xt = tape.tensor(x)
+        return tape, xt, T.sum_(T.expand_pairs(xt, pairs) ** 2 * T.Tensor(g))
+
+    tape, xt, root = forward()
     (free,) = tape.gradient(root, [xt], record=False)
+    tape, xt, root = forward()
     (kept,) = tape.gradient(root, [xt])
     assert free.data.tobytes() == kept.data.tobytes()
     # the gradient is sum_pairs(2 g x[slot]); its gradient along v is

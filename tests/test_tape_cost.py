@@ -102,7 +102,22 @@ message sum the reshapes around it. The radial networks' spread output
 gained one transpose per input block and message set, which lays it onto
 the interleaved coupling rows. With their recorded force backward that moved
 the pins tfn 493 -> 476, se3attn 777 -> 754 and painn 344 -> 318.
+
+A step with a zero force weight computes the energy alone: no recorded
+force backward, and its positions are not watched, so the edge geometry is
+constant and unrecorded. `ENERGY_ONLY_RECORDS_PER_STEP` pins those steps,
+whose parameters are bitwise those of the full loss with its force term at
+weight 0.
+
+The loss backward runs unrecorded and spends the records it runs, so the
+tensors their rules kept are freed as it goes, and `add` and `sub` keep only
+their operands' shapes. Traced memory (tracemalloc) may rise during that
+backward by at most `LOSS_BACKWARD_GROWTH` times what the step held when it
+began; a tape that held every rule until `release` rose 1.23-1.33 times at
+these configs, this tape 1.02-1.16 times.
 """
+
+import tracemalloc
 
 import dataclasses
 from collections import Counter
@@ -130,6 +145,20 @@ RECORDS_PER_STEP = {
 # dimenet records, of one step, whose result has one row per triplet
 TRIPLET_RECORDS_PER_STEP = 78
 
+# records of one step with a zero force weight: the energy alone
+ENERGY_ONLY_RECORDS_PER_STEP = {
+    "dimenet": 56,
+    "egnn": 68,
+    "leaky": 39,
+    "painn": 104,
+    "schnet": 37,
+    "se3attn": 279,
+    "tfn": 154,
+}
+
+# bound on the traced memory at the loss backward's peak over that at its start
+LOSS_BACKWARD_GROWTH = 1.2
+
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
     "egnn": 27,
@@ -143,10 +172,12 @@ FINITE_CHECKS_PER_STEP = {
 
 def test_every_family_is_pinned():
     assert sorted(RECORDS_PER_STEP) == sorted(CONFIGS) == sorted(FINITE_CHECKS_PER_STEP)
+    assert sorted(ENERGY_ONLY_RECORDS_PER_STEP) == sorted(CONFIGS)
 
 
-@pytest.mark.parametrize("family", sorted(RECORDS_PER_STEP))
-def test_records_of_one_training_step(family, monkeypatch):
+def _count_records(monkeypatch):
+    """Sizes of the tapes released from now on, and the scopes of their
+    records."""
     sizes, scopes = [], set()
     release = T.Tape.release
 
@@ -156,9 +187,70 @@ def test_records_of_one_training_step(family, monkeypatch):
         release(tape)
 
     monkeypatch.setattr(T.Tape, "release", counting_release)
+    return sizes, scopes
+
+
+@pytest.mark.parametrize("family", sorted(RECORDS_PER_STEP))
+def test_records_of_one_training_step(family, monkeypatch):
+    sizes, scopes = _count_records(monkeypatch)
     tr.train_energy_force(api.model_from_config(CONFIGS[family]), _confs(), _schedule(), seed=0, steps=1)
     assert sizes == [RECORDS_PER_STEP[family]]
     assert "" not in scopes  # every record of the step is scoped
+
+
+@pytest.mark.parametrize("family", sorted(ENERGY_ONLY_RECORDS_PER_STEP))
+def test_zero_force_weight_trains_the_energy_alone(family, monkeypatch):
+    model = api.model_from_config(CONFIGS[family])
+    confs = _confs()
+    weights = tr.LossWeights(1.0, 0.0)
+    sizes, _ = _count_records(monkeypatch)
+    params, history = tr.train_energy_force(model, confs, _schedule(), seed=0, steps=3, weights=weights)
+    assert sizes == [ENERGY_ONLY_RECORDS_PER_STEP[family]] * 3
+    assert history["force_loss"] == [0.0] * 3
+
+    # the full loss, whose force term at weight 0 adds exact zeros
+    batch = build_batch(confs, model.cutoff, model.needs_angles)
+    e_true, f_true = (T.Tensor(a) for a in tr._targets(confs))
+
+    def loss_fn(tape, params_t, step):
+        energy, forces = tr._predict(model, params_t, batch, tape, None, None, record=True)
+        terms = {}
+        return tr.energy_force_loss(energy, e_true, forces, f_true, weights, "mse", terms), terms
+
+    want, want_history = tr._fit(model.init(0), loss_fn, _schedule(), 3, None, None)
+    assert sorted(params) == sorted(want)
+    assert all(params[k].tobytes() == want[k].tobytes() for k in want)
+    assert {k: np.asarray(v).tobytes() for k, v in history.items() if k != "graph"} == {
+        k: np.asarray(v).tobytes() for k, v in want_history.items()
+    }
+
+
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_loss_backward_frees_what_it_has_run(family, monkeypatch):
+    # traced memory at the start and the peak of the step's unrecorded
+    # backward, the loss's
+    seen = []
+    gradient = T.Tape.gradient
+
+    def tracing_gradient(tape, root, wrt, *, record=True):
+        if record:
+            return gradient(tape, root, wrt, record=record)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = gradient(tape, root, wrt, record=record)
+        seen.append((start, tracemalloc.get_traced_memory()[1]))
+        return out
+
+    monkeypatch.setattr(T.Tape, "gradient", tracing_gradient)
+    model = api.model_from_config(CONFIGS[family])
+    confs = _confs()
+    tracemalloc.start()
+    try:
+        tr.train_energy_force(model, confs, _schedule(), seed=0, steps=1)
+    finally:
+        tracemalloc.stop()
+    ((start, peak),) = seen
+    assert peak <= LOSS_BACKWARD_GROWTH * start
 
 
 def test_dimenet_records_at_triplet_scale(monkeypatch):
@@ -204,28 +296,38 @@ def _bits(tensors):
 @pytest.mark.parametrize("family", sorted(CONFIGS))
 def test_unrecorded_gradients_equal_recorded(family):
     # forces, then the parameter gradient of a loss on the recorded forces:
-    # each backward gives the same bits unrecorded, and adds no record
+    # each backward gives the same bits unrecorded, and adds no record. An
+    # unrecorded backward spends what it runs, so it runs last on its tape,
+    # and the unrecorded forces take a tape of their own
     model = api.model_from_config(CONFIGS[family])
     confs = _confs()
     batch = build_batch(confs, model.cutoff, model.needs_angles)
-    tape = T.Tape()
-    params_t = T.lift(model.init(0), tape)
-    pos = tape.tensor(batch.pos)
-    energy = model.energy(params_t, batch, pos)
+    params = model.init(0)
+
+    def forward():
+        tape = T.Tape()
+        params_t = T.lift(params, tape)
+        pos = tape.tensor(batch.pos)
+        energy = model.energy(params_t, batch, pos)
+        return tape, params_t, pos, energy
+
+    tape, params_t, pos, energy = forward()
+    recorded = tape.gradient(T.sum_(energy), [pos])
+    e_true, f_true = tr._targets(confs)
+    loss = tr.energy_force_loss(energy, T.Tensor(e_true), -recorded[0], T.Tensor(f_true))
+    wrt = list(params_t.values())
+    kept = tape.gradient(loss, wrt)
+    size = len(tape.records)
+    free = tape.gradient(loss, wrt, record=False)
+    assert len(tape.records) == size and all(g.tape is None for g in free)
+    assert _bits(free) == _bits(kept)
+
+    tape, _, pos, energy = forward()
     root = T.sum_(energy)
     size = len(tape.records)
     free = tape.gradient(root, [pos], record=False)
     assert len(tape.records) == size and free[0].tape is None
-    recorded = tape.gradient(root, [pos])
     assert _bits(free) == _bits(recorded)
-
-    e_true, f_true = tr._targets(confs)
-    loss = tr.energy_force_loss(energy, T.Tensor(e_true), -recorded[0], T.Tensor(f_true))
-    wrt = list(params_t.values())
-    size = len(tape.records)
-    free = tape.gradient(loss, wrt, record=False)
-    assert len(tape.records) == size and all(g.tape is None for g in free)
-    assert _bits(free) == _bits(tape.gradient(loss, wrt))
 
 
 @pytest.mark.parametrize("family", sorted(CONFIGS))

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +577,80 @@ def test_records_carry_their_scope_and_backwards_run_in_it():
     tape.gradient(root, [x])
     # each record's rules are recorded in that record's scope
     assert [r.scope for r in tape.records[before:] if r.name == "mul"] == ["block3", "layer0", "layer0"]
+
+
+def test_checked_releases_its_tape_when_fn_raises_anything(monkeypatch):
+    released = []
+    release = T.Tape.release
+    monkeypatch.setattr(T.Tape, "release", lambda tape: released.append(tape) or release(tape))
+    for error in (ContractError, ShapeError, KeyError):
+        tapes = []
+
+        def run(tape):
+            tapes.append(tape)
+            T.mul(tape.tensor([1.0, 2.0]), 3.0)
+            raise error("the model failed")
+
+        with pytest.raises(error, match="the model failed"):
+            T.checked(run)
+        assert released[-1:] == tapes and not tapes[0].records
+    assert len(released) == 3
+
+
+# ---------------------------------------------------------------------------
+# what a tape keeps
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub])
+def test_add_and_sub_records_keep_no_operand(op):
+    tape = T.Tape()
+    x = tape.tensor(rng.normal(size=(3, 2)))
+    y = tape.tensor(rng.normal(size=(2,)))
+    a, b = T.mul(x, 2.0), T.mul(y, 3.0)  # kept by nothing but the op's record
+    kept = [weakref.ref(a.data), weakref.ref(b.data)]
+    root = T.sum_(op(a, b))
+    del a, b
+    assert tape.records and all(ref() is None for ref in kept)
+    gx, gy = tape.gradient(root, [x, y], record=False)
+    sign = 1.0 if op is T.add else -1.0
+    assert gx.data.tolist() == np.full((3, 2), 2.0).tolist()
+    assert gy.data.tolist() == [sign * 9.0, sign * 9.0]
+
+
+def test_unrecorded_backward_frees_forward_intermediates_before_release():
+    def forward():
+        tape = T.Tape()
+        x = tape.tensor([0.5, -1.0, 2.0])
+        y = T.exp(x)  # kept by its own rule and by both of the mul's
+        return tape, x, weakref.ref(y.data), T.sum_(y * y)
+
+    tape, x, kept, root = forward()
+    tape.gradient(root, [x])
+    assert kept() is not None  # a recorded backward spends nothing
+    tape, x, kept, root = forward()
+    size = len(tape.records)
+    (g,) = tape.gradient(root, [x], record=False)
+    assert kept() is None and len(tape.records) == size
+    assert [rec.name for rec in tape.records] == ["exp", "mul", "sum"]
+    np.testing.assert_allclose(g.data, 2.0 * np.exp([1.0, -2.0, 4.0]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_backward_through_a_spent_record_raises(record):
+    tape = T.Tape()
+    x = tape.tensor([0.5, -1.0])
+    with T.scope("layer0"):
+        y = T.exp(x)
+    spent = T.sum_(y)
+    other = T.sum_(T.sin(x))
+    tape.gradient(spent, [x], record=False)
+    # a backward over records the first did not run still works
+    (g,) = tape.gradient(other, [x], record=record)
+    assert g.data.tolist() == np.cos([0.5, -1.0]).tolist()
+    with pytest.raises(ContractError, match=r"^op 'sum' was spent by an earlier unrecorded backward$"):
+        tape.gradient(spent, [x], record=record)
+    with pytest.raises(ContractError, match=r"^op 'exp' in scope 'layer0' was spent"):
+        tape.gradient(T.sum_(y * 2.0), [x], record=record)
 
 
 ALLOCATOR_PROBE = """
