@@ -10,7 +10,9 @@ configs of `tests/test_parity.py`, and for tfn and se3attn at those configs
 with 3 layers (so a hidden attention layer is compared too):
 
 - energies and forces on `synthetic_conformations(6, 0)` and on the frames
-  of `perfbench.inputs.infer_stream(0, 8, 1)`;
+  of `perfbench.inputs.infer_stream(0, 8, 1)`, and for a family with vector
+  output its node vectors from `energy_and_vectors` on the same frames, so
+  both a forward without vectors and one with them are compared;
 - the parameters and the history after 3 `train_energy_force` steps;
 - the losses of 3 steps of every pretext the family supports.
 
@@ -55,8 +57,10 @@ def traced_peak(fn) -> int:
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
     {family: bytes}} for the tree on the path."""
+    from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
+    from geomnets.models.common import build_batch
     from perfbench.inputs import infer_stream
     from test_parity import CONFIGS
 
@@ -73,6 +77,10 @@ def dump(out: str) -> None:
                 energy, forces = tr.force_from_energy(model, params, conf)
                 arrays.setdefault((family, f"energy.{label}"), {})[str(i)] = np.asarray(energy)
                 arrays.setdefault((family, f"forces.{label}"), {})[str(i)] = forces
+                if model.has_vector_output:
+                    batch = build_batch([conf], model.cutoff, model.needs_angles)
+                    _, vectors = model.energy_and_vectors(T.lift(params), batch, T.Tensor(batch.pos))
+                    arrays.setdefault((family, f"vectors.{label}"), {})[str(i)] = vectors.data
         trained, history = tr.train_energy_force(model, confs, schedule, seed=0, steps=STEPS)
         arrays[family, "params"] = trained
         arrays[family, "history"] = {

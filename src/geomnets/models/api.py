@@ -5,8 +5,8 @@ training, pretraining, and the CLI share.
 Every family is one row of `FAMILY_TABLE`. Its spec dataclass alone defines
 its model config (field names are keys, field defaults the defaults), and
 its forward maps a geometry to invariant node scalars and, where the family
-can, equivariant node vectors. The energy is the same for all of them, a
-bias-free linear head over sum-pooled node scalars.
+can and the caller reads them, equivariant node vectors. The energy is the
+same for all of them, a bias-free linear head over sum-pooled node scalars.
 
 The `leaky` family is a deliberately broken negative control: it adds raw
 coordinates into the scalar head, so every symmetry check must flag it.
@@ -33,7 +33,9 @@ def init_leaky(spec: invariant.SchNetSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def leaky_forward(spec: invariant.SchNetSpec, params: dict, batch: GraphBatch, pos: Tensor) -> tuple[Tensor, None]:
+def leaky_forward(
+    spec: invariant.SchNetSpec, params: dict, batch: GraphBatch, pos: Tensor, vectors: bool = True
+) -> tuple[Tensor, None]:
     h, _ = invariant.schnet_forward(spec, params, batch, pos)
     with T.scope("leak"):
         return h + T.matmul(pos, params["leak.w"]), None
@@ -42,9 +44,15 @@ def leaky_forward(spec: invariant.SchNetSpec, params: dict, batch: GraphBatch, p
 @dataclass(frozen=True)
 class Family:
     """What a family supplies: its spec dataclass, `(spec, seed) -> params`,
-    one forward `(spec, params, batch, pos) -> (node scalars (N, width),
-    node vectors (N, 3) or None)`, whether that forward returns vectors,
-    whether its batches need angle triplets, and which spec field is width."""
+    one forward `(spec, params, batch, pos, vectors) -> (node scalars
+    (N, width), node vectors (N, 3) or None)`, whether that forward can
+    return vectors, whether its batches need angle triplets, and which spec
+    field is width.
+
+    `vectors` says whether the caller reads the vectors. Without it the
+    forward returns None for them and builds only what the scalars read;
+    a family without vector output ignores it. The parameters are the
+    same either way."""
 
     spec: type
     init: Callable
@@ -75,7 +83,9 @@ class ModelHandle:
 
     Every entry point reads one run of the family's forward; `energy`,
     `node_scalars` and `node_vectors` stay separate names so that a caller
-    (or a tracer) can tell the uses apart."""
+    (or a tracer) can tell the uses apart. `energy` and `node_scalars` ask
+    the forward for no vectors, so it skips the work only they feed;
+    `node_vectors` and `energy_and_vectors` ask for them."""
 
     family: str
     spec: Any
@@ -105,20 +115,24 @@ class ModelHandle:
     ) -> tuple[Tensor, Tensor | None]:
         """Graph energies (G,) and node vectors (N, 3), None for a family
         without vector output, from one forward."""
-        h, vectors = self._row.forward(self.spec, params, batch, pos)
-        with T.scope("readout"):
-            return readout(params["head.w"], h, batch.node_graph, batch.n_graphs), vectors
+        h, vectors = self._row.forward(self.spec, params, batch, pos, True)
+        return self._readout(params, h, batch), vectors
 
     def energy(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        return self.energy_and_vectors(params, batch, pos)[0]
+        return self._readout(params, self._row.forward(self.spec, params, batch, pos, False)[0], batch)
 
     def node_scalars(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
-        return self._row.forward(self.spec, params, batch, pos)[0]
+        return self._row.forward(self.spec, params, batch, pos, False)[0]
 
     def node_vectors(self, params: dict, batch: GraphBatch, pos: Tensor) -> Tensor:
         if not self.has_vector_output:
             raise ContractError(f"family '{self.family}' has no equivariant vector output")
-        return self._row.forward(self.spec, params, batch, pos)[1]
+        return self._row.forward(self.spec, params, batch, pos, True)[1]
+
+    @staticmethod
+    def _readout(params: dict, h: Tensor, batch: GraphBatch) -> Tensor:
+        with T.scope("readout"):
+            return readout(params["head.w"], h, batch.node_graph, batch.n_graphs)
 
 
 def check_json_type(value, kind: type, what: str):

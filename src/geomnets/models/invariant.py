@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,15 +75,22 @@ def radial_basis(spec: RadialBasisSpec, d: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class EdgeGeometry:
-    """What a forward reads from its edges, one row per edge pair: lengths
-    (P, 1), unit vectors (P, 3) of the representative edges, the cosine
-    envelope (P, 1) and the radial basis times it. A flipped edge shares
-    its pair's row, with the unit vector negated."""
+    """What a forward reads from its edges, one row per edge pair: relative
+    vectors `rel` (P, 3) and lengths (P, 1) of the representative edges,
+    the cosine envelope (P, 1) and the radial basis times it. A flipped
+    edge shares its pair's row, with the unit vector negated."""
 
+    rel: Tensor
     dist: Tensor
-    unit: Tensor
     env: Tensor
     rbf: Tensor
+
+    @cached_property
+    def unit(self) -> Tensor:
+        """Unit vectors (P, 3), divided out on first read, in scope `edges`:
+        a forward that reads no directions records no division."""
+        with T.scope("edges"):
+            return self.rel / self.dist
 
 
 def edge_geometry(basis: RadialBasisSpec, rel: Tensor) -> EdgeGeometry:
@@ -91,9 +98,9 @@ def edge_geometry(basis: RadialBasisSpec, rel: Tensor) -> EdgeGeometry:
     once per forward, from `common.pair_vectors`, and shared by all its
     layers."""
     dist = T.norm(rel, axis=1, keepdims=True)
-    bare = radial_basis(basis, dist)  # rejects zero lengths before the division
+    bare = radial_basis(basis, dist)  # rejects zero lengths before `unit` divides by them
     env = cosine_envelope(dist, basis.cutoff)
-    return EdgeGeometry(dist, rel / dist, env, bare * env)
+    return EdgeGeometry(rel, dist, env, bare * env)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +122,10 @@ def _jl_series_coeffs(l: int, terms: int = 9) -> list[float]:
 
 
 def _jl_closed(l: int, x: Tensor) -> Tensor:
-    s, c = T.sin(x), T.cos(x)
-    inv = T.div(1.0, x)
+    s, inv = T.sin(x), T.div(1.0, x)
     if l == 0:
         return s * inv
+    c = T.cos(x)
     i2 = inv * inv
     if l == 1:
         return s * i2 - c * inv
@@ -317,9 +324,9 @@ def schnet_layer(
 
 
 def schnet_forward(
-    spec: SchNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
+    spec: SchNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor, vectors: bool = True
 ) -> tuple[Tensor, None]:
-    """Node scalars; the stack has no vectors."""
+    """Node scalars; the stack has no vectors, so `vectors` changes nothing."""
     with T.scope("edges"):
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
@@ -455,9 +462,10 @@ def dimenet_messages(
 
 
 def dimenet_forward(
-    spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor
+    spec: DimeNetSpec, params: dict[str, Tensor], batch: GraphBatch, pos: Tensor, vectors: bool = True
 ) -> tuple[Tensor, None]:
-    """Node scalars, summed from the readouts of outgoing edges; no vectors."""
+    """Node scalars, summed from the readouts of outgoing edges; no vectors,
+    so `vectors` changes nothing."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
         per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.expand_pairs(env, batch.pairs)

@@ -33,8 +33,14 @@ harmonics) depends only on the edges and the radial basis, which all layers
 share, so a forward forms it once with `filter_inputs` from the shared
 `invariant.edge_geometry` and hands it to each layer.
 
-Hidden layers output degrees 0..2. The readout reads only degrees 0 and 1,
-so a stack's last layer, convolution or attention, outputs those alone.
+Hidden layers output degrees 0..2. The readout reads degree 0 for the node
+scalars and degree 1 for the node vectors, so a stack's last layer,
+convolution or attention, outputs degrees 0 and 1, or degree 0 alone when
+the caller reads no vectors. Its paths into degree 0 and their mix come
+first, so both forms share their parameters. The harmonics stop at the
+highest filter degree that some layer's paths read, and the coupling
+tables are cut to match: a one-layer stack reads degree 0 alone for its
+scalars, which takes no edge directions, and degree 1 for its vectors.
 
 Attention keys are messages whose output layout is the input's; values
 are messages of the layer spec. Each has its own weights, and both read
@@ -138,13 +144,19 @@ class EdgeFilters:
 _ODD_COLUMNS = np.concatenate([np.full(2 * l + 1, l % 2 == 1) for l in _FILTER_DEGREES])
 
 
-def filter_inputs(geom: EdgeGeometry, pairs: PairIndex) -> EdgeFilters:
+def filter_inputs(geom: EdgeGeometry, pairs: PairIndex, degree: int) -> EdgeFilters:
     """The `EdgeFilters` of edges grouped by `pairs`, from the geometry of
-    their pairs. The enveloped harmonics are computed per pair and expanded
-    to the edges, their odd degrees negated on flipped edges."""
-    harmonics = T.concat([sph_harm_block(l, geom.unit) for l in _FILTER_DEGREES], axis=1) * geom.env
-    sign = np.where(pairs.flipped[:, None] & _ODD_COLUMNS, -1.0, 1.0)
-    return EdgeFilters(T.transpose2(geom.rbf), pairs, T.expand_pairs(harmonics, pairs) * Tensor(sign))
+    their pairs, with the harmonics of filter degrees 0..`degree`. The
+    enveloped harmonics are computed per pair and expanded to the edges,
+    their odd degrees negated on flipped edges. Degree 0 is constant, so
+    harmonics of degree 0 alone read no edge directions."""
+    # the degree-0 block reads only the row count, which the lengths share
+    blocks = [sph_harm_block(l, geom.unit if l else geom.dist) for l in range(degree + 1)]
+    harmonics = T.expand_pairs(T.concat(blocks, axis=1) * geom.env, pairs)
+    if degree:
+        sign = np.where(pairs.flipped[:, None] & _ODD_COLUMNS[: (degree + 1) ** 2], -1.0, 1.0)
+        harmonics = harmonics * Tensor(sign)
+    return EdgeFilters(T.transpose2(geom.rbf), pairs, harmonics)
 
 
 @dataclass(frozen=True)
@@ -203,13 +215,15 @@ def _messages(
     `weights` and per input block: the edge's coupling matrix times the
     neighbor block, times the radial output of each path spread over its
     rows, run per edge pair and expanded to the edges. All share the first
-    (widest) spec's coupling matrices; a narrower one reads their leading rows."""
-    e = filters.harmonics.shape[0]
+    (widest) spec's coupling matrices; a narrower one reads their leading
+    rows. The coupling tables are cut to the filter degrees of the harmonics."""
+    e, n_harm = filters.harmonics.shape
     out: list[list[Tensor]] = [[] for _ in weights]
     for b, blks in enumerate(zip(*(_fusion(spec) for spec, _ in weights))):
         neighbor = T.gather(feat.blocks[b], dst)
         dim_in, mult = neighbor.shape[1], neighbor.shape[2]
-        coupling = T.reshape(T.matmul(filters.harmonics, Tensor(blks[0].table)), (e, blks[0].width, dim_in))
+        table = Tensor(blks[0].table[:n_harm])
+        coupling = T.reshape(T.matmul(filters.harmonics, table), (e, blks[0].width, dim_in))
         coupled = T.matmul(coupling, neighbor)
         for (spec, prefix), blk, msgs in zip(weights, blks, out):
             radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
@@ -395,16 +409,25 @@ class SteerableModelSpec:
     def attends(self, index: int) -> bool:
         return self.family == "se3attn" and index > 0
 
-    def layer_spec(self, index: int) -> TfnLayerSpec:
-        """The last layer outputs only the blocks the readout reads, degrees
-        0 and 1, whether it convolves or attends."""
+    def layer_spec(self, index: int, vectors: bool = True) -> TfnLayerSpec:
+        """The last layer outputs only the blocks the readout reads, whether
+        it convolves or attends: degrees 0 and 1, or degree 0 alone for a
+        caller that reads no `vectors`. Its paths into degree 0 and their
+        mix come first, so they are those of the full last layer."""
         last = index == self.layers - 1
         return TfnLayerSpec(
             layout_in=self.input_layout if index == 0 else self.hidden_layout,
-            layout_out=IrrepsLayout(self.hidden_layout.blocks[:2]) if last else self.hidden_layout,
+            layout_out=IrrepsLayout(self.hidden_layout.blocks[: 1 + vectors]) if last else self.hidden_layout,
             radial=self.basis,
             radial_hidden=self.radial_hidden,
         )
+
+    def filter_degree(self, vectors: bool) -> int:
+        """The highest filter degree that some layer's paths read, an
+        attention layer's keys reading every degree of its input."""
+        layers = [self.layer_spec(i, vectors) for i in range(self.layers)]
+        reads = [replace(l, layout_out=l.layout_in) if self.attends(i) else l for i, l in enumerate(layers)]
+        return max(l_f for layer in reads for _, l_f, _ in layer.paths())
 
 
 def init_steerable(spec: SteerableModelSpec, seed: int) -> dict[str, np.ndarray]:
@@ -439,21 +462,23 @@ _M_TO_CART = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def steerable_forward(
-    spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Node scalars from the degree-0 block and per-node Cartesian 3-vectors
-    from the degree-1 block, its channels mixed by `vec_head.mix`."""
+    spec: SteerableModelSpec, params: dict, batch: GraphBatch, pos: Tensor, vectors: bool = True
+) -> tuple[Tensor, Tensor | None]:
+    """Node scalars from the degree-0 block and, if `vectors`, per-node
+    Cartesian 3-vectors from the degree-1 block, its channels mixed by
+    `vec_head.mix`. Without vectors the last layer outputs degree 0 alone,
+    and the harmonics stop at the highest filter degree its paths read."""
     with T.scope("edges"):
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         # every layer has the same radial basis, so one set of filter
         # inputs serves them all
-        filters = filter_inputs(geom, batch.pairs)
+        filters = filter_inputs(geom, batch.pairs, spec.filter_degree(vectors))
         embedded = T.reshape(embed_nodes(params["embed"], batch.z), (batch.n_nodes, 1, spec.scalar_channels))
         feat = SteerableFeature(spec.input_layout, [embedded])
     for i in range(spec.layers):
         scoped = _scoped(params, f"layer{i}")
-        layer = spec.layer_spec(i)
+        layer = spec.layer_spec(i, vectors)
         with T.scope(f"layer{i}"):
             if spec.attends(i):
                 feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, filters)
@@ -461,5 +486,7 @@ def steerable_forward(
                 feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)
     with T.scope("readout"):
         scalars = T.reshape(feat.blocks[0], (batch.n_nodes, spec.scalar_channels))
+        if not vectors:
+            return scalars, None
         rows = T.reshape(T.matmul(feat.blocks[1], params["vec_head.mix"]), (batch.n_nodes, 3))
         return scalars, T.matmul(rows, Tensor(_M_TO_CART))

@@ -68,9 +68,12 @@ def egnn_layer(
     src: np.ndarray,
     dst: np.ndarray,
     shift: np.ndarray,
+    vectors: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """One block: message from (h_i, h_j, squared distance), gated coordinate
-    update along the difference vector, then the node update network."""
+    update along the difference vector, then the node update network.
+    Without `vectors`, when nothing reads the coordinates it outputs, they
+    come back unmoved."""
     if h.ndim != 2 or h.shape[1] != spec.hidden:
         raise ShapeError(f"node features {h.shape} do not match hidden={spec.hidden}")
     if x.shape != (h.shape[0], 3):
@@ -85,7 +88,7 @@ def egnn_layer(
         T.concat([T.gather(h, src), T.gather(h, dst), d2], axis=1),
         f"{prefix}.msg",
     )
-    if spec.update_coords:
+    if spec.update_coords and vectors:
         gate = mlp_apply(spec.gate_mlp(), params, m, f"{prefix}.gate")
         x = x + T.scatter_sum(diff * gate, src, n)
     agg = T.scatter_sum(m, src, n)
@@ -94,16 +97,20 @@ def egnn_layer(
 
 
 def egnn_forward(
-    spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Node scalars and the coordinate displacement accumulated over the
-    stack (equivariant)."""
+    spec: EgnnSpec, params: dict, batch: GraphBatch, pos: Tensor, vectors: bool = True
+) -> tuple[Tensor, Tensor | None]:
+    """Node scalars and, if `vectors`, the coordinate displacement
+    accumulated over the stack (equivariant). Without vectors the last
+    layer moves no coordinates, which only the displacement reads."""
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
     x = pos
     for i in range(spec.layers):
+        read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):
-            h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset)
+            h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset, read)
+    if not vectors:
+        return h, None
     with T.scope("readout"):
         return h, x - pos
 
@@ -156,11 +163,14 @@ def painn_layer(
     pairs: PairIndex,
     rbf: Tensor,
     unit: Tensor,
+    vectors: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """One message + update block over edges (src <- dst) with their unit
     vectors `unit` (E, 3). The radial basis `rbf` (P, count) has one row per
     edge pair of `pairs`, and the filter made of it is expanded to the
-    edges."""
+    edges. Without `vectors`, when nothing reads the vectors it outputs,
+    the update block skips its vector update; its scalar update reads
+    them either way."""
     f = spec.hidden
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
@@ -185,20 +195,22 @@ def painn_layer(
     v_mix = T.matmul(v, params[f"{prefix}.upd.v"])
     v_norm = T.norm(v_mix, axis=1, eps=1e-12)
     b = mlp_apply(spec.update_mlp(), params, T.concat([s, v_norm], axis=1), f"{prefix}.upd")
-    b_ss, b_sv, b_vv = b[:, 0:f], b[:, f : 2 * f], b[:, 2 * f : 3 * f]
+    b_ss, b_sv = b[:, 0:f], b[:, f : 2 * f]
     dot = T.sum_(u_mix * v_mix, axis=1)
     s = s + b_ss + b_sv * dot
-    v = v + u_mix * T.reshape(b_vv, (n, 1, f))
+    if vectors:
+        v = v + u_mix * T.reshape(b[:, 2 * f : 3 * f], (n, 1, f))
     return s, v
 
 
 def painn_forward(
-    spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Node scalars and one 3-vector per node, the vector channels mixed by
-    `vec_head.mix`. The radial basis and unit vectors of the edge pairs are
-    computed once for every layer, and the unit vectors expanded to the
-    edges with their signs."""
+    spec: PainnSpec, params: dict, batch: GraphBatch, pos: Tensor, vectors: bool = True
+) -> tuple[Tensor, Tensor | None]:
+    """Node scalars and, if `vectors`, one 3-vector per node, the vector
+    channels mixed by `vec_head.mix`; without vectors the last layer skips
+    its vector update. The radial basis and unit vectors of the edge pairs
+    are computed once for every layer, and the unit vectors expanded to
+    the edges with their signs."""
     pairs = batch.pairs
     with T.scope("edges"):
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
@@ -207,7 +219,10 @@ def painn_forward(
         unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     v = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
     for i in range(spec.layers):
+        read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):
-            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit, read)
+    if not vectors:
+        return s, None
     with T.scope("readout"):
         return s, T.reshape(T.matmul(v, params["vec_head.mix"]), (batch.n_nodes, 3))

@@ -417,6 +417,8 @@ MASK_FRACTION = 0.15
 MASK_TOKEN = 0
 N_ELEMENT_CLASSES = 118
 PRETRAIN_KINDS = ("type", "distance", "angle", "denoise", "contrastive")
+# the head each masked objective reads, by parameter prefix
+MASKED_HEADS = {"type": "type_head.", "distance": "dist_head.", "angle": "angle_head."}
 
 
 def _mask_indices(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -497,7 +499,8 @@ def _head_spec(model, arity: int) -> T.MlpSpec:
 
 
 def init_pretrain_heads(model, seed: int) -> dict[str, np.ndarray]:
-    """Heads for the masked objectives, keyed apart from the trunk."""
+    """Heads for the masked objectives, keyed apart from the trunk, drawn
+    in one order so that each has the same values whichever one is kept."""
     rng = np.random.default_rng(seed)
     params = {"type_head.w": T.glorot_uniform(rng, model.scalar_width, N_ELEMENT_CLASSES)}
     params.update(T.init_mlp(_head_spec(model, 2), rng, "dist_head"))
@@ -591,8 +594,10 @@ def train_pretrain(
     if steps is None:
         steps = schedule.total_steps
     params = model.init(seed)
-    if kind in ("type", "distance", "angle"):
-        params.update(init_pretrain_heads(model, seed + 1))
+    if kind in MASKED_HEADS:
+        # only the kind's own head reaches its loss
+        heads = init_pretrain_heads(model, seed + 1)
+        params.update((k, v) for k, v in heads.items() if k.startswith(MASKED_HEADS[kind]))
     if kind != "denoise":
         batch = build_batch(confs, model.cutoff, model.needs_angles or kind == "angle")
     if kind in ("denoise", "contrastive"):

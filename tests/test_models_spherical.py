@@ -62,9 +62,12 @@ def rows(feat):
 
 def filters(spec, rel, reverse):
     """The filter inputs of edges with vectors `rel` (E, 3) and reverse rows
-    `reverse`, computed on their pairs."""
+    `reverse`, computed on their pairs, up to the highest filter degree
+    that a path of `spec` or of its keys reads."""
     pairs = pair_index(reverse)
-    return sph.filter_inputs(inv.edge_geometry(spec.radial, T.gather(rel, pairs.edge)), pairs)
+    keys = dataclasses.replace(spec, layout_out=spec.layout_in)
+    degree = max(l_f for _, l_f, _ in spec.paths() + keys.paths())
+    return sph.filter_inputs(inv.edge_geometry(spec.radial, T.gather(rel, pairs.edge)), pairs, degree)
 
 
 def conv(spec, params, feat, edges):
@@ -671,6 +674,20 @@ def test_last_convolution_outputs_the_readout_blocks(family, layers):
     # alone, whether it convolves or attends
     spec = sph.SteerableModelSpec(family=family, scalar_channels=5, vector_channels=3, tensor_channels=2, layers=layers)
     assert [spec.layer_spec(i).layout_out for i in range(layers)] == [hidden_layout()] * (layers - 1) + [READOUT_LAYOUT]
+
+
+@pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 3), ("se3attn", 1), ("se3attn", 3)])
+def test_a_forward_without_vectors_outputs_degree_0_alone(family, layers):
+    # its last layer's paths are the leading paths of the full last layer,
+    # and its harmonics stop at the highest filter degree a path reads: a
+    # one-layer stack convolves degree 0 into degrees 0 and 1 by filters of
+    # the same degrees, into degree 0 alone by the constant filter
+    spec = sph.SteerableModelSpec(family=family, scalar_channels=5, vector_channels=3, tensor_channels=2, layers=layers)
+    full, scalar = spec.layer_spec(layers - 1), spec.layer_spec(layers - 1, vectors=False)
+    assert scalar.layout_out == IrrepsLayout(((5, 0),))
+    assert scalar.paths() == full.paths()[: len(scalar.paths())] == [full.paths()[k] for k in full.paths_into(0)]
+    assert [spec.layer_spec(i, vectors=False) for i in range(layers - 1)] == [spec.layer_spec(i) for i in range(layers - 1)]
+    assert (spec.filter_degree(vectors=False), spec.filter_degree(vectors=True)) == ((0, 1) if layers == 1 else (2, 2))
 
 
 @pytest.mark.parametrize("family,layers", [("tfn", 1), ("tfn", 2), ("se3attn", 1), ("se3attn", 2)])

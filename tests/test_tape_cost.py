@@ -14,10 +14,22 @@ model has parameters. An operation that checked its own result again would
 change these counts too. The setup is that of `test_parity.py`. A change
 that alters the tape on purpose updates the tables and says why.
 
-A family with vector output reads its node vectors out in the same forward
-as its energy, so egnn, painn, tfn and se3attn record those readout ops
-(1, 2, 3 and 3) although nothing on the energy path reaches them and no
-backward evaluates them.
+An energy forward records only what its energy reads: `ModelHandle.energy`
+asks the family's forward for no vectors. egnn's last layer then skips its
+gate network and coordinate sum, and its readout the displacement (10
+records); painn's last layer skips its vector update, and its readout the
+vector mix (6); tfn's and se3attn's last layer outputs no degree-1 block
+(its mix, its row segments, their concat, the matmul and the residual's
+add), and the readout mixes no vectors (13 each). schnet and leaky no
+longer divide the edge vectors by their lengths for unit vectors they
+never read, and dimenet's order-0 spherical Bessel function takes no
+cosine (1 each). None of these records was reached by a backward. That
+moved the pins dimenet 354 -> 353, egnn 171 -> 161, leaky 142 -> 141,
+painn 318 -> 312, schnet 137 -> 136, se3attn 754 -> 741 and tfn 476 -> 463,
+and the energy-only pins egnn 68 -> 58, painn 104 -> 98, se3attn 279 -> 266
+and tfn 154 -> 141. An energy-only step watches no positions, so its edge
+geometry is unrecorded and the energy-only pins of schnet, leaky and
+dimenet stay. The parameters, and so the checks, are the same.
 
 Work runs on the set it depends on. dimenet computes its distance
 expansions, envelopes and unit vectors per edge and gathers them to the
@@ -133,13 +145,13 @@ from geomnets.models.common import build_batch
 from test_parity import CONFIGS, _confs, _schedule
 
 RECORDS_PER_STEP = {
-    "dimenet": 354,
-    "egnn": 171,
-    "leaky": 142,
-    "painn": 318,
-    "schnet": 137,
-    "se3attn": 754,
-    "tfn": 476,
+    "dimenet": 353,
+    "egnn": 161,
+    "leaky": 141,
+    "painn": 312,
+    "schnet": 136,
+    "se3attn": 741,
+    "tfn": 463,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
@@ -148,12 +160,12 @@ TRIPLET_RECORDS_PER_STEP = 78
 # records of one step with a zero force weight: the energy alone
 ENERGY_ONLY_RECORDS_PER_STEP = {
     "dimenet": 56,
-    "egnn": 68,
+    "egnn": 58,
     "leaky": 39,
-    "painn": 104,
+    "painn": 98,
     "schnet": 37,
-    "se3attn": 279,
-    "tfn": 154,
+    "se3attn": 266,
+    "tfn": 141,
 }
 
 # bound on the traced memory at the loss backward's peak over that at its start
@@ -342,6 +354,32 @@ def test_every_record_of_a_forward_is_scoped(family):
     assert ("triplets" in scopes) == model.needs_angles
 
 
+# the parity configs, and one-layer steerable stacks, whose scalars read
+# harmonics of degree 0 alone
+SCALAR_CASES = sorted(CONFIGS) + ["se3attn-1layer", "tfn-1layer"]
+
+
+def _case_model(case):
+    family, _, one_layer = case.partition("-")
+    return api.model_from_config(dict(CONFIGS[family], **({"layers": 1} if one_layer else {})))
+
+
+@pytest.mark.parametrize("call", ["energy", "node_scalars"])
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_a_scalar_forward_records_only_what_it_reads(case, call):
+    # every record of an energy or node-scalar forward lies on a path to
+    # the summed output: no vector readout, no work only the vectors read
+    model = _case_model(case)
+    batch = build_batch(_confs(), model.cutoff, model.needs_angles)
+    tape = T.Tape()
+    out = getattr(model, call)(T.lift(model.init(0), tape), batch, tape.tensor(batch.pos))
+    read = {T.sum_(out).uid}
+    for rec in reversed(tape.records):
+        if rec.output_uid in read:
+            read.update(rec.input_uids)
+    assert [(rec.scope, rec.name) for rec in tape.records if rec.output_uid not in read] == []
+
+
 @pytest.mark.parametrize("family", sorted(CONFIGS))
 def test_edge_geometry_built_once_per_forward(family):
     # one norm (its power) and one envelope (its cos) per forward, in scope
@@ -436,11 +474,11 @@ def _crystals():
     return [five, Conformation([6], [[0.4, 0.5, 0.6]], lattice=lattice * 1.2)]
 
 
-def _energy_and_forces(model, batch):
+def _energy_and_forces(model, batch, vectors=False):
     tape = T.Tape()
     params = T.lift(model.init(0), tape)
     pos = tape.tensor(batch.pos)
-    energy = model.energy(params, batch, pos)
+    energy = model.energy_and_vectors(params, batch, pos)[0] if vectors else model.energy(params, batch, pos)
     (grad,) = tape.gradient(T.sum_(energy), [pos], record=False)
     return energy.data, -grad.data
 
@@ -464,3 +502,17 @@ def test_pairs_match_the_per_edge_reference(family):
         else:
             assert energy.tobytes() == ref_energy.tobytes()
         _assert_within(forces, ref_forces)
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_a_scalar_forward_matches_the_vector_forward(case):
+    # the energy of a forward without vectors is that of the forward with
+    # them, bit for bit; its forces may round differently where a backward
+    # sums over fewer coupling rows or harmonics
+    model = _case_model(case)
+    for confs in (_confs(), _crystals()):
+        batch = build_batch(confs, model.cutoff, model.needs_angles)
+        energy, forces = _energy_and_forces(model, batch)
+        want_energy, want_forces = _energy_and_forces(model, batch, vectors=True)
+        assert energy.tobytes() == want_energy.tobytes()
+        _assert_within(forces, want_forces)

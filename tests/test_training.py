@@ -731,6 +731,24 @@ def test_inference_tape_freed_without_cyclic_collector(call, monkeypatch):
     assert alive == [False]
 
 
+@pytest.mark.parametrize("kind", tr.PRETRAIN_KINDS)
+def test_train_pretrain_keeps_only_its_own_head(kind):
+    # the trunk and the one head the kind's loss reads, with the values
+    # that head has among all three
+    confs = tr.synthetic_conformations(4, seed=0)
+    family = "painn" if kind == "denoise" else "schnet"
+    model = api.model_from_config({"family": family, "hidden": 8, "layers": 1, "cutoff": 4.0})
+    params, _ = tr.train_pretrain(model, kind, confs, tr.ScheduleSpec(1e-3, 1e-5, 1), seed=3, steps=0)
+    heads = {
+        "type": {"type_head.w"},
+        "distance": {f"dist_head.{name}" for name in ("w0", "b0", "w1", "b1")},
+        "angle": {f"angle_head.{name}" for name in ("w0", "b0", "w1", "b1")},
+    }.get(kind, set())
+    assert set(params) == set(model.init(3)) | heads
+    drawn = tr.init_pretrain_heads(model, 4)
+    assert all(np.array_equal(params[name], drawn[name]) for name in heads)
+
+
 def test_train_pretrain_rejects_unknown_kind():
     confs = tr.synthetic_conformations(2, seed=1, n_atoms=(4, 4))
     model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
