@@ -157,7 +157,7 @@ def painn_layer(
     params: dict,
     prefix: str,
     s: Tensor,
-    v: Tensor,
+    v: Tensor | None,
     src: np.ndarray,
     dst: np.ndarray,
     pairs: PairIndex,
@@ -168,14 +168,15 @@ def painn_layer(
     """One message + update block over edges (src <- dst) with their unit
     vectors `unit` (E, 3). The radial basis `rbf` (P, count) has one row per
     edge pair of `pairs`, and the filter made of it is expanded to the
-    edges. Without `vectors`, when nothing reads the vectors it outputs,
-    the update block skips its vector update; its scalar update reads
-    them either way."""
+    edges. The first layer takes no vectors (`v` None, PaiNN's start at
+    zero), so its message is the unit vectors' term alone. Without
+    `vectors`, when nothing reads the vectors it outputs, the update block
+    skips its vector update; its scalar update reads them either way."""
     f = spec.hidden
     n = s.shape[0]
     if s.ndim != 2 or s.shape[1] != f:
         raise ShapeError(f"scalar features {s.shape} do not match hidden={f}")
-    if v.shape != (n, 3, f):
+    if v is not None and v.shape != (n, 3, f):
         raise ShapeError(f"vector features {v.shape} do not match ({n}, 3, {f})")
 
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
@@ -184,11 +185,12 @@ def painn_layer(
     phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
     filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
     gates = filt * T.gather(phi, dst)
-    g_ss, g_sv, g_vv = gates[:, 0:f], gates[:, f : 2 * f], gates[:, 2 * f : 3 * f]
-    dv = T.gather(v, dst) * T.reshape(g_vv, (-1, 1, f))
-    dv = dv + T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
+    g_ss, g_sv = gates[:, 0:f], gates[:, f : 2 * f]
+    dv = T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
+    if v is not None:
+        dv = T.gather(v, dst) * T.reshape(gates[:, 2 * f : 3 * f], (-1, 1, f)) + dv
     s = s + T.scatter_sum(g_ss, src, n)
-    v = v + T.scatter_sum(dv, src, n)
+    v = T.scatter_sum(dv, src, n) if v is None else v + T.scatter_sum(dv, src, n)
 
     # update block: node-local, vectors enter only via norms and dot products
     u_mix = T.matmul(v, params[f"{prefix}.upd.u"])
@@ -217,7 +219,7 @@ def painn_forward(
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
         unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
-    v = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
+    v = None
     for i in range(spec.layers):
         read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):

@@ -242,19 +242,13 @@ class Tape:
         root_idx = self._root_index(root)
         wrt_uids = {t.uid for t in wrt}
 
-        # which nodes descend from any wrt tensor
+        # which nodes descend from any wrt tensor; a gradient reaches only
+        # what the root reaches, so this is the only pruning set
         descends: set[int] = set(wrt_uids)
         for rec in self.records[: root_idx + 1]:
             if not descends.isdisjoint(rec.input_uids):
                 descends.add(rec.output_uid)
 
-        # which nodes the root depends on
-        reach: set[int] = {root.uid}
-        for rec in reversed(self.records[: root_idx + 1]):
-            if rec.output_uid in reach:
-                reach.update(rec.input_uids)
-
-        active = reach & descends
         grads: dict[int, Tensor] = {root.uid: Tensor(np.ones_like(root.data))}
         outer = _scope, _in_backward
         self._recording = record
@@ -262,14 +256,14 @@ class Tape:
         try:
             for rec in reversed(self.records[: root_idx + 1]):
                 g = grads.pop(rec.output_uid, None)
-                if g is None or rec.output_uid not in active:
+                if g is None or rec.output_uid not in descends:
                     continue
                 if rec.vjps is None:
                     where = f"op '{rec.name}'" + (f" in scope '{rec.scope}'" if rec.scope else "")
                     raise ContractError(f"{where} was spent by an earlier unrecorded backward")
                 _scope = rec.scope
                 for uid, vjp in zip(rec.input_uids, rec.vjps):
-                    if uid not in active:
+                    if uid not in descends:
                         continue
                     contrib = vjp(g)
                     held = grads.get(uid)

@@ -1,12 +1,14 @@
 """Supervised and self-supervised training on conformations.
 
 Forces always come from the energy head by differentiation, so every model
-family trains through the same loop: lift parameters onto a tape, watch the
-coordinates, differentiate the predicted energy for forces, then
-differentiate the combined loss for the parameter update (a zero force
-weight skips the forces). Only the force backward inside a loss is
-recorded; every outermost backward runs unrecorded, last on its tape, and
-each caller releases its tape before it returns.
+family trains through the same loop: lift parameters onto a tape,
+differentiate the predicted energy by the coordinates for forces, then
+differentiate the combined loss for the parameter update. Coordinates are
+watched only where forces are taken (`_predict`); a zero force weight and
+every pretext read them off the tape, so their position-only geometry is
+never recorded. Only the force backward inside a loss is recorded; every
+outermost backward runs unrecorded, last on its tape, and each caller
+releases its tape before it returns.
 
 Each training step, energy-and-force call and evaluation runs through
 `tensor.checked`: its loss and parameter gradients, or its energies and
@@ -610,12 +612,12 @@ def train_pretrain(
         noise = np.concatenate(draws, axis=0)
 
     def loss_fn(tape, params_t, step):
+        # no pretext differentiates by position, so positions stay off the tape
         if kind == "denoise":
-            return denoise_pretrain_loss(model, params_t, jittered, tape.tensor(jittered.pos), noise)
-        pos = tape.tensor(batch.pos)
+            return denoise_pretrain_loss(model, params_t, jittered, Tensor(jittered.pos), noise)
+        pos = Tensor(batch.pos)
         if kind == "contrastive":
-            view_pos = tape.tensor(jittered.pos)
-            return contrastive_pretrain_loss(model, params_t, batch, pos, jittered, view_pos, temperature)
+            return contrastive_pretrain_loss(model, params_t, batch, pos, jittered, Tensor(jittered.pos), temperature)
         return masked_pretrain_loss(kind, model, params_t, batch, pos, seed + step)
 
     # a pretext's loss has no named terms

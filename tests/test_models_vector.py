@@ -159,7 +159,7 @@ def painn_channels(spec, params, batch):
     geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
     unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     s = embed_nodes(params["embed"], batch.z)
-    v = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
+    v = None
     for i in range(spec.layers):
         s, v = vec.painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit)
     return s, v
@@ -201,6 +201,23 @@ def test_painn_single_node_update_block_acts():
     s_out, readout = vec.painn_forward(spec, pt, batch, Tensor(batch.pos))
     np.testing.assert_array_equal(s_out.data, s.data)
     np.testing.assert_array_equal(readout.data, np.zeros((1, 3)))
+
+
+def test_painn_layer_from_no_vectors_is_the_layer_from_zero_vectors():
+    # PaiNN starts its vectors at zero, so the first layer gates none
+    spec, params = painn_setup(7)
+    batch = batch_for(23)
+    pt = as_tensors(params)
+    pairs = batch.pairs
+    geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
+    unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+    s = embed_nodes(pt["embed"], batch.z)
+    graph = (batch.src, batch.dst, pairs, geom.rbf, unit)
+    zeros = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))
+    want_s, want_v = vec.painn_layer(spec, pt, "layer0", s, zeros, *graph)
+    got_s, got_v = vec.painn_layer(spec, pt, "layer0", s, None, *graph)
+    np.testing.assert_array_equal(got_s.data, want_s.data)
+    np.testing.assert_array_equal(got_v.data, want_v.data)
 
 
 def test_painn_layer_shape_errors():

@@ -653,6 +653,23 @@ def test_a_backward_through_a_spent_record_raises(record):
         tape.gradient(T.sum_(y * 2.0), [x], record=record)
 
 
+def test_an_unrecorded_backward_runs_only_what_descends_from_its_wrt():
+    # the root reaches exp(w), but it does not descend from x: a backward
+    # by x neither runs nor spends it, and a later one by w goes through it
+    tape = T.Tape()
+    x, w = tape.tensor([0.5, -1.0]), tape.tensor([2.0, 0.25])
+    e = T.exp(w)
+    root = T.sum_(x * e)
+    ran = []
+    (exp_rec,) = [rec for rec in tape.records if rec.name == "exp"]
+    exp_rec.vjps = tuple(lambda g, vjp=vjp: ran.append(vjp) or vjp(g) for vjp in exp_rec.vjps)
+    (gx,) = tape.gradient(root, [x], record=False)
+    assert gx.data.tolist() == np.exp([2.0, 0.25]).tolist()
+    assert ran == [] and exp_rec.vjps is not None
+    (gw,) = tape.gradient(T.sum_(e), [w], record=False)
+    assert len(ran) == 1 and gw.data.tolist() == np.exp([2.0, 0.25]).tolist()
+
+
 ALLOCATOR_PROBE = """
 import resource
 import numpy as np

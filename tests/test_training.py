@@ -20,6 +20,7 @@ from geomnets.geometry import Conformation
 from geomnets.models import api
 from geomnets.models.common import build_batch, graph_stats
 from geomnets.tensor import Tensor
+from test_parity import CONFIGS, _confs, _kinds, _schedule
 from test_tensor import grad_check
 
 
@@ -747,6 +748,25 @@ def test_train_pretrain_keeps_only_its_own_head(kind):
     assert set(params) == set(model.init(3)) | heads
     drawn = tr.init_pretrain_heads(model, 4)
     assert all(np.array_equal(params[name], drawn[name]) for name in heads)
+
+
+@pytest.mark.parametrize(
+    "family, kind", [(f, k) for f in sorted(CONFIGS) for k in _kinds(api.model_from_config(CONFIGS[f]))]
+)
+def test_pretrain_step_records_no_position_geometry(family, kind, monkeypatch):
+    # no pretext differentiates by position, so the edge geometry and the
+    # triplet bases, which read nothing else, stay off the tape
+    scopes = set()
+    release = T.Tape.release
+
+    def collecting_release(tape):
+        scopes.update(rec.scope for rec in tape.records)
+        release(tape)
+
+    monkeypatch.setattr(T.Tape, "release", collecting_release)
+    model = api.model_from_config(CONFIGS[family])
+    tr.train_pretrain(model, kind, _confs(), _schedule(), seed=0, steps=1)
+    assert scopes and not scopes & {"edges", "triplets"}
 
 
 def test_train_pretrain_rejects_unknown_kind():
