@@ -20,8 +20,10 @@ Float arrays are compared as int64 bits. Prints, per (family, quantity),
 the arrays compared, how many differ and the largest difference relative
 to the largest magnitude of the reference array, then any parameter name
 that exists on one side only. Then, for information, each side's traced
-peak (tracemalloc) of one more `train_energy_force` step per family, which
-shows what a change does to the memory a step holds. The last line gives
+peak (tracemalloc) of one more `train_energy_force` step per family, and of
+one first-order force call (`force_from_energy`) per family on the largest
+frame of the stream, which show what a change does to the memory a training
+step and an inference call hold. The last line gives
 the number of arrays that differ and the largest of those relative
 differences. Exits 1 if any array differs; the peaks do not count.
 """
@@ -56,7 +58,8 @@ def traced_peak(fn) -> int:
 
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
-    {family: bytes}} for the tree on the path."""
+    {family: bytes}, "force_peaks": {family: bytes}} for the tree on the
+    path."""
     from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
@@ -68,7 +71,8 @@ def dump(out: str) -> None:
     sets = {"synthetic": confs, "stream": infer_stream(0, 8, 1)}
     schedule = tr.ScheduleSpec(lr_max=1e-3, lr_min=1e-5, total_steps=STEPS)
     configs = dict(CONFIGS, **{f"{f}-3layer": dict(CONFIGS[f], layers=3) for f in ("tfn", "se3attn")})
-    arrays, peaks = {}, {}
+    largest = max(sets["stream"], key=lambda conf: conf.n_atoms)
+    arrays, peaks, force_peaks = {}, {}, {}
     for family, config in configs.items():
         model = api.model_from_config(config)
         params = model.init(0)
@@ -92,8 +96,9 @@ def dump(out: str) -> None:
                 arrays[family, f"pretext.{kind}"] = {"train_loss": np.asarray(history["train_loss"])}
         # after the steps above, so one-time tables are built already
         peaks[family] = traced_peak(lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1))
+        force_peaks[family] = traced_peak(lambda: tr.force_from_energy(model, params, largest))
     with open(out, "wb") as fh:
-        pickle.dump({"arrays": arrays, "peaks": peaks}, fh)
+        pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks}, fh)
 
 
 def run_dump(tree: Path, out: Path) -> dict:
@@ -150,10 +155,11 @@ def main(argv=None) -> int:
         ref = run_dump(tree, Path(tmp) / "ref.pkl")
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
     differ, largest = compare(ref["arrays"], new["arrays"])
-    print("traced peak of one train_energy_force step (MB), REF -> this checkout:")
-    for family in sorted(set(ref["peaks"]) | set(new["peaks"])):
-        a, b = (side["peaks"].get(family, math.nan) / 1e6 for side in (ref, new))
-        print(f"{family:15s} {a:8.2f} -> {b:8.2f}")
+    for key, what in (("peaks", "one train_energy_force step"), ("force_peaks", "one force call, largest frame")):
+        print(f"traced peak of {what} (MB), REF -> this checkout:")
+        for family in sorted(set(ref[key]) | set(new[key])):
+            a, b = (side[key].get(family, math.nan) / 1e6 for side in (ref, new))
+            print(f"{family:15s} {a:8.2f} -> {b:8.2f}")
     print(f"{differ} arrays differ, max_rel={largest:.3e}")
     return 1 if differ else 0
 

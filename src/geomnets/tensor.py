@@ -23,18 +23,26 @@ replayed failure reads "non-finite result in op 'mul' in scope 'layer1'",
 or "... in backward of 'layer1'" when the backward produced it.
 
 Backward passes are built out of the same operations. Each record keeps one
-vector-Jacobian rule per input, and a backward pass evaluates only the rules
-of inputs that lie between the root and the requested tensors. A backward
-records its own operations only when asked to (`record=True`, the default),
-so that its gradient can itself be differentiated again, as a position
-gradient inside a training loss is. A first-order caller (forces for
-inference, the parameter gradient of a step, evaluation) passes
-`record=False`, gets plain tensors back, and releases its tape before it
-returns.
+vector-Jacobian rule per input on the tape (a watched leaf or a recorded
+result); an input off it, a constant or a tensor never watched, gets none.
+A backward pass evaluates only the rules of inputs that lie between the
+root and the requested tensors. So a tensor must be watched before its
+first use: a backward that needs a rule its op did not keep raises a
+ContractError naming the op. A backward records its own operations only
+when asked to (`record=True`, the default), so that its gradient can itself
+be differentiated again, as a position gradient inside a training loss is.
+A first-order caller (forces for inference, the parameter gradient of a
+step, evaluation) passes `record=False`, gets plain tensors back, and
+releases its tape before it returns; one that needs no parameter gradient
+leaves the parameters off the tape.
 
-A rule keeps only what it reads: `mul` keeps both operands, `exp` its
-result, `add` and `sub` only their operands' shapes. An unrecorded backward
-spends each record once it has run its rules: the rules are dropped, so the
+A rule keeps only what it reads: the rule of `mul` or `matmul` for one
+operand keeps the other, `div`'s for the dividend keeps the divisor (its
+rule for the divisor keeps both), `exp`'s its result, and `add`'s and
+`sub`'s only the shapes. So a product whose other operand is a constant or
+an unwatched parameter does not hold its taped operand. An unrecorded
+backward spends each record it runs: it drops each rule as soon as the rule
+has run and each gradient sum as soon as a new one replaces it, so the
 tensors they kept are freed as the backward goes instead of at `release`.
 It therefore runs last on its tape; a later backward that reaches a spent
 record raises a ContractError naming its op.
@@ -53,7 +61,7 @@ import json
 import math
 import platform
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
@@ -165,15 +173,19 @@ class Tensor:
 @dataclass
 class _Record:
     """One executed operation: inputs, output and one vector-Jacobian rule
-    per input, mapping the output's gradient to that input's contribution,
-    and the scope the operation ran in. An unrecorded backward that runs the
-    rules sets `vjps` to None, which frees what they kept."""
+    per input, mapping the output's gradient to that input's contribution
+    (None for an input that was off the tape), and the scope the operation
+    ran in. An unrecorded backward that runs the rules sets `vjps` to None
+    and drops each rule once it has run, which frees what they kept."""
 
     name: str
     input_uids: tuple[int, ...]
     output_uid: int
-    vjps: tuple[Callable[[Tensor], Tensor], ...] | None
+    vjps: tuple[Callable[[Tensor], Tensor] | None, ...] | None
     scope: str
+
+    def site(self) -> str:
+        return f"op '{self.name}'" + (f" in scope '{self.scope}'" if self.scope else "")
 
 
 @dataclass
@@ -232,11 +244,18 @@ class Tape:
         record's rules run in that record's scope.
 
         An unrecorded backward also spends the records whose rules it runs:
-        it drops those rules as it goes, so the tensors they kept are freed
-        during the backward rather than at `release`. The records stay, with
-        their name, scope and uids. Run it last on a tape: a later backward
-        that needs a spent record raises a ContractError naming its op, and
-        one over records it did not run still works.
+        it drops each rule as soon as it has run, and keeps no replaced
+        gradient sum or summed-in term past its add, so the tensors they
+        held are freed during the backward rather than at `release`. The
+        records stay, with their name, scope and uids. Run it last on a
+        tape: a later backward that needs a spent record raises a
+        ContractError naming its op, and one over records it did not run
+        still works.
+
+        A record keeps no rule for an input that was off the tape when it
+        ran. A backward that needs one, for a `wrt` tensor never watched or
+        watched only after its first use, raises a ContractError naming the
+        op and its scope.
         """
         global _scope, _in_backward
         root_idx = self._root_index(root)
@@ -258,18 +277,24 @@ class Tape:
                 g = grads.pop(rec.output_uid, None)
                 if g is None or rec.output_uid not in descends:
                     continue
-                if rec.vjps is None:
-                    where = f"op '{rec.name}'" + (f" in scope '{rec.scope}'" if rec.scope else "")
-                    raise ContractError(f"{where} was spent by an earlier unrecorded backward")
+                rules = rec.vjps
+                if rules is None:
+                    raise ContractError(f"{rec.site()} was spent by an earlier unrecorded backward")
+                if not record:  # spend the record, and each rule as soon as it has run
+                    rec.vjps, rules = None, list(rules)
                 _scope = rec.scope
-                for uid, vjp in zip(rec.input_uids, rec.vjps):
+                for i, uid in enumerate(rec.input_uids):
                     if uid not in descends:
                         continue
-                    contrib = vjp(g)
-                    held = grads.get(uid)
-                    grads[uid] = contrib if held is None else add(held, contrib)
-                if not record:
-                    rec.vjps = None
+                    if rules[i] is None:
+                        raise ContractError(
+                            f"{rec.site()} kept no rule for an input off the tape when it ran;"
+                            " watch a tensor before its first use"
+                        )
+                    # one expression, so no local keeps the term or the sum it replaces
+                    grads[uid] = add(grads[uid], rules[i](g)) if uid in grads else rules[i](g)
+                    if not record:
+                        rules[i] = None
         finally:
             self._recording = True
             _scope, _in_backward = outer
@@ -282,18 +307,6 @@ class Tape:
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _common_tape(tensors: Iterable[Tensor]) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ContractError("operands live on different tapes")
-    return tape
 
 
 # ops that map finite inputs to finite outputs; a replay checks every other op
@@ -319,7 +332,14 @@ def _where(name: str) -> str:
 def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> Tensor:
     if _check_ops and name not in _FINITE_BY_CONSTRUCTION and not _finite(data):
         raise NumericError(f"non-finite result in {_where(name)}")
-    tape = _common_tape(inputs)
+    tape, off_tape = None, False
+    for t in inputs:
+        if t.tape is None:
+            off_tape = True
+        elif tape is None:
+            tape = t.tape
+        elif tape is not t.tape:
+            raise ContractError("operands live on different tapes")
     if tape is not None and not tape._recording:
         tape = None  # an unrecorded backward: the result is a plain tensor
     out = Tensor.__new__(Tensor)
@@ -327,6 +347,8 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> T
     out.tape = tape
     out.uid = next(_UID)
     if tape is not None:
+        if off_tape:  # keep no rule, nor what it closes over, for an input off the tape
+            vjps = tuple([None if t.tape is None else vjp for t, vjp in zip(inputs, vjps)])
         tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps, _scope))
     return out
 
@@ -409,7 +431,7 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 # both terms of every gradient sum in a recorded backward, as long as the tape.
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     return _op(
         "add",
         (a, b),
@@ -420,7 +442,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     return _op(
         "sub",
         (a, b),
@@ -429,18 +451,24 @@ def sub(a, b) -> Tensor:
     )
 
 
+# The rules of mul, div and matmul close over the partner operand and the
+# shapes, so a record whose other input is off the tape, and so keeps no
+# rule for it, does not hold its taped operand. Only div's rule for the
+# divisor reads the divisor itself.
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
+    sa, sb = a.data.shape, b.data.shape
     return _op(
         "mul",
         (a, b),
         a.data * b.data,
-        (lambda g: _unbroadcast(mul(g, b), a.shape), lambda g: _unbroadcast(mul(g, a), b.shape)),
+        (lambda g: _unbroadcast(mul(g, b), sa), lambda g: _unbroadcast(mul(g, a), sb)),
     )
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
+    sa, sb = a.data.shape, b.data.shape
     with np.errstate(all="ignore"):
         data = a.data / b.data
     return _op(
@@ -448,25 +476,26 @@ def div(a, b) -> Tensor:
         (a, b),
         data,
         (
-            lambda g: _unbroadcast(div(g, b), a.shape),
-            lambda g: _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), b.shape),
+            lambda g: _unbroadcast(div(g, b), sa),
+            lambda g: _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), sb),
         ),
     )
 
 
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
         raise ShapeError("matmul operands need at least two dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul inner dims differ: {sa} @ {sb}")
     return _op(
         "matmul",
         (a, b),
         a.data @ b.data,
         (
-            lambda g: _unbroadcast(matmul(g, transpose2(b)), a.shape),
-            lambda g: _unbroadcast(matmul(transpose2(a), g), b.shape),
+            lambda g: _unbroadcast(matmul(g, transpose2(b)), sa),
+            lambda g: _unbroadcast(matmul(transpose2(a), g), sb),
         ),
     )
 

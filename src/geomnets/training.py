@@ -6,7 +6,11 @@ differentiate the predicted energy by the coordinates for forces, then
 differentiate the combined loss for the parameter update. Coordinates are
 watched only where forces are taken (`_predict`); a zero force weight and
 every pretext read them off the tape, so their position-only geometry is
-never recorded. Only the force backward inside a loss is recorded; every
+never recorded. Parameters are watched only where their gradient is taken,
+in a training step: the first-order calls (`force_from_energy`,
+`evaluate_energy_force`) read them off the tape, so work on parameters
+alone records nothing and no record keeps an activation for a weight's
+gradient. Only the force backward inside a loss is recorded; every
 outermost backward runs unrecorded, last on its tape, and each caller
 releases its tape before it returns.
 
@@ -50,7 +54,7 @@ def force_from_energy(model, params: dict[str, np.ndarray], conf: Conformation):
     batch = build_batch([conf], model.cutoff, model.needs_angles)
 
     def run(tape):
-        return _predict(model, T.lift(params, tape), batch, tape, None, None, record=False)
+        return _predict(model, T.lift(params), batch, tape, None, None, record=False)
 
     tape, (energy, forces) = T.checked(run)
     tape.release()
@@ -402,7 +406,7 @@ def evaluate_energy_force(
     e_true, f_true = _targets(confs)
 
     def run(tape):
-        return _predict(model, T.lift(params, tape), batch, tape, stats, n_per_graph, record=False)
+        return _predict(model, T.lift(params), batch, tape, stats, n_per_graph, record=False)
 
     tape, (energy, forces) = T.checked(run)
     tape.release()

@@ -133,7 +133,24 @@ tensors their rules kept are freed as it goes, and `add` and `sub` keep only
 their operands' shapes. Traced memory (tracemalloc) may rise during that
 backward by at most `LOSS_BACKWARD_GROWTH` times what the step held when it
 began; a tape that held every rule until `release` rose 1.23-1.33 times at
-these configs, this tape 1.02-1.16 times.
+these configs, one that freed each record after running all its rules
+1.01-1.13 times. A record now keeps no rule for an input off the tape, and
+`mul`, `div` and `matmul` close over the partner operand, so a step holds
+less when that backward begins, and the backward drops each rule, and each
+gradient sum it replaces, as soon as it is done with it: 1.02-1.18 times
+(tfn 1.133 -> 1.183, though its peak fell 1.39 -> 1.24 MB).
+
+A first-order call (`force_from_energy`, `evaluate_energy_force`) needs
+position gradients alone, so it leaves the parameters off the tape: work on
+parameters alone, such as the type embedding's gather and schnet's and
+leaky's layer-0 input transform and its gather, records nothing, and no
+record of a product keeps an activation for the sake of a weight's
+gradient. `FORCE_CALL_RECORDS` pins the records of one such call on the
+first molecule; with every parameter watched they were dimenet 121, egnn
+60, leaky 52, painn 111, schnet 50, se3attn 326 and tfn 201.
+`FORCE_CALL_PEAK_UNITS` bounds the traced peak of one schnet force call on
+a 400-atom cluster in units of one (E, hidden) float64 array: 12.5 units
+with every parameter watched and every rule kept, 9.7 now.
 """
 
 import tracemalloc
@@ -149,7 +166,7 @@ from geomnets import training as tr
 from geomnets.geometry import Conformation, PairIndex
 from geomnets.models import api
 from geomnets.models.common import build_batch
-from test_parity import CONFIGS, _confs, _schedule
+from test_parity import CONFIGS, CUTOFF, _confs, _schedule
 
 RECORDS_PER_STEP = {
     "dimenet": 353,
@@ -178,6 +195,21 @@ ENERGY_ONLY_RECORDS_PER_STEP = {
 # bound on the traced memory at the loss backward's peak over that at its start
 LOSS_BACKWARD_GROWTH = 1.2
 
+# records of one `force_from_energy` call on the first molecule
+FORCE_CALL_RECORDS = {
+    "dimenet": 114,
+    "egnn": 57,
+    "leaky": 49,
+    "painn": 103,
+    "schnet": 47,
+    "se3attn": 257,
+    "tfn": 162,
+}
+
+# bound on the traced peak of one schnet force call on a large cluster, in
+# units of one (E, hidden) float64 array
+FORCE_CALL_PEAK_UNITS = 10.0
+
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
     "egnn": 27,
@@ -191,7 +223,7 @@ FINITE_CHECKS_PER_STEP = {
 
 def test_every_family_is_pinned():
     assert sorted(RECORDS_PER_STEP) == sorted(CONFIGS) == sorted(FINITE_CHECKS_PER_STEP)
-    assert sorted(ENERGY_ONLY_RECORDS_PER_STEP) == sorted(CONFIGS)
+    assert sorted(ENERGY_ONLY_RECORDS_PER_STEP) == sorted(CONFIGS) == sorted(FORCE_CALL_RECORDS)
 
 
 def _count_records(monkeypatch):
@@ -270,6 +302,47 @@ def test_loss_backward_frees_what_it_has_run(family, monkeypatch):
         tracemalloc.stop()
     ((start, peak),) = seen
     assert peak <= LOSS_BACKWARD_GROWTH * start
+
+
+@pytest.mark.parametrize("family", sorted(FORCE_CALL_RECORDS))
+def test_records_of_one_force_call(family, monkeypatch):
+    model = api.model_from_config(CONFIGS[family])
+    params = model.init(0)
+    sizes, scopes = _count_records(monkeypatch)
+    tr.force_from_energy(model, params, _confs()[0])
+    assert sizes == [FORCE_CALL_RECORDS[family]]
+    # the type embedding reads parameters alone; these embed scopes also
+    # hold position work (harmonics, edge expansions)
+    assert ("embed" in scopes) == (family in ("dimenet", "painn", "se3attn", "tfn"))
+
+
+def _cluster(n: int, seed: int) -> Conformation:
+    """n atoms of a jittered cubic grid at 12 cubic angstrom per atom, the
+    sites nearest its centre."""
+    rng = np.random.default_rng(seed)
+    grid = int(np.ceil((2.0 * n) ** (1.0 / 3.0)))
+    cells = np.stack(np.meshgrid(*[np.arange(grid)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    nearest = np.argsort(np.linalg.norm(cells + 0.5 - grid / 2.0, axis=1), kind="stable")[:n]
+    pos = (cells[nearest] + 0.5 + rng.uniform(-0.15, 0.15, (n, 3))) * 12.0 ** (1.0 / 3.0)
+    return Conformation(rng.integers(1, 10, n), pos)
+
+
+def test_force_call_peak_on_a_large_cluster():
+    # the width of the inference benchmark's schnet
+    config = {"family": "schnet", "hidden": 32, "layers": 2, "cutoff": CUTOFF}
+    model = api.model_from_config(config)
+    params = model.init(0)
+    conf = _cluster(400, seed=0)
+    n_edges = build_batch([conf], model.cutoff).n_edges
+    assert n_edges > 25 * conf.n_atoms  # edges, not atoms, set the size
+    tr.force_from_energy(model, params, conf)  # one-time tables
+    tracemalloc.start()
+    try:
+        tr.force_from_energy(model, params, conf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FORCE_CALL_PEAK_UNITS * n_edges * config["hidden"] * 8
 
 
 def test_dimenet_records_at_triplet_scale(monkeypatch):

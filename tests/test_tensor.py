@@ -653,6 +653,87 @@ def test_a_backward_through_a_spent_record_raises(record):
         tape.gradient(T.sum_(y * 2.0), [x], record=record)
 
 
+# (op, the position of the taped operand); div's rule for a taped divisor
+# reads the divisor itself, so only its dividend is taped here
+@pytest.mark.parametrize("name, taped", [("mul", 0), ("mul", 1), ("div", 0), ("matmul", 0), ("matmul", 1)])
+def test_a_record_keeps_no_rule_for_an_operand_off_the_tape(name, taped):
+    tape = T.Tape()
+    x = tape.tensor(rng.normal(size=(2, 2)))
+    const = T.Tensor(rng.normal(size=(2, 2)) + 3.0)
+    operands = (x, const) if taped == 0 else (const, x)
+    out = getattr(T, name)(*operands)
+    (rec,) = tape.records
+    assert rec.vjps[1 - taped] is None
+    kept = [cell.cell_contents for cell in rec.vjps[taped].__closure__]
+    assert any(v is const for v in kept) and not any(v is x for v in kept)
+    (g,) = tape.gradient(T.sum_(out), [x], record=False)
+    want = {
+        ("mul", 0): const.data,
+        ("mul", 1): const.data,
+        ("div", 0): 1.0 / const.data,
+        ("matmul", 0): np.ones((2, 2)) @ const.data.T,
+        ("matmul", 1): const.data.T @ np.ones((2, 2)),
+    }[name, taped]
+    assert g.data.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("late", [False, True])
+def test_a_backward_into_an_input_off_the_tape_raises(late, record):
+    # a wrt tensor never watched, or one watched only after its first use:
+    # the op that used it kept no rule for it
+    tape = T.Tape()
+    w = tape.tensor([2.0, 0.25])
+    x = T.Tensor([0.5, -1.0])
+    with T.scope("layer0"):
+        y = T.mul(x, w)
+    if late:
+        tape.watch(x)
+        y = T.mul(y, x)
+    with pytest.raises(ContractError, match=r"^op 'mul' in scope 'layer0' kept no rule for an input off the tape"):
+        tape.gradient(T.sum_(y), [x], record=record)
+
+
+def test_an_unrecorded_backward_drops_each_rule_once_it_has_run():
+    # the product's rule for `a` is all that holds `b`, so `b` is gone by
+    # the time its own rule runs
+    tape = T.Tape()
+    x, y = tape.tensor([0.5, -1.0]), tape.tensor([2.0, 0.25])
+    a, b = x * 2.0, y * 3.0
+    kept = weakref.ref(b.data)
+    root = T.sum_(a * b)
+    del a, b
+    rec = tape.records[2]
+    seen = []
+    rec.vjps = (rec.vjps[0], lambda g, rule=rec.vjps[1]: seen.append(kept() is None) or rule(g))
+    gx, gy = tape.gradient(root, [x, y], record=False)
+    assert seen == [True]
+    assert gx.data.tolist() == [12.0, 1.5] and gy.data.tolist() == [3.0, -6.0]
+
+
+def test_an_unrecorded_backward_holds_no_replaced_sum_into_the_next_rule():
+    # x's gradient sums two terms; when the rule that reads the sum runs,
+    # neither is alive: not the first, which the sum replaced, nor the second
+    tape = T.Tape()
+    w = tape.tensor([0.5, -1.0])
+    x = w * 1.5
+    root = T.sum_(x * 2.0 + x * 3.0)
+    terms, seen = [], []
+
+    def noted(t):
+        terms.append(weakref.ref(t.data))
+        return t
+
+    for rec in tape.records[1:3]:
+        rec.vjps = (lambda g, rule=rec.vjps[0]: noted(rule(g)), None)
+    first = tape.records[0]
+    first.vjps = (lambda g, rule=first.vjps[0]: seen.extend(ref() is None for ref in terms) or rule(g), None)
+    del rec, first
+    (gw,) = tape.gradient(root, [w], record=False)
+    assert seen == [True, True]
+    assert gw.data.tolist() == [7.5, 7.5]
+
+
 def test_an_unrecorded_backward_runs_only_what_descends_from_its_wrt():
     # the root reaches exp(w), but it does not descend from x: a backward
     # by x neither runs nor spends it, and a later one by w goes through it
