@@ -16,7 +16,13 @@ with 3 layers (so a hidden attention layer is compared too):
 - the parameters and the history after 3 `train_energy_force` steps;
 - the losses of 3 steps of every pretext the family supports.
 
-Float arrays are compared as int64 bits. Prints, per (family, quantity),
+It also holds the artifacts of CLI runs on the tree: `build-graph` in both
+modes on the same two sets, `check-equiv --trials 5` for every family of
+`tests/test_parity.py`, and a 3-step painn `train` with `normalize`, its
+`eval` and a `denoise` `pretrain`. An artifact is a run's exit code, stdout,
+stderr and the files it wrote, its metrics.json without `wall_seconds`.
+
+Float arrays are compared as int64 bits, artifacts byte for byte. Prints, per (family, quantity),
 the arrays compared, how many differ and the largest difference relative
 to the largest magnitude of the reference array, then any parameter name
 that exists on one side only. Then, for information, each side's traced
@@ -25,10 +31,13 @@ one first-order force call (`force_from_energy`) per family on the largest
 frame of the stream, which show what a change does to the memory a training
 step and an inference call hold. The last line gives
 the number of arrays that differ and the largest of those relative
-differences. Exits 1 if any array differs; the peaks do not count.
+differences, and the number of CLI artifacts that differ. Exits 1 if any
+array or artifact differs; the peaks do not count.
 """
 
+import contextlib
 import io
+import json
 import math
 import os
 import pickle
@@ -56,10 +65,50 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
+    """{run label: artifact} of the CLI runs of the module docstring, made in
+    the working directory with the tree on the path."""
+    from geomnets import cli
+    from geomnets.geometry import save_dataset
+
+    artifacts = {}
+
+    def run(label, *argv, files=()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+        parts = [f"exit {code}", stdout.getvalue(), stderr.getvalue()]
+        for name in files:
+            text = Path(name).read_text()
+            if name.endswith("metrics.json"):
+                metrics = json.loads(text)
+                del metrics["wall_seconds"]
+                text = json.dumps(metrics, sort_keys=True)
+            parts.append(f"{name}\n{text}")
+        artifacts[label] = "\n".join(parts).encode()
+
+    for label, structures in sets.items():
+        save_dataset(f"{label}.jsonl", structures)
+        for mode in ("gathered", "expanded"):
+            argv = ["--input", f"{label}.jsonl", "--output", "edges.jsonl", "--cutoff", "5.0", "--periodic", mode]
+            run(f"build-graph.{label}.{mode}", "build-graph", *argv, files=["edges.jsonl"])
+    for family, config in configs.items():
+        Path("model.json").write_text(json.dumps(config))
+        run(f"check-equiv.{family}", "check-equiv", "--config", "model.json", "--trials", "5")
+    train = {"dataset": "synthetic.jsonl", "model": configs["painn"], "steps": STEPS, "normalize": True}
+    Path("train.json").write_text(json.dumps(train))
+    Path("pretrain.json").write_text(json.dumps(dict(train, task="denoise")))
+    for command in ("train", "pretrain"):  # each writes under a directory of its name
+        outputs = [f"{command}/metrics.json", f"{command}/checkpoint.json"]
+        run(command, command, "--config", f"{command}.json", "--out", command, files=outputs)
+    run("eval", "eval", "--config", "train.json", "--checkpoint", "train/checkpoint.json")
+    return artifacts
+
+
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
-    {family: bytes}, "force_peaks": {family: bytes}} for the tree on the
-    path."""
+    {family: bytes}, "force_peaks": {family: bytes}, "cli": {label: bytes}}
+    for the tree on the path."""
     from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
@@ -97,15 +146,19 @@ def dump(out: str) -> None:
         # after the steps above, so one-time tables are built already
         peaks[family] = traced_peak(lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1))
         force_peaks[family] = traced_peak(lambda: tr.force_from_energy(model, params, largest))
+    cli = cli_artifacts(sets, CONFIGS)
     with open(out, "wb") as fh:
-        pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks}, fh)
+        pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "cli": cli}, fh)
 
 
 def run_dump(tree: Path, out: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env.pop("GEOM_SEED", None)  # the CLI runs use their configs' seeds
     env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (tree / "src", tree, tree / "tests", ROOT / "scripts"))
     code = "import sys, bitwise_ab; bitwise_ab.dump(sys.argv[1])"
-    subprocess.run([sys.executable, "-c", code, str(out)], cwd=tree, env=env, check=True)
+    work = out.with_suffix(".cli")  # the CLI runs' working directory, so their paths read the same
+    work.mkdir()
+    subprocess.run([sys.executable, "-c", code, str(out)], cwd=work, env=env, check=True)
     with open(out, "rb") as fh:
         return pickle.load(fh)
 
@@ -138,6 +191,16 @@ def compare(ref: dict, new: dict) -> tuple[int, float]:
     return total, largest
 
 
+def compare_cli(ref: dict, new: dict) -> int:
+    """Print whether each CLI artifact is the same; the number that differ."""
+    differ = 0
+    for label in sorted(set(ref) | set(new)):
+        same = ref.get(label) == new.get(label)
+        differ += not same
+        print(f"cli {label:33s} {'same' if same else 'DIFFERS'}")
+    return differ
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or argv[0].startswith("-"):
@@ -155,13 +218,14 @@ def main(argv=None) -> int:
         ref = run_dump(tree, Path(tmp) / "ref.pkl")
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
     differ, largest = compare(ref["arrays"], new["arrays"])
+    cli_differ = compare_cli(ref["cli"], new["cli"])
     for key, what in (("peaks", "one train_energy_force step"), ("force_peaks", "one force call, largest frame")):
         print(f"traced peak of {what} (MB), REF -> this checkout:")
         for family in sorted(set(ref[key]) | set(new[key])):
             a, b = (side[key].get(family, math.nan) / 1e6 for side in (ref, new))
             print(f"{family:15s} {a:8.2f} -> {b:8.2f}")
-    print(f"{differ} arrays differ, max_rel={largest:.3e}")
-    return 1 if differ else 0
+    print(f"{differ} arrays differ, max_rel={largest:.3e}, {cli_differ} CLI artifacts differ")
+    return 1 if differ or cli_differ else 0
 
 
 if __name__ == "__main__":

@@ -178,15 +178,23 @@ def _write_run(out: str, cfg: RunConfig, params: dict, history: dict, started: f
 # train / eval / pretrain
 
 
-def cmd_train(args) -> int:
-    cfg = apply_seed_override(RunConfig.from_file(args.config))
-    if cfg.task not in SUPERVISED_TASKS:
-        raise ContractError(f"train handles supervised tasks, not '{cfg.task}'")
+def _run_setup(path: str, tasks: tuple, refusal: str, needs_train: bool):
+    """The config at `path` with GEOM_SEED applied, its dataset, the dataset's
+    (train, val, test) split and the model. A task outside `tasks` is a
+    ContractError reading `refusal`; so is an empty training split when
+    `needs_train`, found before the model is built."""
+    cfg = apply_seed_override(RunConfig.from_file(path))
+    if cfg.task not in tasks:
+        raise ContractError(f"{refusal}, not '{cfg.task}'")
     confs = load_dataset(cfg.dataset)
-    train, val, _ = split_dataset(confs, cfg.split, cfg.seed)
-    if not train:
+    parts = split_dataset(confs, cfg.split, cfg.seed)
+    if needs_train and not parts[0]:
         raise ContractError("training split is empty")
-    model = api.model_from_config(cfg.model)
+    return cfg, confs, parts, api.model_from_config(cfg.model)
+
+
+def cmd_train(args) -> int:
+    cfg, _, (train, val, _), model = _run_setup(args.config, SUPERVISED_TASKS, "train handles supervised tasks", True)
     stats = tr.stats_from_conformations(train) if cfg.normalize else None
     weights = tr.LossWeights(
         cfg.energy_weight, 0.0 if cfg.task == "energy" else cfg.force_weight
@@ -211,13 +219,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = apply_seed_override(RunConfig.from_file(args.config))
-    if cfg.task not in SUPERVISED_TASKS:
-        raise ContractError(f"eval handles supervised tasks, not '{cfg.task}'")
-    confs = load_dataset(cfg.dataset)
-    train, _, test = split_dataset(confs, cfg.split, cfg.seed)
+    cfg, confs, (train, _, test), model = _run_setup(args.config, SUPERVISED_TASKS, "eval handles supervised tasks", False)
     held_out = test if test else confs
-    model = api.model_from_config(cfg.model)
     params = T.load_checkpoint(args.checkpoint)
     _check_checkpoint_fits(params, model.init(cfg.seed), args.checkpoint)
     stats = tr.stats_from_conformations(train) if cfg.normalize else None
@@ -246,14 +249,7 @@ def _check_checkpoint_fits(params: dict, expected: dict, path: str) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = apply_seed_override(RunConfig.from_file(args.config))
-    if cfg.task not in tr.PRETRAIN_KINDS:
-        raise ContractError(f"pretrain needs a self-supervised task, not '{cfg.task}'")
-    confs = load_dataset(cfg.dataset)
-    train, _, _ = split_dataset(confs, cfg.split, cfg.seed)
-    if not train:
-        raise ContractError("training split is empty")
-    model = api.model_from_config(cfg.model)
+    cfg, _, (train, _, _), model = _run_setup(args.config, tr.PRETRAIN_KINDS, "pretrain needs a self-supervised task", True)
     schedule = tr.ScheduleSpec(cfg.lr_max, cfg.lr_min, cfg.steps)
     started = time.perf_counter()
     params, history = tr.train_pretrain(
@@ -303,37 +299,25 @@ def _energy_and_vectors(model, params, z, pos):
 def equivariance_claims(model, params, trials: int, seed: int) -> list[dict]:
     """Max deviations over random trials for every symmetry the family claims."""
     rng = np.random.default_rng(seed)
-    invariant_family = not model.has_vector_output
-    rot_tol = 1e-10 if invariant_family else 1e-8
-    dev = {"rotation_energy": 0.0, "translation_energy": 0.0}
-    if not invariant_family:
-        dev["rotation_vectors"] = 0.0
-        dev["translation_vectors"] = 0.0
-    for t in range(trials):
+    vectors = model.has_vector_output
+    tol = 1e-8 if vectors else 1e-10
+    quantities = ("energy", "vectors") if vectors else ("energy",)
+    dev = {f"{motion}_{q}": 0.0 for q in quantities for motion in ("rotation", "translation")}
+    for _ in range(trials):
         pos = _dyadic_cluster(rng, model.cutoff)
         z = rng.integers(1, 10, pos.shape[0])
         rot = random_rotation(int(rng.integers(2**31)))
         shift = rng.integers(-16, 17, 3) / 8.0
         e0, v0 = _energy_and_vectors(model, params, z, pos)
-        e_rot, v_rot = _energy_and_vectors(model, params, z, pos @ rot.T)
-        e_tr, v_tr = _energy_and_vectors(model, params, z, pos + shift)
-        dev["rotation_energy"] = max(dev["rotation_energy"], abs(e_rot - e0))
-        dev["translation_energy"] = max(dev["translation_energy"], abs(e_tr - e0))
-        if not invariant_family:
-            dev["rotation_vectors"] = max(
-                dev["rotation_vectors"], np.abs(v_rot - v0 @ rot.T).max()
-            )
-            dev["translation_vectors"] = max(
-                dev["translation_vectors"], np.abs(v_tr - v0).max()
-            )
-    tolerances = {
-        "rotation_energy": rot_tol,
-        "translation_energy": 0.0 if invariant_family else rot_tol,
-        "rotation_vectors": rot_tol,
-        "translation_vectors": rot_tol,
-    }
+        # each motion moves the positions, and the vectors by its linear part alone
+        for motion, moved, linear in (("rotation", pos @ rot.T, rot), ("translation", pos + shift, None)):
+            e, v = _energy_and_vectors(model, params, z, moved)
+            dev[f"{motion}_energy"] = max(dev[f"{motion}_energy"], abs(e - e0))
+            if vectors:
+                expected = v0 if linear is None else v0 @ linear.T
+                dev[f"{motion}_vectors"] = max(dev[f"{motion}_vectors"], np.abs(v - expected).max())
     return [
-        {"claim": name, "max_deviation": value, "tolerance": tolerances[name]}
+        {"claim": name, "max_deviation": value, "tolerance": 0.0 if name == "translation_energy" and not vectors else tol}
         for name, value in dev.items()
     ]
 
@@ -373,35 +357,23 @@ def cmd_check_equiv(args) -> int:
 
 
 def _edge_records(conf: Conformation, cutoff: float, mode: str):
-    name = conf.id
-    if conf.lattice is not None and mode == "expanded":
-        graph = periodic_radius_graph(conf, cutoff, "expanded")
-        inv_lat = np.linalg.inv(conf.lattice)
-        for k in range(graph.edges.src.size):
-            src = int(graph.edges.src[k])
-            node = int(graph.edges.dst[k])
-            anchor = int(graph.image_of[node])
-            # the effective image of the dst atom as written, seen from the src atom as written
-            frac = (graph.edges.rel_vec[k] - conf.pos[anchor] + conf.pos[src]) @ inv_lat
-            yield {
-                "id": name,
-                "src": src,
-                "dst": anchor,
-                "dist": float(graph.edges.dist[k]),
-                "shift": [int(round(c)) for c in frac],
-            }
-        return
-    if conf.lattice is None:
-        edges = radius_graph(conf.pos, cutoff)
+    if conf.lattice is None or mode == "gathered":
+        edges = radius_graph(conf.pos, cutoff) if conf.lattice is None else periodic_radius_graph(conf, cutoff, mode)
+        dst, shift = edges.dst, edges.shift
     else:
-        edges = periodic_radius_graph(conf, cutoff, "gathered")
+        graph = periodic_radius_graph(conf, cutoff, "expanded")
+        edges = graph.edges
+        dst = graph.image_of[edges.dst]
+        # the effective image of each dst atom as written, seen from its src atom as written
+        frac = (edges.rel_vec - conf.pos[dst] + conf.pos[edges.src]) @ np.linalg.inv(conf.lattice)
+        shift = np.rint(frac).astype(np.int64)
     for k in range(edges.src.size):
         yield {
-            "id": name,
+            "id": conf.id,
             "src": int(edges.src[k]),
-            "dst": int(edges.dst[k]),
+            "dst": int(dst[k]),
             "dist": float(edges.dist[k]),
-            "shift": edges.shift[k].tolist(),
+            "shift": shift[k].tolist(),
         }
 
 

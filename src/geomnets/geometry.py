@@ -14,7 +14,6 @@ Edge conventions used everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -266,7 +265,8 @@ def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[
     cutoff / spacing_i plus the spread of the fractional coordinates. For
     positions inside the cell the spread is below 1 and the range is
     ceil(cutoff / spacing_i); the spread term covers atoms that rounding
-    leaves just across a cell face.
+    leaves just across a cell face. A cutoff that needs more than
+    `_MAX_IMAGES` images of the atoms is a ContractError.
     """
     frac = pos @ np.linalg.inv(lattice)
     spread = frac.max(axis=0) - frac.min(axis=0)
@@ -274,14 +274,20 @@ def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[
     counts = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        reach = cutoff / (vol / np.linalg.norm(np.cross(lattice[j], lattice[k])))
-        counts.append(max(math.ceil(reach), math.floor(reach + spread[i])))
-    return tuple(counts)
+        reach = cutoff / float(vol / np.linalg.norm(np.cross(lattice[j], lattice[k])))
+        counts.append(float(max(np.ceil(reach), np.floor(reach + spread[i]))))
+    images = math.prod(2.0 * c + 1.0 for c in counts) * pos.shape[0]  # in floats: a reach can be inf
+    if not images <= _MAX_IMAGES:
+        raise ContractError(f"cutoff {cutoff} needs {images:.3g} periodic images of the atoms, over {_MAX_IMAGES}")
+    return tuple(int(c) for c in counts)
 
 
 # an atom further out than this many cells cannot be moved into the cell
 # exactly enough to keep its neighbors
 _MAX_CELL_OFFSET = 2**40
+# the most atom images (shifts times atoms) a periodic graph enumerates; a
+# cutoff that needs more would exhaust memory before the graph was built
+_MAX_IMAGES = 2**24
 # fractional coordinates this close to a cell face count as inside, so that
 # atoms on a face, which rounding puts on either side, are never moved
 _FACE_SLACK = 1e-9
@@ -305,11 +311,10 @@ def _into_cell(lattice: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _enumerate_shifts(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> np.ndarray:
-    na, nb, nc = _shift_ranges(lattice, pos, cutoff)
-    return np.array(
-        list(itertools.product(range(-na, na + 1), range(-nb, nb + 1), range(-nc, nc + 1))),
-        dtype=np.int64,
-    )
+    """Every shift within `_shift_ranges`, in ascending (a, b, c) order."""
+    ranges = _shift_ranges(lattice, pos, cutoff)
+    # the grid's indices in C order, a row per shift (np.meshgrid takes three times as long)
+    return np.ascontiguousarray(np.indices([2 * n + 1 for n in ranges]).reshape(3, -1).T) - ranges
 
 
 def _images(pos: np.ndarray, shifts: np.ndarray, lattice: np.ndarray) -> np.ndarray:

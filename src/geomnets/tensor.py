@@ -107,9 +107,9 @@ class Tensor:
 
     __slots__ = ("data", "tape", "uid")
 
-    def __init__(self, values, tape: "Tape | None" = None):
+    def __init__(self, values):
         self.data = np.asarray(values, dtype=np.float64)
-        self.tape = tape
+        self.tape = None
         self.uid = next(_UID)
         if not np.isfinite(self.data).all():
             raise NumericError("tensor created with non-finite values")
@@ -193,15 +193,15 @@ class Tape:
     """Append-only record of operations for one differentiation context."""
 
     records: list[_Record] = field(default_factory=list)
-    _record_of: dict[int, int] = field(default_factory=dict)
     _recording: bool = True
 
     def watch(self, tensor: Tensor) -> Tensor:
         """Mark a leaf whose gradient should be tracked."""
-        if tensor.tape is not None and tensor.tape is not self:
-            raise ContractError("tensor already belongs to a different tape")
-        if tensor.uid in self._record_of:
-            raise ContractError("only leaf tensors can be watched")
+        if tensor.tape is not None:  # only a tensor on a tape can be a result; a fresh leaf needs no scan
+            if tensor.tape is not self:
+                raise ContractError("tensor already belongs to a different tape")
+            if any(rec.output_uid == tensor.uid for rec in self.records):
+                raise ContractError("only leaf tensors can be watched")
         tensor.tape = self
         return tensor
 
@@ -210,7 +210,7 @@ class Tape:
         return self.watch(Tensor(values))
 
     def release(self) -> None:
-        """Drop the records and their index once the tape is done.
+        """Drop the records once the tape is done.
 
         Records close over the tape's own tensors, which point back at the
         tape, so a finished tape is a reference cycle; releasing it lets
@@ -220,18 +220,6 @@ class Tape:
         reach and the records themselves. The tape is unusable afterwards.
         """
         self.records.clear()
-        self._record_of.clear()
-
-    def _append(self, record: _Record) -> None:
-        self._record_of[record.output_uid] = len(self.records)
-        self.records.append(record)
-
-    def _root_index(self, root: Tensor) -> int:
-        if root.tape is not self:
-            raise ContractError("root tensor is not on this tape")
-        if root.size != 1:
-            raise ContractError("backward root must be a scalar")
-        return self._record_of.get(root.uid, -1)
 
     def gradient(self, root: Tensor, wrt: Sequence[Tensor], *, record: bool = True) -> list[Tensor]:
         """Gradients of a scalar root w.r.t. the given tensors.
@@ -258,13 +246,18 @@ class Tape:
         op and its scope.
         """
         global _scope, _in_backward
-        root_idx = self._root_index(root)
-        wrt_uids = {t.uid for t in wrt}
+        if root.tape is not self:
+            raise ContractError("root tensor is not on this tape")
+        if root.size != 1:
+            raise ContractError("backward root must be a scalar")
+        # a snapshot, as a recorded backward appends; a record made after
+        # the root never receives a gradient, so it is neither run nor spent
+        records = list(self.records)
 
         # which nodes descend from any wrt tensor; a gradient reaches only
         # what the root reaches, so this is the only pruning set
-        descends: set[int] = set(wrt_uids)
-        for rec in self.records[: root_idx + 1]:
+        descends: set[int] = {t.uid for t in wrt}
+        for rec in records:
             if not descends.isdisjoint(rec.input_uids):
                 descends.add(rec.output_uid)
 
@@ -273,7 +266,7 @@ class Tape:
         self._recording = record
         _in_backward = True
         try:
-            for rec in reversed(self.records[: root_idx + 1]):
+            for rec in reversed(records):
                 g = grads.pop(rec.output_uid, None)
                 if g is None or rec.output_uid not in descends:
                     continue
@@ -349,7 +342,7 @@ def _op(name: str, inputs: Sequence[Tensor], data: np.ndarray, vjps: tuple) -> T
     if tape is not None:
         if off_tape:  # keep no rule, nor what it closes over, for an input off the tape
             vjps = tuple([None if t.tape is None else vjp for t, vjp in zip(inputs, vjps)])
-        tape._append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps, _scope))
+        tape.records.append(_Record(name, tuple(t.uid for t in inputs), out.uid, vjps, _scope))
     return out
 
 

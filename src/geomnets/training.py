@@ -51,14 +51,8 @@ def force_from_energy(model, params: dict[str, np.ndarray], conf: Conformation):
     `.needs_angles`, so test doubles work alongside real handles.  Forces are
     the negative coordinate gradient of the summed energy.
     """
-    batch = build_batch([conf], model.cutoff, model.needs_angles)
-
-    def run(tape):
-        return _predict(model, T.lift(params), batch, tape, None, None, record=False)
-
-    tape, (energy, forces) = T.checked(run)
-    tape.release()
-    return float(energy.data.sum()), forces.data
+    energy, forces = _checked_prediction(model, params, [conf], None)
+    return float(energy.sum()), forces
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +159,11 @@ def cosine_lr(schedule: ScheduleSpec, step: int) -> float:
     return schedule.lr_min + 0.5 * (schedule.lr_max - schedule.lr_min) * (1.0 + np.cos(np.pi * t))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moments with bias correction."""
@@ -172,16 +171,12 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def create(cls, params: dict[str, np.ndarray], **kw) -> "OptimizerState":
+    def create(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            **kw,
         )
 
 
@@ -202,11 +197,11 @@ def adam_step(
     with np.errstate(over="ignore", invalid="ignore"):
         for key, p in params.items():
             g = grads[key]
-            state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-            state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-            m_hat = state.m[key] / (1.0 - state.beta1**t)
-            v_hat = state.v[key] / (1.0 - state.beta2**t)
-            out[key] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
+            state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = state.m[key] / (1.0 - ADAM_BETA1**t)
+            v_hat = state.v[key] / (1.0 - ADAM_BETA2**t)
+            out[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if not all(np.isfinite(a).all() for a in (state.m[key], state.v[key], out[key])):
                 raise NumericError(f"non-finite Adam moment or update for parameter '{key}' at step {t}")
     return out
@@ -296,6 +291,20 @@ def _predict(model, params_t, batch, tape, stats, n_per_graph, record):
     energy = _energy(model, params_t, batch, pos, stats, n_per_graph)
     (g,) = tape.gradient(T.sum_(energy), [pos], record=record)
     return energy, -g
+
+
+def _checked_prediction(model, params, confs, stats):
+    """Energies (G,) and forces (N, 3) of `confs` as arrays, from one batch
+    with the parameters off the tape, checked for finite values."""
+    batch = build_batch(confs, model.cutoff, model.needs_angles)
+    n_per_graph = None if stats is None else np.bincount(batch.node_graph, minlength=batch.n_graphs)
+
+    def run(tape):
+        return _predict(model, T.lift(params), batch, tape, stats, n_per_graph, record=False)
+
+    tape, (energy, forces) = T.checked(run)
+    tape.release()
+    return energy.data, forces.data
 
 
 def _global_norm(arrays) -> float:
@@ -401,18 +410,11 @@ def evaluate_energy_force(
     stats: NormalizationStats | None = None,
 ) -> dict[str, float]:
     """Physical-unit mean absolute errors over a labeled set."""
-    batch = build_batch(confs, model.cutoff, model.needs_angles)
-    n_per_graph = np.bincount(batch.node_graph, minlength=batch.n_graphs)
+    energy, forces = _checked_prediction(model, params, confs, stats)
     e_true, f_true = _targets(confs)
-
-    def run(tape):
-        return _predict(model, T.lift(params), batch, tape, stats, n_per_graph, record=False)
-
-    tape, (energy, forces) = T.checked(run)
-    tape.release()
     return {
-        "mae_energy": float(np.mean(np.abs(energy.data - e_true))),
-        "mae_force": float(np.mean(np.abs(forces.data - f_true))),
+        "mae_energy": float(np.mean(np.abs(energy - e_true))),
+        "mae_force": float(np.mean(np.abs(forces - f_true))),
     }
 
 
@@ -477,7 +479,7 @@ def masked_pretrain_loss(
         rep = T.concat([T.gather(h, batch.src[picked]), T.gather(h, batch.dst[picked])], axis=1)
         pred = T.mlp_apply(_head_spec(model, 2), params_t, rep, "dist_head")
         target = Tensor(_edge_distances(batch)[picked][:, None])
-        return T.mean((pred - target) * (pred - target))
+        return _reduce(pred - target, "mse")
     if kind == "angle":
         if batch.angles is None:
             raise ContractError("angle pretraining needs a batch built with angles")
@@ -495,7 +497,7 @@ def masked_pretrain_loss(
         )
         pred = T.mlp_apply(_head_spec(model, 3), params_t, rep, "angle_head")
         target = Tensor(batch.angles.angle[picked][:, None])
-        return T.mean((pred - target) * (pred - target))
+        return _reduce(pred - target, "mse")
     raise ContractError(f"unknown masked pretraining kind '{kind}'")
 
 
@@ -527,9 +529,7 @@ def denoise_pretrain_loss(
     Only families with an equivariant vector output can express the target;
     `node_vectors` raises a ContractError for scalar-only families.
     """
-    pred = model.node_vectors(params_t, batch, pos)
-    diff = pred - Tensor(noise)
-    return T.mean(diff * diff)
+    return _reduce(model.node_vectors(params_t, batch, pos) - Tensor(noise), "mse")
 
 
 def info_nce_loss(anchors: Tensor, positives: Tensor, temperature: float = 0.1) -> Tensor:

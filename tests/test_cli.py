@@ -13,7 +13,7 @@ import pytest
 
 from geomnets import cli, tensor as T, training as tr
 from geomnets.errors import ContractError
-from geomnets.geometry import Conformation, load_dataset, save_dataset
+from geomnets.geometry import Conformation, load_dataset, periodic_radius_graph, save_dataset
 from geomnets.models import api
 from geomnets.models import spherical as sph
 
@@ -739,6 +739,49 @@ def test_build_graph_modes_agree_as_multisets(structures):
             for r in rows
         )
     assert outs["gathered"] == outs["expanded"]
+
+
+def test_build_graph_expanded_rows_follow_the_expanded_graph(tmp_path):
+    # a skewed cell with one atom written outside it: rows come in the
+    # expanded graph's order, each dst is the anchor of its image, and the
+    # shift reaches that image from the atoms as written
+    lat = np.array([[3.0, 0.0, 0.0], [0.8, 2.9, 0.0], [0.3, 0.4, 3.1]])
+    pos = np.array([[0.0, 0.0, 0.0], [1.5, 1.5, 1.5], [4.1, -0.7, 0.9]])
+    conf = Conformation(z=[11, 17, 8], pos=pos, lattice=lat, id="skew")
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    save_dataset(path, [conf])
+    result = run_cli(
+        "build-graph", "--input", str(path), "--output", str(out), "--cutoff", "3.0", "--periodic", "expanded"
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    graph = periodic_radius_graph(conf, 3.0, "expanded")
+    assert [r["src"] for r in rows] == graph.edges.src.tolist()
+    assert [r["dst"] for r in rows] == graph.image_of[graph.edges.dst].tolist()
+    assert [r["dist"] for r in rows] == graph.edges.dist.tolist()
+    assert any(r["shift"] != [0, 0, 0] for r in rows)
+    for r in rows:
+        rel = pos[r["dst"]] + np.array(r["shift"]) @ lat - pos[r["src"]]
+        assert abs(np.linalg.norm(rel) - r["dist"]) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["build-graph", "train"])
+def test_a_cutoff_past_the_periodic_image_cap_exits_2(command, tmp_path):
+    # 1e308 over a 3 A cell would need infinitely many images
+    salt = Conformation(
+        z=[11, 17], pos=[[0.0, 0, 0], [1.5, 1.5, 1.5]], lattice=np.eye(3) * 3.0, energy=-1.0, forces=np.zeros((2, 3))
+    )
+    data = tmp_path / "salt.jsonl"
+    save_dataset(data, [salt] * 4)
+    if command == "build-graph":
+        args = ["--input", str(data), "--output", str(tmp_path / "o.jsonl"), "--cutoff", "1e308"]
+    else:
+        cfg = {"dataset": str(data), "model": {"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 1e308}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]
+    result = run_cli(command, *args)
+    assert result.returncode == 2
+    assert "periodic images" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_build_graph_parse_error_names_line(structures):

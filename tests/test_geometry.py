@@ -200,6 +200,27 @@ class TestPeriodicGathered:
             with pytest.raises(ContractError):
                 G.periodic_radius_graph(conf, cutoff, mode=mode)
 
+    def test_cutoff_past_the_image_cap_rejected_before_allocating(self):
+        # 1e308 over a 3 A cell overflows the reach to infinity; just past
+        # the cap, the images would take gigabytes
+        lat = np.eye(3) * 3.0
+        pos = np.array([[0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
+        conf = G.Conformation([11, 17], pos, lattice=lat)
+        n = 0  # the largest range whose (2n + 1)^3 shifts of 2 atoms fit the cap
+        while (2 * n + 3) ** 3 * 2 <= G._MAX_IMAGES:
+            n += 1
+        assert G._shift_ranges(lat, pos, 3.0 * n) == (n, n, n)
+        for cutoff in (3.0 * n * (1.0 + 1e-12), 1e308):
+            for mode in ("gathered", "expanded"):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ContractError, match="periodic images"):
+                        G.periodic_radius_graph(conf, cutoff, mode=mode)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1e6
+
     def test_atom_written_outside_the_cell_keeps_its_neighbors(self):
         # moving an atom by a lattice vector describes the same crystal
         rng = np.random.default_rng(2)

@@ -751,6 +751,34 @@ def test_an_unrecorded_backward_runs_only_what_descends_from_its_wrt():
     assert len(ran) == 1 and gw.data.tolist() == np.exp([2.0, 0.25]).tolist()
 
 
+@pytest.mark.parametrize("record", [False, True])
+def test_a_backward_neither_runs_nor_spends_records_made_after_its_root(record):
+    tape = T.Tape()
+    x = tape.tensor([0.5, -1.0])
+    root = T.sum_(T.exp(x))
+    later = T.sum_(T.sin(x) * T.exp(x))  # descends from x, made after the root
+    ran = []
+    after = tape.records[2:]
+    for rec in after:
+        rec.vjps = tuple(lambda g, vjp=vjp: ran.append(vjp) or vjp(g) for vjp in rec.vjps)
+    (g,) = tape.gradient(root, [x], record=record)
+    assert g.data.tolist() == np.exp([0.5, -1.0]).tolist()
+    assert ran == [] and all(rec.vjps is not None for rec in after)
+    # a backward from the later root still runs them
+    (g,) = tape.gradient(later, [x], record=record)
+    assert len(ran) == 5  # sum, both of mul, sin and exp
+    np.testing.assert_allclose(g.data, (np.cos([0.5, -1.0]) + np.sin([0.5, -1.0])) * np.exp([0.5, -1.0]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_watched_scalar_leaf_as_its_own_root_gets_ones(record):
+    tape = T.Tape()
+    x = tape.tensor(3.0)
+    T.exp(x)  # a record on the tape, after the root
+    (g,) = tape.gradient(x, [x], record=record)
+    assert g.data.tolist() == 1.0
+
+
 ALLOCATOR_PROBE = """
 import resource
 import numpy as np
