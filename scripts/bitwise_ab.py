@@ -16,8 +16,14 @@ with 3 layers (so a hidden attention layer is compared too):
 - the parameters and the history after 3 `train_energy_force` steps;
 - the losses of 3 steps of every pretext the family supports.
 
+It holds the graphs of `periodic_radius_graph`, in both modes at cutoffs 2
+and 5, of the stream's crystals and of seeded skewed cells with their atoms
+written up to 3 cells outside (`outside_cells`), where moving the atoms into
+the cell and the shift ranges are put to work.
+
 It also holds the artifacts of CLI runs on the tree: `build-graph` in both
-modes on the same two sets, `check-equiv --trials 5` for every family of
+modes on the same two sets at cutoff 5 and on the outside cells at cutoffs
+2 and 5, `check-equiv --trials 5` for every family of
 `tests/test_parity.py`, and a 3-step painn `train` with `normalize`, its
 `eval` and a `denoise` `pretrain`. An artifact is a run's exit code, stdout,
 stderr and the files it wrote, its metrics.json without `wall_seconds`.
@@ -65,6 +71,41 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def outside_cells(seed: int, count: int) -> list:
+    """Seeded skewed cells of 2-24 atoms at the benchmark's density, every
+    atom written up to 3 cells outside the cell."""
+    from geomnets.geometry import Conformation
+    from perfbench.inputs import VOLUME_PER_ATOM, skewed_cell
+
+    rng = np.random.default_rng(seed)
+    cells = []
+    for i in range(count):
+        n = int(rng.integers(2, 25))
+        lattice = skewed_cell(rng, VOLUME_PER_ATOM * n)
+        frac = rng.uniform(size=(n, 3)) + rng.integers(-3, 4, size=(n, 3))
+        cells.append(Conformation(z=rng.integers(1, 10, n), pos=frac @ lattice, lattice=lattice, id=f"outside{i}"))
+    return cells
+
+
+def graph_arrays(structures: list) -> dict:
+    """{(geometry, mode.cutoff): {name: array}} of every periodic structure's
+    graph in both modes at cutoffs 2 and 5."""
+    from geomnets.geometry import periodic_radius_graph
+
+    arrays = {}
+    for i, conf in enumerate(structures):
+        for cutoff in (2.0, 5.0):
+            for mode in ("gathered", "expanded"):
+                graph = periodic_radius_graph(conf, cutoff, mode)
+                edges = graph if mode == "gathered" else graph.edges
+                fields = {f: getattr(edges, f) for f in ("src", "dst", "dist", "rel_vec", "shift", "reverse")}
+                if mode == "expanded":
+                    fields.update(z=graph.z, positions=graph.positions, image_of=graph.image_of)
+                named = arrays.setdefault(("geometry", f"{mode}.{cutoff:g}"), {})
+                named.update({f"{i}.{f}": a for f, a in fields.items()})
+    return arrays
+
+
 def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
     """{run label: artifact} of the CLI runs of the module docstring, made in
     the working directory with the tree on the path."""
@@ -89,9 +130,10 @@ def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
 
     for label, structures in sets.items():
         save_dataset(f"{label}.jsonl", structures)
-        for mode in ("gathered", "expanded"):
-            argv = ["--input", f"{label}.jsonl", "--output", "edges.jsonl", "--cutoff", "5.0", "--periodic", mode]
-            run(f"build-graph.{label}.{mode}", "build-graph", *argv, files=["edges.jsonl"])
+        for cutoff in ("2.0", "5.0") if label == "outside" else ("5.0",):
+            for mode in ("gathered", "expanded"):
+                argv = ["--input", f"{label}.jsonl", "--output", "edges.jsonl", "--cutoff", cutoff, "--periodic", mode]
+                run(f"build-graph.{label}.{cutoff}.{mode}", "build-graph", *argv, files=["edges.jsonl"])
     for family, config in configs.items():
         Path("model.json").write_text(json.dumps(config))
         run(f"check-equiv.{family}", "check-equiv", "--config", "model.json", "--trials", "5")
@@ -146,7 +188,9 @@ def dump(out: str) -> None:
         # after the steps above, so one-time tables are built already
         peaks[family] = traced_peak(lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1))
         force_peaks[family] = traced_peak(lambda: tr.force_from_energy(model, params, largest))
-    cli = cli_artifacts(sets, CONFIGS)
+    outside = outside_cells(0, 40)
+    arrays.update(graph_arrays([c for c in sets["stream"] if c.lattice is not None] + outside))
+    cli = cli_artifacts(dict(sets, outside=outside), CONFIGS)
     with open(out, "wb") as fh:
         pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "cli": cli}, fh)
 
@@ -197,7 +241,7 @@ def compare_cli(ref: dict, new: dict) -> int:
     for label in sorted(set(ref) | set(new)):
         same = ref.get(label) == new.get(label)
         differ += not same
-        print(f"cli {label:33s} {'same' if same else 'DIFFERS'}")
+        print(f"cli {label:36s} {'same' if same else 'DIFFERS'}")
     return differ
 
 

@@ -275,7 +275,7 @@ def _dyadic_cluster(rng: np.random.Generator, cutoff: float) -> np.ndarray:
     n = int(rng.integers(4, 8))
     while True:
         pos = rng.integers(0, 25, (n, 3)) / 8.0
-        dist = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+        dist = np.sqrt(np.square(pos[:, None] - pos[None]).sum(axis=-1))
         off = dist[~np.eye(n, dtype=bool)]
         if off.min() >= 0.9 and np.abs(off - cutoff).min() > 1e-6:
             return pos
@@ -362,11 +362,9 @@ def _edge_records(conf: Conformation, cutoff: float, mode: str):
         dst, shift = edges.dst, edges.shift
     else:
         graph = periodic_radius_graph(conf, cutoff, "expanded")
-        edges = graph.edges
-        dst = graph.image_of[edges.dst]
-        # the effective image of each dst atom as written, seen from its src atom as written
-        frac = (edges.rel_vec - conf.pos[dst] + conf.pos[edges.src]) @ np.linalg.inv(conf.lattice)
-        shift = np.rint(frac).astype(np.int64)
+        edges, node_shift = graph.edges, graph.node_shift
+        # the image of each dst atom as written, seen from its src atom as written
+        dst, shift = graph.image_of[edges.dst], node_shift[edges.dst] - node_shift[edges.src]
     for k in range(edges.src.size):
         yield {
             "id": conf.id,

@@ -93,12 +93,15 @@ class PeriodicGraph:
     """Expanded periodic graph: anchor atoms plus materialized images.
 
     `positions` holds the anchors, moved into the cell, then the images;
-    edge rel_vec is positions[dst] - positions[src]."""
+    edge rel_vec is positions[dst] - positions[src]. Node k sits at atom
+    image_of[k] as written plus node_shift[k] @ lattice: minus the atom's
+    cell offset for an anchor, plus the image's shift for an image."""
 
     edges: EdgeList
     z: np.ndarray
     positions: np.ndarray
     image_of: np.ndarray
+    node_shift: np.ndarray
     n_anchor: int
 
 
@@ -202,7 +205,8 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     far above the rounding of either length, so the prefilter drops no pair
     the exact test keeps. A survivor's length is the root of its prefilter
     sum, which adds the squares in the order `np.linalg.norm` does. A point
-    paired with itself has distance exactly 0 and is dropped.
+    paired with itself has distance exactly 0 and is dropped. Past
+    `_MAX_ROWS` candidates is a ContractError, before they are gathered.
     """
     if anchors.shape[0] == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0)
@@ -225,6 +229,8 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     row_keys = (anchor_bin @ strides)[:, None] + rows
     starts = np.searchsorted(cand_key, row_keys - 1, "left").ravel()
     counts = np.searchsorted(cand_key, row_keys + 1, "right").ravel() - starts
+    if counts.sum() > _MAX_ROWS:
+        raise ContractError(f"cutoff {cutoff} gives {counts.sum()} candidate pairs to measure, over {_MAX_ROWS}")
     src = np.repeat(np.arange(anchors.shape[0]), counts.reshape(-1, rows.size).sum(axis=1))
     dst = kept[_ranges(starts, counts)]
 
@@ -257,64 +263,58 @@ def radius_graph(pos, cutoff: float) -> EdgeList:
     return _sorted_edges(src * n + dst, dst * n + src, src, dst, shift, rel, dist)
 
 
-def _shift_ranges(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[int, int, int]:
-    """Largest |shift| per lattice axis that can bring a pair within cutoff.
+def _shift_ranges(inv: np.ndarray, frac: np.ndarray, cutoff: float) -> tuple[int, int, int]:
+    """Largest |shift| per lattice axis that can bring a pair within cutoff,
+    given the inverse lattice and the atoms' fractional coordinates.
 
-    Along axis i, a pair's offset across the lattice planes is
-    (shift_i + frac_j - frac_i) * spacing_i, so |shift_i| never exceeds
-    cutoff / spacing_i plus the spread of the fractional coordinates. For
-    positions inside the cell the spread is below 1 and the range is
-    ceil(cutoff / spacing_i); the spread term covers atoms that rounding
-    leaves just across a cell face. A cutoff that needs more than
-    `_MAX_IMAGES` images of the atoms is a ContractError.
-    """
-    frac = pos @ np.linalg.inv(lattice)
+    The planes of axis i lie 1 / |inv[:, i]| apart, so a pair's offset
+    across them is (shift_i + frac_j - frac_i) / |inv[:, i]|, and |shift_i|
+    never exceeds the reach cutoff * |inv[:, i]| plus the spread of the
+    fractional coordinates. In the cell the spread is below 1 and the range
+    is ceil(reach); the spread term covers atoms that the face slack leaves
+    just across a face. Past `_MAX_ROWS` images of the atoms is a
+    ContractError."""
     spread = frac.max(axis=0) - frac.min(axis=0)
-    vol = abs(np.linalg.det(lattice))
-    counts = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        reach = cutoff / float(vol / np.linalg.norm(np.cross(lattice[j], lattice[k])))
-        counts.append(float(max(np.ceil(reach), np.floor(reach + spread[i]))))
-    images = math.prod(2.0 * c + 1.0 for c in counts) * pos.shape[0]  # in floats: a reach can be inf
-    if not images <= _MAX_IMAGES:
-        raise ContractError(f"cutoff {cutoff} needs {images:.3g} periodic images of the atoms, over {_MAX_IMAGES}")
+    reach = [cutoff * math.hypot(*inv[:, i]) for i in range(3)]
+    counts = [float(max(np.ceil(r), np.floor(r + s))) for r, s in zip(reach, spread)]
+    images = math.prod(2.0 * c + 1.0 for c in counts) * frac.shape[0]  # in floats: a reach can be inf
+    if not images <= _MAX_ROWS:
+        raise ContractError(f"cutoff {cutoff} needs {images:.3g} periodic images of the atoms, over {_MAX_ROWS}")
     return tuple(int(c) for c in counts)
 
 
 # an atom further out than this many cells cannot be moved into the cell
 # exactly enough to keep its neighbors
 _MAX_CELL_OFFSET = 2**40
-# the most atom images (shifts times atoms) a periodic graph enumerates; a
-# cutoff that needs more would exhaust memory before the graph was built
-_MAX_IMAGES = 2**24
+# the most rows of atom images (shifts times atoms) a periodic graph
+# enumerates, and of candidate pairs any graph measures; a cutoff that needs
+# more would exhaust memory before the graph was built
+_MAX_ROWS = 2**24
 # fractional coordinates this close to a cell face count as inside, so that
 # atoms on a face, which rounding puts on either side, are never moved
 _FACE_SLACK = 1e-9
 
 
-def _into_cell(lattice: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions moved into the cell by whole lattice vectors, and each
-    atom's integer cell offset: pos = moved + offset @ lattice. Atoms in the
-    cell keep their positions bit for bit."""
+def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions moved into the cell by whole lattice vectors (those in it
+    keep theirs bit for bit), each atom's integer cell offset, with pos =
+    moved + offset @ lattice, and every shift within `_shift_ranges` in
+    ascending (a, b, c) order, all from one inverse of the lattice."""
     if abs(np.linalg.det(lattice)) < 1e-12:
         raise ContractError("lattice is degenerate (near-zero volume)")
-    frac = pos @ np.linalg.inv(lattice)
+    inv = np.linalg.inv(lattice)
+    frac = pos @ inv
     cell = np.where((frac >= -_FACE_SLACK) & (frac < 1.0 + _FACE_SLACK), 0.0, np.floor(frac))
     if (np.abs(cell) > _MAX_CELL_OFFSET).any():
         raise ContractError(f"an atom lies more than {_MAX_CELL_OFFSET} cells outside the lattice cell")
+    ranges = _shift_ranges(inv, frac - cell, cutoff)
+    # the grid's indices in C order, a row per shift (np.meshgrid takes three times as long)
+    shifts = np.ascontiguousarray(np.indices([2 * n + 1 for n in ranges]).reshape(3, -1).T) - ranges
     offset = cell.astype(np.int64)
     moved = pos.copy()
     out = offset.any(axis=1)
     moved[out] -= offset[out] @ lattice
-    return moved, offset
-
-
-def _enumerate_shifts(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> np.ndarray:
-    """Every shift within `_shift_ranges`, in ascending (a, b, c) order."""
-    ranges = _shift_ranges(lattice, pos, cutoff)
-    # the grid's indices in C order, a row per shift (np.meshgrid takes three times as long)
-    return np.ascontiguousarray(np.indices([2 * n + 1 for n in ranges]).reshape(3, -1).T) - ranges
+    return moved, offset, shifts
 
 
 def _images(pos: np.ndarray, shifts: np.ndarray, lattice: np.ndarray) -> np.ndarray:
@@ -343,8 +343,7 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     n = conf.n_atoms
     # images are enumerated around the cell, so atoms written outside it are
     # first moved in; their offsets go back into the reported shifts
-    pos, offset = _into_cell(lat, conf.pos)
-    shifts = _enumerate_shifts(lat, pos, cutoff)
+    pos, offset, shifts = _into_cell(lat, conf.pos, cutoff)
 
     if mode == "gathered":
         src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
@@ -363,12 +362,13 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
     image_shifts = shifts[np.any(shifts != 0, axis=1)]
     all_pos = np.concatenate([pos, _images(pos, image_shifts, lat)], axis=0)
     image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
+    node_shift = np.concatenate([np.zeros((1, 3), np.int64), image_shifts]).repeat(n, axis=0) - offset[image_of]
     src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
     shift = np.zeros((src.size, 3), dtype=np.int64)
     # only anchor-anchor rows have a reverse: images are never a src
     n_all = all_pos.shape[0]
     edges = _sorted_edges(src * n_all + dst, dst * n_all + src, src, dst, shift, rel, dist)
-    return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, n)
+    return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, node_shift, n)
 
 
 def build_angle_index(edges: EdgeList) -> AngleIndex:

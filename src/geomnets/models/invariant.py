@@ -197,13 +197,14 @@ def bessel_roots(l: int, count: int) -> np.ndarray:
         if prev == 0.0:
             roots.append(x)
         elif prev * cur < 0.0:
-            lo, hi = x, x_next
+            lo, hi, at_lo = x, x_next, prev
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if _jl_np(l, lo) * _jl_np(l, mid) <= 0.0:
+                at_mid = _jl_np(l, mid)
+                if at_lo * at_mid <= 0.0:
                     hi = mid
                 else:
-                    lo = mid
+                    lo, at_lo = mid, at_mid
             roots.append(0.5 * (lo + hi))
         x, prev = x_next, cur
         if x > 1000.0:

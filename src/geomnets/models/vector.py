@@ -29,7 +29,6 @@ from .invariant import RadialBasisSpec, edge_geometry
 class EgnnSpec:
     hidden: int = 32
     layers: int = 2
-    update_coords: bool = True
     cutoff: float = 5.0  # of its graphs; the stack has no radial basis
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ def egnn_layer(
         T.concat([T.gather(h, src), T.gather(h, dst), d2], axis=1),
         f"{prefix}.msg",
     )
-    if spec.update_coords and vectors:
+    if vectors:
         gate = mlp_apply(spec.gate_mlp(), params, m, f"{prefix}.gate")
         x = x + T.scatter_sum(diff * gate, src, n)
     agg = T.scatter_sum(m, src, n)

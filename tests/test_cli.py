@@ -1,12 +1,15 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,8 +549,9 @@ def test_model_config_defaults_are_the_spec_defaults(family):
         {"family": "schnet", "hiden": 64},
         {"family": "painn", "basis": {"size": 8}},
         {"family": "dimenet", "basis": {"envelope": "none"}},
+        {"family": "egnn", "update_coords": False},
     ],
-    ids=["other-family-key", "misspelt", "nested", "removed-envelope"],
+    ids=["other-family-key", "misspelt", "nested", "removed-envelope", "removed-update-coords"],
 )
 def test_model_key_not_a_field_is_rejected(config):
     # a stray key used to build a default-sized model without a word
@@ -782,6 +786,33 @@ def test_a_cutoff_past_the_periodic_image_cap_exits_2(command, tmp_path):
     result = run_cli(command, *args)
     assert result.returncode == 2
     assert "periodic images" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_a_cutoff_past_the_candidate_pair_cap_exits_2_within_2_gb(tmp_path):
+    # a 64-atom benchmark crystal at cutoff 150: its 3.2e6 images pass the
+    # image cap, but they give 1.7e8 candidate pairs, whose per-pair arrays
+    # would take several GB; the child runs under a 2 GB address-space limit
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    data = tmp_path / "crystal.jsonl"
+    save_dataset(data, [inputs.crystal(np.random.default_rng(0), 64)])
+    env = dict(os.environ, PYTHONWARNINGS="ignore", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for mode in ("gathered", "expanded"):
+        argv = ["--input", str(data), "--output", str(tmp_path / "o.jsonl"), "--cutoff", "150", "--periodic", mode]
+        result = subprocess.run(
+            [sys.executable, "-m", "geomnets", "build-graph", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        )
+        assert result.returncode == 2
+        count = re.search(r"gives (\d+) candidate pairs", result.stderr)
+        assert count and int(count.group(1)) > 2**24 and "Traceback" not in result.stderr
 
 
 def test_build_graph_parse_error_names_line(structures):

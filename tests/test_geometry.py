@@ -117,6 +117,20 @@ class TestRadiusGraph:
         edges = G.radius_graph(pos, 1.0)
         assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [(2, 3), (3, 2)]
 
+    def test_candidate_pairs_past_the_cap_rejected_before_allocating(self):
+        # 4097 atoms in one bin pair up as 4097^2 candidates, one row of
+        # them more than 2^24 = 4096^2; gathering them would take gigabytes
+        pos = np.random.default_rng(0).uniform(0.0, 1.0, size=(4097, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match=f"{4097**2} candidate pairs"):
+                G.radius_graph(pos, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4097**2 > G._MAX_ROWS == 4096**2
+        assert peak < 2e6
+
     def test_peak_memory_linear_at_4000_atoms(self):
         # 4000 atoms at 12 cubic angstrom per atom and cutoff 5: a dense
         # distance tensor alone would need several hundred megabytes
@@ -207,9 +221,10 @@ class TestPeriodicGathered:
         pos = np.array([[0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
         conf = G.Conformation([11, 17], pos, lattice=lat)
         n = 0  # the largest range whose (2n + 1)^3 shifts of 2 atoms fit the cap
-        while (2 * n + 3) ** 3 * 2 <= G._MAX_IMAGES:
+        while (2 * n + 3) ** 3 * 2 <= G._MAX_ROWS:
             n += 1
-        assert G._shift_ranges(lat, pos, 3.0 * n) == (n, n, n)
+        inv = np.linalg.inv(lat)
+        assert G._shift_ranges(inv, pos @ inv, 3.0 * n) == (n, n, n)
         for cutoff in (3.0 * n * (1.0 + 1e-12), 1e308):
             for mode in ("gathered", "expanded"):
                 tracemalloc.start()
@@ -319,6 +334,16 @@ class TestPeriodicExpanded:
                 for s, d, r in zip(expd.edges.src, expd.edges.dist, expd.edges.rel_vec)
             )
             assert a == b
+
+    def test_node_shift_places_each_node_from_its_atom_as_written(self):
+        rng = np.random.default_rng(4)
+        lat = np.array([[3.0, 0.0, 0.0], [0.4, 3.2, 0.0], [-0.3, 0.5, 2.9]])
+        frac = rng.uniform(0.0, 1.0, size=(5, 3)) + rng.integers(-3, 4, size=(5, 3))
+        conf = G.Conformation([6, 8, 1, 1, 7], frac @ lat, lattice=lat)
+        graph = G.periodic_radius_graph(conf, 4.0, mode="expanded")
+        assert graph.node_shift.dtype == np.int64
+        placed = conf.pos[graph.image_of] + graph.node_shift @ lat
+        np.testing.assert_allclose(graph.positions, placed, rtol=0, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         conf = G.Conformation([1], [[0.0, 0.0, 0.0]], lattice=np.eye(3))
@@ -573,21 +598,44 @@ def reference_open_graph(pos, cutoff):
     return lexsorted_reference(src, dst, np.zeros((src.size, 3), np.int64), rel, dist)
 
 
-def reference_periodic_graph(conf, cutoff, mode):
-    """The graph of `periodic_radius_graph` from an all-pairs search over the
-    same images; the cell and image helpers are shared, the search and sort
-    are not."""
-    n = conf.n_atoms
-    pos, offset = G._into_cell(conf.lattice, conf.pos)
-    shifts = G._enumerate_shifts(conf.lattice, pos, cutoff)
+def reference_shifts(lattice, cutoff):
+    """Every shift out to the reach over the plane spacings, taken from
+    cross products, plus one layer on each axis: wider than any range
+    `_shift_ranges` needs for atoms in the cell, and found without it."""
+    vol = abs(np.linalg.det(lattice))
+    reach = [math.ceil(cutoff * np.linalg.norm(np.cross(lattice[i - 2], lattice[i - 1])) / vol) + 1 for i in range(3)]
+    return np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))))
+
+
+def reference_periodic_graph(conf, cutoff):
+    """The gathered graph of `periodic_radius_graph` from an all-pairs search
+    over the images of `reference_shifts`. The cell offsets and the image
+    helper are shared; the shift set, the search and the sort are not."""
+    pos, offset, _ = G._into_cell(conf.lattice, conf.pos, cutoff)
+    shifts = reference_shifts(conf.lattice, cutoff)
+    src, image, rel, dist = all_pairs_edges(pos, G._images(pos, shifts, conf.lattice), cutoff)
+    which, dst = np.divmod(image, conf.n_atoms)
+    return lexsorted_reference(src, dst, shifts[which] + offset[src] - offset[dst], rel, dist)
+
+
+def expanded_rows(graph):
+    """(src, atom, shift from the atoms as written, dist) of each row of an
+    expanded graph, sorted."""
+    src, dst, dist = graph.edges.src, graph.edges.dst, graph.edges.dist
+    shift = graph.node_shift[dst] - graph.node_shift[src]
+    return sorted(zip(src.tolist(), graph.image_of[dst].tolist(), map(tuple, shift.tolist()), dist.tolist()))
+
+
+def assert_rows_equal_reference(conf, cutoff, mode):
+    """Gathered rows equal the reference's byte for byte; expanded rows are
+    its rows in the (src, atom, shift, dist) form."""
+    ref = reference_periodic_graph(conf, cutoff)
+    got = G.periodic_radius_graph(conf, cutoff, mode)
     if mode == "gathered":
-        src, image, rel, dist = all_pairs_edges(pos, G._images(pos, shifts, conf.lattice), cutoff)
-        which, dst = np.divmod(image, n)
-        return lexsorted_reference(src, dst, shifts[which] + offset[src] - offset[dst], rel, dist)
-    image_shifts = shifts[np.any(shifts != 0, axis=1)]
-    all_pos = np.concatenate([pos, G._images(pos, image_shifts, conf.lattice)])
-    src, dst, rel, dist = all_pairs_edges(pos, all_pos, cutoff)
-    return lexsorted_reference(src, dst, np.zeros((src.size, 3), np.int64), rel, dist)
+        assert_same_rows(got, ref)
+    else:
+        shifts = map(tuple, ref.shift.tolist())
+        assert expanded_rows(got) == sorted(zip(ref.src.tolist(), ref.dst.tolist(), shifts, ref.dist.tolist()))
 
 
 def assert_same_rows(got, ref):
@@ -614,8 +662,26 @@ def test_periodic_rows_equal_all_pairs_lexsort_reference(seed, outside, mode):
     lat = np.array([[3.1, 0.0, 0.0], [0.9, 2.8, 0.0], [-0.7, 0.6, 3.3]])
     frac = rng.uniform(0.0, 1.0, size=(12, 3)) + rng.integers(-outside, outside + 1, size=(12, 3))
     conf = G.Conformation(rng.integers(1, 30, 12), frac @ lat, lattice=lat)
-    got = G.periodic_radius_graph(conf, 4.0, mode)
-    assert_same_rows(got if mode == "gathered" else got.edges, reference_periodic_graph(conf, 4.0, mode))
+    assert_rows_equal_reference(conf, 4.0, mode)
+
+
+@pytest.mark.parametrize("mode", ["gathered", "expanded"])
+def test_rows_at_a_cutoff_of_whole_plane_spacings_equal_reference(mode):
+    # the planes of the last axis lie exactly 4 apart, so at cutoff 8 the
+    # reach along it is exactly 2, the range it needs. Atom 0 sees atom 1
+    # exactly 8 away along that axis, through the cell shift (0, 0, 2);
+    # atoms 1 and 3 are written outside the cell
+    lat = np.array([[2.0, 0.0, 0.0], [0.5, 4.0, 0.0], [-0.5, 0.25, 4.0]])
+    inv = np.linalg.inv(lat)
+    assert np.sqrt(inv[:, 2] @ inv[:, 2]) * 8.0 == 2.0
+    pos = np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 1.0], [1.5, 2.25, 3.0], [0.25, 3.5, 2.75]])
+    pos[1] += np.array([1, -2, 1]) @ lat
+    pos[3] -= np.array([0, 3, 1]) @ lat
+    conf = G.Conformation([6, 8, 1, 7], pos, lattice=lat)
+    edges = G.periodic_radius_graph(conf, 8.0)
+    at = (edges.src == 0) & (edges.dst == 1) & (edges.dist == 8.0)
+    assert np.array_equal(edges.rel_vec[at], [[0.0, 0.0, 8.0]])
+    assert_rows_equal_reference(conf, 8.0, mode)
 
 
 # atoms written this far out carry shifts of the same size, which the row
@@ -628,8 +694,7 @@ def test_rows_of_atoms_far_outside_the_cell_equal_reference(cells, mode):
     pos = rng.uniform(0.0, 1.0, size=(5, 3)) @ lat
     pos[1:4] += np.array([[0, cells, -cells], [cells, -cells, cells], [-cells, 0, 0]]) @ lat
     conf = G.Conformation([6, 8, 1, 1, 7], pos, lattice=lat)
-    got = G.periodic_radius_graph(conf, 4.0, mode)
-    assert_same_rows(got if mode == "gathered" else got.edges, reference_periodic_graph(conf, 4.0, mode))
+    assert_rows_equal_reference(conf, 4.0, mode)
 
 
 def test_prefilter_keeps_the_exact_cutoff_and_drops_the_next_float():

@@ -67,13 +67,6 @@ def test_egnn_zero_gate_leaves_coordinates():
     np.testing.assert_array_equal(delta.data, np.zeros_like(batch.pos))
 
 
-def test_egnn_coordinate_flag_off():
-    spec, params = egnn_setup(1, update_coords=False)
-    batch = batch_for(3)
-    _, delta = vec.egnn_forward(spec, as_tensors(params), batch, Tensor(batch.pos))
-    np.testing.assert_array_equal(delta.data, np.zeros_like(batch.pos))
-
-
 def test_egnn_symmetric_pair_opposite_updates():
     spec, params = egnn_setup(5)
     p = np.array([0.4, -0.9, 0.6])
