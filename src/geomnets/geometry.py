@@ -7,9 +7,8 @@ Edge conventions used everywhere downstream:
   * edges are kept when 0 < dist <= cutoff (the boundary is inclusive)
   * rows are sorted by (src, dst, shift), so construction is deterministic
   * every edge's reverse (dst, src, -shift) is in the graph too, and each row
-    names the row of its reverse. The one exception is periodic: the two
-    directions' vectors are rounded differently, so when their lengths
-    straddle the cutoff only one is kept, and it has no reverse row
+    names the row of its reverse: a pair is measured once and its reverse
+    row mirrors it, with the negated vector and the same length
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ class Conformation:
 @dataclass
 class EdgeList:
     """Directed cutoff edges over one structure; `reverse` holds each row's
-    reverse row, or -1 where the reverse is not in the graph."""
+    reverse row, or -1 where the reverse is not in the graph. A mirrored
+    row's rel_vec is the negated measured one (0.0 - it), its dist the same."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -92,10 +92,11 @@ class EdgeList:
 class PeriodicGraph:
     """Expanded periodic graph: anchor atoms plus materialized images.
 
-    `positions` holds the anchors, moved into the cell, then the images;
-    edge rel_vec is positions[dst] - positions[src]. Node k sits at atom
-    image_of[k] as written plus node_shift[k] @ lattice: minus the atom's
-    cell offset for an anchor, plus the image's shift for an image."""
+    `positions` holds the anchors, moved into the cell, then the images.
+    A measured row's rel_vec is positions[dst] - positions[src], a mirrored
+    row's the negated measured one. Node k sits at atom image_of[k] as
+    written plus node_shift[k] @ lattice: minus the atom's cell offset for
+    an anchor, plus the image's shift for an image."""
 
     edges: EdgeList
     z: np.ndarray
@@ -130,8 +131,8 @@ class PairIndex:
 
     `edge` (P,) is each pair's representative, the lower row of the two;
     `slot` (E,) is each edge's pair; `flipped` (E,) marks the edges that run
-    against their representative. An edge without a reverse row is a pair
-    of its own."""
+    against their representative. An edge without a reverse row, which only
+    a hand-made reverse column has, is a pair of its own."""
 
     edge: np.ndarray
     slot: np.ndarray
@@ -155,21 +156,18 @@ def pair_index(reverse: np.ndarray) -> PairIndex:
     return PairIndex(np.flatnonzero(~flipped), slot, flipped)
 
 
-def _sorted_edges(key, reverse_key, src, dst, shift, rel, dist) -> EdgeList:
-    """The rows in the order of `key`, an int64 that each caller builds to
-    rise with (src, dst, shift). `reverse_key` is the key that the reverse
-    (dst, src, -shift) of each row would have; one search of it among the
-    keys finds each row's reverse row. Keys are unique, so any sort gives
-    the one order, and the search runs on sorted queries, which is several
-    times faster than on the queries in row order."""
+def _with_mirrors(key, src, dst, shift, rel, dist) -> EdgeList:
+    """Rows measured once per pair, then their mirrors, in the order of
+    `key`, a unique int64 rising with (src, dst, shift); `key`, `src` and
+    `dst` cover both halves. A mirror is its row's reverse, with -shift, the
+    same dist and rel 0.0 - rel, which keeps +0.0 as a subtraction gives it."""
     order = np.argsort(key)
-    key, reverse_key = key[order], reverse_key[order]
-    by_reverse = np.argsort(reverse_key)
-    wanted = reverse_key[by_reverse]
-    at = np.searchsorted(key, wanted)
-    reverse = np.empty_like(at)
-    reverse[by_reverse] = np.where(key[np.minimum(at, key.size - 1)] == wanted, at, -1)
-    return EdgeList(src[order], dst[order], dist[order], rel[order], shift[order], reverse)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    # row u's mirror is row u +- dist.size, which `at` rolled by dist.size reads at u
+    reverse = np.roll(at, dist.size)[order]
+    both = [np.concatenate(p)[order] for p in ((dist, dist), (rel, 0.0 - rel), (shift, -shift))]
+    return EdgeList(src[order], dst[order], *both, reverse)
 
 
 # bins are this much wider than the cutoff, so that a pair at exactly the
@@ -188,9 +186,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
 
 
-def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
-    """Every (anchor, candidate) index pair with 0 < dist <= cutoff, as
-    (src, dst, rel, dist) with rel = candidates[dst] - anchors[src].
+def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float, base: int):
+    """Every (anchor, candidate) index pair with 0 < dist <= cutoff and
+    dst > src + base, as (src, dst, rel, dist) with rel = candidates[dst] -
+    anchors[src]. Candidate src + base is anchor src itself, so candidates
+    in an order symmetric about it give each pair of points once.
 
     Linked cells: points fall into cubic bins at least the cutoff wide, so
     a pair within the cutoff sits in the same or an adjacent bin along each
@@ -204,8 +204,7 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     0 < dist <= cutoff are then taken on the survivors only. The slack lies
     far above the rounding of either length, so the prefilter drops no pair
     the exact test keeps. A survivor's length is the root of its prefilter
-    sum, which adds the squares in the order `np.linalg.norm` does. A point
-    paired with itself has distance exactly 0 and is dropped. Past
+    sum, which adds the squares in the order `np.linalg.norm` does. Past
     `_MAX_ROWS` candidates is a ContractError, before they are gathered.
     """
     if anchors.shape[0] == 0:
@@ -217,7 +216,8 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
     anchor_bin = np.floor((anchors - lo) / side).astype(np.int64) + 1
     dims = anchor_bin.max(axis=0) + 2
     cand_bin = np.floor((candidates - lo) / side) + 1
-    kept = np.flatnonzero(((cand_bin >= 0) & (cand_bin < dims)).all(axis=1))
+    inside = (cand_bin >= 0) & (cand_bin < dims)
+    kept = np.flatnonzero(inside[:, 0] & inside[:, 1] & inside[:, 2])
     strides = np.array([dims[1] * dims[2], dims[2], 1])
     cand_key = cand_bin[kept].astype(np.int64) @ strides
     order = np.argsort(cand_key, kind="stable")
@@ -233,6 +233,8 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float):
         raise ContractError(f"cutoff {cutoff} gives {counts.sum()} candidate pairs to measure, over {_MAX_ROWS}")
     src = np.repeat(np.arange(anchors.shape[0]), counts.reshape(-1, rows.size).sum(axis=1))
     dst = kept[_ranges(starts, counts)]
+    ahead = np.flatnonzero(dst > src + base)
+    src, dst = src[ahead], dst[ahead]
 
     near_sq = np.zeros(src.size)
     for axis in range(3):
@@ -257,29 +259,34 @@ def radius_graph(pos, cutoff: float) -> EdgeList:
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
     if not np.isfinite(pos).all():
         raise ContractError("positions must be finite")
-    n = pos.shape[0]
-    src, dst, rel, dist = _pairs_within(pos, pos, cutoff)
-    shift = np.zeros((src.size, 3), dtype=np.int64)
-    return _sorted_edges(src * n + dst, dst * n + src, src, dst, shift, rel, dist)
+    src, dst, rel, dist = _pairs_within(pos, pos, cutoff, 0)
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return _with_mirrors(src * len(pos) + dst, src, dst, np.zeros((dist.size, 3), np.int64), rel, dist)
 
 
-def _shift_ranges(inv: np.ndarray, frac: np.ndarray, cutoff: float) -> tuple[int, int, int]:
+def _shift_ranges(lattice: np.ndarray, inv: np.ndarray, frac: np.ndarray, cutoff: float) -> tuple[int, int, int]:
     """Largest |shift| per lattice axis that can bring a pair within cutoff,
-    given the inverse lattice and the atoms' fractional coordinates.
+    given the lattice, its inverse and the atoms' fractional coordinates.
 
     The planes of axis i lie 1 / |inv[:, i]| apart, so a pair's offset
     across them is (shift_i + frac_j - frac_i) / |inv[:, i]|, and |shift_i|
     never exceeds the reach cutoff * |inv[:, i]| plus the spread of the
     fractional coordinates. In the cell the spread is below 1 and the range
     is ceil(reach); the spread term covers atoms that the face slack leaves
-    just across a face. Past `_MAX_ROWS` images of the atoms is a
-    ContractError."""
+    just across a face. Before any image exists, a ContractError refuses
+    past `_MAX_ROWS` images or certain candidates: the shifts within ranges
+    times room / max(ranges @ |lattice|), room the cutoff less the atoms'
+    spread on any axis, bring all atom pairs within the cutoff on each axis."""
     spread = frac.max(axis=0) - frac.min(axis=0)
     reach = [cutoff * math.hypot(*inv[:, i]) for i in range(3)]
     counts = [float(max(np.ceil(r), np.floor(r + s))) for r, s in zip(reach, spread)]
     images = math.prod(2.0 * c + 1.0 for c in counts) * frac.shape[0]  # in floats: a reach can be inf
     if not images <= _MAX_ROWS:
         raise ContractError(f"cutoff {cutoff} needs {images:.3g} periodic images of the atoms, over {_MAX_ROWS}")
+    room = cutoff - (spread @ np.abs(lattice)).max()
+    pairs = math.prod(2 * int(m) + 1 for m in np.multiply(counts, room) // (counts @ np.abs(lattice)).max()) * len(frac) ** 2
+    if room >= 0.0 and pairs > _MAX_ROWS:
+        raise ContractError(f"cutoff {cutoff} gives {pairs} candidate pairs or more to measure, over {_MAX_ROWS}")
     return tuple(int(c) for c in counts)
 
 
@@ -307,7 +314,7 @@ def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.
     cell = np.where((frac >= -_FACE_SLACK) & (frac < 1.0 + _FACE_SLACK), 0.0, np.floor(frac))
     if (np.abs(cell) > _MAX_CELL_OFFSET).any():
         raise ContractError(f"an atom lies more than {_MAX_CELL_OFFSET} cells outside the lattice cell")
-    ranges = _shift_ranges(inv, frac - cell, cutoff)
+    ranges = _shift_ranges(lattice, inv, frac - cell, cutoff)
     # the grid's indices in C order, a row per shift (np.meshgrid takes three times as long)
     shifts = np.ascontiguousarray(np.indices([2 * n + 1 for n in ranges]).reshape(3, -1).T) - ranges
     offset = cell.astype(np.int64)
@@ -315,13 +322,6 @@ def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.
     out = offset.any(axis=1)
     moved[out] -= offset[out] @ lattice
     return moved, offset, shifts
-
-
-def _images(pos: np.ndarray, shifts: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """pos displaced by every shift, shift-major: row s * n + i is atom i
-    seen through shift s."""
-    offsets = shifts.astype(np.float64) @ lattice
-    return (pos[None, :, :] + offsets[:, None, :]).reshape(-1, 3)
 
 
 def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gathered"):
@@ -339,35 +339,35 @@ def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gather
         raise ContractError("conformation has no lattice")
     if mode not in ("gathered", "expanded"):
         raise ContractError(f"unknown mode '{mode}'")
-    lat = conf.lattice
-    n = conf.n_atoms
+    lat, n = conf.lattice, conf.n_atoms
     # images are enumerated around the cell, so atoms written outside it are
-    # first moved in; their offsets go back into the reported shifts
+    # first moved in; their offsets go back into the reported shifts. Atom i
+    # through shift w is image w * n + i. The S shifts are symmetric and
+    # ascending: anchor i is image centre * n + i, and a pair's mirror
+    # (dst, src) sees src through shift S - 1 - w, the negation of shift w
     pos, offset, shifts = _into_cell(lat, conf.pos, cutoff)
+    images = (pos[None, :, :] + (shifts.astype(np.float64) @ lat)[:, None, :]).reshape(-1, 3)
+    n_shifts, centre = shifts.shape[0], shifts.shape[0] // 2
+    src, image, rel, dist = _pairs_within(pos, images, cutoff, centre * n)
+    which, dst = np.divmod(image, n)
+    both_src, both_dst, both_which = (np.concatenate(p) for p in ((src, dst), (dst, src), (which, n_shifts - 1 - which)))
 
     if mode == "gathered":
-        src, image, rel, dist = _pairs_within(pos, _images(pos, shifts, lat), cutoff)
-        which, dst = np.divmod(image, n)
-        shift = shifts[which] + offset[src] - offset[dst]
         # the shifts come in ascending (a, b, c) order and a pair's offset
-        # term is constant, so `which` orders a pair's rows as their shifts.
-        # The shift list is symmetric, so shift S - 1 - which is the negated
-        # one, and with the offset terms swapped it gives the reverse's shift
-        n_shifts = shifts.shape[0]
-        key = (src * n + dst) * n_shifts + which
-        reverse_key = (dst * n + src) * n_shifts + (n_shifts - 1 - which)
-        return _sorted_edges(key, reverse_key, src, dst, shift, rel, dist)
+        # term is constant, so `which` orders a pair's rows as their shifts
+        key = (both_src * n + both_dst) * n_shifts + both_which
+        return _with_mirrors(key, both_src, both_dst, shifts[which] + offset[src] - offset[dst], rel, dist)
 
-    # expanded: anchors first, then one copy of every atom per nonzero shift
-    image_shifts = shifts[np.any(shifts != 0, axis=1)]
-    all_pos = np.concatenate([pos, _images(pos, image_shifts, lat)], axis=0)
-    image_of = np.tile(np.arange(n), image_shifts.shape[0] + 1)
-    node_shift = np.concatenate([np.zeros((1, 3), np.int64), image_shifts]).repeat(n, axis=0) - offset[image_of]
-    src, dst, rel, dist = _pairs_within(pos, all_pos, cutoff)
-    shift = np.zeros((src.size, 3), dtype=np.int64)
+    # expanded: a block of nodes per shift in `layout` order, anchors first; argsort(layout) maps w to its block
+    layout = np.r_[centre, :centre, centre + 1 : n_shifts]
+    node = np.argsort(layout)[both_which] * n + both_dst
+    edges = _with_mirrors(both_src * (n_shifts * n) + node, both_src, node, np.zeros((dist.size, 3), np.int64), rel, dist)
     # only anchor-anchor rows have a reverse: images are never a src
-    n_all = all_pos.shape[0]
-    edges = _sorted_edges(src * n_all + dst, dst * n_all + src, src, dst, shift, rel, dist)
+    edges.reverse[edges.dst >= n] = -1
+    all_pos = images.reshape(n_shifts, n, 3)[layout].reshape(-1, 3)
+    all_pos[:n] = pos
+    image_of = np.tile(np.arange(n), n_shifts)
+    node_shift = shifts[layout].repeat(n, axis=0) - offset[image_of]
     return PeriodicGraph(edges, conf.z[image_of], all_pos, image_of, node_shift, n)
 
 

@@ -788,10 +788,24 @@ def test_a_cutoff_past_the_periodic_image_cap_exits_2(command, tmp_path):
     assert "periodic images" in result.stderr and "Traceback" not in result.stderr
 
 
+def build_graph_within(limit, data, cutoff, mode):
+    """`build-graph` on `data` in a child process whose address space is
+    capped at `limit` bytes, with BLAS on one thread."""
+    env = dict(os.environ, PYTHONWARNINGS="ignore", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["--input", str(data), "--output", str(data.parent / "o.jsonl"), "--cutoff", str(cutoff), "--periodic", mode]
+    return subprocess.run(
+        [sys.executable, "-m", "geomnets", "build-graph", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def test_a_cutoff_past_the_candidate_pair_cap_exits_2_within_2_gb(tmp_path):
     # a 64-atom benchmark crystal at cutoff 150: its 3.2e6 images pass the
     # image cap, but they give 1.7e8 candidate pairs, whose per-pair arrays
-    # would take several GB; the child runs under a 2 GB address-space limit
+    # would take several GB (their shift ranges alone show 2.2e7, which is
+    # refused before the images exist); the child runs under a 2 GB
+    # address-space limit
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     )
@@ -799,20 +813,24 @@ def test_a_cutoff_past_the_candidate_pair_cap_exits_2_within_2_gb(tmp_path):
     spec.loader.exec_module(inputs)
     data = tmp_path / "crystal.jsonl"
     save_dataset(data, [inputs.crystal(np.random.default_rng(0), 64)])
-    env = dict(os.environ, PYTHONWARNINGS="ignore", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
     for mode in ("gathered", "expanded"):
-        argv = ["--input", str(data), "--output", str(tmp_path / "o.jsonl"), "--cutoff", "150", "--periodic", mode]
-        result = subprocess.run(
-            [sys.executable, "-m", "geomnets", "build-graph", *argv],
-            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
-        )
+        result = build_graph_within(2 << 30, data, 150.0, mode)
         assert result.returncode == 2
         count = re.search(r"gives (\d+) candidate pairs", result.stderr)
         assert count and int(count.group(1)) > 2**24 and "Traceback" not in result.stderr
+
+
+def test_a_cutoff_at_the_periodic_image_cap_exits_2_within_1_gb(tmp_path):
+    # the 2-atom 3 A cell at cutoff 303 needs shifts out to 101 cells, the
+    # most the image cap admits: its 1.7e7 images would take over a GB
+    # before the candidate pairs they give were counted
+    salt = Conformation(z=[11, 17], pos=[[0.0, 0, 0], [1.5, 1.5, 1.5]], lattice=np.eye(3) * 3.0)
+    data = tmp_path / "salt.jsonl"
+    save_dataset(data, [salt])
+    for mode in ("gathered", "expanded"):
+        result = build_graph_within(1 << 30, data, 303.0, mode)
+        assert result.returncode == 2
+        assert "candidate pairs" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_build_graph_parse_error_names_line(structures):

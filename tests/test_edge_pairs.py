@@ -1,9 +1,10 @@
 """Reverse rows of the cutoff graphs and the edge-pair index of a batch.
 
 Every edge's partner must be its reverse (dst, src, -shift), and the pair
-slots must cover each pair exactly twice. The one edge allowed no partner
-is the periodic one whose reverse the cutoff dropped, because the two
-directions' lengths round to either side of it; it keeps a slot of its own.
+slots must cover each pair exactly twice. A cutoff graph measures each
+pair once and mirrors it, so it gives every edge its reverse; only a
+hand-made reverse column leaves an edge without one, and that edge keeps
+a slot of its own.
 
 On every pair index built here, the adjoint of `tensor.expand_pairs` must
 give the bytes of `tensor.scatter_sum` by slot, -0.0 rows included, and a
@@ -178,24 +179,17 @@ def test_zero_edge_single_atom_batch():
 
 def test_hand_made_edge_set_with_a_missing_reverse():
     # rows (0, 1), (0, 2), (1, 0) of three atoms: (2, 0) is missing
-    n = 3
-    src, dst = np.array([1, 0, 0]), np.array([0, 2, 1])
-    rel = np.array([[-1.0, 0, 0], [0, 1.5, 0], [1.0, 0, 0]])
-    edges = G._sorted_edges(
-        src * n + dst, dst * n + src, src, dst, np.zeros((3, 3), np.int64), rel, np.linalg.norm(rel, axis=1)
-    )
-    assert edges.src.tolist() == [0, 0, 1] and edges.dst.tolist() == [1, 2, 0]
-    assert edges.reverse.tolist() == [2, -1, 0]
-    pairs = G.pair_index(edges.reverse)
+    pairs = G.pair_index(np.array([2, -1, 0]))
     assert pairs.edge.tolist() == [0, 1]
     assert pairs.slot.tolist() == [0, 1, 0]
     assert pairs.flipped.tolist() == [False, False, True]
 
 
-def rounding_singleton():
-    """A two-atom crystal and a cutoff at which exactly one direction of the
-    pair (0 -> 1, shift a + b) is kept: the two directions' vectors are
-    rounded differently, and the cutoff is the shorter length."""
+def rounding_apart():
+    """A two-atom crystal whose pair (0 -> 1, shift a + b) has two lengths
+    when each direction is measured on its own: the two directions'
+    vectors are rounded differently. Returns the crystal and the lengths of
+    0 -> 1 and of 1 -> 0."""
     rng = np.random.default_rng(0)
     shift = SKEWED[0] + SKEWED[1]
     while True:
@@ -203,17 +197,21 @@ def rounding_singleton():
         ahead = np.linalg.norm((pos[1] + shift) - pos[0])
         back = np.linalg.norm((pos[0] - shift) - pos[1])
         if ahead != back:
-            return G.Conformation([6, 8], pos, lattice=SKEWED), min(ahead, back)
+            return G.Conformation([6, 8], pos, lattice=SKEWED), (ahead, back)
 
 
-def test_periodic_rounding_singleton_keeps_its_own_slot():
-    conf, cutoff = rounding_singleton()
-    edges = G.periodic_radius_graph(conf, cutoff)
-    assert (edges.reverse < 0).sum() == 1
-    batch = build_batch([conf], cutoff)
-    check_pairs(batch, edges.shift, singles=1)
-    alone = np.flatnonzero(edges.reverse < 0)[0]
-    assert not batch.pairs.flipped[alone]
+def test_periodic_pair_whose_directions_round_apart_keeps_both():
+    # a cutoff at either length keeps both directions of the pair or
+    # neither, so every row has its reverse; at the length of the measured
+    # direction, 0 -> 1 through (1, 1, 0), both are kept with that length
+    conf, (ahead, back) = rounding_apart()
+    for cutoff in (ahead, back):
+        edges = G.periodic_radius_graph(conf, cutoff)
+        assert (edges.reverse >= 0).all()
+        check_pairs(build_batch([conf], cutoff), edges.shift, singles=0)
+        rows = zip(edges.src.tolist(), edges.dst.tolist(), map(tuple, edges.shift.tolist()))
+        pair = [k for k, row in enumerate(rows) if row in {(0, 1, (1, 1, 0)), (1, 0, (-1, -1, 0))}]
+        assert edges.dist[pair].tolist() == ([ahead, ahead] if ahead <= cutoff else [])
 
 
 def test_a_missing_reverse_reaches_the_forward(monkeypatch):
@@ -222,11 +220,10 @@ def test_a_missing_reverse_reaches_the_forward(monkeypatch):
     conf = cluster(6, n=5)
     full = G.radius_graph(conf.pos, 2.5)
     keep = np.flatnonzero(full.reverse != full.reverse.max())  # drops one edge
-    n = conf.n_atoms
-    src, dst = full.src[keep], full.dst[keep]
-    edges = G._sorted_edges(
-        src * n + dst, dst * n + src, src, dst, full.shift[keep], full.rel_vec[keep], full.dist[keep]
-    )
+    row = np.full(full.n_edges, -1)
+    row[keep] = np.arange(keep.size)
+    reverse = row[full.reverse[keep]]
+    edges = G.EdgeList(full.src[keep], full.dst[keep], full.dist[keep], full.rel_vec[keep], full.shift[keep], reverse)
     monkeypatch.setattr(common, "radius_graph", lambda pos, cutoff: edges)
     batch = build_batch([conf], 2.5)
     check_pairs(batch, edges.shift, singles=1)
@@ -242,10 +239,20 @@ def test_a_missing_reverse_reaches_the_forward(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_graph_reverse_rows_are_the_reverses(seed):
-    conf = crystal(seed, n=8)
-    for edges in (G.periodic_radius_graph(conf, 4.0), G.radius_graph(conf.pos, 4.0)):
-        rows = np.arange(edges.n_edges)
-        assert (edges.reverse >= 0).all()
-        assert (edges.reverse[edges.reverse] == rows).all()
-        assert (edges.src[edges.reverse] == edges.dst).all() and (edges.dst[edges.reverse] == edges.src).all()
-        assert (edges.shift[edges.reverse] == -edges.shift).all()
+    # a reverse row mirrors its row bit for bit: the vector 0.0 - rel_vec
+    # (+0.0 stays +0.0) and the same length. Open and gathered graphs give
+    # every row a reverse, an expanded graph its anchor-anchor rows. Atoms
+    # on lines along the axes of a cubic cell give components of +0.0
+    aligned = G.Conformation([6, 8, 1], [[0.5, 0.5, 0.5], [2.0, 0.5, 0.5], [0.5, 1.5 + 0.25 * seed, 0.5]], np.eye(3) * 3.0)
+    for conf in (crystal(seed, n=8), aligned):
+        expanded = G.periodic_radius_graph(conf, 4.0, "expanded").edges
+        assert ((expanded.reverse >= 0) == (expanded.dst < conf.n_atoms)).all()
+        for edges in (G.periodic_radius_graph(conf, 4.0), G.radius_graph(conf.pos, 4.0), expanded):
+            rows = np.flatnonzero(edges.reverse >= 0)
+            assert rows.size == edges.n_edges or edges is expanded
+            back = edges.reverse[rows]
+            assert (edges.reverse[back] == rows).all()
+            assert (edges.src[back] == edges.dst[rows]).all() and (edges.dst[back] == edges.src[rows]).all()
+            assert (edges.shift[back] == -edges.shift[rows]).all()
+            assert edges.rel_vec[back].tobytes() == (0.0 - edges.rel_vec[rows]).tobytes()
+            assert edges.dist[back].tobytes() == edges.dist[rows].tobytes()

@@ -216,20 +216,25 @@ class TestPeriodicGathered:
 
     def test_cutoff_past_the_image_cap_rejected_before_allocating(self):
         # 1e308 over a 3 A cell overflows the reach to infinity; just past
-        # the cap, the images would take gigabytes
+        # the cap, the images would take gigabytes. At the largest range
+        # the cap admits, the (2n - 1)^3 nearest shifts of each of the 4
+        # (anchor, atom) pairs alone give more candidate pairs than the cap,
+        # which is refused just as early
         lat = np.eye(3) * 3.0
         pos = np.array([[0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
         conf = G.Conformation([11, 17], pos, lattice=lat)
         n = 0  # the largest range whose (2n + 1)^3 shifts of 2 atoms fit the cap
         while (2 * n + 3) ** 3 * 2 <= G._MAX_ROWS:
             n += 1
+        assert 4 * (2 * n - 1) ** 3 > G._MAX_ROWS
         inv = np.linalg.inv(lat)
-        assert G._shift_ranges(inv, pos @ inv, 3.0 * n) == (n, n, n)
-        for cutoff in (3.0 * n * (1.0 + 1e-12), 1e308):
+        with pytest.raises(ContractError, match=f"gives {4 * (2 * n - 1) ** 3} candidate pairs or more"):
+            G._shift_ranges(lat, inv, pos @ inv, 3.0 * n)
+        for cutoff, refusal in ((3.0 * n, "candidate pairs"), (3.0 * n * (1.0 + 1e-12), "periodic images"), (1e308, "periodic images")):
             for mode in ("gathered", "expanded"):
                 tracemalloc.start()
                 try:
-                    with pytest.raises(ContractError, match="periodic images"):
+                    with pytest.raises(ContractError, match=refusal):
                         G.periodic_radius_graph(conf, cutoff, mode=mode)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -583,8 +588,12 @@ def all_pairs_edges(anchors, candidates, cutoff):
 
 
 def lexsorted_reference(src, dst, shift, rel, dist):
-    """The rows lexsorted by (src, dst, shift), each naming the row of its
-    reverse (dst, src, -shift), or -1, found by a dictionary lookup."""
+    """The rows, each measured from one end of its pair, with their mirrors
+    (dst, src, -shift), whose vector is 0.0 - rel and length the same,
+    lexsorted by (src, dst, shift), each naming the row of its reverse, or
+    -1, found by a dictionary lookup."""
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    shift, rel, dist = np.concatenate([shift, -shift]), np.concatenate([rel, 0.0 - rel]), np.concatenate([dist, dist])
     order = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], dst, src))
     src, dst, shift = src[order], dst[order], shift[order]
     rows = [(s, d, *sh) for s, d, sh in zip(src.tolist(), dst.tolist(), shift.tolist())]
@@ -594,8 +603,10 @@ def lexsorted_reference(src, dst, shift, rel, dist):
 
 
 def reference_open_graph(pos, cutoff):
+    """Each pair measured from its lower point, then mirrored."""
     src, dst, rel, dist = all_pairs_edges(pos, pos, cutoff)
-    return lexsorted_reference(src, dst, np.zeros((src.size, 3), np.int64), rel, dist)
+    one = src < dst
+    return lexsorted_reference(src[one], dst[one], np.zeros((one.sum(), 3), np.int64), rel[one], dist[one])
 
 
 def reference_shifts(lattice, cutoff):
@@ -609,13 +620,21 @@ def reference_shifts(lattice, cutoff):
 
 def reference_periodic_graph(conf, cutoff):
     """The gathered graph of `periodic_radius_graph` from an all-pairs search
-    over the images of `reference_shifts`. The cell offsets and the image
-    helper are shared; the shift set, the search and the sort are not."""
+    over the images of `reference_shifts`. Each pair is measured from the
+    end that sees the other through a lexicographically positive image
+    shift, or through shift zero from the lower atom, and then mirrored.
+    The cell offsets are shared; the shift set, the search and the sort are
+    not. An image is its atom, moved into the cell, plus its shift times the
+    lattice, in the arithmetic of the graph."""
     pos, offset, _ = G._into_cell(conf.lattice, conf.pos, cutoff)
     shifts = reference_shifts(conf.lattice, cutoff)
-    src, image, rel, dist = all_pairs_edges(pos, G._images(pos, shifts, conf.lattice), cutoff)
+    images = (pos[None, :, :] + (shifts.astype(np.float64) @ conf.lattice)[:, None, :]).reshape(-1, 3)
+    src, image, rel, dist = all_pairs_edges(pos, images, cutoff)
     which, dst = np.divmod(image, conf.n_atoms)
-    return lexsorted_reference(src, dst, shifts[which] + offset[src] - offset[dst], rel, dist)
+    rows = zip(map(tuple, shifts[which].tolist()), src.tolist(), dst.tolist())
+    one = np.array([(s, d) > ((0, 0, 0), a) for s, a, d in rows], bool)
+    src, dst, which = src[one], dst[one], which[one]
+    return lexsorted_reference(src, dst, shifts[which] + offset[src] - offset[dst], rel[one], dist[one])
 
 
 def expanded_rows(graph):
