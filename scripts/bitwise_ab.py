@@ -19,7 +19,10 @@ with 3 layers (so a hidden attention layer is compared too):
 It holds the graphs of `periodic_radius_graph`, in both modes at cutoffs 2
 and 5, of the stream's crystals and of seeded skewed cells with their atoms
 written up to 3 cells outside (`outside_cells`), where moving the atoms into
-the cell and the shift ranges are put to work.
+the cell and the shift ranges are put to work. It holds the batch the models
+read: `build_batch(..., need_angles=True)` of the synthetic set and of the
+stream's frames, each set one batch, at cutoffs 2 and 5, its `src`, `dst`,
+`shift_offset`, pair index and angle triplets.
 
 It also holds the artifacts of CLI runs on the tree: `build-graph` in both
 modes on the same two sets at cutoff 5 and on the outside cells at cutoffs
@@ -103,6 +106,28 @@ def graph_arrays(structures: list) -> dict:
                     fields.update(z=graph.z, positions=graph.positions, image_of=graph.image_of)
                 named = arrays.setdefault(("geometry", f"{mode}.{cutoff:g}"), {})
                 named.update({f"{i}.{f}": a for f, a in fields.items()})
+    return arrays
+
+
+def batch_arrays(sets: dict) -> dict:
+    """{("batch", set.cutoff): {name: array}} of each set's batch with
+    angles at cutoffs 2 and 5; `pairs.flipped` is kept as its rows."""
+    from geomnets.models.common import build_batch
+
+    arrays = {}
+    for label, structures in sets.items():
+        for cutoff in (2.0, 5.0):
+            batch = build_batch(structures, cutoff, need_angles=True)
+            pairs, angles = batch.pairs, batch.angles
+            arrays["batch", f"{label}.{cutoff:g}"] = {
+                "src": batch.src,
+                "dst": batch.dst,
+                "shift_offset": batch.shift_offset,
+                "pairs.edge": pairs.edge,
+                "pairs.slot": pairs.slot,
+                "pairs.flipped": np.flatnonzero(pairs.flipped),
+                **{f"angles.{f}": getattr(angles, f) for f in ("in_edge", "out_edge", "angle")},
+            }
     return arrays
 
 
@@ -190,6 +215,7 @@ def dump(out: str) -> None:
         force_peaks[family] = traced_peak(lambda: tr.force_from_energy(model, params, largest))
     outside = outside_cells(0, 40)
     arrays.update(graph_arrays([c for c in sets["stream"] if c.lattice is not None] + outside))
+    arrays.update(batch_arrays(sets))
     cli = cli_artifacts(dict(sets, outside=outside), CONFIGS)
     with open(out, "wb") as fh:
         pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "cli": cli}, fh)

@@ -65,8 +65,8 @@ class Conformation:
 @dataclass
 class EdgeList:
     """Directed cutoff edges over one structure; `reverse` holds each row's
-    reverse row, or -1 where the reverse is not in the graph. A mirrored
-    row's rel_vec is the negated measured one (0.0 - it), its dist the same."""
+    reverse row (-1 on an expanded graph's image rows). A mirrored row's
+    rel_vec is the negated measured one (0.0 - it), its dist the same."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -131,8 +131,8 @@ class PairIndex:
 
     `edge` (P,) is each pair's representative, the lower row of the two;
     `slot` (E,) is each edge's pair; `flipped` (E,) marks the edges that run
-    against their representative. An edge without a reverse row, which only
-    a hand-made reverse column has, is a pair of its own."""
+    against their representative. An index built by hand may leave an edge
+    a pair of its own, as the per-edge reference does for every edge."""
 
     edge: np.ndarray
     slot: np.ndarray
@@ -148,9 +148,9 @@ class PairIndex:
 
 
 def pair_index(reverse: np.ndarray) -> PairIndex:
-    """The pairs of edges whose reverse rows are `reverse` (-1 for none)."""
+    """The pairs of edges whose reverse rows are `reverse`, one per edge."""
     rows = np.arange(reverse.size)
-    flipped = (reverse >= 0) & (reverse < rows)
+    flipped = reverse < rows
     slot = np.cumsum(~flipped) - 1
     slot[flipped] = slot[reverse[flipped]]
     return PairIndex(np.flatnonzero(~flipped), slot, flipped)
@@ -186,6 +186,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
 
 
+def _bin_keys(bins: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """bins @ strides (int64, strides[2] == 1) column by column: exact, and faster than an integer matmul."""
+    return bins[:, 0] * strides[0] + bins[:, 1] * strides[1] + bins[:, 2]
+
+
 def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float, base: int):
     """Every (anchor, candidate) index pair with 0 < dist <= cutoff and
     dst > src + base, as (src, dst, rel, dist) with rel = candidates[dst] -
@@ -219,14 +224,14 @@ def _pairs_within(anchors: np.ndarray, candidates: np.ndarray, cutoff: float, ba
     inside = (cand_bin >= 0) & (cand_bin < dims)
     kept = np.flatnonzero(inside[:, 0] & inside[:, 1] & inside[:, 2])
     strides = np.array([dims[1] * dims[2], dims[2], 1])
-    cand_key = cand_bin[kept].astype(np.int64) @ strides
+    cand_key = _bin_keys(cand_bin[kept].astype(np.int64), strides)
     order = np.argsort(cand_key, kind="stable")
     cand_key, kept = cand_key[order], kept[order]
 
     # along the last axis the three neighbouring bins have consecutive keys,
     # so the 27 bins are 9 key ranges [row - 1, row + 1]
     rows = np.array([dx * strides[0] + dy * strides[1] for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-    row_keys = (anchor_bin @ strides)[:, None] + rows
+    row_keys = _bin_keys(anchor_bin, strides)[:, None] + rows
     starts = np.searchsorted(cand_key, row_keys - 1, "left").ravel()
     counts = np.searchsorted(cand_key, row_keys + 1, "right").ravel() - starts
     if counts.sum() > _MAX_ROWS:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import AngleIndex, PairIndex, build_angle_index, pair_index, periodic_radius_graph, radius_graph
+from ..geometry import AngleIndex, EdgeList, PairIndex, build_angle_index, pair_index, periodic_radius_graph, radius_graph
 from ..tensor import Tensor
 
 # 118 real elements plus one reserved row; row 0 doubles as the mask token
@@ -19,13 +19,15 @@ EMBED_ROWS = 119
 @dataclass
 class GraphBatch:
     """Several conformations merged into one disjoint graph, its edges
-    grouped into reverse pairs by `pairs`."""
+    grouped into reverse pairs by `pairs`; `dist` holds each edge's length
+    as the graph builder measured it, one per pair."""
 
     z: np.ndarray
     pos: np.ndarray
     node_graph: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    dist: np.ndarray
     shift_offset: np.ndarray
     n_graphs: int
     pairs: PairIndex
@@ -41,48 +43,38 @@ class GraphBatch:
 
 
 def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
-    """Merge conformations into one batch; crystals use gathered images."""
+    """Merge conformations into one batch (crystals use gathered images):
+    one edge list, node offsets on `src`/`dst` and row offsets on `reverse`,
+    whose pairs and triplets are indexed once. No edge crosses graphs, so
+    the triplets come graph by graph, each in its graph's own order."""
     if not confs:
         raise ContractError("batch needs at least one conformation")
-    zs, poss, node_graph = [], [], []
-    srcs, dsts, offsets, reverses = [], [], [], []
-    ang_in, ang_out, ang_val = [], [], []
-    node_base = 0
-    edge_base = 0
-    for g, conf in enumerate(confs):
+    graphs, offsets = [], []
+    for conf in confs:
         if conf.lattice is None:
-            edges = radius_graph(conf.pos, cutoff)
-            shift_off = np.zeros((edges.n_edges, 3))
+            graph = radius_graph(conf.pos, cutoff)
+            offsets.append(np.zeros((graph.n_edges, 3)))
         else:
-            edges = periodic_radius_graph(conf, cutoff, mode="gathered")
-            shift_off = edges.shift.astype(np.float64) @ conf.lattice
-        zs.append(conf.z)
-        poss.append(conf.pos)
-        node_graph.append(np.full(conf.n_atoms, g, dtype=np.int64))
-        srcs.append(edges.src + node_base)
-        dsts.append(edges.dst + node_base)
-        offsets.append(shift_off)
-        reverses.append(np.where(edges.reverse >= 0, edges.reverse + edge_base, -1))
-        if need_angles:
-            ang = build_angle_index(edges)
-            ang_in.append(ang.in_edge + edge_base)
-            ang_out.append(ang.out_edge + edge_base)
-            ang_val.append(ang.angle)
-        node_base += conf.n_atoms
-        edge_base += edges.n_edges
-    angles = None
-    if need_angles:
-        angles = AngleIndex(np.concatenate(ang_in), np.concatenate(ang_out), np.concatenate(ang_val))
+            graph = periodic_radius_graph(conf, cutoff, mode="gathered")
+            offsets.append(graph.shift.astype(np.float64) @ conf.lattice)
+        graphs.append(graph)
+    atoms, rows = [conf.n_atoms for conf in confs], [graph.n_edges for graph in graphs]
+    edges = EdgeList(*(np.concatenate([getattr(g, f.name) for g in graphs]) for f in fields(EdgeList)))
+    node_base = np.repeat(np.cumsum([0] + atoms[:-1]), rows)
+    edges.src += node_base
+    edges.dst += node_base
+    edges.reverse += np.repeat(np.cumsum([0] + rows[:-1]), rows)
     return GraphBatch(
-        z=np.concatenate(zs),
-        pos=np.concatenate(poss, axis=0),
-        node_graph=np.concatenate(node_graph),
-        src=np.concatenate(srcs),
-        dst=np.concatenate(dsts),
+        z=np.concatenate([conf.z for conf in confs]),
+        pos=np.concatenate([conf.pos for conf in confs], axis=0),
+        node_graph=np.repeat(np.arange(len(confs)), atoms),
+        src=edges.src,
+        dst=edges.dst,
+        dist=edges.dist,
         shift_offset=np.concatenate(offsets, axis=0),
         n_graphs=len(confs),
-        pairs=pair_index(np.concatenate(reverses)),
-        angles=angles,
+        pairs=pair_index(edges.reverse),
+        angles=build_angle_index(edges) if need_angles else None,
     )
 
 

@@ -445,11 +445,6 @@ def _cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return T.mean(lse - picked)
 
 
-def _edge_distances(batch: GraphBatch) -> np.ndarray:
-    rel = batch.pos[batch.dst] + batch.shift_offset - batch.pos[batch.src]
-    return np.linalg.norm(rel, axis=1)
-
-
 def masked_pretrain_loss(
     kind: str,
     model,
@@ -462,7 +457,8 @@ def masked_pretrain_loss(
 
     type:     mask 15% of atoms (at least one) by pointing them at embedding
               row 0, then classify the true element from node features.
-    distance: regress true lengths of a 15% edge subset from endpoint features.
+    distance: regress the builder's lengths (`GraphBatch.dist`) of a 15% edge
+              subset from endpoint features.
     angle:    regress true interior angles of a 15% triplet subset.
     """
     rng = np.random.default_rng(seed)
@@ -478,7 +474,7 @@ def masked_pretrain_loss(
         h = model.node_scalars(params_t, batch, pos)
         rep = T.concat([T.gather(h, batch.src[picked]), T.gather(h, batch.dst[picked])], axis=1)
         pred = T.mlp_apply(_head_spec(model, 2), params_t, rep, "dist_head")
-        target = Tensor(_edge_distances(batch)[picked][:, None])
+        target = Tensor(batch.dist[picked][:, None])
         return _reduce(pred - target, "mse")
     if kind == "angle":
         if batch.angles is None:

@@ -2,24 +2,23 @@
 
 Every edge's partner must be its reverse (dst, src, -shift), and the pair
 slots must cover each pair exactly twice. A cutoff graph measures each
-pair once and mirrors it, so it gives every edge its reverse; only a
-hand-made reverse column leaves an edge without one, and that edge keeps
-a slot of its own.
+pair once and mirrors it, so open and gathered graphs give every edge its
+reverse. A batch merges its graphs once and indexes the pairs and angle
+triplets once; they must equal each graph's own, moved by the rows before
+it, and the distance pretext must read the builder's lengths.
 
 On every pair index built here, the adjoint of `tensor.expand_pairs` must
 give the bytes of `tensor.scatter_sum` by slot, -0.0 rows included, and a
 recorded backward through the expansion the bits of an unrecorded one.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from geomnets import geometry as G
 from geomnets import tensor as T
+from geomnets import training as tr
 from geomnets.models import api
-from geomnets.models import common
 from geomnets.models.common import build_batch
 
 SKEWED = np.array([[3.1, 0.0, 0.0], [0.9, 2.8, 0.0], [-0.7, 0.6, 3.3]])
@@ -46,16 +45,15 @@ def integer_shifts(confs, cutoff):
     return np.concatenate(out)
 
 
-def check_pairs(batch, shift, singles=0):
+def check_pairs(batch, shift):
     """The pair index of `batch` against its edges (src, dst, integer shift):
     a flipped edge's representative is its reverse and sits in a lower row,
-    every slot holds two edges but `singles` slots that hold one, and a
-    representative is the edge its slot names."""
+    every slot holds two edges, and a representative is the edge its slot
+    names."""
     pairs, e = batch.pairs, batch.n_edges
     assert pairs.slot.shape == pairs.flipped.shape == (e,)
     counts = np.bincount(pairs.slot, minlength=pairs.edge.size)
-    assert counts.size == pairs.edge.size and (counts == 2).sum() + singles == pairs.edge.size
-    assert (counts == 1).sum() == singles and 2 * pairs.edge.size == e + singles
+    assert counts.size == pairs.edge.size and (counts == 2).all() and 2 * pairs.edge.size == e
     rows = np.arange(e)
     kept = ~pairs.flipped
     assert (pairs.edge[pairs.slot[kept]] == rows[kept]).all()
@@ -76,7 +74,7 @@ def check_expansion(pairs, width=3):
     e, p = pairs.slot.size, pairs.edge.size
     rng = np.random.default_rng(e)
     g = rng.normal(size=(e, width))
-    g[pairs.slot % 3 == 0] = -0.0  # both rows of a pair, or a single's row
+    g[pairs.slot % 3 == 0] = -0.0  # both rows of a pair
     g[(pairs.slot % 3 == 1) & pairs.flipped, 0] = -0.0  # one row of a pair
     summed = T.sum_pairs(g, pairs).data
     assert summed.tobytes() == T.scatter_sum(g, pairs.slot, p).data.tobytes()
@@ -149,20 +147,29 @@ def test_atom_written_a_lattice_vector_outside_the_cell():
 
 
 def test_multi_conformation_batch_offsets():
+    # molecules, a crystal and a conformation with no edges in one batch:
+    # its pairs and triplets, bit for bit, are each graph's own index with
+    # the rows and pairs of the graphs before it added
     confs = [cluster(3), crystal(4), G.Conformation([8], [[0.0, 0.0, 0.0]]), cluster(5, n=4)]
-    batch = build_batch(confs, 4.0)
+    batch = build_batch(confs, 4.0, need_angles=True)
     check_pairs(batch, integer_shifts(confs, 4.0))
-    # each graph's pairs, moved by the edges and pairs of the graphs before
-    edge_base = pair_base = 0
+    want = {k: [] for k in ("edge", "slot", "flipped", "in_edge", "out_edge", "angle")}
+    rows = n_pairs = 0
     for conf in confs:
-        one = build_batch([conf], 4.0).pairs
-        rows = slice(edge_base, edge_base + one.slot.size)
-        np.testing.assert_array_equal(batch.pairs.slot[rows], one.slot + pair_base)
-        np.testing.assert_array_equal(batch.pairs.flipped[rows], one.flipped)
-        np.testing.assert_array_equal(batch.pairs.edge[pair_base : pair_base + one.edge.size], one.edge + edge_base)
-        edge_base += one.slot.size
-        pair_base += one.edge.size
-    assert (edge_base, pair_base) == (batch.n_edges, batch.pairs.edge.size)
+        graph = G.radius_graph(conf.pos, 4.0) if conf.lattice is None else G.periodic_radius_graph(conf, 4.0)
+        pairs, angles = G.pair_index(graph.reverse), G.build_angle_index(graph)
+        want["edge"].append(pairs.edge + rows)
+        want["slot"].append(pairs.slot + n_pairs)
+        want["flipped"].append(pairs.flipped)
+        want["in_edge"].append(angles.in_edge + rows)
+        want["out_edge"].append(angles.out_edge + rows)
+        want["angle"].append(angles.angle)
+        rows, n_pairs = rows + graph.n_edges, n_pairs + pairs.edge.size
+    assert (rows, n_pairs) == (batch.n_edges, batch.pairs.edge.size) and batch.angles.n_triplets > 0
+    for name, parts in want.items():
+        got = getattr(batch.pairs if name in ("edge", "slot", "flipped") else batch.angles, name)
+        expected = np.concatenate(parts)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 def test_zero_edge_single_atom_batch():
@@ -175,14 +182,6 @@ def test_zero_edge_single_atom_batch():
     model = api.model_from_config({"family": "schnet", "hidden": 4, "layers": 1, "cutoff": 4.0})
     energy = model.energy(T.lift(model.init(0)), batch, T.Tensor(batch.pos))
     assert energy.shape == (1,) and np.isfinite(energy.data).all()
-
-
-def test_hand_made_edge_set_with_a_missing_reverse():
-    # rows (0, 1), (0, 2), (1, 0) of three atoms: (2, 0) is missing
-    pairs = G.pair_index(np.array([2, -1, 0]))
-    assert pairs.edge.tolist() == [0, 1]
-    assert pairs.slot.tolist() == [0, 1, 0]
-    assert pairs.flipped.tolist() == [False, False, True]
 
 
 def rounding_apart():
@@ -208,33 +207,31 @@ def test_periodic_pair_whose_directions_round_apart_keeps_both():
     for cutoff in (ahead, back):
         edges = G.periodic_radius_graph(conf, cutoff)
         assert (edges.reverse >= 0).all()
-        check_pairs(build_batch([conf], cutoff), edges.shift, singles=0)
+        check_pairs(build_batch([conf], cutoff), edges.shift)
         rows = zip(edges.src.tolist(), edges.dst.tolist(), map(tuple, edges.shift.tolist()))
         pair = [k for k, row in enumerate(rows) if row in {(0, 1, (1, 1, 0)), (1, 0, (-1, -1, 0))}]
         assert edges.dist[pair].tolist() == ([ahead, ahead] if ahead <= cutoff else [])
 
 
-def test_a_missing_reverse_reaches_the_forward(monkeypatch):
-    # the batch of a hand-made graph that lacks one reverse: the forward on
-    # its pairs equals the forward with every edge a pair of its own
-    conf = cluster(6, n=5)
-    full = G.radius_graph(conf.pos, 2.5)
-    keep = np.flatnonzero(full.reverse != full.reverse.max())  # drops one edge
-    row = np.full(full.n_edges, -1)
-    row[keep] = np.arange(keep.size)
-    reverse = row[full.reverse[keep]]
-    edges = G.EdgeList(full.src[keep], full.dst[keep], full.dist[keep], full.rel_vec[keep], full.shift[keep], reverse)
-    monkeypatch.setattr(common, "radius_graph", lambda pos, cutoff: edges)
-    batch = build_batch([conf], 2.5)
-    check_pairs(batch, edges.shift, singles=1)
-    e = batch.n_edges
-    alone = dataclasses.replace(batch, pairs=G.PairIndex(np.arange(e), np.arange(e), np.zeros(e, bool)))
-    for family in ("schnet", "painn", "tfn"):
-        model = api.model_from_config({"family": family, "cutoff": 2.5})
-        params = T.lift(model.init(0))
-        got = model.energy(params, batch, T.Tensor(batch.pos)).data
-        want = model.energy(params, alone, T.Tensor(batch.pos)).data
-        assert got.tobytes() == want.tobytes(), family
+def test_distance_pretext_targets_are_the_builders_lengths():
+    # with the distance head zeroed the loss is the mean square of the
+    # picked rows' targets, the batch's lengths; the picks include the
+    # mirror of the pair whose directions round apart, whose target is its
+    # pair's one length, not a second measurement of the reverse direction
+    conf, (ahead, back) = rounding_apart()
+    cutoff = max(ahead, back)
+    batch = build_batch([conf], cutoff)
+    rows = list(zip(batch.src.tolist(), batch.dst.tolist(), map(tuple, integer_shifts([conf], cutoff).tolist())))
+    measured, mirror = rows.index((0, 1, (1, 1, 0))), rows.index((1, 0, (-1, -1, 0)))
+    assert batch.dist[mirror] == batch.dist[measured] == ahead != back
+    seed = next(s for s in range(100) if mirror in tr._mask_indices(np.random.default_rng(s), batch.n_edges))
+    picked = tr._mask_indices(np.random.default_rng(seed), batch.n_edges)
+    model = api.model_from_config({"family": "schnet", "hidden": 4, "layers": 1, "cutoff": cutoff})
+    params = model.init(0)
+    heads = tr.init_pretrain_heads(model, 1)
+    params.update((k, np.zeros_like(v)) for k, v in heads.items() if k.startswith(tr.MASKED_HEADS["distance"]))
+    loss = tr.masked_pretrain_loss("distance", model, T.lift(params), batch, T.Tensor(batch.pos), seed)
+    assert float(loss.data) == (batch.dist[picked] ** 2).sum() * (1.0 / picked.size)
 
 
 @pytest.mark.parametrize("seed", range(3))

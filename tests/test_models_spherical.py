@@ -11,7 +11,7 @@ import pytest
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
-from geomnets.geometry import Conformation, pair_index, radius_graph
+from geomnets.geometry import Conformation, PairIndex, pair_index, radius_graph
 from geomnets.models import api
 from geomnets.models import invariant as inv
 from geomnets.models import spherical as sph
@@ -60,23 +60,23 @@ def rows(feat):
     return np.concatenate([b.data.reshape(b.shape[0], -1) for b in feat.blocks], axis=1)
 
 
-def filters(spec, rel, reverse):
-    """The filter inputs of edges with vectors `rel` (E, 3) and reverse rows
-    `reverse`, computed on their pairs, up to the highest filter degree
-    that a path of `spec` or of its keys reads."""
-    pairs = pair_index(reverse)
+def filters(spec, rel, pairs):
+    """The filter inputs of edges with vectors `rel` (E, 3) grouped into
+    `pairs`, computed on their pairs, up to the highest filter degree that
+    a path of `spec` or of its keys reads."""
     keys = dataclasses.replace(spec, layout_out=spec.layout_in)
     degree = max(l_f for _, l_f, _ in spec.paths() + keys.paths())
     return sph.filter_inputs(inv.edge_geometry(spec.radial, T.gather(rel, pairs.edge)), pairs, degree)
 
 
 def conv(spec, params, feat, edges):
-    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), edges.reverse))
+    pairs = pair_index(edges.reverse)
+    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pairs))
 
 
 def attend(spec, params, feat, edges):
     return sph.se3_attention(
-        spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), edges.reverse)
+        spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pair_index(edges.reverse))
     )
 
 
@@ -203,8 +203,9 @@ def test_conv_rejects_zero_length_edge():
     spec = layer_spec()
     params = as_tensors(sph.init_tfn_layer(spec, np.random.default_rng(2), "conv"))
     feat = random_feature(spec.layout_in, 2, 5)
+    one = np.zeros(1, np.int64)
     with pytest.raises(ContractError):
-        filters(spec, Tensor(np.zeros((1, 3))), np.array([-1]))
+        filters(spec, Tensor(np.zeros((1, 3))), PairIndex(one, one, np.zeros(1, bool)))
 
 
 def test_conv_layout_mismatch_rejected():
@@ -514,7 +515,7 @@ def fused_and_reference(layer, graph):
         spec, params = (attention_setup if layer == "attention" else last_attention_setup)(7)
 
         def fused(spec, params, feat, src, dst, rel, reverse):
-            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel, reverse))
+            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel, pair_index(reverse)))
 
         def ref(*args):
             return reference_attention(*args[:-1])
@@ -524,7 +525,7 @@ def fused_and_reference(layer, graph):
         params = sph.init_tfn_layer(spec, rng, "conv")
 
         def fused(spec, params, feat, src, dst, rel, reverse):
-            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel, reverse)), None
+            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel, pair_index(reverse))), None
 
         def ref(*args):
             return reference_conv(*args[:-1]), None

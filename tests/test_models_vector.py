@@ -5,7 +5,7 @@ import pytest
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, ShapeError
-from geomnets.geometry import Conformation, pair_index, radius_graph
+from geomnets.geometry import Conformation, PairIndex, radius_graph
 from geomnets.models import api
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch, embed_nodes, pair_vectors
@@ -219,7 +219,8 @@ def test_painn_layer_shape_errors():
     pt = as_tensors(params)
     s = Tensor(np.zeros((5, spec.hidden)))
     geom = edge_geometry(spec.basis, Tensor(edges.rel_vec))
-    graph = (edges.src, edges.dst, pair_index(np.full(edges.n_edges, -1)), geom.rbf, geom.unit)
+    rows = np.arange(edges.n_edges)
+    graph = (edges.src, edges.dst, PairIndex(rows, rows, np.zeros(rows.size, bool)), geom.rbf, geom.unit)
     with pytest.raises(ShapeError):
         vec.painn_layer(spec, pt, "layer0", s, Tensor(np.zeros((5, 2, spec.hidden))), *graph)
     with pytest.raises(ShapeError):
