@@ -38,10 +38,12 @@ that exists on one side only. Then, for information, each side's traced
 peak (tracemalloc) of one more `train_energy_force` step per family, and of
 one first-order force call (`force_from_energy`) per family on the largest
 frame of the stream, which show what a change does to the memory a training
-step and an inference call hold. The last line gives
+step and an inference call hold, each next to the number of tape records
+that call made, so a change that moves the pins of
+`tests/test_tape_cost.py` shows it here too. The last line gives
 the number of arrays that differ and the largest of those relative
 differences, and the number of CLI artifacts that differ. Exits 1 if any
-array or artifact differs; the peaks do not count.
+array or artifact differs; the peaks and record counts do not count.
 """
 
 import contextlib
@@ -72,6 +74,25 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def records_of(fn) -> int:
+    """Records of the tapes released while `fn()` runs, summed."""
+    from geomnets import tensor as T
+
+    sizes = []
+    release = T.Tape.release
+
+    def counting_release(tape):
+        sizes.append(len(tape.records))
+        release(tape)
+
+    T.Tape.release = counting_release
+    try:
+        fn()
+    finally:
+        T.Tape.release = release
+    return sum(sizes)
 
 
 def outside_cells(seed: int, count: int) -> list:
@@ -174,8 +195,8 @@ def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
 
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
-    {family: bytes}, "force_peaks": {family: bytes}, "cli": {label: bytes}}
-    for the tree on the path."""
+    {family: (bytes, records)}, "force_peaks": {family: (bytes, records)},
+    "cli": {label: bytes}} for the tree on the path."""
     from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
@@ -211,8 +232,10 @@ def dump(out: str) -> None:
                 _, history = tr.train_pretrain(model, kind, confs, schedule, seed=0, steps=STEPS)
                 arrays[family, f"pretext.{kind}"] = {"train_loss": np.asarray(history["train_loss"])}
         # after the steps above, so one-time tables are built already
-        peaks[family] = traced_peak(lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1))
-        force_peaks[family] = traced_peak(lambda: tr.force_from_energy(model, params, largest))
+        step = lambda: tr.train_energy_force(model, confs, schedule, seed=0, steps=1)
+        force = lambda: tr.force_from_energy(model, params, largest)
+        peaks[family] = traced_peak(step), records_of(step)
+        force_peaks[family] = traced_peak(force), records_of(force)
     outside = outside_cells(0, 40)
     arrays.update(graph_arrays([c for c in sets["stream"] if c.lattice is not None] + outside))
     arrays.update(batch_arrays(sets))
@@ -290,10 +313,10 @@ def main(argv=None) -> int:
     differ, largest = compare(ref["arrays"], new["arrays"])
     cli_differ = compare_cli(ref["cli"], new["cli"])
     for key, what in (("peaks", "one train_energy_force step"), ("force_peaks", "one force call, largest frame")):
-        print(f"traced peak of {what} (MB), REF -> this checkout:")
+        print(f"traced peak (MB) and tape records of {what}, REF -> this checkout:")
         for family in sorted(set(ref[key]) | set(new[key])):
-            a, b = (side[key].get(family, math.nan) / 1e6 for side in (ref, new))
-            print(f"{family:15s} {a:8.2f} -> {b:8.2f}")
+            (a, ra), (b, rb) = (side[key].get(family, (math.nan, -1)) for side in (ref, new))
+            print(f"{family:15s} {a / 1e6:8.2f} -> {b / 1e6:8.2f}  records {ra:5d} -> {rb:5d}")
     print(f"{differ} arrays differ, max_rel={largest:.3e}, {cli_differ} CLI artifacts differ")
     return 1 if differ or cli_differ else 0
 

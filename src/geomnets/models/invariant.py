@@ -320,12 +320,13 @@ def schnet_layer(
     The input transform W is applied atom-wise, as in SchNet, and its rows
     are gathered to the edges. The filter depends on the edge length alone,
     so its network runs once per edge pair, on the pairs' basis `rbf`
-    (P, count) times their envelope (P, 1), and is expanded to the edges of
-    `pairs`. A message fades to zero as its edge reaches the cutoff; with
+    (P, count) times their envelope (P, 1). `T.edge_product` multiplies the
+    two on the edges and keeps them at node and pair scale for the
+    backward. A message fades to zero as its edge reaches the cutoff; with
     all-zero filter weights the update is exactly the identity.
     """
     filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter") * env
-    msg = T.gather(T.matmul(h, params[f"{prefix}.win"]), dst) * T.expand_pairs(filt, pairs)
+    msg = T.edge_product(T.matmul(h, params[f"{prefix}.win"]), dst, filt, pairs)
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 

@@ -179,11 +179,10 @@ def painn_layer(
         raise ShapeError(f"vector features {v.shape} do not match ({n}, 3, {f})")
 
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
-    # ways; the filter runs per edge pair and phi per node, then their rows
-    # are expanded and gathered to the edges
+    # ways; the filter runs per edge pair and phi per node, and their rows
+    # meet on the edges in one edge product
     phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
-    filt = T.expand_pairs(T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
-    gates = filt * T.gather(phi, dst)
+    gates = T.edge_product(phi, dst, T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
     g_ss, g_sv = gates[:, 0:f], gates[:, f : 2 * f]
     dv = T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
     if v is not None:

@@ -8,10 +8,12 @@ energy and its forces, an evaluation) and checks the arrays it returns. If
 one is non-finite, the failed tape is released and the call replays with
 every arithmetic operation checking its result, so the NumericError names
 the first op that went non-finite and its scope. Ops that are finite by
-construction (reshapes, slices, gathers, concat, broadcast, sigmoid, sin,
-cos) are not checked even then. `expand_pairs`, which copies each edge
-pair's row to its one or two edges, is such a gather; its adjoint
-`sum_pairs` adds rows and is checked like `scatter_sum`.
+construction (reshapes, slices, gathers, concat, broadcast, sigmoid, silu
+and its two derivative ops, sin, cos) are not checked even then.
+`expand_pairs`, which copies each edge pair's row to its one or two edges,
+is such a gather; its adjoint `sum_pairs` adds rows and is checked like
+`scatter_sum`. `edge_product` is a product, which can overflow, so it is
+checked.
 
 `scope(name)` labels the records made inside it; the models open one per
 layer or block, named like its parameters (`layer1`, `block0`), and one
@@ -42,10 +44,23 @@ rule for the divisor keeps both), `exp`'s its result, and `add`'s and
 `sub`'s only the shapes. So a product whose other operand is a constant or
 an unwatched parameter does not hold its taped operand. An unrecorded
 backward spends each record it runs: it drops each rule as soon as the rule
-has run and each gradient sum as soon as a new one replaces it, so the
-tensors they kept are freed as the backward goes instead of at `release`.
-It therefore runs last on its tape; a later backward that reaches a spent
-record raises a ContractError naming its op.
+has run, each record's incoming gradient once its last rule has read it,
+and each gradient sum as soon as a new one replaces it, so the tensors they
+kept are freed as the backward goes instead of at `release`. It therefore
+runs last on its tape; a later backward that reaches a spent record raises
+a ContractError naming its op.
+
+Two fused ops serve the message-passing models. `silu` is one op, a*s(a)
+with s the sigmoid, whose rule `mul(g, silu_d1(a))` keeps the input alone;
+`silu_d1` and `silu_d2`, its first and second derivatives in closed form,
+are one op each with the same kind of rule, and `silu_d2`'s rule is made
+of elementary ops, so every order differentiates. A recorded backward
+through an activation makes two records where the product of the input
+and a sigmoid made six. `edge_product(node_rows, index, pair_rows, pairs)`
+is `gather(node_rows, index) * expand_pairs(pair_rows, pairs)`, bitwise,
+as one record: its rules keep the (N, ...) node rows, the (P, ...) pair
+rows and the indices, and take the rows to the edges again when they run,
+so no (E, ...) operand of a message lives as long as the tape.
 
 On glibc, importing this module raises the process's mmap and trim
 thresholds, so pages a backward frees stay in the process for the next
@@ -232,9 +247,11 @@ class Tape:
         record's rules run in that record's scope.
 
         An unrecorded backward also spends the records whose rules it runs:
-        it drops each rule as soon as it has run, and keeps no replaced
-        gradient sum or summed-in term past its add, so the tensors they
-        held are freed during the backward rather than at `release`. The
+        it drops each rule as soon as it has run, a record's incoming
+        gradient before the sum of its last rule's term, and keeps no
+        replaced gradient sum or summed-in term past its add, so the
+        tensors they held are freed during the backward rather than at
+        `release`. The
         records stay, with their name, scope and uids. Run it last on a
         tape: a later backward that needs a spent record raises a
         ContractError naming its op, and one over records it did not run
@@ -254,21 +271,30 @@ class Tape:
         # the root never receives a gradient, so it is neither run nor spent
         records = list(self.records)
 
-        # which nodes descend from any wrt tensor; a gradient reaches only
-        # what the root reaches, so this is the only pruning set
+        # which inputs of each record descend from any wrt tensor, as a bit
+        # mask: 0 when its output does not. A gradient reaches only what the
+        # root reaches, so this is the only pruning; the set of descending
+        # uids is gone before the first rule runs
         descends: set[int] = {t.uid for t in wrt}
+        masks = []
         for rec in records:
-            if not descends.isdisjoint(rec.input_uids):
+            mask = 0
+            for i, uid in enumerate(rec.input_uids):
+                if uid in descends:
+                    mask |= 1 << i
+            if mask:
                 descends.add(rec.output_uid)
+            masks.append(mask)
+        del descends
 
         grads: dict[int, Tensor] = {root.uid: Tensor(np.ones_like(root.data))}
         outer = _scope, _in_backward
         self._recording = record
         _in_backward = True
         try:
-            for rec in reversed(records):
+            for rec, mask in zip(reversed(records), reversed(masks)):
                 g = grads.pop(rec.output_uid, None)
-                if g is None or rec.output_uid not in descends:
+                if g is None or not mask:
                     continue
                 rules = rec.vjps
                 if rules is None:
@@ -276,18 +302,23 @@ class Tape:
                 if not record:  # spend the record, and each rule as soon as it has run
                     rec.vjps, rules = None, list(rules)
                 _scope = rec.scope
+                last = mask.bit_length() - 1
                 for i, uid in enumerate(rec.input_uids):
-                    if uid not in descends:
+                    if not mask >> i & 1:
                         continue
                     if rules[i] is None:
                         raise ContractError(
                             f"{rec.site()} kept no rule for an input off the tape when it ran;"
                             " watch a tensor before its first use"
                         )
-                    # one expression, so no local keeps the term or the sum it replaces
-                    grads[uid] = add(grads[uid], rules[i](g)) if uid in grads else rules[i](g)
+                    term = rules[i](g)
                     if not record:
                         rules[i] = None
+                    if i == last:  # no rule reads it again: free it before the sum
+                        del g
+                    # no local keeps the term or the sum it replaces into the next rule
+                    grads[uid] = add(grads[uid], term) if uid in grads else term
+                    del term
         finally:
             self._recording = True
             _scope, _in_backward = outer
@@ -306,7 +337,7 @@ def _coerce(x) -> Tensor:
 _FINITE_BY_CONSTRUCTION = frozenset(
     {
         "reshape", "transpose2", "slice", "unslice", "concat", "gather", "expand_pairs", "broadcast",
-        "sigmoid", "sin", "cos",
+        "sigmoid", "silu", "silu_d1", "silu_d2", "sin", "cos",
     }
 )
 
@@ -549,10 +580,9 @@ def _check_basic_key(key) -> None:
             raise ContractError("slice accepts slices and ints only")
 
 
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    x = a.data
-    # fresh arrays even for 0-d input, where ufuncs would return scalars
+def _sigmoid_data(x: np.ndarray) -> np.ndarray:
+    """The logistic function of `x`, a fresh array even for 0-d input, where
+    ufuncs would return scalars."""
     e = np.abs(x, out=np.empty(np.shape(x)))
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -561,13 +591,58 @@ def sigmoid(a) -> Tensor:
     data = np.maximum(e, x >= 0, out=np.empty_like(e))
     e += 1.0
     data /= e
-    out = _op("sigmoid", (a,), data, (lambda g: mul(g, mul(out, sub(1.0, out))),))
+    return data
+
+
+def sigmoid(a) -> Tensor:
+    a = _coerce(a)
+    out = _op("sigmoid", (a,), _sigmoid_data(a.data), (lambda g: mul(g, mul(out, sub(1.0, out))),))
     return out
 
 
+# SiLU a*s(a), s the sigmoid, and its first two derivatives are one op each,
+# computed in place on the sigmoid's array; each rule keeps the input alone.
+# For finite input all three are finite: s, 1 - s and |1 - 2s| are at most 1,
+# so no factor exceeds |a| + 2.
 def silu(a) -> Tensor:
     a = _coerce(a)
-    return mul(a, sigmoid(a))
+    data = _sigmoid_data(a.data)
+    data *= a.data
+    return _op("silu", (a,), data, (lambda g: mul(g, silu_d1(a)),))
+
+
+def silu_d1(a) -> Tensor:
+    """The derivative of `silu`, s (1 + a (1 - s))."""
+    a = _coerce(a)
+    s = _sigmoid_data(a.data)
+    data = np.subtract(1.0, s, out=np.empty_like(s))
+    data *= a.data
+    data += 1.0
+    data *= s
+    return _op("silu_d1", (a,), data, (lambda g: mul(g, silu_d2(a)),))
+
+
+def silu_d2(a) -> Tensor:
+    """The second derivative of `silu`, s (1 - s) (2 + a (1 - 2s))."""
+    a = _coerce(a)
+    data = _sigmoid_data(a.data)
+    q = np.subtract(1.0, data)
+    q *= data
+    data *= -2.0
+    data += 1.0
+    data *= a.data
+    data += 2.0
+    data *= q
+    return _op("silu_d2", (a,), data, (lambda g: mul(g, _silu_d3(a)),))
+
+
+def _silu_d3(a: Tensor) -> Tensor:
+    """The third derivative of `silu`, q ((1 - 2s)(3 + a (1 - 2s)) - 2 a q)
+    with q = s (1 - s), of elementary ops, so it differentiates again."""
+    s = sigmoid(a)
+    q = mul(s, sub(1.0, s))
+    u = sub(1.0, mul(s, 2.0))
+    return mul(q, sub(mul(u, add(mul(a, u), 3.0)), mul(mul(a, q), 2.0)))
 
 
 def exp(a) -> Tensor:
@@ -716,6 +791,36 @@ def sum_pairs(g, pairs) -> Tensor:
         data[alone] = g.data.take(pairs.edge[alone], axis=0)
     data += 0.0  # a -0.0 sum, which only two -0.0 rows make, becomes +0.0
     return _op("sum_pairs", (g,), data, (lambda gg: expand_pairs(gg, pairs),))
+
+
+def edge_product(node_rows, index, pair_rows, pairs) -> Tensor:
+    """`gather(node_rows, index) * expand_pairs(pair_rows, pairs)`, bitwise.
+
+    A message: rows (N, ...) of nodes taken to the edges by `index`, times
+    rows (P, ...) of the edge pairs of `pairs` (a `geometry.PairIndex`),
+    both of the same trailing shape. One record, whose rules keep the node
+    rows, the pair rows and the indices and take the edge rows again when
+    they run, so no (E, ...) operand lives as long as the tape."""
+    a, b = _coerce(node_rows), _coerce(pair_rows)
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim != 1 or idx.size != pairs.slot.size:
+        raise ShapeError(f"edge index of shape {idx.shape} does not match {pairs.slot.size} edges")
+    if a.ndim < 1 or b.ndim < 1 or b.shape[0] != pairs.edge.size or a.shape[1:] != b.shape[1:]:
+        raise ShapeError(f"node rows {a.shape} and pair rows {b.shape} do not match {pairs.edge.size} pairs")
+    n = a.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError("edge index out of range")
+    data = a.data.take(idx, axis=0)
+    data *= b.data.take(pairs.slot, axis=0)
+    return _op(
+        "edge_product",
+        (a, b),
+        data,
+        (
+            lambda g: scatter_sum(mul(g, expand_pairs(b, pairs)), idx, n),
+            lambda g: sum_pairs(mul(g, gather(a, idx)), pairs),
+        ),
+    )
 
 
 def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:

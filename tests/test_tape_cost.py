@@ -128,6 +128,23 @@ the mul) and the two adds of exact zeros are gone, 5 records of the
 forward and 5 of its force backward. That moved painn's pins 312 -> 302
 and its energy-only pin 98 -> 93.
 
+SiLU is one op, `silu`, whose rule is `mul(g, silu_d1(a))`. It was the
+product of its input and a `sigmoid`: a forward now records one op per
+activation instead of two, and a recorded force backward through it two
+(`silu_d1` and its `mul`) instead of six (the two products' rules, the
+sigmoid rule's `sub` and two products, and the `add` of the two terms).
+schnet's and leaky's messages and painn's gates are one `edge_product`
+each, where they were a `gather`, an `expand_pairs` and a `mul`. Its rules
+take the rows to the edges again, so its recorded backward has a `gather`
+or an `expand_pairs` more for each operand on the position path. That moved
+the pins dimenet 353 -> 333, egnn 161 -> 136, leaky 141 -> 130, painn
+302 -> 285, schnet 136 -> 125, se3attn 741 -> 706 and tfn 463 -> 443; the
+energy-only pins, in the same order, 56 -> 52, 58 -> 53, 39 -> 33,
+93 -> 85, 37 -> 31, 266 -> 259 and 141 -> 137; the force-call pins
+114 -> 110, 57 -> 52, 49 -> 44, 103 -> 97, 47 -> 42, 257 -> 250 and
+162 -> 158; and dimenet's triplet records 78 -> 68, the activation of each
+of its two blocks' triplet networks and its recorded backward.
+
 The loss backward runs unrecorded and spends the records it runs, so the
 tensors their rules kept are freed as it goes, and `add` and `sub` keep only
 their operands' shapes. Traced memory (tracemalloc) may rise during that
@@ -138,7 +155,13 @@ these configs, one that freed each record after running all its rules
 `mul`, `div` and `matmul` close over the partner operand, so a step holds
 less when that backward begins, and the backward drops each rule, and each
 gradient sum it replaces, as soon as it is done with it: 1.02-1.18 times
-(tfn 1.133 -> 1.183, though its peak fell 1.39 -> 1.24 MB).
+(tfn 1.133 -> 1.183, though its peak fell 1.39 -> 1.24 MB). With the
+SiLU op and edge products a step holds less when that backward begins
+(tfn 1.025 -> 0.947 MB), and its rise, whose peak is in tfn's layer0
+message products, became the larger share: 1.214. The backward now keeps
+a bit mask of descending inputs per record instead of the set of
+descending uids, and frees each record's incoming gradient before the
+sum of its last rule's term: 1.02-1.18 times again (tfn 1.183).
 
 A first-order call (`force_from_energy`, `evaluate_energy_force`) needs
 position gradients alone, so it leaves the parameters off the tape: work on
@@ -150,7 +173,9 @@ first molecule; with every parameter watched they were dimenet 121, egnn
 60, leaky 52, painn 111, schnet 50, se3attn 326 and tfn 201.
 `FORCE_CALL_PEAK_UNITS` bounds the traced peak of one schnet force call on
 a 400-atom cluster in units of one (E, hidden) float64 array: 12.5 units
-with every parameter watched and every rule kept, 9.7 now.
+with every parameter watched and every rule kept, 9.76 while each message
+product kept its two (E, hidden) operands, 6.56 now that an edge product
+keeps the node and pair rows they are taken from.
 """
 
 import tracemalloc
@@ -169,27 +194,27 @@ from geomnets.models.common import build_batch
 from test_parity import CONFIGS, CUTOFF, _confs, _schedule
 
 RECORDS_PER_STEP = {
-    "dimenet": 353,
-    "egnn": 161,
-    "leaky": 141,
-    "painn": 302,
-    "schnet": 136,
-    "se3attn": 741,
-    "tfn": 463,
+    "dimenet": 333,
+    "egnn": 136,
+    "leaky": 130,
+    "painn": 285,
+    "schnet": 125,
+    "se3attn": 706,
+    "tfn": 443,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
-TRIPLET_RECORDS_PER_STEP = 78
+TRIPLET_RECORDS_PER_STEP = 68
 
 # records of one step with a zero force weight: the energy alone
 ENERGY_ONLY_RECORDS_PER_STEP = {
-    "dimenet": 56,
-    "egnn": 58,
-    "leaky": 39,
-    "painn": 93,
-    "schnet": 37,
-    "se3attn": 266,
-    "tfn": 141,
+    "dimenet": 52,
+    "egnn": 53,
+    "leaky": 33,
+    "painn": 85,
+    "schnet": 31,
+    "se3attn": 259,
+    "tfn": 137,
 }
 
 # bound on the traced memory at the loss backward's peak over that at its start
@@ -197,18 +222,18 @@ LOSS_BACKWARD_GROWTH = 1.2
 
 # records of one `force_from_energy` call on the first molecule
 FORCE_CALL_RECORDS = {
-    "dimenet": 114,
-    "egnn": 57,
-    "leaky": 49,
-    "painn": 103,
-    "schnet": 47,
-    "se3attn": 257,
-    "tfn": 162,
+    "dimenet": 110,
+    "egnn": 52,
+    "leaky": 44,
+    "painn": 97,
+    "schnet": 42,
+    "se3attn": 250,
+    "tfn": 158,
 }
 
 # bound on the traced peak of one schnet force call on a large cluster, in
 # units of one (E, hidden) float64 array
-FORCE_CALL_PEAK_UNITS = 10.0
+FORCE_CALL_PEAK_UNITS = 6.6
 
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
@@ -525,7 +550,7 @@ def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
 @pytest.mark.parametrize("family", ["leaky", "schnet"])
 def test_input_transform_runs_per_atom(family, monkeypatch):
     # the matmul reading each layer's `win` has a row per atom, and the
-    # gather of its result a row per edge
+    # edge product that takes its rows to the edges a row per edge
     model = api.model_from_config(CONFIGS[family])
     batch = build_batch(_confs(), model.cutoff)
     assert batch.n_nodes != batch.n_edges
@@ -534,7 +559,7 @@ def test_input_transform_runs_per_atom(family, monkeypatch):
         (transform,) = [rec for rec in tape.records if params[f"layer{i}.win"].uid in rec.input_uids]
         assert transform.name == "matmul" and shapes[transform.output_uid][0] == batch.n_nodes
         (spread,) = [rec for rec in tape.records if transform.output_uid in rec.input_uids]
-        assert spread.name == "gather" and shapes[spread.output_uid][0] == batch.n_edges
+        assert spread.name == "edge_product" and shapes[spread.output_uid][0] == batch.n_edges
 
 
 def per_edge(batch):

@@ -98,6 +98,8 @@ ELEMENTWISE = [
     ("sin", T.sin, rng.normal(size=(4,))),
     ("cos", T.cos, rng.normal(size=(4,))),
     ("sigmoid", T.sigmoid, rng.normal(size=(4,))),
+    ("silu_d1", T.silu_d1, rng.normal(size=(4,)) * 2.0),
+    ("silu_d2", T.silu_d2, rng.normal(size=(4,)) * 2.0),
     ("power3", lambda t: T.power(t, 3.0), rng.normal(size=(4,))),
     ("sqrt", lambda t: T.power(t, 0.5), rng.uniform(0.5, 2.0, size=(4,))),
 ]
@@ -478,6 +480,33 @@ def test_sigmoid_bitwise_equals_two_branch_select(shape):
         assert x.tobytes() == before.tobytes()
 
 
+def test_second_derivative_through_silu():
+    c = T.Tensor(rng.normal(size=(3, 4)))
+    inner = lambda x: T.sum_(T.silu(x) * c)
+    assert grad_check(_squared_gradient(inner), rng.normal(size=(3, 4)) * 2.0) < 1e-6
+
+
+def test_third_derivative_through_silu():
+    # grad_check differentiates the squared gradient of a squared gradient:
+    # the rule of silu_d2, made of elementary ops
+    c = T.Tensor(rng.normal(size=(3, 4)))
+    inner = lambda x: T.sum_(T.silu(x) * c)
+    assert grad_check(_squared_gradient(_squared_gradient(inner)), rng.normal(size=(3, 4)) * 2.0) < 1e-6
+
+
+def test_silu_and_its_derivatives_stay_finite_and_match_their_closed_forms():
+    draws = np.random.default_rng(11).normal(size=200) * 10.0
+    a = np.concatenate([SIGMOID_EDGES, draws])
+    s = _two_branch_sigmoid(a)
+    with np.errstate(over="raise", invalid="raise"):  # underflow is expected
+        silu, d1, d2 = (op(T.Tensor(a)).data for op in (T.silu, T.silu_d1, T.silu_d2))
+    assert np.isfinite(silu).all() and np.isfinite(d1).all() and np.isfinite(d2).all()
+    assert silu.tobytes() == (a * s).tobytes()  # the product of the input and its sigmoid
+    assert d1.tobytes() == (s * (1 + a * (1 - s))).tobytes()
+    assert d2.tobytes() == (s * (1 - s) * (2 + a * (1 - 2 * s))).tobytes()
+    assert (d1[:2] == 0.5).all() and (d2[:2] == 0.5).all()  # at +-0
+
+
 OVERFLOWS = [
     ("mul", lambda: T.mul(T.Tensor([1e308]), T.Tensor([10.0]))),
     ("matmul", lambda: T.matmul(T.Tensor([[1e308, 1e308]]), T.Tensor([[1.0], [1.0]]))),
@@ -734,6 +763,24 @@ def test_an_unrecorded_backward_holds_no_replaced_sum_into_the_next_rule():
     assert gw.data.tolist() == [7.5, 7.5]
 
 
+def test_an_unrecorded_backward_frees_a_records_gradient_before_its_last_sum(monkeypatch):
+    # both rules of x * x feed x's gradient; when the second term is summed
+    # into it, the product's own gradient, which no rule reads again, is gone
+    tape = T.Tape()
+    x = tape.tensor([0.5, -1.0])
+    sq = x * x
+    root = T.sum_(sq * 3.0)
+    (rec,) = [r for r in tape.records if r.output_uid == sq.uid]
+    refs, seen = [], []
+    rec.vjps = (rec.vjps[0], lambda g, rule=rec.vjps[1]: refs.append(weakref.ref(g.data)) or rule(g))
+    add = T.add
+    monkeypatch.setattr(T, "add", lambda a, b: seen.append([ref() is None for ref in refs]) or add(a, b))
+    del rec
+    (gx,) = tape.gradient(root, [x], record=False)
+    assert seen == [[True]]
+    assert gx.data.tolist() == [3.0, -6.0]
+
+
 def test_an_unrecorded_backward_runs_only_what_descends_from_its_wrt():
     # the root reaches exp(w), but it does not descend from x: a backward
     # by x neither runs nor spends it, and a later one by w goes through it
@@ -802,3 +849,84 @@ def test_freed_pages_stay_in_the_process():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], capture_output=True, text=True, env=env, check=True)
     assert int(out.stdout) < 1000
+
+
+# ---------------------------------------------------------------------------
+# edge products
+
+
+def _edge_batches():
+    """Batches of molecules, of crystals, and of the molecules with every
+    edge a pair of its own."""
+    from geomnets.models.common import build_batch
+    from geomnets.training import synthetic_conformations
+    from test_parity import CUTOFF
+    from test_tape_cost import _crystals, per_edge
+
+    molecules = build_batch(synthetic_conformations(3, seed=0), CUTOFF)
+    return {"molecules": molecules, "crystal": build_batch(_crystals(), CUTOFF), "per_edge": per_edge(molecules)}
+
+
+EDGE_CASES = ["molecules", "crystal", "per_edge"]
+
+
+def _edge_rows(batch, trailing=(5,), seed=3):
+    draw = np.random.default_rng(seed).normal
+    return draw(size=(batch.n_nodes,) + trailing), draw(size=(batch.pairs.edge.size,) + trailing)
+
+
+@pytest.mark.parametrize("trailing", [(5,), (2, 3)])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_product_is_bitwise_the_gather_times_the_expansion(case, trailing):
+    batch = _edge_batches()[case]
+    nodes, pair_rows = _edge_rows(batch, trailing)
+    got = T.edge_product(nodes, batch.dst, pair_rows, batch.pairs)
+    want = T.gather(nodes, batch.dst) * T.expand_pairs(pair_rows, batch.pairs)
+    assert got.shape == (batch.n_edges,) + trailing
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def _edge_gradients(batch, fused, second):
+    """Gradients of a nonlinear root of the product by both operands; with
+    `second`, of the squared recorded gradients instead."""
+    nodes, pair_rows = _edge_rows(batch)
+    weights = T.Tensor(np.random.default_rng(5).normal(size=(batch.n_edges, 5)))
+    tape = T.Tape()
+    a, b = tape.tensor(nodes), tape.tensor(pair_rows)
+    if fused:
+        product = T.edge_product(a, batch.src, b, batch.pairs)
+    else:
+        product = T.gather(a, batch.src) * T.expand_pairs(b, batch.pairs)
+    root = T.sum_(T.sin(product) * weights)
+    if second:
+        ga, gb = tape.gradient(root, [a, b])
+        root = T.sum_(ga * ga) + T.sum_(gb * gb)
+    return [g.data for g in tape.gradient(root, [a, b], record=False)]
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_product_gradients_match_the_composed_ops(case):
+    batch = _edge_batches()[case]
+    got = _edge_gradients(batch, fused=True, second=False)
+    want = _edge_gradients(batch, fused=False, second=False)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    got = _edge_gradients(batch, fused=True, second=True)
+    want = _edge_gradients(batch, fused=False, second=True)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_edge_product_rejects_bad_indices_and_rows():
+    batch = _edge_batches()["molecules"]
+    nodes, pair_rows = _edge_rows(batch)
+    for bad in (-1, batch.n_nodes):
+        index = batch.dst.copy()
+        index[3] = bad
+        with pytest.raises(IndexError):
+            T.edge_product(nodes, index, pair_rows, batch.pairs)
+    with pytest.raises(ShapeError):  # one pair row too many
+        T.edge_product(nodes, batch.dst, np.vstack([pair_rows, pair_rows[:1]]), batch.pairs)
+    with pytest.raises(ShapeError):  # rows of another width
+        T.edge_product(nodes, batch.dst, pair_rows[:, :4], batch.pairs)
+    with pytest.raises(ShapeError):  # an index that misses an edge
+        T.edge_product(nodes, batch.dst[:-1], pair_rows, batch.pairs)

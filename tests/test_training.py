@@ -404,13 +404,18 @@ def test_global_norm_of_finite_gradients_never_raises():
 
 
 def test_training_step_overflow_names_op_and_layer():
-    # the blown-up filter weight is finite, and so are the forward and the
-    # loss; the first non-finite value is a product in the backward of layer1
+    # layer1's filter network is blown up in its first layer and shrunk in
+    # its second, so the forward, the forces and the loss are finite (a
+    # non-finite loss would fail first, in scope 'loss'); the first
+    # non-finite value is the loss backward's product of the huge hidden
+    # activations and the gradient that reaches the second layer's weights
     confs = tr.synthetic_conformations(4, seed=0)
     model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 2, "cutoff": 5.0})
     params = model.init(0)
-    params["layer1.filter.w0"] = params["layer1.filter.w0"] * 1e150
-    with pytest.raises(NumericError, match=r"^non-finite result in op 'mul' in backward of 'layer1'$"):
+    params["layer1.filter.w0"] = params["layer1.filter.w0"] * 1e280
+    params["layer1.filter.w1"] = params["layer1.filter.w1"] * 1e-200
+    tr.evaluate_energy_force(model, params, confs)  # raises if the forward or the forces are not finite
+    with pytest.raises(NumericError, match=r"^non-finite result in op 'matmul' in backward of 'layer1'$"):
         tr.train_energy_force(model, confs, tr.ScheduleSpec(1e-3, 1e-5, 3), params=params, steps=1)
 
 
