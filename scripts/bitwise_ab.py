@@ -40,10 +40,12 @@ one first-order force call (`force_from_energy`) per family on the largest
 frame of the stream, which show what a change does to the memory a training
 step and an inference call hold, each next to the number of tape records
 that call made, so a change that moves the pins of
-`tests/test_tape_cost.py` shows it here too. The last line gives
+`tests/test_tape_cost.py` shows it here too, and each tree's `src/` line
+count (`wc -l src/geomnets/*.py src/geomnets/models/*.py`), so a change
+shows what it added or removed. The last line gives
 the number of arrays that differ and the largest of those relative
 differences, and the number of CLI artifacts that differ. Exits 1 if any
-array or artifact differs; the peaks and record counts do not count.
+array or artifact differs; the peaks, record and line counts do not count.
 """
 
 import contextlib
@@ -244,6 +246,12 @@ def dump(out: str) -> None:
         pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "cli": cli}, fh)
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the tree's `src/`, counted as `wc -l` counts them."""
+    files = [*(tree / "src" / "geomnets").glob("*.py"), *(tree / "src" / "geomnets" / "models").glob("*.py")]
+    return sum(f.read_bytes().count(b"\n") for f in files)
+
+
 def run_dump(tree: Path, out: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("GEOM_SEED", None)  # the CLI runs use their configs' seeds
@@ -309,6 +317,7 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tree, filter="data")
         ref = run_dump(tree, Path(tmp) / "ref.pkl")
+        lines = src_lines(tree), src_lines(ROOT)
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
     differ, largest = compare(ref["arrays"], new["arrays"])
     cli_differ = compare_cli(ref["cli"], new["cli"])
@@ -317,6 +326,7 @@ def main(argv=None) -> int:
         for family in sorted(set(ref[key]) | set(new[key])):
             (a, ra), (b, rb) = (side[key].get(family, (math.nan, -1)) for side in (ref, new))
             print(f"{family:15s} {a / 1e6:8.2f} -> {b / 1e6:8.2f}  records {ra:5d} -> {rb:5d}")
+    print(f"src/ lines, REF -> this checkout: {lines[0]} -> {lines[1]}")
     print(f"{differ} arrays differ, max_rel={largest:.3e}, {cli_differ} CLI artifacts differ")
     return 1 if differ or cli_differ else 0
 

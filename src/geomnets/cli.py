@@ -221,8 +221,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, confs, (train, _, test), model = _run_setup(args.config, SUPERVISED_TASKS, "eval handles supervised tasks", False)
     held_out = test if test else confs
-    params = T.load_checkpoint(args.checkpoint)
-    _check_checkpoint_fits(params, model.init(cfg.seed), args.checkpoint)
+    params = _checkpoint_params(T.load_checkpoint(args.checkpoint), model.init(cfg.seed), args.checkpoint)
     stats = tr.stats_from_conformations(train) if cfg.normalize else None
     scores = tr.evaluate_energy_force(model, params, held_out, stats)
     payload = {
@@ -235,9 +234,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_checkpoint_fits(params: dict, expected: dict, path: str) -> None:
-    """Every parameter the model needs is present with its shape; extra
-    entries (a pretext head, say) are ignored."""
+def _checkpoint_params(params: dict, expected: dict, path: str) -> dict:
+    """The parameters the model needs, each checked present with its shape.
+    Extra entries (a pretext head, say) are left out: a dense network's
+    depth is read from its weights, so a stray layer would be run."""
     missing = sorted(set(expected) - set(params))
     if missing:
         raise ContractError(f"checkpoint {path} lacks parameters {missing}")
@@ -246,6 +246,7 @@ def _check_checkpoint_fits(params: dict, expected: dict, path: str) -> None:
             raise ContractError(
                 f"checkpoint {path}: parameter '{name}' has shape {params[name].shape}, the model needs {arr.shape}"
             )
+    return {name: params[name] for name in expected}
 
 
 def cmd_pretrain(args) -> int:

@@ -148,7 +148,10 @@ class PairIndex:
 
 
 def pair_index(reverse: np.ndarray) -> PairIndex:
-    """The pairs of edges whose reverse rows are `reverse`, one per edge."""
+    """The pairs of edges whose reverse rows are `reverse`, one per edge;
+    an edge without one (an expanded graph's image row, -1) is refused."""
+    if reverse.size and (reverse.min() < 0 or reverse.max() >= reverse.size):
+        raise ContractError(f"reverse rows must lie in 0..{reverse.size - 1}")
     rows = np.arange(reverse.size)
     flipped = reverse < rows
     slot = np.cumsum(~flipped) - 1

@@ -19,8 +19,9 @@ EMBED_ROWS = 119
 @dataclass
 class GraphBatch:
     """Several conformations merged into one disjoint graph, its edges
-    grouped into reverse pairs by `pairs`; `dist` holds each edge's length
-    as the graph builder measured it, one per pair."""
+    grouped into reverse pairs by `pairs`; `dist` (E,) holds each edge's
+    length as the graph builder measured it, the same for both edges of a
+    pair."""
 
     z: np.ndarray
     pos: np.ndarray

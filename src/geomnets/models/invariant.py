@@ -22,7 +22,7 @@ import numpy as np
 from .. import tensor as T
 from ..errors import ContractError
 from ..geometry import AngleIndex, PairIndex
-from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
+from ..tensor import Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 
 # ---------------------------------------------------------------------------
@@ -289,15 +289,12 @@ class SchNetSpec:
         if self.hidden < 1 or self.layers < 1:
             raise ContractError("hidden width and layer count must be positive")
 
-    def filter_mlp(self) -> MlpSpec:
-        return MlpSpec((self.basis.count, self.hidden, self.hidden))
-
 
 def init_schnet(spec: SchNetSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.hidden)}
     for i in range(spec.layers):
-        params.update(init_mlp(spec.filter_mlp(), rng, f"layer{i}.filter"))
+        params.update(init_mlp((spec.basis.count, spec.hidden, spec.hidden), rng, f"layer{i}.filter"))
         params[f"layer{i}.win"] = T.glorot_uniform(rng, spec.hidden, spec.hidden)
         params[f"layer{i}.wout"] = T.glorot_uniform(rng, spec.hidden, spec.hidden)
     params["head.w"] = T.glorot_uniform(rng, spec.hidden, 1)
@@ -325,7 +322,7 @@ def schnet_layer(
     backward. A message fades to zero as its edge reaches the cutoff; with
     all-zero filter weights the update is exactly the identity.
     """
-    filt = mlp_apply(spec.filter_mlp(), params, rbf, f"{prefix}.filter") * env
+    filt = mlp_apply(params, rbf, f"{prefix}.filter") * env
     msg = T.edge_product(T.matmul(h, params[f"{prefix}.win"]), dst, filt, pairs)
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
@@ -371,24 +368,16 @@ class DimeNetSpec:
     def sbf_width(self) -> int:
         return (self.sbf_l_max + 1) * self.sbf_n_max
 
-    def embed_mlp(self) -> MlpSpec:
-        return MlpSpec((2 * self.hidden + self.basis.count, self.hidden, self.hidden))
-
-    def block_mlp(self) -> MlpSpec:
-        return MlpSpec((self.hidden + self.basis.count + self.sbf_width, self.hidden, self.hidden))
-
-    def out_mlp(self) -> MlpSpec:
-        return MlpSpec((self.hidden, self.hidden, self.hidden))
-
 
 def init_dimenet(spec: DimeNetSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.hidden)}
-    params.update(init_mlp(spec.embed_mlp(), rng, "m0"))
+    d, r = spec.hidden, spec.basis.count
+    params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, d)}
+    params.update(init_mlp((2 * d + r, d, d), rng, "m0"))
     for i in range(spec.layers):
-        params.update(init_mlp(spec.block_mlp(), rng, f"block{i}"))
-    params.update(init_mlp(spec.out_mlp(), rng, "edge_out"))
-    params["head.w"] = T.glorot_uniform(rng, spec.hidden, 1)
+        params.update(init_mlp((d + r + spec.sbf_width, d, d), rng, f"block{i}"))
+    params.update(init_mlp((d, d, d), rng, "edge_out"))
+    params["head.w"] = T.glorot_uniform(rng, d, 1)
     return params
 
 
@@ -446,12 +435,7 @@ def dimenet_messages(
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
         rbf = T.expand_pairs(geom.rbf, pairs)
-        m = mlp_apply(
-            spec.embed_mlp(),
-            params,
-            T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1),
-            "m0",
-        )
+        m = mlp_apply(params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0")
     with T.scope("triplets"):
         in_pair = pairs.slot[angles.in_edge]
         # the angle at j between (j -> k) and (j -> i), whose unit
@@ -476,5 +460,5 @@ def dimenet_forward(
     so `vectors` changes nothing."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        per_edge = mlp_apply(spec.out_mlp(), params, m, "edge_out") * T.expand_pairs(env, batch.pairs)
+        per_edge = mlp_apply(params, m, "edge_out") * T.expand_pairs(env, batch.pairs)
         return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None

@@ -65,7 +65,7 @@ from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..geometry import PairIndex
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, sph_harm_block
-from ..tensor import MlpSpec, Tensor, init_mlp
+from ..tensor import Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import EdgeGeometry, RadialBasisSpec, edge_geometry
 
@@ -108,19 +108,15 @@ class TfnLayerSpec:
                         out.append((b_in, l_f, b_out))
         return out
 
-    def radial_mlp(self, path: int) -> MlpSpec:
-        b_in = self.paths()[path][0]
-        mult_in = self.layout_in.blocks[b_in][0]
-        return MlpSpec((self.radial.count, self.radial_hidden, mult_in))
-
     def paths_into(self, b_out: int) -> list[int]:
         return [k for k, p in enumerate(self.paths()) if p[2] == b_out]
 
 
 def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) -> dict:
     params = {}
-    for k in range(len(spec.paths())):
-        params.update(init_mlp(spec.radial_mlp(k), rng, f"{prefix}.path{k}.radial"))
+    for k, (b_in, _, _) in enumerate(spec.paths()):
+        mult_in = spec.layout_in.blocks[b_in][0]
+        params.update(init_mlp((spec.radial.count, spec.radial_hidden, mult_in), rng, f"{prefix}.path{k}.radial"))
     for b_out, (mult_out, _) in enumerate(spec.layout_out.blocks):
         fan_in = sum(spec.layout_in.blocks[spec.paths()[k][0]][0] for k in spec.paths_into(b_out))
         params[f"{prefix}.out{b_out}.mix"] = T.glorot_uniform(rng, fan_in, mult_out)

@@ -17,7 +17,7 @@ import numpy as np
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..geometry import PairIndex
-from ..tensor import MlpSpec, Tensor, init_mlp, mlp_apply
+from ..tensor import Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import RadialBasisSpec, edge_geometry
 
@@ -37,24 +37,16 @@ class EgnnSpec:
         if self.cutoff <= 0:
             raise ContractError("cutoff must be positive")
 
-    def message_mlp(self) -> MlpSpec:
-        return MlpSpec((2 * self.hidden + 1, self.hidden, self.hidden))
-
-    def gate_mlp(self) -> MlpSpec:
-        return MlpSpec((self.hidden, self.hidden, 1))
-
-    def update_mlp(self) -> MlpSpec:
-        return MlpSpec((2 * self.hidden, self.hidden, self.hidden))
-
 
 def init_egnn(spec: EgnnSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, spec.hidden)}
+    d = spec.hidden
+    params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, d)}
     for i in range(spec.layers):
-        params.update(init_mlp(spec.message_mlp(), rng, f"layer{i}.msg"))
-        params.update(init_mlp(spec.gate_mlp(), rng, f"layer{i}.gate"))
-        params.update(init_mlp(spec.update_mlp(), rng, f"layer{i}.upd"))
-    params["head.w"] = T.glorot_uniform(rng, spec.hidden, 1)
+        params.update(init_mlp((2 * d + 1, d, d), rng, f"layer{i}.msg"))
+        params.update(init_mlp((d, d, 1), rng, f"layer{i}.gate"))
+        params.update(init_mlp((2 * d, d, d), rng, f"layer{i}.upd"))
+    params["head.w"] = T.glorot_uniform(rng, d, 1)
     return params
 
 
@@ -81,17 +73,12 @@ def egnn_layer(
     x_j = T.gather(x, dst) + Tensor(shift)
     diff = T.gather(x, src) - x_j
     d2 = T.sum_(diff * diff, axis=1, keepdims=True)
-    m = mlp_apply(
-        spec.message_mlp(),
-        params,
-        T.concat([T.gather(h, src), T.gather(h, dst), d2], axis=1),
-        f"{prefix}.msg",
-    )
+    m = mlp_apply(params, T.concat([T.gather(h, src), T.gather(h, dst), d2], axis=1), f"{prefix}.msg")
     if vectors:
-        gate = mlp_apply(spec.gate_mlp(), params, m, f"{prefix}.gate")
+        gate = mlp_apply(params, m, f"{prefix}.gate")
         x = x + T.scatter_sum(diff * gate, src, n)
     agg = T.scatter_sum(m, src, n)
-    h = mlp_apply(spec.update_mlp(), params, T.concat([h, agg], axis=1), f"{prefix}.upd")
+    h = mlp_apply(params, T.concat([h, agg], axis=1), f"{prefix}.upd")
     return h, x
 
 
@@ -128,24 +115,18 @@ class PainnSpec:
         if self.hidden < 1 or self.layers < 1:
             raise ContractError("hidden width and layer count must be positive")
 
-    def message_mlp(self) -> MlpSpec:
-        return MlpSpec((self.hidden, self.hidden, 3 * self.hidden))
-
-    def update_mlp(self) -> MlpSpec:
-        return MlpSpec((2 * self.hidden, self.hidden, 3 * self.hidden))
-
 
 def init_painn(spec: PainnSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     f = spec.hidden
     params = {"embed": T.glorot_uniform(rng, EMBED_ROWS, f)}
     for i in range(spec.layers):
-        params.update(init_mlp(spec.message_mlp(), rng, f"layer{i}.phi"))
+        params.update(init_mlp((f, f, 3 * f), rng, f"layer{i}.phi"))
         # bias-free so the filter (and thus every message) vanishes at the cutoff
         params[f"layer{i}.filt.w"] = T.glorot_uniform(rng, spec.basis.count, 3 * f)
         params[f"layer{i}.upd.u"] = T.glorot_uniform(rng, f, f)
         params[f"layer{i}.upd.v"] = T.glorot_uniform(rng, f, f)
-        params.update(init_mlp(spec.update_mlp(), rng, f"layer{i}.upd"))
+        params.update(init_mlp((2 * f, f, 3 * f), rng, f"layer{i}.upd"))
     params["head.w"] = T.glorot_uniform(rng, f, 1)
     params["vec_head.mix"] = T.glorot_uniform(rng, f, 1)
     return params
@@ -181,7 +162,7 @@ def painn_layer(
     # message block: invariant gates from (filter(d) * phi(s_j)) split three
     # ways; the filter runs per edge pair and phi per node, and their rows
     # meet on the edges in one edge product
-    phi = mlp_apply(spec.message_mlp(), params, s, f"{prefix}.phi")
+    phi = mlp_apply(params, s, f"{prefix}.phi")
     gates = T.edge_product(phi, dst, T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
     g_ss, g_sv = gates[:, 0:f], gates[:, f : 2 * f]
     dv = T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
@@ -194,7 +175,7 @@ def painn_layer(
     u_mix = T.matmul(v, params[f"{prefix}.upd.u"])
     v_mix = T.matmul(v, params[f"{prefix}.upd.v"])
     v_norm = T.norm(v_mix, axis=1, eps=1e-12)
-    b = mlp_apply(spec.update_mlp(), params, T.concat([s, v_norm], axis=1), f"{prefix}.upd")
+    b = mlp_apply(params, T.concat([s, v_norm], axis=1), f"{prefix}.upd")
     b_ss, b_sv = b[:, 0:f], b[:, f : 2 * f]
     dot = T.sum_(u_mix * v_mix, axis=1)
     s = s + b_ss + b_sv * dot

@@ -863,40 +863,34 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
 # multi-layer perceptrons
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Widths of a dense network, e.g. (in, hidden, out), with SiLU between
-    layers."""
-
-    widths: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ContractError("MlpSpec needs at least two positive widths")
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_mlp(spec: MlpSpec, rng: np.random.Generator, prefix: str = "mlp") -> dict[str, np.ndarray]:
+def init_mlp(widths: tuple[int, ...], rng: np.random.Generator, prefix: str) -> dict[str, np.ndarray]:
+    """A dense network of `widths`, e.g. (in, hidden, out), as the weights
+    `{prefix}.w0`, `{prefix}.b0`, `{prefix}.w1`, ...; they are all that
+    `mlp_apply` reads of its shape."""
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ContractError(f"dense network '{prefix}' needs at least two positive widths, got {widths}")
     params: dict[str, np.ndarray] = {}
-    for i, (fi, fo) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
+    for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
         params[f"{prefix}.w{i}"] = glorot_uniform(rng, fi, fo)
         params[f"{prefix}.b{i}"] = np.zeros(fo)
     return params
 
 
-def mlp_apply(spec: MlpSpec, params: dict[str, Tensor], x: Tensor, prefix: str = "mlp") -> Tensor:
-    if x.shape[-1] != spec.widths[0]:
-        raise ShapeError(f"mlp input width {x.shape[-1]} != {spec.widths[0]}")
-    h = x
-    last = len(spec.widths) - 2
-    for i in range(last + 1):
-        h = add(matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
-        if i < last:
-            h = silu(h)
+def mlp_apply(params: dict[str, Tensor], x: Tensor, prefix: str) -> Tensor:
+    """The dense network under `prefix`: layers w0, w1, ... for as long as
+    they exist, with SiLU between them."""
+    if f"{prefix}.w0" not in params:
+        raise ContractError(f"no dense network under '{prefix}'")
+    h = add(matmul(x, params[f"{prefix}.w0"]), params[f"{prefix}.b0"])
+    i = 1
+    while f"{prefix}.w{i}" in params:
+        h = add(matmul(silu(h), params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        i += 1
     return h
 
 

@@ -473,7 +473,7 @@ def masked_pretrain_loss(
         picked = _mask_indices(rng, batch.n_edges)
         h = model.node_scalars(params_t, batch, pos)
         rep = T.concat([T.gather(h, batch.src[picked]), T.gather(h, batch.dst[picked])], axis=1)
-        pred = T.mlp_apply(_head_spec(model, 2), params_t, rep, "dist_head")
+        pred = T.mlp_apply(params_t, rep, "dist_head")
         target = Tensor(batch.dist[picked][:, None])
         return _reduce(pred - target, "mse")
     if kind == "angle":
@@ -491,24 +491,20 @@ def masked_pretrain_loss(
             ],
             axis=1,
         )
-        pred = T.mlp_apply(_head_spec(model, 3), params_t, rep, "angle_head")
+        pred = T.mlp_apply(params_t, rep, "angle_head")
         target = Tensor(batch.angles.angle[picked][:, None])
         return _reduce(pred - target, "mse")
     raise ContractError(f"unknown masked pretraining kind '{kind}'")
-
-
-def _head_spec(model, arity: int) -> T.MlpSpec:
-    d = model.scalar_width
-    return T.MlpSpec((arity * d, d, 1))
 
 
 def init_pretrain_heads(model, seed: int) -> dict[str, np.ndarray]:
     """Heads for the masked objectives, keyed apart from the trunk, drawn
     in one order so that each has the same values whichever one is kept."""
     rng = np.random.default_rng(seed)
-    params = {"type_head.w": T.glorot_uniform(rng, model.scalar_width, N_ELEMENT_CLASSES)}
-    params.update(T.init_mlp(_head_spec(model, 2), rng, "dist_head"))
-    params.update(T.init_mlp(_head_spec(model, 3), rng, "angle_head"))
+    d = model.scalar_width
+    params = {"type_head.w": T.glorot_uniform(rng, d, N_ELEMENT_CLASSES)}
+    params.update(T.init_mlp((2 * d, d, 1), rng, "dist_head"))
+    params.update(T.init_mlp((3 * d, d, 1), rng, "angle_head"))
     return params
 
 

@@ -285,6 +285,25 @@ def test_train_bad_config_value_exits_2(workspace, change, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda cfg: dict(cfg, steps=0),
+        lambda cfg: dict(cfg, loss="huber"),
+        lambda cfg: [cfg],
+        lambda cfg: dict(cfg, split=[0, 1, 0]),
+        lambda cfg: dict(cfg, model={k: v for k, v in cfg["model"].items() if k != "family"}),
+        lambda cfg: dict(cfg, model=dict(cfg["model"], family="gcn")),
+    ],
+    ids=["steps-zero", "loss-unknown", "config-a-list", "training-split-empty", "family-missing", "family-unknown"],
+)
+def test_train_refused_config_exits_2(workspace, spoil, tmp_path):
+    _, cfg, _ = workspace
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(spoil(cfg)))
+    assert_config_error(run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")))
+
+
+@pytest.mark.parametrize(
     "command,task,label",
     [
         ("train", "energy", "forces"),
@@ -368,6 +387,12 @@ def _spoil_missing_parameter(text):
     return json.dumps(payload)
 
 
+def _spoil_head_shape(text):
+    payload = json.loads(text)
+    payload["head.w"] = {"shape": [1, 1], "values": [0.5]}
+    return json.dumps(payload)
+
+
 def _spoil_value(value):
     """A spoiler that writes `value` into one parameter entry, as JSON
     writes it (NaN, Infinity)."""
@@ -386,10 +411,11 @@ def _spoil_value(value):
         (_spoil_truncated, "parse error"),
         (_spoil_short_values, "parse error"),
         (_spoil_missing_parameter, "layer0.filter.w0"),
+        (_spoil_head_shape, "parameter 'head.w' has shape (1, 1), the model needs (16, 1)"),
         (_spoil_value(math.nan), "parameter 'layer0.filter.w0' has a non-finite value"),
         (_spoil_value(math.inf), "parameter 'layer0.filter.w0' has a non-finite value"),
     ],
-    ids=["truncated", "values-short-of-shape", "missing-parameter", "nan-value", "inf-value"],
+    ids=["truncated", "values-short-of-shape", "missing-parameter", "head-shape", "nan-value", "inf-value"],
 )
 def test_eval_bad_checkpoint_exits_2(workspace, spoil, message, tmp_path):
     _, cfg, cfg_path = workspace
@@ -426,6 +452,23 @@ def test_eval_ignores_extra_checkpoint_entries(workspace, tmp_path, family, laye
     )
     assert new.returncode == old.returncode == 0, new.stderr + old.stderr
     assert old.stdout == new.stdout
+
+
+def test_eval_adds_no_layer_for_extra_network_weights(workspace, tmp_path):
+    # a network's depth is read from its weights, so entries past the last
+    # layer of schnet's filter network must not reach the model
+    _, cfg, cfg_path = workspace
+    params = api.model_from_config(cfg["model"]).init(cfg["seed"])
+    hidden = cfg["model"]["hidden"]
+    rng = np.random.default_rng(1)
+    extra = {"layer0.filter.w2": rng.normal(size=(hidden, hidden)), "layer0.filter.b2": rng.normal(size=hidden)}
+    T.save_checkpoint(tmp_path / "clean.json", params)
+    T.save_checkpoint(tmp_path / "extra.json", {**params, **extra})
+    clean, padded = (
+        run_cli("eval", "--config", str(cfg_path), "--checkpoint", str(tmp_path / name)) for name in ("clean.json", "extra.json")
+    )
+    assert clean.returncode == padded.returncode == 0, clean.stderr + padded.stderr
+    assert padded.stdout == clean.stdout
 
 
 # ---------------------------------------------------------------------------

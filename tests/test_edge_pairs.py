@@ -18,6 +18,7 @@ import pytest
 from geomnets import geometry as G
 from geomnets import tensor as T
 from geomnets import training as tr
+from geomnets.errors import ContractError
 from geomnets.models import api
 from geomnets.models.common import build_batch
 
@@ -253,3 +254,15 @@ def test_graph_reverse_rows_are_the_reverses(seed):
             assert (edges.shift[back] == -edges.shift[rows]).all()
             assert edges.rel_vec[back].tobytes() == (0.0 - edges.rel_vec[rows]).tobytes()
             assert edges.dist[back].tobytes() == edges.dist[rows].tobytes()
+
+
+def test_pair_index_refuses_rows_without_a_reverse():
+    # the expanded graph of two atoms in a 2.5 cubic cell at cutoff 2 has
+    # image rows, whose reverse is -1; they have no partner to pair with
+    conf = G.Conformation([6, 8], [[0.3, 0.4, 0.5], [1.4, 1.1, 0.9]], np.eye(3) * 2.5)
+    edges = G.periodic_radius_graph(conf, 2.0, "expanded").edges
+    assert edges.n_edges == 4 and (edges.reverse == -1).sum() == 2
+    with pytest.raises(ContractError, match="reverse rows"):
+        G.pair_index(edges.reverse)
+    with pytest.raises(ContractError, match="reverse rows"):
+        G.pair_index(np.array([1, 2]))

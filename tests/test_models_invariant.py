@@ -592,9 +592,7 @@ def per_triplet_messages(spec, params, batch, pos):
     rel = T.gather(pos, batch.dst) + Tensor(batch.shift_offset) - T.gather(pos, batch.src)
     dist, rbf = T.norm(rel, axis=1), inv.edge_geometry(spec.basis, rel).rbf
     h = embed_nodes(params["embed"], batch.z)
-    m = T.mlp_apply(
-        spec.embed_mlp(), params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0"
-    )
+    m = T.mlp_apply(params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0")
     to_k = T.gather(rel, angles.in_edge)
     to_i = T.gather(rel, angles.out_edge) * -1.0
     d_in = T.gather(dist, angles.in_edge)
@@ -603,7 +601,7 @@ def per_triplet_messages(spec, params, batch, pos):
     env_in = T.reshape(inv.cosine_envelope(d_in, cutoff), (-1, 1))
     for i in range(spec.layers):
         inp = T.concat([T.gather(m, angles.out_edge), T.gather(rbf, angles.out_edge), sbf_rows], axis=1)
-        term = T.mlp_apply(spec.block_mlp(), params, inp, f"block{i}") * env_in
+        term = T.mlp_apply(params, inp, f"block{i}") * env_in
         m = T.scatter_sum(term, angles.out_edge, batch.n_edges)
     return m
 

@@ -453,7 +453,7 @@ def reference_messages(spec, params, prefix, feat, dst, rel):
     for k, (b_in, l_f, b_out) in enumerate(spec.paths()):
         mult, l_in = spec.layout_in.blocks[b_in]
         l_out = spec.layout_out.blocks[b_out][1]
-        radial = T.mlp_apply(spec.radial_mlp(k), params, rbf, f"{prefix}.path{k}.radial")
+        radial = T.mlp_apply(params, rbf, f"{prefix}.path{k}.radial")
         filt = T.reshape(radial, (e, mult, 1)) * T.reshape(sph_harm_block(l_f, unit), (e, 1, 2 * l_f + 1))
         neighbor = T.transpose2(T.gather(feat.blocks[b_in], dst))
         outer = T.reshape(filt, (e, mult, 2 * l_f + 1, 1)) * T.reshape(neighbor, (e, mult, 1, 2 * l_in + 1))

@@ -146,10 +146,9 @@ class TestGradCheck:
         assert grad_check(f, rng.normal(size=(3, 2))) < 1e-6
 
     def test_two_layer_mlp(self):
-        spec = T.MlpSpec((3, 8, 1))
-        params = T.init_mlp(spec, np.random.default_rng(0))
+        params = T.init_mlp((3, 8, 1), np.random.default_rng(0), "mlp")
         lifted = {k: T.Tensor(v) for k, v in params.items()}
-        f = lambda x: T.sum_(T.mlp_apply(spec, lifted, x))
+        f = lambda x: T.sum_(T.mlp_apply(lifted, x, "mlp"))
         assert grad_check(f, rng.normal(size=(4, 3))) < 1e-6
 
     def test_segment_softmax_grad(self):
@@ -265,10 +264,19 @@ class TestShapesAndIndices:
             T.scatter_sum(T.Tensor(np.ones((2, 2))), [0, 7], 2)
 
     def test_mlp_input_width_checked(self):
-        spec = T.MlpSpec((3, 4))
-        params = {k: T.Tensor(v) for k, v in T.init_mlp(spec, np.random.default_rng(0)).items()}
+        params = {k: T.Tensor(v) for k, v in T.init_mlp((3, 4), np.random.default_rng(0), "mlp").items()}
         with pytest.raises(ShapeError):
-            T.mlp_apply(spec, params, T.Tensor(np.ones((2, 5))))
+            T.mlp_apply(params, T.Tensor(np.ones((2, 5))), "mlp")
+
+    @pytest.mark.parametrize("widths", [(3,), (3, 0, 1)])
+    def test_mlp_needs_two_positive_widths(self, widths):
+        with pytest.raises(ContractError, match="'mlp'"):
+            T.init_mlp(widths, np.random.default_rng(0), "mlp")
+
+    def test_mlp_needs_weights_under_its_prefix(self):
+        params = {k: T.Tensor(v) for k, v in T.init_mlp((3, 4), np.random.default_rng(0), "mlp").items()}
+        with pytest.raises(ContractError, match="'head'"):
+            T.mlp_apply(params, T.Tensor(np.ones((2, 3))), "head")
 
 
 class TestInit:
