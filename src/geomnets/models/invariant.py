@@ -53,10 +53,16 @@ def cosine_envelope(d: Tensor, cutoff: float) -> Tensor:
     return (T.cos(d * (math.pi / cutoff)) + 1.0) * 0.5
 
 
+# The bases admit lengths this far (relative) past the cutoff: a forward
+# measures a periodic pair again along its representative row, often the
+# mirror of the row the graph builder kept, and land a few ulps (3e-16) past.
+_CUTOFF_SLACK = 1e-12
+
+
 def _check_distances(d: Tensor, cutoff: float) -> None:
     if d.size and (d.data <= 0.0).any():
         raise ContractError("distances must be positive")
-    if d.size and (d.data > cutoff).any():
+    if d.size and (d.data > cutoff * (1.0 + _CUTOFF_SLACK)).any():
         raise ContractError("distance beyond the basis cutoff")
 
 
@@ -136,10 +142,7 @@ def _jl_closed(l: int, x: Tensor) -> Tensor:
     if l == 3:
         return s * (i4 * 15.0 - i2 * 6.0) - c * (i3 * 15.0 - inv)
     i5 = i4 * inv
-    if l == 4:
-        return s * (i5 * 105.0 - i3 * 45.0 + inv) - c * (i4 * 105.0 - i2 * 10.0)
-    i6 = i5 * inv
-    return s * (i6 * 945.0 - i4 * 420.0 + i2 * 15.0) - c * (i5 * 945.0 - i3 * 105.0 + inv)
+    return s * (i5 * 105.0 - i3 * 45.0 + inv) - c * (i4 * 105.0 - i2 * 10.0)
 
 
 def _jl_series(l: int, x: Tensor) -> Tensor:
@@ -156,8 +159,8 @@ def _jl_series(l: int, x: Tensor) -> Tensor:
 
 # below these arguments, by order, spherical_jl sums its series: the closed
 # form cancels more the higher the order, and each switch sits where the two
-# agree with scipy to about 1e-14 (order 5: 3e-13, the closed form's floor)
-_SERIES_BELOW = (0.5, 0.5, 0.5, 1.9, 2.15, 2.55)
+# agree with scipy to about 1e-14
+_SERIES_BELOW = (0.5, 0.5, 0.5, 1.9, 2.15)
 
 
 def spherical_jl(l: int, x: Tensor) -> Tensor:
@@ -221,7 +224,7 @@ def _bessel_norms(l: int, n_max: int, cutoff: float) -> np.ndarray:
     return norms
 
 
-_ZONAL_NORM = [math.sqrt((2 * l + 1) / (4.0 * math.pi)) for l in range(6)]
+_ZONAL_NORM = [math.sqrt((2 * l + 1) / (4.0 * math.pi)) for l in range(4)]
 
 
 def _legendre(l: int, c: Tensor) -> Tensor:
@@ -234,8 +237,6 @@ def _legendre(l: int, c: Tensor) -> Tensor:
         return c2 * 1.5 - 0.5
     if l == 3:
         return (c2 * 2.5 - 1.5) * c
-    if l == 4:
-        return c2 * c2 * (35.0 / 8.0) - c2 * (30.0 / 8.0) + 3.0 / 8.0
     raise ContractError(f"legendre degree {l} not supported")
 
 
@@ -245,10 +246,10 @@ def zonal_harmonic(l: int, cos_angle: Tensor) -> Tensor:
 
 
 def _check_basis_degrees(l_max: int, n_max: int) -> None:
-    if not (0 <= l_max <= 4):
-        raise ContractError("degree cap for the 2-D basis is 0..4")
+    if not (0 <= l_max <= 3):
+        raise ContractError("sbf degree cap is 0..3")
     if n_max < 1:
-        raise ContractError("n_max must be positive")
+        raise ContractError("sbf needs at least one radial order")
 
 
 def spherical_basis_radial(l_max: int, n_max: int, cutoff: float, d: Tensor) -> Tensor:
@@ -359,10 +360,7 @@ class DimeNetSpec:
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
             raise ContractError("hidden width and layer count must be positive")
-        if not (0 <= self.sbf_l_max <= 3):
-            raise ContractError("sbf degree cap is 0..3")
-        if self.sbf_n_max < 1:
-            raise ContractError("sbf needs at least one radial order")
+        _check_basis_degrees(self.sbf_l_max, self.sbf_n_max)
 
     @property
     def sbf_width(self) -> int:

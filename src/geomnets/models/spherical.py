@@ -108,18 +108,16 @@ class TfnLayerSpec:
                         out.append((b_in, l_f, b_out))
         return out
 
-    def paths_into(self, b_out: int) -> list[int]:
-        return [k for k, p in enumerate(self.paths()) if p[2] == b_out]
-
 
 def init_tfn_layer(spec: TfnLayerSpec, rng: np.random.Generator, prefix: str) -> dict:
     params = {}
-    for k, (b_in, _, _) in enumerate(spec.paths()):
+    fan_in = [0] * len(spec.layout_out.blocks)
+    for k, (b_in, _, b_out) in enumerate(spec.paths()):
         mult_in = spec.layout_in.blocks[b_in][0]
         params.update(init_mlp((spec.radial.count, spec.radial_hidden, mult_in), rng, f"{prefix}.path{k}.radial"))
+        fan_in[b_out] += mult_in
     for b_out, (mult_out, _) in enumerate(spec.layout_out.blocks):
-        fan_in = sum(spec.layout_in.blocks[spec.paths()[k][0]][0] for k in spec.paths_into(b_out))
-        params[f"{prefix}.out{b_out}.mix"] = T.glorot_uniform(rng, fan_in, mult_out)
+        params[f"{prefix}.out{b_out}.mix"] = T.glorot_uniform(rng, fan_in[b_out], mult_out)
     return params
 
 
@@ -178,25 +176,24 @@ class _BlockFusion:
 def _fusion(spec: TfnLayerSpec) -> tuple[_BlockFusion, ...]:
     """Coupling tables of a layer, one per input block."""
     n_harm = (_DEGREE_CAP + 1) ** 2
+    paths = spec.paths()
     degrees_out = [l for _, l in spec.layout_out.blocks]
-    path_of = {(b_in, l_f, degrees_out[b_out]): k for k, (b_in, l_f, b_out) in enumerate(spec.paths())}
     plan = []
     for b, (_, l_in) in enumerate(spec.layout_in.blocks):
         rows, segments, width = {}, {}, 0
         for l_out in sorted(degrees_out):
-            l_fs = [l_f for l_f in _FILTER_DEGREES if abs(l_in - l_f) <= l_out <= l_in + l_f]
-            segments[l_out] = (width, len(l_fs))
-            for g, l_f in enumerate(l_fs):
-                rows[l_f, l_out] = width + g + len(l_fs) * np.arange(2 * l_out + 1)
-            width += len(l_fs) * (2 * l_out + 1)
+            into = [(k, l_f) for k, (b_in, l_f, b_out) in enumerate(paths) if (b_in, degrees_out[b_out]) == (b, l_out)]
+            segments[l_out] = (width, len(into))
+            for g, (k, l_f) in enumerate(into):
+                rows[k, l_f, l_out] = width + g + len(into) * np.arange(2 * l_out + 1)
+            width += len(into) * (2 * l_out + 1)
         # degree l_f sits in rows l_f^2 .. (l_f + 1)^2 of the harmonics
         table = np.zeros((n_harm, width, 2 * l_in + 1))
         spread = np.zeros((len(rows), width))
-        for i, ((l_f, l_out), r) in enumerate(rows.items()):
+        for i, ((_, l_f, l_out), r) in enumerate(rows.items()):
             table[l_f * l_f : (l_f + 1) ** 2, r, :] = np.swapaxes(clebsch_gordan(l_f, l_in, l_out), 1, 2)
             spread[i, r] = 1.0
-        ids = tuple(path_of[b, l_f, l_out] for l_f, l_out in rows)
-        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, ids, spread))
+        plan.append(_BlockFusion(table.reshape(n_harm, -1), width, segments, tuple(k for k, _, _ in rows), spread))
     return tuple(plan)
 
 
@@ -254,12 +251,12 @@ def _mix_weights(
     spec: TfnLayerSpec, params: dict, prefix: str, b_out: int
 ) -> tuple[Tensor, list[tuple[int, int, int]]]:
     """The mix of output block `b_out`, scaled by 1/sqrt(paths), and the
-    row segments it reads as (input block, first row, groups). The stored
-    mix rows run (path, channel), as do the columns of those segments laid
-    side by side."""
+    row segments it reads as (input block, first row, groups), a group per
+    path. The stored mix rows run (path, channel), as do the columns of
+    those segments laid side by side."""
     l = spec.layout_out.blocks[b_out][1]
     reads = [(b, *blk.segments[l]) for b, blk in enumerate(_fusion(spec))]
-    scale = 1.0 / math.sqrt(len(spec.paths_into(b_out)))
+    scale = 1.0 / math.sqrt(sum(groups for _, _, groups in reads))
     return params[f"{prefix}.out{b_out}.mix"] * scale, reads
 
 
@@ -291,20 +288,20 @@ def _residual(spec: TfnLayerSpec, feat: SteerableFeature, blocks: list[Tensor]) 
 def tfn_conv(
     spec: TfnLayerSpec,
     params: dict,
+    prefix: str,
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
     filters: EdgeFilters,
 ) -> SteerableFeature:
     """Neighborhood tensor-product update over edges (src <- dst), reading
-    the `filter_inputs` of their geometry; weights live under
-    `conv.`. Without edges every message is zero and only the residual
-    remains."""
+    the `filter_inputs` of their geometry; weights live under `{prefix}.conv.`.
+    Without edges every message is zero and only the residual remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
-    (messages,) = _messages(((spec, "conv"),), params, feat, dst, filters)
+    (messages,) = _messages(((spec, f"{prefix}.conv"),), params, feat, dst, filters)
     sums = [T.scatter_sum(m, src, feat.blocks[0].shape[0]) for m in messages]
-    return _residual(spec, feat, _mix(spec, params, "conv", sums))
+    return _residual(spec, feat, _mix(spec, params, f"{prefix}.conv", sums))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def tfn_conv(
 
 
 def _key_scores(
-    spec: TfnLayerSpec, params: dict, feat: SteerableFeature, messages: list, src: np.ndarray
+    spec: TfnLayerSpec, params: dict, prefix: str, feat: SteerableFeature, messages: list, src: np.ndarray
 ) -> Tensor:
     """Per-edge dot products of query and key rows (E,), without forming
     the keys. A score is linear in the key messages, so the query rows of
@@ -321,8 +318,8 @@ def _key_scores(
     n = feat.blocks[0].shape[0]
     back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, rows, mult)
     for b_out, (_, l) in enumerate(spec.layout_out.blocks):
-        mix, reads = _mix_weights(spec, params, "key", b_out)
-        query = T.matmul(feat.blocks[b_out], params[f"query{b_out}.mix"])
+        mix, reads = _mix_weights(spec, params, f"{prefix}.key", b_out)
+        query = T.matmul(feat.blocks[b_out], params[f"{prefix}.query{b_out}.mix"])
         cols = T.matmul(query, T.transpose2(mix))  # (N, 2 l + 1, channels)
         first = 0
         for b, _, groups in reads:
@@ -341,6 +338,7 @@ def _key_scores(
 def se3_attention(
     spec: TfnLayerSpec,
     params: dict,
+    prefix: str,
     feat: SteerableFeature,
     src: np.ndarray,
     dst: np.ndarray,
@@ -348,23 +346,23 @@ def se3_attention(
 ) -> tuple[SteerableFeature, Tensor]:
     """Attention update plus the attention weights (E,) for inspection.
 
-    Values are messages of `spec` under `value.`, keys those of `spec` with
-    the input layout as output under `key.`; queries mix each input block
-    under `query{b}.`. Each output block is an input block plus its update,
-    so a node without neighbors keeps those blocks as they were."""
+    Values are messages of `spec` under `{prefix}.value.`, keys those of `spec`
+    with the input layout as output under `{prefix}.key.`; queries mix each
+    input block under `{prefix}.query{b}.`. Each output block is an input
+    block plus its update, so a node without neighbors keeps it as it was."""
     if not set(spec.layout_out.blocks) <= set(spec.layout_in.blocks):
         raise ContractError("every attention output block must be an input block, for the residual")
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the attention input")
     n = feat.blocks[0].shape[0]
     keys = replace(spec, layout_out=spec.layout_in)
-    key_msgs, value_msgs = _messages(((keys, "key"), (spec, "value")), params, feat, dst, filters)
-    alpha = T.segment_softmax(_key_scores(keys, params, feat, key_msgs, src), src, n)
+    key_msgs, value_msgs = _messages(((keys, f"{prefix}.key"), (spec, f"{prefix}.value")), params, feat, dst, filters)
+    alpha = T.segment_softmax(_key_scores(keys, params, prefix, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
     weight = T.reshape(alpha, (-1, 1, 1))
     weighted = [m * weight for m in value_msgs]
-    update = _mix(spec, params, "value", [T.scatter_sum(m, src, n) for m in weighted])
+    update = _mix(spec, params, f"{prefix}.value", [T.scatter_sum(m, src, n) for m in weighted])
     return _residual(spec, feat, update), alpha
 
 
@@ -447,11 +445,6 @@ def init_steerable(spec: SteerableModelSpec, seed: int) -> dict[str, np.ndarray]
     return params
 
 
-def _scoped(params: dict, scope: str) -> dict:
-    offset = len(scope) + 1
-    return {k[offset:]: v for k, v in params.items() if k.startswith(scope + ".")}
-
-
 # degree-1 components are ordered (y, z, x); this permutation reads them
 # back out as Cartesian (x, y, z)
 _M_TO_CART = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -473,13 +466,12 @@ def steerable_forward(
         embedded = T.reshape(embed_nodes(params["embed"], batch.z), (batch.n_nodes, 1, spec.scalar_channels))
         feat = SteerableFeature(spec.input_layout, [embedded])
     for i in range(spec.layers):
-        scoped = _scoped(params, f"layer{i}")
         layer = spec.layer_spec(i, vectors)
         with T.scope(f"layer{i}"):
             if spec.attends(i):
-                feat, _ = se3_attention(layer, scoped, feat, batch.src, batch.dst, filters)
+                feat, _ = se3_attention(layer, params, f"layer{i}", feat, batch.src, batch.dst, filters)
             else:
-                feat = tfn_conv(layer, scoped, feat, batch.src, batch.dst, filters)
+                feat = tfn_conv(layer, params, f"layer{i}", feat, batch.src, batch.dst, filters)
     with T.scope("readout"):
         scalars = T.reshape(feat.blocks[0], (batch.n_nodes, spec.scalar_channels))
         if not vectors:

@@ -271,8 +271,8 @@ def _targets(confs: Sequence[Conformation]):
                 raise ContractError(f"conformation {i}{f' ({c.id})' if c.id else ''} has no {label} label")
     e = np.array([c.energy for c in confs], dtype=np.float64)
     f = np.concatenate([c.forces for c in confs], axis=0)
-    if np.isnan(e).any() or np.isnan(f).any():
-        raise ContractError("labels contain NaN")
+    if not (np.isfinite(e).all() and np.isfinite(f).all()):
+        raise ContractError("labels contain NaN or infinite values")
     return e, f
 
 
@@ -471,30 +471,20 @@ def masked_pretrain_loss(
         return _cross_entropy(logits, batch.z[masked] - 1)
     if kind == "distance":
         picked = _mask_indices(rng, batch.n_edges)
-        h = model.node_scalars(params_t, batch, pos)
-        rep = T.concat([T.gather(h, batch.src[picked]), T.gather(h, batch.dst[picked])], axis=1)
-        pred = T.mlp_apply(params_t, rep, "dist_head")
-        target = Tensor(batch.dist[picked][:, None])
-        return _reduce(pred - target, "mse")
-    if kind == "angle":
+        atoms = (batch.src[picked], batch.dst[picked])
+        target, head = batch.dist[picked], "dist_head"
+    elif kind == "angle":
         if batch.angles is None:
             raise ContractError("angle pretraining needs a batch built with angles")
         picked = _mask_indices(rng, batch.angles.n_triplets)
-        h = model.node_scalars(params_t, batch, pos)
-        out_e = batch.angles.out_edge[picked]
-        in_e = batch.angles.in_edge[picked]
-        rep = T.concat(
-            [
-                T.gather(h, batch.dst[out_e]),
-                T.gather(h, batch.src[out_e]),
-                T.gather(h, batch.dst[in_e]),
-            ],
-            axis=1,
-        )
-        pred = T.mlp_apply(params_t, rep, "angle_head")
-        target = Tensor(batch.angles.angle[picked][:, None])
-        return _reduce(pred - target, "mse")
-    raise ContractError(f"unknown masked pretraining kind '{kind}'")
+        out_e, in_e = batch.angles.out_edge[picked], batch.angles.in_edge[picked]
+        atoms = (batch.dst[out_e], batch.src[out_e], batch.dst[in_e])
+        target, head = batch.angles.angle[picked], "angle_head"
+    else:
+        raise ContractError(f"unknown masked pretraining kind '{kind}'")
+    h = model.node_scalars(params_t, batch, pos)
+    pred = T.mlp_apply(params_t, T.concat([T.gather(h, a) for a in atoms], axis=1), head)
+    return _reduce(pred - Tensor(target[:, None]), "mse")
 
 
 def init_pretrain_heads(model, seed: int) -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -176,6 +177,25 @@ def test_train_writes_metrics_and_checkpoint(workspace):
     # progress went to stderr, artifact paths to stdout
     assert "loss" in result.stderr
     assert "metrics.json" in result.stdout
+
+
+def test_train_on_a_periodic_pair_at_the_cutoff_exits_0(tmp_path):
+    # the graph builder measures the atom's own image within the 3.6 cutoff,
+    # and the forward, from the mirror row, a few ulps past it
+    cell = Conformation(
+        z=[6], pos=[[2.686, 1.293, 0.314]], lattice=3.6 * np.eye(3), energy=-1.0, forces=np.zeros((1, 3))
+    )
+    save_dataset(tmp_path / "cell.jsonl", [cell, cell])
+    cfg = {
+        "dataset": str(tmp_path / "cell.jsonl"),
+        "model": {"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 3.6},
+        "steps": 2,
+        "split": [0.5, 0.5, 0.0],
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    result = run_cli("train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run"))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "run" / "checkpoint.json").exists()
 
 
 def test_train_is_deterministic_modulo_wall_time(workspace):
@@ -583,6 +603,62 @@ def test_model_config_defaults_are_the_spec_defaults(family):
     model = api.model_from_config(json.loads(json.dumps(spelled)))
     assert model.spec == default
     assert model.cutoff == spelled["cutoff"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# "`name` value" or "`name` {`name` value, ...}", as the model-config table writes them
+_README_ENTRY = re.compile(r"`(\w+)` (\{[^}]*\}|[^,{}]+)")
+
+
+def _readme_entries(text):
+    return [(k, _readme_entries(v[1:-1]) if v.startswith("{") else v.strip()) for k, v in _README_ENTRY.findall(text)]
+
+
+def _readme_model_rows():
+    """{family: (spec dataclass cell, [(key, default), ...])} from the README's model-config table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| family | spec dataclass | keys and defaults |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        families, spec, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        for family in re.findall(r"`(\w+)`", families):
+            assert family not in rows, f"README lists {family} twice"
+            rows[family] = (spec.strip("`"), _readme_entries(keys))
+    return rows
+
+
+def test_readme_model_table_lists_every_spec_field_and_default():
+    # the basis's cutoff is the model's, so it appears once, at the top level
+    rows = _readme_model_rows()
+    assert set(rows) == set(api.FAMILIES)
+    for family, (spec_cell, entries) in rows.items():
+        default = _spec_at_defaults(family)
+        assert spec_cell == f"{type(default).__module__.rsplit('.', 1)[1]}.{type(default).__name__}"
+        want = {}
+        for f in dataclasses.fields(default):
+            value = getattr(default, f.name)
+            if dataclasses.is_dataclass(value):
+                want["cutoff"] = str(value.cutoff)
+                value = {k: str(v) for k, v in dataclasses.asdict(value).items() if k != "cutoff"}
+            elif f.name == "family":
+                continue
+            want[f.name] = value if isinstance(value, dict) else str(value)
+        names = [k for k, _ in entries]
+        assert len(names) == len(set(names)), f"{family}: a key listed twice"
+        got = {k: dict(v) if isinstance(v, list) else v for k, v in entries}
+        assert got == want, family
+
+
+def test_readme_command_lines_use_existing_flags():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    lines = re.findall(r"^geomnets ([\w-]+)(.*)$", README.read_text(), flags=re.MULTILINE)
+    assert {command for command, _ in lines} == set(commands)
+    for command, rest in lines:
+        for flag in re.findall(r"--[\w-]+", rest):
+            assert flag in commands[command]._option_string_actions, f"geomnets {command} has no {flag}"
 
 
 @pytest.mark.parametrize(

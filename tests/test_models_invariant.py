@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from geomnets import tensor as T
-from geomnets.errors import ContractError
+from geomnets.errors import ContractError, ShapeError
 from geomnets.geometry import Conformation
 from geomnets.models import api
 from geomnets.models import invariant as inv
-from geomnets.models.common import build_batch, embed_nodes, readout
-from geomnets.so3 import random_rotation, sph_harm_block
+from geomnets.models import spherical as sph
+from geomnets.models import vector as vec
+from geomnets.models.common import build_batch, embed_nodes, pair_vectors, readout
+from geomnets.so3 import IrrepsLayout, SteerableFeature, random_rotation, sph_harm_block
 from geomnets.tensor import Tape, Tensor
 from test_tensor import grad_check
 
@@ -151,7 +153,7 @@ def test_spherical_jl_matches_scipy_both_branches():
     # relative: j_l is ~x^l/(2l+1)!! near 0, where an absolute tolerance
     # would hide the closed form's cancellation at higher orders
     xs = np.concatenate([np.linspace(1e-4, 0.499, 41), np.linspace(0.5, 30.0, 83)])
-    for l in range(6):
+    for l in range(5):
         mine = inv.spherical_jl(l, Tensor(xs)).data
         np.testing.assert_allclose(mine, special.spherical_jn(l, xs), rtol=1e-13, atol=0)
 
@@ -195,10 +197,24 @@ def test_zonal_matches_full_harmonic_m0_column():
     # the m=0 component of the degree-l block depends only on the polar angle
     thetas = np.linspace(0.0, np.pi, 9)
     u = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    for l in range(5):
+    for l in range(4):
         full = sph_harm_block(l, Tensor(u)).data[:, l]
         mine = inv.zonal_harmonic(l, Tensor(np.cos(thetas))).data
         np.testing.assert_allclose(mine, full, atol=1e-13, rtol=0)
+
+
+def test_2d_basis_stops_at_dimenets_degree_cap():
+    # sbf_l_max runs 0..3, so the basis reads Legendre degrees up to 3 and
+    # Bessel orders up to 4 (the norms of degree 3), and no further
+    x = Tensor(np.array([0.3, 2.0]))
+    for call in (
+        lambda: inv.spherical_jl(5, x),
+        lambda: inv.zonal_harmonic(4, x * 0.1),
+        lambda: inv.spherical_basis_radial(4, 2, 5.0, x),
+        lambda: inv.DimeNetSpec(sbf_l_max=4),
+    ):
+        with pytest.raises(ContractError, match="not supported|degree cap"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +325,43 @@ def test_readout_batch_equals_concatenated_singles():
     first = readout(head, Tensor(h.data[:3]), np.zeros(3, dtype=int), 1).data
     second = readout(head, Tensor(h.data[3:]), np.zeros(4, dtype=int), 1).data
     np.testing.assert_allclose(both, np.concatenate([first, second]), atol=1e-12)
+
+
+def _attend_on_another_layout():
+    hidden = IrrepsLayout(((3, 0), (2, 1)))
+    spec = sph.TfnLayerSpec(hidden, hidden, inv.RadialBasisSpec(), 4)
+    feat = SteerableFeature(IrrepsLayout(((3, 0),)), [Tensor(np.ones((2, 1, 3)))])
+    sph.se3_attention(spec, {}, "layer0", feat, np.zeros(0, int), np.zeros(0, int), None)
+
+
+def _tfn_layer_without_radial_width():
+    layout = IrrepsLayout(((3, 0),))
+    sph.TfnLayerSpec(layout, layout, inv.RadialBasisSpec(), 0)
+
+
+def _positions_of_another_shape():
+    batch = build_batch([Conformation(z=[1, 1], pos=[[0.0, 0, 0], [1.0, 0, 0]])], 2.0)
+    pair_vectors(Tensor(np.zeros((3, 3))), batch)
+
+
+MODEL_REFUSALS = {
+    "empty-batch": (lambda: build_batch([], 5.0), ContractError, "at least one conformation"),
+    "positions-shape": (_positions_of_another_shape, ShapeError, "do not match batch of 2 nodes"),
+    "type-119": (lambda: embed_nodes(Tensor(np.ones((119, 2))), np.array([119])), ContractError, "embedding table"),
+    "bessel-count-0": (lambda: inv.RadialBasisSpec(kind="bessel", count=0), ContractError, "at least one function"),
+    "schnet-hidden-0": (lambda: inv.SchNetSpec(hidden=0), ContractError, "must be positive"),
+    "egnn-cutoff-0": (lambda: vec.EgnnSpec(cutoff=0.0), ContractError, "cutoff must be positive"),
+    "tfn-radial-hidden-0": (_tfn_layer_without_radial_width, ContractError, "radial hidden width"),
+    "attention-layout": (_attend_on_another_layout, ShapeError, "does not match the attention input"),
+    "irreps-multiplicity-0": (lambda: IrrepsLayout(((0, 1),)), ContractError, "multiplicity must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_REFUSALS)
+def test_model_input_refusals_name_what_is_wrong(case):
+    call, error, fragment = MODEL_REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,22 @@ def filters(spec, rel, pairs):
     return sph.filter_inputs(inv.edge_geometry(spec.radial, T.gather(rel, pairs.edge)), pairs, degree)
 
 
+def as_layer0(params):
+    """A layer's weights under the prefix `layer0.`, as a stack holds them."""
+    return {f"layer0.{k}": v for k, v in params.items()}
+
+
 def conv(spec, params, feat, edges):
     pairs = pair_index(edges.reverse)
-    return sph.tfn_conv(spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pairs))
+    return sph.tfn_conv(
+        spec, as_layer0(params), "layer0", feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pairs)
+    )
 
 
 def attend(spec, params, feat, edges):
+    pairs = pair_index(edges.reverse)
     return sph.se3_attention(
-        spec, params, feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pair_index(edges.reverse))
+        spec, as_layer0(params), "layer0", feat, edges.src, edges.dst, filters(spec, Tensor(edges.rel_vec), pairs)
     )
 
 
@@ -158,7 +166,7 @@ def test_coupling_rows_interleave_their_groups_and_meet_the_mix_by_path():
 
     zero_sums = [np.zeros((1, blk.width, mult)) for blk, (mult, _) in zip(fusion, spec.layout_in.blocks)]
     for b_out, (mult_out, l_out) in enumerate(spec.layout_out.blocks):
-        into = spec.paths_into(b_out)
+        into = [k for k, (_, _, b) in enumerate(spec.paths()) if b == b_out]
         mix = params[f"conv.out{b_out}.mix"].data * (1.0 / math.sqrt(len(into)))
         first = 0
         for k in into:
@@ -467,7 +475,7 @@ def reference_mix(spec, params, prefix, b_out, stacked):
     """Output block (N, 2 l_out + 1, mult_out) from the messages of its
     paths side by side, channels first."""
     mixed = T.matmul(T.transpose2(stacked), params[f"{prefix}.out{b_out}.mix"])
-    return mixed * (1.0 / math.sqrt(len(spec.paths_into(b_out))))
+    return mixed * (1.0 / math.sqrt(sum(b == b_out for _, _, b in spec.paths())))
 
 
 def reference_conv(spec, params, feat, src, dst, rel):
@@ -515,7 +523,8 @@ def fused_and_reference(layer, graph):
         spec, params = (attention_setup if layer == "attention" else last_attention_setup)(7)
 
         def fused(spec, params, feat, src, dst, rel, reverse):
-            return sph.se3_attention(spec, params, feat, src, dst, filters(spec, rel, pair_index(reverse)))
+            inputs = filters(spec, rel, pair_index(reverse))
+            return sph.se3_attention(spec, as_layer0(params), "layer0", feat, src, dst, inputs)
 
         def ref(*args):
             return reference_attention(*args[:-1])
@@ -525,7 +534,8 @@ def fused_and_reference(layer, graph):
         params = sph.init_tfn_layer(spec, rng, "conv")
 
         def fused(spec, params, feat, src, dst, rel, reverse):
-            return sph.tfn_conv(spec, params, feat, src, dst, filters(spec, rel, pair_index(reverse))), None
+            inputs = filters(spec, rel, pair_index(reverse))
+            return sph.tfn_conv(spec, as_layer0(params), "layer0", feat, src, dst, inputs), None
 
         def ref(*args):
             return reference_conv(*args[:-1]), None
@@ -686,7 +696,8 @@ def test_a_forward_without_vectors_outputs_degree_0_alone(family, layers):
     spec = sph.SteerableModelSpec(family=family, scalar_channels=5, vector_channels=3, tensor_channels=2, layers=layers)
     full, scalar = spec.layer_spec(layers - 1), spec.layer_spec(layers - 1, vectors=False)
     assert scalar.layout_out == IrrepsLayout(((5, 0),))
-    assert scalar.paths() == full.paths()[: len(scalar.paths())] == [full.paths()[k] for k in full.paths_into(0)]
+    into_0 = [p for p in full.paths() if p[2] == 0]
+    assert scalar.paths() == full.paths()[: len(scalar.paths())] == into_0
     assert [spec.layer_spec(i, vectors=False) for i in range(layers - 1)] == [spec.layer_spec(i) for i in range(layers - 1)]
     assert (spec.filter_degree(vectors=False), spec.filter_degree(vectors=True)) == ((0, 1) if layers == 1 else (2, 2))
 
@@ -702,7 +713,8 @@ def test_last_convolution_keeps_its_hidden_layer_weights(family, layers, seed):
     last = sph.init_steerable(dataclasses.replace(spec, layers=layers), seed)
     full = sph.init_steerable(deeper, seed)
     prefix = f"layer{layers - 1}." + ("value." if deeper.attends(layers - 1) else "conv.")
-    into_2 = tuple(f"{prefix}path{k}." for k in deeper.layer_spec(layers - 1).paths_into(2)) + (f"{prefix}out2.",)
+    paths = deeper.layer_spec(layers - 1).paths()
+    into_2 = tuple(f"{prefix}path{k}." for k, p in enumerate(paths) if p[2] == 2) + (f"{prefix}out2.",)
     assert {k for k in full if k.startswith(prefix)} - set(last) == {k for k in full if k.startswith(into_2)}
     for name, value in last.items():
         if name.startswith("layer"):

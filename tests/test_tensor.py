@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
+from geomnets.geometry import pair_index
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
@@ -277,6 +278,58 @@ class TestShapesAndIndices:
         params = {k: T.Tensor(v) for k, v in T.init_mlp((3, 4), np.random.default_rng(0), "mlp").items()}
         with pytest.raises(ContractError, match="'head'"):
             T.mlp_apply(params, T.Tensor(np.ones((2, 3))), "head")
+
+
+def _taped(values):
+    return T.Tape().tensor(np.asarray(values, dtype=np.float64))
+
+
+def _root_on_another_tape():
+    x = _taped([1.0, 2.0])
+    T.Tape().gradient(T.sum_(x), [x])
+
+
+def _non_scalar_root():
+    x = _taped([1.0, 2.0])
+    x.tape.gradient(x * 2.0, [x])
+
+
+def _one_pair_of_two_edges():
+    return pair_index(np.array([1, 0]))
+
+
+REFUSALS = {
+    "watch-other-tape": (lambda: T.Tape().watch(_taped([1.0])), ContractError, "different tape"),
+    "root-other-tape": (_root_on_another_tape, ContractError, "not on this tape"),
+    "root-not-scalar": (_non_scalar_root, ContractError, "must be a scalar"),
+    "checked-nan-leaf": (lambda: T.checked(lambda tape: tape.tensor([math.nan])), NumericError, "non-finite"),
+    "matmul-1d": (lambda: T.matmul(T.Tensor([1.0, 2.0]), T.Tensor(np.ones((2, 2)))), ShapeError, "two dimensions"),
+    "transpose2-1d": (lambda: T.transpose2(T.Tensor([1.0, 2.0])), ShapeError, "two dimensions"),
+    "concat-empty": (lambda: T.concat([]), ContractError, "at least one tensor"),
+    "slice-index-array": (lambda: T.slice_(T.Tensor(np.ones(3)), np.array([0, 1])), ContractError, "slices and ints"),
+    "mean-empty-axis": (lambda: T.mean(T.Tensor(np.ones((0, 3))), axis=0), ContractError, "empty axis"),
+    "gather-2d-index": (lambda: T.gather(T.Tensor(np.ones((3, 2))), np.zeros((2, 2))), ShapeError, "one-dimensional"),
+    "gather-0d": (lambda: T.gather(T.Tensor(1.0), [0]), ShapeError, "at least one dimension"),
+    "expand-pairs-rows": (
+        lambda: T.expand_pairs(T.Tensor(np.ones((2, 3))), _one_pair_of_two_edges()),
+        ShapeError,
+        "do not match 1 pairs",
+    ),
+    "sum-pairs-rows": (
+        lambda: T.sum_pairs(T.Tensor(np.ones((3, 1))), _one_pair_of_two_edges()),
+        ShapeError,
+        "do not match 2 edges",
+    ),
+    "scatter-sum-rows": (lambda: T.scatter_sum(T.Tensor(np.ones((3, 2))), [0, 1], 2), ShapeError, "leading axis"),
+    "segment-softmax-2d": (lambda: T.segment_softmax(T.Tensor(np.ones((2, 2))), [0, 1], 2), ShapeError, "1-D scores"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_what_is_wrong(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 class TestInit:

@@ -18,7 +18,7 @@ from geomnets import training as tr
 from geomnets.errors import ContractError, NumericError
 from geomnets.geometry import Conformation
 from geomnets.models import api
-from geomnets.models.common import build_batch, graph_stats
+from geomnets.models.common import build_batch, graph_stats, pair_vectors
 from geomnets.tensor import Tensor
 from test_parity import CONFIGS, _confs, _kinds, _schedule
 from test_tensor import grad_check
@@ -104,6 +104,26 @@ def test_single_atom_energy_finite_and_force_free(family):
     energy, forces = tr.force_from_energy(model, model.init(0), conf)
     assert np.isfinite(energy)
     np.testing.assert_array_equal(forces, np.zeros((1, 3)))
+
+
+def at_cutoff_cell():
+    """One atom whose own periodic image the graph builder measures at
+    3.5999999999999996, within the 3.6 cutoff, and a forward, from the
+    mirror row, at 3.6000000000000005."""
+    return Conformation(
+        z=[6], pos=[[2.686, 1.293, 0.314]], lattice=3.6 * np.eye(3), energy=0.0, forces=np.zeros((1, 3))
+    )
+
+
+@pytest.mark.parametrize("family", ["schnet", "leaky", "dimenet", "painn", "tfn", "se3attn"])
+def test_periodic_pair_at_the_cutoff_passes_the_basis(family):
+    batch = build_batch([at_cutoff_cell()], 3.6)
+    measured = np.linalg.norm(pair_vectors(Tensor(batch.pos), batch).data, axis=1)
+    assert batch.dist.max() <= 3.6 < measured.max()
+    width = api.FAMILY_TABLE[family].width
+    model = api.model_from_config({"family": family, width: 8, "layers": 2, "cutoff": 3.6})
+    energy, forces = tr.force_from_energy(model, model.init(0), at_cutoff_cell())
+    assert np.isfinite(energy) and np.isfinite(forces).all()
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +381,23 @@ def test_train_energy_force_descends_and_is_deterministic():
     assert metrics["mae_energy"] < 2.0 and metrics["mae_force"] < 2.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("label", ["energy", "forces"])
+def test_non_finite_labels_refused(label, value):
+    # an infinite label used to give mae_energy inf, and a NumericError at
+    # the label leaf of a training step
+    confs = tr.synthetic_conformations(2, seed=3, n_atoms=(3, 4))
+    if label == "energy":
+        confs[1].energy = value
+    else:
+        confs[1].forces[0, 2] = value
+    model = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": 4.0})
+    with pytest.raises(ContractError, match="labels contain NaN"):
+        tr.evaluate_energy_force(model, model.init(0), confs)
+    with pytest.raises(ContractError, match="labels contain NaN"):
+        tr.train_energy_force(model, confs, tr.ScheduleSpec(5e-3, 1e-4, 2), seed=0, steps=2)
+
+
 def test_train_energy_force_early_stop():
     confs = tr.synthetic_conformations(4, seed=5, n_atoms=(4, 5))
     model = api.model_from_config({"family": "schnet", "hidden": 16, "layers": 1, "cutoff": 4.0})
@@ -500,6 +537,9 @@ def test_masked_losses_need_nonempty_mask_sets():
         tr.masked_pretrain_loss("angle", model, params_t, batch, pos, 0)
     with pytest.raises(ContractError):
         tr.masked_pretrain_loss("composition", model, params_t, batch, pos, 0)
+    without_angles = build_batch([far], 1.0, need_angles=False)
+    with pytest.raises(ContractError, match="angle pretraining needs a batch built with angles"):
+        tr.masked_pretrain_loss("angle", model, params_t, without_angles, pos, 0)
 
 
 def test_masked_losses_rigid_motion_invariant():
