@@ -40,7 +40,10 @@ one first-order force call (`force_from_energy`) per family on the largest
 frame of the stream, which show what a change does to the memory a training
 step and an inference call hold, each next to the number of tape records
 that call made, so a change that moves the pins of
-`tests/test_tape_cost.py` shows it here too, and each tree's `src/` line
+`tests/test_tape_cost.py` shows it here too; the same for one step of
+se3attn and of dimenet on the benchmark's batch
+(`synthetic_conformations(64, 0)`, at the configs of `BENCH_CONFIGS`),
+where a step holds what the benchmark's peak RSS reads; and each tree's `src/` line
 count (`wc -l src/geomnets/*.py src/geomnets/models/*.py`), so a change
 shows what it added or removed. The last line gives
 the number of arrays that differ and the largest of those relative
@@ -66,6 +69,22 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 STEPS = 3
+# the benchmark's energy+force training configs of the two families with the
+# largest tapes (perfbench/worker.py), and its rate
+BENCH_CONFIGS = {
+    "se3attn": {
+        "family": "se3attn",
+        "scalar_channels": 8,
+        "vector_channels": 4,
+        "tensor_channels": 2,
+        "layers": 2,
+        "cutoff": 5.0,
+        "basis": {"count": 8},
+        "radial_hidden": 8,
+    },
+    "dimenet": {"family": "dimenet", "hidden": 16, "layers": 1, "cutoff": 5.0, "sbf_l_max": 2, "sbf_n_max": 3},
+}
+BENCH_LR = (1e-4, 1e-5)
 
 
 def traced_peak(fn) -> int:
@@ -198,7 +217,8 @@ def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
     {family: (bytes, records)}, "force_peaks": {family: (bytes, records)},
-    "cli": {label: bytes}} for the tree on the path."""
+    "bench_peaks": {family: (bytes, records)}, "cli": {label: bytes}} for
+    the tree on the path."""
     from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
@@ -238,12 +258,22 @@ def dump(out: str) -> None:
         force = lambda: tr.force_from_energy(model, params, largest)
         peaks[family] = traced_peak(step), records_of(step)
         force_peaks[family] = traced_peak(force), records_of(force)
+    bench_confs = tr.synthetic_conformations(64, 0)
+    bench_schedule = tr.ScheduleSpec(lr_max=BENCH_LR[0], lr_min=BENCH_LR[1], total_steps=2)
+    bench_peaks = {}
+    for family, config in BENCH_CONFIGS.items():
+        model = api.model_from_config(config)
+        step = lambda: tr.train_energy_force(model, bench_confs, bench_schedule, seed=0, steps=1)
+        step()  # one-time tables
+        bench_peaks[family] = traced_peak(step), records_of(step)
     outside = outside_cells(0, 40)
     arrays.update(graph_arrays([c for c in sets["stream"] if c.lattice is not None] + outside))
     arrays.update(batch_arrays(sets))
     cli = cli_artifacts(dict(sets, outside=outside), CONFIGS)
     with open(out, "wb") as fh:
-        pickle.dump({"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "cli": cli}, fh)
+        pickle.dump(
+            {"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "bench_peaks": bench_peaks, "cli": cli}, fh
+        )
 
 
 def src_lines(tree: Path) -> int:
@@ -321,7 +351,12 @@ def main(argv=None) -> int:
         new = run_dump(ROOT, Path(tmp) / "new.pkl")
     differ, largest = compare(ref["arrays"], new["arrays"])
     cli_differ = compare_cli(ref["cli"], new["cli"])
-    for key, what in (("peaks", "one train_energy_force step"), ("force_peaks", "one force call, largest frame")):
+    sides = (
+        ("peaks", "one train_energy_force step"),
+        ("force_peaks", "one force call, largest frame"),
+        ("bench_peaks", "one step on the benchmark's batch"),
+    )
+    for key, what in sides:
         print(f"traced peak (MB) and tape records of {what}, REF -> this checkout:")
         for family in sorted(set(ref[key]) | set(new[key])):
             (a, ra), (b, rb) = (side[key].get(family, (math.nan, -1)) for side in (ref, new))

@@ -310,11 +310,9 @@ _MAX_ROWS = 2**24
 _FACE_SLACK = 1e-9
 
 
-def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions moved into the cell by whole lattice vectors (those in it
-    keep theirs bit for bit), each atom's integer cell offset, with pos =
-    moved + offset @ lattice, and every shift within `_shift_ranges` in
-    ascending (a, b, c) order, all from one inverse of the lattice."""
+def _cells(lattice: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse of the lattice, the fractional coordinates of `pos` and
+    the whole cells (float) that move each atom into the lattice cell."""
     if abs(np.linalg.det(lattice)) < 1e-12:
         raise ContractError("lattice is degenerate (near-zero volume)")
     inv = np.linalg.inv(lattice)
@@ -322,14 +320,36 @@ def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.
     cell = np.where((frac >= -_FACE_SLACK) & (frac < 1.0 + _FACE_SLACK), 0.0, np.floor(frac))
     if (np.abs(cell) > _MAX_CELL_OFFSET).any():
         raise ContractError(f"an atom lies more than {_MAX_CELL_OFFSET} cells outside the lattice cell")
+    return inv, frac, cell
+
+
+def _translations(lattice: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    offset = cell.astype(np.int64)
+    translation = np.zeros(cell.shape)
+    out = offset.any(axis=1)
+    translation[out] = offset[out] @ lattice
+    return offset, translation
+
+
+def cell_offsets(lattice: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's integer cell offset (N, 3), as the periodic graph builder
+    finds it, and its translation offset @ lattice, zero for an atom in the
+    cell: pos - translation is the builder's atom moved into the cell, bit
+    for bit."""
+    return _translations(lattice, _cells(lattice, pos)[2])
+
+
+def _into_cell(lattice: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions moved into the cell by whole lattice vectors (those in it
+    keep theirs bit for bit), each atom's integer cell offset, with pos =
+    moved + offset @ lattice, and every shift within `_shift_ranges` in
+    ascending (a, b, c) order, all from one inverse of the lattice."""
+    inv, frac, cell = _cells(lattice, pos)
     ranges = _shift_ranges(lattice, inv, frac - cell, cutoff)
     # the grid's indices in C order, a row per shift (np.meshgrid takes three times as long)
     shifts = np.ascontiguousarray(np.indices([2 * n + 1 for n in ranges]).reshape(3, -1).T) - ranges
-    offset = cell.astype(np.int64)
-    moved = pos.copy()
-    out = offset.any(axis=1)
-    moved[out] -= offset[out] @ lattice
-    return moved, offset, shifts
+    offset, translation = _translations(lattice, cell)
+    return pos - translation, offset, shifts
 
 
 def periodic_radius_graph(conf: Conformation, cutoff: float, mode: str = "gathered"):

@@ -8,7 +8,16 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import AngleIndex, EdgeList, PairIndex, build_angle_index, pair_index, periodic_radius_graph, radius_graph
+from ..geometry import (
+    AngleIndex,
+    EdgeList,
+    PairIndex,
+    build_angle_index,
+    cell_offsets,
+    pair_index,
+    periodic_radius_graph,
+    radius_graph,
+)
 from ..tensor import Tensor
 
 # 118 real elements plus one reserved row; row 0 doubles as the mask token
@@ -21,7 +30,10 @@ class GraphBatch:
     """Several conformations merged into one disjoint graph, its edges
     grouped into reverse pairs by `pairs`; `dist` (E,) holds each edge's
     length as the graph builder measured it, the same for both edges of a
-    pair."""
+    pair. Edges are measured as the builder measures them, between atoms
+    moved into their cells: `shift_offset` (E, 3) is each edge's lattice
+    shift from there, and `cell_translation` (N, 3) what moves each atom
+    written outside its cell in, or None when every atom lies in its cell."""
 
     z: np.ndarray
     pos: np.ndarray
@@ -33,6 +45,7 @@ class GraphBatch:
     n_graphs: int
     pairs: PairIndex
     angles: AngleIndex | None = None
+    cell_translation: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -50,15 +63,21 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
     the triplets come graph by graph, each in its graph's own order."""
     if not confs:
         raise ContractError("batch needs at least one conformation")
-    graphs, offsets = [], []
+    graphs, offsets, translations = [], [], []
     for conf in confs:
         if conf.lattice is None:
             graph = radius_graph(conf.pos, cutoff)
             offsets.append(np.zeros((graph.n_edges, 3)))
+            translations.append(np.zeros((conf.n_atoms, 3)))
         else:
             graph = periodic_radius_graph(conf, cutoff, mode="gathered")
-            offsets.append(graph.shift.astype(np.float64) @ conf.lattice)
+            # the builder's shifts include the cells its atoms were moved by
+            cell, translation = cell_offsets(conf.lattice, conf.pos)
+            shift = graph.shift - cell[graph.src] + cell[graph.dst]
+            offsets.append(shift.astype(np.float64) @ conf.lattice)
+            translations.append(translation)
         graphs.append(graph)
+    translation = np.concatenate(translations, axis=0)
     atoms, rows = [conf.n_atoms for conf in confs], [graph.n_edges for graph in graphs]
     edges = EdgeList(*(np.concatenate([getattr(g, f.name) for g in graphs]) for f in fields(EdgeList)))
     node_base = np.repeat(np.cumsum([0] + atoms[:-1]), rows)
@@ -76,6 +95,7 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
         n_graphs=len(confs),
         pairs=pair_index(edges.reverse),
         angles=build_angle_index(edges) if need_angles else None,
+        cell_translation=translation if translation.any() else None,
     )
 
 
@@ -93,11 +113,21 @@ def graph_stats(batch: GraphBatch) -> dict[str, int]:
     }
 
 
+def cell_positions(pos: Tensor, batch: GraphBatch) -> Tensor:
+    """The positions moved into their cells, which `shift_offset` measures
+    from; `pos` itself, with no op recorded, when every atom lies in its
+    cell."""
+    return pos if batch.cell_translation is None else pos - Tensor(batch.cell_translation)
+
+
 def pair_vectors(pos: Tensor, batch: GraphBatch) -> Tensor:
     """Differentiable relative vectors (P, 3) of each pair's representative
-    edge; the other edge of a pair runs along the negated vector."""
+    edge, measured between the atoms moved into their cells as the graph
+    builder measured them; the other edge of a pair runs along the negated
+    vector."""
     if pos.shape != (batch.n_nodes, 3):
         raise ShapeError(f"positions {pos.shape} do not match batch of {batch.n_nodes} nodes")
+    pos = cell_positions(pos, batch)
     rep = batch.pairs.edge
     return T.gather(pos, batch.dst[rep]) + Tensor(batch.shift_offset[rep]) - T.gather(pos, batch.src[rep])
 

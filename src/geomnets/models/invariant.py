@@ -181,45 +181,51 @@ def spherical_jl(l: int, x: Tensor) -> Tensor:
     return mask * _jl_series(l, x) + (1.0 - mask) * _jl_closed(l, safe)
 
 
-def _jl_np(l: int, x: float) -> float:
-    return float(spherical_jl(l, Tensor(np.array([x]))).data[0])
+def _jl_values(l: int, x: np.ndarray) -> np.ndarray:
+    return spherical_jl(l, Tensor(x)).data
+
+
+# the root scan: its step, how many steps it takes at most, and how many it
+# evaluates at once
+_SCAN_STEP = 0.05
+_SCAN_STEPS = 20000
+_SCAN_BLOCK = 256
 
 
 @lru_cache(maxsize=None)
 def bessel_roots(l: int, count: int) -> np.ndarray:
-    """First `count` positive roots of j_l, found by scan plus bisection."""
+    """First `count` positive roots of j_l, found by a scan in steps of
+    `_SCAN_STEP` for sign changes, then 80 bisections of all brackets at
+    once. The scan adds each step to the last point, and j_l is evaluated
+    elementwise, so the roots are bitwise those of one point at a time."""
     if count < 1:
         raise ContractError("need at least one root")
-    roots = []
-    step = 0.05
-    x = step
-    prev = _jl_np(l, x)
-    while len(roots) < count:
-        x_next = x + step
-        cur = _jl_np(l, x_next)
-        if prev == 0.0:
-            roots.append(x)
-        elif prev * cur < 0.0:
-            lo, hi, at_lo = x, x_next, prev
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                at_mid = _jl_np(l, mid)
-                if at_lo * at_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, at_lo = mid, at_mid
-            roots.append(0.5 * (lo + hi))
-        x, prev = x_next, cur
-        if x > 1000.0:
-            raise ContractError("root scan ran away")
-    return np.asarray(roots)
+    grid = np.add.accumulate(np.full(_SCAN_STEPS, _SCAN_STEP))
+    values = np.empty(0)
+    for stop in range(_SCAN_BLOCK, _SCAN_STEPS + _SCAN_BLOCK, _SCAN_BLOCK):
+        values = np.concatenate([values, _jl_values(l, grid[values.size : stop])])
+        zero = values[:-1] == 0.0  # a root on the grid
+        brackets = np.flatnonzero(zero | (values[:-1] * values[1:] < 0.0))[:count]
+        if brackets.size == count:
+            break
+    else:
+        raise ContractError("root scan ran away")
+    lo, hi, at_lo = grid[brackets], grid[brackets + 1], values[brackets]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        at_mid = _jl_values(l, mid)
+        left = at_lo * at_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, at_lo = np.where(left, lo, mid), np.where(left, at_lo, at_mid)
+    return np.where(zero[brackets], grid[brackets], 0.5 * (lo + hi))
 
 
 @lru_cache(maxsize=None)
 def _bessel_norms(l: int, n_max: int, cutoff: float) -> np.ndarray:
     """sqrt(2 / (cutoff^3 j_{l+1}(z_ln)^2)) over the first `n_max` roots z_ln
     of j_l, read-only since every caller shares it."""
-    norms = np.array([math.sqrt(2.0 / (cutoff**3 * _jl_np(l + 1, z) ** 2)) for z in bessel_roots(l, n_max)])
+    at_roots = _jl_values(l + 1, bessel_roots(l, n_max)).tolist()
+    norms = np.array([math.sqrt(2.0 / (cutoff**3 * v**2)) for v in at_roots])
     norms.flags.writeable = False
     return norms
 
@@ -324,7 +330,7 @@ def schnet_layer(
     all-zero filter weights the update is exactly the identity.
     """
     filt = mlp_apply(params, rbf, f"{prefix}.filter") * env
-    msg = T.edge_product(T.matmul(h, params[f"{prefix}.win"]), dst, filt, pairs)
+    msg = T.edge_product((T.matmul(h, params[f"{prefix}.win"]), dst), (filt, pairs))
     agg = T.scatter_sum(msg, src, h.shape[0])
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 

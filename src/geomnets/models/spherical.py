@@ -18,8 +18,10 @@ neighbor block meets them in one batched matmul, and the radial networks
 of those paths run as one first-layer matmul and one batched second layer.
 
 R_e and the enveloped harmonics depend only on the edge's length and
-direction, so they are computed once per edge pair {e, reverse of e}. The
-radial outputs are expanded to both edges as they are. A reversed edge has
+direction, so they are computed once per edge pair {e, reverse of e}. A
+message is one `tensor.edge_product` of the coupled rows, per edge, and
+the radial outputs, per pair, so no edge-sized expansion of the radial
+outputs is formed or kept. A reversed edge has
 the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
 odd degree change sign. Messages into one degree are summed per node, laid
 side by side over their paths, mixed by a per-degree linear map and scaled
@@ -47,10 +49,12 @@ are messages of the layer spec. Each has its own weights, and both read
 the keys' coupling matrices, whose rows run by ascending output degree,
 so values without degree 2 read the leading rows. Scores are full dot
 products of steerable query and key rows, hence rotation-invariant
-scalars. Both sides of a score are linear, so the keys are never formed:
-the query rows go back through the key mix at node scale and meet the key
-messages directly. Values are likewise weighted and summed per node before
-they are mixed.
+scalars. Both sides of a score are linear, so neither the keys nor their
+messages are formed: the query rows go back through the key mix at node
+scale, and each score is one summed edge product of the coupled rows, the
+key radial outputs per pair and those query rows per node. Values are
+likewise weighted and summed per node before they are mixed, the
+attention weight a scalar factor of their edge product.
 """
 
 from __future__ import annotations
@@ -203,25 +207,28 @@ def _messages(
     feat: SteerableFeature,
     dst: np.ndarray,
     filters: EdgeFilters,
-) -> list[list[Tensor]]:
-    """Edge messages (E, width, mult_in) per (layer spec, weight prefix) of
-    `weights` and per input block: the edge's coupling matrix times the
-    neighbor block, times the radial output of each path spread over its
-    rows, run per edge pair and expanded to the edges. All share the first
+) -> list[list[tuple]]:
+    """The factors of the edge messages (E, width, mult_in) per (layer spec,
+    weight prefix) of `weights` and per input block, for `T.edge_product`:
+    the radial output of each path spread over its rows, run per edge pair,
+    with the pair index that takes it to the edges, and the edge's coupling
+    matrix times the neighbor block, as edge rows. The pair factor comes
+    first, so that its rule, which sums an edge-sized product to the pairs,
+    runs before the other's gradient exists. All share the first
     (widest) spec's coupling matrices; a narrower one reads their leading
     rows. The coupling tables are cut to the filter degrees of the harmonics."""
     e, n_harm = filters.harmonics.shape
-    out: list[list[Tensor]] = [[] for _ in weights]
+    out: list[list[tuple]] = [[] for _ in weights]
     for b, blks in enumerate(zip(*(_fusion(spec) for spec, _ in weights))):
         neighbor = T.gather(feat.blocks[b], dst)
         dim_in, mult = neighbor.shape[1], neighbor.shape[2]
         table = Tensor(blks[0].table[:n_harm])
         coupling = T.reshape(T.matmul(filters.harmonics, table), (e, blks[0].width, dim_in))
         coupled = T.matmul(coupling, neighbor)
-        for (spec, prefix), blk, msgs in zip(weights, blks, out):
+        for (spec, prefix), blk, factors in zip(weights, blks, out):
             radial = _radial(spec, prefix, params, blk, filters.rbf_t, mult)
             rows = coupled if blk.width == blks[0].width else coupled[:, : blk.width]
-            msgs.append(rows * T.expand_pairs(radial, filters.pairs))
+            factors.append(((radial, filters.pairs), (rows, None)))
     return out
 
 
@@ -300,7 +307,7 @@ def tfn_conv(
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
     (messages,) = _messages(((spec, f"{prefix}.conv"),), params, feat, dst, filters)
-    sums = [T.scatter_sum(m, src, feat.blocks[0].shape[0]) for m in messages]
+    sums = [T.scatter_sum(T.edge_product(*m), src, feat.blocks[0].shape[0]) for m in messages]
     return _residual(spec, feat, _mix(spec, params, f"{prefix}.conv", sums))
 
 
@@ -312,9 +319,10 @@ def _key_scores(
     spec: TfnLayerSpec, params: dict, prefix: str, feat: SteerableFeature, messages: list, src: np.ndarray
 ) -> Tensor:
     """Per-edge dot products of query and key rows (E,), without forming
-    the keys. A score is linear in the key messages, so the query rows of
-    each degree go back through the key mix at node scale onto the message
-    rows they meet."""
+    the keys or their messages. A score is linear in the key messages, so
+    the query rows of each degree go back through the key mix at node
+    scale, and each input block's term is one edge product of the
+    message's factors and those rows, taken to the edges by `src`."""
     n = feat.blocks[0].shape[0]
     back: list[dict[int, Tensor]] = [{} for _ in messages]  # per input block: l_out -> (N, rows, mult)
     for b_out, (_, l) in enumerate(spec.layout_out.blocks):
@@ -330,7 +338,7 @@ def _key_scores(
     score = None
     for blk, msg, rows in zip(_fusion(spec), messages, back):
         met = T.concat([rows[l] for l in blk.segments], axis=1)
-        term = T.sum_(msg * T.gather(met, src), axis=(1, 2))
+        term = T.edge_product(*msg, (met, src), summed=True)
         score = term if score is None else score + term
     return score
 
@@ -360,8 +368,7 @@ def se3_attention(
     alpha = T.segment_softmax(_key_scores(keys, params, prefix, feat, key_msgs, src), src, n)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
-    weight = T.reshape(alpha, (-1, 1, 1))
-    weighted = [m * weight for m in value_msgs]
+    weighted = [T.edge_product(*m, (alpha, None)) for m in value_msgs]
     update = _mix(spec, params, f"{prefix}.value", [T.scatter_sum(m, src, n) for m in weighted])
     return _residual(spec, feat, update), alpha
 

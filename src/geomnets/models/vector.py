@@ -18,7 +18,7 @@ from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..geometry import PairIndex
 from ..tensor import Tensor, init_mlp, mlp_apply
-from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
+from .common import EMBED_ROWS, GraphBatch, cell_positions, embed_nodes, pair_vectors
 from .invariant import RadialBasisSpec, edge_geometry
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,8 @@ def egnn_forward(
     layer moves no coordinates, which only the displacement reads."""
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
-    x = pos
+    with T.scope("edges"):
+        start = x = cell_positions(pos, batch)
     for i in range(spec.layers):
         read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):
@@ -98,7 +99,7 @@ def egnn_forward(
     if not vectors:
         return h, None
     with T.scope("readout"):
-        return h, x - pos
+        return h, x - start
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def painn_layer(
     # ways; the filter runs per edge pair and phi per node, and their rows
     # meet on the edges in one edge product
     phi = mlp_apply(params, s, f"{prefix}.phi")
-    gates = T.edge_product(phi, dst, T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs)
+    gates = T.edge_product((phi, dst), (T.matmul(rbf, params[f"{prefix}.filt.w"]), pairs))
     g_ss, g_sv = gates[:, 0:f], gates[:, f : 2 * f]
     dv = T.reshape(unit, (-1, 3, 1)) * T.reshape(g_sv, (-1, 1, f))
     if v is not None:

@@ -56,11 +56,16 @@ with s the sigmoid, whose rule `mul(g, silu_d1(a))` keeps the input alone;
 are one op each with the same kind of rule, and `silu_d2`'s rule is made
 of elementary ops, so every order differentiates. A recorded backward
 through an activation makes two records where the product of the input
-and a sigmoid made six. `edge_product(node_rows, index, pair_rows, pairs)`
-is `gather(node_rows, index) * expand_pairs(pair_rows, pairs)`, bitwise,
-as one record: its rules keep the (N, ...) node rows, the (P, ...) pair
-rows and the indices, and take the rows to the edges again when they run,
-so no (E, ...) operand of a message lives as long as the tape.
+and a sigmoid made six. `edge_product((x, rows), (y, rows), ...)` is a
+product on the edges of factors that each say how their rows reach them:
+a node index (a gather), a `geometry.PairIndex` (`expand_pairs`) or None
+(rows already per edge). A 1-D factor is a scalar per row, and
+`summed=True` sums the product over its trailing axes. It is bitwise the
+left fold of `mul` over the factors so taken, as one record. Its rule for
+a factor is itself an edge product of the incoming gradient and the other
+factors, summed back to the factor's rows, so the rules, and the records
+a recorded backward makes of them, keep every factor at its own scale: no
+(E, ...) expansion of node or pair rows lives as long as the tape.
 
 On glibc, importing this module raises the process's mmap and trim
 thresholds, so pages a backward frees stay in the process for the next
@@ -82,6 +87,7 @@ import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
 from .errors import ContractError, NumericError, ParseError, ShapeError
+from .geometry import PairIndex
 
 _UID = itertools.count()
 
@@ -775,6 +781,10 @@ def expand_pairs(a, pairs) -> Tensor:
     return _op("expand_pairs", (a,), a.data.take(pairs.slot, axis=0), (lambda g: sum_pairs(g, pairs),))
 
 
+# rows of a pair sum's partner block
+_PAIR_BLOCK = 1024
+
+
 def sum_pairs(g, pairs) -> Tensor:
     """Adjoint of `expand_pairs`: each pair's edge rows summed, (P, ...).
 
@@ -785,7 +795,10 @@ def sum_pairs(g, pairs) -> Tensor:
     if g.ndim < 1 or g.shape[0] != pairs.slot.size:
         raise ShapeError(f"edge rows {g.shape} do not match {pairs.slot.size} edges")
     data = g.data.take(pairs.edge, axis=0)
-    data += g.data.take(pairs.partner, axis=0)
+    # the partners' rows are added a block at a time, so no second (P, ...)
+    # array exists next to the sum
+    for start in range(0, data.shape[0], _PAIR_BLOCK):
+        data[start : start + _PAIR_BLOCK] += g.data.take(pairs.partner[start : start + _PAIR_BLOCK], axis=0)
     alone = pairs.partner == pairs.edge
     if alone.any():  # a pair of one edge took its row twice
         data[alone] = g.data.take(pairs.edge[alone], axis=0)
@@ -793,34 +806,105 @@ def sum_pairs(g, pairs) -> Tensor:
     return _op("sum_pairs", (g,), data, (lambda gg: expand_pairs(gg, pairs),))
 
 
-def edge_product(node_rows, index, pair_rows, pairs) -> Tensor:
-    """`gather(node_rows, index) * expand_pairs(pair_rows, pairs)`, bitwise.
+def _factor(x, rows, n_edges: int | None) -> tuple[Tensor, object, int]:
+    """One factor of `edge_product`: its tensor, how its rows reach the
+    edges (an int64 index, a `PairIndex` or None) and the edges they reach,
+    which must be `n_edges` when that is known."""
+    x = _coerce(x)
+    if x.ndim < 1:
+        raise ShapeError("an edge product factor needs a row axis")
+    if rows is None:
+        edges = x.shape[0]
+    elif isinstance(rows, PairIndex):
+        if x.shape[0] != rows.edge.size:
+            raise ShapeError(f"pair rows {x.shape} do not match {rows.edge.size} pairs")
+        edges = rows.slot.size
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ShapeError("edge product index must be one-dimensional")
+        if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
+            raise IndexError("edge index out of range")
+        edges = rows.size
+    if n_edges is not None and edges != n_edges:
+        raise ShapeError(f"factor {x.shape} reaches {edges} edges, not {n_edges}")
+    return x, rows, edges
 
-    A message: rows (N, ...) of nodes taken to the edges by `index`, times
-    rows (P, ...) of the edge pairs of `pairs` (a `geometry.PairIndex`),
-    both of the same trailing shape. One record, whose rules keep the node
-    rows, the pair rows and the indices and take the edge rows again when
-    they run, so no (E, ...) operand lives as long as the tape."""
-    a, b = _coerce(node_rows), _coerce(pair_rows)
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1 or idx.size != pairs.slot.size:
-        raise ShapeError(f"edge index of shape {idx.shape} does not match {pairs.slot.size} edges")
-    if a.ndim < 1 or b.ndim < 1 or b.shape[0] != pairs.edge.size or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"node rows {a.shape} and pair rows {b.shape} do not match {pairs.edge.size} pairs")
-    n = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError("edge index out of range")
-    data = a.data.take(idx, axis=0)
-    data *= b.data.take(pairs.slot, axis=0)
-    return _op(
-        "edge_product",
-        (a, b),
-        data,
-        (
-            lambda g: scatter_sum(mul(g, expand_pairs(b, pairs)), idx, n),
-            lambda g: sum_pairs(mul(g, gather(a, idx)), pairs),
-        ),
-    )
+
+def _at_edges(x: Tensor, rows, trailing: int) -> np.ndarray:
+    """The rows of `x` taken to the edges, a scalar factor's as a column
+    with `trailing` unit axes; an edge factor's own data."""
+    data = x.data if rows is None else x.data.take(rows.slot if isinstance(rows, PairIndex) else rows, axis=0)
+    return data.reshape(data.shape + (1,) * trailing) if x.ndim == 1 else data
+
+
+def _to_scale(g: Tensor, rows, n: int) -> Tensor:
+    """An edge gradient taken back to its factor's rows: the adjoint of
+    `_at_edges`."""
+    if rows is None:
+        return g
+    if isinstance(rows, PairIndex):
+        return sum_pairs(g, rows)
+    return scatter_sum(g, rows, n)
+
+
+def edge_product(*factors, summed: bool = False) -> Tensor:
+    """The product on the edges of `factors`, each a pair `(x, rows)` that
+    says how the rows of `x` reach the edges: a node index (`gather`), a
+    `geometry.PairIndex` (`expand_pairs`) or None (`x` has a row per edge).
+    A factor is full, of the product's trailing shape, or a scalar per row,
+    1-D, which scales all of its edge's entries. The result is bitwise the
+    left fold of `mul` over the factors so taken (a scalar reshaped to
+    broadcast), (E, ...); `summed` sums it over its trailing axes, (E,), as
+    `sum_` would, and then needs two full factors.
+
+    One record. Its rule for a factor is itself an edge product of the
+    incoming gradient and the other factors, taken back to the factor's
+    rows by `scatter_sum` or `sum_pairs`: summed for a scalar factor, and
+    with a scalar gradient for a summed product. The rule multiplies in the
+    order of the fold's chain rule, so first-order gradients are bitwise
+    those of the composition for up to three factors. Neither the forward
+    nor its recorded backward keeps an (E, ...) copy of a node or pair
+    factor, and no more than two edge-sized arrays exist at once."""
+    if len(factors) < 2:
+        raise ContractError("an edge product needs at least two factors")
+    parts, n_edges = [], None
+    for x, rows in factors:
+        x, rows, n_edges = _factor(x, rows, n_edges)
+        parts.append((x, rows))
+    full = [x.shape for x, _ in parts if x.ndim > 1]
+    trailing = full[0][1:] if full else ()
+    if any(shape[1:] != trailing for shape in full):
+        raise ShapeError(f"edge product factors {[x.shape for x, _ in parts]} differ in trailing shape")
+    if summed and len(full) < 2:
+        raise ShapeError("a summed edge product needs two factors with trailing axes")
+    t = len(trailing)
+    data, owned = None, False
+    for x, rows in parts:
+        at = _at_edges(x, rows, t)
+        if data is None:
+            data, owned = at, rows is not None
+        elif owned and data.shape[1:] == trailing:
+            data *= at
+        else:  # the caller's array, or a column
+            data, owned = np.multiply(data, at), True
+    if summed:
+        data = _sum_data(data, tuple(range(1, data.ndim)), False)
+
+    def rule(i):
+        x, rows = parts[i]
+        n, last = x.shape[0], i == len(parts) - 1
+        # g times the factors after the i-th, last first, then the product of those before it
+        order = [*parts[:i], None] if last else [None, *parts[:i:-1], *parts[:i]]
+        scalar = x.ndim == 1 and t > 0
+
+        def vjp(g):
+            product = edge_product(*[(g, None) if p is None else p for p in order], summed=scalar)
+            return _to_scale(product, rows, n)
+
+        return vjp
+
+    return _op("edge_product", tuple(x for x, _ in parts), data, tuple(rule(i) for i in range(len(parts))))
 
 
 def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:

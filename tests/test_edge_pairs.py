@@ -147,6 +147,41 @@ def test_atom_written_a_lattice_vector_outside_the_cell():
     np.testing.assert_array_equal(batch.pairs.flipped, inside.pairs.flipped)
 
 
+def _close(got, want):
+    return np.abs(np.asarray(got) - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_an_atom_written_far_outside_its_cell_is_measured_inside_it():
+    # two-atom cubic cells, schnet's cutoff at the builder's longest pair
+    # under 3.0. With one atom written 1e5 cells out, pairs measured from
+    # the written positions lost their last digits, and some landed past
+    # the cutoff the builder had kept them within
+    rng = np.random.default_rng(0)
+    lattice = np.eye(3) * 3.6
+    egnn = api.model_from_config({"family": "egnn", "hidden": 8, "layers": 2, "cutoff": 3.0})
+    for _ in range(40):
+        inside = G.Conformation([6, 8], rng.uniform(size=(2, 3)) @ lattice, lattice=lattice)
+        cutoff = float(G.periodic_radius_graph(inside, 3.0).dist.max())
+        pos = inside.pos.copy()
+        pos[1, 0] += 1e5 * 3.6
+        far = G.Conformation(inside.z, pos, lattice=lattice)
+        schnet = api.model_from_config({"family": "schnet", "hidden": 8, "layers": 1, "cutoff": cutoff})
+        params = schnet.init(0)
+        got, want = tr.force_from_energy(schnet, params, far), tr.force_from_energy(schnet, params, inside)
+        assert _close(got[0], want[0]) and _close(got[1], want[1])
+        # egnn moves its coordinates from the atoms in their cells, and
+        # reports how far they moved
+        params = T.lift(egnn.init(0))
+        got, want = (
+            egnn.energy_and_vectors(params, batch, T.Tensor(batch.pos))
+            for batch in (build_batch([far], 3.0), build_batch([inside], 3.0))
+        )
+        assert _close(got[0].data, want[0].data) and _close(got[1].data, want[1].data)
+    # only a batch with an atom outside its cell translates its positions
+    assert build_batch([inside], 3.0).cell_translation is None
+    assert build_batch([far], 3.0).cell_translation[1, 0] > 0
+
+
 def test_multi_conformation_batch_offsets():
     # molecules, a crystal and a conformation with no edges in one batch:
     # its pairs and triplets, bit for bit, are each graph's own index with

@@ -193,6 +193,23 @@ def test_bessel_roots_are_roots_and_cached():
         inv.bessel_roots(0, 0)
 
 
+# the first four roots of j_l, l = 0..3, as float64 bytes: those of a scan
+# and bisection that evaluated j_l one point at a time
+BESSEL_ROOT_BYTES = {
+    0: "182d4454fb210940182d4454fb211940d221337f7cd92240182d4454fb212940",
+    1: "ac06355440f91140a60be46aa8e61e406ab4bd08e9ce2540649c252be4212c40",
+    2: "56f8693fc80d1740704a3a53a5302240723ed68458a528400a5dbc0b7a072f40",
+    3: "4e494372a4f31b404a19ef8f90d52440d61c6e4a63652b4008e2cd7172ec3040",
+}
+
+
+@pytest.mark.parametrize("l", sorted(BESSEL_ROOT_BYTES))
+def test_bessel_roots_are_pinned_bitwise(l):
+    inv.bessel_roots.cache_clear()
+    for n in range(1, 5):
+        assert inv.bessel_roots(l, n).tobytes() == bytes.fromhex(BESSEL_ROOT_BYTES[l])[: 8 * n]
+
+
 def test_zonal_matches_full_harmonic_m0_column():
     # the m=0 component of the degree-l block depends only on the polar angle
     thetas = np.linspace(0.0, np.pi, 9)

@@ -176,6 +176,30 @@ a 400-atom cluster in units of one (E, hidden) float64 array: 12.5 units
 with every parameter watched and every rule kept, 9.76 while each message
 product kept its two (E, hidden) operands, 6.56 now that an edge product
 keeps the node and pair rows they are taken from.
+
+An edge product takes factors of any scale, node rows by an index, pair
+rows by the pair index or rows already per edge, and its rule for a
+factor is itself an edge product of the gradient and the other factors.
+A recorded rule of schnet's, leaky's or painn's product took the other
+operand to the edges by a `gather` or `expand_pairs` and multiplied by a
+`mul`, and now does both in one record: one rule in layer 0, whose node
+rows are off the position path, and two in layer 1, 3 records each.
+tfn's and se3attn's messages, an `expand_pairs` of the radial outputs
+and a `mul`, are one product of the pair and edge rows, a record fewer per
+message set and input block (tfn 4 in each of its forwards). se3attn's
+scores were the key messages times the gathered query rows, summed over
+rows and channels (`gather`, `mul`, `sum`); each is one summed product of
+three factors, whose recorded rules need no `reshape` and `broadcast` of
+the score gradient. Its values' weighting, a `reshape` of the attention
+weights and a `mul` per block, is a scalar factor of the values' product.
+That moved the pins leaky 130 -> 127, painn 285 -> 282, schnet 125 ->
+122, se3attn 706 -> 670 and tfn 443 -> 439, the energy-only pins se3attn
+259 -> 239 and tfn 137 -> 133, and the force-call pins se3attn 250 -> 230
+and tfn 158 -> 154. Neither the key messages (E, width, mult), the query
+rows gathered to the edges nor the radial outputs expanded to them are
+formed, and no rule keeps them: `SE3ATTN_STEP_PEAK_UNITS` bounds the
+traced peak of one se3attn step in units of its largest (E, width, mult)
+message, 47.8 units before and 35.2 after.
 """
 
 import tracemalloc
@@ -191,16 +215,17 @@ from geomnets import training as tr
 from geomnets.geometry import Conformation, PairIndex
 from geomnets.models import api
 from geomnets.models.common import build_batch
+from geomnets.models.spherical import _fusion
 from test_parity import CONFIGS, CUTOFF, _confs, _schedule
 
 RECORDS_PER_STEP = {
     "dimenet": 333,
     "egnn": 136,
-    "leaky": 130,
-    "painn": 285,
-    "schnet": 125,
-    "se3attn": 706,
-    "tfn": 443,
+    "leaky": 127,
+    "painn": 282,
+    "schnet": 122,
+    "se3attn": 670,
+    "tfn": 439,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
@@ -213,8 +238,8 @@ ENERGY_ONLY_RECORDS_PER_STEP = {
     "leaky": 33,
     "painn": 85,
     "schnet": 31,
-    "se3attn": 259,
-    "tfn": 137,
+    "se3attn": 239,
+    "tfn": 133,
 }
 
 # bound on the traced memory at the loss backward's peak over that at its start
@@ -227,13 +252,17 @@ FORCE_CALL_RECORDS = {
     "leaky": 44,
     "painn": 97,
     "schnet": 42,
-    "se3attn": 250,
-    "tfn": 158,
+    "se3attn": 230,
+    "tfn": 154,
 }
 
 # bound on the traced peak of one schnet force call on a large cluster, in
 # units of one (E, hidden) float64 array
 FORCE_CALL_PEAK_UNITS = 6.6
+
+# bound on the traced peak of one se3attn training step, in units of its
+# largest (E, width, mult) message
+SE3ATTN_STEP_PEAK_UNITS = 40.0
 
 FINITE_CHECKS_PER_STEP = {
     "dimenet": 19,
@@ -368,6 +397,27 @@ def test_force_call_peak_on_a_large_cluster():
     finally:
         tracemalloc.stop()
     assert peak <= FORCE_CALL_PEAK_UNITS * n_edges * config["hidden"] * 8
+
+
+def test_se3attn_step_peak():
+    model = api.model_from_config(CONFIGS["se3attn"])
+    spec, confs = model.spec, _confs()
+    n_edges = build_batch(confs, model.cutoff).n_edges
+    largest = 0
+    for i in range(spec.layers):
+        layer = spec.layer_spec(i)
+        keys = dataclasses.replace(layer, layout_out=layer.layout_in)  # an attention layer's
+        for messages in [keys, layer] if spec.attends(i) else [layer]:
+            for (mult, _), blk in zip(messages.layout_in.blocks, _fusion(messages)):
+                largest = max(largest, n_edges * blk.width * mult * 8)
+    tr.train_energy_force(model, confs, _schedule(), seed=0, steps=1)  # one-time tables
+    tracemalloc.start()
+    try:
+        tr.train_energy_force(model, confs, _schedule(), seed=0, steps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SE3ATTN_STEP_PEAK_UNITS * largest
 
 
 def test_dimenet_records_at_triplet_scale(monkeypatch):

@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import platform
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
-from geomnets.geometry import pair_index
+from geomnets.geometry import PairIndex, pair_index
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
@@ -941,7 +943,7 @@ def _edge_rows(batch, trailing=(5,), seed=3):
 def test_edge_product_is_bitwise_the_gather_times_the_expansion(case, trailing):
     batch = _edge_batches()[case]
     nodes, pair_rows = _edge_rows(batch, trailing)
-    got = T.edge_product(nodes, batch.dst, pair_rows, batch.pairs)
+    got = T.edge_product((nodes, batch.dst), (pair_rows, batch.pairs))
     want = T.gather(nodes, batch.dst) * T.expand_pairs(pair_rows, batch.pairs)
     assert got.shape == (batch.n_edges,) + trailing
     assert got.data.tobytes() == want.data.tobytes()
@@ -955,7 +957,7 @@ def _edge_gradients(batch, fused, second):
     tape = T.Tape()
     a, b = tape.tensor(nodes), tape.tensor(pair_rows)
     if fused:
-        product = T.edge_product(a, batch.src, b, batch.pairs)
+        product = T.edge_product((a, batch.src), (b, batch.pairs))
     else:
         product = T.gather(a, batch.src) * T.expand_pairs(b, batch.pairs)
     root = T.sum_(T.sin(product) * weights)
@@ -984,10 +986,137 @@ def test_edge_product_rejects_bad_indices_and_rows():
         index = batch.dst.copy()
         index[3] = bad
         with pytest.raises(IndexError):
-            T.edge_product(nodes, index, pair_rows, batch.pairs)
+            T.edge_product((nodes, index), (pair_rows, batch.pairs))
     with pytest.raises(ShapeError):  # one pair row too many
-        T.edge_product(nodes, batch.dst, np.vstack([pair_rows, pair_rows[:1]]), batch.pairs)
+        T.edge_product((nodes, batch.dst), (np.vstack([pair_rows, pair_rows[:1]]), batch.pairs))
     with pytest.raises(ShapeError):  # rows of another width
-        T.edge_product(nodes, batch.dst, pair_rows[:, :4], batch.pairs)
+        T.edge_product((nodes, batch.dst), (pair_rows[:, :4], batch.pairs))
     with pytest.raises(ShapeError):  # an index that misses an edge
-        T.edge_product(nodes, batch.dst[:-1], pair_rows, batch.pairs)
+        T.edge_product((nodes, batch.dst[:-1]), (pair_rows, batch.pairs))
+
+
+# every kind of factor: node rows gathered by an index, pair rows expanded
+# by the pair index, rows already per edge; and a 1-D scalar per row
+FACTOR_KINDS = ["node", "pair", "edge"]
+FACTOR_COMBOS = [*itertools.product(FACTOR_KINDS, repeat=2), *itertools.product(FACTOR_KINDS, repeat=3)]
+
+
+def _factors(batch, kinds, scalar=(), trailing=(2, 3), seed=11):
+    """Random leaves on a new tape, one per kind (1-D at the positions in
+    `scalar`), and each with how its rows reach the edges; node factors
+    alternate between `dst` and `src`."""
+    draw = np.random.default_rng(seed).normal
+    rows = {"node": batch.n_nodes, "pair": batch.pairs.edge.size, "edge": batch.n_edges}
+    tape, out = T.Tape(), []
+    for i, kind in enumerate(kinds):
+        leaf = tape.tensor(draw(size=(rows[kind],) + (() if i in scalar else trailing)))
+        how = {"node": batch.dst if i % 2 == 0 else batch.src, "pair": batch.pairs, "edge": None}[kind]
+        out.append((leaf, how))
+    return tape, out
+
+
+def _composed(factors, trailing, summed):
+    """The product as gathers, expansions, reshapes and muls."""
+    product = None
+    for x, how in factors:
+        if how is None:
+            at = x
+        elif isinstance(how, PairIndex):
+            at = T.expand_pairs(x, how)
+        else:
+            at = T.gather(x, how)
+        if at.ndim == 1:
+            at = T.reshape(at, (-1,) + (1,) * len(trailing))
+        product = at if product is None else product * at
+    return T.sum_(product, axis=tuple(range(1, 1 + len(trailing)))) if summed else product
+
+
+def _product_gradients(batch, kinds, fused, scalar=(), summed=False, trailing=(2, 3)):
+    """The product's value, the gradients of a nonlinear root of it by every
+    factor, and those of the squared recorded gradients."""
+    tape, factors = _factors(batch, kinds, scalar, trailing)
+    product = T.edge_product(*factors, summed=summed) if fused else _composed(factors, trailing, summed)
+    weights = T.Tensor(np.random.default_rng(5).normal(size=product.shape))
+    leaves = [x for x, _ in factors]
+    first = tape.gradient(T.sum_(T.sin(product) * weights), leaves)
+    root = None
+    for g in first:
+        term = T.sum_(g * g)
+        root = term if root is None else root + term
+    second = tape.gradient(root, leaves, record=False)
+    return product.data, [g.data for g in first], [g.data for g in second]
+
+
+def _assert_product_matches(got, want):
+    (value, first, second), (want_value, want_first, want_second) = got, want
+    assert value.tobytes() == want_value.tobytes()
+    assert [g.tobytes() for g in first] == [g.tobytes() for g in want_first]
+    for g, w in zip(second, want_second):
+        assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("kinds", FACTOR_COMBOS, ids="-".join)
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_product_of_every_factor_kind_matches_the_composition(case, kinds):
+    batch = _edge_batches()[case]
+    got = _product_gradients(batch, kinds, fused=True)
+    _assert_product_matches(got, _product_gradients(batch, kinds, fused=False))
+
+
+@pytest.mark.parametrize("summed", [False, True])
+@pytest.mark.parametrize("scalar", [(), (0,), (1,), (2,)])
+@pytest.mark.parametrize("kinds", [("edge", "pair", "node"), ("node", "edge", "pair")], ids="-".join)
+def test_scalar_factors_and_summed_products_match_the_composition(kinds, scalar, summed):
+    # a scalar factor scales every entry of its edge; a summed product is
+    # the sum over its trailing axes, as the attention scores are
+    batch = _edge_batches()["molecules"]
+    for trailing in [(2, 3), (5,)]:
+        args = dict(scalar=scalar, summed=summed, trailing=trailing)
+        got = _product_gradients(batch, kinds, fused=True, **args)
+        _assert_product_matches(got, _product_gradients(batch, kinds, fused=False, **args))
+
+
+def test_edge_product_rules_are_edge_products():
+    # a recorded backward takes no factor to the edges on its own: its
+    # products are edge products, summed back by scatter_sum or sum_pairs
+    batch = _edge_batches()["crystal"]
+    tape, factors = _factors(batch, ("edge", "pair", "node"))
+    root = T.sum_(T.edge_product(*factors, summed=True))
+    size = len(tape.records)
+    tape.gradient(root, [x for x, _ in factors])
+    made = Counter(rec.name for rec in tape.records[size:])
+    assert made == {"edge_product": 3, "sum_pairs": 1, "scatter_sum": 1}
+
+
+@pytest.mark.parametrize("kind", FACTOR_KINDS)
+def test_edge_product_refuses_a_factor_that_misses_the_edges(kind):
+    batch, other = _edge_batches()["molecules"], _edge_batches()["crystal"]
+    _, factors = _factors(batch, ("edge", "pair", "node"))
+    at = ("edge", "pair", "node").index(kind)
+    x, how = factors[at]
+
+    def refuse(error, bad):
+        with pytest.raises(error):
+            T.edge_product(*factors[:at], bad, *factors[at + 1 :])
+
+    refuse(ShapeError, (x[:, :1], how))  # rows of another trailing shape
+    if kind == "node":
+        for bad in (-1, batch.n_nodes):
+            index = how.copy()
+            index[3] = bad
+            refuse(IndexError, (x, index))
+        refuse(ShapeError, (x, how[:-1]))  # an index that misses an edge
+    elif kind == "pair":
+        refuse(ShapeError, (T.concat([x, x[:1]], axis=0), how))  # a pair row too many
+        refuse(ShapeError, (np.zeros((other.pairs.edge.size,) + x.shape[1:]), other.pairs))  # other edges
+    else:
+        refuse(ShapeError, (x[:-1], None))  # an edge row too few
+
+
+def test_edge_product_refuses_too_few_factors():
+    batch = _edge_batches()["molecules"]
+    _, factors = _factors(batch, ("edge", "pair"), scalar=(1,))
+    with pytest.raises(ContractError):
+        T.edge_product(factors[0])
+    with pytest.raises(ShapeError):  # a sum needs two factors with trailing axes
+        T.edge_product(*factors, summed=True)
