@@ -43,7 +43,10 @@ that call made, so a change that moves the pins of
 `tests/test_tape_cost.py` shows it here too; the same for one step of
 se3attn and of dimenet on the benchmark's batch
 (`synthetic_conformations(64, 0)`, at the configs of `BENCH_CONFIGS`),
-where a step holds what the benchmark's peak RSS reads; and each tree's `src/` line
+where a step holds what the benchmark's peak RSS reads; that of one schnet
+force call, at the benchmark's inference config, on the largest frame of
+its `infer-mixed` stream (`infer_stream(0, 60, 3)`, the 898-atom cluster),
+in MB and in units of one (E, hidden) float64 array; and each tree's `src/` line
 count (`wc -l src/geomnets/*.py src/geomnets/models/*.py`), so a change
 shows what it added or removed. The last line gives
 the number of arrays that differ and the largest of those relative
@@ -85,6 +88,10 @@ BENCH_CONFIGS = {
     "dimenet": {"family": "dimenet", "hidden": 16, "layers": 1, "cutoff": 5.0, "sbf_l_max": 2, "sbf_n_max": 3},
 }
 BENCH_LR = (1e-4, 1e-5)
+# the benchmark's inference config and the (seed, structures, frames) of its
+# `infer-mixed` stream
+INFER_CONFIG = {"family": "schnet", "hidden": 32, "layers": 2, "cutoff": 5.0}
+INFER_STREAM = (0, 60, 3)
 
 
 def traced_peak(fn) -> int:
@@ -217,8 +224,9 @@ def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
     {family: (bytes, records)}, "force_peaks": {family: (bytes, records)},
-    "bench_peaks": {family: (bytes, records)}, "cli": {label: bytes}} for
-    the tree on the path."""
+    "bench_peaks": {family: (bytes, records)}, "infer_peak": (bytes, bytes
+    of one (E, hidden) array), "cli": {label: bytes}} for the tree on the
+    path."""
     from geomnets import tensor as T
     from geomnets import training as tr
     from geomnets.models import api
@@ -266,13 +274,28 @@ def dump(out: str) -> None:
         step = lambda: tr.train_energy_force(model, bench_confs, bench_schedule, seed=0, steps=1)
         step()  # one-time tables
         bench_peaks[family] = traced_peak(step), records_of(step)
+    model = api.model_from_config(INFER_CONFIG)
+    params = model.init(0)
+    frame = max(infer_stream(*INFER_STREAM), key=lambda conf: conf.n_atoms)
+    force = lambda: tr.force_from_energy(model, params, frame)
+    force()  # one-time tables
+    unit = build_batch([frame], model.cutoff).n_edges * INFER_CONFIG["hidden"] * 8
+    infer_peak = traced_peak(force), unit
     outside = outside_cells(0, 40)
     arrays.update(graph_arrays([c for c in sets["stream"] if c.lattice is not None] + outside))
     arrays.update(batch_arrays(sets))
     cli = cli_artifacts(dict(sets, outside=outside), CONFIGS)
     with open(out, "wb") as fh:
         pickle.dump(
-            {"arrays": arrays, "peaks": peaks, "force_peaks": force_peaks, "bench_peaks": bench_peaks, "cli": cli}, fh
+            {
+                "arrays": arrays,
+                "peaks": peaks,
+                "force_peaks": force_peaks,
+                "bench_peaks": bench_peaks,
+                "infer_peak": infer_peak,
+                "cli": cli,
+            },
+            fh,
         )
 
 
@@ -361,6 +384,10 @@ def main(argv=None) -> int:
         for family in sorted(set(ref[key]) | set(new[key])):
             (a, ra), (b, rb) = (side[key].get(family, (math.nan, -1)) for side in (ref, new))
             print(f"{family:15s} {a / 1e6:8.2f} -> {b / 1e6:8.2f}  records {ra:5d} -> {rb:5d}")
+    (a, unit), (b, _) = ref["infer_peak"], new["infer_peak"]
+    n_edges = unit // (8 * INFER_CONFIG["hidden"])
+    print(f"traced peak of one schnet force call on the largest infer-mixed frame (E = {n_edges}), REF -> this checkout:")
+    print(f"{a / 1e6:.2f} MB ({a / unit:.2f} (E, hidden) units) -> {b / 1e6:.2f} MB ({b / unit:.2f} units)")
     print(f"src/ lines, REF -> this checkout: {lines[0]} -> {lines[1]}")
     print(f"{differ} arrays differ, max_rel={largest:.3e}, {cli_differ} CLI artifacts differ")
     return 1 if differ or cli_differ else 0

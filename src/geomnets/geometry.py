@@ -129,7 +129,8 @@ class PairIndex:
     whatever depends only on an edge's length, or on its direction up to
     sign, is computed once per pair.
 
-    `edge` (P,) is each pair's representative, the lower row of the two;
+    `edge` (P,) is each pair's representative, the lower row of the two,
+    in rising order: pairs are numbered as their representatives run;
     `slot` (E,) is each edge's pair; `flipped` (E,) marks the edges that run
     against their representative. An index built by hand may leave an edge
     a pair of its own, as the per-edge reference does for every edge."""
@@ -157,6 +158,64 @@ def pair_index(reverse: np.ndarray) -> PairIndex:
     slot = np.cumsum(~flipped) - 1
     slot[flipped] = slot[reverse[flipped]]
     return PairIndex(np.flatnonzero(~flipped), slot, flipped)
+
+
+@dataclass(frozen=True)
+class SegmentPlan:
+    """Rows grouped by the segment, a node, that a sum adds them into, so the
+    sum can run a block of whole segments at a time.
+
+    `index` (E,) is each row's segment; `order` (E,) lists the rows in
+    stable segment order, or is None when `index` is sorted already, as a
+    batch's `src` is; `offsets` (S + 1,) is where each segment's rows start
+    in that order. Build one with `segment_plan`, which checks the index."""
+
+    index: np.ndarray
+    order: np.ndarray | None
+    offsets: np.ndarray
+
+    @property
+    def n_segments(self) -> int:
+        return self.offsets.size - 1
+
+    def blocks(self, rows: int):
+        """Runs of whole segments of about `rows` rows each, fewer than
+        `rows` plus the longest segment's, as (their rows in segment order,
+        a slice when the order is the rows' own; first segment; end
+        segment). Every segment is in one run, an empty one too."""
+        cuts = np.searchsorted(self.offsets, np.arange(rows, self.index.size, rows)).tolist()
+        bounds = [0, *cuts, self.n_segments]
+        for first, end in zip(bounds[:-1], bounds[1:]):
+            if end > first:  # a segment longer than `rows` spans several cuts
+                start, stop = self.offsets[first], self.offsets[end]
+                yield slice(start, stop) if self.order is None else self.order[start:stop], first, end
+
+
+def segment_plan(index, n_segments: int) -> SegmentPlan:
+    """The plan of a sum of rows by `index` into `n_segments` segments, or
+    `index` itself when it is a plan of that many; ShapeError for an index
+    that is not one-dimensional integers, or a plan of another count,
+    IndexError for a segment outside 0..n_segments - 1."""
+    if isinstance(index, SegmentPlan):
+        if index.n_segments != n_segments:
+            raise ShapeError(f"a plan of {index.n_segments} segments does not match {n_segments} rows")
+        return index
+    index = np.asarray(index)
+    if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
+        raise ShapeError(f"a segment index must be one-dimensional integers, got {index.dtype} {index.shape}")
+    index = index.astype(np.int64, copy=False)
+    if n_segments < 0:
+        raise ShapeError(f"a plan needs a non-negative segment count, got {n_segments}")
+    if index.size and (index.min() < 0 or index.max() >= n_segments):
+        raise IndexError(f"segment index outside 0..{n_segments - 1}")
+    order = None
+    if (index[1:] < index[:-1]).any():
+        # numpy sorts integers of 16 bits stably by radix, in linear time
+        keys = index.astype(np.uint16) if n_segments <= 1 << 16 else index
+        order = np.argsort(keys, kind="stable")
+    offsets = np.zeros(n_segments + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n_segments), out=offsets[1:])
+    return SegmentPlan(index, order, offsets)
 
 
 def _with_mirrors(key, src, dst, shift, rel, dist) -> EdgeList:

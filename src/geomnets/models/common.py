@@ -12,11 +12,13 @@ from ..geometry import (
     AngleIndex,
     EdgeList,
     PairIndex,
+    SegmentPlan,
     build_angle_index,
     cell_offsets,
     pair_index,
     periodic_radius_graph,
     radius_graph,
+    segment_plan,
 )
 from ..tensor import Tensor
 
@@ -33,7 +35,13 @@ class GraphBatch:
     pair. Edges are measured as the builder measures them, between atoms
     moved into their cells: `shift_offset` (E, 3) is each edge's lattice
     shift from there, and `cell_translation` (N, 3) what moves each atom
-    written outside its cell in, or None when every atom lies in its cell."""
+    written outside its cell in, or None when every atom lies in its cell.
+
+    `by_src` and `by_dst` are the `geometry.SegmentPlan`s of `src` and
+    `dst`: the models gather node rows to the edges by them and sum edge
+    rows into the nodes by them (`tensor.scatter_sum`, the `into` of
+    `tensor.edge_product`), a block of whole segments at a time. They are
+    built and checked once per batch, and live as long as it does."""
 
     z: np.ndarray
     pos: np.ndarray
@@ -44,6 +52,8 @@ class GraphBatch:
     shift_offset: np.ndarray
     n_graphs: int
     pairs: PairIndex
+    by_src: SegmentPlan
+    by_dst: SegmentPlan
     angles: AngleIndex | None = None
     cell_translation: np.ndarray | None = None
 
@@ -94,6 +104,8 @@ def build_batch(confs, cutoff: float, need_angles: bool = False) -> GraphBatch:
         shift_offset=np.concatenate(offsets, axis=0),
         n_graphs=len(confs),
         pairs=pair_index(edges.reverse),
+        by_src=segment_plan(edges.src, sum(atoms)),
+        by_dst=segment_plan(edges.dst, sum(atoms)),
         angles=build_angle_index(edges) if need_angles else None,
         cell_translation=translation if translation.any() else None,
     )

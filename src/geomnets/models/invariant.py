@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError
-from ..geometry import AngleIndex, PairIndex
+from ..geometry import AngleIndex, PairIndex, SegmentPlan
 from ..tensor import Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 
@@ -313,8 +313,8 @@ def schnet_layer(
     params: dict[str, Tensor],
     prefix: str,
     h: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
+    src: SegmentPlan,
+    dst: SegmentPlan,
     pairs: PairIndex,
     rbf: Tensor,
     env: Tensor,
@@ -325,13 +325,14 @@ def schnet_layer(
     are gathered to the edges. The filter depends on the edge length alone,
     so its network runs once per edge pair, on the pairs' basis `rbf`
     (P, count) times their envelope (P, 1). `T.edge_product` multiplies the
-    two on the edges and keeps them at node and pair scale for the
-    backward. A message fades to zero as its edge reaches the cutoff; with
-    all-zero filter weights the update is exactly the identity.
+    two on the edges and sums them into the atoms by `src`, a block of
+    edges at a time, so no message row outlives its block and the backward
+    keeps node and pair rows alone. A message fades to zero as its edge
+    reaches the cutoff; with all-zero filter weights the update is exactly
+    the identity.
     """
     filt = mlp_apply(params, rbf, f"{prefix}.filter") * env
-    msg = T.edge_product((T.matmul(h, params[f"{prefix}.win"]), dst), (filt, pairs))
-    agg = T.scatter_sum(msg, src, h.shape[0])
+    agg = T.edge_product((T.matmul(h, params[f"{prefix}.win"]), dst), (filt, pairs), into=src)
     return h + T.matmul(agg, params[f"{prefix}.wout"])
 
 
@@ -346,7 +347,7 @@ def schnet_forward(
     for i in range(spec.layers):
         with T.scope(f"layer{i}"):
             h = schnet_layer(
-                spec, params, f"layer{i}", h, batch.src, batch.dst, batch.pairs, geom.rbf, geom.env
+                spec, params, f"layer{i}", h, batch.by_src, batch.by_dst, batch.pairs, geom.rbf, geom.env
             )
     return h, None
 
@@ -465,4 +466,4 @@ def dimenet_forward(
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
         per_edge = mlp_apply(params, m, "edge_out") * T.expand_pairs(env, batch.pairs)
-        return T.scatter_sum(per_edge, batch.src, batch.n_nodes), None
+        return T.scatter_sum(per_edge, batch.by_src), None

@@ -20,8 +20,9 @@ of those paths run as one first-layer matmul and one batched second layer.
 R_e and the enveloped harmonics depend only on the edge's length and
 direction, so they are computed once per edge pair {e, reverse of e}. A
 message is one `tensor.edge_product` of the coupled rows, per edge, and
-the radial outputs, per pair, so no edge-sized expansion of the radial
-outputs is formed or kept. A reversed edge has
+the radial outputs, per pair, summed into its node by `src` as it is
+formed, so neither an edge-sized expansion of the radial outputs nor the
+messages themselves are formed or kept. A reversed edge has
 the negated unit vector, and Y_l(-u) = (-1)^l Y_l(u), so its harmonics of
 odd degree change sign. Messages into one degree are summed per node, laid
 side by side over their paths, mixed by a per-degree linear map and scaled
@@ -67,7 +68,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import PairIndex
+from ..geometry import PairIndex, SegmentPlan, segment_plan
 from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, sph_harm_block
 from ..tensor import Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
@@ -205,7 +206,7 @@ def _messages(
     weights: tuple[tuple[TfnLayerSpec, str], ...],
     params: dict,
     feat: SteerableFeature,
-    dst: np.ndarray,
+    dst: np.ndarray | SegmentPlan,
     filters: EdgeFilters,
 ) -> list[list[tuple]]:
     """The factors of the edge messages (E, width, mult_in) per (layer spec,
@@ -297,17 +298,20 @@ def tfn_conv(
     params: dict,
     prefix: str,
     feat: SteerableFeature,
-    src: np.ndarray,
-    dst: np.ndarray,
+    src: np.ndarray | SegmentPlan,
+    dst: np.ndarray | SegmentPlan,
     filters: EdgeFilters,
 ) -> SteerableFeature:
     """Neighborhood tensor-product update over edges (src <- dst), reading
     the `filter_inputs` of their geometry; weights live under `{prefix}.conv.`.
-    Without edges every message is zero and only the residual remains."""
+    `src` and `dst` are node indices or their `SegmentPlan`s; the messages
+    are summed by `src`'s plan, made here for an index. Without edges
+    every message is zero and only the residual remains."""
     if feat.layout != spec.layout_in:
         raise ShapeError("feature layout does not match the layer input layout")
     (messages,) = _messages(((spec, f"{prefix}.conv"),), params, feat, dst, filters)
-    sums = [T.scatter_sum(T.edge_product(*m), src, feat.blocks[0].shape[0]) for m in messages]
+    src = segment_plan(src, feat.blocks[0].shape[0])
+    sums = [T.edge_product(*m, into=src) for m in messages]
     return _residual(spec, feat, _mix(spec, params, f"{prefix}.conv", sums))
 
 
@@ -316,7 +320,7 @@ def tfn_conv(
 
 
 def _key_scores(
-    spec: TfnLayerSpec, params: dict, prefix: str, feat: SteerableFeature, messages: list, src: np.ndarray
+    spec: TfnLayerSpec, params: dict, prefix: str, feat: SteerableFeature, messages: list, src: SegmentPlan
 ) -> Tensor:
     """Per-edge dot products of query and key rows (E,), without forming
     the keys or their messages. A score is linear in the key messages, so
@@ -348,8 +352,8 @@ def se3_attention(
     params: dict,
     prefix: str,
     feat: SteerableFeature,
-    src: np.ndarray,
-    dst: np.ndarray,
+    src: np.ndarray | SegmentPlan,
+    dst: np.ndarray | SegmentPlan,
     filters: EdgeFilters,
 ) -> tuple[SteerableFeature, Tensor]:
     """Attention update plus the attention weights (E,) for inspection.
@@ -365,11 +369,12 @@ def se3_attention(
     n = feat.blocks[0].shape[0]
     keys = replace(spec, layout_out=spec.layout_in)
     key_msgs, value_msgs = _messages(((keys, f"{prefix}.key"), (spec, f"{prefix}.value")), params, feat, dst, filters)
-    alpha = T.segment_softmax(_key_scores(keys, params, prefix, feat, key_msgs, src), src, n)
+    src = segment_plan(src, n)
+    alpha = T.segment_softmax(_key_scores(keys, params, prefix, feat, key_msgs, src), src)
     # values are linear in the messages, so they are weighted and summed
     # per node before they are mixed
-    weighted = [T.edge_product(*m, (alpha, None)) for m in value_msgs]
-    update = _mix(spec, params, f"{prefix}.value", [T.scatter_sum(m, src, n) for m in weighted])
+    sums = [T.edge_product(*m, (alpha, None), into=src) for m in value_msgs]
+    update = _mix(spec, params, f"{prefix}.value", sums)
     return _residual(spec, feat, update), alpha
 
 
@@ -476,9 +481,9 @@ def steerable_forward(
         layer = spec.layer_spec(i, vectors)
         with T.scope(f"layer{i}"):
             if spec.attends(i):
-                feat, _ = se3_attention(layer, params, f"layer{i}", feat, batch.src, batch.dst, filters)
+                feat, _ = se3_attention(layer, params, f"layer{i}", feat, batch.by_src, batch.by_dst, filters)
             else:
-                feat = tfn_conv(layer, params, f"layer{i}", feat, batch.src, batch.dst, filters)
+                feat = tfn_conv(layer, params, f"layer{i}", feat, batch.by_src, batch.by_dst, filters)
     with T.scope("readout"):
         scalars = T.reshape(feat.blocks[0], (batch.n_nodes, spec.scalar_channels))
         if not vectors:

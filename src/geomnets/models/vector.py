@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
-from ..geometry import PairIndex
+from ..geometry import PairIndex, SegmentPlan
 from ..tensor import Tensor, init_mlp, mlp_apply
 from .common import EMBED_ROWS, GraphBatch, cell_positions, embed_nodes, pair_vectors
 from .invariant import RadialBasisSpec, edge_geometry
@@ -56,8 +56,8 @@ def egnn_layer(
     prefix: str,
     h: Tensor,
     x: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
+    src: np.ndarray | SegmentPlan,
+    dst: np.ndarray | SegmentPlan,
     shift: np.ndarray,
     vectors: bool = True,
 ) -> tuple[Tensor, Tensor]:
@@ -95,7 +95,7 @@ def egnn_forward(
     for i in range(spec.layers):
         read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):
-            h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.src, batch.dst, batch.shift_offset, read)
+            h, x = egnn_layer(spec, params, f"layer{i}", h, x, batch.by_src, batch.by_dst, batch.shift_offset, read)
     if not vectors:
         return h, None
     with T.scope("readout"):
@@ -139,8 +139,8 @@ def painn_layer(
     prefix: str,
     s: Tensor,
     v: Tensor | None,
-    src: np.ndarray,
-    dst: np.ndarray,
+    src: np.ndarray | SegmentPlan,
+    dst: np.ndarray | SegmentPlan,
     pairs: PairIndex,
     rbf: Tensor,
     unit: Tensor,
@@ -203,7 +203,7 @@ def painn_forward(
     for i in range(spec.layers):
         read = vectors or i < spec.layers - 1
         with T.scope(f"layer{i}"):
-            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.src, batch.dst, pairs, geom.rbf, unit, read)
+            s, v = painn_layer(spec, params, f"layer{i}", s, v, batch.by_src, batch.by_dst, pairs, geom.rbf, unit, read)
     if not vectors:
         return s, None
     with T.scope("readout"):

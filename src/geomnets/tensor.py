@@ -61,11 +61,29 @@ product on the edges of factors that each say how their rows reach them:
 a node index (a gather), a `geometry.PairIndex` (`expand_pairs`) or None
 (rows already per edge). A 1-D factor is a scalar per row, and
 `summed=True` sums the product over its trailing axes. It is bitwise the
-left fold of `mul` over the factors so taken, as one record. Its rule for
-a factor is itself an edge product of the incoming gradient and the other
-factors, summed back to the factor's rows, so the rules, and the records
-a recorded backward makes of them, keep every factor at its own scale: no
-(E, ...) expansion of node or pair rows lives as long as the tape.
+left fold of `mul` over the factors so taken, as one record. `into` sums
+the product's rows into nodes by a `geometry.SegmentPlan`, bitwise its
+`scatter_sum`, or into pairs by a `PairIndex`, bitwise its `sum_pairs`,
+forming and summing the product a block of rows at a time, so no (E, ...)
+product exists. Its rule for a factor is itself an edge product of the
+incoming gradient, whose rows reach the edges as `into` says, and the
+other factors, summed into the factor's rows: a message summed by `src`
+gets a gradient taken by `src`. So the rules, and the records a recorded
+backward makes of them, keep every factor at its own scale, and a rule
+for node or pair rows forms no (E, ...) array either.
+
+Sums into segments run on `np.bincount`, one bin per (segment, column),
+which adds each bin's terms in row order from 0.0, as `np.add.at` would.
+`scatter_sum` and `gather` take segment ids or a `SegmentPlan`: the rows'
+stable order by segment, None for ids already sorted, and where each
+segment starts. A plan is built and checked once per batch
+(`models.common.build_batch` makes one for `src` and one for `dst`), and
+a sum by it runs one block of whole segments at a time, each bin's terms
+still in row order, so it is bitwise the sum by the ids, with bin keys
+and taken rows the size of a block instead of the size of the input.
+`scatter_sum` of rows already formed sums by the ids of a plan whose ids
+are not sorted: taking each row once more into segment order costs more
+than the keys it saves.
 
 On glibc, importing this module raises the process's mmap and trim
 thresholds, so pages a backward frees stay in the process for the next
@@ -87,7 +105,7 @@ import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
 from .errors import ContractError, NumericError, ParseError, ShapeError
-from .geometry import PairIndex
+from .geometry import PairIndex, SegmentPlan, segment_plan
 
 _UID = itertools.count()
 
@@ -754,19 +772,35 @@ def norm(a, axis: int = -1, keepdims: bool = False, eps: float = 0.0) -> Tensor:
     return power(sq, 0.5)
 
 
-def gather(a, index) -> Tensor:
-    """Select rows along the leading axis."""
-    a = _coerce(a)
+def _node_index(index, n: int):
+    """A node index of rows into `n` segments: a `SegmentPlan` of `n`
+    segments as it is, else the index as int64, checked to be 1-D and in
+    range."""
+    if isinstance(index, SegmentPlan):
+        return segment_plan(index, n)
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError("gather index must be one-dimensional")
+        raise ShapeError("a node index must be one-dimensional")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"node index outside 0..{n - 1}")
+    return idx
+
+
+def _ids(index) -> np.ndarray:
+    """The segment of each row of a node index or plan."""
+    return index.index if isinstance(index, SegmentPlan) else index
+
+
+def gather(a, index) -> Tensor:
+    """Select rows along the leading axis, by an index or a `SegmentPlan`,
+    whose backward sums by the plan."""
+    a = _coerce(a)
     if a.ndim < 1:
         raise ShapeError("gather needs at least one dimension")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError("gather index out of range")
+    index = _node_index(index, a.shape[0])
     n = a.shape[0]
     # take reads the same rows as fancy indexing, in less time
-    return _op("gather", (a,), a.data.take(idx, axis=0), (lambda g: scatter_sum(g, idx, n),))
+    return _op("gather", (a,), a.data.take(_ids(index), axis=0), (lambda g: scatter_sum(g, index, n),))
 
 
 def expand_pairs(a, pairs) -> Tensor:
@@ -781,35 +815,86 @@ def expand_pairs(a, pairs) -> Tensor:
     return _op("expand_pairs", (a,), a.data.take(pairs.slot, axis=0), (lambda g: sum_pairs(g, pairs),))
 
 
-# rows of a pair sum's partner block
-_PAIR_BLOCK = 1024
+# entries of one block of a blocked sum: the rows it takes, their product
+# and their bin keys each stay this size
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _block_rows(trailing: tuple[int, ...]) -> int:
+    return max(1, _BLOCK_ENTRIES // max(1, math.prod(trailing)))
+
+
+def _segment_sums(take, index, n: int, trailing: tuple[int, ...]) -> np.ndarray:
+    """Rows summed into `n` segments by a node index or plan, (n, *trailing);
+    `take(rows)` gives the rows at a slice or an int array of rows.
+
+    One bin per (segment, column), which `np.bincount` fills adding its
+    terms in row order from 0.0, exactly as `np.add.at` would. A plan's
+    blocks are whole segments, their rows in stable segment order, so each
+    bin adds the same terms in the same order with keys and rows the size
+    of a block; an index is one block of all rows."""
+    width = math.prod(trailing)
+    if isinstance(index, SegmentPlan):
+        ids, blocks = index.index, index.blocks(_block_rows(trailing))
+    else:
+        ids, blocks = index, [(slice(None), 0, n)]
+    out = np.empty((n, width))
+    cols = np.arange(width)
+    for rows, first, end in blocks:
+        # the keys filled in place: a broadcast sum would take two buffers
+        base = ids[rows] - first
+        base *= width
+        keys = np.empty((base.size, width), dtype=np.int64)
+        np.copyto(keys, cols)
+        keys += base[:, None]
+        sums = np.bincount(keys.reshape(-1), weights=take(rows).reshape(-1), minlength=(end - first) * width)
+        out[first:end] = sums.reshape(end - first, width)
+    return out.reshape((n,) + trailing)
+
+
+def _pair_sums(take, pairs: PairIndex, trailing: tuple[int, ...]) -> np.ndarray:
+    """Each pair's edge rows summed, (P, *trailing), a block of edge rows at
+    a time in row order; `take(rows)` gives the rows at a slice of rows.
+
+    A pair's lower row, its representative, comes first: it is written,
+    the flipped row added after it, and the sum added to +0.0, which is
+    bitwise the lower row added to +0.0 and the flipped row after it: the
+    sum into the pair slots, byte for byte."""
+    n_edges = pairs.slot.size
+    out = np.empty((pairs.edge.size,) + trailing)
+    flips = np.flatnonzero(pairs.flipped)
+    bounds = [*range(0, n_edges, _block_rows(trailing)), n_edges]
+    # where each block's pairs, numbered by their representatives, and its
+    # flipped rows begin
+    rep_cuts = np.searchsorted(pairs.edge, bounds).tolist()
+    flip_cuts = np.searchsorted(flips, bounds).tolist()
+    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block = take(slice(start, stop))
+        reps, flipped = slice(rep_cuts[k], rep_cuts[k + 1]), flips[flip_cuts[k] : flip_cuts[k + 1]]
+        out[reps] = block.take(pairs.edge[reps] - start, axis=0)
+        out[pairs.slot[flipped]] += block.take(flipped - start, axis=0)  # a pair has one flipped row at most
+    out += 0.0  # a -0.0 sum, which only two -0.0 rows make, becomes +0.0
+    return out
+
+
+def _take(data: np.ndarray, rows) -> np.ndarray:
+    return data[rows] if isinstance(rows, slice) else data.take(rows, axis=0)
 
 
 def sum_pairs(g, pairs) -> Tensor:
-    """Adjoint of `expand_pairs`: each pair's edge rows summed, (P, ...).
-
-    The two rows are added and the sum added to +0.0, which is bitwise the
-    lower row added to +0.0 and the flipped row after it: the result is
-    `scatter_sum(g, pairs.slot, P)`, byte for byte."""
+    """Adjoint of `expand_pairs`: each pair's edge rows summed, (P, ...),
+    bitwise `scatter_sum(g, pairs.slot, P)`."""
     g = _coerce(g)
     if g.ndim < 1 or g.shape[0] != pairs.slot.size:
         raise ShapeError(f"edge rows {g.shape} do not match {pairs.slot.size} edges")
-    data = g.data.take(pairs.edge, axis=0)
-    # the partners' rows are added a block at a time, so no second (P, ...)
-    # array exists next to the sum
-    for start in range(0, data.shape[0], _PAIR_BLOCK):
-        data[start : start + _PAIR_BLOCK] += g.data.take(pairs.partner[start : start + _PAIR_BLOCK], axis=0)
-    alone = pairs.partner == pairs.edge
-    if alone.any():  # a pair of one edge took its row twice
-        data[alone] = g.data.take(pairs.edge[alone], axis=0)
-    data += 0.0  # a -0.0 sum, which only two -0.0 rows make, becomes +0.0
+    data = _pair_sums(lambda rows: _take(g.data, rows), pairs, g.shape[1:])
     return _op("sum_pairs", (g,), data, (lambda gg: expand_pairs(gg, pairs),))
 
 
 def _factor(x, rows, n_edges: int | None) -> tuple[Tensor, object, int]:
     """One factor of `edge_product`: its tensor, how its rows reach the
-    edges (an int64 index, a `PairIndex` or None) and the edges they reach,
-    which must be `n_edges` when that is known."""
+    edges (a node index or `SegmentPlan`, a `PairIndex` or None) and the
+    edges they reach, which must be `n_edges` when that is known."""
     x = _coerce(x)
     if x.ndim < 1:
         raise ShapeError("an edge product factor needs a row axis")
@@ -820,52 +905,64 @@ def _factor(x, rows, n_edges: int | None) -> tuple[Tensor, object, int]:
             raise ShapeError(f"pair rows {x.shape} do not match {rows.edge.size} pairs")
         edges = rows.slot.size
     else:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise ShapeError("edge product index must be one-dimensional")
-        if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
-            raise IndexError("edge index out of range")
-        edges = rows.size
+        rows = _node_index(rows, x.shape[0])
+        edges = _ids(rows).size
     if n_edges is not None and edges != n_edges:
         raise ShapeError(f"factor {x.shape} reaches {edges} edges, not {n_edges}")
     return x, rows, edges
 
 
-def _at_edges(x: Tensor, rows, trailing: int) -> np.ndarray:
-    """The rows of `x` taken to the edges, a scalar factor's as a column
-    with `trailing` unit axes; an edge factor's own data."""
-    data = x.data if rows is None else x.data.take(rows.slot if isinstance(rows, PairIndex) else rows, axis=0)
+def _at_edges(x: Tensor, how, rows, trailing: int) -> np.ndarray:
+    """The rows of `x` taken to the edge rows `rows` (a slice or an int
+    array), a scalar factor's as a column with `trailing` unit axes."""
+    if how is None:
+        data = _take(x.data, rows)
+    else:
+        data = x.data.take((how.slot if isinstance(how, PairIndex) else _ids(how))[rows], axis=0)
     return data.reshape(data.shape + (1,) * trailing) if x.ndim == 1 else data
 
 
-def _to_scale(g: Tensor, rows, n: int) -> Tensor:
-    """An edge gradient taken back to its factor's rows: the adjoint of
-    `_at_edges`."""
-    if rows is None:
-        return g
-    if isinstance(rows, PairIndex):
-        return sum_pairs(g, rows)
-    return scatter_sum(g, rows, n)
+def _product_at(parts, rows, trailing: tuple[int, ...], summed: bool) -> np.ndarray:
+    """The product of `parts` at the edge rows `rows`: the first factor's
+    rows, the others multiplied in, in place once the array is the op's."""
+    data, owned = None, False
+    for x, how in parts:
+        at = _at_edges(x, how, rows, len(trailing))
+        if data is None:
+            data, owned = at, how is not None or not isinstance(rows, slice)
+        elif owned and data.shape[1:] == trailing:
+            data *= at
+        else:  # the caller's array, or a column
+            data, owned = np.multiply(data, at), True
+        del at  # before the next factor's rows are taken
+    return _sum_data(data, tuple(range(1, data.ndim)), False) if summed else data
 
 
-def edge_product(*factors, summed: bool = False) -> Tensor:
+def edge_product(*factors, summed: bool = False, into=None) -> Tensor:
     """The product on the edges of `factors`, each a pair `(x, rows)` that
-    says how the rows of `x` reach the edges: a node index (`gather`), a
-    `geometry.PairIndex` (`expand_pairs`) or None (`x` has a row per edge).
-    A factor is full, of the product's trailing shape, or a scalar per row,
-    1-D, which scales all of its edge's entries. The result is bitwise the
-    left fold of `mul` over the factors so taken (a scalar reshaped to
-    broadcast), (E, ...); `summed` sums it over its trailing axes, (E,), as
-    `sum_` would, and then needs two full factors.
+    says how the rows of `x` reach the edges: a node index or
+    `geometry.SegmentPlan` (`gather`), a `geometry.PairIndex`
+    (`expand_pairs`) or None (`x` has a row per edge). A factor is full, of
+    the product's trailing shape, or a scalar per row, 1-D, which scales
+    all of its edge's entries. The product is bitwise the left fold of `mul`
+    over the factors so taken (a scalar reshaped to broadcast), (E, ...);
+    `summed` sums it over its trailing axes, (E,), as `sum_` would, and
+    then needs two full factors.
+
+    `into` sums the product's rows: into the nodes of a `SegmentPlan`,
+    bitwise `scatter_sum`, or the pairs of a `PairIndex`, bitwise
+    `sum_pairs`; None keeps a row per edge. The product is formed and
+    summed a block of rows at a time, so no (E, ...) array exists.
 
     One record. Its rule for a factor is itself an edge product of the
-    incoming gradient and the other factors, taken back to the factor's
-    rows by `scatter_sum` or `sum_pairs`: summed for a scalar factor, and
-    with a scalar gradient for a summed product. The rule multiplies in the
-    order of the fold's chain rule, so first-order gradients are bitwise
-    those of the composition for up to three factors. Neither the forward
-    nor its recorded backward keeps an (E, ...) copy of a node or pair
-    factor, and no more than two edge-sized arrays exist at once."""
+    incoming gradient, whose rows reach the edges as `into` says, and the
+    other factors, summed into the factor's rows: summed over the trailing
+    axes for a scalar factor, and with a scalar gradient for a summed
+    product. The rule multiplies in the order of the fold's chain rule, so
+    first-order gradients are bitwise those of the composition for up to
+    three factors. A rule for node rows given by an index plans the sum
+    when it runs. Neither the forward nor its recorded backward keeps an
+    (E, ...) copy of a node or pair factor."""
     if len(factors) < 2:
         raise ContractError("an edge product needs at least two factors")
     parts, n_edges = [], None
@@ -878,69 +975,78 @@ def edge_product(*factors, summed: bool = False) -> Tensor:
         raise ShapeError(f"edge product factors {[x.shape for x, _ in parts]} differ in trailing shape")
     if summed and len(full) < 2:
         raise ShapeError("a summed edge product needs two factors with trailing axes")
-    t = len(trailing)
-    data, owned = None, False
-    for x, rows in parts:
-        at = _at_edges(x, rows, t)
-        if data is None:
-            data, owned = at, rows is not None
-        elif owned and data.shape[1:] == trailing:
-            data *= at
-        else:  # the caller's array, or a column
-            data, owned = np.multiply(data, at), True
-    if summed:
-        data = _sum_data(data, tuple(range(1, data.ndim)), False)
+    if into is not None:
+        if not isinstance(into, (PairIndex, SegmentPlan)):
+            raise ContractError(f"an edge product sums into a SegmentPlan or a PairIndex, not {type(into).__name__}")
+        covered = into.slot.size if isinstance(into, PairIndex) else into.index.size
+        if covered != n_edges:
+            raise ShapeError(f"the sum's {type(into).__name__} covers {covered} edges, not {n_edges}")
+    take = lambda rows: _product_at(parts, rows, trailing, summed)
+    if into is None:
+        data = take(slice(None))
+    elif isinstance(into, PairIndex):
+        data = _pair_sums(take, into, () if summed else trailing)
+    else:
+        data = _segment_sums(take, into, into.n_segments, () if summed else trailing)
 
     def rule(i):
         x, rows = parts[i]
         n, last = x.shape[0], i == len(parts) - 1
         # g times the factors after the i-th, last first, then the product of those before it
         order = [*parts[:i], None] if last else [None, *parts[:i:-1], *parts[:i]]
-        scalar = x.ndim == 1 and t > 0
+        scalar = x.ndim == 1 and len(trailing) > 0
 
         def vjp(g):
-            product = edge_product(*[(g, None) if p is None else p for p in order], summed=scalar)
-            return _to_scale(product, rows, n)
+            to = rows if rows is None or isinstance(rows, (PairIndex, SegmentPlan)) else segment_plan(rows, n)
+            return edge_product(*[(g, into) if p is None else p for p in order], summed=scalar, into=to)
 
         return vjp
 
     return _op("edge_product", tuple(x for x, _ in parts), data, tuple(rule(i) for i in range(len(parts))))
 
 
-def scatter_sum(values, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of `values` into `num_segments` buckets along axis 0."""
+def scatter_sum(values, segment_ids, num_segments: int | None = None) -> Tensor:
+    """Sum rows of `values` into buckets along axis 0: `num_segments` of them
+    by an index of segment ids, or those of a `SegmentPlan`, which sums a
+    block of whole segments at a time and builds no key per entry of the
+    input when its ids are sorted (a batch's `src`); a plan of unsorted ids
+    sums by the ids. The result is the same either way, byte for byte."""
     values = _coerce(values)
-    idx = np.asarray(segment_ids, dtype=np.int64)
-    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
+    if num_segments is None:
+        if not isinstance(segment_ids, SegmentPlan):
+            raise ContractError("a sum by segment ids needs num_segments")
+        num_segments = segment_ids.n_segments
+    index = _node_index(segment_ids, num_segments)
+    if values.ndim < 1 or _ids(index).size != values.shape[0]:
         raise ShapeError("segment ids must be 1-D and match the leading axis")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
-        raise IndexError("segment id out of range")
-    # one bin per (segment, column); bincount adds each bin's terms in row
-    # order starting from 0.0, exactly as np.add.at would
-    width = math.prod(values.shape[1:])
-    keys = (idx[:, None] * width + np.arange(width)).reshape(-1)
-    flat = np.bincount(keys, weights=values.data.reshape(-1), minlength=num_segments * width)
-    # bincount returns integers when there are no keys
-    data = flat.astype(np.float64, copy=False).reshape((num_segments,) + values.shape[1:])
-    return _op("scatter_sum", (values,), data, (lambda g: gather(g, idx),))
+    if isinstance(index, SegmentPlan) and index.order is not None:
+        # rows already formed gain nothing from an unsorted plan but a copy
+        # of each in segment order, which costs more than the keys it saves
+        index = index.index
+    data = _segment_sums(lambda rows: _take(values.data, rows), index, num_segments, values.shape[1:])
+    return _op("scatter_sum", (values,), data, (lambda g: gather(g, index),))
 
 
-def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Softmax over rows sharing a segment id, stabilized by the segment max.
+def segment_softmax(scores: Tensor, segment_ids, num_segments: int | None = None) -> Tensor:
+    """Softmax over rows sharing a segment, by segment ids into
+    `num_segments` or by a `SegmentPlan`, stabilized by the segment max.
 
     The subtracted max is treated as a constant, which leaves both the value
     and the gradient of the softmax unchanged.
     """
-    idx = np.asarray(segment_ids, dtype=np.int64)
     if scores.ndim != 1:
         raise ShapeError("segment_softmax expects 1-D scores")
+    if isinstance(segment_ids, SegmentPlan):
+        idx, num_segments = segment_ids.index, segment_ids.n_segments
+    else:
+        idx = np.asarray(segment_ids, dtype=np.int64)
     raw_max = np.full(num_segments, -np.inf)
     np.maximum.at(raw_max, idx, scores.data)
     raw_max[~np.isfinite(raw_max)] = 0.0
     shifted = sub(scores, Tensor(raw_max[idx]))
     e = exp(shifted)
-    denom = scatter_sum(e, idx, num_segments)
-    return div(e, gather(denom, idx))
+    denom = scatter_sum(e, segment_ids, num_segments)
+    return div(e, gather(denom, segment_ids))
 
 
 # ---------------------------------------------------------------------------

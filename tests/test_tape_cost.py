@@ -200,6 +200,26 @@ rows gathered to the edges nor the radial outputs expanded to them are
 formed, and no rule keeps them: `SE3ATTN_STEP_PEAK_UNITS` bounds the
 traced peak of one se3attn step in units of its largest (E, width, mult)
 message, 47.8 units before and 35.2 after.
+
+An edge product sums its rows into nodes or pairs itself (`into`), a block
+of rows at a time, bitwise the `scatter_sum` or `sum_pairs` of the plain
+product, and each of its rules is one such product whose rows the other
+factors reach as they reached the output: the gradient of a product
+summed by `src` is a node factor taken by `src`. schnet's and leaky's
+messages, and tfn's and se3attn's messages and weighted values, are summed
+into the atoms by the batch's `src` plan within their product, a
+`scatter_sum` fewer per layer (schnet, leaky) or per input block (tfn,
+se3attn) in a forward; in a recorded backward that sum's rule, a `gather`,
+is gone, and so is the `scatter_sum` or `sum_pairs` after each rule for
+node or pair rows (painn's gates among them), now the rule's own `into`.
+That moved the pins leaky 127 -> 120, painn 282 -> 279, schnet 122 ->
+115, se3attn 670 -> 652 and tfn 439 -> 427, the energy-only pins leaky
+33 -> 31, schnet 31 -> 29, se3attn 239 -> 235 and tfn 133 -> 129, and the
+force-call pins leaky 44 -> 42, schnet 42 -> 40, se3attn 230 -> 226 and
+tfn 154 -> 150. No (E, hidden) message of schnet's exists any more, in the
+forward or in the backward: its force call on the 400-atom cluster peaked
+at 6.56 units before and 4.51 after, in the filter network's backward, whose
+rows run per pair; `FORCE_CALL_PEAK_UNITS` allows 2% over that.
 """
 
 import tracemalloc
@@ -221,11 +241,11 @@ from test_parity import CONFIGS, CUTOFF, _confs, _schedule
 RECORDS_PER_STEP = {
     "dimenet": 333,
     "egnn": 136,
-    "leaky": 127,
-    "painn": 282,
-    "schnet": 122,
-    "se3attn": 670,
-    "tfn": 439,
+    "leaky": 120,
+    "painn": 279,
+    "schnet": 115,
+    "se3attn": 652,
+    "tfn": 427,
 }
 
 # dimenet records, of one step, whose result has one row per triplet
@@ -235,11 +255,11 @@ TRIPLET_RECORDS_PER_STEP = 68
 ENERGY_ONLY_RECORDS_PER_STEP = {
     "dimenet": 52,
     "egnn": 53,
-    "leaky": 33,
+    "leaky": 31,
     "painn": 85,
-    "schnet": 31,
-    "se3attn": 239,
-    "tfn": 133,
+    "schnet": 29,
+    "se3attn": 235,
+    "tfn": 129,
 }
 
 # bound on the traced memory at the loss backward's peak over that at its start
@@ -249,16 +269,16 @@ LOSS_BACKWARD_GROWTH = 1.2
 FORCE_CALL_RECORDS = {
     "dimenet": 110,
     "egnn": 52,
-    "leaky": 44,
+    "leaky": 42,
     "painn": 97,
-    "schnet": 42,
-    "se3attn": 230,
-    "tfn": 154,
+    "schnet": 40,
+    "se3attn": 226,
+    "tfn": 150,
 }
 
 # bound on the traced peak of one schnet force call on a large cluster, in
-# units of one (E, hidden) float64 array
-FORCE_CALL_PEAK_UNITS = 6.6
+# units of one (E, hidden) float64 array: 4.51 measured, plus 2%
+FORCE_CALL_PEAK_UNITS = 4.6
 
 # bound on the traced peak of one se3attn training step, in units of its
 # largest (E, width, mult) message
@@ -600,7 +620,8 @@ def test_edge_geometry_and_filters_run_per_pair(family, monkeypatch):
 @pytest.mark.parametrize("family", ["leaky", "schnet"])
 def test_input_transform_runs_per_atom(family, monkeypatch):
     # the matmul reading each layer's `win` has a row per atom, and the
-    # edge product that takes its rows to the edges a row per edge
+    # edge product that takes its rows to the edges sums them back into
+    # the atoms: no record of a layer has a row per edge
     model = api.model_from_config(CONFIGS[family])
     batch = build_batch(_confs(), model.cutoff)
     assert batch.n_nodes != batch.n_edges
@@ -609,7 +630,9 @@ def test_input_transform_runs_per_atom(family, monkeypatch):
         (transform,) = [rec for rec in tape.records if params[f"layer{i}.win"].uid in rec.input_uids]
         assert transform.name == "matmul" and shapes[transform.output_uid][0] == batch.n_nodes
         (spread,) = [rec for rec in tape.records if transform.output_uid in rec.input_uids]
-        assert spread.name == "edge_product" and shapes[spread.output_uid][0] == batch.n_edges
+        assert spread.name == "edge_product" and shapes[spread.output_uid][0] == batch.n_nodes
+        layer = [shapes[rec.output_uid] for rec in tape.records if rec.scope == f"layer{i}"]
+        assert layer and all(shape[:1] != (batch.n_edges,) for shape in layer)
 
 
 def per_edge(batch):

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
-from geomnets.geometry import PairIndex, pair_index
+from geomnets.geometry import Conformation, PairIndex, SegmentPlan, pair_index, segment_plan
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
@@ -323,6 +324,46 @@ REFUSALS = {
         "do not match 2 edges",
     ),
     "scatter-sum-rows": (lambda: T.scatter_sum(T.Tensor(np.ones((3, 2))), [0, 1], 2), ShapeError, "leading axis"),
+    "scatter-sum-no-count": (lambda: T.scatter_sum(T.Tensor(np.ones((2, 2))), [0, 1]), ContractError, "num_segments"),
+    "scatter-sum-plan-rows": (
+        lambda: T.scatter_sum(T.Tensor(np.ones((3, 2))), segment_plan([0, 1], 2)),
+        ShapeError,
+        "leading axis",
+    ),
+    "scatter-sum-plan-count": (
+        lambda: T.scatter_sum(T.Tensor(np.ones((2, 2))), segment_plan([0, 1], 2), 3),
+        ShapeError,
+        "plan of 2 segments does not match 3 rows",
+    ),
+    "plan-2d-index": (lambda: segment_plan(np.zeros((2, 2), int), 2), ShapeError, "one-dimensional integers"),
+    "plan-float-index": (lambda: segment_plan([0.0, 1.0], 2), ShapeError, "one-dimensional integers"),
+    "plan-index-range": (lambda: segment_plan([0, 2], 2), IndexError, r"outside 0\.\.1"),
+    "plan-negative-count": (lambda: segment_plan([], -1), ShapeError, "non-negative segment count"),
+    "gather-plan-rows": (
+        lambda: T.gather(T.Tensor(np.ones((3, 2))), segment_plan([0, 1], 2)),
+        ShapeError,
+        "plan of 2 segments does not match 3 rows",
+    ),
+    "edge-product-into-index": (
+        lambda: T.edge_product((np.ones((2, 1)), None), (np.ones((2, 1)), None), into=np.array([0, 1])),
+        ContractError,
+        "sums into a SegmentPlan or a PairIndex, not ndarray",
+    ),
+    "edge-product-into-other-edges": (
+        lambda: T.edge_product((np.ones((2, 1)), None), (np.ones((2, 1)), None), into=segment_plan([0, 0, 1], 2)),
+        ShapeError,
+        "covers 3 edges, not 2",
+    ),
+    "edge-product-into-other-pairs": (
+        lambda: T.edge_product((np.ones((3, 1)), None), (np.ones((3, 1)), None), into=_one_pair_of_two_edges()),
+        ShapeError,
+        "covers 2 edges, not 3",
+    ),
+    "edge-product-plan-rows": (
+        lambda: T.edge_product((np.ones((3, 1)), segment_plan([0, 1], 2)), (np.ones((2, 1)), None)),
+        ShapeError,
+        "plan of 2 segments does not match 3 rows",
+    ),
     "segment-softmax-2d": (lambda: T.segment_softmax(T.Tensor(np.ones((2, 2))), [0, 1], 2), ShapeError, "1-D scores"),
 }
 
@@ -420,6 +461,32 @@ def test_scatter_sum_bitwise_equals_add_at(problem):
     got = T.scatter_sum(T.Tensor(values), ids, segments).data
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # by a plan, in blocks of whole segments, of one entry up to all rows
+    for entries in (1, 5, T._BLOCK_ENTRIES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "_BLOCK_ENTRIES", entries)
+            planned = T.scatter_sum(T.Tensor(values), segment_plan(ids, segments)).data
+        assert planned.shape == want.shape and np.array_equal(planned.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_problems())
+def test_a_plan_lists_its_rows_segment_by_segment(problem):
+    _, ids, segments = problem
+    plan = segment_plan(ids, segments)
+    order = np.arange(ids.size) if plan.order is None else plan.order
+    assert (plan.order is None) == bool((np.diff(ids) >= 0).all())
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+    assert np.array_equal(np.diff(plan.offsets), np.bincount(ids, minlength=segments))
+    for rows in (1, 2, 5, 100):
+        seen = []
+        for taken, first, end in plan.blocks(rows):
+            taken = order[taken] if isinstance(taken, slice) else taken
+            assert np.array_equal(taken, order[plan.offsets[first] : plan.offsets[end]])
+            assert len(taken) < rows + np.diff(plan.offsets).max()  # a segment is never split
+            seen.append((first, end))
+        assert [first for first, _ in seen] == [0] + [end for _, end in seen[:-1]]
+        assert (seen[-1][1] if seen else 0) == segments
 
 
 @st.composite
@@ -933,6 +1000,41 @@ def _edge_batches():
 EDGE_CASES = ["molecules", "crystal", "per_edge"]
 
 
+def _into_batches():
+    """The edge batches, and for sums into nodes: the molecules after an
+    atom with no neighbour, an empty segment before the others; and two
+    atoms out of each other's reach, a graph with no edges. The crystal's
+    one-atom cell sees several images of itself, rows that tie in `dst`."""
+    from geomnets.models.common import build_batch
+    from geomnets.training import synthetic_conformations
+    from test_parity import CUTOFF
+
+    lone = Conformation([6], [[0.0, 0.0, 0.0]])
+    apart = Conformation([6, 8], [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0 * CUTOFF]])
+    return dict(
+        _edge_batches(),
+        isolated=build_batch([lone, *synthetic_conformations(3, seed=0)], CUTOFF),
+        no_edges=build_batch([apart], CUTOFF),
+    )
+
+
+INTO_CASES = ["molecules", "crystal", "per_edge", "isolated", "no_edges"]
+
+
+def _target(batch, into):
+    """What a product is summed into: the plan of `src` or `dst`, the
+    pairs, or nothing."""
+    return {None: None, "src": batch.by_src, "dst": batch.by_dst, "pairs": batch.pairs}[into]
+
+
+def _summed_rows(product, batch, into):
+    """The composition's sum of edge rows: a `scatter_sum` by the index
+    itself, or `sum_pairs`."""
+    if into == "pairs":
+        return T.sum_pairs(product, batch.pairs)
+    return T.scatter_sum(product, getattr(batch, into), batch.n_nodes)
+
+
 def _edge_rows(batch, trailing=(5,), seed=3):
     draw = np.random.default_rng(seed).normal
     return draw(size=(batch.n_nodes,) + trailing), draw(size=(batch.pairs.edge.size,) + trailing)
@@ -1001,16 +1103,18 @@ FACTOR_KINDS = ["node", "pair", "edge"]
 FACTOR_COMBOS = [*itertools.product(FACTOR_KINDS, repeat=2), *itertools.product(FACTOR_KINDS, repeat=3)]
 
 
-def _factors(batch, kinds, scalar=(), trailing=(2, 3), seed=11):
+def _factors(batch, kinds, scalar=(), trailing=(2, 3), seed=11, plans=False):
     """Random leaves on a new tape, one per kind (1-D at the positions in
     `scalar`), and each with how its rows reach the edges; node factors
-    alternate between `dst` and `src`."""
+    alternate between `dst` and `src`, given as the index or, with `plans`,
+    as the batch's plan of it."""
     draw = np.random.default_rng(seed).normal
     rows = {"node": batch.n_nodes, "pair": batch.pairs.edge.size, "edge": batch.n_edges}
+    nodes = (batch.by_dst, batch.by_src) if plans else (batch.dst, batch.src)
     tape, out = T.Tape(), []
     for i, kind in enumerate(kinds):
         leaf = tape.tensor(draw(size=(rows[kind],) + (() if i in scalar else trailing)))
-        how = {"node": batch.dst if i % 2 == 0 else batch.src, "pair": batch.pairs, "edge": None}[kind]
+        how = {"node": nodes[i % 2], "pair": batch.pairs, "edge": None}[kind]
         out.append((leaf, how))
     return tape, out
 
@@ -1031,11 +1135,18 @@ def _composed(factors, trailing, summed):
     return T.sum_(product, axis=tuple(range(1, 1 + len(trailing)))) if summed else product
 
 
-def _product_gradients(batch, kinds, fused, scalar=(), summed=False, trailing=(2, 3)):
-    """The product's value, the gradients of a nonlinear root of it by every
-    factor, and those of the squared recorded gradients."""
-    tape, factors = _factors(batch, kinds, scalar, trailing)
-    product = T.edge_product(*factors, summed=summed) if fused else _composed(factors, trailing, summed)
+def _product_gradients(batch, kinds, fused, scalar=(), summed=False, trailing=(2, 3), into=None):
+    """The product's value, summed `into` nodes or pairs when given, the
+    gradients of a nonlinear root of it by every factor, and those of the
+    squared recorded gradients. The fused product takes the batch's plans
+    for its node rows when it sums them, the composition the indices."""
+    tape, factors = _factors(batch, kinds, scalar, trailing, plans=fused and into is not None)
+    if fused:
+        product = T.edge_product(*factors, summed=summed, into=_target(batch, into))
+    else:
+        product = _composed(factors, trailing, summed)
+        if into is not None:
+            product = _summed_rows(product, batch, into)
     weights = T.Tensor(np.random.default_rng(5).normal(size=product.shape))
     leaves = [x for x, _ in factors]
     first = tape.gradient(T.sum_(T.sin(product) * weights), leaves)
@@ -1052,7 +1163,7 @@ def _assert_product_matches(got, want):
     assert value.tobytes() == want_value.tobytes()
     assert [g.tobytes() for g in first] == [g.tobytes() for g in want_first]
     for g, w in zip(second, want_second):
-        assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        assert g.shape == w.shape and (g.size == 0 or np.abs(g - w).max() <= 1e-12 * np.abs(w).max())
 
 
 @pytest.mark.parametrize("kinds", FACTOR_COMBOS, ids="-".join)
@@ -1063,29 +1174,79 @@ def test_edge_product_of_every_factor_kind_matches_the_composition(case, kinds):
     _assert_product_matches(got, _product_gradients(batch, kinds, fused=False))
 
 
+@pytest.mark.parametrize("into", [None, "src", "dst", "pairs"])
 @pytest.mark.parametrize("summed", [False, True])
 @pytest.mark.parametrize("scalar", [(), (0,), (1,), (2,)])
 @pytest.mark.parametrize("kinds", [("edge", "pair", "node"), ("node", "edge", "pair")], ids="-".join)
-def test_scalar_factors_and_summed_products_match_the_composition(kinds, scalar, summed):
+def test_scalar_factors_and_summed_products_match_the_composition(kinds, scalar, summed, into):
     # a scalar factor scales every entry of its edge; a summed product is
     # the sum over its trailing axes, as the attention scores are
     batch = _edge_batches()["molecules"]
     for trailing in [(2, 3), (5,)]:
-        args = dict(scalar=scalar, summed=summed, trailing=trailing)
+        args = dict(scalar=scalar, summed=summed, trailing=trailing, into=into)
         got = _product_gradients(batch, kinds, fused=True, **args)
         _assert_product_matches(got, _product_gradients(batch, kinds, fused=False, **args))
 
 
-def test_edge_product_rules_are_edge_products():
-    # a recorded backward takes no factor to the edges on its own: its
-    # products are edge products, summed back by scatter_sum or sum_pairs
+# two factors of every kind, and three of different kinds in every order
+INTO_COMBOS = [*itertools.product(FACTOR_KINDS, repeat=2), *itertools.permutations(FACTOR_KINDS)]
+
+
+@pytest.mark.parametrize("blocks", ["whole", "tiny"])
+@pytest.mark.parametrize("into", ["src", "dst", "pairs"])
+@pytest.mark.parametrize("kinds", INTO_COMBOS, ids="-".join)
+@pytest.mark.parametrize("case", INTO_CASES)
+def test_an_edge_product_summed_into_nodes_or_pairs_matches_the_composition(case, kinds, into, blocks, monkeypatch):
+    # bitwise the scatter_sum or sum_pairs of the plain product, and so are
+    # its first-order gradients; in tiny blocks every segment of two or
+    # more rows is longer than a block
+    if blocks == "tiny":
+        monkeypatch.setattr(T, "_BLOCK_ENTRIES", 1)
+    batch = _into_batches()[case]
+    got = _product_gradients(batch, kinds, fused=True, into=into)
+    _assert_product_matches(got, _product_gradients(batch, kinds, fused=False, into=into))
+
+
+def test_a_sum_into_nodes_forms_no_edge_sized_array():
+    # the forward and the backward of a product summed by `src` hold no
+    # (E, width) array, where the composition (gather, expand_pairs, mul,
+    # scatter_sum) peaked at 3.1 of them: blocks of whole segments, and
+    # node and pair rows
+    from test_tape_cost import _cluster
+    from geomnets.models.common import build_batch
+
+    batch = build_batch([_cluster(400, seed=0)], 5.0)
+    edge_array = batch.n_edges * 32 * 8
+    assert T._BLOCK_ENTRIES * 8 * 10 < edge_array  # a block is far smaller
+
+    def forward_and_backward(tape, factors):
+        summed = T.edge_product(*factors, into=batch.by_src)
+        return tape.gradient(T.sum_(T.sin(summed)), [x for x, _ in factors], record=False)
+
+    forward_and_backward(*_factors(batch, ("node", "pair"), trailing=(32,), plans=True))  # one-time allocations
+    leaves = _factors(batch, ("node", "pair"), trailing=(32,), plans=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, grad_pairs = forward_and_backward(*leaves)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the pair gradient alone is half an edge array
+    assert grad_pairs.shape == (batch.pairs.edge.size, 32)
+    assert peak < edge_array
+
+
+@pytest.mark.parametrize("into", [None, "src", "pairs"])
+def test_edge_product_rules_are_edge_products(into):
+    # a recorded backward takes no factor to the edges on its own, nor sums
+    # one back: each rule is one edge product, summed into its factor's rows
     batch = _edge_batches()["crystal"]
     tape, factors = _factors(batch, ("edge", "pair", "node"))
-    root = T.sum_(T.edge_product(*factors, summed=True))
+    root = T.sum_(T.edge_product(*factors, summed=True, into=_target(batch, into)))
     size = len(tape.records)
     tape.gradient(root, [x for x, _ in factors])
-    made = Counter(rec.name for rec in tape.records[size:])
-    assert made == {"edge_product": 3, "sum_pairs": 1, "scatter_sum": 1}
+    assert Counter(rec.name for rec in tape.records[size:]) == {"edge_product": 3}
 
 
 @pytest.mark.parametrize("kind", FACTOR_KINDS)
