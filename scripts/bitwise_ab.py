@@ -40,7 +40,9 @@ one first-order force call (`force_from_energy`) per family on the largest
 frame of the stream, which show what a change does to the memory a training
 step and an inference call hold, each next to the number of tape records
 that call made, so a change that moves the pins of
-`tests/test_tape_cost.py` shows it here too; the same for one step of
+`tests/test_tape_cost.py` shows it here too, and each family's step
+records per op name, so ops merged or split show as counts moving between
+names while the totals stay; the same for one step of
 se3attn and of dimenet on the benchmark's batch
 (`synthetic_conformations(64, 0)`, at the configs of `BENCH_CONFIGS`),
 where a step holds what the benchmark's peak RSS reads; that of one schnet
@@ -65,6 +67,7 @@ import sys
 import tarfile
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,15 +107,15 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def records_of(fn) -> int:
-    """Records of the tapes released while `fn()` runs, summed."""
+def records_of(fn) -> Counter:
+    """Records of the tapes released while `fn()` runs, per op name."""
     from geomnets import tensor as T
 
-    sizes = []
+    counts = Counter()
     release = T.Tape.release
 
     def counting_release(tape):
-        sizes.append(len(tape.records))
+        counts.update(rec.name for rec in tape.records)
         release(tape)
 
     T.Tape.release = counting_release
@@ -120,7 +123,7 @@ def records_of(fn) -> int:
         fn()
     finally:
         T.Tape.release = release
-    return sum(sizes)
+    return counts
 
 
 def outside_cells(seed: int, count: int) -> list:
@@ -223,8 +226,8 @@ def cli_artifacts(sets: dict, configs: dict) -> dict[str, bytes]:
 
 def dump(out: str) -> None:
     """Write {"arrays": {(family, quantity): {name: array}}, "peaks":
-    {family: (bytes, records)}, "force_peaks": {family: (bytes, records)},
-    "bench_peaks": {family: (bytes, records)}, "infer_peak": (bytes, bytes
+    {family: (bytes, records per op name)}, and the same for "force_peaks"
+    and "bench_peaks", "infer_peak": (bytes, bytes
     of one (E, hidden) array), "cli": {label: bytes}} for the tree on the
     path."""
     from geomnets import tensor as T
@@ -382,8 +385,12 @@ def main(argv=None) -> int:
     for key, what in sides:
         print(f"traced peak (MB) and tape records of {what}, REF -> this checkout:")
         for family in sorted(set(ref[key]) | set(new[key])):
-            (a, ra), (b, rb) = (side[key].get(family, (math.nan, -1)) for side in (ref, new))
-            print(f"{family:15s} {a / 1e6:8.2f} -> {b / 1e6:8.2f}  records {ra:5d} -> {rb:5d}")
+            (a, ra), (b, rb) = (side[key].get(family, (math.nan, Counter())) for side in (ref, new))
+            print(f"{family:15s} {a / 1e6:8.2f} -> {b / 1e6:8.2f}  records {ra.total():5d} -> {rb.total():5d}")
+    print("records per op name of one train_energy_force step, REF -> this checkout (for information):")
+    for family in sorted(set(ref["peaks"]) | set(new["peaks"])):
+        ra, rb = (side["peaks"].get(family, (math.nan, Counter()))[1] for side in (ref, new))
+        print(f"{family:15s} " + ", ".join(f"{op} {ra[op]}->{rb[op]}" for op in sorted(ra | rb)))
     (a, unit), (b, _) = ref["infer_peak"], new["infer_peak"]
     n_edges = unit // (8 * INFER_CONFIG["hidden"])
     print(f"traced peak of one schnet force call on the largest infer-mixed frame (E = {n_edges}), REF -> this checkout:")

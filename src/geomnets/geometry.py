@@ -162,27 +162,50 @@ def pair_index(reverse: np.ndarray) -> PairIndex:
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Rows grouped by the segment, a node, that a sum adds them into, so the
-    sum can run a block of whole segments at a time.
+    """Rows grouped by the segment, a node, that they are taken from or
+    summed into: the one index of a gather, a sum or a softmax over nodes,
+    whose sums can run a block of whole segments at a time.
 
-    `index` (E,) is each row's segment; `order` (E,) lists the rows in
-    stable segment order, or is None when `index` is sorted already, as a
-    batch's `src` is; `offsets` (S + 1,) is where each segment's rows start
-    in that order. Build one with `segment_plan`, which checks the index."""
+    `index` (E,) is each row's segment, one of `n_segments`. Build a plan
+    with `segment_plan`, which checks the index. The rest is derived on
+    first read and kept, so a plan that only gathers, or sums rows that fit
+    one block, sorts nothing: `sorted` is whether `index` never falls, as a
+    batch's `src` does; `order` (E,) lists the rows in stable segment
+    order, or is None when `index` is sorted; `offsets` (S + 1,) is where
+    each segment's rows start in that order."""
 
     index: np.ndarray
-    order: np.ndarray | None
-    offsets: np.ndarray
+    n_segments: int
 
-    @property
-    def n_segments(self) -> int:
-        return self.offsets.size - 1
+    @cached_property
+    def sorted(self) -> bool:
+        return not (self.index[1:] < self.index[:-1]).any()
+
+    @cached_property
+    def order(self) -> np.ndarray | None:
+        if self.sorted:
+            return None
+        # numpy sorts integers of 16 bits stably by radix, in linear time
+        keys = self.index.astype(np.uint16) if self.n_segments <= 1 << 16 else self.index
+        return np.argsort(keys, kind="stable")
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        offsets = np.zeros(self.n_segments + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.index, minlength=self.n_segments), out=offsets[1:])
+        return offsets
 
     def blocks(self, rows: int):
         """Runs of whole segments of about `rows` rows each, fewer than
-        `rows` plus the longest segment's, as (their rows in segment order,
-        a slice when the order is the rows' own; first segment; end
-        segment). Every segment is in one run, an empty one too."""
+        `rows` plus the longest segment's, as (their rows, a slice or an
+        int array; first segment; end segment). Rows that fit one run are
+        one run of every row in row order, which reads neither `order` nor
+        `offsets`; otherwise a run's rows are in segment order, a slice when
+        that order is the rows' own. Either way a segment's rows come in
+        row order. Every segment is in one run, an empty one too."""
+        if self.index.size <= rows:
+            yield slice(None), 0, self.n_segments
+            return
         cuts = np.searchsorted(self.offsets, np.arange(rows, self.index.size, rows)).tolist()
         bounds = [0, *cuts, self.n_segments]
         for first, end in zip(bounds[:-1], bounds[1:]):
@@ -191,31 +214,28 @@ class SegmentPlan:
                 yield slice(start, stop) if self.order is None else self.order[start:stop], first, end
 
 
-def segment_plan(index, n_segments: int) -> SegmentPlan:
-    """The plan of a sum of rows by `index` into `n_segments` segments, or
-    `index` itself when it is a plan of that many; ShapeError for an index
-    that is not one-dimensional integers, or a plan of another count,
-    IndexError for a segment outside 0..n_segments - 1."""
+def segment_plan(index, n_segments: int | None) -> SegmentPlan:
+    """The plan of rows by the node index `index` into `n_segments`
+    segments, or `index` itself when it is a plan of that many, or of any
+    count when `n_segments` is None. ContractError for an index without a
+    count, ShapeError for one that is not one-dimensional integers or a
+    plan of another count, IndexError for a segment outside
+    0..n_segments - 1. Nothing is sorted or counted here."""
     if isinstance(index, SegmentPlan):
-        if index.n_segments != n_segments:
+        if n_segments is not None and index.n_segments != n_segments:
             raise ShapeError(f"a plan of {index.n_segments} segments does not match {n_segments} rows")
         return index
+    if n_segments is None:
+        raise ContractError("segment ids need their count, num_segments")
     index = np.asarray(index)
-    if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
+    if index.ndim != 1 or not (index.size == 0 or index.dtype.kind in "iu"):
         raise ShapeError(f"a segment index must be one-dimensional integers, got {index.dtype} {index.shape}")
     index = index.astype(np.int64, copy=False)
     if n_segments < 0:
         raise ShapeError(f"a plan needs a non-negative segment count, got {n_segments}")
     if index.size and (index.min() < 0 or index.max() >= n_segments):
         raise IndexError(f"segment index outside 0..{n_segments - 1}")
-    order = None
-    if (index[1:] < index[:-1]).any():
-        # numpy sorts integers of 16 bits stably by radix, in linear time
-        keys = index.astype(np.uint16) if n_segments <= 1 << 16 else index
-        order = np.argsort(keys, kind="stable")
-    offsets = np.zeros(n_segments + 1, dtype=np.int64)
-    np.cumsum(np.bincount(index, minlength=n_segments), out=offsets[1:])
-    return SegmentPlan(index, order, offsets)
+    return SegmentPlan(index, n_segments)
 
 
 def _with_mirrors(key, src, dst, shift, rel, dist) -> EdgeList:

@@ -41,7 +41,8 @@ class GraphBatch:
     `dst`: the models gather node rows to the edges by them and sum edge
     rows into the nodes by them (`tensor.scatter_sum`, the `into` of
     `tensor.edge_product`), a block of whole segments at a time. They are
-    built and checked once per batch, and live as long as it does."""
+    checked once per batch; each derives its order and offsets when a sum
+    first reads them, and keeps them as long as the batch lives."""
 
     z: np.ndarray
     pos: np.ndarray

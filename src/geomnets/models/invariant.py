@@ -439,8 +439,8 @@ def dimenet_messages(
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         h = embed_nodes(params["embed"], batch.z)
-        rbf = T.expand_pairs(geom.rbf, pairs)
-        m = mlp_apply(params, T.concat([T.gather(h, batch.dst), T.gather(h, batch.src), rbf], axis=1), "m0")
+        rbf = T.gather(geom.rbf, pairs)
+        m = mlp_apply(params, T.concat([T.gather(h, batch.by_dst), T.gather(h, batch.by_src), rbf], axis=1), "m0")
     with T.scope("triplets"):
         in_pair = pairs.slot[angles.in_edge]
         # the angle at j between (j -> k) and (j -> i), whose unit
@@ -465,5 +465,5 @@ def dimenet_forward(
     so `vectors` changes nothing."""
     m, env = dimenet_messages(spec, params, batch, pos)
     with T.scope("readout"):
-        per_edge = mlp_apply(params, m, "edge_out") * T.expand_pairs(env, batch.pairs)
+        per_edge = mlp_apply(params, m, "edge_out") * T.gather(env, batch.pairs)
         return T.scatter_sum(per_edge, batch.by_src), None

@@ -69,12 +69,12 @@ import numpy as np
 from .. import tensor as T
 from ..errors import ContractError, ShapeError
 from ..geometry import PairIndex, SegmentPlan, segment_plan
-from ..so3 import IrrepsLayout, SteerableFeature, clebsch_gordan, sph_harm_block
+from ..so3 import MAX_DEGREE, IrrepsLayout, SteerableFeature, clebsch_gordan, sph_harm_block
 from ..tensor import Tensor, init_mlp
 from .common import EMBED_ROWS, GraphBatch, embed_nodes, pair_vectors
 from .invariant import EdgeGeometry, RadialBasisSpec, edge_geometry
 
-_DEGREE_CAP = 2
+_DEGREE_CAP = MAX_DEGREE
 _FILTER_DEGREES = tuple(range(_DEGREE_CAP + 1))
 
 
@@ -82,8 +82,6 @@ def _check_layout(layout: IrrepsLayout, who: str) -> None:
     degrees = [l for _, l in layout.blocks]
     if len(set(degrees)) != len(degrees):
         raise ContractError(f"{who} layout repeats a degree; one block per degree")
-    if max(degrees) > _DEGREE_CAP:
-        raise ContractError(f"{who} layout degree exceeds {_DEGREE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ def filter_inputs(geom: EdgeGeometry, pairs: PairIndex, degree: int) -> EdgeFilt
     harmonics of degree 0 alone read no edge directions."""
     # the degree-0 block reads only the row count, which the lengths share
     blocks = [sph_harm_block(l, geom.unit if l else geom.dist) for l in range(degree + 1)]
-    harmonics = T.expand_pairs(T.concat(blocks, axis=1) * geom.env, pairs)
+    harmonics = T.gather(T.concat(blocks, axis=1) * geom.env, pairs)
     if degree:
         sign = np.where(pairs.flipped[:, None] & _ODD_COLUMNS[: (degree + 1) ** 2], -1.0, 1.0)
         harmonics = harmonics * Tensor(sign)

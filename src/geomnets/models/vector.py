@@ -198,7 +198,7 @@ def painn_forward(
         geom = edge_geometry(spec.basis, pair_vectors(pos, batch))
     with T.scope("embed"):
         s = embed_nodes(params["embed"], batch.z)
-        unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+        unit = T.gather(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     v = None
     for i in range(spec.layers):
         read = vectors or i < spec.layers - 1

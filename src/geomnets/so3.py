@@ -1,10 +1,11 @@
 """Rotation algebra for degree-typed features.
 
-Real spherical harmonics up to degree 4, rotation matrices acting on them
-(Wigner blocks), coupling coefficients between degrees, and the container
-for features that carry several degrees: a layout of (multiplicity, degree)
-blocks and one (N, 2l+1, mult) tensor per block, channels last, so a
-rotation acts on a block as D @ block and a channel mix as block @ W.
+Real spherical harmonics up to degree 2 (`MAX_DEGREE`), rotation matrices
+acting on them (Wigner blocks), coupling coefficients between degrees, and
+the container for features that carry several degrees: a layout of
+(multiplicity, degree) blocks and one (N, 2l+1, mult) tensor per block,
+channels last, so a rotation acts on a block as D @ block and a channel mix
+as block @ W.
 
 Conventions, fixed across the package:
   * components of degree l are ordered m = -l..l; degree 1 is (y, z, x)
@@ -26,28 +27,14 @@ from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError
 from .tensor import Tensor
 
-MAX_DEGREE = 4
+# the highest degree anything reads; dimenet's angles have their own Legendre
+MAX_DEGREE = 2
 
 _C0 = 0.5 / math.sqrt(math.pi)
 _C1 = math.sqrt(3.0 / (4.0 * math.pi))
 _C2A = 0.5 * math.sqrt(15.0 / math.pi)
 _C2B = 0.25 * math.sqrt(5.0 / math.pi)
 _C2C = 0.25 * math.sqrt(15.0 / math.pi)
-_C3 = [
-    0.25 * math.sqrt(35.0 / (2.0 * math.pi)),
-    0.5 * math.sqrt(105.0 / math.pi),
-    0.25 * math.sqrt(21.0 / (2.0 * math.pi)),
-    0.25 * math.sqrt(7.0 / math.pi),
-]
-_C4 = [
-    0.75 * math.sqrt(35.0 / math.pi),
-    0.75 * math.sqrt(35.0 / (2.0 * math.pi)),
-    0.75 * math.sqrt(5.0 / math.pi),
-    0.75 * math.sqrt(5.0 / (2.0 * math.pi)),
-    3.0 / 16.0 * math.sqrt(1.0 / math.pi),
-    3.0 / 8.0 * math.sqrt(5.0 / math.pi),
-    3.0 / 16.0 * math.sqrt(35.0 / math.pi),
-]
 
 
 def _check_degree(l: int) -> None:
@@ -73,43 +60,13 @@ def sph_harm_block(l: int, unit_vecs: Tensor) -> Tensor:
     z = unit_vecs[:, 2]
     if l == 1:
         return _columns([y * _C1, z * _C1, x * _C1])
-    if l == 2:
-        return _columns(
-            [
-                x * y * _C2A,
-                y * z * _C2A,
-                (z * z * 3.0 - 1.0) * _C2B,
-                x * z * _C2A,
-                (x * x - y * y) * _C2C,
-            ]
-        )
-    if l == 3:
-        z2 = z * z
-        return _columns(
-            [
-                y * (x * x * 3.0 - y * y) * _C3[0],
-                x * y * z * _C3[1],
-                y * (z2 * 5.0 - 1.0) * _C3[2],
-                z * (z2 * 5.0 - 3.0) * _C3[3],
-                x * (z2 * 5.0 - 1.0) * _C3[2],
-                z * (x * x - y * y) * (_C3[1] * 0.5),
-                x * (x * x - y * y * 3.0) * _C3[0],
-            ]
-        )
-    z2 = z * z
-    x2 = x * x
-    y2 = y * y
     return _columns(
         [
-            x * y * (x2 - y2) * _C4[0],
-            y * z * (x2 * 3.0 - y2) * _C4[1],
-            x * y * (z2 * 7.0 - 1.0) * _C4[2],
-            y * z * (z2 * 7.0 - 3.0) * _C4[3],
-            (z2 * z2 * 35.0 - z2 * 30.0 + 3.0) * _C4[4],
-            x * z * (z2 * 7.0 - 3.0) * _C4[3],
-            (x2 - y2) * (z2 * 7.0 - 1.0) * _C4[5],
-            x * z * (x2 - y2 * 3.0) * _C4[1],
-            (x2 * x2 - x2 * y2 * 6.0 + y2 * y2) * _C4[6],
+            x * y * _C2A,
+            y * z * _C2A,
+            (z * z * 3.0 - 1.0) * _C2B,
+            x * z * _C2A,
+            (x * x - y * y) * _C2C,
         ]
     )
 

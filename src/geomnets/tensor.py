@@ -8,12 +8,9 @@ energy and its forces, an evaluation) and checks the arrays it returns. If
 one is non-finite, the failed tape is released and the call replays with
 every arithmetic operation checking its result, so the NumericError names
 the first op that went non-finite and its scope. Ops that are finite by
-construction (reshapes, slices, gathers, concat, broadcast, sigmoid, silu
-and its two derivative ops, sin, cos) are not checked even then.
-`expand_pairs`, which copies each edge pair's row to its one or two edges,
-is such a gather; its adjoint `sum_pairs` adds rows and is checked like
-`scatter_sum`. `edge_product` is a product, which can overflow, so it is
-checked.
+construction (reshapes, slices, gathers by nodes or pairs, concat,
+broadcast, sigmoid, silu and its two derivative ops, sin, cos) are not
+checked even then. Sums and `edge_product`, which can overflow, are.
 
 `scope(name)` labels the records made inside it; the models open one per
 layer or block, named like its parameters (`layer1`, `block0`), and one
@@ -57,33 +54,36 @@ are one op each with the same kind of rule, and `silu_d2`'s rule is made
 of elementary ops, so every order differentiates. A recorded backward
 through an activation makes two records where the product of the input
 and a sigmoid made six. `edge_product((x, rows), (y, rows), ...)` is a
-product on the edges of factors that each say how their rows reach them:
-a node index (a gather), a `geometry.PairIndex` (`expand_pairs`) or None
-(rows already per edge). A 1-D factor is a scalar per row, and
-`summed=True` sums the product over its trailing axes. It is bitwise the
-left fold of `mul` over the factors so taken, as one record. `into` sums
-the product's rows into nodes by a `geometry.SegmentPlan`, bitwise its
-`scatter_sum`, or into pairs by a `PairIndex`, bitwise its `sum_pairs`,
-forming and summing the product a block of rows at a time, so no (E, ...)
-product exists. Its rule for a factor is itself an edge product of the
-incoming gradient, whose rows reach the edges as `into` says, and the
-other factors, summed into the factor's rows: a message summed by `src`
-gets a gradient taken by `src`. So the rules, and the records a recorded
-backward makes of them, keep every factor at its own scale, and a rule
-for node or pair rows forms no (E, ...) array either.
+product on the edges of factors that each say how their rows reach them,
+as `gather` takes them, or None (rows already per edge). A 1-D factor is
+a scalar per row, and `summed=True` sums the product over its trailing
+axes. It is bitwise the left fold of `mul` over the factors so taken, as
+one record. `into` sums the product's rows into nodes by a
+`geometry.SegmentPlan` or into pairs by a `PairIndex`, bitwise their
+`scatter_sum`, forming and summing the product a block of rows at a
+time, so no (E, ...) product exists. Its rule for a factor is itself an
+edge product of the incoming gradient, whose rows reach the edges as
+`into` says, and the other factors, summed into the factor's rows: a
+message summed by `src` gets a gradient taken by `src`. So the rules, and
+the records a recorded backward makes of them, keep every factor at its
+own scale, and a rule for node or pair rows forms no (E, ...) array
+either.
 
-Sums into segments run on `np.bincount`, one bin per (segment, column),
-which adds each bin's terms in row order from 0.0, as `np.add.at` would.
-`scatter_sum` and `gather` take segment ids or a `SegmentPlan`: the rows'
-stable order by segment, None for ids already sorted, and where each
-segment starts. A plan is built and checked once per batch
-(`models.common.build_batch` makes one for `src` and one for `dst`), and
-a sum by it runs one block of whole segments at a time, each bin's terms
-still in row order, so it is bitwise the sum by the ids, with bin keys
-and taken rows the size of a block instead of the size of the input.
-`scatter_sum` of rows already formed sums by the ids of a plan whose ids
-are not sorted: taking each row once more into segment order costs more
-than the keys it saves.
+Rows move by two ops, each the other's rule. `gather` takes rows to the
+edges and `scatter_sum` sums edge rows back, by one of two indices: a
+node index, which every op checks once by `geometry.segment_plan` into a
+`SegmentPlan`, or a `PairIndex`, whose sum adds each pair's at most two
+rows. A batch's plans of `src` and `dst` are made once
+(`models.common.build_batch`); a plan derives its order and offsets only
+when a sum first reads them. Sums into segments run on `np.bincount`,
+one bin per (segment, column), which adds each bin's terms in row order
+from 0.0, as `np.add.at` would. Rows that fit one block of
+`_BLOCK_ENTRIES` entries are one block by the ids; more run a block of
+whole segments at a time, each bin's terms still in row order, so it is
+bitwise the sum by the ids, with bin keys and taken rows the size of a
+block. `scatter_sum` of rows already formed sums by the ids when they are
+not sorted: taking each row once more into segment order costs more than
+the keys it saves.
 
 On glibc, importing this module raises the process's mmap and trim
 thresholds, so pages a backward frees stay in the process for the next
@@ -360,7 +360,7 @@ def _coerce(x) -> Tensor:
 # ops that map finite inputs to finite outputs; a replay checks every other op
 _FINITE_BY_CONSTRUCTION = frozenset(
     {
-        "reshape", "transpose2", "slice", "unslice", "concat", "gather", "expand_pairs", "broadcast",
+        "reshape", "transpose2", "slice", "unslice", "concat", "gather", "broadcast",
         "sigmoid", "silu", "silu_d1", "silu_d2", "sin", "cos",
     }
 )
@@ -772,47 +772,32 @@ def norm(a, axis: int = -1, keepdims: bool = False, eps: float = 0.0) -> Tensor:
     return power(sq, 0.5)
 
 
-def _node_index(index, n: int):
-    """A node index of rows into `n` segments: a `SegmentPlan` of `n`
-    segments as it is, else the index as int64, checked to be 1-D and in
-    range."""
-    if isinstance(index, SegmentPlan):
+def _index(index, n: int | None):
+    """How rows reach the edges, checked against `n` rows (None: the
+    index's own count): a `PairIndex` as it is, else the `SegmentPlan` that
+    `geometry.segment_plan` makes of a node index, or the plan itself."""
+    if not isinstance(index, PairIndex):
         return segment_plan(index, n)
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("a node index must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"node index outside 0..{n - 1}")
-    return idx
+    if n is not None and n != index.edge.size:
+        raise ShapeError(f"{n} rows do not match {index.edge.size} pairs")
+    return index
 
 
-def _ids(index) -> np.ndarray:
-    """The segment of each row of a node index or plan."""
-    return index.index if isinstance(index, SegmentPlan) else index
+def _slots(index) -> np.ndarray:
+    """The row each edge of a `SegmentPlan` or `PairIndex` reads."""
+    return index.slot if isinstance(index, PairIndex) else index.index
 
 
 def gather(a, index) -> Tensor:
-    """Select rows along the leading axis, by an index or a `SegmentPlan`,
-    whose backward sums by the plan."""
+    """Rows along the leading axis taken to the edges of `index`: a node
+    index or `SegmentPlan`, or a `PairIndex`, whose edges read their pair's
+    row. Its rule is `scatter_sum` into the same index."""
     a = _coerce(a)
     if a.ndim < 1:
         raise ShapeError("gather needs at least one dimension")
-    index = _node_index(index, a.shape[0])
-    n = a.shape[0]
+    index = _index(index, a.shape[0])
     # take reads the same rows as fancy indexing, in less time
-    return _op("gather", (a,), a.data.take(_ids(index), axis=0), (lambda g: scatter_sum(g, index, n),))
-
-
-def expand_pairs(a, pairs) -> Tensor:
-    """Rows (P, ...) of edge pairs copied out to their edges (E, ...).
-
-    `pairs` is a `geometry.PairIndex`. This is `gather(a, pairs.slot)`, but
-    every pair has at most two edges, so the adjoint `sum_pairs` adds two
-    rows where a `scatter_sum` would build a key per entry."""
-    a = _coerce(a)
-    if a.ndim < 1 or a.shape[0] != pairs.edge.size:
-        raise ShapeError(f"pair rows {a.shape} do not match {pairs.edge.size} pairs")
-    return _op("expand_pairs", (a,), a.data.take(pairs.slot, axis=0), (lambda g: sum_pairs(g, pairs),))
+    return _op("gather", (a,), a.data.take(_slots(index), axis=0), (lambda g: scatter_sum(g, index),))
 
 
 # entries of one block of a blocked sum: the rows it takes, their product
@@ -824,25 +809,22 @@ def _block_rows(trailing: tuple[int, ...]) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, math.prod(trailing)))
 
 
-def _segment_sums(take, index, n: int, trailing: tuple[int, ...]) -> np.ndarray:
-    """Rows summed into `n` segments by a node index or plan, (n, *trailing);
-    `take(rows)` gives the rows at a slice or an int array of rows.
+def _segment_sums(take, plan: SegmentPlan, trailing: tuple[int, ...], per_block: int | None = None) -> np.ndarray:
+    """Rows summed into the segments of a plan, (S, *trailing), in blocks
+    of `per_block` rows (default: `_BLOCK_ENTRIES` entries); `take(rows)`
+    gives the rows at a slice or an int array of rows.
 
     One bin per (segment, column), which `np.bincount` fills adding its
-    terms in row order from 0.0, exactly as `np.add.at` would. A plan's
-    blocks are whole segments, their rows in stable segment order, so each
-    bin adds the same terms in the same order with keys and rows the size
-    of a block; an index is one block of all rows."""
-    width = math.prod(trailing)
-    if isinstance(index, SegmentPlan):
-        ids, blocks = index.index, index.blocks(_block_rows(trailing))
-    else:
-        ids, blocks = index, [(slice(None), 0, n)]
+    terms in row order from 0.0, exactly as `np.add.at` would. A block
+    holds whole segments, each segment's rows in row order, so each bin
+    adds the same terms in the same order with keys and rows the size of a
+    block."""
+    n, width = plan.n_segments, math.prod(trailing)
     out = np.empty((n, width))
     cols = np.arange(width)
-    for rows, first, end in blocks:
+    for rows, first, end in plan.blocks(_block_rows(trailing) if per_block is None else per_block):
         # the keys filled in place: a broadcast sum would take two buffers
-        base = ids[rows] - first
+        base = plan.index[rows] - first
         base *= width
         keys = np.empty((base.size, width), dtype=np.int64)
         np.copyto(keys, cols)
@@ -881,32 +863,18 @@ def _take(data: np.ndarray, rows) -> np.ndarray:
     return data[rows] if isinstance(rows, slice) else data.take(rows, axis=0)
 
 
-def sum_pairs(g, pairs) -> Tensor:
-    """Adjoint of `expand_pairs`: each pair's edge rows summed, (P, ...),
-    bitwise `scatter_sum(g, pairs.slot, P)`."""
-    g = _coerce(g)
-    if g.ndim < 1 or g.shape[0] != pairs.slot.size:
-        raise ShapeError(f"edge rows {g.shape} do not match {pairs.slot.size} edges")
-    data = _pair_sums(lambda rows: _take(g.data, rows), pairs, g.shape[1:])
-    return _op("sum_pairs", (g,), data, (lambda gg: expand_pairs(gg, pairs),))
-
-
 def _factor(x, rows, n_edges: int | None) -> tuple[Tensor, object, int]:
     """One factor of `edge_product`: its tensor, how its rows reach the
-    edges (a node index or `SegmentPlan`, a `PairIndex` or None) and the
-    edges they reach, which must be `n_edges` when that is known."""
+    edges (a `SegmentPlan`, a `PairIndex` or None) and the edges they
+    reach, which must be `n_edges` when that is known."""
     x = _coerce(x)
     if x.ndim < 1:
         raise ShapeError("an edge product factor needs a row axis")
     if rows is None:
         edges = x.shape[0]
-    elif isinstance(rows, PairIndex):
-        if x.shape[0] != rows.edge.size:
-            raise ShapeError(f"pair rows {x.shape} do not match {rows.edge.size} pairs")
-        edges = rows.slot.size
     else:
-        rows = _node_index(rows, x.shape[0])
-        edges = _ids(rows).size
+        rows = _index(rows, x.shape[0])
+        edges = _slots(rows).size
     if n_edges is not None and edges != n_edges:
         raise ShapeError(f"factor {x.shape} reaches {edges} edges, not {n_edges}")
     return x, rows, edges
@@ -915,10 +883,7 @@ def _factor(x, rows, n_edges: int | None) -> tuple[Tensor, object, int]:
 def _at_edges(x: Tensor, how, rows, trailing: int) -> np.ndarray:
     """The rows of `x` taken to the edge rows `rows` (a slice or an int
     array), a scalar factor's as a column with `trailing` unit axes."""
-    if how is None:
-        data = _take(x.data, rows)
-    else:
-        data = x.data.take((how.slot if isinstance(how, PairIndex) else _ids(how))[rows], axis=0)
+    data = _take(x.data, rows) if how is None else x.data.take(_slots(how)[rows], axis=0)
     return data.reshape(data.shape + (1,) * trailing) if x.ndim == 1 else data
 
 
@@ -940,19 +905,19 @@ def _product_at(parts, rows, trailing: tuple[int, ...], summed: bool) -> np.ndar
 
 def edge_product(*factors, summed: bool = False, into=None) -> Tensor:
     """The product on the edges of `factors`, each a pair `(x, rows)` that
-    says how the rows of `x` reach the edges: a node index or
-    `geometry.SegmentPlan` (`gather`), a `geometry.PairIndex`
-    (`expand_pairs`) or None (`x` has a row per edge). A factor is full, of
-    the product's trailing shape, or a scalar per row, 1-D, which scales
-    all of its edge's entries. The product is bitwise the left fold of `mul`
-    over the factors so taken (a scalar reshaped to broadcast), (E, ...);
-    `summed` sums it over its trailing axes, (E,), as `sum_` would, and
-    then needs two full factors.
+    says how the rows of `x` reach the edges, as `gather` takes them: a
+    node index or `geometry.SegmentPlan`, a `geometry.PairIndex`, or None
+    (`x` has a row per edge). A factor is full, of the product's trailing
+    shape, or a scalar per row, 1-D, which scales all of its edge's
+    entries. The product is bitwise the left fold of `mul` over the factors
+    so taken (a scalar reshaped to broadcast), (E, ...); `summed` sums it
+    over its trailing axes, (E,), as `sum_` would, and then needs two full
+    factors.
 
-    `into` sums the product's rows: into the nodes of a `SegmentPlan`,
-    bitwise `scatter_sum`, or the pairs of a `PairIndex`, bitwise
-    `sum_pairs`; None keeps a row per edge. The product is formed and
-    summed a block of rows at a time, so no (E, ...) array exists.
+    `into` sums the product's rows into the nodes of a `SegmentPlan` or
+    the pairs of a `PairIndex`, bitwise `scatter_sum`; None keeps a row
+    per edge. The product is formed and summed a block of rows at a time,
+    so no (E, ...) array exists.
 
     One record. Its rule for a factor is itself an edge product of the
     incoming gradient, whose rows reach the edges as `into` says, and the
@@ -960,8 +925,7 @@ def edge_product(*factors, summed: bool = False, into=None) -> Tensor:
     axes for a scalar factor, and with a scalar gradient for a summed
     product. The rule multiplies in the order of the fold's chain rule, so
     first-order gradients are bitwise those of the composition for up to
-    three factors. A rule for node rows given by an index plans the sum
-    when it runs. Neither the forward nor its recorded backward keeps an
+    three factors. Neither the forward nor its recorded backward keeps an
     (E, ...) copy of a node or pair factor."""
     if len(factors) < 2:
         raise ContractError("an edge product needs at least two factors")
@@ -978,7 +942,7 @@ def edge_product(*factors, summed: bool = False, into=None) -> Tensor:
     if into is not None:
         if not isinstance(into, (PairIndex, SegmentPlan)):
             raise ContractError(f"an edge product sums into a SegmentPlan or a PairIndex, not {type(into).__name__}")
-        covered = into.slot.size if isinstance(into, PairIndex) else into.index.size
+        covered = _slots(into).size
         if covered != n_edges:
             raise ShapeError(f"the sum's {type(into).__name__} covers {covered} edges, not {n_edges}")
     take = lambda rows: _product_at(parts, rows, trailing, summed)
@@ -987,66 +951,55 @@ def edge_product(*factors, summed: bool = False, into=None) -> Tensor:
     elif isinstance(into, PairIndex):
         data = _pair_sums(take, into, () if summed else trailing)
     else:
-        data = _segment_sums(take, into, into.n_segments, () if summed else trailing)
+        data = _segment_sums(take, into, () if summed else trailing)
 
     def rule(i):
         x, rows = parts[i]
-        n, last = x.shape[0], i == len(parts) - 1
         # g times the factors after the i-th, last first, then the product of those before it
-        order = [*parts[:i], None] if last else [None, *parts[:i:-1], *parts[:i]]
+        order = [*parts[:i], None] if i == len(parts) - 1 else [None, *parts[:i:-1], *parts[:i]]
         scalar = x.ndim == 1 and len(trailing) > 0
-
-        def vjp(g):
-            to = rows if rows is None or isinstance(rows, (PairIndex, SegmentPlan)) else segment_plan(rows, n)
-            return edge_product(*[(g, into) if p is None else p for p in order], summed=scalar, into=to)
-
-        return vjp
+        return lambda g: edge_product(*[(g, into) if p is None else p for p in order], summed=scalar, into=rows)
 
     return _op("edge_product", tuple(x for x, _ in parts), data, tuple(rule(i) for i in range(len(parts))))
 
 
-def scatter_sum(values, segment_ids, num_segments: int | None = None) -> Tensor:
-    """Sum rows of `values` into buckets along axis 0: `num_segments` of them
-    by an index of segment ids, or those of a `SegmentPlan`, which sums a
-    block of whole segments at a time and builds no key per entry of the
-    input when its ids are sorted (a batch's `src`); a plan of unsorted ids
-    sums by the ids. The result is the same either way, byte for byte."""
+def scatter_sum(values, into, num_segments: int | None = None) -> Tensor:
+    """Rows of `values` summed along axis 0, the adjoint of `gather`: into
+    `num_segments` nodes by a node index, into the nodes of a `SegmentPlan`,
+    or into the pairs of a `PairIndex`, each pair's at most two edge rows
+    added. A sum into nodes runs a block of whole segments at a time when
+    the plan's index is sorted (a batch's `src`), and otherwise by the ids
+    in one block: taking each row once more into segment order costs more
+    than the keys it saves. The result is the same either way, byte for
+    byte. Its rule is `gather` by the same index."""
     values = _coerce(values)
-    if num_segments is None:
-        if not isinstance(segment_ids, SegmentPlan):
-            raise ContractError("a sum by segment ids needs num_segments")
-        num_segments = segment_ids.n_segments
-    index = _node_index(segment_ids, num_segments)
-    if values.ndim < 1 or _ids(index).size != values.shape[0]:
-        raise ShapeError("segment ids must be 1-D and match the leading axis")
-    if isinstance(index, SegmentPlan) and index.order is not None:
-        # rows already formed gain nothing from an unsorted plan but a copy
-        # of each in segment order, which costs more than the keys it saves
-        index = index.index
-    data = _segment_sums(lambda rows: _take(values.data, rows), index, num_segments, values.shape[1:])
-    return _op("scatter_sum", (values,), data, (lambda g: gather(g, index),))
+    into = _index(into, num_segments)
+    edges = _slots(into).size
+    if values.ndim < 1 or values.shape[0] != edges:
+        raise ShapeError(f"values {values.shape} do not match {edges} edges along the leading axis")
+    take = lambda rows: _take(values.data, rows)
+    if isinstance(into, PairIndex):
+        data = _pair_sums(take, into, values.shape[1:])
+    else:
+        data = _segment_sums(take, into, values.shape[1:], None if into.sorted else edges)
+    return _op("scatter_sum", (values,), data, (lambda g: gather(g, into),))
 
 
-def segment_softmax(scores: Tensor, segment_ids, num_segments: int | None = None) -> Tensor:
-    """Softmax over rows sharing a segment, by segment ids into
+def segment_softmax(scores: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Softmax over rows sharing a segment, by a node index into
     `num_segments` or by a `SegmentPlan`, stabilized by the segment max.
 
     The subtracted max is treated as a constant, which leaves both the value
     and the gradient of the softmax unchanged.
     """
-    if scores.ndim != 1:
-        raise ShapeError("segment_softmax expects 1-D scores")
-    if isinstance(segment_ids, SegmentPlan):
-        idx, num_segments = segment_ids.index, segment_ids.n_segments
-    else:
-        idx = np.asarray(segment_ids, dtype=np.int64)
-    raw_max = np.full(num_segments, -np.inf)
-    np.maximum.at(raw_max, idx, scores.data)
+    plan = segment_plan(index, num_segments)
+    if scores.shape != plan.index.shape:
+        raise ShapeError(f"segment_softmax expects 1-D scores, one per row of the index, not {scores.shape}")
+    raw_max = np.full(plan.n_segments, -np.inf)
+    np.maximum.at(raw_max, plan.index, scores.data)
     raw_max[~np.isfinite(raw_max)] = 0.0
-    shifted = sub(scores, Tensor(raw_max[idx]))
-    e = exp(shifted)
-    denom = scatter_sum(e, segment_ids, num_segments)
-    return div(e, gather(denom, segment_ids))
+    e = exp(sub(scores, Tensor(raw_max[plan.index])))
+    return div(e, gather(scatter_sum(e, plan), plan))
 
 
 # ---------------------------------------------------------------------------

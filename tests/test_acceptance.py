@@ -79,7 +79,7 @@ def test_criterion_01_harmonic_rotation_equivariance():
         rot = rotation(rng)
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        for l in range(5):
+        for l in range(so3.MAX_DEGREE + 1):
             y_u = so3.sph_harm_block(l, Tensor(u[None, :])).data[0]
             y_ru = so3.sph_harm_block(l, Tensor((rot @ u)[None, :])).data[0]
             worst = max(worst, np.abs(y_ru - so3.wigner_d(l, rot) @ y_u).max())
@@ -99,7 +99,7 @@ def test_criterion_02_rotation_matrix_homomorphism_and_orthogonality():
     worst_orth = 0.0
     for _ in range(100):
         r1, r2 = rotation(rng), rotation(rng)
-        for l in range(5):
+        for l in range(so3.MAX_DEGREE + 1):
             d1, d2 = so3.wigner_d(l, r1), so3.wigner_d(l, r2)
             d12 = so3.wigner_d(l, r1 @ r2)
             worst_hom = max(worst_hom, np.abs(d12 - d1 @ d2).max())

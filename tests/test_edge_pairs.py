@@ -7,9 +7,10 @@ reverse. A batch merges its graphs once and indexes the pairs and angle
 triplets once; they must equal each graph's own, moved by the rows before
 it, and the distance pretext must read the builder's lengths.
 
-On every pair index built here, the adjoint of `tensor.expand_pairs` must
-give the bytes of `tensor.scatter_sum` by slot, -0.0 rows included, and a
-recorded backward through the expansion the bits of an unrecorded one.
+On every pair index built here, `tensor.scatter_sum` into the pairs, the
+adjoint of `tensor.gather` by the pair index, must give the bytes of
+`tensor.scatter_sum` by slot, -0.0 rows included, and a recorded backward
+through the gather the bits of an unrecorded one.
 """
 
 import numpy as np
@@ -68,8 +69,9 @@ def check_pairs(batch, shift):
 
 
 def check_expansion(pairs, width=3):
-    """`expand_pairs` reads each edge's pair row; its adjoint `sum_pairs`
-    equals `scatter_sum` by slot byte for byte, also on rows of -0.0, where
+    """`gather` by a pair index reads each edge's pair row; its adjoint, a
+    `scatter_sum` into the pairs, equals `scatter_sum` by slot byte for
+    byte, also on rows of -0.0, where
     a sum that starts from +0.0 reads +0.0; and its backward, recorded or
     not, gives the same bits, and differentiates again."""
     e, p = pairs.slot.size, pairs.edge.size
@@ -77,26 +79,26 @@ def check_expansion(pairs, width=3):
     g = rng.normal(size=(e, width))
     g[pairs.slot % 3 == 0] = -0.0  # both rows of a pair
     g[(pairs.slot % 3 == 1) & pairs.flipped, 0] = -0.0  # one row of a pair
-    summed = T.sum_pairs(g, pairs).data
+    summed = T.scatter_sum(g, pairs).data
     assert summed.tobytes() == T.scatter_sum(g, pairs.slot, p).data.tobytes()
     assert summed.shape == (p, width) and not np.signbit(summed[::3]).any()
 
     x = rng.normal(size=(p, width))
-    np.testing.assert_array_equal(T.expand_pairs(x, pairs).data, x[pairs.slot])
+    np.testing.assert_array_equal(T.gather(x, pairs).data, x[pairs.slot])
 
     def forward():
         # a tape per backward that ends unrecorded, which spends what it runs
         tape = T.Tape()
         xt = tape.tensor(x)
-        return tape, xt, T.sum_(T.expand_pairs(xt, pairs) ** 2 * T.Tensor(g))
+        return tape, xt, T.sum_(T.gather(xt, pairs) ** 2 * T.Tensor(g))
 
     tape, xt, root = forward()
     (free,) = tape.gradient(root, [xt], record=False)
     tape, xt, root = forward()
     (kept,) = tape.gradient(root, [xt])
     assert free.data.tobytes() == kept.data.tobytes()
-    # the gradient is sum_pairs(2 g x[slot]); its gradient along v is
-    # sum_pairs(2 g v[slot]), through the expansion that is the adjoint's adjoint
+    # the gradient is the pair sum of 2 g x[slot]; its gradient along v is
+    # the pair sum of 2 g v[slot], through the gather that is the adjoint's adjoint
     v = rng.normal(size=(p, width))
     (again,) = tape.gradient(T.sum_(kept * T.Tensor(v)), [xt], record=False)
     want = T.scatter_sum(2.0 * g * v[pairs.slot], pairs.slot, p).data

@@ -26,7 +26,7 @@ from geomnets.models import invariant as inv
 from geomnets.models import spherical as sph
 from geomnets.models import vector as vec
 from geomnets.models.common import build_batch, embed_nodes, pair_vectors, readout
-from geomnets.so3 import IrrepsLayout, SteerableFeature, random_rotation, sph_harm_block
+from geomnets.so3 import MAX_DEGREE, IrrepsLayout, SteerableFeature, random_rotation, sph_harm_block
 from geomnets.tensor import Tape, Tensor
 from test_tensor import grad_check
 
@@ -211,11 +211,16 @@ def test_bessel_roots_are_pinned_bitwise(l):
 
 
 def test_zonal_matches_full_harmonic_m0_column():
-    # the m=0 component of the degree-l block depends only on the polar angle
+    # the m=0 component of the degree-l block depends only on the polar
+    # angle: sqrt((2l + 1) / 4 pi) P_l(cos), which stands in for the block
+    # above so3's degree cap
     thetas = np.linspace(0.0, np.pi, 9)
     u = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
     for l in range(4):
-        full = sph_harm_block(l, Tensor(u)).data[:, l]
+        if l <= MAX_DEGREE:
+            full = sph_harm_block(l, Tensor(u)).data[:, l]
+        else:
+            full = math.sqrt((2 * l + 1) / (4 * math.pi)) * special.eval_legendre(l, np.cos(thetas))
         mine = inv.zonal_harmonic(l, Tensor(np.cos(thetas))).data
         np.testing.assert_allclose(mine, full, atol=1e-13, rtol=0)
 

@@ -150,7 +150,7 @@ def painn_channels(spec, params, batch):
     and the (N, 3, F) vector channels."""
     pairs = batch.pairs
     geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
-    unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+    unit = T.gather(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     s = embed_nodes(params["embed"], batch.z)
     v = None
     for i in range(spec.layers):
@@ -203,7 +203,7 @@ def test_painn_layer_from_no_vectors_is_the_layer_from_zero_vectors():
     pt = as_tensors(params)
     pairs = batch.pairs
     geom = edge_geometry(spec.basis, pair_vectors(Tensor(batch.pos), batch))
-    unit = T.expand_pairs(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
+    unit = T.gather(geom.unit, pairs) * Tensor(np.where(pairs.flipped, -1.0, 1.0)[:, None])
     s = embed_nodes(pt["embed"], batch.z)
     graph = (batch.src, batch.dst, pairs, geom.rbf, unit)
     zeros = Tensor(np.zeros((batch.n_nodes, 3, spec.hidden)))

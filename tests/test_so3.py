@@ -67,7 +67,7 @@ class TestSphericalHarmonics:
         expect = [0.0, 0.0, -0.31539156525252005, 0.0, 0.5462742152960396]
         assert np.allclose(vals, expect, atol=1e-15)
 
-    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("l", range(so3.MAX_DEGREE + 1))
     def test_matches_complex_harmonics_oracle(self, l):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -76,7 +76,7 @@ class TestSphericalHarmonics:
             mine = real_spherical_harmonics(l, u)[l]
             assert np.abs(mine - scipy_real_harmonics(l, u)).max() < 1e-12
 
-    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("l", range(so3.MAX_DEGREE + 1))
     def test_vector_norm_is_orthonormal_convention(self, l):
         u = np.array([2.0, -1.0, 0.5])
         u /= np.linalg.norm(u)
@@ -87,6 +87,19 @@ class TestSphericalHarmonics:
         with pytest.raises(ContractError):
             real_spherical_harmonics(5, [0.0, 0.0, 1.0])
 
+    def test_degree_three_is_refused_everywhere(self):
+        # nothing reads a degree above 2, so its harmonics, rotation blocks,
+        # couplings and feature blocks are refused rather than kept untested
+        assert so3.MAX_DEGREE == 2
+        for call in (
+            lambda: so3.sph_harm_block(3, T.Tensor(np.array([[0.0, 0.0, 1.0]]))),
+            lambda: so3.wigner_d(3, np.eye(3)),
+            lambda: so3.clebsch_gordan(1, 2, 3),
+            lambda: so3.IrrepsLayout(((1, 3),)),
+        ):
+            with pytest.raises(ContractError, match="degree 3 outside supported range 0..2"):
+                call()
+
     def test_block_is_differentiable(self):
         f = lambda v: T.sum_(T.power(so3.sph_harm_block(2, v), 2.0))
         pts = np.random.default_rng(3).normal(size=(4, 3))
@@ -96,7 +109,7 @@ class TestSphericalHarmonics:
 
 class TestWigner:
     def test_identity_rotation(self):
-        for l in range(5):
+        for l in range(so3.MAX_DEGREE + 1):
             assert np.abs(so3.wigner_d(l, np.eye(3)) - np.eye(2 * l + 1)).max() < 1e-12
 
     def test_degree_one_quarter_turn_about_z(self):
@@ -104,7 +117,7 @@ class TestWigner:
         expect = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
         assert np.abs(so3.wigner_d(1, rot) - expect).max() < 1e-12
 
-    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("l", range(so3.MAX_DEGREE + 1))
     def test_transforms_harmonics(self, l):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -115,7 +128,7 @@ class TestWigner:
             rhs = so3.wigner_d(l, rot) @ real_spherical_harmonics(l, u)[l]
             assert np.abs(lhs - rhs).max() < 1e-10
 
-    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("l", range(so3.MAX_DEGREE + 1))
     def test_orthogonal_and_homomorphic(self, l):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -154,7 +167,7 @@ class TestRandomRotation:
 
 class TestClebschGordan:
     def test_scalar_with_degree_l(self):
-        for l in range(5):
+        for l in range(so3.MAX_DEGREE + 1):
             c = so3.clebsch_gordan(0, l, l)
             assert np.abs(c[0] - np.eye(2 * l + 1) / math.sqrt(2 * l + 1)).max() < 1e-12
 
@@ -171,14 +184,14 @@ class TestClebschGordan:
         assert np.abs(c - eps / math.sqrt(6)).max() < 1e-12
 
     def test_unit_frobenius_and_sign_rule(self):
-        for l1, l2, l3 in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 2, 4), (3, 1, 2)]:
+        for l1, l2, l3 in [(1, 1, 2), (2, 2, 2)]:
             c = so3.clebsch_gordan(l1, l2, l3)
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
             flat = c.reshape(-1)
             lead = flat[np.abs(flat) > 1e-8]
             assert lead[0] > 0
 
-    @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 2), (1, 2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 2)])
     def test_intertwining_property(self, triple):
         l1, l2, l3 = triple
         c = so3.clebsch_gordan(l1, l2, l3)

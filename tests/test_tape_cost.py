@@ -55,9 +55,9 @@ An edge and its reverse share their length, and their directions differ
 in sign only, so the edge geometry, the filter and radial networks and the
 enveloped harmonics run once per edge pair and are gathered to the edges:
 every record in scope `edges` and every filter or radial matmul has a row
-per pair. Each of those expansions (`tensor.expand_pairs`, a gather by
-pair slot whose adjoint `sum_pairs` adds a pair's two rows) adds a record
-and its backward a second:
+per pair. Each of those expansions (a `gather` by the pair index, whose
+adjoint, a `scatter_sum` into the pairs, adds a pair's two rows) adds a
+record and its backward a second:
 schnet and leaky one per layer for the filter, painn one per layer for the
 filter and one (with the sign's mul) for the unit vectors, tfn and se3attn
 one (with the sign's mul) for the harmonics and one per message set and
@@ -134,9 +134,9 @@ activation instead of two, and a recorded force backward through it two
 (`silu_d1` and its `mul`) instead of six (the two products' rules, the
 sigmoid rule's `sub` and two products, and the `add` of the two terms).
 schnet's and leaky's messages and painn's gates are one `edge_product`
-each, where they were a `gather`, an `expand_pairs` and a `mul`. Its rules
-take the rows to the edges again, so its recorded backward has a `gather`
-or an `expand_pairs` more for each operand on the position path. That moved
+each, where they were a `gather` by nodes, one by pairs and a `mul`. Its
+rules take the rows to the edges again, so its recorded backward has a
+`gather` more for each operand on the position path. That moved
 the pins dimenet 353 -> 333, egnn 161 -> 136, leaky 141 -> 130, painn
 302 -> 285, schnet 136 -> 125, se3attn 741 -> 706 and tfn 463 -> 443; the
 energy-only pins, in the same order, 56 -> 52, 58 -> 53, 39 -> 33,
@@ -181,10 +181,10 @@ An edge product takes factors of any scale, node rows by an index, pair
 rows by the pair index or rows already per edge, and its rule for a
 factor is itself an edge product of the gradient and the other factors.
 A recorded rule of schnet's, leaky's or painn's product took the other
-operand to the edges by a `gather` or `expand_pairs` and multiplied by a
+operand to the edges by a `gather` and multiplied by a
 `mul`, and now does both in one record: one rule in layer 0, whose node
 rows are off the position path, and two in layer 1, 3 records each.
-tfn's and se3attn's messages, an `expand_pairs` of the radial outputs
+tfn's and se3attn's messages, a `gather` by pairs of the radial outputs
 and a `mul`, are one product of the pair and edge rows, a record fewer per
 message set and input block (tfn 4 in each of its forwards). se3attn's
 scores were the key messages times the gathered query rows, summed over
@@ -202,7 +202,7 @@ traced peak of one se3attn step in units of its largest (E, width, mult)
 message, 47.8 units before and 35.2 after.
 
 An edge product sums its rows into nodes or pairs itself (`into`), a block
-of rows at a time, bitwise the `scatter_sum` or `sum_pairs` of the plain
+of rows at a time, bitwise the `scatter_sum` into nodes or pairs of the plain
 product, and each of its rules is one such product whose rows the other
 factors reach as they reached the output: the gradient of a product
 summed by `src` is a node factor taken by `src`. schnet's and leaky's
@@ -210,7 +210,7 @@ messages, and tfn's and se3attn's messages and weighted values, are summed
 into the atoms by the batch's `src` plan within their product, a
 `scatter_sum` fewer per layer (schnet, leaky) or per input block (tfn,
 se3attn) in a forward; in a recorded backward that sum's rule, a `gather`,
-is gone, and so is the `scatter_sum` or `sum_pairs` after each rule for
+is gone, and so is the `scatter_sum` after each rule for
 node or pair rows (painn's gates among them), now the rule's own `into`.
 That moved the pins leaky 127 -> 120, painn 282 -> 279, schnet 122 ->
 115, se3attn 670 -> 652 and tfn 439 -> 427, the energy-only pins leaky
@@ -220,6 +220,11 @@ tfn 154 -> 150. No (E, hidden) message of schnet's exists any more, in the
 forward or in the backward: its force call on the 400-atom cluster peaked
 at 6.56 units before and 4.51 after, in the filter network's backward, whose
 rows run per pair; `FORCE_CALL_PEAK_UNITS` allows 2% over that.
+
+A gather and a sum by the pair index were once ops of their own
+(`expand_pairs`, `sum_pairs`); they are `gather` and `scatter_sum` by a
+`PairIndex` now, so the counts per op name moved between names while
+every pin above stayed.
 """
 
 import tracemalloc

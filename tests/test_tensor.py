@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
-from geomnets.geometry import Conformation, PairIndex, SegmentPlan, pair_index, segment_plan
+from geomnets.geometry import Conformation, SegmentPlan, pair_index, segment_plan
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
@@ -313,13 +313,13 @@ REFUSALS = {
     "mean-empty-axis": (lambda: T.mean(T.Tensor(np.ones((0, 3))), axis=0), ContractError, "empty axis"),
     "gather-2d-index": (lambda: T.gather(T.Tensor(np.ones((3, 2))), np.zeros((2, 2))), ShapeError, "one-dimensional"),
     "gather-0d": (lambda: T.gather(T.Tensor(1.0), [0]), ShapeError, "at least one dimension"),
-    "expand-pairs-rows": (
-        lambda: T.expand_pairs(T.Tensor(np.ones((2, 3))), _one_pair_of_two_edges()),
+    "gather-pair-rows": (
+        lambda: T.gather(T.Tensor(np.ones((2, 3))), _one_pair_of_two_edges()),
         ShapeError,
         "do not match 1 pairs",
     ),
-    "sum-pairs-rows": (
-        lambda: T.sum_pairs(T.Tensor(np.ones((3, 1))), _one_pair_of_two_edges()),
+    "scatter-sum-pair-rows": (
+        lambda: T.scatter_sum(T.Tensor(np.ones((3, 1))), _one_pair_of_two_edges()),
         ShapeError,
         "do not match 2 edges",
     ),
@@ -365,6 +365,38 @@ REFUSALS = {
         "plan of 2 segments does not match 3 rows",
     ),
     "segment-softmax-2d": (lambda: T.segment_softmax(T.Tensor(np.ones((2, 2))), [0, 1], 2), ShapeError, "1-D scores"),
+    # every node index is checked as a plan's: none is cast to integers
+    "gather-float-index": (
+        lambda: T.gather(T.Tensor(np.ones((3, 2))), np.array([0.7, 2.9])),
+        ShapeError,
+        "one-dimensional integers, got float64",
+    ),
+    "gather-bool-index": (
+        lambda: T.gather(T.Tensor(np.ones((3, 2))), [True, False]),
+        ShapeError,
+        "one-dimensional integers, got bool",
+    ),
+    "scatter-sum-float-index": (
+        lambda: T.scatter_sum(T.Tensor(np.ones((3, 2))), [0.5, 1.5, 1.9], 2),
+        ShapeError,
+        "one-dimensional integers, got float64",
+    ),
+    "segment-softmax-no-count": (
+        lambda: T.segment_softmax(T.Tensor(np.ones(3)), [0, 0, 1]),
+        ContractError,
+        "num_segments",
+    ),
+    "segment-softmax-rows": (
+        lambda: T.segment_softmax(T.Tensor(np.ones(3)), [0, 1], 2),
+        ShapeError,
+        r"one per row of the index, not \(3,\)",
+    ),
+    # refused as it arrives, before the segment max reads it
+    "segment-softmax-negative-id": (
+        lambda: T.segment_softmax(T.Tensor(np.ones(3)), [0, -1, 1], 2),
+        IndexError,
+        r"segment index outside 0\.\.1",
+    ),
 }
 
 
@@ -487,6 +519,61 @@ def test_a_plan_lists_its_rows_segment_by_segment(problem):
             seen.append((first, end))
         assert [first for first, _ in seen] == [0] + [end for _, end in seen[:-1]]
         assert (seen[-1][1] if seen else 0) == segments
+
+
+@pytest.mark.parametrize("entries", ["default", "one"])
+def test_a_gather_by_unsorted_ids_sorts_nothing(entries, monkeypatch):
+    # the gather's rule sums by the ids, and that sum's rule gathers by
+    # them, so neither backward derives the plan's order, even when every
+    # sum is longer than a block
+    if entries == "one":
+        monkeypatch.setattr(T, "_BLOCK_ENTRIES", 1)
+    ids = np.array([2, 0, 1, 0, 2, 2])
+    x0 = np.random.default_rng(0).normal(size=(3, 4))
+    made = []  # every plan the ops make or are given
+    monkeypatch.setattr(T, "segment_plan", lambda index, n: made.append(segment_plan(index, n)) or made[-1])
+    tape = T.Tape()
+    x = tape.tensor(x0)
+    (g,) = tape.gradient(T.sum_(T.sin(T.gather(x, ids))), [x])
+    (gg,) = tape.gradient(T.sum_(g * g), [x], record=False)
+    (plan,) = {id(plan): plan for plan in made}.values()  # each later op takes the plan as it is
+    assert np.array_equal(plan.index, ids)
+    assert "order" not in plan.__dict__ and "offsets" not in plan.__dict__
+    want = np.zeros_like(x0)
+    np.add.at(want, ids, np.cos(x0[ids]))
+    assert g.data.tobytes() == want.tobytes()
+    want2 = np.zeros_like(x0)
+    np.add.at(want2, ids, -2.0 * want[ids] * np.sin(x0[ids]))
+    np.testing.assert_allclose(gg.data, want2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("op", ["scatter_sum", "edge_product"])
+@pytest.mark.parametrize("ids", ["sorted", "unsorted"])
+@pytest.mark.parametrize("fits", [True, False], ids=["one-block", "one-row-over"])
+def test_sums_either_side_of_one_block_are_add_at(fits, ids, op):
+    # rows that fit one block, E * W <= _BLOCK_ENTRIES, are summed by the
+    # ids without sorting or counting them; one row more runs in blocks of
+    # whole segments, except a scatter_sum by unsorted ids, which takes all
+    # rows by the ids at once: bitwise np.add.at every way
+    width = 4
+    rows = T._BLOCK_ENTRIES // width + (0 if fits else 1)
+    rng = np.random.default_rng(rows)
+    index = rng.integers(0, 50, rows)
+    if ids == "sorted":
+        index.sort()
+    a = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 8, (rows, width))
+    b = rng.normal(size=(rows, width))
+    plan = segment_plan(index, 50)
+    if op == "scatter_sum":
+        got = T.scatter_sum(T.Tensor(a * b), plan)
+    else:
+        got = T.edge_product((a, None), (b, None), into=plan)
+    want = np.zeros((50, width))
+    np.add.at(want, index, a * b)
+    assert got.data.tobytes() == want.tobytes()
+    blocked = not fits and (ids == "sorted" or op == "edge_product")
+    assert ("offsets" in plan.__dict__) == blocked
+    assert ("order" in plan.__dict__) == blocked
 
 
 @st.composite
@@ -1029,9 +1116,9 @@ def _target(batch, into):
 
 def _summed_rows(product, batch, into):
     """The composition's sum of edge rows: a `scatter_sum` by the index
-    itself, or `sum_pairs`."""
+    itself or into the pairs."""
     if into == "pairs":
-        return T.sum_pairs(product, batch.pairs)
+        return T.scatter_sum(product, batch.pairs)
     return T.scatter_sum(product, getattr(batch, into), batch.n_nodes)
 
 
@@ -1046,7 +1133,7 @@ def test_edge_product_is_bitwise_the_gather_times_the_expansion(case, trailing):
     batch = _edge_batches()[case]
     nodes, pair_rows = _edge_rows(batch, trailing)
     got = T.edge_product((nodes, batch.dst), (pair_rows, batch.pairs))
-    want = T.gather(nodes, batch.dst) * T.expand_pairs(pair_rows, batch.pairs)
+    want = T.gather(nodes, batch.dst) * T.gather(pair_rows, batch.pairs)
     assert got.shape == (batch.n_edges,) + trailing
     assert got.data.tobytes() == want.data.tobytes()
 
@@ -1061,7 +1148,7 @@ def _edge_gradients(batch, fused, second):
     if fused:
         product = T.edge_product((a, batch.src), (b, batch.pairs))
     else:
-        product = T.gather(a, batch.src) * T.expand_pairs(b, batch.pairs)
+        product = T.gather(a, batch.src) * T.gather(b, batch.pairs)
     root = T.sum_(T.sin(product) * weights)
     if second:
         ga, gb = tape.gradient(root, [a, b])
@@ -1120,15 +1207,10 @@ def _factors(batch, kinds, scalar=(), trailing=(2, 3), seed=11, plans=False):
 
 
 def _composed(factors, trailing, summed):
-    """The product as gathers, expansions, reshapes and muls."""
+    """The product as gathers, reshapes and muls."""
     product = None
     for x, how in factors:
-        if how is None:
-            at = x
-        elif isinstance(how, PairIndex):
-            at = T.expand_pairs(x, how)
-        else:
-            at = T.gather(x, how)
+        at = x if how is None else T.gather(x, how)
         if at.ndim == 1:
             at = T.reshape(at, (-1,) + (1,) * len(trailing))
         product = at if product is None else product * at
@@ -1197,7 +1279,7 @@ INTO_COMBOS = [*itertools.product(FACTOR_KINDS, repeat=2), *itertools.permutatio
 @pytest.mark.parametrize("kinds", INTO_COMBOS, ids="-".join)
 @pytest.mark.parametrize("case", INTO_CASES)
 def test_an_edge_product_summed_into_nodes_or_pairs_matches_the_composition(case, kinds, into, blocks, monkeypatch):
-    # bitwise the scatter_sum or sum_pairs of the plain product, and so are
+    # bitwise the scatter_sum into nodes or pairs of the plain product, and so are
     # its first-order gradients; in tiny blocks every segment of two or
     # more rows is longer than a block
     if blocks == "tiny":
@@ -1209,7 +1291,7 @@ def test_an_edge_product_summed_into_nodes_or_pairs_matches_the_composition(case
 
 def test_a_sum_into_nodes_forms_no_edge_sized_array():
     # the forward and the backward of a product summed by `src` hold no
-    # (E, width) array, where the composition (gather, expand_pairs, mul,
+    # (E, width) array, where the composition (gather, gather by pairs, mul,
     # scatter_sum) peaked at 3.1 of them: blocks of whole segments, and
     # node and pair rows
     from test_tape_cost import _cluster
