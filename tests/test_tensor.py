@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from geomnets import tensor as T
 from geomnets.errors import ContractError, NumericError, ParseError, ShapeError
-from geomnets.geometry import Conformation, SegmentPlan, pair_index, segment_plan
+from geomnets.geometry import Conformation, pair_index, segment_plan
 
 
 def grad_check(f, x, eps: float = 1e-6) -> float:
